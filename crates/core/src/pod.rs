@@ -31,6 +31,11 @@ use crate::vdev::{DeviceKind, PoolError};
 /// Size of one client I/O buffer slot.
 pub const IO_SLOT: u64 = 64 * 1024;
 
+/// Step of the lockstep control-plane pump: `run_control`,
+/// `vnic_poll_rx` and `await_completion` advance agents and the
+/// orchestrator this much simulated time per round.
+const PUMP_QUANTUM: Nanos = Nanos(2_000);
+
 /// Pod construction parameters.
 #[derive(Clone, Debug)]
 pub struct PodParams {
@@ -728,7 +733,6 @@ impl PodSim {
     /// roughly monotonic arrivals, and letting one actor simulate far
     /// ahead would make everyone else queue behind its bookings.
     pub fn run_control(&mut self, span: Nanos) {
-        const QUANTUM: Nanos = Nanos(2_000);
         let until = self.time() + span;
         let mut step = self
             .agents
@@ -738,7 +742,7 @@ impl PodSim {
             .unwrap_or(Nanos::ZERO)
             .min(self.orch.clock());
         while step < until {
-            step = (step + QUANTUM).min(until);
+            step = (step + PUMP_QUANTUM).min(until);
             for a in &mut self.agents {
                 a.pump(&mut self.fabric, step);
             }
@@ -1164,7 +1168,7 @@ impl PodSim {
             if self.time() > deadline {
                 return None;
             }
-            self.run_control(Nanos(2_000));
+            self.run_control(PUMP_QUANTUM);
         }
     }
 
@@ -1464,7 +1468,6 @@ impl PodSim {
         op: u64,
         deadline: Nanos,
     ) -> Result<Completion, PoolError> {
-        const QUANTUM: Nanos = Nanos(2_000);
         loop {
             if let Some(c) = self.agents[owner.0 as usize].completions.remove(&op) {
                 if c.status == 0 {
@@ -1479,7 +1482,7 @@ impl PodSim {
             if now > deadline {
                 return Err(PoolError::Timeout { op });
             }
-            let until = now + QUANTUM;
+            let until = now + PUMP_QUANTUM;
             self.agents[attach.0 as usize].pump(&mut self.fabric, until);
             self.agents[owner.0 as usize].pump(&mut self.fabric, until);
             self.orch.pump(&mut self.fabric, until);

@@ -42,7 +42,6 @@
 
 pub mod channel;
 pub mod mailbox;
-pub mod mpsc;
 pub mod pingpong;
 pub mod real;
 pub mod ring;

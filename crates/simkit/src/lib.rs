@@ -14,10 +14,7 @@
 //! - a bounded flight recorder with per-stage latency attribution and
 //!   Chrome/Perfetto trace export ([`trace`]),
 //! - a simulated-time metrics registry and sampler with counter-track,
-//!   CSV, and JSON exports ([`metrics`]),
-//! - a wall-clock DES self-profiler ([`Profiler`]) quoting
-//!   events/wall-s and simulated-ns/wall-s without touching simulated
-//!   time.
+//!   CSV, and JSON exports ([`metrics`]).
 //!
 //! Determinism is a hard requirement: two runs with the same seed and the
 //! same event schedule must produce bit-identical results. The event queue
@@ -70,8 +67,5 @@ pub mod trace;
 
 mod sched;
 
-pub use sched::{
-    run, run_until, CalendarQueue, EventQueue, Profiler, ProfilerReport, ReferenceHeap, Scheduler,
-    World,
-};
+pub use sched::{run, Scheduler, World};
 pub use time::Nanos;

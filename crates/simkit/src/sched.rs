@@ -1,18 +1,10 @@
-//! The event queue and run loop, plus the wall-clock DES
-//! self-profiler ([`Profiler`]).
+//! The event queue and run loop.
 //!
-//! Two interchangeable queue implementations back the [`Scheduler`]
-//! (see [`EventQueue`]): the default [`CalendarQueue`] — a bucketed
-//! timing wheel with amortized O(1) insert/extract — and the
-//! [`ReferenceHeap`] binary heap it is differentially tested against.
-//! Both realize the exact same `(time, insertion seq)` total order, so
-//! swapping one for the other never changes simulated results; see
+//! The [`Scheduler`] is backed by a calendar queue — a bucketed timing
+//! wheel with amortized O(1) insert/extract — that realizes the exact
+//! `(time, insertion seq)` total order. The test suite drives it against
+//! a reference binary heap on randomized schedules; see
 //! `docs/PERFORMANCE.md` for the design notes.
-
-use std::cmp::Reverse;
-use std::collections::BTreeMap;
-use std::collections::BinaryHeap;
-use std::time::Duration;
 
 use crate::time::Nanos;
 
@@ -44,108 +36,14 @@ impl<E> Entry<E> {
     }
 }
 
-impl<E> PartialEq for Entry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl<E> Eq for Entry<E> {}
-impl<E> PartialOrd for Entry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<E> Ord for Entry<E> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
-    }
-}
-
-mod queue_core {
-    use super::Nanos;
-
-    /// The pluggable core of a [`super::Scheduler`]'s event queue
-    /// (sealed: implementations live in `sched` only).
-    ///
-    /// Implementations must realize the exact total order
-    /// `(time, seq)` — `pop_min` always returns the pending event with
-    /// the smallest `(at, seq)` pair. Because `seq` values are unique,
-    /// the order is total and two conforming implementations dispatch
-    /// any workload in bit-identical order; the test suite checks the
-    /// calendar queue against the reference heap on randomized
-    /// schedules.
-    pub trait EventQueueCore<E> {
-        /// Inserts an event firing at `at` with insertion sequence
-        /// `seq`.
-        fn push(&mut self, at: Nanos, seq: u64, ev: E);
-        /// Removes and returns the minimum-`(at, seq)` event.
-        fn pop_min(&mut self) -> Option<(Nanos, u64, E)>;
-        /// The `(at, seq)` key of the minimum pending event, if any.
-        fn peek_min(&mut self) -> Option<(Nanos, u64)>;
-        /// Number of pending events.
-        fn len(&self) -> usize;
-        /// Discards all pending events.
-        fn clear(&mut self);
-    }
-}
-
-use queue_core::EventQueueCore;
-
-/// The queue contract both [`Scheduler`] backends satisfy: a
-/// deterministic `(time, seq)`-ordered event queue. Sealed — the two
-/// implementations are [`CalendarQueue`] (the default) and
-/// [`ReferenceHeap`] (the differential-testing baseline), selected via
-/// [`Scheduler::new`] / [`Scheduler::with_reference_heap`].
-pub trait EventQueue<E>: EventQueueCore<E> {}
-
-/// The original `BinaryHeap` event queue, kept as the reference
-/// implementation for differential testing ([`Scheduler::with_reference_heap`]).
-///
-/// O(log n) push/pop, trivially correct ordering via the entry’s `Ord`.
-pub struct ReferenceHeap<E> {
-    heap: BinaryHeap<Reverse<Entry<E>>>,
-}
-
-impl<E> Default for ReferenceHeap<E> {
-    fn default() -> Self {
-        ReferenceHeap {
-            heap: BinaryHeap::new(),
-        }
-    }
-}
-
-impl<E> EventQueueCore<E> for ReferenceHeap<E> {
-    fn push(&mut self, at: Nanos, seq: u64, ev: E) {
-        self.heap.push(Reverse(Entry { at, seq, ev }));
-    }
-
-    fn pop_min(&mut self) -> Option<(Nanos, u64, E)> {
-        let Reverse(e) = self.heap.pop()?;
-        Some((e.at, e.seq, e.ev))
-    }
-
-    fn peek_min(&mut self) -> Option<(Nanos, u64)> {
-        self.heap.peek().map(|Reverse(e)| e.key())
-    }
-
-    fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    fn clear(&mut self) {
-        self.heap.clear();
-    }
-}
-
-impl<E> EventQueue<E> for ReferenceHeap<E> {}
-
 /// Smallest bucket count a [`CalendarQueue`] shrinks back to.
 const CAL_MIN_BUCKETS: usize = 16;
 /// Initial bucket width before the first content-driven resize (ns).
 const CAL_INITIAL_WIDTH: u64 = 1024;
 
-/// A calendar queue (Brown-style bucketed timing wheel): the default
-/// event queue, with amortized O(1) insert and extract-min.
+/// A calendar queue (Brown-style bucketed timing wheel): the
+/// [`Scheduler`]'s event queue, with amortized O(1) insert and
+/// extract-min.
 ///
 /// Time is divided into `width`-ns *days*, mapped round-robin onto
 /// `buckets.len()` unsorted buckets; one lap of the calendar is a
@@ -160,9 +58,9 @@ const CAL_INITIAL_WIDTH: u64 = 1024;
 ///
 /// Determinism: bucket placement and scan order depend only on queue
 /// content, and the in-bucket minimum is taken over the total
-/// `(time, seq)` key, so pops are bit-identical to the
-/// [`ReferenceHeap`]'s.
-pub struct CalendarQueue<E> {
+/// `(time, seq)` key, so `pop_min` always returns the pending event
+/// with the smallest `(at, seq)` pair.
+struct CalendarQueue<E> {
     buckets: Vec<Vec<Entry<E>>>,
     /// Bucket width in nanoseconds (a "day").
     width: u64,
@@ -271,9 +169,8 @@ impl<E> CalendarQueue<E> {
         }
         self.min_pos = None;
     }
-}
 
-impl<E> EventQueueCore<E> for CalendarQueue<E> {
+    /// Inserts an event firing at `at` with insertion sequence `seq`.
     fn push(&mut self, at: Nanos, seq: u64, ev: E) {
         // Keep the cursor a true lower bound even if a caller pushes
         // behind it (the Scheduler never does; this keeps the queue
@@ -296,6 +193,7 @@ impl<E> EventQueueCore<E> for CalendarQueue<E> {
         self.maybe_resize();
     }
 
+    /// Removes and returns the minimum-`(at, seq)` event.
     fn pop_min(&mut self) -> Option<(Nanos, u64, E)> {
         let (idx, slot, key) = self.find_min()?;
         let e = self.buckets[idx].swap_remove(slot);
@@ -307,14 +205,12 @@ impl<E> EventQueueCore<E> for CalendarQueue<E> {
         Some((e.at, e.seq, e.ev))
     }
 
+    /// The `(at, seq)` key of the minimum pending event, if any.
     fn peek_min(&mut self) -> Option<(Nanos, u64)> {
         self.find_min().map(|(_, _, key)| key)
     }
 
-    fn len(&self) -> usize {
-        self.count
-    }
-
+    /// Discards all pending events.
     fn clear(&mut self) {
         for b in &mut self.buckets {
             b.clear();
@@ -324,60 +220,21 @@ impl<E> EventQueueCore<E> for CalendarQueue<E> {
     }
 }
 
-impl<E> EventQueue<E> for CalendarQueue<E> {}
-
-/// Which queue implementation backs a [`Scheduler`].
-enum QueueImpl<E> {
-    Calendar(CalendarQueue<E>),
-    Heap(ReferenceHeap<E>),
-}
-
-impl<E> QueueImpl<E> {
-    fn as_core(&mut self) -> &mut dyn EventQueueCore<E> {
-        match self {
-            QueueImpl::Calendar(q) => q,
-            QueueImpl::Heap(q) => q,
-        }
-    }
-
-    fn len(&self) -> usize {
-        match self {
-            QueueImpl::Calendar(q) => q.len(),
-            QueueImpl::Heap(q) => q.len(),
-        }
-    }
-}
-
 /// A deterministic future-event queue.
 ///
 /// Events with equal timestamps are delivered in the order they were
 /// scheduled (FIFO tie-break), which keeps simulations reproducible.
-/// Backed by a [`CalendarQueue`] by default;
-/// [`Scheduler::with_reference_heap`] selects the [`ReferenceHeap`]
-/// instead — both produce bit-identical dispatch order.
 pub struct Scheduler<E> {
-    queue: QueueImpl<E>,
+    queue: CalendarQueue<E>,
     seq: u64,
     now: Nanos,
 }
 
 impl<E> Scheduler<E> {
-    /// Creates an empty scheduler at time zero, backed by the default
-    /// [`CalendarQueue`].
+    /// Creates an empty scheduler at time zero.
     pub fn new() -> Scheduler<E> {
         Scheduler {
-            queue: QueueImpl::Calendar(CalendarQueue::default()),
-            seq: 0,
-            now: Nanos::ZERO,
-        }
-    }
-
-    /// Creates an empty scheduler backed by the [`ReferenceHeap`] —
-    /// the original binary-heap queue, kept for differential testing
-    /// against the calendar queue.
-    pub fn with_reference_heap() -> Scheduler<E> {
-        Scheduler {
-            queue: QueueImpl::Heap(ReferenceHeap::default()),
+            queue: CalendarQueue::default(),
             seq: 0,
             now: Nanos::ZERO,
         }
@@ -397,7 +254,7 @@ impl<E> Scheduler<E> {
         );
         let seq = self.seq;
         self.seq += 1;
-        self.queue.as_core().push(at, seq, ev);
+        self.queue.push(at, seq, ev);
     }
 
     /// Schedules `ev` to fire `delay` after the current time.
@@ -414,19 +271,19 @@ impl<E> Scheduler<E> {
 
     /// Number of pending events.
     pub fn pending(&self) -> usize {
-        self.queue.len()
+        self.queue.count
     }
 
     /// True if no events remain.
     pub fn is_empty(&self) -> bool {
-        self.queue.len() == 0
+        self.queue.count == 0
     }
 
     /// Pops the next event, advancing the clock to its timestamp.
     ///
     /// Returns `None` when the queue is empty.
     pub fn pop(&mut self) -> Option<(Nanos, E)> {
-        let (at, _seq, ev) = self.queue.as_core().pop_min()?;
+        let (at, _seq, ev) = self.queue.pop_min()?;
         debug_assert!(at >= self.now, "event queue went backwards");
         self.now = at;
         Some((at, ev))
@@ -434,12 +291,12 @@ impl<E> Scheduler<E> {
 
     /// Timestamp of the next pending event, if any.
     pub fn peek_time(&mut self) -> Option<Nanos> {
-        self.queue.as_core().peek_min().map(|(at, _)| at)
+        self.queue.peek_min().map(|(at, _)| at)
     }
 
     /// Discards all pending events without dispatching them.
     pub fn clear(&mut self) {
-        self.queue.as_core().clear();
+        self.queue.clear();
     }
 }
 
@@ -467,168 +324,11 @@ pub fn run<W: World>(world: &mut W, sched: &mut Scheduler<W::Event>, until: Nano
     last
 }
 
-/// Runs the world until `predicate(world)` becomes true, the queue
-/// drains, or `until` is exceeded. Returns the final simulation time.
-///
-/// The predicate is checked after every dispatched event.
-pub fn run_until<W: World>(
-    world: &mut W,
-    sched: &mut Scheduler<W::Event>,
-    until: Nanos,
-    mut predicate: impl FnMut(&W) -> bool,
-) -> Nanos {
-    let mut last = sched.now();
-    while let Some(next) = sched.peek_time() {
-        if next > until {
-            break;
-        }
-        let (now, ev) = sched.pop().expect("peeked event must pop");
-        world.handle(now, ev, sched);
-        last = now;
-        if predicate(world) {
-            break;
-        }
-    }
-    last
-}
-
-/// Wall-clock DES self-profiler: how fast is the simulator itself?
-///
-/// Per subsystem (a caller-chosen phase or component name) it records
-/// events dispatched, simulated nanoseconds covered, and wall-clock
-/// time burned — sampled **outside** simulated time, so determinism is
-/// untouched: a profiled run and an unprofiled run produce bit-identical
-/// simulated results. The derived rates (events/wall-s,
-/// simulated-ns/wall-s) are the baseline and regression gate for the
-/// ROADMAP's sharded-DES work; `bench workload` lands them in
-/// `BENCH_workload.json` as `sim_rate`.
-///
-/// This type is the sanctioned home of `Instant::now` in simulation
-/// crates — wall clock *is* the measurement target here. simlint's
-/// wall-clock allowlist self-check pins the number of such sites.
-pub struct Profiler {
-    rows: BTreeMap<&'static str, ProfRow>,
-    started: std::time::Instant,
-}
-
-/// Accumulated totals for one profiled subsystem.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct ProfRow {
-    /// Wall-clock time spent inside [`Profiler::measure`] calls.
-    pub wall: Duration,
-    /// Events (or operations) attributed via [`Profiler::add_events`].
-    pub events: u64,
-    /// Simulated time covered, attributed via [`Profiler::add_sim`].
-    pub sim: Nanos,
-}
-
-/// One rendered row of a [`ProfilerReport`].
-#[derive(Clone, Debug)]
-pub struct ProfiledSubsystem {
-    /// Subsystem name.
-    pub name: &'static str,
-    /// Events dispatched.
-    pub events: u64,
-    /// Wall-clock nanoseconds burned.
-    pub wall_ns: u64,
-    /// Simulated nanoseconds covered.
-    pub sim_ns: u64,
-    /// Events per wall-clock second.
-    pub events_per_wall_s: f64,
-    /// Simulated nanoseconds per wall-clock second (the DES "speed of
-    /// light": 1e9 means real time).
-    pub sim_ns_per_wall_s: f64,
-}
-
-/// Totals + per-subsystem rows from a [`Profiler`], sorted by name.
-#[derive(Clone, Debug)]
-pub struct ProfilerReport {
-    /// Per-subsystem rows, sorted by subsystem name.
-    pub rows: Vec<ProfiledSubsystem>,
-    /// Total wall-clock nanoseconds since [`Profiler::start`].
-    pub wall_ns: u64,
-    /// Total events across subsystems.
-    pub events: u64,
-    /// Total simulated nanoseconds across subsystems.
-    pub sim_ns: u64,
-    /// Total events per wall-clock second.
-    pub events_per_wall_s: f64,
-    /// Total simulated nanoseconds per wall-clock second.
-    pub sim_ns_per_wall_s: f64,
-}
-
-impl Profiler {
-    /// Starts profiling; the wall clock runs from here.
-    pub fn start() -> Profiler {
-        Profiler {
-            rows: BTreeMap::new(),
-            // simlint: allow(wall-clock) -- DES self-profiler: wall clock is the measurement target, sampled outside simulated time
-            started: std::time::Instant::now(),
-        }
-    }
-
-    /// Runs `f`, charging its wall-clock time to `subsystem`.
-    pub fn measure<R>(&mut self, subsystem: &'static str, f: impl FnOnce() -> R) -> R {
-        // simlint: allow(wall-clock) -- DES self-profiler: wall clock is the measurement target, sampled outside simulated time
-        let t0 = std::time::Instant::now();
-        let r = f();
-        let elapsed = t0.elapsed();
-        self.rows.entry(subsystem).or_default().wall += elapsed;
-        r
-    }
-
-    /// Attributes `n` dispatched events (or completed operations) to
-    /// `subsystem`.
-    pub fn add_events(&mut self, subsystem: &'static str, n: u64) {
-        self.rows.entry(subsystem).or_default().events += n;
-    }
-
-    /// Attributes `d` of simulated-time coverage to `subsystem`.
-    pub fn add_sim(&mut self, subsystem: &'static str, d: Nanos) {
-        self.rows.entry(subsystem).or_default().sim += d;
-    }
-
-    /// Raw accumulated rows, sorted by subsystem name.
-    pub fn rows(&self) -> impl Iterator<Item = (&'static str, &ProfRow)> {
-        self.rows.iter().map(|(&k, v)| (k, v))
-    }
-
-    /// Renders the report: per-subsystem rates plus totals. Zero wall
-    /// time clamps to 1 ns so rates stay finite (and strictly positive
-    /// whenever any simulated time was covered).
-    pub fn report(&self) -> ProfilerReport {
-        let per_s = |n: f64, wall_ns: u64| n * 1e9 / wall_ns.max(1) as f64;
-        let rows: Vec<ProfiledSubsystem> = self
-            .rows
-            .iter()
-            .map(|(&name, r)| {
-                let wall_ns = r.wall.as_nanos().min(u128::from(u64::MAX)) as u64;
-                ProfiledSubsystem {
-                    name,
-                    events: r.events,
-                    wall_ns,
-                    sim_ns: r.sim.as_nanos(),
-                    events_per_wall_s: per_s(r.events as f64, wall_ns),
-                    sim_ns_per_wall_s: per_s(r.sim.as_nanos() as f64, wall_ns),
-                }
-            })
-            .collect();
-        let wall_ns = self.started.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
-        let events: u64 = rows.iter().map(|r| r.events).sum();
-        let sim_ns: u64 = rows.iter().map(|r| r.sim_ns).sum();
-        ProfilerReport {
-            rows,
-            wall_ns,
-            events,
-            sim_ns,
-            events_per_wall_s: per_s(events as f64, wall_ns),
-            sim_ns_per_wall_s: per_s(sim_ns as f64, wall_ns),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
+
     use super::*;
 
     struct Recorder {
@@ -693,18 +393,6 @@ mod tests {
     }
 
     #[test]
-    fn run_until_predicate_stops_early() {
-        let mut w = Recorder { seen: vec![] };
-        let mut s = Scheduler::new();
-        for i in 0..10 {
-            s.schedule(Nanos(i as u64 * 10), i);
-        }
-        run_until(&mut w, &mut s, Nanos::MAX, |w| w.seen.len() == 4);
-        assert_eq!(w.seen, vec![0, 1, 2, 3]);
-        assert_eq!(s.pending(), 6);
-    }
-
-    #[test]
     fn schedule_in_is_relative_to_now() {
         struct Chain {
             times: Vec<Nanos>,
@@ -726,27 +414,6 @@ mod tests {
     }
 
     #[test]
-    fn profiler_accumulates_and_reports() {
-        let mut p = Profiler::start();
-        let v = p.measure("pump", || 40 + 2);
-        assert_eq!(v, 42);
-        p.add_events("pump", 10);
-        p.add_sim("pump", Nanos::from_millis(5));
-        p.add_events("search", 1);
-        let rep = p.report();
-        assert_eq!(rep.rows.len(), 2);
-        // BTreeMap order: "pump" < "search".
-        assert_eq!(rep.rows[0].name, "pump");
-        assert_eq!(rep.rows[0].events, 10);
-        assert_eq!(rep.rows[0].sim_ns, 5_000_000);
-        assert_eq!(rep.events, 11);
-        assert_eq!(rep.sim_ns, 5_000_000);
-        assert!(rep.wall_ns > 0);
-        assert!(rep.sim_ns_per_wall_s > 0.0);
-        assert!(rep.events_per_wall_s > 0.0);
-    }
-
-    #[test]
     fn clear_discards_pending() {
         let mut s: Scheduler<u32> = Scheduler::new();
         s.schedule(Nanos(1), 1);
@@ -760,44 +427,122 @@ mod tests {
     // Calendar queue vs reference heap: differential tests
     // -------------------------------------------------------------
 
-    /// Drives both schedulers through the same deterministic workload
-    /// of interleaved schedules and pops, asserting bit-identical
-    /// dispatch sequences.
+    impl<E> PartialEq for Entry<E> {
+        fn eq(&self, other: &Self) -> bool {
+            self.key() == other.key()
+        }
+    }
+    impl<E> Eq for Entry<E> {}
+    impl<E> PartialOrd for Entry<E> {
+        fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+            Some(self.cmp(other))
+        }
+    }
+    impl<E> Ord for Entry<E> {
+        fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+            self.key().cmp(&other.key())
+        }
+    }
+
+    /// The test oracle: a `BinaryHeap` event queue with O(log n)
+    /// push/pop and trivially correct `(time, seq)` ordering via the
+    /// entry's `Ord`.
+    struct ReferenceHeap<E> {
+        heap: BinaryHeap<Reverse<Entry<E>>>,
+    }
+
+    impl<E> ReferenceHeap<E> {
+        fn new() -> Self {
+            ReferenceHeap {
+                heap: BinaryHeap::new(),
+            }
+        }
+
+        fn push(&mut self, at: Nanos, seq: u64, ev: E) {
+            self.heap.push(Reverse(Entry { at, seq, ev }));
+        }
+
+        fn pop_min(&mut self) -> Option<(Nanos, u64, E)> {
+            let Reverse(e) = self.heap.pop()?;
+            Some((e.at, e.seq, e.ev))
+        }
+
+        fn peek_min(&self) -> Option<(Nanos, u64)> {
+            self.heap.peek().map(|Reverse(e)| e.key())
+        }
+    }
+
+    /// The calendar queue and the reference heap, fed identical pushes
+    /// with scheduler-style sequence numbers; every pop and peek must
+    /// agree.
+    struct Pair<E> {
+        cal: CalendarQueue<E>,
+        heap: ReferenceHeap<E>,
+        seq: u64,
+        /// Time of the last pop: pushes never go behind it.
+        now: Nanos,
+    }
+
+    impl<E: Clone + PartialEq + std::fmt::Debug> Pair<E> {
+        fn new() -> Self {
+            Pair {
+                cal: CalendarQueue::default(),
+                heap: ReferenceHeap::new(),
+                seq: 0,
+                now: Nanos::ZERO,
+            }
+        }
+
+        fn push(&mut self, at: Nanos, ev: E) {
+            self.cal.push(at, self.seq, ev.clone());
+            self.heap.push(at, self.seq, ev);
+            self.seq += 1;
+        }
+
+        fn pop(&mut self) -> Option<(Nanos, E)> {
+            let a = self.cal.pop_min();
+            let b = self.heap.pop_min();
+            assert_eq!(a, b, "divergent pop");
+            let (at, _, ev) = a?;
+            self.now = at;
+            Some((at, ev))
+        }
+
+        fn check(&mut self) {
+            assert_eq!(self.cal.count, self.heap.heap.len());
+            assert_eq!(self.cal.peek_min(), self.heap.peek_min());
+        }
+
+        fn drain(&mut self) {
+            while self.pop().is_some() {}
+            assert!(self.heap.heap.is_empty());
+        }
+    }
+
+    /// Drives both queues through the same deterministic workload of
+    /// interleaved pushes and pops, asserting bit-identical dispatch
+    /// sequences.
     fn differential(seed: u64, ops: usize, max_gap: u64, burst: u64) {
         let mut rng = crate::rng::Rng::new(seed);
-        let mut cal: Scheduler<u64> = Scheduler::new();
-        let mut heap: Scheduler<u64> = Scheduler::with_reference_heap();
+        let mut q: Pair<u64> = Pair::new();
         let mut payload = 0u64;
         for _ in 0..ops {
             let r = rng.next_u64();
-            if r % 100 < 60 || cal.is_empty() {
-                // Schedule 1..=burst events at (possibly equal) times
-                // at or after the current clock.
+            if r % 100 < 60 || q.cal.count == 0 {
+                // Push 1..=burst events at (possibly equal) times at
+                // or after the last popped time.
                 let n = 1 + r % burst;
                 for _ in 0..n {
                     let gap = rng.next_u64() % max_gap;
-                    let at = Nanos(cal.now().0 + gap);
-                    cal.schedule(at, payload);
-                    heap.schedule(at, payload);
+                    q.push(Nanos(q.now.0 + gap), payload);
                     payload += 1;
                 }
             } else {
-                let a = cal.pop();
-                let b = heap.pop();
-                assert_eq!(a, b, "divergent pop (seed {seed})");
+                q.pop();
             }
-            assert_eq!(cal.pending(), heap.pending());
-            assert_eq!(cal.peek_time(), heap.peek_time());
+            q.check();
         }
-        // Drain both completely.
-        loop {
-            let a = cal.pop();
-            let b = heap.pop();
-            assert_eq!(a, b, "divergent drain (seed {seed})");
-            if a.is_none() {
-                break;
-            }
-        }
+        q.drain();
     }
 
     #[test]
@@ -819,69 +564,46 @@ mod tests {
         // Mixed ns..s gaps in one run: forces repeated width
         // re-derivation as the time span stretches.
         let mut rng = crate::rng::Rng::new(7);
-        let mut cal: Scheduler<u32> = Scheduler::new();
-        let mut heap: Scheduler<u32> = Scheduler::with_reference_heap();
+        let mut q: Pair<u32> = Pair::new();
         let mut i = 0u32;
         for _ in 0..3_000 {
             let r = rng.next_u64();
-            if r % 10 < 6 || cal.is_empty() {
+            if r % 10 < 6 || q.cal.count == 0 {
                 // Gap magnitude spans 9 decades.
                 let mag = 10u64.pow((rng.next_u64() % 9) as u32);
-                let at = Nanos(cal.now().0 + rng.next_u64() % mag);
-                cal.schedule(at, i);
-                heap.schedule(at, i);
+                q.push(Nanos(q.now.0 + rng.next_u64() % mag), i);
                 i += 1;
             } else {
-                assert_eq!(cal.pop(), heap.pop());
+                q.pop();
             }
         }
-        while !cal.is_empty() {
-            assert_eq!(cal.pop(), heap.pop());
-        }
-        assert!(heap.is_empty());
+        q.drain();
     }
 
     #[test]
-    fn heap_backed_world_runs_identically() {
-        // The same self-scheduling world, run under both queues,
-        // produces identical dispatch traces and final times.
-        struct Chain {
-            rng: crate::rng::Rng,
-            trace: Vec<(Nanos, u32)>,
-        }
-        impl World for Chain {
-            type Event = u32;
-            fn handle(&mut self, now: Nanos, ev: u32, s: &mut Scheduler<u32>) {
-                self.trace.push((now, ev));
-                // Bound the run by dispatch count; fan out unevenly
-                // (sometimes two children, with same-time collisions),
-                // pruned back to one past the halfway mark so the
-                // population both grows and drains.
-                if self.trace.len() < 4_000 {
-                    let gap = self.rng.next_u64() % 64;
-                    s.schedule(now + Nanos(gap), ev + 1);
-                    if ev.is_multiple_of(3) && self.trace.len() < 2_000 {
-                        s.schedule(now + Nanos(gap), ev + 2);
-                    }
+    fn calendar_matches_heap_self_scheduling_world() {
+        // A self-scheduling world: each dispatched event schedules its
+        // children into both queues, so the population both grows and
+        // drains under the calendar's resizes.
+        let mut rng = crate::rng::Rng::new(99);
+        let mut q: Pair<u32> = Pair::new();
+        q.push(Nanos(0), 0);
+        let mut dispatched = 0;
+        while let Some((now, ev)) = q.pop() {
+            dispatched += 1;
+            // Bound the run by dispatch count; fan out unevenly
+            // (sometimes two children, with same-time collisions),
+            // pruned back to one past the halfway mark.
+            if dispatched < 4_000 {
+                let gap = rng.next_u64() % 64;
+                q.push(now + Nanos(gap), ev + 1);
+                if ev.is_multiple_of(3) && dispatched < 2_000 {
+                    q.push(now + Nanos(gap), ev + 2);
                 }
             }
+            q.check();
         }
-        let mut runs = Vec::new();
-        for heap in [false, true] {
-            let mut w = Chain {
-                rng: crate::rng::Rng::new(99),
-                trace: vec![],
-            };
-            let mut s = if heap {
-                Scheduler::with_reference_heap()
-            } else {
-                Scheduler::new()
-            };
-            s.schedule(Nanos(0), 0);
-            let end = run(&mut w, &mut s, Nanos::MAX);
-            runs.push((w.trace, end));
-        }
-        assert_eq!(runs[0], runs[1]);
+        assert!(dispatched >= 4_000);
     }
 
     #[test]

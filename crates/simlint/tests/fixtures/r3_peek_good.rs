@@ -4,11 +4,11 @@
 
 use std::collections::BinaryHeap;
 
-struct EventQueue {
+struct DeadlineHeap {
     heap: BinaryHeap<u64>,
 }
 
-impl EventQueue {
+impl DeadlineHeap {
     fn next_deadline(&self) -> Option<u64> {
         self.heap.peek().copied()
     }
