@@ -30,9 +30,15 @@ use workgen::{
 
 use crate::Scale;
 
-/// Stable schema tag for downstream consumers (v3: tenant-churn
-/// scenario with live-migration vs naive-placement A/B).
-pub const SCHEMA: &str = "cxl-pool-workload-bench/v3";
+/// Stable schema tag for downstream consumers (v4: `baseline.ledger`
+/// per-layer counts, and offered/achieved rates split into open- and
+/// closed-loop figures).
+pub const SCHEMA: &str = "cxl-pool-workload-bench/v4";
+
+/// `--check` fails when the baseline run issues more pool loads than
+/// this per measured op: idle ring polls are skipped, so loads track
+/// the work the ops do, not the simulated time they span.
+pub const MAX_LOADS_PER_OP: f64 = 10.0;
 
 /// Default output path (gitignored; CI uploads it as an artifact).
 pub const DEFAULT_OUT: &str = "BENCH_workload.json";
@@ -250,7 +256,9 @@ pub fn run(cfg: &Config) -> Value {
     if MetricsConfig::env_enabled() {
         pod.enable_metrics();
     }
+    let before = LedgerCounts::read(&pod);
     let baseline = engine.run(&mut pod, &base);
+    let ledger = LedgerCounts::read(&pod).since(&before);
     let snap = telemetry::snapshot(&pod);
     let audit = pod.audit_finalize();
 
@@ -348,6 +356,7 @@ pub fn run(cfg: &Config) -> Value {
         ("baseline", {
             let mut fields = report_json_fields(&baseline);
             fields.push(("stages", Value::Array(stages)));
+            fields.push(("ledger", ledger.json(baseline.ops)));
             obj(fields)
         }),
         ("audit", audit_json),
@@ -486,6 +495,12 @@ fn self_check(cfg: &Config, doc: &Value, out: &str) -> Result<(), String> {
     if violations != 0.0 {
         return Err(format!("coherence audit reported {violations} violations"));
     }
+    let loads = getf(&["baseline", "ledger", "pool_loads_per_op"])?;
+    if loads > MAX_LOADS_PER_OP {
+        return Err(format!(
+            "baseline issued {loads:.1} pool loads per op, above the {MAX_LOADS_PER_OP} gate"
+        ));
+    }
 
     // The churn section: live migration must keep every tenant's SLO
     // green where the naive static placement fails at least one, the
@@ -547,11 +562,29 @@ fn print_summary(doc: &Value, out: &str) {
     };
     println!("=== workload bench ===");
     println!(
-        "baseline: offered {:.0} pps, achieved {:.0} pps, {} ops, {} errors",
-        g(&["baseline", "offered_pps"]),
-        g(&["baseline", "achieved_pps"]),
+        "baseline: open loop offered {:.0} pps, achieved {:.0} pps; closed loop achieved {:.0} pps; \
+         {} ops, {} errors",
+        g(&["baseline", "offered_open_pps"]),
+        g(&["baseline", "achieved_open_pps"]),
+        g(&["baseline", "achieved_closed_pps"]),
         g(&["baseline", "ops"]),
         g(&["baseline", "errors"]),
+    );
+    let out_of_order = g(&[
+        "baseline",
+        "ledger",
+        "timeline_bookings",
+        "out_of_order_frac",
+    ]);
+    println!(
+        "  ledger: {:.1} pool loads, {:.1} NT stores, {:.1} DMA ops, {:.1} empty + {:.1} hit \
+         ring polls per op; {:.1}% of timeline bookings out of order",
+        g(&["baseline", "ledger", "pool_loads_per_op"]),
+        g(&["baseline", "ledger", "nt_stores_per_op"]),
+        g(&["baseline", "ledger", "dma_ops_per_op"]),
+        g(&["baseline", "ledger", "ring_polls_per_op", "empty"]),
+        g(&["baseline", "ledger", "ring_polls_per_op", "hit"]),
+        100.0 * out_of_order,
     );
     if let Some(tenants) = doc
         .get("baseline")
@@ -629,6 +662,90 @@ fn print_summary(doc: &Value, out: &str) {
         );
     }
     println!("wrote {out}");
+}
+
+// --- Ledger ---------------------------------------------------------------
+
+/// The deterministic per-layer counters behind `baseline.ledger`, read
+/// from the counters the fabric, its timelines and the ring endpoints
+/// already keep (cumulative; see [`LedgerCounts::since`]).
+#[derive(Clone, Copy, Debug)]
+struct LedgerCounts {
+    loads: u64,
+    nt_stores: u64,
+    dma_ops: u64,
+    bookings: u64,
+    out_of_order: u64,
+    out_of_order_lag_ns: u64,
+    polls_empty: u64,
+    polls_hit: u64,
+}
+
+impl LedgerCounts {
+    fn read(pod: &PodSim) -> LedgerCounts {
+        let f = pod.fabric.stats();
+        let order = pod.fabric.timeline_order();
+        let chan = pod.channel_stats();
+        LedgerCounts {
+            loads: f.loads,
+            nt_stores: f.nt_stores,
+            dma_ops: f.dma_reads + f.dma_writes,
+            bookings: order.bookings,
+            out_of_order: order.out_of_order,
+            out_of_order_lag_ns: order.lag.as_nanos(),
+            polls_empty: chan.polls_empty,
+            polls_hit: chan.polls_hit,
+        }
+    }
+
+    /// What accrued between `earlier` and `self`.
+    fn since(&self, earlier: &LedgerCounts) -> LedgerCounts {
+        LedgerCounts {
+            loads: self.loads - earlier.loads,
+            nt_stores: self.nt_stores - earlier.nt_stores,
+            dma_ops: self.dma_ops - earlier.dma_ops,
+            bookings: self.bookings - earlier.bookings,
+            out_of_order: self.out_of_order - earlier.out_of_order,
+            out_of_order_lag_ns: self.out_of_order_lag_ns - earlier.out_of_order_lag_ns,
+            polls_empty: self.polls_empty - earlier.polls_empty,
+            polls_hit: self.polls_hit - earlier.polls_hit,
+        }
+    }
+
+    /// The `baseline.ledger` object, normalised by the run's measured
+    /// `ops` (warmup ops run too, so per-op figures include their share).
+    fn json(&self, ops: u64) -> Value {
+        let ratio = |n: u64, d: u64| if d == 0 { 0.0 } else { n as f64 / d as f64 };
+        let per_op = |n: u64| ratio(n, ops);
+        obj(vec![
+            ("ops", num(ops as f64)),
+            ("pool_loads_per_op", num(per_op(self.loads))),
+            ("nt_stores_per_op", num(per_op(self.nt_stores))),
+            ("dma_ops_per_op", num(per_op(self.dma_ops))),
+            (
+                "ring_polls_per_op",
+                obj(vec![
+                    ("empty", num(per_op(self.polls_empty))),
+                    ("hit", num(per_op(self.polls_hit))),
+                ]),
+            ),
+            (
+                "timeline_bookings",
+                obj(vec![
+                    ("in_order", num((self.bookings - self.out_of_order) as f64)),
+                    ("out_of_order", num(self.out_of_order as f64)),
+                    (
+                        "out_of_order_frac",
+                        num(ratio(self.out_of_order, self.bookings)),
+                    ),
+                    (
+                        "mean_lag_ns",
+                        num(ratio(self.out_of_order_lag_ns, self.out_of_order)),
+                    ),
+                ]),
+            ),
+        ])
+    }
 }
 
 // --- JSON helpers -------------------------------------------------------
@@ -760,8 +877,9 @@ fn report_json_fields(r: &RunReport) -> Vec<(&'static str, Value)> {
         })
         .collect();
     vec![
-        ("offered_pps", num(r.offered_pps)),
-        ("achieved_pps", num(r.achieved_pps)),
+        ("offered_open_pps", num(r.offered_open_pps())),
+        ("achieved_open_pps", num(r.achieved_open_pps())),
+        ("achieved_closed_pps", num(r.achieved_closed_pps())),
         ("ops", num(r.ops as f64)),
         ("errors", num(r.errors as f64)),
         ("elapsed_ns", num(r.elapsed.as_nanos() as f64)),

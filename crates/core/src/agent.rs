@@ -12,11 +12,11 @@ use std::collections::HashMap;
 use cxl_fabric::{Fabric, HostId};
 use pcie_sim::nic::TxFrame;
 use pcie_sim::{Accelerator, BufRef, DeviceError, DeviceId, Nic, Ssd};
-use shmem::channel::{ChannelReceiver, ChannelSend, ChannelSender};
-use shmem::ring::PollOutcome;
+use shmem::channel::{ChannelReceiver, ChannelSend, ChannelSender, ChannelStats};
 use simkit::trace::{self, Track};
 use simkit::Nanos;
 
+use crate::poll::{self, PollActor, PollLoop};
 use crate::proto::Msg;
 use crate::vdev::DeviceKind;
 
@@ -35,6 +35,16 @@ pub struct Link {
     pub tx: ChannelSender,
     /// Receiver from the peer.
     pub rx: ChannelReceiver,
+}
+
+impl Link {
+    /// Both directions' counters: the send side's sends and stalls,
+    /// the receive side's empty and hit polls.
+    pub fn stats(&self) -> ChannelStats {
+        let mut s = self.tx.stats();
+        s += self.rx.stats();
+        s
+    }
 }
 
 /// A completed forwarded operation, as recorded by the *requesting*
@@ -105,6 +115,7 @@ pub struct Agent {
     outbox_orch: Vec<Msg>,
     clock: Nanos,
     stats: AgentStats,
+    poll: PollLoop,
 }
 
 impl Agent {
@@ -124,6 +135,7 @@ impl Agent {
             outbox_orch: Vec::new(),
             clock: Nanos::ZERO,
             stats: AgentStats::default(),
+            poll: PollLoop::default(),
         }
     }
 
@@ -144,6 +156,13 @@ impl Agent {
         }
     }
 
+    /// Executes every notional ring poll for real instead of skipping
+    /// the provably empty ones (the exact oracle; see
+    /// [`crate::pod::PodParams::exact_polling`]).
+    pub fn set_exact_polling(&mut self, exact: bool) {
+        self.poll.exact = exact;
+    }
+
     /// The agent's local poll-loop clock.
     pub fn clock(&self) -> Nanos {
         self.clock
@@ -156,6 +175,12 @@ impl Agent {
         }
     }
 
+    /// True while failure notices wait for the next pass to flush them
+    /// to the orchestrator.
+    pub(crate) fn notices_queued(&self) -> bool {
+        !self.outbox_orch.is_empty()
+    }
+
     /// Control-plane queue occupancy: orchestrator messages waiting to
     /// flush plus TX frames awaiting harness pickup. The metrics plane
     /// samples this as `host/queue_depth`.
@@ -163,17 +188,15 @@ impl Agent {
         self.outbox_orch.len() + self.out_frames.len()
     }
 
-    /// Aggregated send-side ring statistics across every channel link
-    /// this agent holds (mesh peers + orchestrator): total sends,
-    /// backpressure events, and cumulative stall nanoseconds. The
-    /// metrics plane samples these as `chan/*` series.
-    pub fn channel_stats(&self) -> shmem::channel::ChannelStats {
-        let mut total = shmem::channel::ChannelStats::default();
+    /// Aggregated ring statistics across every channel link this agent
+    /// holds (mesh peers + orchestrator): total sends, backpressure
+    /// events and cumulative stall nanoseconds on the send side, empty
+    /// and hit polls on the receive side. The metrics plane samples the
+    /// send side as `chan/*` series.
+    pub fn channel_stats(&self) -> ChannelStats {
+        let mut total = ChannelStats::default();
         for (_, link) in &self.links {
-            let s = link.tx.stats();
-            total.sends += s.sends;
-            total.blocked_events += s.blocked_events;
-            total.stall_ns += s.stall_ns;
+            total += link.stats();
         }
         total
     }
@@ -298,48 +321,11 @@ impl Agent {
     /// Runs the agent's poll loop until its clock reaches `until`,
     /// executing any forwarded operations and orchestrator commands it
     /// receives. Failure notices for the orchestrator accumulate in an
-    /// outbox and are flushed on each pass.
+    /// outbox and are flushed at the start of each pass. Provably empty
+    /// polls are skipped at their exact idle cost unless exact polling
+    /// is on (see `crate::poll`).
     pub fn pump(&mut self, fabric: &mut Fabric, until: Nanos) {
-        while self.clock < until {
-            let before = self.clock;
-            // Flush pending orchestrator notices first.
-            let pending: Vec<Msg> = std::mem::take(&mut self.outbox_orch);
-            for msg in pending {
-                // Best effort: if blocked, requeue for the next pass.
-                if self.send_to(fabric, Peer::Orchestrator, &msg).is_err() {
-                    self.outbox_orch.push(msg);
-                }
-            }
-            // One round-robin pass over all links.
-            for i in 0..self.links.len() {
-                let clock = self.clock;
-                let outcome = {
-                    let (_, link) = &mut self.links[i];
-                    link.rx.poll(fabric, clock)
-                };
-                match outcome {
-                    Ok(PollOutcome::Empty(t)) => self.clock = t,
-                    Ok(PollOutcome::Msg { data, at }) => {
-                        self.clock = at;
-                        if let Ok(msg) = Msg::decode(&data) {
-                            self.dispatch(fabric, i, msg);
-                        }
-                    }
-                    Err(_) => {
-                        // Fabric trouble on this link (e.g. MHD failure):
-                        // skip it this round; time advances via the
-                        // other links.
-                    }
-                }
-            }
-            if self.links.is_empty() || self.clock == before {
-                // No link consumed any time this pass — every ring is
-                // on failed pool memory (λ-interleaved rings all touch
-                // a failed MHD). The host busy-polls through the
-                // outage; burn the quantum instead of spinning forever.
-                self.clock = until;
-            }
-        }
+        poll::pump(self, fabric, until);
     }
 
     /// Marks the arrival of a forwarded operation on this agent's CPU
@@ -554,6 +540,48 @@ impl Agent {
         }
         // A blocked reply ring is dropped silently here: the requester
         // will time out and retry. (Rings are sized to make this rare.)
+    }
+}
+
+impl PollActor for Agent {
+    fn poll_loop(&mut self) -> &mut PollLoop {
+        &mut self.poll
+    }
+
+    fn clock_mut(&mut self) -> &mut Nanos {
+        &mut self.clock
+    }
+
+    fn link_count(&self) -> usize {
+        self.links.len()
+    }
+
+    fn receiver(&self, i: usize) -> &ChannelReceiver {
+        &self.links[i].1.rx
+    }
+
+    fn receiver_mut(&mut self, i: usize) -> &mut ChannelReceiver {
+        &mut self.links[i].1.rx
+    }
+
+    fn pending(&self) -> bool {
+        self.notices_queued()
+    }
+
+    fn begin_pass(&mut self, fabric: &mut Fabric) {
+        let pending: Vec<Msg> = std::mem::take(&mut self.outbox_orch);
+        for msg in pending {
+            // Best effort: if blocked, requeue for the next pass.
+            if self.send_to(fabric, Peer::Orchestrator, &msg).is_err() {
+                self.outbox_orch.push(msg);
+            }
+        }
+    }
+
+    fn on_message(&mut self, fabric: &mut Fabric, i: usize, data: Vec<u8>) {
+        if let Ok(msg) = Msg::decode(&data) {
+            self.dispatch(fabric, i, msg);
+        }
     }
 }
 

@@ -11,12 +11,12 @@ use std::collections::{BTreeMap, HashMap};
 
 use cxl_fabric::{DomainId, Fabric, FabricError, HostId};
 use pcie_sim::DeviceId;
-use shmem::channel::ChannelSend;
-use shmem::ring::PollOutcome;
+use shmem::channel::{ChannelReceiver, ChannelSend, ChannelStats};
 use simkit::rng::Rng;
 use simkit::Nanos;
 
 use crate::agent::Link;
+use crate::poll::{self, PollActor, PollLoop};
 use crate::proto::Msg;
 use crate::striping::ReplicaSet;
 use crate::vdev::{DeviceKind, PoolError};
@@ -86,6 +86,9 @@ pub struct Orchestrator {
     pub migrations: u64,
     clock: Nanos,
     rng: Rng,
+    poll: PollLoop,
+    /// Messages received during the current pass, handled at its end.
+    inbox: Vec<Msg>,
 }
 
 impl Orchestrator {
@@ -102,6 +105,8 @@ impl Orchestrator {
             migrations: 0,
             clock: Nanos::ZERO,
             rng: Rng::new(seed),
+            poll: PollLoop::default(),
+            inbox: Vec::new(),
         }
     }
 
@@ -154,6 +159,22 @@ impl Orchestrator {
     /// Current assignment of `host` for `kind`.
     pub fn assignment(&self, host: HostId, kind: DeviceKind) -> Option<DeviceId> {
         self.assignments.get(&(host, kind)).copied()
+    }
+
+    /// Executes every notional ring poll for real (see
+    /// [`crate::agent::Agent::set_exact_polling`]).
+    pub fn set_exact_polling(&mut self, exact: bool) {
+        self.poll.exact = exact;
+    }
+
+    /// Ring statistics summed over every agent link (see
+    /// [`crate::agent::Agent::channel_stats`]).
+    pub fn channel_stats(&self) -> ChannelStats {
+        let mut total = ChannelStats::default();
+        for (_, link) in &self.links {
+            total += link.stats();
+        }
+        total
     }
 
     /// The orchestrator's clock.
@@ -288,42 +309,9 @@ impl Orchestrator {
     }
 
     /// Polls agent channels until `until`, reacting to failure and load
-    /// reports.
+    /// reports after each pass (see `crate::poll`).
     pub fn pump(&mut self, fabric: &mut Fabric, until: Nanos) {
-        while self.clock < until {
-            if self.links.is_empty() {
-                self.clock = until;
-                return;
-            }
-            let before = self.clock;
-            let mut inbox: Vec<Msg> = Vec::new();
-            for i in 0..self.links.len() {
-                let clock = self.clock;
-                let outcome = {
-                    let (_, link) = &mut self.links[i];
-                    link.rx.poll(fabric, clock)
-                };
-                match outcome {
-                    Ok(PollOutcome::Empty(t)) => self.clock = t,
-                    Ok(PollOutcome::Msg { data, at }) => {
-                        self.clock = at;
-                        if let Ok(msg) = Msg::decode(&data) {
-                            inbox.push(msg);
-                        }
-                    }
-                    Err(_) => {}
-                }
-            }
-            if self.clock == before {
-                // Every link errored without consuming time (all rings
-                // sit on failed pool memory): burn the quantum rather
-                // than spinning forever during the outage.
-                self.clock = until;
-            }
-            for msg in inbox {
-                self.handle(fabric, msg);
-            }
-        }
+        poll::pump(self, fabric, until);
     }
 
     fn handle(&mut self, fabric: &mut Fabric, msg: Msg) {
@@ -498,6 +486,40 @@ impl Orchestrator {
             .collect();
         v.sort();
         v
+    }
+}
+
+impl PollActor for Orchestrator {
+    fn poll_loop(&mut self) -> &mut PollLoop {
+        &mut self.poll
+    }
+
+    fn clock_mut(&mut self) -> &mut Nanos {
+        &mut self.clock
+    }
+
+    fn link_count(&self) -> usize {
+        self.links.len()
+    }
+
+    fn receiver(&self, i: usize) -> &ChannelReceiver {
+        &self.links[i].1.rx
+    }
+
+    fn receiver_mut(&mut self, i: usize) -> &mut ChannelReceiver {
+        &mut self.links[i].1.rx
+    }
+
+    fn on_message(&mut self, _fabric: &mut Fabric, _i: usize, data: Vec<u8>) {
+        if let Ok(msg) = Msg::decode(&data) {
+            self.inbox.push(msg);
+        }
+    }
+
+    fn end_pass(&mut self, fabric: &mut Fabric) {
+        for msg in std::mem::take(&mut self.inbox) {
+            self.handle(fabric, msg);
+        }
     }
 }
 

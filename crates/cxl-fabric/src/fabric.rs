@@ -12,7 +12,7 @@
 use std::collections::BTreeMap;
 
 use simkit::metrics::{MetricsConfig, MetricsRecorder};
-use simkit::server::BandwidthPipe;
+use simkit::server::{BandwidthPipe, OrderStats};
 use simkit::trace::{TraceConfig, TraceRecorder, Track};
 use simkit::Nanos;
 
@@ -158,6 +158,17 @@ pub struct Fabric {
     /// pool access computes an interleave spread, and reusing one
     /// buffer keeps the datapath allocation-free.
     spread_scratch: Vec<(MhdId, u64)>,
+    /// Reusable [`Fabric::load`] scratch: the lines that missed the
+    /// host cache, and every line with its hit/miss outcome for the
+    /// auditor. Taken and put back per call, like `spread_scratch`.
+    missed_scratch: Vec<u64>,
+    /// See [`Fabric::missed_scratch`].
+    served_scratch: Vec<(u64, bool)>,
+    /// Ring-slot wake table: slot line → visibility time of the
+    /// message store a ring sender posted there and no receiver has
+    /// consumed yet. A scheduling shortcut for poll loops (see
+    /// [`Fabric::post_wake`]); it never serves data.
+    wakes: BTreeMap<u64, Nanos>,
 }
 
 impl Fabric {
@@ -212,6 +223,9 @@ impl Fabric {
             trace: None,
             metrics: None,
             spread_scratch: Vec::new(),
+            missed_scratch: Vec::new(),
+            served_scratch: Vec::new(),
+            wakes: BTreeMap::new(),
         }
     }
 
@@ -523,6 +537,7 @@ impl Fabric {
             let (base, end) = (seg.base(), seg.end());
             self.tear_tolerant.retain(|&(s, e)| e <= base || s >= end);
             self.sync_ranges.retain(|&(s, e)| e <= base || s >= end);
+            self.wakes.retain(|&la, _| la < base || la >= end);
             if let Some(a) = self.audit.as_deref_mut() {
                 a.on_segment_free(base, end);
             }
@@ -602,8 +617,10 @@ impl Fabric {
         self.stats.loads += 1;
         self.stats.bytes_read += len;
 
-        let mut missed_lines: Vec<u64> = Vec::new();
-        let mut served: Vec<(u64, bool)> = Vec::new();
+        let mut missed = std::mem::take(&mut self.missed_scratch);
+        let mut served = std::mem::take(&mut self.served_scratch);
+        missed.clear();
+        served.clear();
         let cache = &mut self.caches[host.0 as usize];
         for la in lines(hpa, len) {
             match cache.load(la) {
@@ -612,7 +629,7 @@ impl Fabric {
                     served.push((la, true));
                 }
                 LoadOutcome::Miss => {
-                    missed_lines.push(la);
+                    missed.push(la);
                     served.push((la, false));
                 }
             }
@@ -621,30 +638,30 @@ impl Fabric {
             a.on_load(now, host, &served, &self.tear_tolerant, &self.sync_ranges);
         }
         self.sync_trace_audit();
-        if missed_lines.is_empty() {
-            let done = now + Nanos(CACHE_HIT_NS);
-            self.trace_fabric_op(Track::HostCpu(host.0), "fabric/load", now, done);
-            return Ok(done);
-        }
-
-        // Fetch missing lines from the pool and install them.
-        let mut evictions: Vec<Eviction> = Vec::new();
-        for &la in &missed_lines {
-            let mut line = [0u8; CACHELINE as usize];
-            self.pool.read(la, &mut line);
-            copy_line_to_buf(la, &line, hpa, buf);
-            if let Some(ev) = self.caches[host.0 as usize].fill(la, line) {
-                evictions.push(ev);
+        let result = if missed.is_empty() {
+            Ok(now + Nanos(CACHE_HIT_NS))
+        } else {
+            // Fetch missing lines from the pool and install them.
+            let mut evictions: Vec<Eviction> = Vec::new();
+            for &la in &missed {
+                let mut line = [0u8; CACHELINE as usize];
+                self.pool.read(la, &mut line);
+                copy_line_to_buf(la, &line, hpa, buf);
+                if let Some(ev) = self.caches[host.0 as usize].fill(la, line) {
+                    evictions.push(ev);
+                }
             }
-        }
-        // Dirty evictions write back immediately (they ride the same
-        // link traffic; visibility now is the conservative choice).
-        for ev in evictions {
-            self.apply_eviction(now, host, ev);
-        }
-
-        let bytes = missed_lines.len() as u64 * CACHELINE;
-        let done = self.timed_pool_read(now, host, hpa, bytes)?;
+            // Dirty evictions write back immediately (they ride the same
+            // link traffic; visibility now is the conservative choice).
+            for ev in evictions {
+                self.apply_eviction(now, host, ev);
+            }
+            let bytes = missed.len() as u64 * CACHELINE;
+            self.timed_pool_read(now, host, hpa, bytes)
+        };
+        self.missed_scratch = missed;
+        self.served_scratch = served;
+        let done = result?;
         self.trace_fabric_op(Track::HostCpu(host.0), "fabric/load", now, done);
         Ok(done)
     }
@@ -789,18 +806,112 @@ impl Fabric {
     /// back, so the next load refetches from the pool. This is how a
     /// reader guarantees freshness on non-coherent hardware.
     pub fn invalidate(&mut self, now: Nanos, host: HostId, hpa: u64, len: u64) -> Nanos {
-        let mut n = 0u64;
         for la in lines(hpa, len) {
             self.caches[host.0 as usize].invalidate(la);
-            n += 1;
         }
         if let Some(a) = self.audit.as_deref_mut() {
             a.on_invalidate(now, host, hpa, len);
         }
         self.sync_trace_audit();
-        let done = now + Nanos(INVALIDATE_NS) * n;
+        let done = now + Fabric::invalidate_cost(hpa, len);
         self.trace_fabric_op(Track::HostCpu(host.0), "fabric/invalidate", now, done);
         done
+    }
+
+    /// What [`Fabric::invalidate`] charges for `[hpa, hpa + len)`.
+    pub fn invalidate_cost(hpa: u64, len: u64) -> Nanos {
+        Nanos(INVALIDATE_NS) * lines(hpa, len).count() as u64
+    }
+
+    /// What a [`Fabric::load`] of the one line at `la` adds to its start
+    /// time when the line misses the host cache and every pipe on its
+    /// path is idle: the same pipe arithmetic, booking nothing. `None`
+    /// when the load would fail (unmapped, not granted, or no up path).
+    /// Poll loops use it as the exact cost of an empty ring poll.
+    pub fn idle_line_load(&self, host: HostId, la: u64) -> Option<Nanos> {
+        let seg = self.alloc.segment_at(la).ok()?;
+        if !seg.grants(host) || la + CACHELINE > seg.end() {
+            return None;
+        }
+        let mhd = seg.mhd_for(la);
+        if !self.topology.mhd_is_up(mhd) {
+            return None;
+        }
+        // With idle pipes `pick_link` takes the lowest-id up link.
+        let link = self
+            .topology
+            .host_links(host)
+            .find(|l| l.up && l.mhd == mhd)?
+            .id;
+        let wire = Nanos(self.params.cxl_wire_ns);
+        Some(
+            Nanos(self.params.cxl_host_overhead_ns)
+                + self.uplinks[link.0 as usize].service_time(CACHELINE)
+                + wire
+                + self.mhd_pipes[mhd.0 as usize].service_time(CACHELINE)
+                + Nanos(self.params.mhd_occupancy_ns)
+                + Nanos(self.params.cxl_device_ns)
+                + self.downlinks[link.0 as usize].service_time(CACHELINE)
+                + wire,
+        )
+    }
+
+    // ---------------------------------------------------------------
+    // Ring-slot wake table
+    // ---------------------------------------------------------------
+
+    /// Records that a ring sender's message store to slot line `la`
+    /// becomes visible at `at`. Poll loops read it back through
+    /// [`Fabric::wake_at`] to skip polls that provably find the slot
+    /// empty; the entry carries no data, and loads never consult it.
+    /// Slot stores are whole aligned lines, so `la` is also the
+    /// store's address.
+    pub fn post_wake(&mut self, la: u64, at: Nanos) {
+        self.wakes.insert(la, at);
+    }
+
+    /// Forgets slot line `la`'s wake (its message was consumed).
+    pub fn clear_wake(&mut self, la: u64) {
+        self.wakes.remove(&la);
+    }
+
+    /// When the unconsumed message posted to slot line `la` becomes
+    /// loadable, if there is one: its visibility time, or
+    /// [`Nanos::ZERO`] once an access has already settled it into pool
+    /// memory (accesses settle in-flight writes up to their own start,
+    /// so a lagging actor can load a message before its clock reaches
+    /// the visibility time).
+    pub fn wake_at(&self, la: u64) -> Option<Nanos> {
+        self.wakes.get(&la).copied()
+    }
+
+    /// True while some posted ring message is still unconsumed.
+    pub fn wakes_pending(&self) -> bool {
+        !self.wakes.is_empty()
+    }
+
+    /// Settles every in-flight write visible by `now` into pool memory,
+    /// as the start of any access at `now` does. A poll loop that skips
+    /// empty polls calls it with its last skipped poll's load instant,
+    /// so pool contents advance exactly as if those polls had run.
+    pub fn settle(&mut self, now: Nanos) {
+        self.apply_pending(now);
+    }
+
+    /// Booking order over every link pipe (both directions) and MHD
+    /// pipe: how many timeline bookings were served out of order, with
+    /// no queueing, and their summed lag.
+    pub fn timeline_order(&self) -> OrderStats {
+        let mut total = OrderStats::default();
+        for pipe in self
+            .uplinks
+            .iter()
+            .chain(&self.downlinks)
+            .chain(&self.mhd_pipes)
+        {
+            total += pipe.order_stats();
+        }
+        total
     }
 
     // ---------------------------------------------------------------
@@ -996,6 +1107,11 @@ impl Fabric {
             }
             let w = self.pending.remove(&(ts, seq)).expect("key just seen");
             self.pool.write(w.hpa, &w.data);
+            // A ring message settled into pool memory is loadable from
+            // now on, even by an actor whose clock has not reached `ts`.
+            if let Some(wake) = self.wakes.get_mut(&w.hpa) {
+                *wake = Nanos::ZERO;
+            }
         }
     }
 
@@ -1441,5 +1557,72 @@ mod tests {
         f.peek_settled(seg.base(), &mut buf);
         assert_eq!(buf, [2u8; 64]);
         assert!(d2 > d1);
+    }
+    #[test]
+    fn wake_table_tracks_settling_and_segment_frees() {
+        let mut f = pod();
+        let seg = f
+            .alloc_shared(&[HostId(0), HostId(1)], 4096)
+            .expect("alloc");
+        let la = seg.base() + 64;
+        let vis = f
+            .nt_store(Nanos(0), HostId(0), la, &[9u8; 64])
+            .expect("store");
+        f.post_wake(la, vis);
+        assert!(f.wakes_pending());
+        assert_eq!(f.wake_at(la), Some(vis));
+        // Settling before visibility leaves the wake alone; settling
+        // past it makes the message loadable now.
+        f.settle(vis - Nanos(1));
+        assert_eq!(f.wake_at(la), Some(vis));
+        f.settle(vis);
+        assert_eq!(f.wake_at(la), Some(Nanos::ZERO));
+        f.clear_wake(la);
+        assert!(!f.wakes_pending());
+        // Freeing a segment forgets the wakes posted inside it only.
+        let other = f.alloc_shared(&[HostId(0)], 4096).expect("alloc");
+        f.post_wake(la, vis);
+        f.post_wake(other.base(), vis);
+        f.free_segment(seg.id()).expect("free");
+        assert_eq!(f.wake_at(la), None);
+        assert_eq!(f.wake_at(other.base()), Some(vis));
+    }
+
+    #[test]
+    fn idle_line_load_matches_an_uncontended_miss() {
+        let mut f = pod();
+        let seg = f
+            .alloc_shared(&[HostId(0), HostId(1)], 4096)
+            .expect("alloc");
+        let idle = f.idle_line_load(HostId(1), seg.base()).expect("path");
+        let mut line = [0u8; 64];
+        let t = Nanos(10_000);
+        let done = f.load(t, HostId(1), seg.base(), &mut line).expect("load");
+        assert_eq!(done, t + idle);
+        // No grant, or no path: the load would fail.
+        assert_eq!(f.idle_line_load(HostId(2), seg.base()), None);
+        let mhd = f.segment_at(seg.base()).expect("seg").mhd_for(seg.base());
+        f.topology_mut().fail_mhd(mhd);
+        assert_eq!(f.idle_line_load(HostId(1), seg.base()), None);
+    }
+
+    #[test]
+    fn timeline_order_totals_link_and_mhd_pipes() {
+        let mut f = pod();
+        let seg = f.alloc_shared(&[HostId(0)], 4096).expect("alloc");
+        let mut line = [0u8; 64];
+        let t = f
+            .load(Nanos(5_000), HostId(0), seg.base(), &mut line)
+            .expect("load");
+        assert!(t > Nanos(5_000));
+        assert_eq!(f.timeline_order().out_of_order, 0);
+        // An earlier-time access books behind the first on every pipe
+        // it crosses: uplink, MHD, downlink.
+        f.invalidate(Nanos(0), HostId(0), seg.base(), 64);
+        f.load(Nanos(0), HostId(0), seg.base(), &mut line)
+            .expect("load");
+        let order = f.timeline_order();
+        assert_eq!((order.bookings, order.out_of_order), (6, 3));
+        assert!(order.lag > Nanos::ZERO);
     }
 }

@@ -10,7 +10,9 @@ use cxl_fabric::{Fabric, FabricError, HostId};
 use simkit::trace::Track;
 use simkit::Nanos;
 
-use crate::ring::{PollOutcome, RingBuf, RingReceiver, RingSender, SendOutcome, SLOT_PAYLOAD};
+use crate::ring::{
+    IdlePoll, PollOutcome, RingBuf, RingReceiver, RingSender, SendOutcome, SLOT_PAYLOAD,
+};
 
 /// Per-fragment header bytes.
 const FRAG_HDR: usize = 2;
@@ -85,9 +87,10 @@ pub enum ChannelSend {
     },
 }
 
-/// Counters kept by a [`ChannelSender`]. Backpressure used to be
-/// invisible: a `Blocked` → `resume` cycle left no trace in any
-/// statistic. These counters make stalls first-class.
+/// Counters kept by a channel endpoint. A [`ChannelSender`] fills the
+/// send-side fields: backpressure used to be invisible (a `Blocked` →
+/// `resume` cycle left no trace in any statistic), and these make
+/// stalls first-class. A [`ChannelReceiver`] fills the poll counts.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ChannelStats {
     /// Messages fully sent (all fragments written).
@@ -97,6 +100,20 @@ pub struct ChannelStats {
     /// Cumulative nanoseconds messages spent stalled between the first
     /// `Blocked` and the start of the resume that completed them.
     pub stall_ns: u64,
+    /// Ring polls that found no new fragment.
+    pub polls_empty: u64,
+    /// Ring polls that consumed a fragment.
+    pub polls_hit: u64,
+}
+
+impl std::ops::AddAssign for ChannelStats {
+    fn add_assign(&mut self, rhs: ChannelStats) {
+        self.sends += rhs.sends;
+        self.blocked_events += rhs.blocked_events;
+        self.stall_ns += rhs.stall_ns;
+        self.polls_empty += rhs.polls_empty;
+        self.polls_hit += rhs.polls_hit;
+    }
 }
 
 /// Sending half: fragments and writes messages.
@@ -249,6 +266,28 @@ impl ChannelReceiver {
                 }
             }
         }
+    }
+
+    /// Poll counters for this direction (the send-side fields stay 0).
+    pub fn stats(&self) -> ChannelStats {
+        let (polls_empty, polls_hit) = self.ring.poll_counts();
+        ChannelStats {
+            polls_empty,
+            polls_hit,
+            ..ChannelStats::default()
+        }
+    }
+
+    /// When the next fragment becomes visible, if it has been sent
+    /// (see [`RingReceiver::next_wake`]).
+    pub fn next_wake(&self, fabric: &Fabric) -> Option<Nanos> {
+        self.ring.next_wake(fabric)
+    }
+
+    /// Timing of an empty poll on idle pipes (see
+    /// [`RingReceiver::idle_poll`]).
+    pub fn idle_poll(&self, fabric: &Fabric) -> Option<IdlePoll> {
+        self.ring.idle_poll(fabric)
     }
 
     /// Polls repeatedly (each poll advances time) until a message

@@ -49,4 +49,4 @@ pub mod seqlock;
 
 pub use channel::{Channel, ChannelReceiver, ChannelSend, ChannelSender, ChannelStats};
 pub use mailbox::{HeartbeatTable, Mailbox};
-pub use ring::{PollOutcome, RingBuf, RingReceiver, RingSender, SendOutcome};
+pub use ring::{IdlePoll, PollOutcome, RingBuf, RingReceiver, RingSender, SendOutcome};

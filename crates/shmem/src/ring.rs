@@ -33,6 +33,21 @@ const SEND_CPU_NS: u64 = 15;
 /// CPU cost of one poll iteration (branch, compare, loop).
 const POLL_CPU_NS: u64 = 20;
 
+/// Timing of one empty poll when every pipe on its path is idle: what
+/// [`RingReceiver::poll`] charges when it finds nothing and nothing
+/// else is in flight. A poll loop that knows when the next message
+/// lands (see [`RingReceiver::next_wake`]) can skip such polls and
+/// still advance its clock exactly as the poll would have.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct IdlePoll {
+    /// Offset from the poll's start at which its load begins and so
+    /// applies every write visible by then: a message visible at `v`
+    /// is seen by a poll starting at `t` iff `v <= t + applies`.
+    pub applies: Nanos,
+    /// Total cost of the empty poll.
+    pub cost: Nanos,
+}
+
 /// A shared ring allocated in pool memory, not yet split into endpoints.
 pub struct RingBuf {
     seg: Segment,
@@ -140,6 +155,8 @@ impl RingBuf {
                 next: 0,
                 published: 0,
                 credit_every,
+                polls_empty: 0,
+                polls_hit: 0,
             },
         )
     }
@@ -187,7 +204,9 @@ impl RingSender {
     ///
     /// Fast path: one non-temporal 64 B store. If the ring looks full,
     /// the sender refreshes the credit line (one invalidate + load) and
-    /// either proceeds or reports [`SendOutcome::Full`].
+    /// either proceeds or reports [`SendOutcome::Full`]. A sent message
+    /// also posts its visibility time as the slot's wake (see
+    /// [`Fabric::post_wake`]).
     ///
     /// # Panics
     ///
@@ -220,12 +239,9 @@ impl RingSender {
         slot[8..10].copy_from_slice(&(payload.len() as u16).to_le_bytes());
         // simlint: allow(unwrap-in-datapath) -- payload.len() <= SLOT_PAYLOAD asserted at send entry; header + payload fits SLOT
         slot[10..10 + payload.len()].copy_from_slice(payload);
-        let done = fabric.nt_store(
-            now + Nanos(SEND_CPU_NS),
-            self.host,
-            self.slot_addr(m),
-            &slot,
-        )?;
+        let addr = self.slot_addr(m);
+        let done = fabric.nt_store(now + Nanos(SEND_CPU_NS), self.host, addr, &slot)?;
+        fabric.post_wake(addr, done);
         self.next = m + 1;
         Ok(SendOutcome::Sent(done))
     }
@@ -242,6 +258,10 @@ pub struct RingReceiver {
     published: u64,
     /// Publish credits every this many messages.
     credit_every: u64,
+    /// Polls that found no new message.
+    polls_empty: u64,
+    /// Polls that consumed a message.
+    polls_hit: u64,
 }
 
 impl RingReceiver {
@@ -254,7 +274,8 @@ impl RingReceiver {
     }
 
     /// Polls for the next message: invalidate + load of the expected
-    /// slot line. Publishes credits as a side effect when due.
+    /// slot line. Publishes credits as a side effect when due, and
+    /// clears the slot's wake when it consumes a message.
     pub fn poll(&mut self, fabric: &mut Fabric, now: Nanos) -> Result<PollOutcome, FabricError> {
         let m = self.next;
         let addr = self.slot_addr(m);
@@ -264,8 +285,11 @@ impl RingReceiver {
         let t = fabric.load(t, self.host, addr, &mut slot)?;
         let seq = u64::from_le_bytes(slot[0..8].try_into().expect("8 bytes"));
         if seq != m + 1 {
+            self.polls_empty += 1;
             return Ok(PollOutcome::Empty(t));
         }
+        self.polls_hit += 1;
+        fabric.clear_wake(addr);
         let len = u16::from_le_bytes(slot[8..10].try_into().expect("2 bytes")) as usize;
         // simlint: allow(unwrap-in-datapath) -- len is min-clamped to SLOT_PAYLOAD; 10 + SLOT_PAYLOAD == SLOT
         let data = slot[10..10 + len.min(SLOT_PAYLOAD)].to_vec();
@@ -285,6 +309,29 @@ impl RingReceiver {
     /// Number of messages consumed so far.
     pub fn consumed(&self) -> u64 {
         self.next
+    }
+
+    /// `(empty, hit)` poll counts so far.
+    pub fn poll_counts(&self) -> (u64, u64) {
+        (self.polls_empty, self.polls_hit)
+    }
+
+    /// When the next expected message becomes visible, if its sender
+    /// has posted it (see [`Fabric::wake_at`]).
+    pub fn next_wake(&self, fabric: &Fabric) -> Option<Nanos> {
+        fabric.wake_at(self.slot_addr(self.next))
+    }
+
+    /// Timing of an empty poll of the next slot on idle pipes, or
+    /// `None` when the poll would fail (its line has no up path).
+    pub fn idle_poll(&self, fabric: &Fabric) -> Option<IdlePoll> {
+        let addr = self.slot_addr(self.next);
+        let applies = Nanos(POLL_CPU_NS) + Fabric::invalidate_cost(addr, SLOT);
+        let load = fabric.idle_line_load(self.host, addr)?;
+        Some(IdlePoll {
+            applies,
+            cost: applies + load,
+        })
     }
 
     /// Base address of the ring in pool memory (see
@@ -451,6 +498,34 @@ mod tests {
             PollOutcome::Msg { data, .. } => assert!(data.is_empty()),
             PollOutcome::Empty(_) => panic!("expected empty message"),
         }
+    }
+
+    #[test]
+    fn wake_tracks_the_expected_slot_and_idle_poll_is_exact() {
+        let (mut f, mut tx, mut rx) = setup(8);
+        assert_eq!(rx.next_wake(&f), None);
+        let idle = rx.idle_poll(&f).expect("ring is reachable");
+        // An empty poll on idle pipes costs exactly the idle estimate.
+        match rx.poll(&mut f, Nanos(1_000)).expect("poll") {
+            PollOutcome::Empty(t) => assert_eq!(t, Nanos(1_000) + idle.cost),
+            PollOutcome::Msg { .. } => panic!("nothing was sent"),
+        }
+        let vis = send_ok(&mut f, &mut tx, Nanos(2_000), b"w");
+        assert_eq!(rx.next_wake(&f), Some(vis));
+        // A poll whose load starts just before visibility misses it; one
+        // whose load starts at visibility sees it.
+        let early = vis - idle.applies - Nanos(1);
+        assert!(matches!(
+            rx.poll(&mut f, early).expect("poll"),
+            PollOutcome::Empty(_)
+        ));
+        assert!(matches!(
+            rx.poll(&mut f, vis - idle.applies).expect("poll"),
+            PollOutcome::Msg { .. }
+        ));
+        // The hit cleared the wake; the next slot has none.
+        assert_eq!(rx.next_wake(&f), None);
+        assert_eq!(rx.poll_counts(), (2, 1));
     }
 
     #[test]

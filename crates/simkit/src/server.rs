@@ -45,6 +45,30 @@ pub struct TimelineServer {
     last_arrival: Nanos,
     busy: Nanos,
     jobs: u64,
+    out_of_order: u64,
+    out_of_order_lag: Nanos,
+}
+
+/// How many bookings a timeline served out of order (see
+/// [`TimelineServer`]'s type docs), and how far behind the latest
+/// arrival they came in total.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct OrderStats {
+    /// Bookings served.
+    pub bookings: u64,
+    /// Bookings that arrived before the previous booking's arrival and
+    /// so were served with no queueing.
+    pub out_of_order: u64,
+    /// Sum over those bookings of `last_arrival - now`.
+    pub lag: Nanos,
+}
+
+impl std::ops::AddAssign for OrderStats {
+    fn add_assign(&mut self, rhs: OrderStats) {
+        self.bookings += rhs.bookings;
+        self.out_of_order += rhs.out_of_order;
+        self.lag += rhs.lag;
+    }
 }
 
 impl TimelineServer {
@@ -61,6 +85,8 @@ impl TimelineServer {
         if now < self.last_arrival {
             // Out-of-order booking (see type docs): absorbed by
             // parallel-tag/idle capacity, FIFO tail untouched.
+            self.out_of_order += 1;
+            self.out_of_order_lag += self.last_arrival.saturating_sub(now);
             return now + work;
         }
         self.last_arrival = now;
@@ -89,6 +115,15 @@ impl TimelineServer {
     /// Number of jobs served.
     pub fn jobs_served(&self) -> u64 {
         self.jobs
+    }
+
+    /// In-order versus out-of-order booking counts so far.
+    pub fn order_stats(&self) -> OrderStats {
+        OrderStats {
+            bookings: self.jobs,
+            out_of_order: self.out_of_order,
+            lag: self.out_of_order_lag,
+        }
     }
 
     /// Utilization over `[0, horizon]`.
@@ -136,8 +171,13 @@ impl BandwidthPipe {
     /// Transfers `bytes` starting no earlier than `now`; returns the
     /// completion time.
     pub fn transfer(&mut self, now: Nanos, bytes: u64) -> Nanos {
-        let work = transfer_time(bytes, self.gbytes_per_sec);
-        self.server.serve(now, work)
+        self.server.serve(now, self.service_time(bytes))
+    }
+
+    /// How long `bytes` occupy the pipe: what [`BandwidthPipe::transfer`]
+    /// adds on an idle pipe. Books nothing.
+    pub fn service_time(&self, bytes: u64) -> Nanos {
+        transfer_time(bytes, self.gbytes_per_sec)
     }
 
     /// Configured bandwidth in GB/s.
@@ -159,6 +199,11 @@ impl BandwidthPipe {
     /// Number of transfers served.
     pub fn transfers(&self) -> u64 {
         self.server.jobs_served()
+    }
+
+    /// In-order versus out-of-order transfer counts so far.
+    pub fn order_stats(&self) -> OrderStats {
+        self.server.order_stats()
     }
 }
 
@@ -238,6 +283,31 @@ mod tests {
         assert_eq!(s.busy_time(), Nanos(20));
         // In-order arrivals continue to queue normally.
         assert_eq!(s.serve(Nanos(10_005), Nanos(10)), Nanos(10_020));
+    }
+
+    #[test]
+    fn out_of_order_bookings_are_counted_with_their_lag() {
+        let mut s = TimelineServer::new();
+        s.serve(Nanos(1_000), Nanos(10));
+        // 900 ns and 400 ns behind the latest arrival: counted, and the
+        // completion time is still `now + work`.
+        assert_eq!(s.serve(Nanos(100), Nanos(10)), Nanos(110));
+        assert_eq!(s.serve(Nanos(600), Nanos(10)), Nanos(610));
+        // An equal-time arrival is in order.
+        s.serve(Nanos(1_000), Nanos(10));
+        assert_eq!(
+            s.order_stats(),
+            OrderStats {
+                bookings: 4,
+                out_of_order: 2,
+                lag: Nanos(1_300),
+            }
+        );
+        let mut p = BandwidthPipe::new(12.5);
+        p.transfer(Nanos(500), 1500);
+        p.transfer(Nanos(0), 1500);
+        assert_eq!(p.order_stats().out_of_order, 1);
+        assert_eq!(p.service_time(1500), Nanos(120));
     }
 
     #[test]

@@ -52,6 +52,9 @@ pub struct TenantReport {
     /// Largest number of simultaneously outstanding operations
     /// (closed-loop tenants only; 0 for open loop).
     pub peak_in_flight: usize,
+    /// True for a closed-loop tenant, whose offered rate is its
+    /// achieved rate rather than an input.
+    pub closed_loop: bool,
 }
 
 /// One applied lifecycle event, for reports and JSON.
@@ -76,9 +79,11 @@ pub struct RunReport {
     pub tenants: Vec<TenantReport>,
     /// Per-operation-class latency summaries, sorted by label.
     pub kinds: Vec<(&'static str, Summary)>,
-    /// Total offered rate of the open-loop tenants (ops/s).
+    /// Total offered rate of the open-loop resident tenants (ops/s).
     pub offered_pps: f64,
-    /// Total achieved rate across tenants (ops/s).
+    /// Total achieved rate across tenants, open and closed loop
+    /// (ops/s); see [`RunReport::achieved_open_pps`] for the figure
+    /// comparable to an offered rate.
     pub achieved_pps: f64,
     /// Measured operations across tenants.
     pub ops: u64,
@@ -94,6 +99,35 @@ impl RunReport {
     /// True when every tenant met its SLO.
     pub fn all_slos_pass(&self) -> bool {
         self.tenants.iter().all(|t| t.verdict.pass)
+    }
+
+    /// Offered rate summed over every open-loop tenant, churn tenants
+    /// included (ops/s).
+    pub fn offered_open_pps(&self) -> f64 {
+        self.tenants
+            .iter()
+            .filter(|t| !t.closed_loop)
+            .map(|t| t.offered_pps)
+            .sum()
+    }
+
+    /// Achieved rate of the open-loop tenants: the figure that
+    /// [`RunReport::offered_open_pps`] bounds (ops/s).
+    pub fn achieved_open_pps(&self) -> f64 {
+        self.tenants
+            .iter()
+            .filter(|t| !t.closed_loop)
+            .map(|t| t.achieved_pps)
+            .sum()
+    }
+
+    /// Achieved rate of the closed-loop tenants (ops/s).
+    pub fn achieved_closed_pps(&self) -> f64 {
+        self.tenants
+            .iter()
+            .filter(|t| t.closed_loop)
+            .map(|t| t.achieved_pps)
+            .sum()
     }
 }
 
@@ -471,6 +505,7 @@ impl Engine {
                 latency: hists[ti].summary(),
                 verdict: t.slo.check(&hists[ti], errors[ti]),
                 peak_in_flight: peak_overlap(&mut intervals[ti]),
+                closed_loop: matches!(t.arrival, Arrival::ClosedLoop { .. }),
             });
         }
         let achieved_total = tenants.iter().map(|t| t.achieved_pps).sum();

@@ -1,0 +1,209 @@
+//! The exact poller as the oracle for the wake-driven one.
+//!
+//! Agents and the orchestrator skip ring polls that provably find
+//! nothing and advance their clocks by the skipped polls' idle cost
+//! (`PodParams::exact_polling` off, the default). With the flag on,
+//! every notional poll executes for real: the busy-polling model the
+//! wake rule replaces. These tests pin the oracle to that model's
+//! published numbers and bound how far the wake model drifts from it.
+
+use bench::workload::{base_spec, faulted_spec, pod_params, search_config};
+use bench::Scale;
+use cxl_pcie_pool::cxl_fabric::{HostId, MhdId};
+use cxl_pcie_pool::pool::pod::{PodParams, PodSim};
+use cxl_pcie_pool::simkit::Nanos;
+use cxl_pcie_pool::workgen::{self, Engine, RunReport};
+
+/// Per-tenant `(name, p50, p90, p99)` of the seed-42 quick baseline
+/// under busy polling, as `repro workload --seed 42` reported before
+/// the wake rule existed.
+const EXACT_SEED42_TENANTS: [(&str, u64, u64, u64); 3] = [
+    ("frontend", 3_376, 5_984, 10_688),
+    ("analytics", 75_264, 87_552, 97_709),
+    ("ml", 3_696, 4_320, 4_768),
+];
+/// Measured ops of that baseline.
+const EXACT_SEED42_OPS: u64 = 785;
+/// Its clean and single-domain-loss capacities (pps).
+const EXACT_SEED42_CAPACITY: (f64, f64) = (91_375.0, 84_125.0);
+
+/// The quick search's final bracket width: `(hi - lo) / 2^iters`.
+fn search_step() -> f64 {
+    let c = search_config(Scale::Quick);
+    (c.hi_pps - c.lo_pps) / f64::from(1u32 << c.iters)
+}
+
+fn params(seed: u64, exact: bool) -> PodParams {
+    PodParams {
+        exact_polling: exact,
+        ..pod_params(seed)
+    }
+}
+
+fn baseline(seed: u64, exact: bool, audit: bool) -> (RunReport, PodSim) {
+    let mut pod = PodSim::new(params(seed, exact));
+    if audit {
+        pod.enable_audit();
+    }
+    let report = Engine::new(seed).run(&mut pod, &base_spec(Scale::Quick));
+    (report, pod)
+}
+
+fn capacities(seed: u64, exact: bool) -> (f64, f64) {
+    let build = || PodSim::new(params(seed, exact));
+    let search = search_config(Scale::Quick);
+    let clean = workgen::capacity::search(build, &base_spec(Scale::Quick), &search, seed);
+    let fault = workgen::capacity::search(build, &faulted_spec(Scale::Quick), &search, seed);
+    (clean.capacity_pps, fault.capacity_pps)
+}
+
+/// Every agent clock, then the orchestrator's.
+fn clocks(pod: &PodSim) -> Vec<Nanos> {
+    pod.agents
+        .iter()
+        .map(|a| a.clock())
+        .chain([pod.orch.clock()])
+        .collect()
+}
+
+/// Builds the pod with exact polling, then switches every actor to the
+/// wake rule, so both modes start from identical clocks and contents.
+fn switched_to_wake(seed: u64) -> PodSim {
+    let mut pod = PodSim::new(params(seed, true));
+    for a in &mut pod.agents {
+        a.set_exact_polling(false);
+    }
+    pod.orch.set_exact_polling(false);
+    pod
+}
+
+/// One idle pass of host 0's agent: pumping it 1 ns ahead lands it on
+/// its next pass boundary.
+fn idle_pass(pod: &mut PodSim) -> Nanos {
+    let start = pod.agents[0].clock();
+    pod.agents[0].pump(&mut pod.fabric, start + Nanos(1));
+    pod.agents[0].clock() - start
+}
+
+#[test]
+fn exact_polling_reproduces_the_busy_polling_model() {
+    let (report, _) = baseline(42, true, false);
+    assert_eq!(report.ops, EXACT_SEED42_OPS);
+    for (t, &(name, p50, p90, p99)) in report.tenants.iter().zip(&EXACT_SEED42_TENANTS) {
+        assert_eq!(t.name, name);
+        assert_eq!(
+            (t.latency.p50, t.latency.p90, t.latency.p99),
+            (p50, p90, p99),
+            "{name} percentiles moved under exact polling"
+        );
+    }
+    assert_eq!(capacities(42, true), EXACT_SEED42_CAPACITY);
+}
+
+#[test]
+fn wake_rule_tracks_the_exact_latencies_verdicts_and_audit() {
+    // A skipped poll costs exactly its idle time, so the wake model
+    // drifts from the oracle only through what the oracle's own poll
+    // bookings did to other traffic: nanoseconds of queueing, which can
+    // carry one detection across a pass boundary and so shift later
+    // ops' phases. A median thus moves by under 5 %, or — when the
+    // latency distribution has modes about a pass apart and the median
+    // sits between them, as the frontend's does — by at most one idle
+    // pass `P`. Tails stay within 15 %.
+    let pass = idle_pass(&mut PodSim::new(params(1, false)));
+    for seed in [1, 42] {
+        let (exact, mut exact_pod) = baseline(seed, true, true);
+        let (wake, mut wake_pod) = baseline(seed, false, true);
+        for (e, w) in exact.tenants.iter().zip(&wake.tenants) {
+            let (e50, w50) = (e.latency.p50 as f64, w.latency.p50 as f64);
+            let bound = (0.05 * e50).max(pass.as_nanos() as f64);
+            assert!(
+                (w50 - e50).abs() <= bound,
+                "seed {seed} {}: p50 {w50} vs exact {e50} (bound {bound})",
+                e.name
+            );
+            let (e99, w99) = (e.latency.p99 as f64, w.latency.p99 as f64);
+            assert!(
+                (w99 - e99).abs() <= 0.15 * e99,
+                "seed {seed} {}: p99 {w99} vs exact {e99}",
+                e.name
+            );
+            assert_eq!(e.verdict.pass, w.verdict.pass, "seed {seed} {}", e.name);
+        }
+        for pod in [&mut exact_pod, &mut wake_pod] {
+            let audit = pod.audit_finalize().expect("audit on");
+            assert_eq!(
+                audit.counts.total(),
+                0,
+                "seed {seed}: {:?}",
+                audit.violations
+            );
+        }
+    }
+}
+
+#[test]
+fn wake_rule_capacity_is_within_one_search_step() {
+    let (clean, fault) = capacities(42, false);
+    let (exact_clean, exact_fault) = EXACT_SEED42_CAPACITY;
+    assert!(
+        (clean - exact_clean).abs() <= search_step(),
+        "clean {clean}"
+    );
+    assert!(
+        (fault - exact_fault).abs() <= search_step(),
+        "fault {fault}"
+    );
+    assert!(fault < clean, "domain loss must still cost capacity");
+}
+
+#[test]
+fn idle_pod_skips_every_poll_but_keeps_the_phase() {
+    let mut exact = PodSim::new(params(42, true));
+    let mut wake = switched_to_wake(42);
+    assert_eq!(clocks(&exact), clocks(&wake));
+
+    let loads = wake.fabric.stats().loads;
+    exact.run_control(Nanos::from_micros(100));
+    wake.run_control(Nanos::from_micros(100));
+    assert_eq!(
+        wake.fabric.stats().loads,
+        loads,
+        "idle polls touched the pool"
+    );
+    // Idle exact polls cost exactly their idle time, so every actor
+    // lands on the same pass boundary.
+    assert_eq!(clocks(&exact), clocks(&wake));
+
+    // One forwarded op: the attach host detects the submission at the
+    // same poll, and the owner the completion, in both modes.
+    let host = HostId(4);
+    let deadline = exact.time() + Nanos::from_millis(1);
+    let e = exact.vnic_send(host, &[7; 1024], deadline).expect("send");
+    let w = wake.vnic_send(host, &[7; 1024], deadline).expect("send");
+    assert!(
+        !e.local && !w.local,
+        "host 4 has no NIC: the op is forwarded"
+    );
+    assert_eq!(e.at, w.at);
+    assert_eq!(clocks(&exact), clocks(&wake));
+}
+
+#[test]
+fn rings_on_failed_pool_memory_neither_spin_nor_wake() {
+    let mut exact = PodSim::new(params(7, true));
+    let mut wake = switched_to_wake(7);
+    for pod in [&mut exact, &mut wake] {
+        for m in 0..4 {
+            pod.fabric.topology_mut().fail_mhd(MhdId(m));
+        }
+    }
+    let loads = wake.fabric.stats().loads;
+    exact.run_control(Nanos::from_micros(50));
+    wake.run_control(Nanos::from_micros(50));
+    assert_eq!(wake.fabric.stats().loads, loads, "dead rings were polled");
+    // Every poll fails at no cost, so both modes burn each quantum and
+    // every actor ends the span at the same instant.
+    assert_eq!(clocks(&exact), clocks(&wake));
+    assert!(clocks(&wake).iter().all(|&c| c == exact.time()));
+}
