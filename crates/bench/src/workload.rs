@@ -32,8 +32,9 @@ use crate::Scale;
 
 /// Stable schema tag for downstream consumers (v4: `baseline.ledger`
 /// per-layer counts, and offered/achieved rates split into open- and
-/// closed-loop figures).
-pub const SCHEMA: &str = "cxl-pool-workload-bench/v4";
+/// closed-loop figures; v5: audit hook calls and trace spans per op in
+/// the ledger).
+pub const SCHEMA: &str = "cxl-pool-workload-bench/v5";
 
 /// `--check` fails when the baseline run issues more pool loads than
 /// this per measured op: idle ring polls are skipped, so loads track
@@ -578,12 +579,15 @@ fn print_summary(doc: &Value, out: &str) {
     ]);
     println!(
         "  ledger: {:.1} pool loads, {:.1} NT stores, {:.1} DMA ops, {:.1} empty + {:.1} hit \
-         ring polls per op; {:.1}% of timeline bookings out of order",
+         ring polls, {:.1} audit hook calls, {:.1} trace spans per op; {:.1}% of timeline \
+         bookings out of order",
         g(&["baseline", "ledger", "pool_loads_per_op"]),
         g(&["baseline", "ledger", "nt_stores_per_op"]),
         g(&["baseline", "ledger", "dma_ops_per_op"]),
         g(&["baseline", "ledger", "ring_polls_per_op", "empty"]),
         g(&["baseline", "ledger", "ring_polls_per_op", "hit"]),
+        g(&["baseline", "ledger", "audit_ops_per_op"]),
+        g(&["baseline", "ledger", "trace_spans_per_op"]),
         100.0 * out_of_order,
     );
     if let Some(tenants) = doc
@@ -679,6 +683,10 @@ struct LedgerCounts {
     out_of_order_lag_ns: u64,
     polls_empty: u64,
     polls_hit: u64,
+    /// Pool operations that passed through the coherence audit hooks.
+    audit_ops: u64,
+    /// Flight-recorder events recorded, kept or dropped.
+    trace_spans: u64,
 }
 
 impl LedgerCounts {
@@ -686,6 +694,7 @@ impl LedgerCounts {
         let f = pod.fabric.stats();
         let order = pod.fabric.timeline_order();
         let chan = pod.channel_stats();
+        let trace = pod.fabric.trace();
         LedgerCounts {
             loads: f.loads,
             nt_stores: f.nt_stores,
@@ -695,6 +704,8 @@ impl LedgerCounts {
             out_of_order_lag_ns: order.lag.as_nanos(),
             polls_empty: chan.polls_empty,
             polls_hit: chan.polls_hit,
+            audit_ops: pod.fabric.audit_report().map_or(0, |r| r.ops_audited),
+            trace_spans: trace.map_or(0, |t| t.event_count() as u64 + t.dropped()),
         }
     }
 
@@ -709,6 +720,8 @@ impl LedgerCounts {
             out_of_order_lag_ns: self.out_of_order_lag_ns - earlier.out_of_order_lag_ns,
             polls_empty: self.polls_empty - earlier.polls_empty,
             polls_hit: self.polls_hit - earlier.polls_hit,
+            audit_ops: self.audit_ops - earlier.audit_ops,
+            trace_spans: self.trace_spans - earlier.trace_spans,
         }
     }
 
@@ -722,6 +735,8 @@ impl LedgerCounts {
             ("pool_loads_per_op", num(per_op(self.loads))),
             ("nt_stores_per_op", num(per_op(self.nt_stores))),
             ("dma_ops_per_op", num(per_op(self.dma_ops))),
+            ("audit_ops_per_op", num(per_op(self.audit_ops))),
+            ("trace_spans_per_op", num(per_op(self.trace_spans))),
             (
                 "ring_polls_per_op",
                 obj(vec![

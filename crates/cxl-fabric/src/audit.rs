@@ -22,6 +22,16 @@
 //! mirror of the fabric's pending-write buffer and advance in lockstep
 //! with it.
 //!
+//! Visible-write state is kept as *extents*, not per line: each applied
+//! write range is one extent of pool addresses pointing at its event,
+//! split only where a later write overlaps it, and a line's version is
+//! the event's version in the line's failure domain (from the segment's
+//! interleave). Only host views — lines some CPU caches — are kept per
+//! line, in a paged table with occupancy bitmaps. So a DMA or
+//! non-temporal store of many lines costs one segment resolution and
+//! one ordered walk over the extents and cached lines it touches, not
+//! a step per line.
+//!
 //! ## Audit modes
 //!
 //! [`AuditMode::Version`] is the original scheme: one pool-wide
@@ -78,22 +88,23 @@
 //! ## Failure-domain namespacing
 //!
 //! A multi-MHD pod groups MHDs into failure domains
-//! ([`crate::topology::DomainId`]), and the auditor namespaces all of
-//! its shadow state by domain: line states, host views, and write
-//! clocks are keyed by `(domain, line)`, visibility versions advance
-//! per-domain (there is no pool-wide visibility order across
-//! independent devices), and vector-clock components are per
-//! `(actor, domain)` via [`Actor::index_in`]. The fabric registers
-//! each segment's per-granule domain mapping with
-//! [`Auditor::map_segment`]; unmapped addresses fall back to
-//! [`DomainId`]`(0)`, which keeps single-domain pods (and direct-drive
-//! tests) byte-for-byte compatible with the pre-domain auditor.
-//! [`Auditor::on_segment_free`] clears every domain's state for the
-//! freed range, so address reuse across domains cannot alias stale
-//! shadow state.
+//! ([`crate::topology::DomainId`]), and the auditor namespaces its
+//! analysis by domain: a line's version is drawn from its domain's
+//! counter (there is no pool-wide visibility order across independent
+//! devices), staleness and torn reads compare versions only within one
+//! domain, and vector-clock components are per `(actor, domain)` via
+//! [`Actor::index_in`]. The fabric registers each segment's per-granule
+//! domain mapping with [`Auditor::map_segment`]; unmapped addresses
+//! fall back to [`DomainId`]`(0)`, which keeps single-domain pods (and
+//! direct-drive tests) byte-for-byte compatible with the pre-domain
+//! auditor. Shadow state is keyed by address and a line's domain is
+//! resolved through the current mapping, so [`Auditor::on_segment_free`]
+//! (and a remap) clears the range's state: address reuse across
+//! domains cannot alias stale shadow state.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::BTreeMap;
 
+use simkit::hash::{DetHashMap, DetHashSet};
 use simkit::Nanos;
 
 use crate::params::{CACHELINE, INTERLEAVE_GRANULE};
@@ -621,7 +632,8 @@ impl Default for AuditConfig {
     }
 }
 
-/// Latest visible write on one line.
+/// Latest visible write on one line, as derived from the extent that
+/// covers the line and that extent's event.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct LineState {
     /// Issue-order id of the event (provenance / torn-read identity).
@@ -649,14 +661,9 @@ struct HostView {
     base_version: u64,
 }
 
-/// Shadow-state key: a cache line namespaced to its failure domain.
-/// Two tenants of the same pool address in different domains (address
-/// reuse after a free/realloc) can never alias each other's state.
+/// Shadow-state key: a cache line with the failure domain it resolves
+/// to. Versions are compared only within one domain.
 type LineKey = (DomainId, u64);
-
-/// Lines per [`LineTable`] page: 1024 lines = 64 KiB of pool address
-/// space per page, so page residency tracks segment residency closely.
-const LINE_PAGE: usize = 1024;
 
 /// One host's shadow view of one line, co-located with its vector-clock
 /// shadows (vector-clock mode leaves the clocks `None` when unused).
@@ -670,110 +677,71 @@ struct ViewEntry {
     dirty_clock: Option<VClock>,
 }
 
-/// All shadow state anchored to one `(domain, line)`: the last visible
-/// write, its release clock, and every host's view, sorted by host id
-/// so "lowest dirty host" scans are deterministic by construction.
-#[derive(Clone, Debug, Default)]
-struct LineSlot {
-    state: Option<LineState>,
-    wclock: Option<(Actor, VClock)>,
-    views: Vec<ViewEntry>,
+/// Lines per [`ViewTable`] page: 1024 lines = 64 KiB of pool address
+/// space per page.
+const VIEW_PAGE: usize = 1024;
+
+/// One page of per-line host views plus a bitmap of its non-empty
+/// slots, so range walks visit only lines some host caches.
+struct ViewPage {
+    /// Per-line views, sorted by host id.
+    slots: Box<[Vec<ViewEntry>]>,
+    /// Bit `i` is set when `slots[i]` is non-empty.
+    occupied: [u64; VIEW_PAGE / 64],
 }
 
-impl LineSlot {
-    fn is_empty(&self) -> bool {
-        self.state.is_none() && self.wclock.is_none() && self.views.is_empty()
-    }
-}
-
-/// The auditor's flat shadow-state store: per-domain paged arrays of
-/// [`LineSlot`]s indexed by line-address arithmetic (`la / CACHELINE`),
-/// replacing the per-line `HashMap`s the auditor started with. Pool
-/// line addresses are dense (the allocator hands out monotone,
-/// granule-aligned bases from a fixed floor), so a lookup is two array
-/// indexings and a slot offset — no hashing — and per-line host views
-/// live *in* the slot, so "who else holds this line dirty" is a scan of
-/// that line's few views instead of a walk over every view in the pod.
-/// Per-domain namespacing is preserved structurally: each domain owns a
-/// separate page array, so cross-domain address reuse cannot alias.
+/// Per-line host views: the only shadow state kept line by line, and
+/// only for lines some CPU caches. Paged arrays indexed by line-address
+/// arithmetic (`la / CACHELINE`) make a point lookup two indexings and
+/// a slot offset; the occupancy bitmaps make a walk over a range cost
+/// O(words + views), not O(lines). Views are host-sorted so "lowest
+/// dirty host" scans are deterministic by construction.
 #[derive(Default)]
-struct LineTable {
-    /// `pages[domain][page]` → `LINE_PAGE` slots, allocated on first
-    /// touch; line `la` in domain `d` lives at
-    /// `pages[d][la/CACHELINE/LINE_PAGE][la/CACHELINE%LINE_PAGE]`.
-    pages: Vec<Vec<Option<Box<[LineSlot]>>>>,
+struct ViewTable {
+    /// `pages[p]` holds lines `[p * VIEW_PAGE, (p + 1) * VIEW_PAGE)`
+    /// (in line units), allocated on the first view in it.
+    pages: Vec<Option<Box<ViewPage>>>,
 }
 
-impl LineTable {
+impl ViewTable {
     fn index_of(la: u64) -> (usize, usize) {
         let idx = (la / CACHELINE) as usize;
-        (idx / LINE_PAGE, idx % LINE_PAGE)
+        (idx / VIEW_PAGE, idx % VIEW_PAGE)
     }
 
-    /// Read-only slot access; never allocates.
-    fn slot(&self, key: LineKey) -> Option<&LineSlot> {
-        let dom = self.pages.get(key.0 .0 as usize)?;
-        let (page, off) = Self::index_of(key.1);
-        Some(&dom.get(page)?.as_ref()?[off])
-    }
-
-    /// Mutable slot access; never allocates (absent slots stay absent).
-    fn slot_get_mut(&mut self, key: LineKey) -> Option<&mut LineSlot> {
-        let dom = self.pages.get_mut(key.0 .0 as usize)?;
-        let (page, off) = Self::index_of(key.1);
-        Some(&mut dom.get_mut(page)?.as_mut()?[off])
-    }
-
-    /// Mutable slot access, allocating the domain/page on first touch.
-    fn slot_mut(&mut self, key: LineKey) -> &mut LineSlot {
-        let d = key.0 .0 as usize;
-        if self.pages.len() <= d {
-            self.pages.resize_with(d + 1, Vec::new);
+    /// Every host's view of line `la` (empty when nobody caches it).
+    fn slot(&self, la: u64) -> &[ViewEntry] {
+        let (p, off) = Self::index_of(la);
+        match self.pages.get(p) {
+            Some(Some(page)) => &page.slots[off],
+            _ => &[],
         }
-        let (page, off) = Self::index_of(key.1);
-        let dom = &mut self.pages[d];
-        if dom.len() <= page {
-            dom.resize_with(page + 1, || None);
-        }
-        let slots = dom[page]
-            .get_or_insert_with(|| vec![LineSlot::default(); LINE_PAGE].into_boxed_slice());
-        &mut slots[off]
-    }
-
-    /// The last visible write on a line (a copy; `LineState` is small).
-    fn state(&self, key: LineKey) -> Option<LineState> {
-        self.slot(key)?.state
-    }
-
-    /// Replaces a line's visible-write state, returning the old one.
-    fn set_state(&mut self, key: LineKey, state: LineState) -> Option<LineState> {
-        self.slot_mut(key).state.replace(state)
-    }
-
-    /// The last visible write's actor and release clock.
-    fn wclock(&self, key: LineKey) -> Option<&(Actor, VClock)> {
-        self.slot(key)?.wclock.as_ref()
-    }
-
-    fn set_wclock(&mut self, key: LineKey, actor: Actor, clock: VClock) {
-        self.slot_mut(key).wclock = Some((actor, clock));
     }
 
     /// One host's view entry on a line, if present.
-    fn view_entry(&self, host: u16, key: LineKey) -> Option<&ViewEntry> {
-        let slot = self.slot(key)?;
-        let i = slot.views.binary_search_by_key(&host, |e| e.host).ok()?;
-        Some(&slot.views[i])
+    fn entry(&self, host: u16, la: u64) -> Option<&ViewEntry> {
+        let slot = self.slot(la);
+        let i = slot.binary_search_by_key(&host, |e| e.host).ok()?;
+        Some(&slot[i])
     }
 
     /// The host's view entry, inserting `seed` (with empty clocks) at
     /// its host-sorted position when absent.
-    fn view_or_insert(&mut self, host: u16, key: LineKey, seed: HostView) -> &mut ViewEntry {
-        let slot = self.slot_mut(key);
-        let i = match slot.views.binary_search_by_key(&host, |e| e.host) {
+    fn entry_or_insert(&mut self, host: u16, la: u64, seed: HostView) -> &mut ViewEntry {
+        let (p, off) = Self::index_of(la);
+        if self.pages.len() <= p {
+            self.pages.resize_with(p + 1, || None);
+        }
+        let page = self.pages[p].get_or_insert_with(|| {
+            Box::new(ViewPage {
+                slots: (0..VIEW_PAGE).map(|_| Vec::new()).collect(),
+                occupied: [0; VIEW_PAGE / 64],
+            })
+        });
+        let i = match page.slots[off].binary_search_by_key(&host, |e| e.host) {
             Ok(i) => i,
             Err(i) => {
-                slot.views.insert(
+                page.slots[off].insert(
                     i,
                     ViewEntry {
                         host,
@@ -782,122 +750,203 @@ impl LineTable {
                         dirty_clock: None,
                     },
                 );
+                page.occupied[off / 64] |= 1 << (off % 64);
                 i
             }
         };
-        &mut slot.views[i]
+        &mut page.slots[off][i]
     }
 
     /// Replaces the host's view wholesale (clean fill semantics: any
     /// previous dirty clock is dropped with the previous view).
-    fn set_view(&mut self, host: u16, key: LineKey, view: HostView, view_clock: Option<VClock>) {
-        let entry = self.view_or_insert(host, key, view);
+    fn set(&mut self, host: u16, la: u64, view: HostView, view_clock: Option<VClock>) {
+        let entry = self.entry_or_insert(host, la, view);
         entry.view = view;
         entry.view_clock = view_clock;
         entry.dirty_clock = None;
     }
 
     /// Removes the host's view (and clock shadows), returning the view.
-    fn remove_view(&mut self, host: u16, key: LineKey) -> Option<HostView> {
-        let slot = self.slot_get_mut(key)?;
-        let i = slot.views.binary_search_by_key(&host, |e| e.host).ok()?;
-        Some(slot.views.remove(i).view)
+    fn remove(&mut self, host: u16, la: u64) -> Option<HostView> {
+        let (p, off) = Self::index_of(la);
+        let page = self.pages.get_mut(p)?.as_mut()?;
+        let slot = &mut page.slots[off];
+        let i = slot.binary_search_by_key(&host, |e| e.host).ok()?;
+        let view = slot.remove(i).view;
+        if slot.is_empty() {
+            page.occupied[off / 64] &= !(1 << (off % 64));
+        }
+        Some(view)
     }
 
     /// The lowest-id host other than `host` holding the line dirty:
     /// the deterministic "first writer" of conflict reports. Views are
     /// host-sorted, so the first dirty match is the minimum.
-    fn min_dirty_other(&self, host: u16, key: LineKey) -> Option<(HostId, Nanos)> {
-        self.slot(key)?
-            .views
+    fn min_dirty_other(&self, host: u16, la: u64) -> Option<(HostId, Nanos)> {
+        self.slot(la)
             .iter()
             .find(|e| e.host != host && e.view.dirty)
             .map(|e| (HostId(e.host), e.view.dirty_since))
     }
 
-    /// Every dirty view, in `(domain, line, host)` table order.
-    fn dirty_views(&self) -> Vec<(u16, u64, Nanos)> {
-        let mut out = Vec::new();
-        for dom in &self.pages {
-            for (p, page) in dom.iter().enumerate() {
-                let Some(slots) = page else { continue };
-                for (off, slot) in slots.iter().enumerate() {
-                    let la = ((p * LINE_PAGE + off) as u64) * CACHELINE;
-                    for e in &slot.views {
-                        if e.view.dirty {
-                            out.push((e.host, la, e.view.dirty_since));
-                        }
-                    }
-                }
-            }
-        }
-        out
-    }
-
-    /// Every line write clock, in `(domain, line)` table order (already
-    /// sorted by [`LineKey`]).
-    fn wclocks_sorted(&self) -> Vec<(LineKey, Actor, VClock)> {
-        let mut out = Vec::new();
-        for (d, dom) in self.pages.iter().enumerate() {
-            for (p, page) in dom.iter().enumerate() {
-                let Some(slots) = page else { continue };
-                for (off, slot) in slots.iter().enumerate() {
-                    if let Some((a, c)) = &slot.wclock {
-                        let la = ((p * LINE_PAGE + off) as u64) * CACHELINE;
-                        out.push(((DomainId(d as u16), la), *a, c.clone()));
-                    }
-                }
-            }
-        }
-        out
-    }
-
-    /// Clears every slot for lines in `[base, end)` in *every* domain,
-    /// invoking `on_state` for each removed visible-write state so the
-    /// caller can fix event refcounts. Whole pages inside the range are
-    /// dropped so freed segments release their shadow memory.
-    fn free_range(&mut self, base: u64, end: u64, mut on_state: impl FnMut(LineState)) {
-        if end <= base {
+    /// Fills `out` with every line in `[lo, hi)` some host caches, in
+    /// address order.
+    fn lines_in(&self, lo: u64, hi: u64, out: &mut Vec<u64>) {
+        out.clear();
+        if hi <= lo {
             return;
         }
-        let first = (base / CACHELINE) as usize;
-        let last = ((end - 1) / CACHELINE) as usize;
-        for dom in &mut self.pages {
-            let pages = first / LINE_PAGE..=(last / LINE_PAGE).min(dom.len().saturating_sub(1));
-            for p in pages {
-                let Some(Some(slots)) = dom.get_mut(p) else {
-                    continue;
-                };
-                let lo = first.saturating_sub(p * LINE_PAGE).min(LINE_PAGE);
-                let hi = (last + 1 - p * LINE_PAGE).min(LINE_PAGE);
-                let mut emptied = lo == 0 && hi == LINE_PAGE;
-                for slot in &mut slots[lo..hi] {
-                    if let Some(st) = slot.state.take() {
-                        on_state(st);
-                    }
-                    slot.wclock = None;
-                    slot.views.clear();
+        let first = (lo / CACHELINE) as usize;
+        let last = ((hi - 1) / CACHELINE) as usize;
+        for p in first / VIEW_PAGE..=last / VIEW_PAGE {
+            let Some(Some(page)) = self.pages.get(p) else {
+                continue;
+            };
+            let page_base = p * VIEW_PAGE;
+            let a = first.max(page_base) - page_base;
+            let b = last.min(page_base + VIEW_PAGE - 1) - page_base;
+            for w in a / 64..=b / 64 {
+                let mut bits = page.occupied[w];
+                if w == a / 64 {
+                    bits &= u64::MAX << (a % 64);
                 }
-                if !emptied {
-                    emptied = slots.iter().all(LineSlot::is_empty);
+                if w == b / 64 && b % 64 != 63 {
+                    bits &= (1u64 << (b % 64 + 1)) - 1;
                 }
-                if emptied {
-                    dom[p] = None;
+                while bits != 0 {
+                    let i = w * 64 + bits.trailing_zeros() as usize;
+                    out.push((page_base + i) as u64 * CACHELINE);
+                    bits &= bits - 1;
                 }
+            }
+        }
+    }
+
+    /// Every dirty view, in `(line, host)` order.
+    fn dirty_views(&self) -> Vec<(u16, u64, Nanos)> {
+        let mut lines = Vec::new();
+        self.lines_in(
+            0,
+            (self.pages.len() * VIEW_PAGE) as u64 * CACHELINE,
+            &mut lines,
+        );
+        let mut out = Vec::new();
+        for la in lines {
+            for e in self.slot(la) {
+                if e.view.dirty {
+                    out.push((e.host, la, e.view.dirty_since));
+                }
+            }
+        }
+        out
+    }
+
+    /// Drops every view of lines in `[lo, hi)`. Pages left empty are
+    /// released so freed segments give their shadow memory back.
+    fn clear_range(&mut self, lo: u64, hi: u64) {
+        let mut lines = Vec::new();
+        self.lines_in(lo, hi, &mut lines);
+        for la in lines {
+            let (p, off) = Self::index_of(la);
+            if let Some(Some(page)) = self.pages.get_mut(p) {
+                page.slots[off] = Vec::new();
+                page.occupied[off / 64] &= !(1 << (off % 64));
+            }
+        }
+        if hi <= lo {
+            return;
+        }
+        let first = (lo / CACHELINE) as usize / VIEW_PAGE;
+        let last = ((hi - 1) / CACHELINE) as usize / VIEW_PAGE;
+        for page in self.pages.iter_mut().take(last + 1).skip(first) {
+            if matches!(page, Some(pg) if pg.occupied.iter().all(|&w| w == 0)) {
+                *page = None;
             }
         }
     }
 }
 
-/// A visible-write event's line set and provenance, kept while the
-/// event is still current on at least one line.
+/// One visible write event: its provenance, the per-domain versions it
+/// drew, and the line ranges it covered. Shared by every extent piece
+/// of the event and kept while the event is still current on at least
+/// one line.
 #[derive(Clone, Debug)]
 struct EventMeta {
     writer: HostId,
+    actor: Actor,
+    kind: WriteKind,
+    written_at: Nanos,
     visible_at: Nanos,
-    lines: Vec<LineKey>,
-    /// Number of lines whose current event is this one.
-    refs: usize,
+    /// Visibility version drawn in each domain the event touched, in
+    /// domain order: a line's version is its domain's entry.
+    versions: Vec<(DomainId, u64)>,
+    /// Release clock (vector-clock mode only), one per event rather
+    /// than one per line.
+    wclock: Option<VClock>,
+    /// Line-aligned `[start, end)` ranges the event covered when it was
+    /// applied, ascending (torn-read identity).
+    ranges: Vec<(u64, u64)>,
+    /// Number of lines whose current write this event is.
+    refs: u64,
+}
+
+impl EventMeta {
+    /// The event's version on a line of domain `d`.
+    fn version_in(&self, d: DomainId) -> u64 {
+        version_in(&self.versions, d)
+    }
+
+    /// True when the event covered line `la` when it was applied.
+    fn covers(&self, la: u64) -> bool {
+        let i = self.ranges.partition_point(|&(_, end)| end <= la);
+        self.ranges.get(i).is_some_and(|&(start, _)| start <= la)
+    }
+}
+
+/// The entry for domain `d` in a domain-sorted version list (0 when the
+/// domain is absent: no write yet).
+fn version_in(versions: &[(DomainId, u64)], d: DomainId) -> u64 {
+    versions
+        .iter()
+        .find(|&&(vd, _)| vd == d)
+        .map_or(0, |&(_, v)| v)
+}
+
+/// A line-aligned extent of pool addresses whose current visible write
+/// is one event. Extents never overlap; a write over part of one splits
+/// it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Extent {
+    end: u64,
+    event: u64,
+}
+
+/// What the lines of a [`BaseRun`] were derived from.
+#[derive(Clone, Debug, PartialEq, Eq)]
+enum Base {
+    /// One base version for every line (a flush of lines merged onto
+    /// that version; 0 for lines never written).
+    Flat(u64),
+    /// The per-domain versions of the extent the lines belonged to.
+    Versions(Vec<(DomainId, u64)>),
+}
+
+impl Base {
+    fn version_in(&self, d: DomainId) -> u64 {
+        match self {
+            Base::Flat(v) => *v,
+            Base::Versions(vs) => version_in(vs, d),
+        }
+    }
+}
+
+/// A line-aligned `[start, end)` run of an in-flight write whose lines
+/// share one [`Base`]: a write's base versions, run-length encoded.
+#[derive(Clone, Debug)]
+struct BaseRun {
+    start: u64,
+    end: u64,
+    base: Base,
 }
 
 /// A mirror of one in-flight fabric write.
@@ -911,8 +960,8 @@ struct PendingEvent {
     wclock: VClock,
     kind: WriteKind,
     written_at: Nanos,
-    /// (line, base version the write was derived from).
-    lines: Vec<(u64, u64)>,
+    /// The written lines with their bases, ascending and disjoint.
+    runs: Vec<BaseRun>,
 }
 
 /// Dedup identity of a violation (kind + site + parties).
@@ -958,15 +1007,23 @@ pub struct Auditor {
     /// Per-domain visibility version counters: each failure domain has
     /// its own monotone visibility order (independent devices share
     /// none), so versions are only ever compared within one domain.
-    next_versions: HashMap<DomainId, u64>,
+    next_versions: DetHashMap<DomainId, u64>,
     pending: BTreeMap<(Nanos, u64), PendingEvent>,
     pending_seq: u64,
-    /// Flat per-line shadow state (line states, write clocks, host
-    /// views), indexed by `(domain, la)` arithmetic. Replaces the five
-    /// per-line `HashMap`s the auditor started with; see [`LineTable`].
-    table: LineTable,
-    events: HashMap<u64, EventMeta>,
-    seen: HashSet<(DomainId, DedupKey)>,
+    /// Visible-write state: `start → extent`, one extent per applied
+    /// write range, split only where a later write overlaps it.
+    extents: BTreeMap<u64, Extent>,
+    /// Events current on at least one line, by id.
+    events: DetHashMap<u64, EventMeta>,
+    /// Per-line host views (CPU-cached lines only).
+    views: ViewTable,
+    /// Reusable line list for view walks.
+    line_scratch: Vec<u64>,
+    /// Reusable `(start, end, event)` list for extent walks.
+    piece_scratch: Vec<(u64, u64, u64)>,
+    /// Reusable domain list for version draws.
+    domain_scratch: Vec<DomainId>,
+    seen: DetHashSet<(DomainId, DedupKey)>,
     report: AuditReport,
     /// Per-actor clocks, indexed by [`Actor::index`] (vector-clock
     /// mode; empty otherwise). Components inside each clock are
@@ -983,10 +1040,10 @@ fn line_of(addr: u64) -> u64 {
     addr & !(CACHELINE - 1)
 }
 
-fn lines_of(hpa: u64, len: u64) -> impl Iterator<Item = u64> {
-    let first = line_of(hpa);
-    let last = line_of(hpa + len.max(1) - 1);
-    (first..=last).step_by(CACHELINE as usize)
+/// The line-aligned `[lo, hi)` covering every line `[hpa, hpa+len)`
+/// touches (one line for an empty access).
+fn line_span(hpa: u64, len: u64) -> (u64, u64) {
+    (line_of(hpa), line_of(hpa + len.max(1) - 1) + CACHELINE)
 }
 
 /// True if `[hpa, hpa+64)` lies inside any of the given ranges.
@@ -1002,12 +1059,16 @@ impl Auditor {
         Auditor {
             config,
             next_event: 1,
-            next_versions: HashMap::new(),
+            next_versions: DetHashMap::default(),
             pending: BTreeMap::new(),
             pending_seq: 0,
-            table: LineTable::default(),
-            events: HashMap::new(),
-            seen: HashSet::new(),
+            extents: BTreeMap::new(),
+            events: DetHashMap::default(),
+            views: ViewTable::default(),
+            line_scratch: Vec::new(),
+            piece_scratch: Vec::new(),
+            domain_scratch: Vec::new(),
+            seen: DetHashSet::default(),
             report: AuditReport::default(),
             clocks: Vec::new(),
             domain_map: BTreeMap::new(),
@@ -1020,10 +1081,26 @@ impl Auditor {
     /// the fabric on every allocation while auditing is on; shadow
     /// state for the range is namespaced accordingly. Unregistered
     /// addresses audit under [`DomainId`]`(0)`.
+    ///
+    /// Shadow state is keyed by address and each line's domain is
+    /// resolved through the current mapping, so a remap without a free
+    /// retires every mapping it overlaps and forgets the shadow state of
+    /// the old and new ranges; mappings never overlap.
     pub fn map_segment(&mut self, base: u64, end: u64, way_domains: Vec<DomainId>) {
         if end <= base || way_domains.is_empty() {
             return;
         }
+        let overlapped: Vec<(u64, u64)> = self
+            .domain_map
+            .range(..end)
+            .filter(|&(_, &(e, _))| e > base)
+            .map(|(&b, &(e, _))| (b, e))
+            .collect();
+        for (b, e) in overlapped {
+            self.domain_map.remove(&b);
+            self.forget(b, e);
+        }
+        self.forget(base, end);
         self.domain_map.insert(base, (end, way_domains));
     }
 
@@ -1044,18 +1121,143 @@ impl Auditor {
         (self.domain_of_line(la), la)
     }
 
+    /// Appends the failure domains the lines of `[lo, hi)` resolve to
+    /// (unsorted, possibly repeated): one mapping lookup per segment the
+    /// range crosses and one step per granule, not per line.
+    fn push_domains(&self, lo: u64, hi: u64, out: &mut Vec<DomainId>) {
+        let mut la = lo;
+        while la < hi {
+            let mapped = self
+                .domain_map
+                .range(..=la)
+                .next_back()
+                .filter(|(_, (end, _))| la < *end);
+            match mapped {
+                Some((&base, (end, ways))) => {
+                    let stop = hi.min(*end);
+                    let g0 = ((la - base) / INTERLEAVE_GRANULE) as usize;
+                    let g1 = ((line_of(stop - 1) - base) / INTERLEAVE_GRANULE) as usize;
+                    if g1 - g0 + 1 >= ways.len() {
+                        out.extend_from_slice(ways);
+                    } else {
+                        out.extend((g0..=g1).map(|g| ways[g % ways.len()]));
+                    }
+                    la = line_of(stop - 1) + CACHELINE;
+                }
+                None => {
+                    out.push(DomainId(0));
+                    // The next mapped line is the first whose address
+                    // reaches the next mapping's base.
+                    la = match self.domain_map.range(la + 1..).next() {
+                        Some((&next, _)) if next < hi => next.next_multiple_of(CACHELINE),
+                        _ => hi,
+                    };
+                }
+            }
+        }
+    }
+
     /// The distinct failure domains `[hpa, hpa+len)` touches, in id
     /// order (never empty: an unmapped range is domain 0).
     fn domains_of(&self, hpa: u64, len: u64) -> Vec<DomainId> {
-        let mut out: Vec<DomainId> = lines_of(hpa, len)
-            .map(|la| self.domain_of_line(la))
-            .collect();
+        let (lo, hi) = line_span(hpa, len);
+        let mut out = Vec::new();
+        self.push_domains(lo, hi, &mut out);
         out.sort_unstable();
         out.dedup();
-        if out.is_empty() {
-            out.push(DomainId(0));
-        }
         out
+    }
+
+    /// The event whose extent covers line `la`, if any.
+    fn meta_at(&self, la: u64) -> Option<(u64, &EventMeta)> {
+        let (_, x) = self.extents.range(..=la).next_back()?;
+        if la >= x.end {
+            return None;
+        }
+        Some((x.event, &self.events[&x.event]))
+    }
+
+    /// The last visible write on a line.
+    fn state(&self, key: LineKey) -> Option<LineState> {
+        let (event, m) = self.meta_at(key.1)?;
+        Some(LineState {
+            event,
+            version: m.version_in(key.0),
+            writer: m.writer,
+            kind: m.kind,
+            written_at: m.written_at,
+            visible_at: m.visible_at,
+        })
+    }
+
+    /// The last visible write's actor and release clock.
+    fn wclock(&self, la: u64) -> Option<(Actor, &VClock)> {
+        let (_, m) = self.meta_at(la)?;
+        m.wclock.as_ref().map(|c| (m.actor, c))
+    }
+
+    /// Fills `out` with the extent pieces overlapping `[lo, hi)`,
+    /// clipped to it, as `(start, end, event)` in address order. An
+    /// access that stays within one extent costs one tree descent.
+    fn pieces(&self, lo: u64, hi: u64, out: &mut Vec<(u64, u64, u64)>) {
+        out.clear();
+        let mut from = lo;
+        if let Some((_, x)) = self.extents.range(..=lo).next_back() {
+            if x.end > lo {
+                out.push((lo, x.end.min(hi), x.event));
+                from = x.end;
+            }
+        }
+        if from < hi {
+            for (&s, x) in self.extents.range(from..hi) {
+                out.push((s, x.end.min(hi), x.event));
+            }
+        }
+    }
+
+    /// Drops `lines` lines from an event's refcount, retiring the event
+    /// once it is current nowhere.
+    fn release(&mut self, event: u64, lines: u64) {
+        if let Some(meta) = self.events.get_mut(&event) {
+            meta.refs -= lines;
+            if meta.refs == 0 {
+                self.events.remove(&event);
+            }
+        }
+    }
+
+    /// Removes all visible-write state for lines in the line-aligned
+    /// `[lo, hi)`, splitting extents that straddle either edge.
+    fn carve(&mut self, lo: u64, hi: u64) {
+        if let Some((&s, &x)) = self.extents.range(..lo).next_back() {
+            if x.end > lo {
+                if let Some(left) = self.extents.get_mut(&s) {
+                    left.end = lo;
+                }
+                if x.end > hi {
+                    self.extents.insert(hi, x);
+                }
+                self.release(x.event, (x.end.min(hi) - lo) / CACHELINE);
+            }
+        }
+        while let Some((&s, &x)) = self.extents.range(lo..hi).next() {
+            self.extents.remove(&s);
+            if x.end > hi {
+                self.extents.insert(hi, x);
+            }
+            self.release(x.event, (x.end.min(hi) - s) / CACHELINE);
+        }
+    }
+
+    /// Forgets visible-write state and views for every line `[base,
+    /// end)` touches.
+    fn forget(&mut self, base: u64, end: u64) {
+        if end <= base {
+            return;
+        }
+        let (lo, hi) = line_span(base, end - base);
+        self.carve(lo, hi);
+        self.views.clear_range(lo, hi);
     }
 
     /// Findings so far.
@@ -1090,12 +1292,20 @@ impl Auditor {
             .filter(|(_, c)| **c != VClock::default())
             .map(|(i, c)| (Actor::from_index(i), c.clone()))
             .collect();
-        // Table order is already sorted by LineKey.
-        let line_clocks: Vec<(u64, Actor, VClock)> = self
-            .table
-            .wclocks_sorted()
+        // One entry per line, ordered by (domain, line).
+        let mut keyed: Vec<(LineKey, Actor, &VClock)> = Vec::new();
+        for (&start, x) in &self.extents {
+            let m = &self.events[&x.event];
+            if let Some(c) = &m.wclock {
+                for la in (start..x.end).step_by(CACHELINE as usize) {
+                    keyed.push((self.key_of(la), m.actor, c));
+                }
+            }
+        }
+        keyed.sort_unstable_by_key(|&(key, _, _)| key);
+        let line_clocks = keyed
             .into_iter()
-            .map(|((_, la), a, c)| (la, a, c))
+            .map(|((_, la), a, c)| (la, a, c.clone()))
             .collect();
         RaceReport {
             conflicts,
@@ -1130,10 +1340,14 @@ impl Auditor {
         self.clock_mut(actor).bump(i);
     }
 
-    /// Ticks `actor` once per distinct domain in `domains` (an op
-    /// spanning domains is one program-order step in each namespace).
-    fn tick_all(&mut self, actor: Actor, domains: &[DomainId]) {
-        for &d in domains {
+    /// Ticks `actor` once per distinct domain `[hpa, hpa+len)` touches
+    /// (an op spanning domains is one program-order step in each
+    /// namespace).
+    fn tick_range(&mut self, actor: Actor, hpa: u64, len: u64) {
+        if !self.vc_on() {
+            return;
+        }
+        for d in self.domains_of(hpa, len) {
             self.tick(actor, d);
         }
     }
@@ -1161,10 +1375,15 @@ impl Auditor {
         self.clock_mut(dst).join(&c);
     }
 
-    /// Removes a host's view of a line along with its clock shadows
-    /// (they travel with the view entry in the flat table).
-    fn drop_view(&mut self, host: u16, key: LineKey) -> Option<HostView> {
-        self.table.remove_view(host, key)
+    /// Joins the release clock of `event` into `dst`'s clock.
+    fn join_event(&mut self, dst: Actor, event: u64) {
+        let i = dst.index();
+        if self.clocks.len() <= i {
+            self.clocks.resize(i + 1, VClock::default());
+        }
+        if let Some(c) = self.events.get(&event).and_then(|m| m.wclock.as_ref()) {
+            self.clocks[i].join(c);
+        }
     }
 
     // ---------------------------------------------------------------
@@ -1184,121 +1403,151 @@ impl Auditor {
     }
 
     fn apply_event(&mut self, visible_at: Nanos, ev: PendingEvent) {
-        // Resolve each line's domain under the current mappings and
-        // draw one visibility version per touched domain: visibility
-        // order is a per-domain notion (independent devices apply
-        // writes independently), so counters never cross domains.
-        let keyed: Vec<(LineKey, u64)> = ev
-            .lines
+        // Draw one visibility version per domain the write touches
+        // under the current mappings: visibility order is a per-domain
+        // notion (independent devices apply writes independently), so
+        // counters never cross domains.
+        let mut doms = std::mem::take(&mut self.domain_scratch);
+        doms.clear();
+        for run in &ev.runs {
+            self.push_domains(run.start, run.end, &mut doms);
+        }
+        doms.sort_unstable();
+        doms.dedup();
+        let versions: Vec<(DomainId, u64)> = doms
             .iter()
-            .map(|&(la, base)| (self.key_of(la), base))
-            .collect();
-        let mut versions: BTreeMap<DomainId, u64> = BTreeMap::new();
-        for &((d, _), _) in &keyed {
-            versions.entry(d).or_insert_with(|| {
+            .map(|&d| {
                 let counter = self.next_versions.entry(d).or_insert(1);
                 let v = *counter;
                 *counter += 1;
-                v
-            });
+                (d, v)
+            })
+            .collect();
+        self.domain_scratch = doms;
+        let vc = self.vc_on();
+        // Check the write against every extent it overwrites. A piece
+        // is walked line by line only when it can report something.
+        let mut pieces = std::mem::take(&mut self.piece_scratch);
+        for run in &ev.runs {
+            self.pieces(run.start, run.end, &mut pieces);
+            for &(ps, pe, old) in &pieces {
+                let m = &self.events[&old];
+                let lost = m.writer != ev.writer
+                    && m.versions.iter().any(|&(d, v)| v > run.base.version_in(d));
+                let race = vc
+                    && m.actor != ev.actor
+                    && m.wclock
+                        .as_ref()
+                        .is_some_and(|c| c.concurrent_with(&ev.wclock));
+                if lost || race {
+                    let m = m.clone();
+                    self.report_overwrite(visible_at, &ev, &run.base, &m, (ps, pe), race);
+                }
+            }
         }
-        let mut covered = Vec::with_capacity(keyed.len());
-        for &(key, base_version) in &keyed {
-            let (_, la) = key;
-            let version = versions[&key.0];
-            let cur = self.table.state(key);
-            // A newer visible write by someone else landed between this
-            // write's base and its visibility: that write is clobbered.
-            if let Some(cur) = cur {
-                if cur.version > base_version && cur.writer != ev.writer {
-                    self.record(
-                        la,
-                        visible_at,
-                        ViolationKind::LostWrite {
-                            victim: cur.writer,
-                            by: ev.writer,
-                            cause: LostWriteCause::StaleBasePublish,
-                            dirty_since: cur.visible_at,
-                        },
-                        DedupKey::Lost {
-                            line: la,
-                            victim: cur.writer.0,
-                            by: ev.writer.0,
-                            cause: LostWriteCause::StaleBasePublish,
-                        },
-                    );
-                }
+        self.piece_scratch = pieces;
+        // Install the write as one extent per contiguous range.
+        let mut ranges: Vec<(u64, u64)> = Vec::new();
+        for run in &ev.runs {
+            match ranges.last_mut() {
+                Some(last) if last.1 == run.start => last.1 = run.end,
+                _ => ranges.push((run.start, run.end)),
             }
-            if self.vc_on() {
-                // Write-write race: the previous visible write and this
-                // one carry incomparable release clocks — their relative
-                // order is pure fabric timing, not program order.
-                if let Some((pactor, pclock)) = self.table.wclock(key).cloned() {
-                    if pactor != ev.actor && pclock.concurrent_with(&ev.wclock) {
-                        self.record(
-                            la,
-                            visible_at,
-                            ViolationKind::ConcurrentConflict {
-                                first: pactor,
-                                first_access: AccessKind::Write,
-                                first_at: cur.map(|c| c.written_at).unwrap_or(Nanos::ZERO),
-                                first_clock: pclock,
-                                second: ev.actor,
-                                second_access: AccessKind::Write,
-                                second_at: ev.written_at,
-                                second_clock: ev.wclock.clone(),
-                            },
-                            DedupKey::Concurrent {
-                                line: la,
-                                a: pactor.index().min(ev.actor.index()),
-                                b: pactor.index().max(ev.actor.index()),
-                                accesses: (AccessKind::Write, AccessKind::Write),
-                            },
-                        );
-                    }
-                }
-                self.table.set_wclock(key, ev.actor, ev.wclock.clone());
-            }
-            self.set_line_state(
-                key,
-                LineState {
-                    event: ev.event,
-                    version,
-                    writer: ev.writer,
-                    kind: ev.kind,
-                    written_at: ev.written_at,
-                    visible_at,
-                },
-            );
-            covered.push(key);
+        }
+        let mut lines = 0;
+        for &(lo, hi) in &ranges {
+            self.install(lo, hi, ev.event);
+            lines += (hi - lo) / CACHELINE;
         }
         self.events.insert(
             ev.event,
             EventMeta {
                 writer: ev.writer,
+                actor: ev.actor,
+                kind: ev.kind,
+                written_at: ev.written_at,
                 visible_at,
-                refs: covered.len(),
-                lines: covered,
+                versions,
+                wclock: vc.then_some(ev.wclock),
+                ranges,
+                refs: lines,
             },
         );
     }
 
-    /// Updates a line's current write and the event refcounts.
-    fn set_line_state(&mut self, key: LineKey, state: LineState) {
-        if let Some(old) = self.table.set_state(key, state) {
-            if old.event != state.event {
-                if let Some(meta) = self.events.get_mut(&old.event) {
-                    meta.refs -= 1;
-                    if meta.refs == 0 {
-                        self.events.remove(&old.event);
-                    }
-                }
-            } else {
-                // Same event re-applied to the line (it was already
-                // counted); keep the refcount balanced.
-                if let Some(meta) = self.events.get_mut(&state.event) {
-                    meta.refs -= 1;
-                }
+    /// Makes `event` the current write of the line-aligned `[lo, hi)`.
+    fn install(&mut self, lo: u64, hi: u64, event: u64) {
+        // Rewriting exactly one existing extent (a ring slot, a reused
+        // buffer) swaps its event in place.
+        if let Some(x) = self.extents.get_mut(&lo) {
+            if x.end == hi {
+                let old = std::mem::replace(&mut x.event, event);
+                self.release(old, (hi - lo) / CACHELINE);
+                return;
+            }
+        }
+        self.carve(lo, hi);
+        self.extents.insert(lo, Extent { end: hi, event });
+    }
+
+    /// Reports, line by line over `[ps, pe)`, what write `ev` does to
+    /// the lines of the older event `old`: a clobbered newer write, and
+    /// a write-write race when `race` is set.
+    fn report_overwrite(
+        &mut self,
+        visible_at: Nanos,
+        ev: &PendingEvent,
+        base: &Base,
+        old: &EventMeta,
+        (ps, pe): (u64, u64),
+        race: bool,
+    ) {
+        for la in (ps..pe).step_by(CACHELINE as usize) {
+            // A newer visible write by someone else landed between this
+            // write's base and its visibility: that write is clobbered.
+            let d = self.domain_of_line(la);
+            if old.writer != ev.writer && old.version_in(d) > base.version_in(d) {
+                self.record(
+                    la,
+                    visible_at,
+                    ViolationKind::LostWrite {
+                        victim: old.writer,
+                        by: ev.writer,
+                        cause: LostWriteCause::StaleBasePublish,
+                        dirty_since: old.visible_at,
+                    },
+                    DedupKey::Lost {
+                        line: la,
+                        victim: old.writer.0,
+                        by: ev.writer.0,
+                        cause: LostWriteCause::StaleBasePublish,
+                    },
+                );
+            }
+            // Write-write race: the previous visible write and this one
+            // carry incomparable release clocks — their relative order
+            // is pure fabric timing, not program order.
+            if race {
+                self.record(
+                    la,
+                    visible_at,
+                    ViolationKind::ConcurrentConflict {
+                        first: old.actor,
+                        first_access: AccessKind::Write,
+                        first_at: old.written_at,
+                        first_clock: old.wclock.clone().unwrap_or_default(),
+                        second: ev.actor,
+                        second_access: AccessKind::Write,
+                        second_at: ev.written_at,
+                        second_clock: ev.wclock.clone(),
+                    },
+                    DedupKey::Concurrent {
+                        line: la,
+                        a: old.actor.index().min(ev.actor.index()),
+                        b: old.actor.index().max(ev.actor.index()),
+                        accesses: (AccessKind::Write, AccessKind::Write),
+                    },
+                );
             }
         }
     }
@@ -1309,7 +1558,7 @@ impl Auditor {
         visible_at: Nanos,
         actor: Actor,
         kind: WriteKind,
-        lines: Vec<(u64, u64)>,
+        runs: Vec<BaseRun>,
     ) -> u64 {
         let event = self.next_event;
         self.next_event += 1;
@@ -1329,7 +1578,7 @@ impl Auditor {
                 wclock,
                 kind,
                 written_at,
-                lines,
+                runs,
             },
         );
         event
@@ -1353,21 +1602,27 @@ impl Auditor {
         sync: &[(u64, u64)],
     ) {
         self.report.ops_audited += 1;
-        let mut doms: Vec<DomainId> = served
-            .iter()
-            .map(|&(la, _)| self.domain_of_line(la))
-            .collect();
-        doms.sort_unstable();
-        doms.dedup();
-        if doms.is_empty() {
-            doms.push(DomainId(0));
+        if self.vc_on() {
+            let mut doms: Vec<DomainId> = served
+                .iter()
+                .map(|&(la, _)| self.domain_of_line(la))
+                .collect();
+            doms.sort_unstable();
+            doms.dedup();
+            if doms.is_empty() {
+                doms.push(DomainId(0));
+            }
+            for d in doms {
+                self.tick(Actor::Cpu(host), d);
+            }
         }
-        self.tick_all(Actor::Cpu(host), &doms);
-        // (line key, observed version, observed event) per served line.
-        let mut observed: Vec<(LineKey, u64, u64)> = Vec::with_capacity(served.len());
+        // (line key, observed version, observed event) per served line,
+        // kept only when the load spans lines and so could tear.
+        let multi_line = served.len() > 1;
+        let mut observed: Vec<(LineKey, u64, u64)> = Vec::new();
         for &(la, hit) in served {
             let key = self.key_of(la);
-            let cur = self.table.state(key);
+            let cur = self.state(key);
             if hit {
                 // Audit enabled mid-run: seed the cached copy as
                 // current rather than inventing a hazard.
@@ -1380,16 +1635,11 @@ impl Auditor {
                 };
                 let vc_on = self.vc_on();
                 let wc_seed = if vc_on {
-                    Some(
-                        self.table
-                            .wclock(key)
-                            .map(|(_, c)| c.clone())
-                            .unwrap_or_default(),
-                    )
+                    Some(self.wclock(la).map(|(_, c)| c.clone()).unwrap_or_default())
                 } else {
                     None
                 };
-                let entry = self.table.view_or_insert(host.0, key, seed);
+                let entry = self.views.entry_or_insert(host.0, la, seed);
                 if vc_on && entry.view_clock.is_none() {
                     entry.view_clock = wc_seed;
                 }
@@ -1405,9 +1655,8 @@ impl Auditor {
                 if let Some(cur) = stale {
                     if self.vc_on() {
                         let (wactor, wclock) = self
-                            .table
-                            .wclock(key)
-                            .cloned()
+                            .wclock(la)
+                            .map(|(a, c)| (a, c.clone()))
                             .unwrap_or((Actor::Cpu(cur.writer), VClock::default()));
                         let rclock = self.snapshot(Actor::Cpu(host));
                         if wclock.leq(&rclock) {
@@ -1475,14 +1724,16 @@ impl Auditor {
                     // Fresh (or own-dirty) hit on a sync line: acquire
                     // the ordering of the write the copy reflects.
                     let vc = self
-                        .table
-                        .view_entry(host.0, key)
+                        .views
+                        .entry(host.0, la)
                         .and_then(|e| e.view_clock.clone());
                     if let Some(vc) = vc {
                         self.join_from(Actor::Cpu(host), &vc);
                     }
                 }
-                observed.push((key, view.version, view.event));
+                if multi_line {
+                    observed.push((key, view.version, view.event));
+                }
             } else {
                 // Miss: the host now caches the pool-current bytes.
                 let (version, event) = cur.map(|c| (c.version, c.event)).unwrap_or((0, 0));
@@ -1494,7 +1745,7 @@ impl Auditor {
                     base_version: version,
                 };
                 if self.vc_on() {
-                    match self.table.wclock(key).cloned() {
+                    match self.wclock(la).map(|(a, c)| (a, c.clone())) {
                         Some((wactor, wclock)) => {
                             if in_ranges(sync, la) {
                                 // Acquire: the protocol on this line
@@ -1532,22 +1783,29 @@ impl Auditor {
                                 // every later access.
                                 self.join_from(Actor::Cpu(host), &wclock);
                             }
-                            self.table.set_view(host.0, key, fresh, Some(wclock));
+                            self.views.set(host.0, la, fresh, Some(wclock));
                         }
                         None => {
-                            self.table
-                                .set_view(host.0, key, fresh, Some(VClock::default()));
+                            self.views.set(host.0, la, fresh, Some(VClock::default()));
                         }
                     }
                 } else {
-                    self.table.set_view(host.0, key, fresh, None);
+                    self.views.set(host.0, la, fresh, None);
                 }
-                observed.push((key, version, event));
+                if multi_line {
+                    observed.push((key, version, event));
+                }
             }
         }
         // Torn-read analysis runs per failure domain: versions are a
         // per-domain visibility order, and a load spanning domains has
         // no single order to tear against.
+        if observed.iter().all(|&((d, _), _, _)| d == observed[0].0 .0) {
+            if observed.len() > 1 {
+                self.check_torn(now, host, &observed, tolerant);
+            }
+            return;
+        }
         let mut by_domain: BTreeMap<DomainId, Vec<(LineKey, u64, u64)>> = BTreeMap::new();
         for &(key, v, e) in &observed {
             by_domain.entry(key.0).or_default().push((key, v, e));
@@ -1585,18 +1843,17 @@ impl Auditor {
         let fresh_line = fresh_key.1;
         let writer = meta.writer;
         let visible_at = meta.visible_at;
-        let covered: HashSet<LineKey> = meta.lines.iter().copied().collect();
-        let torn: Vec<(u64, u64)> = observed
+        let torn: Vec<u64> = observed
             .iter()
             .filter(|&&(key, v, _)| {
                 key != fresh_key
                     && v < fresh_version
-                    && covered.contains(&key)
+                    && meta.covers(key.1)
                     && !in_ranges(tolerant, key.1)
             })
-            .map(|&(key, v, _)| (key.1, v))
+            .map(|&(key, _, _)| key.1)
             .collect();
-        for (stale_line, _) in torn {
+        for stale_line in torn {
             self.record(
                 stale_line,
                 now,
@@ -1621,23 +1878,17 @@ impl Auditor {
     pub fn on_fill(&mut self, host: HostId, la: u64) {
         let key = self.key_of(la);
         let (version, event) = self
-            .table
             .state(key)
             .map(|c| (c.version, c.event))
             .unwrap_or((0, 0));
         let view_clock = if self.vc_on() {
-            Some(
-                self.table
-                    .wclock(key)
-                    .map(|(_, c)| c.clone())
-                    .unwrap_or_default(),
-            )
+            Some(self.wclock(la).map(|(_, c)| c.clone()).unwrap_or_default())
         } else {
             None
         };
-        self.table.set_view(
+        self.views.set(
             host.0,
-            key,
+            la,
             HostView {
                 version,
                 event,
@@ -1652,8 +1903,7 @@ impl Auditor {
     /// Audits a capacity eviction of a *clean* line: the host simply
     /// forgets its copy, so the shadow view is dropped too.
     pub fn on_clean_eviction(&mut self, host: HostId, la: u64) {
-        let key = self.key_of(la);
-        self.drop_view(host.0, key);
+        self.views.remove(host.0, la);
     }
 
     /// Audits one cached (write-back) store to one line. Reports a
@@ -1666,7 +1916,7 @@ impl Auditor {
         // the reported `first` (and the violation log) never varies
         // run to run; the line's views are host-sorted, so that is the
         // first dirty entry in the slot.
-        let other = self.table.min_dirty_other(host.0, key);
+        let other = self.views.min_dirty_other(host.0, la);
         if let Some((first, first_dirty_since)) = other {
             self.record(
                 la,
@@ -1683,7 +1933,7 @@ impl Auditor {
                 },
             );
         }
-        let cur = self.table.state(key);
+        let cur = self.state(key);
         let vc_snap = if self.vc_on() {
             Some(self.snapshot(Actor::Cpu(host)))
         } else {
@@ -1696,7 +1946,7 @@ impl Auditor {
             dirty_since: Nanos::ZERO,
             base_version: cur.map(|c| c.version).unwrap_or(0),
         };
-        let entry = self.table.view_or_insert(host.0, key, seed);
+        let entry = self.views.entry_or_insert(host.0, la, seed);
         if !entry.view.dirty {
             entry.view.dirty = true;
             entry.view.dirty_since = now;
@@ -1713,8 +1963,7 @@ impl Auditor {
     /// the domains `[hpa, hpa+len)` touches.
     pub fn count_store(&mut self, host: HostId, hpa: u64, len: u64) {
         self.report.ops_audited += 1;
-        let doms = self.domains_of(hpa, len);
-        self.tick_all(Actor::Cpu(host), &doms);
+        self.tick_range(Actor::Cpu(host), hpa, len);
     }
 
     /// Audits a non-temporal store: the writer's own cached lines are
@@ -1722,11 +1971,10 @@ impl Auditor {
     /// write is queued for visibility at `done`.
     pub fn on_nt_store(&mut self, now: Nanos, host: HostId, hpa: u64, len: u64, done: Nanos) {
         self.report.ops_audited += 1;
-        let doms = self.domains_of(hpa, len);
-        self.tick_all(Actor::Cpu(host), &doms);
-        self.discard_for_overwrite(now, host, host, hpa, len);
-        let lines = self.bases_for(hpa, len);
-        self.enqueue(now, done, Actor::Cpu(host), WriteKind::NtStore, lines);
+        self.tick_range(Actor::Cpu(host), hpa, len);
+        self.discard_for_overwrite(now, host, hpa, len);
+        let runs = self.bases_for(hpa, len);
+        self.enqueue(now, done, Actor::Cpu(host), WriteKind::NtStore, runs);
     }
 
     /// Audits a device DMA write via attach host `host`: snoop drops
@@ -1736,15 +1984,15 @@ impl Auditor {
     pub fn on_dma_write(&mut self, now: Nanos, host: HostId, hpa: u64, len: u64, done: Nanos) {
         self.report.ops_audited += 1;
         self.join_actor(Actor::Dma(host), Actor::Cpu(host));
-        let doms = self.domains_of(hpa, len);
-        self.tick_all(Actor::Dma(host), &doms);
-        self.discard_for_overwrite(now, host, host, hpa, len);
-        let lines = self.bases_for(hpa, len);
-        self.enqueue(now, done, Actor::Dma(host), WriteKind::DmaWrite, lines);
+        self.tick_range(Actor::Dma(host), hpa, len);
+        self.discard_for_overwrite(now, host, hpa, len);
+        let runs = self.bases_for(hpa, len);
+        self.enqueue(now, done, Actor::Dma(host), WriteKind::DmaWrite, runs);
     }
 
     /// Audits a flush: `dirty` lists the dirty lines being published
-    /// (visible at `done`); clean lines in the range are just dropped.
+    /// (visible at `done`), in ascending order; clean lines in the range
+    /// are just dropped.
     pub fn on_flush(
         &mut self,
         now: Nanos,
@@ -1755,23 +2003,34 @@ impl Auditor {
         done: Nanos,
     ) {
         self.report.ops_audited += 1;
-        let doms = self.domains_of(hpa, len);
-        self.tick_all(Actor::Cpu(host), &doms);
-        let mut published = Vec::with_capacity(dirty.len());
+        self.tick_range(Actor::Cpu(host), hpa, len);
+        let mut published: Vec<BaseRun> = Vec::new();
         for &la in dirty {
-            let key = self.key_of(la);
             let base = self
-                .table
-                .view_entry(host.0, key)
+                .views
+                .entry(host.0, la)
                 .map(|e| e.view.base_version)
                 .unwrap_or(0);
-            published.push((la, base));
+            match published.last_mut() {
+                Some(run) if run.end == la && run.base == Base::Flat(base) => {
+                    run.end += CACHELINE;
+                }
+                _ => published.push(BaseRun {
+                    start: la,
+                    end: la + CACHELINE,
+                    base: Base::Flat(base),
+                }),
+            }
         }
+        debug_assert!(published.windows(2).all(|w| w[0].end <= w[1].start));
         // clflush semantics: every line in the range leaves the cache.
-        for la in lines_of(hpa, len) {
-            let key = self.key_of(la);
-            self.drop_view(host.0, key);
+        let (lo, hi) = line_span(hpa, len);
+        let mut lines = std::mem::take(&mut self.line_scratch);
+        self.views.lines_in(lo, hi, &mut lines);
+        for &la in &lines {
+            self.views.remove(host.0, la);
         }
+        self.line_scratch = lines;
         if !published.is_empty() {
             self.enqueue(now, done, Actor::Cpu(host), WriteKind::Flush, published);
         }
@@ -1781,9 +2040,11 @@ impl Auditor {
     /// loses the data.
     pub fn on_invalidate(&mut self, now: Nanos, host: HostId, hpa: u64, len: u64) {
         self.report.ops_audited += 1;
-        for la in lines_of(hpa, len) {
-            let key = self.key_of(la);
-            if let Some(view) = self.drop_view(host.0, key) {
+        let (lo, hi) = line_span(hpa, len);
+        let mut lines = std::mem::take(&mut self.line_scratch);
+        self.views.lines_in(lo, hi, &mut lines);
+        for &la in &lines {
+            if let Some(view) = self.views.remove(host.0, la) {
                 if view.dirty {
                     self.record(
                         la,
@@ -1804,6 +2065,7 @@ impl Auditor {
                 }
             }
         }
+        self.line_scratch = lines;
     }
 
     /// Audits a DMA read via attach host `host`: the device sees the
@@ -1821,92 +2083,130 @@ impl Auditor {
     ) {
         self.report.ops_audited += 1;
         self.join_actor(Actor::Dma(host), Actor::Cpu(host));
-        let doms = self.domains_of(hpa, len);
-        self.tick_all(Actor::Dma(host), &doms);
-        for la in lines_of(hpa, len) {
-            let key = self.key_of(la);
-            // Lowest dirty host wins, as in on_store: the reported
-            // writer is deterministic because the slot's views are
-            // host-sorted.
-            let remote_dirty = self.table.min_dirty_other(host.0, key);
-            if let Some((writer, dirty_since)) = remote_dirty {
-                if self.vc_on() {
-                    let dclock = self
-                        .table
-                        .view_entry(writer.0, key)
-                        .and_then(|e| e.dirty_clock.clone())
-                        .unwrap_or_default();
-                    let rclock = self.snapshot(Actor::Dma(host));
-                    if dclock.leq(&rclock) {
-                        // The store happens-before the DMA yet was never
-                        // published: the device definitely reads around
-                        // it.
-                        self.record_dma_stale(la, now, host, writer, dirty_since);
-                    } else {
-                        // Unpublished store racing the DMA read.
-                        self.record(
-                            la,
-                            now,
-                            ViolationKind::ConcurrentConflict {
-                                first: Actor::Cpu(writer),
-                                first_access: AccessKind::Write,
-                                first_at: dirty_since,
-                                first_clock: dclock,
-                                second: Actor::Dma(host),
-                                second_access: AccessKind::Read,
-                                second_at: now,
-                                second_clock: rclock,
-                            },
-                            DedupKey::Concurrent {
-                                line: la,
-                                a: Actor::Cpu(writer).index().min(Actor::Dma(host).index()),
-                                b: Actor::Cpu(writer).index().max(Actor::Dma(host).index()),
-                                accesses: (AccessKind::Write, AccessKind::Read),
-                            },
-                        );
-                    }
-                } else {
-                    self.record_dma_stale(la, now, host, writer, dirty_since);
-                }
+        self.tick_range(Actor::Dma(host), hpa, len);
+        let (lo, hi) = line_span(hpa, len);
+        // Lines another host may hold dirty, and (vector-clock mode)
+        // the first line of every extent piece: once the read has
+        // joined a piece's release clock, the piece's later lines can
+        // neither race nor add an edge, so only these lines can report.
+        let mut cached = std::mem::take(&mut self.line_scratch);
+        self.views.lines_in(lo, hi, &mut cached);
+        let mut pieces = std::mem::take(&mut self.piece_scratch);
+        pieces.clear();
+        if self.vc_on() {
+            self.pieces(lo, hi, &mut pieces);
+        }
+        let (mut c, mut p) = (0, 0);
+        while c < cached.len() || p < pieces.len() {
+            let next_cached = cached.get(c).copied().unwrap_or(u64::MAX);
+            let next_piece = pieces.get(p).map_or(u64::MAX, |x| x.0);
+            let la = next_cached.min(next_piece);
+            if next_cached == la {
+                self.dma_read_dirty(now, host, la);
+                c += 1;
             }
-            if self.vc_on() {
-                if let Some((wactor, wclock)) = self.table.wclock(key).cloned() {
-                    if in_ranges(sync, la) {
-                        self.join_from(Actor::Dma(host), &wclock);
-                    } else {
-                        let rclock = self.snapshot(Actor::Dma(host));
-                        if wactor != Actor::Dma(host) && wclock.concurrent_with(&rclock) {
-                            let written_at = self
-                                .table
-                                .state(key)
-                                .map(|c| c.written_at)
-                                .unwrap_or(Nanos::ZERO);
-                            self.record(
-                                la,
-                                now,
-                                ViolationKind::ConcurrentConflict {
-                                    first: wactor,
-                                    first_access: AccessKind::Write,
-                                    first_at: written_at,
-                                    first_clock: wclock.clone(),
-                                    second: Actor::Dma(host),
-                                    second_access: AccessKind::Read,
-                                    second_at: now,
-                                    second_clock: rclock,
-                                },
-                                DedupKey::Concurrent {
-                                    line: la,
-                                    a: wactor.index().min(Actor::Dma(host).index()),
-                                    b: wactor.index().max(Actor::Dma(host).index()),
-                                    accesses: (AccessKind::Write, AccessKind::Read),
-                                },
-                            );
-                        }
-                        self.join_from(Actor::Dma(host), &wclock);
-                    }
-                }
+            if next_piece == la {
+                self.dma_read_acquire(now, host, la, pieces[p].2, sync);
+                p += 1;
             }
         }
+        self.line_scratch = cached;
+        self.piece_scratch = pieces;
+    }
+
+    /// The remote-dirty half of [`Auditor::on_dma_read`] for line `la`.
+    fn dma_read_dirty(&mut self, now: Nanos, host: HostId, la: u64) {
+        // Lowest dirty host wins, as in on_store: the reported writer
+        // is deterministic because the slot's views are host-sorted.
+        let Some((writer, dirty_since)) = self.views.min_dirty_other(host.0, la) else {
+            return;
+        };
+        if !self.vc_on() {
+            self.record_dma_stale(la, now, host, writer, dirty_since);
+            return;
+        }
+        let dclock = self
+            .views
+            .entry(writer.0, la)
+            .and_then(|e| e.dirty_clock.clone())
+            .unwrap_or_default();
+        let rclock = self.snapshot(Actor::Dma(host));
+        if dclock.leq(&rclock) {
+            // The store happens-before the DMA yet was never published:
+            // the device definitely reads around it.
+            self.record_dma_stale(la, now, host, writer, dirty_since);
+        } else {
+            // Unpublished store racing the DMA read.
+            self.record(
+                la,
+                now,
+                ViolationKind::ConcurrentConflict {
+                    first: Actor::Cpu(writer),
+                    first_access: AccessKind::Write,
+                    first_at: dirty_since,
+                    first_clock: dclock,
+                    second: Actor::Dma(host),
+                    second_access: AccessKind::Read,
+                    second_at: now,
+                    second_clock: rclock,
+                },
+                DedupKey::Concurrent {
+                    line: la,
+                    a: Actor::Cpu(writer).index().min(Actor::Dma(host).index()),
+                    b: Actor::Cpu(writer).index().max(Actor::Dma(host).index()),
+                    accesses: (AccessKind::Write, AccessKind::Read),
+                },
+            );
+        }
+    }
+
+    /// The visible-write half of [`Auditor::on_dma_read`] for line `la`,
+    /// the first line the read touches of an extent of `event`: a sync
+    /// line acquires the write's clock; any other line checks that the
+    /// write is ordered before the read, then joins it anyway so one
+    /// unordered publish does not cascade.
+    fn dma_read_acquire(
+        &mut self,
+        now: Nanos,
+        host: HostId,
+        la: u64,
+        event: u64,
+        sync: &[(u64, u64)],
+    ) {
+        let reader = Actor::Dma(host);
+        if !in_ranges(sync, la) {
+            let m = &self.events[&event];
+            let rclock = self.snapshot(reader);
+            let race = m.actor != reader
+                && m.wclock
+                    .as_ref()
+                    .is_some_and(|c| c.concurrent_with(&rclock));
+            if race {
+                let (wactor, written_at) = (m.actor, m.written_at);
+                let wclock = m.wclock.clone().unwrap_or_default();
+                self.record(
+                    la,
+                    now,
+                    ViolationKind::ConcurrentConflict {
+                        first: wactor,
+                        first_access: AccessKind::Write,
+                        first_at: written_at,
+                        first_clock: wclock,
+                        second: reader,
+                        second_access: AccessKind::Read,
+                        second_at: now,
+                        second_clock: rclock,
+                    },
+                    DedupKey::Concurrent {
+                        line: la,
+                        a: wactor.index().min(reader.index()),
+                        b: wactor.index().max(reader.index()),
+                        accesses: (AccessKind::Write, AccessKind::Read),
+                    },
+                );
+            }
+        }
+        self.join_event(reader, event);
     }
 
     fn record_dma_stale(
@@ -1947,14 +2247,13 @@ impl Auditor {
     /// (the fabric writes it back immediately), an accidental publish
     /// the owner never ordered.
     pub fn on_dirty_eviction(&mut self, now: Nanos, host: HostId, la: u64) {
-        let key = self.key_of(la);
         let base = self
-            .table
-            .view_entry(host.0, key)
+            .views
+            .entry(host.0, la)
             .map(|e| e.view.base_version)
             .unwrap_or(0);
-        self.drop_view(host.0, key);
-        self.tick(Actor::Cpu(host), key.0);
+        self.views.remove(host.0, la);
+        self.tick(Actor::Cpu(host), self.domain_of_line(la));
         let event = self.next_event;
         self.next_event += 1;
         let wclock = if self.vc_on() {
@@ -1971,7 +2270,11 @@ impl Auditor {
                 wclock,
                 kind: WriteKind::Eviction,
                 written_at: now,
-                lines: vec![(la, base)],
+                runs: vec![BaseRun {
+                    start: la,
+                    end: la + CACHELINE,
+                    base: Base::Flat(base),
+                }],
             },
         );
     }
@@ -1980,24 +2283,33 @@ impl Auditor {
     /// freed: a reallocation of the space must be audited from scratch,
     /// not against ghosts of the previous tenant.
     pub fn on_segment_free(&mut self, base: u64, end: u64) {
-        // Clear the range in *every* domain, not only the currently
-        // mapped one: address reuse across domains must never see the
-        // previous tenant's shadow state. The table clears states,
-        // write clocks, and views (with their clock shadows) in one
-        // range sweep; the callback keeps event refcounts balanced.
-        let events = &mut self.events;
-        self.table.free_range(base, end, |old| {
-            if let Some(meta) = events.get_mut(&old.event) {
-                meta.refs -= 1;
-                if meta.refs == 0 {
-                    events.remove(&old.event);
+        // Visible-write extents and views of every line the range
+        // touches go in one carve and one view sweep; the carve keeps
+        // event refcounts balanced.
+        self.forget(base, end);
+        // In-flight writes keep only their lines outside the range.
+        let lo = base.next_multiple_of(CACHELINE);
+        let hi = end.next_multiple_of(CACHELINE);
+        for ev in self.pending.values_mut() {
+            let mut kept = Vec::with_capacity(ev.runs.len() + 1);
+            for run in ev.runs.drain(..) {
+                if run.end <= lo || run.start >= hi {
+                    kept.push(run);
+                    continue;
+                }
+                if run.start < lo {
+                    kept.push(BaseRun {
+                        end: lo,
+                        ..run.clone()
+                    });
+                }
+                if run.end > hi {
+                    kept.push(BaseRun { start: hi, ..run });
                 }
             }
-        });
-        for ev in self.pending.values_mut() {
-            ev.lines.retain(|&(la, _)| la < base || la >= end);
+            ev.runs = kept;
         }
-        self.pending.retain(|_, ev| !ev.lines.is_empty());
+        self.pending.retain(|_, ev| !ev.runs.is_empty());
         // Retire the freed range's domain mapping; a realloc of the
         // space registers its own.
         self.domain_map
@@ -2013,7 +2325,7 @@ impl Auditor {
     /// finalize to flag unpublished writes on shared segments.
     pub fn dirty_lines(&self) -> Vec<(HostId, u64, Nanos)> {
         let mut out: Vec<(HostId, u64, Nanos)> = self
-            .table
+            .views
             .dirty_views()
             .into_iter()
             .map(|(h, la, since)| (HostId(h), la, since))
@@ -2042,57 +2354,74 @@ impl Auditor {
     // Internals
     // ---------------------------------------------------------------
 
-    /// Drops `by`'s (== the overwriting host's) cached lines in the
-    /// overwritten range, reporting dirty bytes the overwrite does not
-    /// fully replace.
-    fn discard_for_overwrite(
-        &mut self,
-        now: Nanos,
-        victim: HostId,
-        by: HostId,
-        hpa: u64,
-        len: u64,
-    ) {
+    /// Drops the overwriting host's cached lines in the overwritten
+    /// range, reporting dirty bytes the overwrite does not fully
+    /// replace.
+    fn discard_for_overwrite(&mut self, now: Nanos, host: HostId, hpa: u64, len: u64) {
         let end = hpa + len;
-        for la in lines_of(hpa, len) {
-            let key = self.key_of(la);
-            if let Some(view) = self.drop_view(victim.0, key) {
-                let fully_covered = hpa <= la && la + CACHELINE <= end;
-                if view.dirty && !fully_covered {
-                    self.record(
-                        la,
-                        now,
-                        ViolationKind::LostWrite {
-                            victim,
-                            by,
-                            cause: LostWriteCause::OverwriteDiscard,
-                            dirty_since: view.dirty_since,
-                        },
-                        DedupKey::Lost {
-                            line: la,
-                            victim: victim.0,
-                            by: by.0,
-                            cause: LostWriteCause::OverwriteDiscard,
-                        },
-                    );
-                }
+        let (lo, hi) = line_span(hpa, len);
+        let mut lines = std::mem::take(&mut self.line_scratch);
+        self.views.lines_in(lo, hi, &mut lines);
+        for &la in &lines {
+            let Some(view) = self.views.remove(host.0, la) else {
+                continue;
+            };
+            let fully_covered = hpa <= la && la + CACHELINE <= end;
+            if view.dirty && !fully_covered {
+                self.record(
+                    la,
+                    now,
+                    ViolationKind::LostWrite {
+                        victim: host,
+                        by: host,
+                        cause: LostWriteCause::OverwriteDiscard,
+                        dirty_since: view.dirty_since,
+                    },
+                    DedupKey::Lost {
+                        line: la,
+                        victim: host.0,
+                        by: host.0,
+                        cause: LostWriteCause::OverwriteDiscard,
+                    },
+                );
             }
         }
+        self.line_scratch = lines;
     }
 
-    /// The (line, current-version) base pairs an overwrite of
-    /// `[hpa, hpa+len)` is derived from.
-    fn bases_for(&self, hpa: u64, len: u64) -> Vec<(u64, u64)> {
-        lines_of(hpa, len)
-            .map(|la| {
-                let base = self
-                    .table
-                    .state(self.key_of(la))
-                    .map(|c| c.version)
-                    .unwrap_or(0);
-                (la, base)
-            })
-            .collect()
+    /// The base runs an overwrite of `[hpa, hpa+len)` is derived from:
+    /// one run per extent piece it overwrites, `Flat(0)` for lines never
+    /// written.
+    fn bases_for(&mut self, hpa: u64, len: u64) -> Vec<BaseRun> {
+        let (lo, hi) = line_span(hpa, len);
+        let mut runs = Vec::new();
+        let mut at = lo;
+        let mut pieces = std::mem::take(&mut self.piece_scratch);
+        self.pieces(lo, hi, &mut pieces);
+        for &(ps, pe, event) in &pieces {
+            if ps > at {
+                runs.push(BaseRun {
+                    start: at,
+                    end: ps,
+                    base: Base::Flat(0),
+                });
+            }
+            runs.push(BaseRun {
+                start: ps,
+                end: pe,
+                base: Base::Versions(self.events[&event].versions.clone()),
+            });
+            at = pe;
+        }
+        self.piece_scratch = pieces;
+        if at < hi {
+            runs.push(BaseRun {
+                start: at,
+                end: hi,
+                base: Base::Flat(0),
+            });
+        }
+        runs
     }
 
     fn record(&mut self, line: u64, detected_at: Nanos, kind: ViolationKind, key: DedupKey) {
@@ -2613,76 +2942,8 @@ mod tests {
     }
 
     // -----------------------------------------------------------------
-    // Flat table vs HashMap oracle
+    // View table and extent map
     // -----------------------------------------------------------------
-
-    /// The HashMap shadow state the flat [`LineTable`] replaced, kept
-    /// as a test oracle: every table operation has its literal map
-    /// translation here, so a divergence is a table bug by definition.
-    #[derive(Default)]
-    struct OracleTable {
-        o_states: HashMap<LineKey, LineState>,
-        o_wclocks: HashMap<LineKey, (Actor, VClock)>,
-        o_views: HashMap<(u16, LineKey), HostView>,
-        o_view_clocks: HashMap<(u16, LineKey), VClock>,
-        o_dirty_clocks: HashMap<(u16, LineKey), VClock>,
-    }
-
-    impl OracleTable {
-        fn set_view(&mut self, h: u16, key: LineKey, view: HostView, vc: Option<VClock>) {
-            self.o_views.insert((h, key), view);
-            match vc {
-                Some(c) => self.o_view_clocks.insert((h, key), c),
-                None => self.o_view_clocks.remove(&(h, key)),
-            };
-            self.o_dirty_clocks.remove(&(h, key));
-        }
-
-        fn remove_view(&mut self, h: u16, key: LineKey) -> Option<HostView> {
-            self.o_view_clocks.remove(&(h, key));
-            self.o_dirty_clocks.remove(&(h, key));
-            self.o_views.remove(&(h, key))
-        }
-
-        fn min_dirty_other(&self, h: u16, key: LineKey) -> Option<(HostId, Nanos)> {
-            self.o_views
-                .iter()
-                .filter(|(&(vh, vk), v)| vk == key && vh != h && v.dirty)
-                .min_by_key(|(&(vh, _), _)| vh)
-                .map(|(&(vh, _), v)| (HostId(vh), v.dirty_since))
-        }
-
-        fn free_range(&mut self, base: u64, end: u64) -> Vec<u64> {
-            let mut freed: Vec<u64> = Vec::new();
-            self.o_states.retain(|&(_, la), st| {
-                let gone = la >= base && la < end;
-                if gone {
-                    freed.push(st.event);
-                }
-                !gone
-            });
-            self.o_wclocks.retain(|&(_, la), _| la < base || la >= end);
-            self.o_views
-                .retain(|&(_, (_, la)), _| la < base || la >= end);
-            self.o_view_clocks
-                .retain(|&(_, (_, la)), _| la < base || la >= end);
-            self.o_dirty_clocks
-                .retain(|&(_, (_, la)), _| la < base || la >= end);
-            freed.sort_unstable();
-            freed
-        }
-    }
-
-    fn st(event: u64, version: u64, writer: u16) -> LineState {
-        LineState {
-            event,
-            version,
-            writer: HostId(writer),
-            kind: WriteKind::NtStore,
-            written_at: Nanos(version),
-            visible_at: Nanos(version + 1),
-        }
-    }
 
     fn hv(version: u64, event: u64) -> HostView {
         HostView {
@@ -2694,136 +2955,179 @@ mod tests {
         }
     }
 
-    fn clk(i: usize, n: u64) -> VClock {
-        let mut c = VClock::default();
-        for _ in 0..n {
-            c.bump(i);
-        }
-        c
-    }
-
-    /// ISSUE satellite: the flat paged table must be observationally
-    /// equivalent to the HashMap shadow state it replaced. Drives both
-    /// through one randomized op stream — including range frees and
-    /// cross-domain reuse of the same line addresses after the free —
-    /// and compares every query the auditor actually makes.
+    /// The paged view table must answer every query the auditor makes
+    /// exactly like a plain map of `(host, line) → view`, including
+    /// range walks across page and bitmap-word boundaries and range
+    /// clears that release pages.
     #[test]
-    fn flat_table_matches_hashmap_oracle_across_domain_reuse() {
+    fn view_table_matches_hashmap_oracle() {
         use simkit::rng::Rng;
+        use std::collections::HashMap;
 
         const FLOOR: u64 = 1 << 20;
-        // Spans three 1024-line pages so page allocation, partial-page
-        // frees, and whole-page drops are all exercised.
+        // Spans three 1024-line pages.
         const LINES: u64 = 2200;
 
         for seed in [1u64, 7, 42, 0xC0FFEE] {
             let mut rng = Rng::new(seed);
-            let mut table = LineTable::default();
-            let mut oracle = OracleTable::default();
-            let mut ev = 1u64;
-            let key_at = |rng: &mut Rng| -> LineKey {
-                (
-                    DomainId(rng.below(3) as u16),
-                    FLOOR + rng.below(LINES) * CACHELINE,
-                )
-            };
-            for step in 0..4000u64 {
-                let key = key_at(&mut rng);
+            let mut table = ViewTable::default();
+            let mut oracle: HashMap<(u16, u64), HostView> = HashMap::new();
+            let line_at = |rng: &mut Rng| FLOOR + rng.below(LINES) * CACHELINE;
+            for step in 0..6000u64 {
+                let la = line_at(&mut rng);
                 let h = rng.below(4) as u16;
                 match rng.below(10) {
-                    0 | 1 => {
-                        let s = st(ev, step, h);
-                        ev += 1;
-                        assert_eq!(table.set_state(key, s), oracle.o_states.insert(key, s));
+                    0..=3 => {
+                        table.set(h, la, hv(step, step), None);
+                        oracle.insert((h, la), hv(step, step));
                     }
-                    2 => {
-                        let a = Actor::Cpu(HostId(h));
-                        let c = clk(h as usize, step % 5 + 1);
-                        table.set_wclock(key, a, c.clone());
-                        oracle.o_wclocks.insert(key, (a, c));
-                    }
-                    3 | 4 => {
-                        let vc = rng.chance(0.5).then(|| clk(h as usize, step % 3 + 1));
-                        table.set_view(h, key, hv(step, ev), vc.clone());
-                        oracle.set_view(h, key, hv(step, ev), vc);
-                    }
-                    5 => {
+                    4 | 5 => {
                         // The on_store shape: seed-or-get, then dirty.
-                        let seeded = hv(step, ev);
-                        let dc = clk(h as usize, step % 4 + 1);
-                        let entry = table.view_or_insert(h, key, seeded);
-                        let oview = oracle.o_views.entry((h, key)).or_insert(seeded);
+                        let entry = table.entry_or_insert(h, la, hv(step, step));
+                        let oview = oracle.entry((h, la)).or_insert(hv(step, step));
                         assert_eq!(entry.view, *oview);
                         if !entry.view.dirty {
                             entry.view.dirty = true;
                             entry.view.dirty_since = Nanos(step);
-                            entry.view.base_version = entry.view.version;
-                            entry.dirty_clock = Some(dc.clone());
-                            oview.dirty = true;
-                            oview.dirty_since = Nanos(step);
-                            oview.base_version = oview.version;
-                            oracle.o_dirty_clocks.insert((h, key), dc);
+                            *oview = entry.view;
                         }
                     }
-                    6 => {
-                        assert_eq!(table.remove_view(h, key), oracle.remove_view(h, key));
+                    6..=8 => {
+                        assert_eq!(table.remove(h, la), oracle.remove(&(h, la)));
                     }
-                    7 if step.is_multiple_of(3) => {
-                        // Free a random subrange, then (sometimes) the
-                        // very next ops land on the same addresses in a
-                        // *different* domain — the reuse case the free
-                        // must not leak state into.
-                        let lo = FLOOR + rng.below(LINES) * CACHELINE;
-                        let hi = lo + (rng.below(600) + 1) * CACHELINE;
-                        let mut freed = Vec::new();
-                        table.free_range(lo, hi, |s| freed.push(s.event));
-                        freed.sort_unstable();
-                        assert_eq!(freed, oracle.free_range(lo, hi));
+                    _ if step.is_multiple_of(4) => {
+                        let hi = la + (rng.below(600) + 1) * CACHELINE;
+                        table.clear_range(la, hi);
+                        oracle.retain(|&(_, l), _| l < la || l >= hi);
                     }
                     _ => {}
                 }
-                // Point queries the auditor hot paths make.
-                let q = key_at(&mut rng);
+                let q = line_at(&mut rng);
                 let qh = rng.below(4) as u16;
-                assert_eq!(table.state(q), oracle.o_states.get(&q).copied());
-                assert_eq!(table.wclock(q), oracle.o_wclocks.get(&q));
                 assert_eq!(
-                    table.view_entry(qh, q).map(|e| e.view),
-                    oracle.o_views.get(&(qh, q)).copied()
+                    table.entry(qh, q).map(|e| e.view),
+                    oracle.get(&(qh, q)).copied()
                 );
-                assert_eq!(
-                    table.view_entry(qh, q).and_then(|e| e.view_clock.as_ref()),
-                    oracle.o_view_clocks.get(&(qh, q))
-                );
-                assert_eq!(
-                    table.view_entry(qh, q).and_then(|e| e.dirty_clock.as_ref()),
-                    oracle.o_dirty_clocks.get(&(qh, q))
-                );
-                assert_eq!(table.min_dirty_other(qh, q), oracle.min_dirty_other(qh, q));
+                let want_dirty = (0..4u16)
+                    .filter(|&o| o != qh)
+                    .filter_map(|o| oracle.get(&(o, q)).filter(|v| v.dirty).map(|v| (o, v)))
+                    .min_by_key(|&(o, _)| o)
+                    .map(|(o, v)| (HostId(o), v.dirty_since));
+                assert_eq!(table.min_dirty_other(qh, q), want_dirty);
+                let qhi = q + (rng.below(700) + 1) * CACHELINE;
+                let mut got = Vec::new();
+                table.lines_in(q, qhi, &mut got);
+                let mut want: Vec<u64> = oracle
+                    .keys()
+                    .map(|&(_, l)| l)
+                    .filter(|&l| l >= q && l < qhi)
+                    .collect();
+                want.sort_unstable();
+                want.dedup();
+                assert_eq!(got, want, "seed {seed} step {step}");
             }
-            // Full-dump equivalence: sorted views of everything.
-            let mut dirty: Vec<(u16, u64, Nanos)> = oracle
-                .o_views
+            let mut want: Vec<(u16, u64, Nanos)> = oracle
                 .iter()
                 .filter(|(_, v)| v.dirty)
-                .map(|(&(h, (_, la)), v)| (h, la, v.dirty_since))
+                .map(|(&(h, la), v)| (h, la, v.dirty_since))
                 .collect();
-            dirty.sort_unstable();
-            let mut table_dirty = table.dirty_views();
-            table_dirty.sort_unstable();
-            assert_eq!(table_dirty, dirty, "seed {seed}");
-            let mut wc: Vec<(LineKey, Actor)> = oracle
-                .o_wclocks
-                .iter()
-                .map(|(&k, &(a, _))| (k, a))
+            want.sort_unstable_by_key(|&(h, la, _)| (la, h));
+            assert_eq!(table.dirty_views(), want, "seed {seed}");
+            table.clear_range(0, (FLOOR + LINES * CACHELINE) * 2);
+            assert!(table.pages.iter().all(Option::is_none), "pages released");
+        }
+    }
+
+    /// The granule-stepped domain walk must find exactly the domains a
+    /// line-by-line resolution finds, across unmapped gaps, unaligned
+    /// mapping edges and remaps that overlap earlier mappings.
+    #[test]
+    fn domain_walk_matches_per_line_resolution() {
+        use simkit::rng::Rng;
+
+        let mut rng = Rng::new(5);
+        let mut a = Auditor::new(ver());
+        for _ in 0..300 {
+            let base = rng.below(1 << 16) * 8;
+            let end = base + 1 + rng.below(1 << 13);
+            let ways = (0..1 + rng.below(4))
+                .map(|_| DomainId(rng.below(5) as u16))
                 .collect();
-            wc.sort_unstable_by_key(|&(k, _)| k);
-            let table_wc: Vec<(LineKey, Actor)> = table
-                .wclocks_sorted()
-                .into_iter()
-                .map(|(k, a, _)| (k, a))
+            a.map_segment(base, end, ways);
+            let lo = line_of(rng.below(1 << 19));
+            let hi = lo + (1 + rng.below(200)) * L;
+            let mut got = Vec::new();
+            a.push_domains(lo, hi, &mut got);
+            got.sort_unstable();
+            got.dedup();
+            let mut want: Vec<DomainId> = (lo..hi)
+                .step_by(L as usize)
+                .map(|la| a.domain_of_line(la))
                 .collect();
-            assert_eq!(table_wc, wc, "seed {seed}");
+            want.sort_unstable();
+            want.dedup();
+            assert_eq!(got, want, "[{lo:#x}, {hi:#x})");
+        }
+    }
+
+    /// Extents must resolve every line to the same current write as a
+    /// per-line table would, and keep each event's refcount equal to
+    /// the number of lines it is still current on, across partial
+    /// overwrites and frees.
+    #[test]
+    fn extents_track_per_line_writes_and_refcounts() {
+        use simkit::rng::Rng;
+        use std::collections::BTreeMap;
+
+        const FLOOR: u64 = 1 << 20;
+        const LINES: u64 = 300;
+
+        for seed in [3u64, 11, 0xBEEF] {
+            let mut rng = Rng::new(seed);
+            let mut a = Auditor::new(ver());
+            a.map_segment(FLOOR, FLOOR + LINES * L, vec![DomainId(0), DomainId(1)]);
+            let mut model: BTreeMap<u64, u64> = BTreeMap::new();
+            let mut next_event = 1;
+            for step in 0..2000u64 {
+                let first = rng.below(LINES);
+                let lines = 1 + rng.below((LINES - first).min(40));
+                let lo = FLOOR + first * L;
+                if rng.chance(0.05) {
+                    a.on_segment_free(lo, lo + lines * L);
+                    model.retain(|&la, _| la < lo || la >= lo + lines * L);
+                } else {
+                    // Mid-line starts and ends still cover whole lines.
+                    let cut = rng.below(2) * 8;
+                    a.on_nt_store(
+                        Nanos(step),
+                        HostId(0),
+                        lo + cut,
+                        lines * L - cut,
+                        Nanos(step),
+                    );
+                    a.advance(Nanos(step));
+                    for i in 0..lines {
+                        model.insert(lo + i * L, next_event);
+                    }
+                    next_event += 1;
+                }
+                for i in 0..LINES {
+                    let la = FLOOR + i * L;
+                    assert_eq!(
+                        a.meta_at(la).map(|(e, _)| e),
+                        model.get(&la).copied(),
+                        "seed {seed} step {step} line {la:#x}"
+                    );
+                }
+                let mut refs: BTreeMap<u64, u64> = BTreeMap::new();
+                for &e in model.values() {
+                    *refs.entry(e).or_default() += 1;
+                }
+                assert_eq!(a.events.len(), refs.len());
+                for (e, n) in refs {
+                    assert_eq!(a.events[&e].refs, n, "seed {seed} event {e}");
+                }
+            }
         }
     }
 }

@@ -531,13 +531,20 @@ impl Fabric {
 
     /// Releases a segment. Tear-tolerant and sync ranges inside it are
     /// dropped, and the auditor forgets its shadow state for the
-    /// space, so a reallocation is audited from scratch.
+    /// space, so a reallocation is audited from scratch. The segment's
+    /// pool pages are released and writes still in flight into it are
+    /// dropped: pool addresses are never handed out again, so nothing
+    /// could read them.
     pub fn free_segment(&mut self, id: SegmentId) -> Result<(), FabricError> {
         if let Some(seg) = self.alloc.segment(id) {
             let (base, end) = (seg.base(), seg.end());
             self.tear_tolerant.retain(|&(s, e)| e <= base || s >= end);
             self.sync_ranges.retain(|&(s, e)| e <= base || s >= end);
             self.wakes.retain(|&la, _| la < base || la >= end);
+            // Every pending write lies inside one segment (accesses are
+            // bounds-checked), so its start address places it.
+            self.pending.retain(|_, w| w.hpa < base || w.hpa >= end);
+            self.pool.clear_range(base, end - base);
             if let Some(a) = self.audit.as_deref_mut() {
                 a.on_segment_free(base, end);
             }
@@ -1586,6 +1593,39 @@ mod tests {
         f.free_segment(seg.id()).expect("free");
         assert_eq!(f.wake_at(la), None);
         assert_eq!(f.wake_at(other.base()), Some(vis));
+    }
+
+    #[test]
+    fn freed_segment_releases_pool_pages_and_in_flight_writes() {
+        let mut f = pod();
+        let keep = f.alloc_shared(&[HostId(0)], 4096).expect("alloc");
+        f.nt_store(Nanos(0), HostId(0), keep.base(), &[1u8; 64])
+            .expect("store");
+        f.settle(Nanos::MAX);
+        let resident = f.pool.resident_pages();
+        let seg = f
+            .alloc_shared(&[HostId(0), HostId(1)], 3 * 4096 + 100)
+            .expect("alloc");
+        let data = vec![7u8; (3 * 4096 + 100) as usize];
+        f.dma_write(Nanos(0), HostId(0), seg.base(), &data)
+            .expect("dma");
+        f.settle(Nanos::MAX);
+        assert!(f.pool.resident_pages() > resident);
+        // A write still in flight when the segment goes.
+        let late = f
+            .nt_store(Nanos(1_000_000), HostId(1), seg.base() + 4096, &[9u8; 64])
+            .expect("store");
+        f.free_segment(seg.id()).expect("free");
+        assert_eq!(f.pool.resident_pages(), resident);
+        f.settle(late);
+        let mut buf = vec![0u8; data.len()];
+        f.peek(seg.base(), &mut buf);
+        assert!(buf.iter().all(|&b| b == 0), "in-flight write materialised");
+        assert_eq!(f.pool.resident_pages(), resident);
+        // The surviving segment is untouched.
+        let mut line = [0u8; 64];
+        f.peek(keep.base(), &mut line);
+        assert_eq!(line, [1u8; 64]);
     }
 
     #[test]

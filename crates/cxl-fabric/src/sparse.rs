@@ -78,6 +78,51 @@ impl SparseMem {
     pub fn clear(&mut self) {
         self.pages.clear();
     }
+
+    /// Returns `[addr, addr + len)` to the unwritten state: pages wholly
+    /// inside the range are released, and the range's bytes on the
+    /// partial pages at either edge are zeroed (an edge page may hold a
+    /// neighbour's bytes).
+    pub fn clear_range(&mut self, addr: u64, len: u64) {
+        if len == 0 {
+            return;
+        }
+        let end = addr + len;
+        let first_full = addr.div_ceil(PAGE_SIZE);
+        let end_full = end >> PAGE_SHIFT;
+        if first_full < end_full {
+            if end_full - first_full > self.pages.len() as u64 {
+                self.pages.retain(|&p, _| p < first_full || p >= end_full);
+            } else {
+                for p in first_full..end_full {
+                    self.pages.remove(&p);
+                }
+            }
+        }
+        // Edge pages: the bytes of the range outside any full page.
+        let head_end = end.min(first_full << PAGE_SHIFT);
+        self.zero(addr, head_end);
+        let tail_start = addr.max(end_full << PAGE_SHIFT);
+        if tail_start >= head_end {
+            self.zero(tail_start, end);
+        }
+    }
+
+    /// Zeroes `[from, to)`, which lies within one page, if resident; a
+    /// page left all zero reads like a hole, so it is released too.
+    fn zero(&mut self, from: u64, to: u64) {
+        if from >= to {
+            return;
+        }
+        let page = from >> PAGE_SHIFT;
+        if let Some(p) = self.pages.get_mut(&page) {
+            let lo = (from & (PAGE_SIZE - 1)) as usize;
+            p[lo..lo + (to - from) as usize].fill(0);
+            if p.iter().all(|&b| b == 0) {
+                self.pages.remove(&page);
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -124,6 +169,34 @@ mod tests {
         m.read(0, &mut buf);
         assert_eq!(&buf[..32], &[1u8; 32]);
         assert_eq!(&buf[32..], &[2u8; 64]);
+    }
+
+    #[test]
+    fn clear_range_releases_inner_pages_and_zeroes_edges() {
+        let mut m = SparseMem::new();
+        m.write(0, &vec![5u8; (4 * PAGE_SIZE) as usize]);
+        assert_eq!(m.resident_pages(), 4);
+        // From mid page 0 to mid page 3: pages 1 and 2 go, the edges
+        // keep their bytes outside the range.
+        m.clear_range(PAGE_SIZE / 2, 3 * PAGE_SIZE);
+        assert_eq!(m.resident_pages(), 2);
+        let mut buf = vec![0u8; (4 * PAGE_SIZE) as usize];
+        m.read(0, &mut buf);
+        let half = (PAGE_SIZE / 2) as usize;
+        assert!(buf[..half].iter().all(|&b| b == 5));
+        assert!(buf[half..7 * half].iter().all(|&b| b == 0));
+        assert!(buf[7 * half..].iter().all(|&b| b == 5));
+        // A range inside one page only zeroes bytes...
+        m.clear_range(10, 10);
+        m.read(0, &mut buf[..30]);
+        assert_eq!(&buf[..30], &[[5u8; 10], [0u8; 10], [5u8; 10]].concat()[..]);
+        assert_eq!(m.resident_pages(), 2);
+        // ...until the page holds nothing but zeroes.
+        m.clear_range(0, PAGE_SIZE / 2);
+        assert_eq!(m.resident_pages(), 1);
+        // Page-aligned ranges release whole pages, many at a time.
+        m.clear_range(0, 1 << 40);
+        assert_eq!(m.resident_pages(), 0);
     }
 
     #[test]
