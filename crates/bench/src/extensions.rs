@@ -5,6 +5,7 @@ use cxl_fabric::HostId;
 use cxl_pool_core::accelpool::{run as accel_run, AccelPoolConfig};
 use cxl_pool_core::migration::Connection;
 use cxl_pool_core::pod::{PodParams, PodSim};
+use cxl_pool_core::proto::Cmd;
 use cxl_pool_core::striping::StripedVolume;
 use cxl_pool_core::torless::{nines, p_unreachable, simulate, FailureRates, RackDesign};
 use cxl_pool_core::vdev::DeviceKind;
@@ -222,7 +223,12 @@ pub fn run_ssd_qd(scale: Scale) -> Table {
             }
             let buf = pod.io_buf(owner);
             let lba = rng.below(1 << 16);
-            match pod.ssd_submit_on(owner, dev, lba, 1, buf, false) {
+            let cmd = Cmd::SsdRead {
+                lba,
+                blocks: 1,
+                buf,
+            };
+            match pod.submit(owner, dev, cmd) {
                 Ok(sub) => inflight.push_back(sub),
                 Err(_) => {
                     // Ring backpressure: drain and retry.
@@ -232,9 +238,7 @@ pub fn run_ssd_qd(scale: Scale) -> Table {
                         done = done.max(r.at);
                         pod.agents[owner.0 as usize].advance_clock(r.at);
                     }
-                    let sub = pod
-                        .ssd_submit_on(owner, dev, lba, 1, buf, false)
-                        .expect("resubmit");
+                    let sub = pod.submit(owner, dev, cmd).expect("resubmit");
                     inflight.push_back(sub);
                 }
             }

@@ -13,11 +13,11 @@ use cxl_fabric::{Fabric, HostId};
 use pcie_sim::nic::TxFrame;
 use pcie_sim::{Accelerator, BufRef, DeviceError, DeviceId, Nic, Ssd};
 use shmem::channel::{ChannelReceiver, ChannelSend, ChannelSender, ChannelStats};
-use simkit::trace::{self, Track};
+use simkit::trace::Track;
 use simkit::Nanos;
 
 use crate::poll::{self, PollActor, PollLoop};
-use crate::proto::Msg;
+use crate::proto::{Cmd, Msg};
 use crate::vdev::DeviceKind;
 
 /// Who is on the other end of one of the agent's channel links.
@@ -57,12 +57,15 @@ pub struct Completion {
     pub at: Nanos,
 }
 
-/// Where to notify when a posted RX buffer fills.
-#[derive(Clone, Copy, Debug)]
-enum RxRoute {
-    /// The buffer belongs to this host's own stack.
+/// Who issued a command [`Agent::execute`] runs, and so where a posted
+/// RX buffer's fill is announced.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Origin {
+    /// This host's own stack (the local fast path). Its CPU rings a TX
+    /// doorbell itself and is busy until the MMIO write posts.
     Local,
-    /// The buffer was posted over the link at this index.
+    /// Forwarded over the agent's link at this index. The agent
+    /// replies at once and announces RX fills back over the same link.
     Link(usize),
 }
 
@@ -110,7 +113,7 @@ pub struct Agent {
     pub rx_inbox: Vec<RxEvent>,
     /// Per-NIC FIFO of notification routes, aligned with the NIC's
     /// posted-buffer ring.
-    rx_routes: HashMap<DeviceId, std::collections::VecDeque<RxRoute>>,
+    rx_routes: HashMap<DeviceId, std::collections::VecDeque<Origin>>,
     /// Failure notices awaiting forwarding to the orchestrator.
     outbox_orch: Vec<Msg>,
     clock: Nanos,
@@ -206,15 +209,6 @@ impl Agent {
         self.stats
     }
 
-    /// Records that the next RX buffer posted on `dev` belongs to this
-    /// host's own stack (local fast-path post).
-    pub fn note_local_rx(&mut self, dev: DeviceId) {
-        self.rx_routes
-            .entry(dev)
-            .or_default()
-            .push_back(RxRoute::Local);
-    }
-
     /// Delivers a frame arriving from the wire at local NIC `dev`:
     /// drives the device's receive path and routes the completion to
     /// the buffer's owner — this host's inbox, or an `RxDone` message
@@ -235,15 +229,15 @@ impl Agent {
             .rx_routes
             .get_mut(&dev)
             .and_then(|q| q.pop_front())
-            .unwrap_or(RxRoute::Local);
+            .unwrap_or(Origin::Local);
         let event = RxEvent {
             buf: c.buf.addr(),
             len: c.len,
             at: c.done,
         };
         match route {
-            RxRoute::Local => self.rx_inbox.push(event),
-            RxRoute::Link(i) => {
+            Origin::Local => self.rx_inbox.push(event),
+            Origin::Link(i) => {
                 let msg = Msg::RxDone {
                     buf: event.buf,
                     len: event.len,
@@ -260,13 +254,92 @@ impl Agent {
         Ok(Some(c))
     }
 
-    /// Queues a failure notice for the orchestrator (used by the local
-    /// fast path, which sees device errors directly rather than through
-    /// a forwarded completion).
-    pub fn report_failure(&mut self, dev: DeviceId) {
-        self.stats.failures_seen += 1;
-        let at = self.clock.as_nanos();
-        self.outbox_orch.push(Msg::DevFailed { dev, at });
+    /// Executes `cmd` on local device `dev` starting at `at`: the one
+    /// place a NIC, SSD or accelerator is driven, for the local fast
+    /// path and for forwarded commands alike. A transmit rings the
+    /// doorbell (a `dev/doorbell` instant after its MMIO cost) and
+    /// queues the frame in [`Agent::out_frames`]; an RX post rings it
+    /// too and remembers `from` as the buffer's fill route. A dead or
+    /// unknown device counts as a failure and queues a `DevFailed`
+    /// notice for the orchestrator. Returns the device-reported
+    /// completion time.
+    pub fn execute(
+        &mut self,
+        fabric: &mut Fabric,
+        dev: DeviceId,
+        cmd: &Cmd,
+        at: Nanos,
+        from: Origin,
+    ) -> Result<Nanos, DeviceError> {
+        let result = self.drive(fabric, dev, cmd, at, from);
+        if result.is_err() {
+            self.stats.failures_seen += 1;
+            let clock = self.clock;
+            if let Some(tr) = fabric.trace_mut() {
+                tr.instant_note(
+                    Track::HostCpu(self.host.0),
+                    "dev/failed",
+                    clock,
+                    &format!("{dev:?}"),
+                );
+            }
+            self.outbox_orch.push(Msg::DevFailed {
+                dev,
+                at: clock.as_nanos(),
+            });
+        }
+        result
+    }
+
+    fn drive(
+        &mut self,
+        fabric: &mut Fabric,
+        dev: DeviceId,
+        cmd: &Cmd,
+        at: Nanos,
+        from: Origin,
+    ) -> Result<Nanos, DeviceError> {
+        let failed = DeviceError::Failed(dev);
+        let cpu = Track::HostCpu(self.host.0);
+        match *cmd {
+            Cmd::Tx { buf, len } => {
+                let nic = self.nics.get_mut(&dev).ok_or(failed)?;
+                let t = at + nic.doorbell_cost();
+                nic.ring_doorbell();
+                if let Some(tr) = fabric.trace_mut() {
+                    tr.instant(cpu, "dev/doorbell", t);
+                }
+                let frame = nic.transmit(fabric, t, BufRef::Pool(buf), len)?;
+                let done = frame.wire_exit;
+                self.out_frames.push((dev, frame));
+                if from == Origin::Local {
+                    self.advance_clock(t);
+                }
+                Ok(done)
+            }
+            Cmd::RxPost { buf, len } => {
+                let nic = self.nics.get_mut(&dev).ok_or(failed)?;
+                nic.post_rx(BufRef::Pool(buf), len)?;
+                let t = at + nic.doorbell_cost();
+                self.rx_routes.entry(dev).or_default().push_back(from);
+                if let Some(tr) = fabric.trace_mut() {
+                    tr.instant(cpu, "dev/doorbell", t);
+                }
+                Ok(t)
+            }
+            Cmd::SsdRead { lba, blocks, buf } => {
+                let ssd = self.ssds.get_mut(&dev).ok_or(failed)?;
+                ssd.read(fabric, at, lba, blocks as u64, BufRef::Pool(buf))
+            }
+            Cmd::SsdWrite { lba, blocks, buf } => {
+                let ssd = self.ssds.get_mut(&dev).ok_or(failed)?;
+                ssd.write(fabric, at, lba, blocks as u64, BufRef::Pool(buf))
+            }
+            Cmd::Accel { inbuf, len, outbuf } => {
+                let accel = self.accels.get_mut(&dev).ok_or(failed)?;
+                accel.offload(fabric, at, BufRef::Pool(inbuf), len, BufRef::Pool(outbuf))
+            }
+        }
     }
 
     /// The kind of a local device, if it is attached here.
@@ -328,121 +401,17 @@ impl Agent {
         poll::pump(self, fabric, until);
     }
 
-    /// Marks the arrival of a forwarded operation on this agent's CPU
-    /// track (no-op when the recorder is off).
-    fn trace_dispatch(&self, fabric: &mut Fabric) {
-        let clock = self.clock;
-        if let Some(tr) = fabric.trace_mut() {
-            tr.instant(Track::HostCpu(self.host.0), "agent/dispatch", clock);
-        }
-    }
-
     fn dispatch(&mut self, fabric: &mut Fabric, link_idx: usize, msg: Msg) {
         let host = self.host.0;
         match msg {
-            Msg::TxSubmit { op, dev, buf, len } => {
-                fabric.trace_push(op, trace::KIND_NIC);
-                self.trace_dispatch(fabric);
+            Msg::Submit { op, dev, cmd } => {
+                fabric.trace_push(op, cmd.trace_kind());
                 let clock = self.clock;
-                let result = match self.nics.get_mut(&dev) {
-                    Some(nic) => {
-                        let t = clock + nic.doorbell_cost();
-                        nic.ring_doorbell();
-                        if let Some(tr) = fabric.trace_mut() {
-                            tr.instant(Track::HostCpu(host), "dev/doorbell", t);
-                        }
-                        nic.transmit(fabric, t, BufRef::Pool(buf), len)
-                    }
-                    None => Err(DeviceError::Failed(dev)),
-                };
-                let result = result.map(|frame| {
-                    let at = frame.wire_exit;
-                    self.out_frames.push((dev, frame));
-                    at
-                });
-                self.complete(fabric, link_idx, op, dev, result);
-                fabric.trace_pop();
-            }
-            Msg::RxPost { op, dev, buf, len } => {
-                fabric.trace_push(op, trace::KIND_NIC);
-                self.trace_dispatch(fabric);
-                let clock = self.clock;
-                let result = match self.nics.get_mut(&dev) {
-                    Some(nic) => nic
-                        .post_rx(BufRef::Pool(buf), len)
-                        .map(|()| clock + nic.doorbell_cost()),
-                    None => Err(DeviceError::Failed(dev)),
-                };
-                if let Ok(t) = &result {
-                    // Remember whose buffer this is so the RX
-                    // completion can be forwarded back.
-                    self.rx_routes
-                        .entry(dev)
-                        .or_default()
-                        .push_back(RxRoute::Link(link_idx));
-                    let t = *t;
-                    if let Some(tr) = fabric.trace_mut() {
-                        tr.instant(Track::HostCpu(host), "dev/doorbell", t);
-                    }
+                if let Some(tr) = fabric.trace_mut() {
+                    tr.instant(Track::HostCpu(host), "agent/dispatch", clock);
                 }
-                self.complete(fabric, link_idx, op, dev, result);
-                fabric.trace_pop();
-            }
-            Msg::SsdRead {
-                op,
-                dev,
-                lba,
-                blocks,
-                buf,
-            } => {
-                fabric.trace_push(op, trace::KIND_SSD);
-                self.trace_dispatch(fabric);
-                let clock = self.clock;
-                let result = match self.ssds.get_mut(&dev) {
-                    Some(ssd) => ssd.read(fabric, clock, lba, blocks as u64, BufRef::Pool(buf)),
-                    None => Err(DeviceError::Failed(dev)),
-                };
-                self.complete(fabric, link_idx, op, dev, result);
-                fabric.trace_pop();
-            }
-            Msg::SsdWrite {
-                op,
-                dev,
-                lba,
-                blocks,
-                buf,
-            } => {
-                fabric.trace_push(op, trace::KIND_SSD);
-                self.trace_dispatch(fabric);
-                let clock = self.clock;
-                let result = match self.ssds.get_mut(&dev) {
-                    Some(ssd) => ssd.write(fabric, clock, lba, blocks as u64, BufRef::Pool(buf)),
-                    None => Err(DeviceError::Failed(dev)),
-                };
-                self.complete(fabric, link_idx, op, dev, result);
-                fabric.trace_pop();
-            }
-            Msg::AccelRun {
-                op,
-                dev,
-                inbuf,
-                len,
-                outbuf,
-            } => {
-                fabric.trace_push(op, trace::KIND_ACCEL);
-                self.trace_dispatch(fabric);
-                let clock = self.clock;
-                let result = match self.accels.get_mut(&dev) {
-                    Some(a) => a.offload(
-                        fabric,
-                        clock,
-                        BufRef::Pool(inbuf),
-                        len,
-                        BufRef::Pool(outbuf),
-                    ),
-                    None => Err(DeviceError::Failed(dev)),
-                };
-                self.complete(fabric, link_idx, op, dev, result);
+                let result = self.execute(fabric, dev, &cmd, clock, Origin::Link(link_idx));
+                self.complete(fabric, link_idx, op, result);
                 fabric.trace_pop();
             }
             Msg::Done { op, status, at } => {
@@ -495,14 +464,12 @@ impl Agent {
         }
     }
 
-    /// Sends a `Done` back on the link the request arrived on, and a
-    /// failure notice to the orchestrator when the device errored.
+    /// Sends a `Done` back on the link the request arrived on.
     fn complete(
         &mut self,
         fabric: &mut Fabric,
         link_idx: usize,
         op: u64,
-        dev: DeviceId,
         result: Result<Nanos, DeviceError>,
     ) {
         let (status, at) = match result {
@@ -510,23 +477,7 @@ impl Agent {
                 self.stats.served += 1;
                 (0u8, t)
             }
-            Err(_) => {
-                self.stats.failures_seen += 1;
-                let clock = self.clock;
-                if let Some(tr) = fabric.trace_mut() {
-                    tr.instant_note(
-                        Track::HostCpu(self.host.0),
-                        "dev/failed",
-                        clock,
-                        &format!("{dev:?}"),
-                    );
-                }
-                self.outbox_orch.push(Msg::DevFailed {
-                    dev,
-                    at: clock.as_nanos(),
-                });
-                (1u8, self.clock)
-            }
+            Err(_) => (1u8, self.clock),
         };
         let done = Msg::Done {
             op,
@@ -633,11 +584,13 @@ mod tests {
         a1.send_to(
             &mut f,
             Peer::Host(HostId(0)),
-            &Msg::TxSubmit {
+            &Msg::Submit {
                 op: 1,
                 dev: DeviceId(0),
-                buf: seg.base(),
-                len: 128,
+                cmd: Cmd::Tx {
+                    buf: seg.base(),
+                    len: 128,
+                },
             },
         )
         .expect("send");
@@ -663,11 +616,13 @@ mod tests {
         a1.send_to(
             &mut f,
             Peer::Host(HostId(0)),
-            &Msg::TxSubmit {
+            &Msg::Submit {
                 op: 7,
                 dev: DeviceId(0),
-                buf: seg.base(),
-                len: 64,
+                cmd: Cmd::Tx {
+                    buf: seg.base(),
+                    len: 64,
+                },
             },
         )
         .expect("send");
@@ -686,12 +641,14 @@ mod tests {
         a1.send_to(
             &mut f,
             Peer::Host(HostId(0)),
-            &Msg::SsdRead {
+            &Msg::Submit {
                 op: 3,
                 dev: DeviceId(99),
-                lba: 0,
-                blocks: 1,
-                buf: seg.base(),
+                cmd: Cmd::SsdRead {
+                    lba: 0,
+                    blocks: 1,
+                    buf: seg.base(),
+                },
             },
         )
         .expect("send");

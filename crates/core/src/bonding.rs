@@ -11,7 +11,7 @@ use pcie_sim::DeviceId;
 use simkit::Nanos;
 
 use crate::pod::{PodSim, Submitted};
-use crate::proto::Msg;
+use crate::proto::Cmd;
 use crate::vdev::{DeviceKind, PoolError};
 
 /// A transmit bond over several pooled NICs.
@@ -144,50 +144,9 @@ impl BondedNic {
         dev: DeviceId,
         payload: &[u8],
     ) -> Result<Submitted, PoolError> {
-        let owner = self.owner;
-        let attach = pod
-            .attach_of(dev)
-            .ok_or(PoolError::NoDevice(DeviceKind::Nic))?;
-        let buf = pod.io_buf(owner);
-        let now = pod.agents[owner.0 as usize].clock();
-        let staged = pod.fabric.nt_store(now, owner, buf, payload)?;
-        pod.agents[owner.0 as usize].advance_clock(now + Nanos(50));
-        if attach == owner {
-            let agent = &mut pod.agents[owner.0 as usize];
-            let Some(nic) = agent.nics.get_mut(&dev) else {
-                return Err(PoolError::Device(pcie_sim::DeviceError::Failed(dev)));
-            };
-            let t = staged + nic.doorbell_cost();
-            nic.ring_doorbell();
-            let frame = nic
-                .transmit(
-                    &mut pod.fabric,
-                    t,
-                    pcie_sim::BufRef::Pool(buf),
-                    payload.len() as u32,
-                )
-                .map_err(PoolError::Device)?;
-            let at = frame.wire_exit;
-            agent.out_frames.push((dev, frame));
-            return Ok(Submitted::Local(crate::pod::OpResult {
-                op: 0,
-                at,
-                local: true,
-            }));
-        }
-        let op = pod.take_op_id();
-        let msg = Msg::TxSubmit {
-            op,
-            dev,
-            buf,
-            len: payload.len() as u32,
-        };
-        pod.agents[owner.0 as usize].send_to(
-            &mut pod.fabric,
-            crate::agent::Peer::Host(attach),
-            &msg,
-        )?;
-        Ok(Submitted::Remote { op, attach })
+        let buf = pod.stage(self.owner, payload)?;
+        let len = payload.len() as u32;
+        pod.submit(self.owner, dev, Cmd::Tx { buf, len })
     }
 }
 
@@ -241,6 +200,21 @@ mod tests {
             results[1],
             results[0]
         );
+    }
+
+    #[test]
+    fn failed_local_nic_in_bond_is_reported() {
+        let mut pod = PodSim::new(PodParams::new(4, 2));
+        let own = pod
+            .orch
+            .devices_of(DeviceKind::Nic)
+            .into_iter()
+            .find(|&d| pod.attach_of(d) == Some(HostId(0)))
+            .expect("host 0 has a NIC");
+        let mut bond = BondedNic::over(HostId(0), vec![own]);
+        pod.fail_nic(own);
+        assert!(bond.submit_one(&mut pod, &[1; 64]).is_err());
+        assert_eq!(pod.agents[0].stats().failures_seen, 1);
     }
 
     #[test]

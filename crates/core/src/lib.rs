@@ -46,6 +46,6 @@ pub mod vdev;
 pub use lifecycle::{LifecycleStats, TenantMigrationReport, TenantState};
 pub use orchestrator::{AllocPolicy, Orchestrator};
 pub use pod::{PodParams, PodSim};
-pub use proto::Msg;
+pub use proto::{Cmd, Msg};
 pub use striping::{Replica, ReplicaSet, StripedVolume};
-pub use vdev::{DeviceKind, VirtualDevice};
+pub use vdev::DeviceKind;

@@ -6,12 +6,15 @@
 //! methods implement the *client side* of the datapath — what the
 //! userspace I/O stack on a host does to use a pooled device:
 //!
-//! 1. write the I/O buffer into shared pool memory (non-temporal),
-//! 2. forward the MMIO submission to the device's attach host,
-//! 3. poll for the completion message.
+//! 1. write the I/O buffer into shared pool memory (non-temporal,
+//!    [`PodSim::stage`]),
+//! 2. forward the MMIO command to the device's attach host
+//!    ([`PodSim::submit`]),
+//! 3. poll for the completion message ([`PodSim::await_submitted`]).
 //!
-//! When the assigned device happens to be local, the same call takes
-//! the fast path: plain doorbell + device queue, no forwarding.
+//! When the device happens to be local, `submit` takes the fast path:
+//! the same executor ([`Agent::execute`]) runs the command at once,
+//! with no ring in between.
 
 use std::collections::HashMap;
 
@@ -22,17 +25,17 @@ use simkit::metrics::{Labels, MetricId, MetricsConfig, MetricsRecorder};
 use simkit::trace::{self, TraceConfig, TraceRecorder, Track};
 use simkit::Nanos;
 
-use crate::agent::{Agent, Completion, Link, Peer};
+use crate::agent::{Agent, Link, Origin, Peer};
 use crate::lifecycle::LifecycleStats;
 use crate::orchestrator::{AllocPolicy, Orchestrator};
-use crate::proto::Msg;
+use crate::proto::{Cmd, Msg};
 use crate::vdev::{DeviceKind, PoolError};
 
 /// Size of one client I/O buffer slot.
 pub const IO_SLOT: u64 = 64 * 1024;
 
 /// Step of the lockstep control-plane pump: `run_control`,
-/// `vnic_poll_rx` and `await_completion` advance agents and the
+/// `vnic_poll_rx` and `await_submitted` advance agents and the
 /// orchestrator this much simulated time per round.
 const PUMP_QUANTUM: Nanos = Nanos(2_000);
 
@@ -91,7 +94,8 @@ impl PodParams {
     }
 }
 
-/// A submitted-but-not-awaited pooled operation.
+/// A submitted-but-not-awaited pooled operation (see
+/// [`PodSim::submit`]).
 #[derive(Clone, Copy, Debug)]
 pub enum Submitted {
     /// The fast path already completed the operation.
@@ -102,6 +106,8 @@ pub enum Submitted {
         op: u64,
         /// Host executing the operation.
         attach: HostId,
+        /// The device it runs on.
+        dev: DeviceId,
     },
 }
 
@@ -634,19 +640,6 @@ impl PodSim {
         pod
     }
 
-    /// Marks a local-fast-path device failure on the owner's CPU track
-    /// (remote failures are marked by the executing agent instead).
-    fn trace_dev_failed(&mut self, owner: HostId, dev: DeviceId, at: Nanos) {
-        if let Some(tr) = self.fabric.trace_mut() {
-            tr.instant_note(
-                Track::HostCpu(owner.0),
-                "dev/failed",
-                at,
-                &format!("{dev:?}"),
-            );
-        }
-    }
-
     /// The latest clock across agents and orchestrator — "now" for the
     /// pod as a whole.
     pub fn time(&self) -> Nanos {
@@ -702,8 +695,8 @@ impl PodSim {
         self.agents[host.0 as usize].assigned.get(&kind).copied()
     }
 
-    /// Reserves a fresh operation id (for modules that build their own
-    /// forwarded submissions, like NIC bonding).
+    /// Reserves a fresh operation id (for modules that label their own
+    /// work with one, like tenant migration).
     pub fn take_op_id(&mut self) -> u64 {
         let op = self.next_op;
         self.next_op += 1;
@@ -747,6 +740,24 @@ impl PodSim {
         let slot = self.next_io[h] % self.io_slots;
         self.next_io[h] += 1;
         self.io_base[h] + slot * IO_SLOT
+    }
+
+    /// Stages `payload` in `host`'s next I/O buffer with a
+    /// non-temporal store and holds the host's clock until the store
+    /// has landed, so nothing submitted next can overtake it. Returns
+    /// the buffer's pool address.
+    pub fn stage(&mut self, host: HostId, payload: &[u8]) -> Result<u64, PoolError> {
+        let buf = self.io_buf(host);
+        let agent = &mut self.agents[host.0 as usize];
+        let staged = self.fabric.nt_store(agent.clock(), host, buf, payload)?;
+        agent.advance_clock(staged);
+        Ok(buf)
+    }
+
+    /// `owner`'s current binding for `kind`, or `NotAssigned`.
+    fn bound(&self, owner: HostId, kind: DeviceKind) -> Result<DeviceId, PoolError> {
+        self.binding(owner, kind)
+            .ok_or(PoolError::NotAssigned(kind))
     }
 
     /// Runs every agent and the orchestrator forward for `span` of
@@ -1007,81 +1018,14 @@ impl PodSim {
             trace::KIND_NIC,
             "op/vnic_send",
             |r: &OpResult| Some(r.at),
-            |pod| pod.vnic_send_inner(owner, payload, deadline),
+            |pod| {
+                let dev = pod.bound(owner, DeviceKind::Nic)?;
+                let buf = pod.stage(owner, payload)?;
+                let len = payload.len() as u32;
+                let sub = pod.submit(owner, dev, Cmd::Tx { buf, len })?;
+                pod.await_submitted(owner, sub, deadline)
+            },
         )
-    }
-
-    fn vnic_send_inner(
-        &mut self,
-        owner: HostId,
-        payload: &[u8],
-        deadline: Nanos,
-    ) -> Result<OpResult, PoolError> {
-        let dev = self
-            .binding(owner, DeviceKind::Nic)
-            .ok_or(PoolError::NotAssigned(DeviceKind::Nic))?;
-        let attach = self
-            .attach_of(dev)
-            .ok_or(PoolError::NoDevice(DeviceKind::Nic))?;
-        let buf = self.io_buf(owner);
-        let now = self.agents[owner.0 as usize].clock();
-        let staged = self.fabric.nt_store(now, owner, buf, payload)?;
-        self.agents[owner.0 as usize].advance_clock(now + Nanos(50));
-
-        if attach == owner {
-            // Fast path: local doorbell + transmit.
-            let agent = &mut self.agents[owner.0 as usize];
-            let Some(nic) = agent.nics.get_mut(&dev) else {
-                agent.report_failure(dev);
-                self.trace_dev_failed(owner, dev, now);
-                return Err(PoolError::Device(pcie_sim::DeviceError::Failed(dev)));
-            };
-            let t = staged + nic.doorbell_cost();
-            nic.ring_doorbell();
-            if let Some(tr) = self.fabric.trace_mut() {
-                tr.instant(Track::HostCpu(owner.0), "dev/doorbell", t);
-            }
-            let frame =
-                match nic.transmit(&mut self.fabric, t, BufRef::Pool(buf), payload.len() as u32) {
-                    Ok(f) => f,
-                    Err(e) => {
-                        // A failed local device is reported upstream just
-                        // like a remote one.
-                        agent.report_failure(dev);
-                        self.trace_dev_failed(owner, dev, t);
-                        return Err(PoolError::Device(e));
-                    }
-                };
-            let at = frame.wire_exit;
-            agent.out_frames.push((dev, frame));
-            agent.advance_clock(t);
-            let op = self.next_op;
-            self.next_op += 1;
-            return Ok(OpResult {
-                op,
-                at,
-                local: true,
-            });
-        }
-
-        let op = self.next_op;
-        self.next_op += 1;
-        let msg = Msg::TxSubmit {
-            op,
-            dev,
-            buf,
-            len: payload.len() as u32,
-        };
-        // Make sure the submit is not forwarded before the payload's NT
-        // store has landed.
-        self.agents[owner.0 as usize].advance_clock(staged);
-        self.agents[owner.0 as usize].send_to(&mut self.fabric, Peer::Host(attach), &msg)?;
-        self.await_completion(owner, attach, op, deadline)
-            .map(|c| OpResult {
-                op,
-                at: c.at,
-                local: false,
-            })
     }
 
     /// Sends a batch of payloads through `owner`'s pooled NIC with one
@@ -1095,48 +1039,17 @@ impl PodSim {
         payloads: &[&[u8]],
         deadline: Nanos,
     ) -> Result<Vec<OpResult>, PoolError> {
-        let dev = self
-            .binding(owner, DeviceKind::Nic)
-            .ok_or(PoolError::NotAssigned(DeviceKind::Nic))?;
-        let attach = self
-            .attach_of(dev)
-            .ok_or(PoolError::NoDevice(DeviceKind::Nic))?;
-        if attach == owner {
-            // Local: the fast path is already one doorbell per submit.
-            return payloads
-                .iter()
-                .map(|p| self.vnic_send(owner, p, deadline))
-                .collect();
-        }
-        // Stage and submit everything first.
-        let mut ops = Vec::with_capacity(payloads.len());
+        let dev = self.bound(owner, DeviceKind::Nic)?;
+        let mut subs = Vec::with_capacity(payloads.len());
         for payload in payloads {
-            let buf = self.io_buf(owner);
-            let now = self.agents[owner.0 as usize].clock();
-            let staged = self.fabric.nt_store(now, owner, buf, payload)?;
-            self.agents[owner.0 as usize].advance_clock(staged);
-            let op = self.next_op;
-            self.next_op += 1;
-            let msg = Msg::TxSubmit {
-                op,
-                dev,
-                buf,
-                len: payload.len() as u32,
-            };
-            self.agents[owner.0 as usize].send_to(&mut self.fabric, Peer::Host(attach), &msg)?;
-            ops.push(op);
+            let buf = self.stage(owner, payload)?;
+            let len = payload.len() as u32;
+            subs.push(self.submit(owner, dev, Cmd::Tx { buf, len })?);
         }
         // One polling phase covers the whole batch.
-        let mut out = Vec::with_capacity(ops.len());
-        for op in ops {
-            let c = self.await_completion(owner, attach, op, deadline)?;
-            out.push(OpResult {
-                op,
-                at: c.at,
-                local: false,
-            });
-        }
-        Ok(out)
+        subs.into_iter()
+            .map(|sub| self.await_submitted(owner, sub, deadline))
+            .collect()
     }
 
     /// Posts one RX buffer on `owner`'s pooled NIC; returns the buffer's
@@ -1147,39 +1060,15 @@ impl PodSim {
             trace::KIND_NIC,
             "op/vnic_post_rx",
             |_| None,
-            |pod| pod.vnic_post_rx_inner(owner, deadline),
+            |pod| {
+                let dev = pod.bound(owner, DeviceKind::Nic)?;
+                let buf = pod.io_buf(owner);
+                let len = IO_SLOT as u32;
+                let sub = pod.submit(owner, dev, Cmd::RxPost { buf, len })?;
+                pod.await_submitted(owner, sub, deadline)?;
+                Ok(buf)
+            },
         )
-    }
-
-    fn vnic_post_rx_inner(&mut self, owner: HostId, deadline: Nanos) -> Result<u64, PoolError> {
-        let dev = self
-            .binding(owner, DeviceKind::Nic)
-            .ok_or(PoolError::NotAssigned(DeviceKind::Nic))?;
-        let attach = self
-            .attach_of(dev)
-            .ok_or(PoolError::NoDevice(DeviceKind::Nic))?;
-        let buf = self.io_buf(owner);
-        if attach == owner {
-            let agent = &mut self.agents[owner.0 as usize];
-            let nic = agent
-                .nics
-                .get_mut(&dev)
-                .ok_or(PoolError::Device(pcie_sim::DeviceError::Failed(dev)))?;
-            nic.post_rx(BufRef::Pool(buf), IO_SLOT as u32)?;
-            agent.note_local_rx(dev);
-            return Ok(buf);
-        }
-        let op = self.next_op;
-        self.next_op += 1;
-        let msg = Msg::RxPost {
-            op,
-            dev,
-            buf,
-            len: IO_SLOT as u32,
-        };
-        self.agents[owner.0 as usize].send_to(&mut self.fabric, Peer::Host(attach), &msg)?;
-        self.await_completion(owner, attach, op, deadline)?;
-        Ok(buf)
     }
 
     /// A frame arrives from the wire at physical NIC `dev`; delivers it
@@ -1254,12 +1143,10 @@ impl PodSim {
             "op/vssd_read",
             |(_, r): &(u64, OpResult)| Some(r.at),
             |pod| {
-                let dev = pod
-                    .binding(owner, DeviceKind::Ssd)
-                    .ok_or(PoolError::NotAssigned(DeviceKind::Ssd))?;
+                let dev = pod.bound(owner, DeviceKind::Ssd)?;
                 let buf = pod.io_buf(owner);
-                let r = pod.ssd_op_on(owner, dev, lba, blocks, buf, false, deadline)?;
-                Ok((buf, r))
+                let sub = pod.submit(owner, dev, Cmd::SsdRead { lba, blocks, buf })?;
+                Ok((buf, pod.await_submitted(owner, sub, deadline)?))
             },
         )
     }
@@ -1280,123 +1167,11 @@ impl PodSim {
             "op/vssd_write",
             |r: &OpResult| Some(r.at),
             |pod| {
-                let dev = pod
-                    .binding(owner, DeviceKind::Ssd)
-                    .ok_or(PoolError::NotAssigned(DeviceKind::Ssd))?;
-                pod.ssd_op_on(owner, dev, lba, blocks, buf, true, deadline)
+                let dev = pod.bound(owner, DeviceKind::Ssd)?;
+                let sub = pod.submit(owner, dev, Cmd::SsdWrite { lba, blocks, buf })?;
+                pod.await_submitted(owner, sub, deadline)
             },
         )
-    }
-
-    /// Explicit-device SSD operation (used by striping, which spans
-    /// several SSDs at once).
-    #[allow(clippy::too_many_arguments)]
-    pub fn ssd_op_on(
-        &mut self,
-        owner: HostId,
-        dev: DeviceId,
-        lba: u64,
-        blocks: u32,
-        buf: u64,
-        write: bool,
-        deadline: Nanos,
-    ) -> Result<OpResult, PoolError> {
-        match self.ssd_submit_on(owner, dev, lba, blocks, buf, write)? {
-            Submitted::Local(r) => Ok(r),
-            Submitted::Remote { op, attach } => self
-                .await_completion(owner, attach, op, deadline)
-                .map(|c| OpResult {
-                    op,
-                    at: c.at,
-                    local: false,
-                }),
-        }
-    }
-
-    /// Submits an SSD operation without waiting for its completion, so
-    /// callers can keep several devices busy in parallel (striping).
-    /// Pair with [`PodSim::await_submitted`].
-    pub fn ssd_submit_on(
-        &mut self,
-        owner: HostId,
-        dev: DeviceId,
-        lba: u64,
-        blocks: u32,
-        buf: u64,
-        write: bool,
-    ) -> Result<Submitted, PoolError> {
-        let attach = self
-            .attach_of(dev)
-            .ok_or(PoolError::NoDevice(DeviceKind::Ssd))?;
-        if attach == owner {
-            let agent = &mut self.agents[owner.0 as usize];
-            let now = agent.clock();
-            let Some(ssd) = agent.ssds.get_mut(&dev) else {
-                agent.report_failure(dev);
-                self.trace_dev_failed(owner, dev, now);
-                return Err(PoolError::Device(pcie_sim::DeviceError::Failed(dev)));
-            };
-            let result = if write {
-                ssd.write(&mut self.fabric, now, lba, blocks as u64, BufRef::Pool(buf))
-            } else {
-                ssd.read(&mut self.fabric, now, lba, blocks as u64, BufRef::Pool(buf))
-            };
-            let at = match result {
-                Ok(t) => t,
-                Err(e) => {
-                    agent.report_failure(dev);
-                    self.trace_dev_failed(owner, dev, now);
-                    return Err(PoolError::Device(e));
-                }
-            };
-            let op = self.next_op;
-            self.next_op += 1;
-            return Ok(Submitted::Local(OpResult {
-                op,
-                at,
-                local: true,
-            }));
-        }
-        let op = self.next_op;
-        self.next_op += 1;
-        let msg = if write {
-            Msg::SsdWrite {
-                op,
-                dev,
-                lba,
-                blocks,
-                buf,
-            }
-        } else {
-            Msg::SsdRead {
-                op,
-                dev,
-                lba,
-                blocks,
-                buf,
-            }
-        };
-        self.agents[owner.0 as usize].send_to(&mut self.fabric, Peer::Host(attach), &msg)?;
-        Ok(Submitted::Remote { op, attach })
-    }
-
-    /// Waits for a [`Submitted`] operation to complete.
-    pub fn await_submitted(
-        &mut self,
-        owner: HostId,
-        submitted: Submitted,
-        deadline: Nanos,
-    ) -> Result<OpResult, PoolError> {
-        match submitted {
-            Submitted::Local(r) => Ok(r),
-            Submitted::Remote { op, attach } => self
-                .await_completion(owner, attach, op, deadline)
-                .map(|c| OpResult {
-                    op,
-                    at: c.at,
-                    local: false,
-                }),
-        }
     }
 
     // -----------------------------------------------------------------
@@ -1417,112 +1192,81 @@ impl PodSim {
             trace::KIND_ACCEL,
             "op/vaccel_run",
             |(_, r): &(u64, OpResult)| Some(r.at),
-            |pod| pod.vaccel_run_inner(owner, input, deadline),
+            |pod| {
+                let dev = pod.bound(owner, DeviceKind::Accel)?;
+                let inbuf = pod.stage(owner, input)?;
+                let outbuf = pod.io_buf(owner);
+                let len = input.len() as u32;
+                let sub = pod.submit(owner, dev, Cmd::Accel { inbuf, len, outbuf })?;
+                Ok((outbuf, pod.await_submitted(owner, sub, deadline)?))
+            },
         )
     }
 
-    fn vaccel_run_inner(
-        &mut self,
-        owner: HostId,
-        input: &[u8],
-        deadline: Nanos,
-    ) -> Result<(u64, OpResult), PoolError> {
-        let dev = self
-            .binding(owner, DeviceKind::Accel)
-            .ok_or(PoolError::NotAssigned(DeviceKind::Accel))?;
-        let inbuf = self.io_buf(owner);
-        let outbuf = self.io_buf(owner);
-        let now = self.agents[owner.0 as usize].clock();
-        let staged = self.fabric.nt_store(now, owner, inbuf, input)?;
-        self.agents[owner.0 as usize].advance_clock(staged);
-        let r = self.accel_run_on(owner, dev, inbuf, input.len() as u32, outbuf, deadline)?;
-        Ok((outbuf, r))
-    }
+    // -----------------------------------------------------------------
+    // Submit / await
+    // -----------------------------------------------------------------
 
-    /// Explicit-device accelerator job on already-staged input.
-    pub fn accel_run_on(
+    /// Submits `cmd` to device `dev` on behalf of `owner` without
+    /// waiting for its completion, so callers can keep several devices
+    /// busy at once (striping, bonding). A device attached to `owner`
+    /// runs on the local fast path at once: [`Agent::execute`] on the
+    /// owner's agent, no ring. Any other device gets the command
+    /// forwarded to its attach host in a [`Msg::Submit`], which that
+    /// host's agent hands to the same executor. Pair with
+    /// [`PodSim::await_submitted`].
+    pub fn submit(
         &mut self,
         owner: HostId,
         dev: DeviceId,
-        inbuf: u64,
-        len: u32,
-        outbuf: u64,
-        deadline: Nanos,
-    ) -> Result<OpResult, PoolError> {
-        let attach = self
-            .attach_of(dev)
-            .ok_or(PoolError::NoDevice(DeviceKind::Accel))?;
+        cmd: Cmd,
+    ) -> Result<Submitted, PoolError> {
+        let attach = self.attach_of(dev).ok_or(PoolError::NoDevice(cmd.kind()))?;
         if attach == owner {
             let agent = &mut self.agents[owner.0 as usize];
             let now = agent.clock();
-            let Some(acc) = agent.accels.get_mut(&dev) else {
-                agent.report_failure(dev);
-                self.trace_dev_failed(owner, dev, now);
-                return Err(PoolError::Device(pcie_sim::DeviceError::Failed(dev)));
+            let at = agent.execute(&mut self.fabric, dev, &cmd, now, Origin::Local)?;
+            // A local RX post has no completion to match, so it takes
+            // no op id (and its traced call no root span).
+            let op = match cmd {
+                Cmd::RxPost { .. } => 0,
+                _ => self.take_op_id(),
             };
-            let at = match acc.offload(
-                &mut self.fabric,
-                now,
-                BufRef::Pool(inbuf),
-                len,
-                BufRef::Pool(outbuf),
-            ) {
-                Ok(t) => t,
-                Err(e) => {
-                    agent.report_failure(dev);
-                    self.trace_dev_failed(owner, dev, now);
-                    return Err(PoolError::Device(e));
-                }
-            };
-            let op = self.next_op;
-            self.next_op += 1;
-            return Ok(OpResult {
+            return Ok(Submitted::Local(OpResult {
                 op,
                 at,
                 local: true,
-            });
+            }));
         }
-        let op = self.next_op;
-        self.next_op += 1;
-        let msg = Msg::AccelRun {
-            op,
-            dev,
-            inbuf,
-            len,
-            outbuf,
-        };
+        let op = self.take_op_id();
+        let msg = Msg::Submit { op, dev, cmd };
         self.agents[owner.0 as usize].send_to(&mut self.fabric, Peer::Host(attach), &msg)?;
-        self.await_completion(owner, attach, op, deadline)
-            .map(|c| OpResult {
-                op,
-                at: c.at,
-                local: false,
-            })
+        Ok(Submitted::Remote { op, attach, dev })
     }
 
-    // -----------------------------------------------------------------
-    // Internals
-    // -----------------------------------------------------------------
-
-    /// Drives the attach and owner agents (and the orchestrator) until
-    /// the completion for `op` arrives at the owner or `deadline`
-    /// passes.
-    fn await_completion(
+    /// Waits for a [`Submitted`] operation to complete: drives the
+    /// attach and owner agents (and the orchestrator) until the
+    /// completion arrives at the owner or `deadline` passes.
+    pub fn await_submitted(
         &mut self,
         owner: HostId,
-        attach: HostId,
-        op: u64,
+        submitted: Submitted,
         deadline: Nanos,
-    ) -> Result<Completion, PoolError> {
+    ) -> Result<OpResult, PoolError> {
+        let (op, attach, dev) = match submitted {
+            Submitted::Local(r) => return Ok(r),
+            Submitted::Remote { op, attach, dev } => (op, attach, dev),
+        };
         loop {
             if let Some(c) = self.agents[owner.0 as usize].completions.remove(&op) {
-                if c.status == 0 {
-                    return Ok(c);
+                if c.status != 0 {
+                    return Err(PoolError::RemoteFailed { op, dev });
                 }
-                let dev = self
-                    .binding(owner, DeviceKind::Nic)
-                    .unwrap_or(DeviceId(u32::MAX));
-                return Err(PoolError::RemoteFailed { op, dev });
+                return Ok(OpResult {
+                    op,
+                    at: c.at,
+                    local: false,
+                });
             }
             let now = self.time();
             if now > deadline {
@@ -1711,14 +1455,8 @@ mod tests {
         params.ssd_hosts = vec![0];
         let mut pod = PodSim::new(params);
         // Host 2 uses the (remote) SSD.
-        let buf = pod.io_buf(HostId(2));
         let block: Vec<u8> = (0..4096u32).map(|i| (i % 256) as u8).collect();
-        let now = pod.agents[2].clock();
-        let staged = pod
-            .fabric
-            .nt_store(now, HostId(2), buf, &block)
-            .expect("stage");
-        pod.agents[2].advance_clock(staged);
+        let buf = pod.stage(HostId(2), &block).expect("stage");
         pod.vssd_write(HostId(2), 10, 1, buf, deadline())
             .expect("write");
         let (rbuf, r) = pod.vssd_read(HostId(2), 10, 1, deadline()).expect("read");
@@ -1744,6 +1482,32 @@ mod tests {
             .expect("read");
         let expect: Vec<u8> = input.iter().map(|b| b ^ 0xA5).collect();
         assert_eq!(out, expect);
+    }
+
+    #[test]
+    fn remote_failure_names_the_failed_device() {
+        // NIC 0 and SSD 1 on host 0, accelerator 2 on host 1: host 2
+        // reaches both through the channel, never through its NIC.
+        let mut params = PodParams::new(4, 1);
+        params.ssd_hosts = vec![0];
+        params.accel_hosts = vec![1];
+        let mut pod = PodSim::new(params);
+        let ssd = pod.binding(HostId(2), DeviceKind::Ssd).expect("ssd bound");
+        let accel = pod
+            .binding(HostId(2), DeviceKind::Accel)
+            .expect("accel bound");
+        pod.fail_ssd(ssd);
+        pod.fail_accel(accel);
+        let err = pod.vssd_read(HostId(2), 0, 1, deadline()).unwrap_err();
+        assert!(
+            matches!(err, PoolError::RemoteFailed { dev, .. } if dev == ssd),
+            "{err:?} should name {ssd:?}"
+        );
+        let err = pod.vaccel_run(HostId(2), &[1; 64], deadline()).unwrap_err();
+        assert!(
+            matches!(err, PoolError::RemoteFailed { dev, .. } if dev == accel),
+            "{err:?} should name {accel:?}"
+        );
     }
 
     #[test]

@@ -7,40 +7,32 @@
 
 use cxl_fabric::HostId;
 use pcie_sim::DeviceId;
+use simkit::trace;
 
-/// A pooling control message.
+use crate::vdev::DeviceKind;
+
+/// One pooled I/O command: what a host asks a device to do, whether it
+/// drives the device itself (the local fast path) or forwards the
+/// command to the device's attach host in a [`Msg::Submit`]. Buffers
+/// are pool addresses.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Msg {
-    /// Forwarded NIC TX submission: transmit `len` bytes from pool
-    /// buffer `buf` on device `dev`.
-    TxSubmit {
-        /// Operation id for completion matching.
-        op: u64,
-        /// Target device.
-        dev: DeviceId,
+pub enum Cmd {
+    /// NIC transmit of `len` bytes from `buf`.
+    Tx {
         /// Pool address of the TX payload.
         buf: u64,
         /// Payload length.
         len: u32,
     },
-    /// Forwarded RX buffer post.
+    /// NIC RX buffer post.
     RxPost {
-        /// Operation id.
-        op: u64,
-        /// Target device.
-        dev: DeviceId,
         /// Pool address of the RX buffer.
         buf: u64,
         /// Buffer capacity.
         len: u32,
     },
-    /// Forwarded NVMe read: `blocks` blocks from `lba` into pool buffer
-    /// `buf`.
+    /// NVMe read of `blocks` blocks from `lba` into `buf`.
     SsdRead {
-        /// Operation id.
-        op: u64,
-        /// Target device.
-        dev: DeviceId,
         /// Starting logical block.
         lba: u64,
         /// Block count.
@@ -48,12 +40,8 @@ pub enum Msg {
         /// Destination pool buffer.
         buf: u64,
     },
-    /// Forwarded NVMe write.
+    /// NVMe write of `blocks` blocks from `buf` to `lba`.
     SsdWrite {
-        /// Operation id.
-        op: u64,
-        /// Target device.
-        dev: DeviceId,
         /// Starting logical block.
         lba: u64,
         /// Block count.
@@ -61,18 +49,59 @@ pub enum Msg {
         /// Source pool buffer.
         buf: u64,
     },
-    /// Forwarded accelerator job.
-    AccelRun {
-        /// Operation id.
-        op: u64,
-        /// Target device.
-        dev: DeviceId,
+    /// Accelerator job over `len` input bytes.
+    Accel {
         /// Input pool buffer.
         inbuf: u64,
         /// Input length.
         len: u32,
         /// Output pool buffer.
         outbuf: u64,
+    },
+}
+
+impl Cmd {
+    /// The device class the command runs on.
+    pub fn kind(&self) -> DeviceKind {
+        match self {
+            Cmd::Tx { .. } | Cmd::RxPost { .. } => DeviceKind::Nic,
+            Cmd::SsdRead { .. } | Cmd::SsdWrite { .. } => DeviceKind::Ssd,
+            Cmd::Accel { .. } => DeviceKind::Accel,
+        }
+    }
+
+    /// The flight recorder's op-kind code for the command.
+    pub fn trace_kind(&self) -> u8 {
+        match self.kind() {
+            DeviceKind::Nic => trace::KIND_NIC,
+            DeviceKind::Ssd => trace::KIND_SSD,
+            DeviceKind::Accel => trace::KIND_ACCEL,
+        }
+    }
+
+    /// Wire kind byte of the `Submit` carrying the command.
+    fn wire_kind(&self) -> u8 {
+        match self {
+            Cmd::Tx { .. } => 1,
+            Cmd::RxPost { .. } => 2,
+            Cmd::SsdRead { .. } => 3,
+            Cmd::SsdWrite { .. } => 4,
+            Cmd::Accel { .. } => 5,
+        }
+    }
+}
+
+/// A pooling control message.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Msg {
+    /// A forwarded command for device `dev` on the receiving host.
+    Submit {
+        /// Operation id for completion matching.
+        op: u64,
+        /// Target device.
+        dev: DeviceId,
+        /// What to do.
+        cmd: Cmd,
     },
     /// Completion of a forwarded operation.
     Done {
@@ -196,11 +225,13 @@ impl Msg {
     /// annotation on `proto/encode` events).
     pub fn kind_name(&self) -> &'static str {
         match self {
-            Msg::TxSubmit { .. } => "TxSubmit",
-            Msg::RxPost { .. } => "RxPost",
-            Msg::SsdRead { .. } => "SsdRead",
-            Msg::SsdWrite { .. } => "SsdWrite",
-            Msg::AccelRun { .. } => "AccelRun",
+            Msg::Submit { cmd, .. } => match cmd {
+                Cmd::Tx { .. } => "TxSubmit",
+                Cmd::RxPost { .. } => "RxPost",
+                Cmd::SsdRead { .. } => "SsdRead",
+                Cmd::SsdWrite { .. } => "SsdWrite",
+                Cmd::Accel { .. } => "AccelRun",
+            },
             Msg::Done { .. } => "Done",
             Msg::DevFailed { .. } => "DevFailed",
             Msg::Assign { .. } => "Assign",
@@ -214,61 +245,26 @@ impl Msg {
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(30);
         match *self {
-            Msg::TxSubmit { op, dev, buf, len } => {
-                out.push(1);
+            Msg::Submit { op, dev, cmd } => {
+                out.push(cmd.wire_kind());
                 put_u64(&mut out, op);
                 put_u32(&mut out, dev.0);
-                put_u64(&mut out, buf);
-                put_u32(&mut out, len);
-            }
-            Msg::RxPost { op, dev, buf, len } => {
-                out.push(2);
-                put_u64(&mut out, op);
-                put_u32(&mut out, dev.0);
-                put_u64(&mut out, buf);
-                put_u32(&mut out, len);
-            }
-            Msg::SsdRead {
-                op,
-                dev,
-                lba,
-                blocks,
-                buf,
-            } => {
-                out.push(3);
-                put_u64(&mut out, op);
-                put_u32(&mut out, dev.0);
-                put_u64(&mut out, lba);
-                put_u32(&mut out, blocks);
-                put_u64(&mut out, buf);
-            }
-            Msg::SsdWrite {
-                op,
-                dev,
-                lba,
-                blocks,
-                buf,
-            } => {
-                out.push(4);
-                put_u64(&mut out, op);
-                put_u32(&mut out, dev.0);
-                put_u64(&mut out, lba);
-                put_u32(&mut out, blocks);
-                put_u64(&mut out, buf);
-            }
-            Msg::AccelRun {
-                op,
-                dev,
-                inbuf,
-                len,
-                outbuf,
-            } => {
-                out.push(5);
-                put_u64(&mut out, op);
-                put_u32(&mut out, dev.0);
-                put_u64(&mut out, inbuf);
-                put_u32(&mut out, len);
-                put_u64(&mut out, outbuf);
+                match cmd {
+                    Cmd::Tx { buf, len } | Cmd::RxPost { buf, len } => {
+                        put_u64(&mut out, buf);
+                        put_u32(&mut out, len);
+                    }
+                    Cmd::SsdRead { lba, blocks, buf } | Cmd::SsdWrite { lba, blocks, buf } => {
+                        put_u64(&mut out, lba);
+                        put_u32(&mut out, blocks);
+                        put_u64(&mut out, buf);
+                    }
+                    Cmd::Accel { inbuf, len, outbuf } => {
+                        put_u64(&mut out, inbuf);
+                        put_u32(&mut out, len);
+                        put_u64(&mut out, outbuf);
+                    }
+                }
             }
             Msg::Done { op, status, at } => {
                 out.push(6);
@@ -312,39 +308,30 @@ impl Msg {
         let mut r = Reader { buf, pos: 0 };
         let kind = r.u8()?;
         Ok(match kind {
-            1 => Msg::TxSubmit {
-                op: r.u64()?,
-                dev: DeviceId(r.u32()?),
-                buf: r.u64()?,
-                len: r.u32()?,
-            },
-            2 => Msg::RxPost {
-                op: r.u64()?,
-                dev: DeviceId(r.u32()?),
-                buf: r.u64()?,
-                len: r.u32()?,
-            },
-            3 => Msg::SsdRead {
-                op: r.u64()?,
-                dev: DeviceId(r.u32()?),
-                lba: r.u64()?,
-                blocks: r.u32()?,
-                buf: r.u64()?,
-            },
-            4 => Msg::SsdWrite {
-                op: r.u64()?,
-                dev: DeviceId(r.u32()?),
-                lba: r.u64()?,
-                blocks: r.u32()?,
-                buf: r.u64()?,
-            },
-            5 => Msg::AccelRun {
-                op: r.u64()?,
-                dev: DeviceId(r.u32()?),
-                inbuf: r.u64()?,
-                len: r.u32()?,
-                outbuf: r.u64()?,
-            },
+            1..=5 => {
+                let (op, dev) = (r.u64()?, DeviceId(r.u32()?));
+                let (addr, n) = (r.u64()?, r.u32()?);
+                let cmd = match kind {
+                    1 => Cmd::Tx { buf: addr, len: n },
+                    2 => Cmd::RxPost { buf: addr, len: n },
+                    3 => Cmd::SsdRead {
+                        lba: addr,
+                        blocks: n,
+                        buf: r.u64()?,
+                    },
+                    4 => Cmd::SsdWrite {
+                        lba: addr,
+                        blocks: n,
+                        buf: r.u64()?,
+                    },
+                    _ => Cmd::Accel {
+                        inbuf: addr,
+                        len: n,
+                        outbuf: r.u64()?,
+                    },
+                };
+                Msg::Submit { op, dev, cmd }
+            }
             6 => Msg::Done {
                 op: r.u64()?,
                 status: r.u8()?,
@@ -384,38 +371,48 @@ mod tests {
 
     fn all_variants() -> Vec<Msg> {
         vec![
-            Msg::TxSubmit {
+            Msg::Submit {
                 op: 1,
                 dev: DeviceId(2),
-                buf: 0xDEAD_BEEF,
-                len: 1500,
+                cmd: Cmd::Tx {
+                    buf: 0xDEAD_BEEF,
+                    len: 1500,
+                },
             },
-            Msg::RxPost {
+            Msg::Submit {
                 op: 2,
                 dev: DeviceId(3),
-                buf: 0x1000,
-                len: 2048,
+                cmd: Cmd::RxPost {
+                    buf: 0x1000,
+                    len: 2048,
+                },
             },
-            Msg::SsdRead {
+            Msg::Submit {
                 op: 3,
                 dev: DeviceId(4),
-                lba: 77,
-                blocks: 8,
-                buf: 0x2000,
+                cmd: Cmd::SsdRead {
+                    lba: 77,
+                    blocks: 8,
+                    buf: 0x2000,
+                },
             },
-            Msg::SsdWrite {
+            Msg::Submit {
                 op: 4,
                 dev: DeviceId(5),
-                lba: 99,
-                blocks: 1,
-                buf: 0x3000,
+                cmd: Cmd::SsdWrite {
+                    lba: 99,
+                    blocks: 1,
+                    buf: 0x3000,
+                },
             },
-            Msg::AccelRun {
+            Msg::Submit {
                 op: 5,
                 dev: DeviceId(6),
-                inbuf: 0x4000,
-                len: 4096,
-                outbuf: 0x5000,
+                cmd: Cmd::Accel {
+                    inbuf: 0x4000,
+                    len: 4096,
+                    outbuf: 0x5000,
+                },
             },
             Msg::Done {
                 op: 6,
@@ -487,7 +484,7 @@ mod tests {
         #[test]
         fn tx_submit_roundtrips(op in any::<u64>(), dev in any::<u32>(),
                                 buf in any::<u64>(), len in any::<u32>()) {
-            let m = Msg::TxSubmit { op, dev: DeviceId(dev), buf, len };
+            let m = Msg::Submit { op, dev: DeviceId(dev), cmd: Cmd::Tx { buf, len } };
             prop_assert_eq!(Msg::decode(&m.encode()).unwrap(), m);
         }
 

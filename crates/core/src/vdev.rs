@@ -1,4 +1,4 @@
-//! Virtual device identity and pool-level errors.
+//! Device classes and pool-level errors.
 
 use core::fmt;
 
@@ -36,20 +36,6 @@ impl DeviceKind {
             _ => None,
         }
     }
-}
-
-/// A host's handle onto a pooled device of one kind.
-///
-/// The binding to a physical device lives in the host's pooling agent
-/// (updated by orchestrator `Assign` messages); this handle is just the
-/// (host, kind) coordinate used when invoking [`crate::pod::PodSim`]
-/// operations.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
-pub struct VirtualDevice {
-    /// The host that uses the device.
-    pub owner: cxl_fabric::HostId,
-    /// The device class.
-    pub kind: DeviceKind,
 }
 
 /// Errors surfaced by pool operations.

@@ -735,10 +735,7 @@ fn execute(
         OpKind::SsdWrite { blocks } => {
             let bytes = (blocks as u64 * 4096).min(IO_SLOT) as u32;
             let data = payload(bytes, issue_id);
-            let buf = pod.io_buf(host);
-            let now = pod.agents[host.0 as usize].clock();
-            let staged = pod.fabric.nt_store(now, host, buf, &data)?;
-            pod.agents[host.0 as usize].advance_clock(staged);
+            let buf = pod.stage(host, &data)?;
             pod.vssd_write(host, lba, blocks, buf, deadline)
                 .map(|r| r.at)
         }

@@ -84,13 +84,7 @@ fn main() {
             let d = pod.time() + Nanos::from_millis(50);
             pod.vnic_send(host, &vec![round as u8; 512], d)
                 .expect("send");
-            let buf = pod.io_buf(host);
-            let now = pod.agents[h as usize].clock();
-            let staged = pod
-                .fabric
-                .nt_store(now, host, buf, &block)
-                .expect("stage write payload");
-            pod.agents[h as usize].advance_clock(staged);
+            let buf = pod.stage(host, &block).expect("stage write payload");
             let d = pod.time() + Nanos::from_millis(50);
             pod.vssd_write(host, (round * 8 + h as u32) as u64, 1, buf, d)
                 .expect("write");

@@ -95,13 +95,7 @@ fn ssd_data_written_by_one_host_read_by_another() {
     // Host 1 writes a block; host 3 reads it back through the same
     // pooled SSD.
     let block: Vec<u8> = (0..4096u32).map(|i| (i % 253) as u8).collect();
-    let wbuf = pod.io_buf(HostId(1));
-    let now = pod.agents[1].clock();
-    let staged = pod
-        .fabric
-        .nt_store(now, HostId(1), wbuf, &block)
-        .expect("stage");
-    pod.agents[1].advance_clock(staged);
+    let wbuf = pod.stage(HostId(1), &block).expect("stage");
     let d = deadline(&pod);
     pod.vssd_write(HostId(1), 42, 1, wbuf, d).expect("write");
     let d = deadline(&pod);

@@ -5,7 +5,8 @@
 //! (`PodParams::exact_polling` off, the default). With the flag on,
 //! every notional poll executes for real: the busy-polling model the
 //! wake rule replaces. These tests pin the oracle to that model's
-//! published numbers and bound how far the wake model drifts from it.
+//! published numbers, pin the default wake model's own seed-42 numbers
+//! exactly, and bound how far the wake model drifts from the oracle.
 
 use bench::workload::{base_spec, faulted_spec, pod_params, search_config};
 use bench::Scale;
@@ -27,6 +28,21 @@ const EXACT_SEED42_OPS: u64 = 785;
 /// Its clean and single-domain-loss capacities (pps).
 const EXACT_SEED42_CAPACITY: (f64, f64) = (91_375.0, 84_125.0);
 
+/// Per-tenant `(name, p50, p90, p99)` of the seed-42 quick baseline
+/// under the default wake rule, as `repro workload --seed 42` reports.
+const WAKE_SEED42_TENANTS: [(&str, u64, u64, u64); 3] = [
+    ("frontend", 3_152, 7_200, 9_408),
+    ("analytics", 75_264, 85_504, 96_405),
+    ("ml", 3_696, 4_320, 4_768),
+];
+/// Measured ops of that baseline.
+const WAKE_SEED42_OPS: u64 = 789;
+/// Its clean and single-domain-loss capacities (pps).
+const WAKE_SEED42_CAPACITY: (f64, f64) = (91_375.0, 84_125.0);
+/// Pool loads, NT stores and DMA ops of that baseline's engine run (the
+/// bench ledger's per-op figures times [`WAKE_SEED42_OPS`]).
+const WAKE_SEED42_LEDGER: [u64; 3] = [1_785, 2_681, 1_656];
+
 /// The quick search's final bracket width: `(hi - lo) / 2^iters`.
 fn search_step() -> f64 {
     let c = search_config(Scale::Quick);
@@ -40,13 +56,35 @@ fn params(seed: u64, exact: bool) -> PodParams {
     }
 }
 
-fn baseline(seed: u64, exact: bool, audit: bool) -> (RunReport, PodSim) {
+/// Runs the quick baseline; also returns the pool loads, NT stores and
+/// DMA ops the engine run cost (the bench ledger's counts).
+fn baseline(seed: u64, exact: bool, audit: bool) -> (RunReport, PodSim, [u64; 3]) {
     let mut pod = PodSim::new(params(seed, exact));
     if audit {
         pod.enable_audit();
     }
+    let counts = |pod: &PodSim| {
+        let f = pod.fabric.stats();
+        [f.loads, f.nt_stores, f.dma_reads + f.dma_writes]
+    };
+    let before = counts(&pod);
     let report = Engine::new(seed).run(&mut pod, &base_spec(Scale::Quick));
-    (report, pod)
+    let after = counts(&pod);
+    let ledger = [0, 1, 2].map(|i| after[i] - before[i]);
+    (report, pod, ledger)
+}
+
+/// Asserts a baseline's op count and per-tenant percentiles.
+fn assert_tenants(report: &RunReport, ops: u64, tenants: &[(&str, u64, u64, u64); 3], model: &str) {
+    assert_eq!(report.ops, ops, "{model}: ops moved");
+    for (t, &(name, p50, p90, p99)) in report.tenants.iter().zip(tenants) {
+        assert_eq!(t.name, name);
+        assert_eq!(
+            (t.latency.p50, t.latency.p90, t.latency.p99),
+            (p50, p90, p99),
+            "{name} percentiles moved under {model}"
+        );
+    }
 }
 
 fn capacities(seed: u64, exact: bool) -> (f64, f64) {
@@ -87,16 +125,13 @@ fn idle_pass(pod: &mut PodSim) -> Nanos {
 
 #[test]
 fn exact_polling_reproduces_the_busy_polling_model() {
-    let (report, _) = baseline(42, true, false);
-    assert_eq!(report.ops, EXACT_SEED42_OPS);
-    for (t, &(name, p50, p90, p99)) in report.tenants.iter().zip(&EXACT_SEED42_TENANTS) {
-        assert_eq!(t.name, name);
-        assert_eq!(
-            (t.latency.p50, t.latency.p90, t.latency.p99),
-            (p50, p90, p99),
-            "{name} percentiles moved under exact polling"
-        );
-    }
+    let (report, _, _) = baseline(42, true, false);
+    assert_tenants(
+        &report,
+        EXACT_SEED42_OPS,
+        &EXACT_SEED42_TENANTS,
+        "exact polling",
+    );
     assert_eq!(capacities(42, true), EXACT_SEED42_CAPACITY);
 }
 
@@ -112,8 +147,17 @@ fn wake_rule_tracks_the_exact_latencies_verdicts_and_audit() {
     // pass `P`. Tails stay within 15 %.
     let pass = idle_pass(&mut PodSim::new(params(1, false)));
     for seed in [1, 42] {
-        let (exact, mut exact_pod) = baseline(seed, true, true);
-        let (wake, mut wake_pod) = baseline(seed, false, true);
+        let (exact, mut exact_pod, _) = baseline(seed, true, true);
+        let (wake, mut wake_pod, ledger) = baseline(seed, false, true);
+        if seed == 42 {
+            assert_tenants(
+                &wake,
+                WAKE_SEED42_OPS,
+                &WAKE_SEED42_TENANTS,
+                "the wake rule",
+            );
+            assert_eq!(ledger, WAKE_SEED42_LEDGER, "loads, NT stores, DMA ops");
+        }
         for (e, w) in exact.tenants.iter().zip(&wake.tenants) {
             let (e50, w50) = (e.latency.p50 as f64, w.latency.p50 as f64);
             let bound = (0.05 * e50).max(pass.as_nanos() as f64);
@@ -145,6 +189,7 @@ fn wake_rule_tracks_the_exact_latencies_verdicts_and_audit() {
 #[test]
 fn wake_rule_capacity_is_within_one_search_step() {
     let (clean, fault) = capacities(42, false);
+    assert_eq!((clean, fault), WAKE_SEED42_CAPACITY);
     let (exact_clean, exact_fault) = EXACT_SEED42_CAPACITY;
     assert!(
         (clean - exact_clean).abs() <= search_step(),
