@@ -262,9 +262,7 @@ pub fn run_migration(scale: Scale) -> Table {
     let trials = scale.pick(20, 100);
     let mut hist = Histogram::new();
     for trial in 0..trials {
-        let mut params = PodParams::new(4, 2);
-        params.seed = 500 + trial as u64;
-        let mut pod = PodSim::new(params);
+        let mut pod = PodSim::new(PodParams::new(4, 2));
         let mut conn = Connection::open(&mut pod, HostId(0)).expect("open");
         // Trial-varying pre-migration traffic de-phases the polling
         // loops so the blackout distribution is not a single point.

@@ -65,9 +65,7 @@ pub fn run_failover(scale: Scale) -> Table {
     let trials = scale.pick(20, 100);
     let mut hist = Histogram::new();
     for trial in 0..trials {
-        let mut params = PodParams::new(4, 2);
-        params.seed = 100 + trial as u64;
-        let mut pod = PodSim::new(params);
+        let mut pod = PodSim::new(PodParams::new(4, 2));
         let victim_host = HostId(3);
         // Warm the path with a trial-dependent amount of traffic so
         // the failure lands at a different phase of the polling loops
@@ -124,7 +122,7 @@ pub fn run_policies(scale: Scale) -> Table {
             AllocPolicy::LocalFirst { threshold: 80 },
         ),
         ("least-utilized", AllocPolicy::LeastUtilized),
-        ("random", AllocPolicy::Random),
+        ("random", AllocPolicy::Random { seed: 7 }),
     ] {
         let mut params = PodParams::new(hosts, nics);
         params.policy = policy;

@@ -11,17 +11,18 @@
 //!
 //! Everything is a pure function of `--seed`: rerunning with the same
 //! seed reproduces the JSON bit for bit (`--check` verifies this, along
-//! with capacity degradation under the domain loss and audit
-//! cleanliness).
+//! with capacity degradation under the domain loss and a clean
+//! vector-clock coherence audit).
 
 use std::fs;
 use std::process::ExitCode;
 
+use cxl_fabric::AuditMode;
 use cxl_pool_core::pod::{PodParams, PodSim};
 use cxl_pool_core::telemetry;
 use serde_json::Value;
-use simkit::metrics::MetricsConfig;
 use simkit::stats::Summary;
+use simkit::trace::TraceConfig;
 use simkit::Nanos;
 use workgen::{
     Arrival, CapacityConfig, CapacityResult, ChurnSpec, ChurnTenant, Engine, FaultPlan, OpKind,
@@ -40,6 +41,10 @@ pub const SCHEMA: &str = "cxl-pool-workload-bench/v5";
 /// this per measured op: idle ring polls are skipped, so loads track
 /// the work the ops do, not the simulated time they span.
 pub const MAX_LOADS_PER_OP: f64 = 10.0;
+
+/// The analysis the audited runs use, written as `audit.mode`: the
+/// vector-clock mode adds happens-before race detection to the checks.
+const AUDIT_MODE: AuditMode = AuditMode::VectorClock;
 
 /// Default output path (gitignored; CI uploads it as an artifact).
 pub const DEFAULT_OUT: &str = "BENCH_workload.json";
@@ -62,8 +67,9 @@ pub struct Config {
 /// *each* domain and every host pair shares an MHD for its channel),
 /// NICs behind hosts 0-1, SSDs behind 0-1, one accelerator behind
 /// host 2. Hosts 3-5 own no devices and reach everything through the
-/// pool — the paper's "pooled pod" shape.
-pub fn pod_params(seed: u64) -> PodParams {
+/// pool — the paper's "pooled pod" shape. The shape does not depend on
+/// the seed: `LocalFirst` placement draws no random numbers.
+pub fn pod_params(_seed: u64) -> PodParams {
     let mut p = PodParams::new(6, 2);
     p.mhds = 4;
     p.domains = 2;
@@ -72,7 +78,6 @@ pub fn pod_params(seed: u64) -> PodParams {
     p.accel_hosts = vec![2];
     p.ring_slots = 128;
     p.io_slots = 32;
-    p.seed = seed;
     p
 }
 
@@ -148,8 +153,9 @@ pub fn base_spec(scale: Scale) -> WorkloadSpec {
 /// The pod for the churn scenario: eight hosts so the lifecycle
 /// tenants can issue from device-less hosts 5-6 while the resident
 /// tenant keeps hosts 3-4 busy; two NICs is the contended resource the
-/// orchestrator spreads churn across.
-pub fn churn_pod_params(seed: u64) -> PodParams {
+/// orchestrator spreads churn across. Like [`pod_params`], it does not
+/// depend on the seed.
+pub fn churn_pod_params(_seed: u64) -> PodParams {
     let mut p = PodParams::new(8, 2);
     p.mhds = 4;
     p.domains = 2;
@@ -158,7 +164,6 @@ pub fn churn_pod_params(seed: u64) -> PodParams {
     p.accel_hosts = vec![2];
     p.ring_slots = 128;
     p.io_slots = 32;
-    p.seed = seed;
     p
 }
 
@@ -246,17 +251,9 @@ pub fn run(cfg: &Config) -> Value {
     let engine = Engine::new(cfg.seed);
 
     // Baseline at the nominal operating point, with the flight
-    // recorder and coherence auditor on (audit mode follows CXL_AUDIT)
-    // and — when `CXL_METRICS` asks for it — the sampled metrics plane.
+    // recorder and the coherence auditor on.
     let mut pod = build();
-    pod.enable_audit();
-    pod.enable_trace_config(simkit::trace::TraceConfig {
-        capacity: 1 << 15,
-        fabric_ops: false,
-    });
-    if MetricsConfig::env_enabled() {
-        pod.enable_metrics();
-    }
+    observe(&mut pod);
     let before = LedgerCounts::read(&pod);
     let baseline = engine.run(&mut pod, &base);
     let ledger = LedgerCounts::read(&pod).since(&before);
@@ -278,14 +275,7 @@ pub fn run(cfg: &Config) -> Value {
         let naive_spec = churn_workload(cfg.scale, false);
 
         let mut mig_pod = PodSim::new(churn_pod_params(cfg.seed));
-        mig_pod.enable_audit();
-        mig_pod.enable_trace_config(simkit::trace::TraceConfig {
-            capacity: 1 << 15,
-            fabric_ops: false,
-        });
-        if MetricsConfig::env_enabled() {
-            mig_pod.enable_metrics();
-        }
+        observe(&mut mig_pod);
         let mig = engine.run(&mut mig_pod, &mig_spec);
         let mig_snap = telemetry::snapshot(&mig_pod);
         let mig_audit = mig_pod.audit_finalize();
@@ -304,15 +294,7 @@ pub fn run(cfg: &Config) -> Value {
         None
     };
 
-    let audit_mode = format!("{:?}", cxl_fabric::AuditConfig::default().mode);
-    let audit_json = match audit {
-        Some(r) => obj(vec![
-            ("mode", Value::String(audit_mode)),
-            ("ops_audited", num(r.ops_audited as f64)),
-            ("violations", num(r.counts.total() as f64)),
-        ]),
-        None => Value::Null,
-    };
+    let audit_json = audit_json(audit.as_ref());
     let stages: Vec<Value> = snap
         .stages
         .iter()
@@ -431,7 +413,8 @@ pub fn run_cli(args: &[String]) -> ExitCode {
 /// Re-runs the bench and validates the emitted document: determinism,
 /// structure, the two-domain pod shape, a positive clean capacity,
 /// strict degradation under the injected whole-domain outage, and a
-/// clean coherence audit. `doc` is the document written to `out`.
+/// clean vector-clock coherence audit. `doc` is the document written
+/// to `out`.
 fn self_check(cfg: &Config, doc: &Value, out: &str) -> Result<(), String> {
     // The file round-trips through the parser.
     let written = fs::read_to_string(out).map_err(|e| format!("rereading {out}: {e}"))?;
@@ -491,6 +474,18 @@ fn self_check(cfg: &Config, doc: &Value, out: &str) -> Result<(), String> {
         return Err(format!(
             "capacity under single-domain loss ({faulted}) is not strictly below clean ({clean})"
         ));
+    }
+    // The audits ran the analysis the document names.
+    let want = format!("{AUDIT_MODE:?}");
+    let mut mode_paths: Vec<&[&str]> = vec![&["audit", "mode"]];
+    if cfg.churn {
+        mode_paths.push(&["churn", "audit", "mode"]);
+    }
+    for path in mode_paths {
+        let mode = field(path)?.as_str();
+        if mode != Some(want.as_str()) {
+            return Err(format!("{} is {mode:?}, expected {want:?}", path.join(".")));
+        }
     }
     let violations = getf(&["audit", "violations"])?;
     if violations != 0.0 {
@@ -973,21 +968,30 @@ fn churn_section(
         ("events", Value::Array(events)),
         ("migrate", obj(mig_fields)),
         ("naive", obj(side(naive))),
-        (
-            "audit",
-            match mig_audit {
-                Some(r) => obj(vec![
-                    (
-                        "mode",
-                        Value::String(format!("{:?}", cxl_fabric::AuditConfig::default().mode)),
-                    ),
-                    ("ops_audited", num(r.ops_audited as f64)),
-                    ("violations", num(r.counts.total() as f64)),
-                ]),
-                None => Value::Null,
-            },
-        ),
+        ("audit", audit_json(mig_audit)),
     ])
+}
+
+/// Turns on what the audited runs record: the coherence audit in
+/// [`AUDIT_MODE`] and a 32,768-event flight recorder.
+fn observe(pod: &mut PodSim) {
+    pod.enable_audit_mode(AUDIT_MODE);
+    pod.enable_trace_config(TraceConfig {
+        capacity: 1 << 15,
+        fabric_ops: false,
+    });
+}
+
+/// An `audit` section of the document: the mode and what it found.
+fn audit_json(audit: Option<&cxl_fabric::AuditReport>) -> Value {
+    match audit {
+        Some(r) => obj(vec![
+            ("mode", Value::String(format!("{AUDIT_MODE:?}"))),
+            ("ops_audited", num(r.ops_audited as f64)),
+            ("violations", num(r.counts.total() as f64)),
+        ]),
+        None => Value::Null,
+    }
 }
 
 fn capacity_json(c: &CapacityResult, fault: Option<&FaultPlan>) -> Value {

@@ -14,8 +14,8 @@
 //!   agent executes it and returns a completion.
 //! - **Pooling orchestrator** ([`orchestrator`]): allocates devices to
 //!   hosts (local-first below a load threshold, else least-utilized),
-//!   watches agent heartbeats and device health, migrates load, and
-//!   fails affected hosts over to surviving devices.
+//!   takes device-failure notices (`DevFailed`) from the agents,
+//!   migrates load, and fails affected hosts over to surviving devices.
 //! - **Assembly** ([`pod`]): [`pod::PodSim`] wires fabric, devices,
 //!   agents, channels, and orchestrator into one simulated rack you can
 //!   drive from tests, examples, and benches.

@@ -12,9 +12,9 @@
 //! This module generalizes [`crate::migration::Connection::migrate`]'s
 //! quiesce/rebind/resume flow from one NIC connection to a whole
 //! tenant across NIC/SSD/accel vdevs, and owns blackout accounting for
-//! both: every migration window lands in [`LifecycleStats`], in the
-//! `lifecycle/blackout_ns` metric histogram, and on the flight
-//! recorder as a `lifecycle/migrate` span.
+//! both: every migration window lands in [`LifecycleStats`] (which the
+//! `lifecycle/blackout_ns` metric samples) and on the flight recorder
+//! as a `lifecycle/migrate` span.
 //!
 //! Departure matters as much as arrival: [`TenantState::release`]
 //! returns every tenant-owned segment (state block and replica set)
@@ -170,8 +170,9 @@ pub fn rebind(
 /// `to`: drain, checkpoint (the quiesce point), re-home the state
 /// segment through the free/realloc path, rebind each host, resume.
 /// Returns `Ok(None)` when every host already uses `to` (no blackout
-/// is charged). The window is recorded pod-wide — stats histogram,
-/// `lifecycle/blackout_ns` metric, `lifecycle/migrate` trace span.
+/// is charged). The window is recorded pod-wide — stats histogram
+/// (sampled by the `lifecycle/blackout_ns` metric), `lifecycle/migrate`
+/// trace span.
 pub fn migrate_tenant(
     pod: &mut PodSim,
     state: &mut TenantState,

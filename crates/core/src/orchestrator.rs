@@ -33,8 +33,12 @@ pub enum AllocPolicy {
     },
     /// Always pick the least-utilized device, ignoring locality.
     LeastUtilized,
-    /// Uniform random among live devices (ablation baseline).
-    Random,
+    /// Uniform random among live devices (ablation baseline), drawn
+    /// from an RNG seeded with `seed`.
+    Random {
+        /// Seed of the orchestrator's policy RNG.
+        seed: u64,
+    },
 }
 
 /// Registry entry for one physical device.
@@ -93,7 +97,11 @@ pub struct Orchestrator {
 
 impl Orchestrator {
     /// Creates an orchestrator running on `host`.
-    pub fn new(host: HostId, policy: AllocPolicy, seed: u64) -> Orchestrator {
+    pub fn new(host: HostId, policy: AllocPolicy) -> Orchestrator {
+        let seed = match policy {
+            AllocPolicy::Random { seed } => seed,
+            _ => 0,
+        };
         Orchestrator {
             host,
             policy,
@@ -213,7 +221,7 @@ impl Orchestrator {
                 }
             }
             AllocPolicy::LeastUtilized => Self::least_utilized(&live),
-            AllocPolicy::Random => live[self.rng.below(live.len() as u64) as usize].0,
+            AllocPolicy::Random { .. } => live[self.rng.below(live.len() as u64) as usize].0,
         };
         Ok(pick)
     }
@@ -530,7 +538,7 @@ mod tests {
 
     fn orch(policy: AllocPolicy) -> (Fabric, Orchestrator) {
         let f = Fabric::new(PodConfig::new(4, 2, 2));
-        let mut o = Orchestrator::new(HostId(0), policy, 1);
+        let mut o = Orchestrator::new(HostId(0), policy);
         // NICs on hosts 0 and 1; none on 2, 3.
         o.register(DeviceId(0), DeviceKind::Nic, HostId(0));
         o.register(DeviceId(1), DeviceKind::Nic, HostId(1));
@@ -638,7 +646,7 @@ mod tests {
 
     #[test]
     fn random_policy_spreads_choices() {
-        let (_f, mut o) = orch(AllocPolicy::Random);
+        let (_f, mut o) = orch(AllocPolicy::Random { seed: 1 });
         let mut seen = std::collections::HashSet::new();
         for _ in 0..100 {
             seen.insert(o.choose(HostId(2), DeviceKind::Nic).unwrap());
@@ -683,7 +691,7 @@ mod tests {
     #[test]
     fn replica_domains_are_distinct() {
         let f = two_domain_fabric();
-        let o = Orchestrator::new(HostId(0), AllocPolicy::LeastUtilized, 1);
+        let o = Orchestrator::new(HostId(0), AllocPolicy::LeastUtilized);
         let doms = o
             .choose_replica_domains(&f, HostId(0), 4096, 2)
             .expect("choose");
@@ -695,13 +703,13 @@ mod tests {
     fn replica_placement_leads_with_home_domain() {
         let f = two_domain_fabric();
         // Host 1's first link lands on MHD 1 → domain 1.
-        let local = Orchestrator::new(HostId(0), AllocPolicy::LocalFirst { threshold: 80 }, 1);
+        let local = Orchestrator::new(HostId(0), AllocPolicy::LocalFirst { threshold: 80 });
         let doms = local
             .choose_replica_domains(&f, HostId(1), 4096, 2)
             .expect("choose");
         assert_eq!(doms[0], cxl_fabric::DomainId(1), "home domain leads");
         // Without locality the tie breaks by id.
-        let lu = Orchestrator::new(HostId(0), AllocPolicy::LeastUtilized, 1);
+        let lu = Orchestrator::new(HostId(0), AllocPolicy::LeastUtilized);
         let doms = lu
             .choose_replica_domains(&f, HostId(1), 4096, 2)
             .expect("choose");
@@ -711,7 +719,7 @@ mod tests {
     #[test]
     fn replica_placement_rejects_when_domains_scarce() {
         let mut f = two_domain_fabric();
-        let o = Orchestrator::new(HostId(0), AllocPolicy::LeastUtilized, 1);
+        let o = Orchestrator::new(HostId(0), AllocPolicy::LeastUtilized);
         assert!(matches!(
             o.choose_replica_domains(&f, HostId(0), 4096, 3),
             Err(PoolError::Fabric(FabricError::InsufficientDomains {
@@ -731,7 +739,7 @@ mod tests {
     #[test]
     fn place_replicas_allocates_pinned_copies() {
         let mut f = two_domain_fabric();
-        let o = Orchestrator::new(HostId(0), AllocPolicy::LocalFirst { threshold: 80 }, 1);
+        let o = Orchestrator::new(HostId(0), AllocPolicy::LocalFirst { threshold: 80 });
         let rs = o.place_replicas(&mut f, HostId(0), 8192, 2).expect("place");
         let doms = rs.domains();
         assert_eq!(doms.len(), 2);
@@ -747,7 +755,7 @@ mod tests {
 
     #[test]
     fn devices_of_filters_by_kind() {
-        let (_f, mut o) = orch(AllocPolicy::Random);
+        let (_f, mut o) = orch(AllocPolicy::Random { seed: 1 });
         o.register(DeviceId(9), DeviceKind::Ssd, HostId(0));
         assert_eq!(
             o.devices_of(DeviceKind::Nic),

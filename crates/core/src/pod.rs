@@ -64,8 +64,6 @@ pub struct PodParams {
     pub io_slots: u64,
     /// Allocation policy.
     pub policy: AllocPolicy,
-    /// RNG seed (policy randomness).
-    pub seed: u64,
     /// Execute every notional ring poll for real, as the original
     /// busy-polling model did, instead of skipping the provably empty
     /// ones (see `crate::poll`). Off by default; the exact poller is
@@ -88,7 +86,6 @@ impl PodParams {
             ring_slots: 64,
             io_slots: 16,
             policy: AllocPolicy::LocalFirst { threshold: 80 },
-            seed: 7,
             exact_polling: false,
         }
     }
@@ -146,7 +143,7 @@ pub struct PodSim {
     /// [`PodParams::exact_polling`]).
     exact_polling: bool,
     /// Metric handles the pod-side sampler refreshes each tick
-    /// (`None` until [`PodSim::enable_metrics`]).
+    /// (`None` until [`PodSim::enable_metrics_config`]).
     metric_ids: Option<PodMetricIds>,
     /// Tenant-lifecycle counters and the pod-wide blackout histogram
     /// (see [`crate::lifecycle`]); always on, metrics-independent.
@@ -182,24 +179,19 @@ struct PodMetricIds {
     orch_migrations: MetricId,
     /// `orch/failovers`.
     orch_failovers: MetricId,
-    /// `lifecycle/blackout_ns` (histogram; fed at migration time).
+    /// `lifecycle/blackout_ns`: migration windows recorded in
+    /// [`LifecycleStats::blackout`].
     lifecycle_blackout: MetricId,
     /// `lifecycle/in_flight_migrations` (gauge).
     lifecycle_in_flight: MetricId,
 }
 
 impl PodSim {
-    /// Turns on fabric coherence auditing (see `cxl_fabric::audit`):
-    /// every subsequent pool access by agents, devices, and the
-    /// orchestrator is checked for stale reads, lost writes,
-    /// write-write conflicts, and torn reads.
-    pub fn enable_audit(&mut self) {
-        self.fabric.enable_audit(cxl_fabric::AuditConfig::default());
-    }
-
-    /// Like [`PodSim::enable_audit`] but with an explicit analysis
-    /// mode (`AuditMode::VectorClock` turns on the happens-before race
-    /// detector; the CLI surfaces this as `--audit=vc`).
+    /// Turns on fabric coherence auditing (see `cxl_fabric::audit`) in
+    /// analysis `mode`: every subsequent pool access by agents,
+    /// devices, and the orchestrator is checked for stale reads, lost
+    /// writes, write-write conflicts, and torn reads;
+    /// `AuditMode::VectorClock` adds the happens-before race detector.
     pub fn enable_audit_mode(&mut self, mode: cxl_fabric::AuditMode) {
         self.fabric.enable_audit(cxl_fabric::AuditConfig {
             mode,
@@ -220,19 +212,12 @@ impl PodSim {
         self.fabric.race_report()
     }
 
-    /// Turns on the pod-wide flight recorder (see `simkit::trace`):
-    /// every subsequent client operation leaves a causal span chain —
-    /// payload staging, protocol encode, channel send/poll, agent
-    /// dispatch, doorbell, device + DMA execution, completion delivery
-    /// — exportable with [`PodSim::export_trace`]. Honours
-    /// `CXL_TRACE=full` / `CXL_TRACE_CAPACITY` via
-    /// [`TraceConfig::default`].
-    pub fn enable_trace(&mut self) {
-        self.fabric.enable_trace(TraceConfig::default());
-    }
-
-    /// Like [`PodSim::enable_trace`] but with an explicit
-    /// configuration (capacity, per-access fabric spans).
+    /// Turns on the pod-wide flight recorder (see `simkit::trace`) with
+    /// `config` (capacity, per-access fabric spans): every subsequent
+    /// client operation leaves a causal span chain — payload staging,
+    /// protocol encode, channel send/poll, agent dispatch, doorbell,
+    /// device + DMA execution, completion delivery — exportable with
+    /// [`PodSim::export_trace`].
     pub fn enable_trace_config(&mut self, config: TraceConfig) {
         self.fabric.enable_trace(config);
     }
@@ -257,20 +242,14 @@ impl PodSim {
             .map(|t| t.export_chrome_json_with(&counters))
     }
 
-    /// Turns on the pod-wide metrics plane (see `simkit::metrics`): a
-    /// simulated-time sampler records per-host CPU/queue occupancy,
-    /// per-domain and per-MHD capacity, per-link bandwidth
-    /// utilisation, audit violation counts and orchestrator events at
-    /// a fixed interval. Honours `CXL_METRICS=<interval>` /
-    /// `CXL_METRICS_CAPACITY` via [`MetricsConfig::default`].
-    /// Sampling is observation-only: it never advances any simulated
-    /// clock, so metrics-on runs stay bit-identical in simulated time.
-    pub fn enable_metrics(&mut self) {
-        self.enable_metrics_config(MetricsConfig::default());
-    }
-
-    /// Like [`PodSim::enable_metrics`] but with an explicit
-    /// configuration (interval, sample-ring capacity).
+    /// Turns on the pod-wide metrics plane (see `simkit::metrics`) with
+    /// `config` (interval, sample-ring capacity): a simulated-time
+    /// sampler records per-host CPU/queue occupancy, per-domain and
+    /// per-MHD capacity, per-link bandwidth utilisation, audit
+    /// violation counts, orchestrator events and migration blackouts at
+    /// a fixed interval. Sampling is observation-only: it never
+    /// advances any simulated clock, so metrics-on runs stay
+    /// bit-identical in simulated time.
     pub fn enable_metrics_config(&mut self, config: MetricsConfig) {
         self.fabric.enable_metrics(config);
         self.register_pod_metrics();
@@ -333,7 +312,7 @@ impl PodSim {
             audit_violations: rec.counter("audit/violations", Labels::NONE),
             orch_migrations: rec.counter("orch/migrations", Labels::NONE),
             orch_failovers: rec.counter("orch/failovers", Labels::NONE),
-            lifecycle_blackout: rec.histogram("lifecycle/blackout_ns", Labels::NONE),
+            lifecycle_blackout: rec.counter("lifecycle/blackout_ns", Labels::NONE),
             lifecycle_in_flight: rec.gauge("lifecycle/in_flight_migrations", Labels::NONE),
         };
         for h in 0..hosts {
@@ -414,6 +393,7 @@ impl PodSim {
             .map_or(0.0, |r| r.counts.total() as f64);
         let migrations = self.orch.migrations as f64;
         let failovers = self.orch.failover_log.len() as f64;
+        let blackouts = self.lifecycle.blackout.count() as f64;
         let in_flight = self.lifecycle.in_flight as f64;
         if let Some(rec) = self.fabric.metrics_mut() {
             for (i, &id) in ids.host_served.iter().enumerate() {
@@ -444,6 +424,7 @@ impl PodSim {
             rec.gauge_set(ids.audit_violations, violations);
             rec.gauge_set(ids.orch_migrations, migrations);
             rec.gauge_set(ids.orch_failovers, failovers);
+            rec.gauge_set(ids.lifecycle_blackout, blackouts);
             rec.gauge_set(ids.lifecycle_in_flight, in_flight);
             rec.sample(now);
         }
@@ -531,7 +512,7 @@ impl PodSim {
         }
 
         // Orchestrator on host 0, linked to every agent.
-        let mut orch = Orchestrator::new(HostId(0), params.policy, params.seed);
+        let mut orch = Orchestrator::new(HostId(0), params.policy);
         orch.set_exact_polling(params.exact_polling);
         let mut orch_segs = Vec::new();
         for h in 0..params.hosts {
@@ -705,10 +686,10 @@ impl PodSim {
 
     /// Records one migration blackout window — the single accounting
     /// point shared by connection migration and whole-tenant lifecycle
-    /// migration: the pod-wide blackout histogram, the
-    /// `lifecycle/blackout_ns` metric (when the plane is on) and a
-    /// `lifecycle/migrate` span on the orchestrator host's CPU track
-    /// (when tracing). Observation-only: no simulated clock moves.
+    /// migration: the pod-wide blackout histogram (which the
+    /// `lifecycle/blackout_ns` metric samples) and a `lifecycle/migrate`
+    /// span on the orchestrator host's CPU track (when tracing).
+    /// Observation-only: no simulated clock moves.
     pub(crate) fn record_migration_window(
         &mut self,
         op: u64,
@@ -727,10 +708,6 @@ impl PodSim {
                 quiesced_at,
                 resumed_at,
             );
-        }
-        let hist = self.metric_ids.as_ref().map(|ids| ids.lifecycle_blackout);
-        if let (Some(id), Some(rec)) = (hist, self.fabric.metrics_mut()) {
-            rec.observe(id, blackout.as_nanos());
         }
     }
 

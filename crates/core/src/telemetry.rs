@@ -405,7 +405,7 @@ mod tests {
         let mut params = PodParams::new(4, 2);
         params.ssd_hosts = vec![0];
         let mut pod = PodSim::new(params);
-        pod.enable_audit();
+        pod.enable_audit_mode(cxl_fabric::AuditMode::Version);
         pod.enable_trace_config(simkit::trace::TraceConfig {
             capacity: 1 << 12,
             fabric_ops: false,

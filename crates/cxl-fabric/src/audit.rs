@@ -120,6 +120,11 @@ pub enum AuditMode {
     VectorClock,
 }
 
+impl AuditMode {
+    /// Both analyses, for callers that check a protocol under each.
+    pub const ALL: [AuditMode; 2] = [AuditMode::Version, AuditMode::VectorClock];
+}
+
 /// An agent with its own ordering component in the vector-clock model.
 /// Each host contributes its CPU and its DMA attach point: devices are
 /// ordered against their attach host's CPU only through doorbell and
@@ -616,18 +621,11 @@ pub struct AuditConfig {
 }
 
 impl Default for AuditConfig {
-    /// Defaults to [`AuditMode::Version`]; set `CXL_AUDIT=vc` in the
-    /// environment to get vector clocks everywhere audit is enabled
-    /// with a default config (PodSim, the chaos/property suites).
+    /// [`AuditMode::Version`], keeping the first 1024 violations.
     fn default() -> AuditConfig {
-        // simlint: allow(wall-clock) -- sanctioned config entry point: CXL_AUDIT selects the analysis, never simulated behavior
-        let mode = match std::env::var("CXL_AUDIT").ok().as_deref() {
-            Some("vc") | Some("vclock") | Some("vector-clock") => AuditMode::VectorClock,
-            _ => AuditMode::Version,
-        };
         AuditConfig {
             max_recorded: 1024,
-            mode,
+            mode: AuditMode::Version,
         }
     }
 }
@@ -2456,8 +2454,8 @@ mod tests {
 
     const L: u64 = CACHELINE;
 
-    /// Version-mode config regardless of `CXL_AUDIT` (these tests pin
-    /// the single-version semantics).
+    /// Version-mode config (these tests pin the single-version
+    /// semantics).
     fn ver() -> AuditConfig {
         AuditConfig {
             mode: AuditMode::Version,
@@ -2465,7 +2463,7 @@ mod tests {
         }
     }
 
-    /// Vector-clock-mode config regardless of `CXL_AUDIT`.
+    /// Vector-clock-mode config.
     fn vc() -> AuditConfig {
         AuditConfig {
             mode: AuditMode::VectorClock,

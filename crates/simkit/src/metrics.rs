@@ -1,4 +1,4 @@
-//! Live metrics plane: a registry of named counters/gauges/histograms
+//! Live metrics plane: a registry of named counters and gauges
 //! sampled on a simulated-time tick into a bounded ring.
 //!
 //! Where the flight recorder ([`crate::trace`]) answers *where did one
@@ -8,14 +8,19 @@
 //! continuous telemetry a pooling operator watches, rather than an
 //! end-of-run summary.
 //!
+//! The plane samples stores; it owns none. Every value it records is
+//! read from a counter or state that already exists elsewhere (agent
+//! stats, the allocator, the orchestrator, a workload engine) and
+//! written with [`MetricsRecorder::gauge_set`] when a tick is due.
+//!
 //! Design constraints (the same contract as the recorder):
 //!
 //! - **Observation only.** Recording a value never advances a clock and
 //!   never branches simulated behavior; runs with metrics on and off
 //!   are bit-identical in simulated time.
-//! - **Allocation-light hot path.** [`MetricsRecorder::counter_add`] /
-//!   [`MetricsRecorder::gauge_set`] write one `f64` in a pre-allocated
-//!   slot. All allocation happens at registration and export time.
+//! - **Allocation-light hot path.** [`MetricsRecorder::gauge_set`]
+//!   writes one `f64` in a pre-allocated slot. All allocation happens
+//!   at registration and export time.
 //! - **Bounded.** Samples live in a chunked [`Arena`] capped at
 //!   [`MetricsConfig::capacity`]; overflow increments a drop counter
 //!   instead of growing the buffer ([`MetricsRecorder::dropped`]).
@@ -32,7 +37,6 @@
 //! ([`MetricsRecorder::export_json`]).
 
 use crate::arena::Arena;
-use crate::stats::{Histogram, TimeWeighted};
 use crate::time::Nanos;
 
 /// Handle to a registered metric; cheap to copy and store.
@@ -42,13 +46,10 @@ pub struct MetricId(u32);
 /// What a metric measures.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum MetricKind {
-    /// Monotonically accumulating total (sampled as the running sum).
+    /// A monotonically accumulating total, sampled from its store.
     Counter,
-    /// Last-set instantaneous value.
+    /// An instantaneous value.
     Gauge,
-    /// Value distribution; the sampled timeline is the observation
-    /// count, the distribution itself is exported as a summary.
-    Histogram,
 }
 
 impl MetricKind {
@@ -57,7 +58,6 @@ impl MetricKind {
         match self {
             MetricKind::Counter => "counter",
             MetricKind::Gauge => "gauge",
-            MetricKind::Histogram => "histogram",
         }
     }
 }
@@ -167,13 +167,8 @@ impl Labels {
     }
 }
 
-/// Recorder construction parameters.
-///
-/// `Default` honours the environment, mirroring `CXL_TRACE`/`CXL_AUDIT`:
-/// `CXL_METRICS=<interval>` sets the sampling tick (`500us`, `2ms`,
-/// `1s`, or a bare nanosecond count; `1`/`on` selects the 1 ms
-/// default), and `CXL_METRICS_CAPACITY=<n>` overrides the sample-ring
-/// capacity.
+/// Recorder construction parameters. `Default` samples every 1 ms of
+/// simulated time into a ring of 65,536 samples.
 #[derive(Clone, Debug)]
 pub struct MetricsConfig {
     /// Simulated-time distance between samples.
@@ -185,57 +180,11 @@ pub struct MetricsConfig {
 
 impl Default for MetricsConfig {
     fn default() -> Self {
-        // simlint: allow(wall-clock) -- sanctioned config entry point: CXL_METRICS selects the sampling interval only, never simulated behavior
-        let interval = std::env::var("CXL_METRICS")
-            .ok()
-            .and_then(|v| parse_interval(&v))
-            .unwrap_or(Nanos::from_millis(1));
-        // simlint: allow(wall-clock) -- sanctioned config entry point: CXL_METRICS_CAPACITY sizes the sample ring, never simulated behavior
-        let capacity = std::env::var("CXL_METRICS_CAPACITY")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(1 << 16);
-        MetricsConfig { interval, capacity }
+        MetricsConfig {
+            interval: Nanos::from_millis(1),
+            capacity: 1 << 16,
+        }
     }
-}
-
-impl MetricsConfig {
-    /// True when the environment asks for metrics at all
-    /// (`CXL_METRICS` set to anything but empty/`0`/`off`), mirroring
-    /// `CXL_TRACE`.
-    pub fn env_enabled() -> bool {
-        !matches!(
-            // simlint: allow(wall-clock) -- sanctioned config entry point: CXL_METRICS toggles the sampler only
-            std::env::var("CXL_METRICS").as_deref(),
-            Err(_) | Ok("") | Ok("0") | Ok("off") | Ok("OFF")
-        )
-    }
-}
-
-/// Parses a sampling interval: `<n>ns`/`<n>us`/`<n>ms`/`<n>s` or a bare
-/// nanosecond count. `1` and `on` mean "enabled at the default", so
-/// they parse to `None` and the caller falls back.
-pub fn parse_interval(s: &str) -> Option<Nanos> {
-    let s = s.trim();
-    if s == "1" || s.eq_ignore_ascii_case("on") {
-        return None;
-    }
-    let (digits, scale) = if let Some(d) = s.strip_suffix("ns") {
-        (d, 1u64)
-    } else if let Some(d) = s.strip_suffix("us") {
-        (d, 1_000)
-    } else if let Some(d) = s.strip_suffix("ms") {
-        (d, 1_000_000)
-    } else if let Some(d) = s.strip_suffix('s') {
-        (d, 1_000_000_000)
-    } else {
-        (s, 1)
-    };
-    let n: u64 = digits.trim().parse().ok()?;
-    if n == 0 {
-        return None;
-    }
-    n.checked_mul(scale).map(Nanos)
 }
 
 /// One registered metric and its live value.
@@ -243,14 +192,8 @@ struct Metric {
     name: &'static str,
     labels: Labels,
     kind: MetricKind,
-    /// Counters: running total. Gauges: last set value. Histograms:
-    /// observation count.
+    /// The last value set.
     value: f64,
-    /// Time-weighted view fed at sample ticks, so exports can quote
-    /// averages consistent with [`TimeWeighted`] elsewhere.
-    tw: TimeWeighted,
-    /// Distribution, histogram metrics only.
-    hist: Option<Histogram>,
 }
 
 /// One sampled point: metric index, simulated time, value.
@@ -320,17 +263,11 @@ impl MetricsRecorder {
         {
             return MetricId(i as u32);
         }
-        let hist = match kind {
-            MetricKind::Histogram => Some(Histogram::new()),
-            _ => None,
-        };
         self.metrics.push(Metric {
             name,
             labels,
             kind,
             value: 0.0,
-            tw: TimeWeighted::new(0.0),
-            hist,
         });
         MetricId(self.metrics.len() as u32 - 1)
     }
@@ -345,59 +282,11 @@ impl MetricsRecorder {
         self.register(name, MetricKind::Gauge, labels)
     }
 
-    /// Registers a histogram.
-    pub fn histogram(&mut self, name: &'static str, labels: Labels) -> MetricId {
-        self.register(name, MetricKind::Histogram, labels)
-    }
-
-    /// Adds to a counter's running total (hot path: one add).
-    pub fn counter_add(&mut self, id: MetricId, delta: f64) {
-        if let Some(m) = self.metrics.get_mut(id.0 as usize) {
-            m.value += delta;
-        }
-    }
-
-    /// Sets a gauge (hot path: one store).
+    /// Sets a metric's value from its store (hot path: one store).
     pub fn gauge_set(&mut self, id: MetricId, value: f64) {
         if let Some(m) = self.metrics.get_mut(id.0 as usize) {
             m.value = value;
         }
-    }
-
-    /// Records one observation into a histogram metric; the sampled
-    /// timeline tracks the observation count.
-    pub fn observe(&mut self, id: MetricId, value: u64) {
-        if let Some(m) = self.metrics.get_mut(id.0 as usize) {
-            if let Some(h) = m.hist.as_mut() {
-                h.record(value);
-                m.value = h.count() as f64;
-            }
-        }
-    }
-
-    /// Looks up a registered metric by identity, without registering.
-    pub fn find(&self, name: &str, labels: Labels) -> Option<MetricId> {
-        self.metrics
-            .iter()
-            .position(|m| m.name == name && m.labels == labels)
-            .map(|i| MetricId(i as u32))
-    }
-
-    /// A metric's current (unsampled) value.
-    pub fn value(&self, id: MetricId) -> f64 {
-        self.metrics.get(id.0 as usize).map_or(0.0, |m| m.value)
-    }
-
-    /// The time-weighted view of a metric, fed at sample ticks.
-    pub fn time_weighted(&self, id: MetricId) -> Option<&TimeWeighted> {
-        self.metrics.get(id.0 as usize).map(|m| &m.tw)
-    }
-
-    /// The distribution behind a histogram metric, if any.
-    pub fn histogram_of(&self, id: MetricId) -> Option<&Histogram> {
-        self.metrics
-            .get(id.0 as usize)
-            .and_then(|m| m.hist.as_ref())
     }
 
     /// True when simulated time `now` has reached the next sampling
@@ -414,8 +303,7 @@ impl MetricsRecorder {
         if now < self.next_tick {
             return;
         }
-        for (i, m) in self.metrics.iter_mut().enumerate() {
-            m.tw.set(now, m.value);
+        for (i, m) in self.metrics.iter().enumerate() {
             if self.samples.len() < self.config.capacity {
                 self.samples.push(Sample {
                     at: now,
@@ -667,17 +555,27 @@ mod tests {
     }
 
     #[test]
-    fn counters_accumulate_and_histograms_count() {
+    fn counters_and_gauges_sample_their_last_set_value() {
         let mut m = MetricsRecorder::new(cfg(10, 64));
         let c = m.counter("c", Labels::NONE);
-        let h = m.histogram("h", Labels::NONE);
-        m.counter_add(c, 2.0);
-        m.counter_add(c, 3.0);
-        m.observe(h, 50);
-        m.observe(h, 70);
-        assert_eq!(m.value(c), 5.0);
-        assert_eq!(m.value(h), 2.0);
-        assert_eq!(m.histogram_of(h).expect("hist").max(), 70);
+        let g = m.gauge("g", Labels::NONE);
+        m.gauge_set(c, 2.0);
+        m.gauge_set(c, 5.0);
+        m.gauge_set(g, 7.0);
+        m.sample(Nanos(10));
+        let got: Vec<(&str, MetricKind, f64)> = m
+            .series()
+            .iter()
+            .flat_map(|s| s.points.iter().map(|&(_, v)| (s.name, s.kind, v)))
+            .collect();
+        assert_eq!(
+            got,
+            vec![
+                ("c", MetricKind::Counter, 5.0),
+                ("g", MetricKind::Gauge, 7.0)
+            ]
+        );
+        assert!(m.export_json().contains("\"kind\": \"counter\""));
     }
 
     #[test]
@@ -715,31 +613,12 @@ mod tests {
     }
 
     #[test]
-    fn time_weighted_agrees_with_sampler() {
-        // Drive the recorder and an independent TimeWeighted with the
-        // same (tick, value) schedule: the recorder's internal view
-        // must match exactly.
-        let mut m = MetricsRecorder::new(cfg(100, 64));
-        let g = m.gauge("g", Labels::NONE);
-        let mut tw = TimeWeighted::new(0.0);
-        for (t, v) in [(100u64, 4.0f64), (200, 8.0), (300, 2.0)] {
-            m.gauge_set(g, v);
-            m.sample(Nanos(t));
-            tw.set(Nanos(t), v);
-        }
-        let ours = m.time_weighted(g).expect("registered");
-        assert_eq!(ours.current(), tw.current());
-        assert_eq!(ours.peak(), tw.peak());
-        assert_eq!(ours.average(Nanos(400)), tw.average(Nanos(400)));
-    }
-
-    #[test]
     fn exports_are_stable_and_well_formed() {
         let mut m = MetricsRecorder::new(cfg(10, 64));
         let g = m.gauge("domain/free_bytes", Labels::domain(1));
         let c = m.counter("tenant/completed", Labels::tenant(2));
         m.gauge_set(g, 1024.0);
-        m.counter_add(c, 3.0);
+        m.gauge_set(c, 3.0);
         m.sample(Nanos(10));
         let csv = m.export_csv();
         assert!(csv.starts_with("time_ns,name,host,domain,mhd,device,tenant,value\n"));
@@ -757,18 +636,5 @@ mod tests {
         // Identical recording -> byte-identical exports.
         let csv2 = m.export_csv();
         assert_eq!(csv, csv2);
-    }
-
-    #[test]
-    fn interval_parsing_accepts_units() {
-        assert_eq!(parse_interval("500ns"), Some(Nanos(500)));
-        assert_eq!(parse_interval("50us"), Some(Nanos(50_000)));
-        assert_eq!(parse_interval("2ms"), Some(Nanos(2_000_000)));
-        assert_eq!(parse_interval("1s"), Some(Nanos(1_000_000_000)));
-        assert_eq!(parse_interval("12345"), Some(Nanos(12_345)));
-        assert_eq!(parse_interval("1"), None);
-        assert_eq!(parse_interval("on"), None);
-        assert_eq!(parse_interval("bogus"), None);
-        assert_eq!(parse_interval("0"), None);
     }
 }

@@ -99,49 +99,24 @@ pub struct TraceEvent {
     pub note: Option<StrRef>,
 }
 
-/// Recorder construction parameters.
-///
-/// `Default` honours the environment, mirroring the audit switches:
-/// `CXL_TRACE=full` additionally records one span per fabric access,
-/// and `CXL_TRACE_CAPACITY=<n>` overrides the event-ring capacity.
+/// Recorder construction parameters. `Default` keeps 65,536 events
+/// and records no per-access fabric spans.
 #[derive(Clone, Debug)]
 pub struct TraceConfig {
     /// Maximum number of retained events; the buffer never grows past
     /// this, and overflow increments [`TraceRecorder::dropped`].
     pub capacity: usize,
     /// Also record a span for every individual fabric access (loads,
-    /// stores, flushes, DMA) — verbose; off unless `CXL_TRACE=full`.
+    /// stores, flushes, DMA) — verbose, so off by default.
     pub fabric_ops: bool,
 }
 
 impl Default for TraceConfig {
     fn default() -> Self {
-        // simlint: allow(wall-clock) -- sanctioned config entry point: CXL_TRACE_CAPACITY sizes the recorder, never simulated behavior
-        let capacity = std::env::var("CXL_TRACE_CAPACITY")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(1 << 16);
-        let fabric_ops = matches!(
-            // simlint: allow(wall-clock) -- sanctioned config entry point: CXL_TRACE selects recording verbosity only
-            std::env::var("CXL_TRACE").as_deref(),
-            Ok("full") | Ok("FULL")
-        );
         TraceConfig {
-            capacity,
-            fabric_ops,
+            capacity: 1 << 16,
+            fabric_ops: false,
         }
-    }
-}
-
-impl TraceConfig {
-    /// True when the environment asks for tracing at all
-    /// (`CXL_TRACE=1|on|full`), mirroring `CXL_AUDIT`.
-    pub fn env_enabled() -> bool {
-        matches!(
-            // simlint: allow(wall-clock) -- sanctioned config entry point: CXL_TRACE toggles the recorder only
-            std::env::var("CXL_TRACE").as_deref(),
-            Ok("1") | Ok("on") | Ok("ON") | Ok("full") | Ok("FULL")
-        )
     }
 }
 

@@ -179,7 +179,10 @@ pub fn lint_workspace(root: &Path) -> io::Result<Report> {
         n_files += 1;
     }
     findings.extend(check_policy_sync(root));
-    findings.extend(check_wall_clock_allowlist(&wall_clock_sites));
+    findings.extend(check_wall_clock_allowlist(
+        &wall_clock_sites,
+        rules::wall_clock::ALLOWLIST,
+    ));
     sort_findings(&mut findings);
     Ok(Report {
         findings,
@@ -259,12 +262,16 @@ fn count_wall_clock_allows(rel_path: &str, src: &str) -> usize {
 
 /// The `wall-clock-allowlist` self-check: the per-file counts of
 /// sanctioned `allow(wall-clock)` directives found in
-/// simulation-production code must match
-/// [`rules::wall_clock::ALLOWLIST`] exactly. A new suppression — even
-/// in a file that already has some — is drift until the allowlist is
-/// edited to sanction it; a stale allowlist entry is drift too.
-pub fn check_wall_clock_allowlist(sites: &[(String, usize)]) -> Vec<Diagnostic> {
-    let expected: BTreeMap<&str, usize> = rules::wall_clock::ALLOWLIST.iter().copied().collect();
+/// simulation-production code must match `allowlist` (the workspace
+/// lint passes [`rules::wall_clock::ALLOWLIST`]) exactly. A new
+/// suppression — even in a file that already has some — is drift until
+/// the allowlist is edited to sanction it; a stale allowlist entry is
+/// drift too.
+pub fn check_wall_clock_allowlist(
+    sites: &[(String, usize)],
+    allowlist: &[(&str, usize)],
+) -> Vec<Diagnostic> {
+    let expected: BTreeMap<&str, usize> = allowlist.iter().copied().collect();
     let found: BTreeMap<&str, usize> = sites.iter().map(|(p, n)| (p.as_str(), *n)).collect();
     let diag = |path: &str, msg: String| Diagnostic {
         rule: "wall-clock-allowlist",

@@ -4,10 +4,8 @@
 //! entropy. `Instant::now`/`SystemTime` tie results to the host,
 //! `thread::spawn` introduces scheduling nondeterminism, `thread_rng`
 //! is OS-seeded, and `std::env` reads make behavior depend on the
-//! invoking shell. The sanctioned config entry points (`CXL_AUDIT`,
-//! `CXL_TRACE*` reads in `cxl-fabric`/`simkit`) carry reasoned
-//! `allow(wall-clock)` suppressions — the policy stays visible at the
-//! call site.
+//! invoking shell. Every audit, trace and metrics setting is passed in
+//! by its caller, so no simulation crate has a sanctioned exception.
 
 use crate::diag::Diagnostic;
 use crate::source::FileCtx;
@@ -18,16 +16,12 @@ use super::{diag_at, match_seq};
 const ENV_READS: &[&str] = &["var", "var_os", "vars", "vars_os"];
 
 /// Every sanctioned `allow(wall-clock)` site in simulation-production
-/// code, as (workspace-relative path, directive count). The workspace
-/// self-check (`wall-clock-allowlist`) fails when a file drifts from
-/// this table in either direction, so a new wall-clock read cannot
-/// ride in silently on an already-exempted file — adding one means
-/// editing this list, which is what review is for.
-pub const ALLOWLIST: &[(&str, usize)] = &[
-    ("crates/cxl-fabric/src/audit.rs", 1),
-    ("crates/simkit/src/metrics.rs", 3),
-    ("crates/simkit/src/trace.rs", 3),
-];
+/// code, as (workspace-relative path, directive count): none today. The
+/// workspace self-check (`wall-clock-allowlist`) fails when a file
+/// drifts from this table in either direction, so a new wall-clock
+/// read cannot ride in silently — adding one means editing this list,
+/// which is what review is for.
+pub const ALLOWLIST: &[(&str, usize)] = &[];
 
 /// Runs the rule over one file.
 pub fn check(ctx: &FileCtx, out: &mut Vec<Diagnostic>) {

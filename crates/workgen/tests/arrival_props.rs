@@ -7,10 +7,9 @@ use workgen::{Arrival, Engine, OpKind, SloSpec, TenantSpec, WorkloadSpec};
 
 use cxl_pool_core::pod::{PodParams, PodSim};
 
-fn small_pod(seed: u64) -> PodSim {
+fn small_pod() -> PodSim {
     let mut p = PodParams::new(4, 2);
     p.ssd_hosts = vec![0];
-    p.seed = seed;
     PodSim::new(p)
 }
 
@@ -105,7 +104,7 @@ proptest! {
             fault: None,
             churn: None,
         };
-        let mut pod = small_pod(seed);
+        let mut pod = small_pod();
         let report = Engine::new(seed).run(&mut pod, &spec);
         let t = &report.tenants[0];
         prop_assert!(

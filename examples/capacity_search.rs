@@ -17,14 +17,13 @@ use cxl_pcie_pool::workgen::{
     WorkloadSpec,
 };
 
-fn build_pod(seed: u64) -> PodSim {
+fn build_pod() -> PodSim {
     // 6 hosts over 2 MHDs; SSDs attach to hosts 0–1, the accelerator
     // to host 2, NICs everywhere. Tenants run on the *other* hosts, so
     // most operations take the MMIO-forwarded remote path.
     let mut p = PodParams::new(6, 2);
     p.ssd_hosts = vec![0, 1];
     p.accel_hosts = vec![2];
-    p.seed = seed;
     PodSim::new(p)
 }
 
@@ -116,7 +115,7 @@ fn main() {
 
     // 1. One fixed-rate run: is 25k pps comfortable for this pod?
     println!("== single run at 25,000 pps (seed {seed}) ==");
-    let mut pod = build_pod(seed);
+    let mut pod = build_pod();
     let report = Engine::new(seed).run(&mut pod, &spec(25_000.0));
     print_report(&report);
 
@@ -129,7 +128,7 @@ fn main() {
         iters: 5,
     };
     println!("\n== capacity search, clean pod ==");
-    let clean = workgen::capacity::search(|| build_pod(seed), &spec(25_000.0), &cfg, seed);
+    let clean = workgen::capacity::search(build_pod, &spec(25_000.0), &cfg, seed);
     for t in &clean.trials {
         println!(
             "  trial {:>8.0} pps → {} (worst: {} at {} ns)",
@@ -153,7 +152,7 @@ fn main() {
         Nanos::from_micros(100),
     ));
     println!("\n== capacity search, MHD 1 fails mid-run ==");
-    let degraded = workgen::capacity::search(|| build_pod(seed), &faulted, &cfg, seed);
+    let degraded = workgen::capacity::search(build_pod, &faulted, &cfg, seed);
     println!("  capacity: {:.0} pps", degraded.capacity_pps);
 
     let loss = 100.0 * (1.0 - degraded.capacity_pps / clean.capacity_pps.max(1.0));

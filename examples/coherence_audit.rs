@@ -13,7 +13,6 @@
 //! DMA race — which returns *fresh bytes* and is invisible to version
 //! tracking — and reclassifies the unordered stale read as a
 //! `ConcurrentConflict` carrying both actors' clock snapshots.
-//! (`CXL_AUDIT=vc` selects the same mode via the environment.)
 
 use cxl_fabric::{AuditConfig, AuditMode, Fabric, FabricError, HostId, PodConfig};
 use simkit::Nanos;
@@ -22,7 +21,7 @@ fn main() -> Result<(), FabricError> {
     let mode = if std::env::args().any(|a| a == "--audit=vc") {
         AuditMode::VectorClock
     } else {
-        AuditConfig::default().mode // Version, unless CXL_AUDIT=vc is set
+        AuditMode::Version
     };
     let mut fabric = Fabric::new(PodConfig::new(2, 2, 2));
     fabric.enable_audit(AuditConfig {
@@ -81,7 +80,7 @@ fn main() -> Result<(), FabricError> {
     }
 
     // The same switches exist one level up, on the whole-pod simulator:
-    // `PodSim::enable_audit()` / `PodSim::enable_audit_mode()` /
-    // `PodSim::audit_finalize()` / `PodSim::race_report()`.
+    // `PodSim::enable_audit_mode()` / `PodSim::audit_finalize()` /
+    // `PodSim::race_report()`.
     Ok(())
 }

@@ -9,6 +9,8 @@ use cxl_fabric::HostId;
 use cxl_pcie_pool::pool::pod::{PodParams, PodSim};
 use cxl_pcie_pool::pool::telemetry;
 use cxl_pcie_pool::pool::vdev::DeviceKind;
+use cxl_pcie_pool::simkit::metrics::MetricsConfig;
+use cxl_pcie_pool::simkit::trace::TraceConfig;
 use cxl_pcie_pool::simkit::Nanos;
 
 fn main() {
@@ -22,12 +24,10 @@ fn main() {
     pod.enable_audit_mode(cxl_fabric::AuditMode::VectorClock);
     // Flight recorder: the report ends with per-stage latency
     // attribution (p50/p99/max per datapath stage and device kind).
-    pod.enable_trace();
-    // Metrics plane (CXL_METRICS=<interval>): sampled pod timelines
-    // render as a sparkline table after the stage-latency block.
-    if cxl_pcie_pool::simkit::metrics::MetricsConfig::env_enabled() {
-        pod.enable_metrics();
-    }
+    pod.enable_trace_config(TraceConfig::default());
+    // Metrics plane, sampled every 1 ms of simulated time: pod
+    // timelines render as a sparkline table after the stage-latency block.
+    pod.enable_metrics_config(MetricsConfig::default());
 
     // Mixed traffic from every host.
     for round in 0..5u32 {

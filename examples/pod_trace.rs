@@ -8,17 +8,16 @@
 //! cargo run --release --example pod_trace            # writes pod_trace.json
 //! cargo run --release --example pod_trace -- --check # also validates the file
 //! cargo run --release --example pod_trace -- --out /tmp/t.json
-//! cargo run --release --example pod_trace -- --seed 9  # reseed the pod's policy RNG
 //! cargo run --release --example pod_trace -- --metrics # + counter tracks & CSV
 //! ```
 //!
 //! With `--metrics` the sampled metrics plane is enabled too: gauges
 //! land as Perfetto counter tracks in the same JSON, and the raw
 //! samples go to a CSV next to it (`--metrics-out`, default
-//! `pod_trace_metrics.csv`). The sampling interval follows
-//! `CXL_METRICS` when set.
+//! `pod_trace_metrics.csv`). The run lasts a few hundred microseconds of
+//! simulated time, so the sampler ticks every 10 µs.
 
-use cxl_fabric::HostId;
+use cxl_fabric::{AuditMode, HostId};
 use cxl_pcie_pool::pool::pod::{PodParams, PodSim};
 use cxl_pcie_pool::pool::telemetry;
 use cxl_pcie_pool::pool::vdev::DeviceKind;
@@ -30,7 +29,7 @@ use serde_json::Value;
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let check = args.iter().any(|a| a == "--check");
-    let metrics = args.iter().any(|a| a == "--metrics") || MetricsConfig::env_enabled();
+    let metrics = args.iter().any(|a| a == "--metrics");
     let out_path = args
         .iter()
         .position(|a| a == "--out")
@@ -43,35 +42,23 @@ fn main() {
         .and_then(|i| args.get(i + 1))
         .cloned()
         .unwrap_or_else(|| "pod_trace_metrics.csv".to_string());
-    let seed: u64 = args
-        .iter()
-        .position(|a| a == "--seed")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(7);
 
     let mut params = PodParams::new(6, 2);
     params.ssd_hosts = vec![0, 1];
     params.accel_hosts = vec![2];
-    params.seed = seed;
     let mut pod = PodSim::new(params);
-    // The example exists to produce a trace, so record unconditionally
-    // — including the verbose per-access fabric spans — rather than
-    // depending on CXL_TRACE being set.
+    // The example exists to produce a trace, so record everything,
+    // including the verbose per-access fabric spans.
     pod.enable_trace_config(TraceConfig {
         fabric_ops: true,
         ..TraceConfig::default()
     });
-    pod.enable_audit();
+    pod.enable_audit_mode(AuditMode::Version);
     if metrics {
-        let mut mc = MetricsConfig::default();
-        if !MetricsConfig::env_enabled() {
-            // Bare `--metrics` without CXL_METRICS: the example's whole
-            // run is a few hundred microseconds, so sample well below
-            // the 1 ms default to get a useful timeline.
-            mc.interval = Nanos::from_micros(10);
-        }
-        pod.enable_metrics_config(mc);
+        pod.enable_metrics_config(MetricsConfig {
+            interval: Nanos::from_micros(10),
+            ..MetricsConfig::default()
+        });
     }
 
     // Mixed traffic. Hosts 3-5 own no devices, so their operations take

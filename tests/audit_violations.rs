@@ -14,10 +14,10 @@ use simkit::Nanos;
 
 const LINE: u64 = 64;
 
-/// Version-mode audit config regardless of `CXL_AUDIT`: the provenance
-/// assertions below are about the single-version scheme's exact
-/// reports (the vector-clock analysis reclassifies some of them as
-/// races — covered by the `*_concurrent_conflict` tests).
+/// Version-mode audit config: the provenance assertions below are
+/// about the single-version scheme's exact reports (the vector-clock
+/// analysis reclassifies some of them as races — covered by the
+/// `*_concurrent_conflict` tests).
 fn version_cfg() -> AuditConfig {
     AuditConfig {
         mode: AuditMode::Version,
@@ -317,37 +317,44 @@ fn dma_read_around_remote_dirty_line_fires_stale_read() {
 /// its retries must not be reported as hazards.
 #[test]
 fn seqlock_retry_loop_is_audit_clean() {
-    let mut f = Fabric::new(PodConfig::new(2, 2, 2));
-    f.enable_audit(AuditConfig::default());
-    // (Deliberately env-sensitive: the seqlock protocol must be clean
-    // in both audit modes.)
-    let mut lock =
-        SeqLock::allocate(&mut f, &[HostId(0), HostId(1)], HostId(0), 256).expect("alloc");
-    let mut t = Nanos(0);
-    for round in 0..8u8 {
-        let data = vec![round; 256];
-        let done = lock.publish(&mut f, t, &data).expect("publish");
-        // Read from mid-publish (tolerated torn window) and settled.
-        let mid = t + (done - t) / 2;
-        match lock.read(&mut f, mid, HostId(1)).expect("read") {
-            ReadOutcome::Snapshot { data: got, .. } => {
-                assert!(got.iter().all(|&b| b == round) || got.iter().all(|&b| b + 1 == round));
+    for mode in AuditMode::ALL {
+        // The seqlock protocol must be clean in both audit modes.
+        let mut f = Fabric::new(PodConfig::new(2, 2, 2));
+        f.enable_audit(AuditConfig {
+            mode,
+            ..AuditConfig::default()
+        });
+        let mut lock =
+            SeqLock::allocate(&mut f, &[HostId(0), HostId(1)], HostId(0), 256).expect("alloc");
+        let mut t = Nanos(0);
+        for round in 0..8u8 {
+            let data = vec![round; 256];
+            let done = lock.publish(&mut f, t, &data).expect("publish");
+            // Read from mid-publish (tolerated torn window) and settled.
+            let mid = t + (done - t) / 2;
+            match lock.read(&mut f, mid, HostId(1)).expect("read") {
+                ReadOutcome::Snapshot { data: got, .. } => {
+                    assert!(
+                        got.iter().all(|&b| b == round) || got.iter().all(|&b| b + 1 == round),
+                        "{mode:?}: snapshot of round {round} mixes versions"
+                    );
+                }
+                ReadOutcome::Torn(_) => {}
             }
-            ReadOutcome::Torn(_) => {}
+            let (_, got, at) = lock
+                .read_consistent(&mut f, done, HostId(1), done + Nanos::from_micros(100))
+                .expect("read")
+                .expect("snapshot");
+            assert_eq!(got, data, "{mode:?}");
+            t = at;
         }
-        let (_, got, at) = lock
-            .read_consistent(&mut f, done, HostId(1), done + Nanos::from_micros(100))
-            .expect("read")
-            .expect("snapshot");
-        assert_eq!(got, data);
-        t = at;
+        let report = f.audit_finalize(t).expect("audit on");
+        assert!(
+            report.is_clean(),
+            "{mode:?} seqlock violations:\n{}",
+            report.render()
+        );
     }
-    let report = f.audit_finalize(t).expect("audit on");
-    assert!(
-        report.is_clean(),
-        "seqlock violations:\n{}",
-        report.render()
-    );
 }
 
 /// Counters keep counting past the recording cap; nothing is lost

@@ -7,8 +7,11 @@
 //!    recovers within a bounded number of retries.
 //! 3. The orchestrator's registry never routes a host to a device it
 //!    believes is down.
+//!
+//! Each scenario runs under both coherence-audit analyses and must stay
+//! audit-clean in each.
 
-use cxl_fabric::HostId;
+use cxl_fabric::{AuditMode, HostId};
 use cxl_pcie_pool::pool::pod::{PodParams, PodSim};
 use cxl_pcie_pool::pool::vdev::DeviceKind;
 use simkit::rng::Rng;
@@ -20,11 +23,15 @@ fn deadline(pod: &PodSim) -> Nanos {
 
 #[test]
 fn random_failures_never_corrupt_traffic() {
+    for mode in AuditMode::ALL {
+        random_failures_under(mode);
+    }
+}
+
+fn random_failures_under(mode: AuditMode) {
     let mut rng = Rng::new(0xC8A0);
-    let mut params = PodParams::new(6, 3);
-    params.seed = 0xC8A0;
-    let mut pod = PodSim::new(params);
-    pod.enable_audit();
+    let mut pod = PodSim::new(PodParams::new(6, 3));
+    pod.enable_audit_mode(mode);
     let nics = pod.orch.devices_of(DeviceKind::Nic);
     let mut down: Vec<bool> = vec![false; nics.len()];
     let mut sent = 0u64;
@@ -67,33 +74,45 @@ fn random_failures_never_corrupt_traffic() {
                     Err(_) => pod.run_control(Nanos::from_micros(300)),
                 }
             }
-            assert!(ok, "host {h} starved in round {round} (down: {down:?})");
+            assert!(
+                ok,
+                "{mode:?}: host {h} starved in round {round} (down: {down:?})"
+            );
             delivered += 1;
             // Verify the frame on whichever NIC carried it.
             let dev = pod.binding(host, DeviceKind::Nic).expect("bound");
             let frames = pod.take_frames(dev);
             let found = frames.iter().any(|f| f.bytes == payload);
-            assert!(found, "host {h} round {round}: payload corrupted or lost");
+            assert!(
+                found,
+                "{mode:?}: host {h} round {round}: payload corrupted or lost"
+            );
         }
     }
-    assert_eq!(sent, delivered);
-    assert!(sent >= 720);
+    assert_eq!(sent, delivered, "{mode:?}");
+    assert!(sent >= 720, "{mode:?}: only {sent} sends");
     // Even under chaos the protocols must follow the coherence
     // discipline to the letter.
     let report = pod.audit_finalize().expect("audit on");
     assert!(
         report.is_clean(),
-        "coherence violations:\n{}",
+        "{mode:?} coherence violations:\n{}",
         report.render()
     );
-    assert!(report.ops_audited > 0, "audit saw no traffic");
+    assert!(report.ops_audited > 0, "{mode:?}: audit saw no traffic");
 }
 
 #[test]
 fn orchestrator_never_binds_to_known_dead_devices() {
+    for mode in AuditMode::ALL {
+        dead_device_bindings_under(mode);
+    }
+}
+
+fn dead_device_bindings_under(mode: AuditMode) {
     let mut rng = Rng::new(0xC8A1);
     let mut pod = PodSim::new(PodParams::new(8, 4));
-    pod.enable_audit();
+    pod.enable_audit_mode(mode);
     let nics = pod.orch.devices_of(DeviceKind::Nic);
     for _ in 0..60 {
         let victim = nics[rng.below(nics.len() as u64) as usize];
@@ -105,7 +124,7 @@ fn orchestrator_never_binds_to_known_dead_devices() {
         for h in 0..8u16 {
             if let Some(dev) = pod.orch.assignment(HostId(h), DeviceKind::Nic) {
                 let info = pod.orch.device(dev).expect("registered");
-                assert!(info.up, "host {h} bound to dead {dev:?}");
+                assert!(info.up, "{mode:?}: host {h} bound to dead {dev:?}");
             }
         }
         // Repair someone at random so the pool doesn't drain.
@@ -115,18 +134,24 @@ fn orchestrator_never_binds_to_known_dead_devices() {
     let report = pod.audit_finalize().expect("audit on");
     assert!(
         report.is_clean(),
-        "coherence violations:\n{}",
+        "{mode:?} coherence violations:\n{}",
         report.render()
     );
 }
 
 #[test]
 fn mixed_device_chaos_keeps_all_kinds_functional() {
+    for mode in AuditMode::ALL {
+        mixed_device_chaos_under(mode);
+    }
+}
+
+fn mixed_device_chaos_under(mode: AuditMode) {
     let mut params = PodParams::new(6, 2);
     params.ssd_hosts = vec![0, 1];
     params.accel_hosts = vec![2, 3];
     let mut pod = PodSim::new(params);
-    pod.enable_audit();
+    pod.enable_audit_mode(mode);
     let mut rng = Rng::new(0xC8A2);
     let input: Vec<u8> = (0..128u32).map(|i| i as u8).collect();
     for round in 0..30u32 {
@@ -169,7 +194,7 @@ fn mixed_device_chaos_keeps_all_kinds_functional() {
         }
         assert!(
             nic_ok && ssd_ok && accel_ok,
-            "round {round}: nic={nic_ok} ssd={ssd_ok} accel={accel_ok} after failing {victim:?}"
+            "{mode:?} round {round}: nic={nic_ok} ssd={ssd_ok} accel={accel_ok} after failing {victim:?}"
         );
 
         match kind {
@@ -181,7 +206,7 @@ fn mixed_device_chaos_keeps_all_kinds_functional() {
     let report = pod.audit_finalize().expect("audit on");
     assert!(
         report.is_clean(),
-        "coherence violations:\n{}",
+        "{mode:?} coherence violations:\n{}",
         report.render()
     );
 }

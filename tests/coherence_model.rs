@@ -18,8 +18,8 @@
 //! (it tracks write *events*, so byte-identical overwrites still
 //! count), never less.
 //!
-//! Under `CXL_AUDIT=vc` the auditor runs the vector-clock analysis:
-//! an oracle-provable stale read whose missed write is *not*
+//! Every case runs under both audit analyses. Under the vector-clock
+//! analysis an oracle-provable stale read whose missed write is *not*
 //! happens-before-ordered with the reader is then (correctly) reported
 //! as a `ConcurrentConflict` instead of a `StaleRead`, so the
 //! cross-check accepts either counter advancing in that mode.
@@ -30,7 +30,7 @@
 
 use std::collections::HashMap;
 
-use cxl_fabric::{AuditMode, Fabric, HostId, PodConfig};
+use cxl_fabric::{AuditConfig, AuditMode, Fabric, HostId, PodConfig};
 use proptest::prelude::*;
 use simkit::Nanos;
 
@@ -140,159 +140,163 @@ proptest! {
 
     #[test]
     fn fabric_matches_the_coherence_oracle(ops in proptest::collection::vec(op_strategy(), 1..120)) {
-        let mut fabric = Fabric::new(PodConfig::new(2, 2, 2));
-        let audit_cfg = cxl_fabric::AuditConfig::default();
-        let vc_mode = audit_cfg.mode == AuditMode::VectorClock;
-        fabric.enable_audit(audit_cfg);
-        let seg = fabric
-            .alloc_shared(&[HostId(0), HostId(1)], LINES * LINE)
-            .expect("alloc");
-        let base = seg.base();
-        let mut oracle = Oracle::new(2);
-        let mut t = Nanos(0);
-        // Byte-oracle hazard bookkeeping for the auditor cross-check:
-        // a per-line count of visible writes, who wrote last, and the
-        // write count each host's dirty merge is based on.
-        let mut epoch = [0u64; LINES as usize];
-        let mut last_writer = [usize::MAX; LINES as usize];
-        let mut dirty_base: HashMap<(usize, u64), (u64, usize)> = HashMap::new();
+        for mode in AuditMode::ALL {
+            let mut fabric = Fabric::new(PodConfig::new(2, 2, 2));
+            let vc_mode = mode == AuditMode::VectorClock;
+            fabric.enable_audit(AuditConfig {
+                mode,
+                ..AuditConfig::default()
+            });
+            let seg = fabric
+                .alloc_shared(&[HostId(0), HostId(1)], LINES * LINE)
+                .expect("alloc");
+            let base = seg.base();
+            let mut oracle = Oracle::new(2);
+            let mut t = Nanos(0);
+            // Byte-oracle hazard bookkeeping for the auditor cross-check:
+            // a per-line count of visible writes, who wrote last, and the
+            // write count each host's dirty merge is based on.
+            let mut epoch = [0u64; LINES as usize];
+            let mut last_writer = [usize::MAX; LINES as usize];
+            let mut dirty_base: HashMap<(usize, u64), (u64, usize)> = HashMap::new();
 
-        for op in &ops {
-            let counts_before = fabric.audit_report().expect("audit on").counts;
-            match *op {
-                Op::Load { host, line } => {
-                    // Byte-provable staleness: the host will be served a
-                    // *clean* cached copy that differs from the pool.
-                    let off = (line as u64 * LINE) as usize;
-                    let provably_stale = oracle.caches[host as usize]
-                        .get(&(line as u64))
-                        .is_some_and(|(data, dirty)| {
-                            !dirty && data[..] != oracle.pool[off..off + LINE as usize]
-                        });
-                    let mut buf = [0u8; LINE as usize];
-                    t = fabric
-                        .load(t, HostId(host as u16), base + line as u64 * LINE, &mut buf)
-                        .expect("load");
-                    let expect = oracle.load(host as usize, line as u64);
-                    prop_assert_eq!(&buf[..], &expect[..], "load host {} line {}", host, line);
-                    if provably_stale {
-                        let counts = fabric.audit_report().expect("audit on").counts;
-                        let flagged = if vc_mode {
-                            // The missed write may be unordered with the
-                            // reader: then it is a race, not staleness.
-                            counts.stale_reads + counts.concurrent_conflicts
-                                > counts_before.stale_reads + counts_before.concurrent_conflicts
-                        } else {
-                            counts.stale_reads > counts_before.stale_reads
-                        };
-                        prop_assert!(
-                            flagged,
-                            "oracle-provable stale read not flagged (host {host} line {line})"
-                        );
-                    }
-                }
-                Op::Store { host, line, byte } => {
-                    // Both hosts dirty on one line is a provable race.
-                    let other = 1 - host as usize;
-                    let provable_ww = oracle.caches[other]
-                        .get(&(line as u64))
-                        .is_some_and(|&(_, dirty)| dirty);
-                    let was_dirty = oracle.caches[host as usize]
-                        .get(&(line as u64))
-                        .is_some_and(|&(_, dirty)| dirty);
-                    t = fabric
-                        .store(t, HostId(host as u16), base + line as u64 * LINE, &[byte; LINE as usize])
-                        .expect("store");
-                    oracle.store(host as usize, line as u64, byte);
-                    if !was_dirty {
-                        dirty_base.insert(
-                            (host as usize, line as u64),
-                            (epoch[line as usize], last_writer[line as usize]),
-                        );
-                    }
-                    if provable_ww {
-                        let counts = fabric.audit_report().expect("audit on").counts;
-                        prop_assert!(
-                            counts.ww_conflicts > counts_before.ww_conflicts,
-                            "oracle-provable write-write conflict not flagged (line {line})"
-                        );
-                    }
-                }
-                Op::NtStore { host, line, byte } => {
-                    t = fabric
-                        .nt_store(t, HostId(host as u16), base + line as u64 * LINE, &[byte; LINE as usize])
-                        .expect("nt_store");
-                    oracle.nt_store(host as usize, line as u64, byte);
-                    dirty_base.remove(&(host as usize, line as u64));
-                    epoch[line as usize] += 1;
-                    last_writer[line as usize] = host as usize;
-                }
-                Op::Flush { host, line } => {
-                    // Publishing a merge whose base predates another
-                    // host's visible write clobbers that write.
-                    let provable_clobber = oracle.caches[host as usize]
-                        .get(&(line as u64))
-                        .is_some_and(|&(_, dirty)| dirty)
-                        && dirty_base
-                            .get(&(host as usize, line as u64))
-                            .is_some_and(|&(base_epoch, _)| {
-                                epoch[line as usize] > base_epoch
-                                    && last_writer[line as usize] != host as usize
+            for op in &ops {
+                let counts_before = fabric.audit_report().expect("audit on").counts;
+                match *op {
+                    Op::Load { host, line } => {
+                        // Byte-provable staleness: the host will be served a
+                        // *clean* cached copy that differs from the pool.
+                        let off = (line as u64 * LINE) as usize;
+                        let provably_stale = oracle.caches[host as usize]
+                            .get(&(line as u64))
+                            .is_some_and(|(data, dirty)| {
+                                !dirty && data[..] != oracle.pool[off..off + LINE as usize]
                             });
-                    let was_dirty = oracle.caches[host as usize]
-                        .get(&(line as u64))
-                        .is_some_and(|&(_, dirty)| dirty);
-                    t = fabric
-                        .flush(t, HostId(host as u16), base + line as u64 * LINE, LINE)
-                        .expect("flush");
-                    oracle.flush(host as usize, line as u64);
-                    dirty_base.remove(&(host as usize, line as u64));
-                    if was_dirty {
+                        let mut buf = [0u8; LINE as usize];
+                        t = fabric
+                            .load(t, HostId(host as u16), base + line as u64 * LINE, &mut buf)
+                            .expect("load");
+                        let expect = oracle.load(host as usize, line as u64);
+                        prop_assert_eq!(&buf[..], &expect[..], "{:?} load host {} line {}", mode, host, line);
+                        if provably_stale {
+                            let counts = fabric.audit_report().expect("audit on").counts;
+                            let flagged = if vc_mode {
+                                // The missed write may be unordered with the
+                                // reader: then it is a race, not staleness.
+                                counts.stale_reads + counts.concurrent_conflicts
+                                    > counts_before.stale_reads + counts_before.concurrent_conflicts
+                            } else {
+                                counts.stale_reads > counts_before.stale_reads
+                            };
+                            prop_assert!(
+                                flagged,
+                                "{mode:?}: oracle-provable stale read not flagged (host {host} line {line})"
+                            );
+                        }
+                    }
+                    Op::Store { host, line, byte } => {
+                        // Both hosts dirty on one line is a provable race.
+                        let other = 1 - host as usize;
+                        let provable_ww = oracle.caches[other]
+                            .get(&(line as u64))
+                            .is_some_and(|&(_, dirty)| dirty);
+                        let was_dirty = oracle.caches[host as usize]
+                            .get(&(line as u64))
+                            .is_some_and(|&(_, dirty)| dirty);
+                        t = fabric
+                            .store(t, HostId(host as u16), base + line as u64 * LINE, &[byte; LINE as usize])
+                            .expect("store");
+                        oracle.store(host as usize, line as u64, byte);
+                        if !was_dirty {
+                            dirty_base.insert(
+                                (host as usize, line as u64),
+                                (epoch[line as usize], last_writer[line as usize]),
+                            );
+                        }
+                        if provable_ww {
+                            let counts = fabric.audit_report().expect("audit on").counts;
+                            prop_assert!(
+                                counts.ww_conflicts > counts_before.ww_conflicts,
+                                "{mode:?}: oracle-provable write-write conflict not flagged (line {line})"
+                            );
+                        }
+                    }
+                    Op::NtStore { host, line, byte } => {
+                        t = fabric
+                            .nt_store(t, HostId(host as u16), base + line as u64 * LINE, &[byte; LINE as usize])
+                            .expect("nt_store");
+                        oracle.nt_store(host as usize, line as u64, byte);
+                        dirty_base.remove(&(host as usize, line as u64));
                         epoch[line as usize] += 1;
                         last_writer[line as usize] = host as usize;
                     }
-                    if provable_clobber {
-                        // Settle so the clobbering write applies.
-                        let mut sink = [0u8; 1];
-                        fabric.peek_settled(base, &mut sink);
-                        let counts = fabric.audit_report().expect("audit on").counts;
-                        prop_assert!(
-                            counts.lost_writes > counts_before.lost_writes,
-                            "oracle-provable stale-base publish not flagged (line {line})"
-                        );
+                    Op::Flush { host, line } => {
+                        // Publishing a merge whose base predates another
+                        // host's visible write clobbers that write.
+                        let provable_clobber = oracle.caches[host as usize]
+                            .get(&(line as u64))
+                            .is_some_and(|&(_, dirty)| dirty)
+                            && dirty_base
+                                .get(&(host as usize, line as u64))
+                                .is_some_and(|&(base_epoch, _)| {
+                                    epoch[line as usize] > base_epoch
+                                        && last_writer[line as usize] != host as usize
+                                });
+                        let was_dirty = oracle.caches[host as usize]
+                            .get(&(line as u64))
+                            .is_some_and(|&(_, dirty)| dirty);
+                        t = fabric
+                            .flush(t, HostId(host as u16), base + line as u64 * LINE, LINE)
+                            .expect("flush");
+                        oracle.flush(host as usize, line as u64);
+                        dirty_base.remove(&(host as usize, line as u64));
+                        if was_dirty {
+                            epoch[line as usize] += 1;
+                            last_writer[line as usize] = host as usize;
+                        }
+                        if provable_clobber {
+                            // Settle so the clobbering write applies.
+                            let mut sink = [0u8; 1];
+                            fabric.peek_settled(base, &mut sink);
+                            let counts = fabric.audit_report().expect("audit on").counts;
+                            prop_assert!(
+                                counts.lost_writes > counts_before.lost_writes,
+                                "{mode:?}: oracle-provable stale-base publish not flagged (line {line})"
+                            );
+                        }
+                    }
+                    Op::Invalidate { host, line } => {
+                        // Dropping a dirty line discards the write.
+                        let provable_loss = oracle.caches[host as usize]
+                            .get(&(line as u64))
+                            .is_some_and(|&(_, dirty)| dirty);
+                        t = fabric.invalidate(t, HostId(host as u16), base + line as u64 * LINE, LINE);
+                        oracle.invalidate(host as usize, line as u64);
+                        dirty_base.remove(&(host as usize, line as u64));
+                        if provable_loss {
+                            let counts = fabric.audit_report().expect("audit on").counts;
+                            prop_assert!(
+                                counts.lost_writes > counts_before.lost_writes,
+                                "{mode:?}: oracle-provable discarded write not flagged (line {line})"
+                            );
+                        }
+                    }
+                    Op::DmaWrite { attach, line, byte } => {
+                        t = fabric
+                            .dma_write(t, HostId(attach as u16), base + line as u64 * LINE, &[byte; LINE as usize])
+                            .expect("dma");
+                        oracle.dma_write(attach as usize, line as u64, byte);
+                        dirty_base.remove(&(attach as usize, line as u64));
+                        epoch[line as usize] += 1;
+                        last_writer[line as usize] = attach as usize;
                     }
                 }
-                Op::Invalidate { host, line } => {
-                    // Dropping a dirty line discards the write.
-                    let provable_loss = oracle.caches[host as usize]
-                        .get(&(line as u64))
-                        .is_some_and(|&(_, dirty)| dirty);
-                    t = fabric.invalidate(t, HostId(host as u16), base + line as u64 * LINE, LINE);
-                    oracle.invalidate(host as usize, line as u64);
-                    dirty_base.remove(&(host as usize, line as u64));
-                    if provable_loss {
-                        let counts = fabric.audit_report().expect("audit on").counts;
-                        prop_assert!(
-                            counts.lost_writes > counts_before.lost_writes,
-                            "oracle-provable discarded write not flagged (line {line})"
-                        );
-                    }
-                }
-                Op::DmaWrite { attach, line, byte } => {
-                    t = fabric
-                        .dma_write(t, HostId(attach as u16), base + line as u64 * LINE, &[byte; LINE as usize])
-                        .expect("dma");
-                    oracle.dma_write(attach as usize, line as u64, byte);
-                    dirty_base.remove(&(attach as usize, line as u64));
-                    epoch[line as usize] += 1;
-                    last_writer[line as usize] = attach as usize;
-                }
+                // Settle so visibility timing never differs from the
+                // (timeless) oracle.
+                let mut sink = [0u8; 1];
+                fabric.peek_settled(base, &mut sink);
+                t += Nanos(1_000);
             }
-            // Settle so visibility timing never differs from the
-            // (timeless) oracle.
-            let mut sink = [0u8; 1];
-            fabric.peek_settled(base, &mut sink);
-            t += Nanos(1_000);
         }
     }
 }

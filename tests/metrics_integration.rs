@@ -1,14 +1,16 @@
 //! Metrics-plane integration: sampling must be pure observation
-//! (identical simulated behavior on and off), the sampled timelines
-//! must agree with the registry's time-weighted view, the sample ring
-//! must stay bounded with drops accounted, and the CSV/JSON exports
-//! must round-trip.
+//! (identical simulated behavior and workload reports on and off), the
+//! sample ring must stay bounded with drops accounted, and the CSV/JSON
+//! exports must round-trip.
 
+use bench::workload::{base_spec, pod_params};
+use bench::Scale;
 use cxl_fabric::HostId;
 use cxl_pcie_pool::pool::pod::{PodParams, PodSim};
 use cxl_pcie_pool::pool::telemetry;
+use cxl_pcie_pool::workgen::{Engine, RunReport};
 use serde_json::Value;
-use simkit::metrics::MetricsConfig;
+use simkit::metrics::{Labels, MetricsConfig};
 use simkit::Nanos;
 
 /// A pod where host 2 owns no devices: its SSD ops take the full
@@ -54,44 +56,51 @@ fn metrics_do_not_perturb_simulated_time() {
     assert_eq!(ats_off, ats_on, "metrics sampling shifted completion times");
 }
 
+/// The workload engine's `tenant/*` series: turning the plane on for
+/// the seed-42 quick bench baseline changes no number the run reports,
+/// and every tenant gets its four timelines.
 #[test]
-fn sampler_agrees_with_time_weighted_view() {
-    let mut pod = ssd_pod();
-    pod.enable_metrics_config(cfg(Nanos::from_micros(1), 1 << 14));
-    drive(&mut pod);
-
-    let free = pod.fabric.free_capacity() as f64;
-    let rec = pod.metrics().expect("metrics enabled");
-    assert!(rec.samples().next().is_some(), "sampler never ticked");
-
-    let series = rec.series();
-    let pool = series
-        .iter()
-        .find(|s| s.name == "pool/free_bytes")
-        .expect("pool gauge registered");
-    // The last sampled point is the live fabric reading...
-    let &(last_at, last_v) = pool.points.last().expect("sampled at least once");
-    assert_eq!(last_v, free, "sampled gauge lags the fabric");
-    // ... and the TimeWeighted view the sampler feeds reports the same
-    // current value and a consistent average over the sampled span.
-    let id = rec
-        .find("pool/free_bytes", simkit::metrics::Labels::NONE)
-        .expect("pool gauge registered");
-    let tw = rec.time_weighted(id).expect("time-weighted view exists");
-    assert_eq!(tw.current(), free);
-    // Step-integrate the sampled timeline (value 0 from registration at
-    // t=0 until the first tick, then each sampled value until the next
-    // tick): the TimeWeighted view must report exactly this average.
-    let mut integral = 0.0;
-    for w in pool.points.windows(2) {
-        integral += w[0].1 * (w[1].0.as_nanos() - w[0].0.as_nanos()) as f64;
-    }
-    let expect = integral / last_at.as_nanos() as f64;
-    let avg = tw.average(last_at);
-    assert!(
-        (avg - expect).abs() <= expect.abs() * 1e-9,
-        "time-weighted average {avg} disagrees with sampled integration {expect}"
+fn engine_tenant_metrics_leave_the_run_report_unchanged() {
+    let run = |metrics: bool| -> (RunReport, PodSim) {
+        let mut pod = PodSim::new(pod_params(42));
+        if metrics {
+            pod.enable_metrics_config(cfg(Nanos::from_micros(100), 1 << 16));
+        }
+        let report = Engine::new(42).run(&mut pod, &base_spec(Scale::Quick));
+        (report, pod)
+    };
+    let (off, _) = run(false);
+    let (on, pod) = run(true);
+    assert_eq!(
+        (off.ops, off.errors, off.elapsed),
+        (on.ops, on.errors, on.elapsed),
+        "metrics sampling changed ops, errors or elapsed time"
     );
+    assert_eq!(off.tenants.len(), on.tenants.len());
+    for (a, b) in off.tenants.iter().zip(&on.tenants) {
+        assert_eq!(
+            format!("{:?} {:?}", a.latency, a.verdict),
+            format!("{:?} {:?}", b.latency, b.verdict),
+            "metrics sampling changed tenant {}",
+            a.name
+        );
+    }
+
+    let series = pod.metrics().expect("metrics enabled").series();
+    for t in 0..on.tenants.len() as u16 {
+        for name in [
+            "tenant/in_flight",
+            "tenant/completed",
+            "tenant/errors",
+            "tenant/slo_attainment",
+        ] {
+            let points = series
+                .iter()
+                .find(|s| s.name == name && s.labels == Labels::tenant(t))
+                .map_or(0, |s| s.points.len());
+            assert!(points > 0, "{name} of tenant {t} has no sampled point");
+        }
+    }
 }
 
 #[test]

@@ -3,9 +3,11 @@
 //! EXPERIMENTS.md, regenerated by the `repro` binary.
 
 use cxl_fabric::{Fabric, FabricParams, HostId, PodConfig};
-use net_sim::experiment::{run_point, BufferMode, UdpConfig};
+use cxl_pool_core::pod::{PodParams, PodSim};
+use net_sim::experiment::{run_point, BufferMode, RemoteNicCosts, UdpConfig};
 use shmem::pingpong::{run as pingpong, PingPongConfig};
 use simkit::rng::Rng;
+use simkit::stats::Histogram;
 use simkit::Nanos;
 use stranding::erlang::paper_prediction;
 use stranding::packing::{pack_fleet, HostShape};
@@ -172,4 +174,34 @@ fn claim_software_coherence_is_mandatory() {
     let t = f.invalidate(t, HostId(1), seg.base(), 64);
     f.load(t, HostId(1), seg.base(), &mut buf).expect("load");
     assert_eq!(buf, [2u8; 64], "NT store must be visible after invalidate");
+}
+
+/// §4.1 MMIO forwarding, as Figure 3's remote-NIC path models it:
+/// `RemoteNicCosts::forward_latency` summarizes what forwarding adds to
+/// a send. Measured on the pod the way `repro orchestrator` does it —
+/// 200 closed-loop sends from a host with a local NIC and from one
+/// without — the p50 difference must stay within 20 % of the constant,
+/// so a datapath change that moves it cannot leave Figure 3 stale.
+#[test]
+fn claim_remote_nic_forward_latency_matches_the_pod() {
+    let mut pod = PodSim::new(PodParams::new(4, 2));
+    let mut local = Histogram::new();
+    let mut remote = Histogram::new();
+    for i in 0..200u32 {
+        for (host, hist) in [(HostId(0), &mut local), (HostId(3), &mut remote)] {
+            let t0 = pod.agents[host.0 as usize].clock();
+            let deadline = pod.time() + Nanos::from_millis(50);
+            let r = pod
+                .vnic_send(host, &[i as u8; 256], deadline)
+                .expect("send succeeds");
+            hist.record(r.at.saturating_sub(t0).as_nanos());
+            pod.agents[host.0 as usize].advance_clock(r.at);
+        }
+    }
+    let measured = remote.quantile(0.5) as f64 - local.quantile(0.5) as f64;
+    let modeled = RemoteNicCosts::default().forward_latency.as_nanos() as f64;
+    assert!(
+        (measured - modeled).abs() <= 0.2 * modeled,
+        "forwarding adds {measured} ns at p50 on the pod; RemoteNicCosts says {modeled} ns"
+    );
 }

@@ -5,12 +5,23 @@
 #![allow(clippy::disallowed_methods)]
 
 use cxl_fabric::sparse::SparseMem;
-use cxl_fabric::{Fabric, HostId, PodConfig};
+use cxl_fabric::{AuditConfig, AuditMode, Fabric, HostId, PodConfig};
 use proptest::prelude::*;
 use shmem::real::RealRing;
 use shmem::ring::{PollOutcome, RingBuf, SendOutcome};
 use simkit::stats::Histogram;
 use simkit::Nanos;
+
+/// A two-host fabric auditing every access in `mode`. The audited
+/// properties run under both analyses.
+fn audited_fabric(mode: AuditMode) -> Fabric {
+    let mut fabric = Fabric::new(PodConfig::new(2, 2, 2));
+    fabric.enable_audit(AuditConfig {
+        mode,
+        ..AuditConfig::default()
+    });
+    fabric
+}
 
 proptest! {
     /// SparseMem behaves exactly like a flat byte array for arbitrary
@@ -40,34 +51,35 @@ proptest! {
         cap_pow in 2u32..6,
         msgs in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..54), 1..30),
     ) {
-        let cap = 1u64 << cap_pow;
-        let mut fabric = Fabric::new(PodConfig::new(2, 2, 2));
-        fabric.enable_audit(cxl_fabric::AuditConfig::default());
-        let ring = RingBuf::allocate(&mut fabric, HostId(0), HostId(1), cap).expect("alloc");
-        let (mut tx, mut rx) = ring.split();
-        let mut t = Nanos(0);
-        let mut sent = 0usize;
-        let mut received = 0usize;
-        while received < msgs.len() {
-            // Send while there is room and data left.
-            if sent < msgs.len() {
-                match tx.send(&mut fabric, t, &msgs[sent]).expect("send") {
-                    SendOutcome::Sent(at) => { t = at; sent += 1; }
-                    SendOutcome::Full(at) => t = at,
+        for mode in AuditMode::ALL {
+            let cap = 1u64 << cap_pow;
+            let mut fabric = audited_fabric(mode);
+            let ring = RingBuf::allocate(&mut fabric, HostId(0), HostId(1), cap).expect("alloc");
+            let (mut tx, mut rx) = ring.split();
+            let mut t = Nanos(0);
+            let mut sent = 0usize;
+            let mut received = 0usize;
+            while received < msgs.len() {
+                // Send while there is room and data left.
+                if sent < msgs.len() {
+                    match tx.send(&mut fabric, t, &msgs[sent]).expect("send") {
+                        SendOutcome::Sent(at) => { t = at; sent += 1; }
+                        SendOutcome::Full(at) => t = at,
+                    }
+                }
+                match rx.poll(&mut fabric, t).expect("poll") {
+                    PollOutcome::Msg { data, at } => {
+                        prop_assert_eq!(&data, &msgs[received], "{:?}", mode);
+                        received += 1;
+                        t = at;
+                    }
+                    PollOutcome::Empty(at) => t = at,
                 }
             }
-            match rx.poll(&mut fabric, t).expect("poll") {
-                PollOutcome::Msg { data, at } => {
-                    prop_assert_eq!(&data, &msgs[received]);
-                    received += 1;
-                    t = at;
-                }
-                PollOutcome::Empty(at) => t = at,
-            }
+            // The ring's nt-store/invalidate discipline must be audit-clean.
+            let report = fabric.audit_finalize(t).expect("audit on");
+            prop_assert!(report.is_clean(), "{:?} ring protocol violations:\n{}", mode, report.render());
         }
-        // The ring's nt-store/invalidate discipline must be audit-clean.
-        let report = fabric.audit_finalize(t).expect("audit on");
-        prop_assert!(report.is_clean(), "ring protocol violations:\n{}", report.render());
     }
 
     /// The real-memory ring preserves the same invariant single-threaded
@@ -103,43 +115,44 @@ proptest! {
         cap_pow in 2u32..5,
         msgs in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..400), 1..12),
     ) {
-        use shmem::channel::{Channel, ChannelSend};
-        let cap = 1u64 << cap_pow;
-        let mut fabric = Fabric::new(PodConfig::new(2, 2, 2));
-        fabric.enable_audit(cxl_fabric::AuditConfig::default());
-        let ch = Channel::allocate(&mut fabric, HostId(0), HostId(1), cap).expect("alloc");
-        let (mut tx, mut rx) = (ch.ab.0, ch.ab.1);
-        let mut t = Nanos(0);
-        let mut received = 0usize;
-        let mut sent = 0usize;
-        let mut pending = false;
-        let mut guard = 0u32;
-        while received < msgs.len() {
-            guard += 1;
-            prop_assert!(guard < 100_000, "livelock: {received}/{} received", msgs.len());
-            if pending {
-                match tx.resume(&mut fabric, t).expect("resume") {
-                    ChannelSend::Sent(at) => { t = at; pending = false; sent += 1; }
-                    ChannelSend::Blocked { at, .. } => t = at + Nanos(500),
+        for mode in AuditMode::ALL {
+            use shmem::channel::{Channel, ChannelSend};
+            let cap = 1u64 << cap_pow;
+            let mut fabric = audited_fabric(mode);
+            let ch = Channel::allocate(&mut fabric, HostId(0), HostId(1), cap).expect("alloc");
+            let (mut tx, mut rx) = (ch.ab.0, ch.ab.1);
+            let mut t = Nanos(0);
+            let mut received = 0usize;
+            let mut sent = 0usize;
+            let mut pending = false;
+            let mut guard = 0u32;
+            while received < msgs.len() {
+                guard += 1;
+                prop_assert!(guard < 100_000, "{mode:?} livelock: {received}/{} received", msgs.len());
+                if pending {
+                    match tx.resume(&mut fabric, t).expect("resume") {
+                        ChannelSend::Sent(at) => { t = at; pending = false; sent += 1; }
+                        ChannelSend::Blocked { at, .. } => t = at + Nanos(500),
+                    }
+                } else if sent < msgs.len() {
+                    match tx.send(&mut fabric, t, &msgs[sent]).expect("send") {
+                        ChannelSend::Sent(at) => { t = at; sent += 1; }
+                        ChannelSend::Blocked { at, .. } => { t = at; pending = true; }
+                    }
                 }
-            } else if sent < msgs.len() {
-                match tx.send(&mut fabric, t, &msgs[sent]).expect("send") {
-                    ChannelSend::Sent(at) => { t = at; sent += 1; }
-                    ChannelSend::Blocked { at, .. } => { t = at; pending = true; }
+                match rx.poll(&mut fabric, t).expect("poll") {
+                    shmem::ring::PollOutcome::Msg { data, at } => {
+                        prop_assert_eq!(&data, &msgs[received], "{:?} message {} corrupted", mode, received);
+                        received += 1;
+                        t = at;
+                    }
+                    shmem::ring::PollOutcome::Empty(at) => t = at,
                 }
             }
-            match rx.poll(&mut fabric, t).expect("poll") {
-                shmem::ring::PollOutcome::Msg { data, at } => {
-                    prop_assert_eq!(&data, &msgs[received], "message {} corrupted", received);
-                    received += 1;
-                    t = at;
-                }
-                shmem::ring::PollOutcome::Empty(at) => t = at,
-            }
+            // Framing rides the same discipline; it must be audit-clean.
+            let report = fabric.audit_finalize(t).expect("audit on");
+            prop_assert!(report.is_clean(), "{:?} channel protocol violations:\n{}", mode, report.render());
         }
-        // Framing rides the same discipline; it must be audit-clean.
-        let report = fabric.audit_finalize(t).expect("audit on");
-        prop_assert!(report.is_clean(), "channel protocol violations:\n{}", report.render());
     }
 
     /// Fabric writes are exactly-once and last-writer-wins: any
@@ -151,21 +164,22 @@ proptest! {
             1..20,
         )
     ) {
-        let mut fabric = Fabric::new(PodConfig::new(2, 2, 2));
-        fabric.enable_audit(cxl_fabric::AuditConfig::default());
-        let seg = fabric.alloc_shared(&[HostId(0)], 2048).expect("alloc");
-        let mut model = vec![0u8; 2048];
-        let mut t = Nanos(0);
-        for (off, data) in &writes {
-            t = fabric.nt_store(t, HostId(0), seg.base() + off, data).expect("store");
-            model[*off as usize..*off as usize + data.len()].copy_from_slice(data);
+        for mode in AuditMode::ALL {
+            let mut fabric = audited_fabric(mode);
+            let seg = fabric.alloc_shared(&[HostId(0)], 2048).expect("alloc");
+            let mut model = vec![0u8; 2048];
+            let mut t = Nanos(0);
+            for (off, data) in &writes {
+                t = fabric.nt_store(t, HostId(0), seg.base() + off, data).expect("store");
+                model[*off as usize..*off as usize + data.len()].copy_from_slice(data);
+            }
+            let mut buf = vec![0u8; 2048];
+            fabric.peek_settled(seg.base(), &mut buf);
+            prop_assert_eq!(buf, model, "{:?}", mode);
+            // Single-writer nt-stores never violate the discipline.
+            let report = fabric.audit_finalize(t).expect("audit on");
+            prop_assert!(report.is_clean(), "{:?} nt-store violations:\n{}", mode, report.render());
         }
-        let mut buf = vec![0u8; 2048];
-        fabric.peek_settled(seg.base(), &mut buf);
-        prop_assert_eq!(buf, model);
-        // Single-writer nt-stores never violate the discipline.
-        let report = fabric.audit_finalize(t).expect("audit on");
-        prop_assert!(report.is_clean(), "nt-store violations:\n{}", report.render());
     }
 
     /// The seqlock never serves a torn payload: for arbitrary payload
@@ -178,49 +192,50 @@ proptest! {
         rounds in 1usize..6,
         fracs in proptest::collection::vec(0u64..300, 1..20),
     ) {
-        use shmem::seqlock::{ReadOutcome, SeqLock};
-        let mut fabric = Fabric::new(PodConfig::new(2, 2, 2));
-        fabric.enable_audit(cxl_fabric::AuditConfig::default());
-        let mut lock =
-            SeqLock::allocate(&mut fabric, &[HostId(0), HostId(1)], HostId(0), payload_len)
-                .expect("alloc");
-        // Version v carries payload fill byte v/2 (version 0 = the
-        // unwritten all-zeros record).
-        let payload_for = |v: u64| vec![(v / 2) as u8; payload_len as usize];
-        let mut t = Nanos(0);
-        for round in 0..rounds {
-            let start = t;
-            let done = lock
-                .publish(&mut fabric, t, &payload_for((round as u64 + 1) * 2))
-                .expect("publish");
-            // Reads scattered through (and past) the publish window.
-            for &frac in &fracs {
-                let at = Nanos(start.0 + (done.0 - start.0) * frac / 256);
-                match lock.read(&mut fabric, at, HostId(1)).expect("read") {
-                    ReadOutcome::Snapshot { version, data, .. } => {
-                        prop_assert_eq!(version % 2, 0);
-                        prop_assert_eq!(
-                            &data,
-                            &payload_for(version),
-                            "torn payload at version {}", version
-                        );
+        for mode in AuditMode::ALL {
+            use shmem::seqlock::{ReadOutcome, SeqLock};
+            let mut fabric = audited_fabric(mode);
+            let mut lock =
+                SeqLock::allocate(&mut fabric, &[HostId(0), HostId(1)], HostId(0), payload_len)
+                    .expect("alloc");
+            // Version v carries payload fill byte v/2 (version 0 = the
+            // unwritten all-zeros record).
+            let payload_for = |v: u64| vec![(v / 2) as u8; payload_len as usize];
+            let mut t = Nanos(0);
+            for round in 0..rounds {
+                let start = t;
+                let done = lock
+                    .publish(&mut fabric, t, &payload_for((round as u64 + 1) * 2))
+                    .expect("publish");
+                // Reads scattered through (and past) the publish window.
+                for &frac in &fracs {
+                    let at = Nanos(start.0 + (done.0 - start.0) * frac / 256);
+                    match lock.read(&mut fabric, at, HostId(1)).expect("read") {
+                        ReadOutcome::Snapshot { version, data, .. } => {
+                            prop_assert_eq!(version % 2, 0, "{:?}", mode);
+                            prop_assert_eq!(
+                                &data,
+                                &payload_for(version),
+                                "{:?} torn payload at version {}", mode, version
+                            );
+                        }
+                        ReadOutcome::Torn(_) => {}
                     }
-                    ReadOutcome::Torn(_) => {}
                 }
+                t = done;
             }
-            t = done;
+            // A settled read always lands on the newest version.
+            let (version, data, at) = lock
+                .read_consistent(&mut fabric, t, HostId(1), t + Nanos::from_micros(100))
+                .expect("read")
+                .expect("snapshot");
+            prop_assert_eq!(version, rounds as u64 * 2, "{:?}", mode);
+            prop_assert_eq!(data, payload_for(version), "{:?}", mode);
+            // Retry loops are the protocol working as designed, not
+            // coherence hazards.
+            let report = fabric.audit_finalize(at).expect("audit on");
+            prop_assert!(report.is_clean(), "{:?} seqlock violations:\n{}", mode, report.render());
         }
-        // A settled read always lands on the newest version.
-        let (version, data, at) = lock
-            .read_consistent(&mut fabric, t, HostId(1), t + Nanos::from_micros(100))
-            .expect("read")
-            .expect("snapshot");
-        prop_assert_eq!(version, rounds as u64 * 2);
-        prop_assert_eq!(data, payload_for(version));
-        // Retry loops are the protocol working as designed, not
-        // coherence hazards.
-        let report = fabric.audit_finalize(at).expect("audit on");
-        prop_assert!(report.is_clean(), "seqlock violations:\n{}", report.render());
     }
 
     /// Histogram quantiles are monotone in q and bounded by min/max for

@@ -10,7 +10,7 @@
 
 use bench::workload::{base_spec, faulted_spec, pod_params, search_config};
 use bench::Scale;
-use cxl_pcie_pool::cxl_fabric::{HostId, MhdId};
+use cxl_pcie_pool::cxl_fabric::{AuditMode, HostId, MhdId};
 use cxl_pcie_pool::pool::pod::{PodParams, PodSim};
 use cxl_pcie_pool::simkit::Nanos;
 use cxl_pcie_pool::workgen::{self, Engine, RunReport};
@@ -56,12 +56,13 @@ fn params(seed: u64, exact: bool) -> PodParams {
     }
 }
 
-/// Runs the quick baseline; also returns the pool loads, NT stores and
-/// DMA ops the engine run cost (the bench ledger's counts).
-fn baseline(seed: u64, exact: bool, audit: bool) -> (RunReport, PodSim, [u64; 3]) {
+/// Runs the quick baseline, audited in `audit` when given; also returns
+/// the pool loads, NT stores and DMA ops the engine run cost (the bench
+/// ledger's counts).
+fn baseline(seed: u64, exact: bool, audit: Option<AuditMode>) -> (RunReport, PodSim, [u64; 3]) {
     let mut pod = PodSim::new(params(seed, exact));
-    if audit {
-        pod.enable_audit();
+    if let Some(mode) = audit {
+        pod.enable_audit_mode(mode);
     }
     let counts = |pod: &PodSim| {
         let f = pod.fabric.stats();
@@ -125,7 +126,7 @@ fn idle_pass(pod: &mut PodSim) -> Nanos {
 
 #[test]
 fn exact_polling_reproduces_the_busy_polling_model() {
-    let (report, _, _) = baseline(42, true, false);
+    let (report, _, _) = baseline(42, true, None);
     assert_tenants(
         &report,
         EXACT_SEED42_OPS,
@@ -147,41 +148,50 @@ fn wake_rule_tracks_the_exact_latencies_verdicts_and_audit() {
     // pass `P`. Tails stay within 15 %.
     let pass = idle_pass(&mut PodSim::new(params(1, false)));
     for seed in [1, 42] {
-        let (exact, mut exact_pod, _) = baseline(seed, true, true);
-        let (wake, mut wake_pod, ledger) = baseline(seed, false, true);
-        if seed == 42 {
-            assert_tenants(
-                &wake,
-                WAKE_SEED42_OPS,
-                &WAKE_SEED42_TENANTS,
-                "the wake rule",
-            );
-            assert_eq!(ledger, WAKE_SEED42_LEDGER, "loads, NT stores, DMA ops");
-        }
-        for (e, w) in exact.tenants.iter().zip(&wake.tenants) {
-            let (e50, w50) = (e.latency.p50 as f64, w.latency.p50 as f64);
-            let bound = (0.05 * e50).max(pass.as_nanos() as f64);
-            assert!(
-                (w50 - e50).abs() <= bound,
-                "seed {seed} {}: p50 {w50} vs exact {e50} (bound {bound})",
-                e.name
-            );
-            let (e99, w99) = (e.latency.p99 as f64, w.latency.p99 as f64);
-            assert!(
-                (w99 - e99).abs() <= 0.15 * e99,
-                "seed {seed} {}: p99 {w99} vs exact {e99}",
-                e.name
-            );
-            assert_eq!(e.verdict.pass, w.verdict.pass, "seed {seed} {}", e.name);
-        }
-        for pod in [&mut exact_pod, &mut wake_pod] {
-            let audit = pod.audit_finalize().expect("audit on");
-            assert_eq!(
-                audit.counts.total(),
-                0,
-                "seed {seed}: {:?}",
-                audit.violations
-            );
+        for mode in AuditMode::ALL {
+            let (exact, mut exact_pod, _) = baseline(seed, true, Some(mode));
+            let (wake, mut wake_pod, ledger) = baseline(seed, false, Some(mode));
+            if seed == 42 {
+                assert_tenants(
+                    &wake,
+                    WAKE_SEED42_OPS,
+                    &WAKE_SEED42_TENANTS,
+                    &format!("the wake rule ({mode:?} audit)"),
+                );
+                assert_eq!(
+                    ledger, WAKE_SEED42_LEDGER,
+                    "loads, NT stores, DMA ops ({mode:?} audit)"
+                );
+            }
+            for (e, w) in exact.tenants.iter().zip(&wake.tenants) {
+                let (e50, w50) = (e.latency.p50 as f64, w.latency.p50 as f64);
+                let bound = (0.05 * e50).max(pass.as_nanos() as f64);
+                assert!(
+                    (w50 - e50).abs() <= bound,
+                    "seed {seed} {mode:?} {}: p50 {w50} vs exact {e50} (bound {bound})",
+                    e.name
+                );
+                let (e99, w99) = (e.latency.p99 as f64, w.latency.p99 as f64);
+                assert!(
+                    (w99 - e99).abs() <= 0.15 * e99,
+                    "seed {seed} {mode:?} {}: p99 {w99} vs exact {e99}",
+                    e.name
+                );
+                assert_eq!(
+                    e.verdict.pass, w.verdict.pass,
+                    "seed {seed} {mode:?} {}",
+                    e.name
+                );
+            }
+            for pod in [&mut exact_pod, &mut wake_pod] {
+                let audit = pod.audit_finalize().expect("audit on");
+                assert_eq!(
+                    audit.counts.total(),
+                    0,
+                    "seed {seed} {mode:?}: {:?}",
+                    audit.violations
+                );
+            }
         }
     }
 }

@@ -9,11 +9,10 @@ use cxl_pcie_pool::workgen::{
     SloSpec, TenantSpec, WorkloadSpec,
 };
 
-fn pod(seed: u64) -> PodSim {
+fn pod() -> PodSim {
     let mut p = PodParams::new(6, 2);
     p.ssd_hosts = vec![0, 1];
     p.accel_hosts = vec![2];
-    p.seed = seed;
     PodSim::new(p)
 }
 
@@ -76,8 +75,8 @@ fn fingerprint(r: &RunReport) -> Vec<(String, u64, u64, u64, u64)> {
 #[test]
 fn same_seed_reproduces_the_run_exactly() {
     let spec = mixed_spec(25_000.0);
-    let mut a = pod(11);
-    let mut b = pod(11);
+    let mut a = pod();
+    let mut b = pod();
     let ra = Engine::new(11).run(&mut a, &spec);
     let rb = Engine::new(11).run(&mut b, &spec);
     assert_eq!(fingerprint(&ra), fingerprint(&rb));
@@ -88,8 +87,8 @@ fn same_seed_reproduces_the_run_exactly() {
 #[test]
 fn different_seed_changes_the_schedule() {
     let spec = mixed_spec(25_000.0);
-    let mut a = pod(11);
-    let mut b = pod(11);
+    let mut a = pod();
+    let mut b = pod();
     let ra = Engine::new(11).run(&mut a, &spec);
     let rb = Engine::new(12).run(&mut b, &spec);
     assert_ne!(
@@ -109,9 +108,9 @@ fn mhd_failure_mid_run_degrades_the_measured_tail() {
         Nanos::from_micros(150),
     ));
 
-    let mut a = pod(5);
+    let mut a = pod();
     let clean = Engine::new(5).run(&mut a, &clean_spec);
-    let mut b = pod(5);
+    let mut b = pod();
     let faulted = Engine::new(5).run(&mut b, &faulted_spec);
 
     assert_eq!(clean.errors, 0, "healthy pod should not time out");
@@ -135,7 +134,7 @@ fn capacity_search_brackets_the_knee() {
         hi_pps: 300_000.0,
         iters: 4,
     };
-    let result = workgen::capacity::search(|| pod(3), &base, &cfg, 3);
+    let result = workgen::capacity::search(pod, &base, &cfg, 3);
     assert!(
         result.capacity_pps >= cfg.lo_pps && result.capacity_pps < cfg.hi_pps,
         "capacity {} outside ({}, {})",
@@ -163,16 +162,15 @@ fn impossible_slo_yields_zero_capacity() {
         hi_pps: 50_000.0,
         iters: 2,
     };
-    let result = workgen::capacity::search(|| pod(3), &base, &cfg, 3);
+    let result = workgen::capacity::search(pod, &base, &cfg, 3);
     assert_eq!(result.capacity_pps, 0.0);
     assert!(result.report_at_capacity.is_none());
 }
 
-fn churn_pod(seed: u64) -> PodSim {
+fn churn_pod() -> PodSim {
     let mut p = PodParams::new(8, 2);
     p.ssd_hosts = vec![0, 1];
     p.accel_hosts = vec![2];
-    p.seed = seed;
     PodSim::new(p)
 }
 
@@ -209,48 +207,51 @@ fn churn_spec(migrate: bool) -> WorkloadSpec {
     }
 }
 
+/// Audit-clean under vector clocks — and under the version analysis too.
 #[test]
 fn churn_run_is_vc_audit_clean_and_reclaims_capacity() {
-    let mut p = churn_pod(21);
-    p.enable_audit_mode(AuditMode::VectorClock);
-    let free0 = p.fabric.free_capacity();
-    let r = Engine::new(21).run(&mut p, &churn_spec(true));
+    for mode in AuditMode::ALL {
+        let mut p = churn_pod();
+        p.enable_audit_mode(mode);
+        let free0 = p.fabric.free_capacity();
+        let r = Engine::new(21).run(&mut p, &churn_spec(true));
 
-    assert!(
-        !r.lifecycle.is_empty(),
-        "churn run should log lifecycle events"
-    );
-    assert!(r.lifecycle.iter().any(|e| e.event == "arrive"));
-    assert!(
-        r.lifecycle.iter().any(|e| e.event == "depart"),
-        "tenants should depart within the run: {:?}",
-        r.lifecycle
-    );
-    assert!(
-        p.lifecycle.tenant_migrations >= 1,
-        "overloaded naive placement should trigger at least one live migration"
-    );
-    assert!(p.lifecycle.blackout_summary().is_some());
-    assert_eq!(
-        p.fabric.free_capacity(),
-        free0,
-        "departed tenants must hand back every segment (incl. replicas)"
-    );
+        assert!(
+            !r.lifecycle.is_empty(),
+            "{mode:?}: churn run should log lifecycle events"
+        );
+        assert!(r.lifecycle.iter().any(|e| e.event == "arrive"), "{mode:?}");
+        assert!(
+            r.lifecycle.iter().any(|e| e.event == "depart"),
+            "{mode:?}: tenants should depart within the run: {:?}",
+            r.lifecycle
+        );
+        assert!(
+            p.lifecycle.tenant_migrations >= 1,
+            "{mode:?}: overloaded naive placement should trigger at least one live migration"
+        );
+        assert!(p.lifecycle.blackout_summary().is_some(), "{mode:?}");
+        assert_eq!(
+            p.fabric.free_capacity(),
+            free0,
+            "{mode:?}: departed tenants must hand back every segment (incl. replicas)"
+        );
 
-    let report = p.audit_finalize().expect("audit enabled");
-    assert_eq!(
-        report.counts.total(),
-        0,
-        "churn + live migration must stay coherent under vc audit: {:?}",
-        report.counts
-    );
+        let report = p.audit_finalize().expect("audit enabled");
+        assert_eq!(
+            report.counts.total(),
+            0,
+            "churn + live migration must stay coherent under {mode:?} audit: {:?}",
+            report.counts
+        );
+    }
 }
 
 #[test]
 fn churn_replay_is_bit_identical_and_churn_free_specs_are_unaffected() {
     let spec = churn_spec(true);
-    let mut a = churn_pod(33);
-    let mut b = churn_pod(33);
+    let mut a = churn_pod();
+    let mut b = churn_pod();
     let ra = Engine::new(33).run(&mut a, &spec);
     let rb = Engine::new(33).run(&mut b, &spec);
     assert_eq!(fingerprint(&ra), fingerprint(&rb));
@@ -269,22 +270,24 @@ fn churn_replay_is_bit_identical_and_churn_free_specs_are_unaffected() {
 
     // A churn-free spec must not consume churn RNG streams.
     let no_churn = mixed_spec(25_000.0);
-    let mut c = pod(11);
+    let mut c = pod();
     let rc = Engine::new(11).run(&mut c, &no_churn);
     assert!(rc.lifecycle.is_empty());
 }
 
 #[test]
 fn engine_run_is_audit_clean() {
-    let spec = mixed_spec(25_000.0);
-    let mut p = pod(11);
-    p.enable_audit();
-    let _ = Engine::new(11).run(&mut p, &spec);
-    let report = p.audit_finalize().expect("audit enabled");
-    assert_eq!(
-        report.counts.total(),
-        0,
-        "workload datapath must stay coherent: {:?}",
-        report.counts
-    );
+    for mode in AuditMode::ALL {
+        let spec = mixed_spec(25_000.0);
+        let mut p = pod();
+        p.enable_audit_mode(mode);
+        let _ = Engine::new(11).run(&mut p, &spec);
+        let report = p.audit_finalize().expect("audit enabled");
+        assert_eq!(
+            report.counts.total(),
+            0,
+            "workload datapath must stay coherent under {mode:?} audit: {:?}",
+            report.counts
+        );
+    }
 }
