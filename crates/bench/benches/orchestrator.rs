@@ -41,7 +41,7 @@ fn bench_failover(c: &mut Criterion) {
         b.iter(|| {
             let mut pod = PodSim::new(PodParams::new(4, 2));
             let dev = pod.binding(HostId(3), DeviceKind::Nic).expect("bound");
-            pod.fail_nic(dev);
+            pod.fail_device(dev);
             let d = pod.time() + Nanos::from_millis(10);
             let _ = pod.vnic_send(HostId(3), &[0u8; 64], d);
             pod.run_control(Nanos::from_millis(1));

@@ -47,20 +47,6 @@ pub fn run_with_summary(scale: Scale) -> (Table, simkit::stats::Summary) {
     (t, s)
 }
 
-/// The CDF as a table (for plotting).
-pub fn run_cdf(scale: Scale) -> Table {
-    let config = PingPongConfig {
-        iterations: scale.pick(20_000, 200_000),
-        ..PingPongConfig::default()
-    };
-    let r = pingpong(&config).expect("ping-pong runs");
-    let mut t = Table::new(&["latency_ns", "cdf"]);
-    for (v, f) in r.latency.cdf() {
-        t.row(&[&v.to_string(), &fmt_f64(f)]);
-    }
-    t
-}
-
 /// Coherence-discipline ablation: what the channel costs if the
 /// receiver skips the invalidate (it would read stale data — shown via
 /// the fabric's cache-hit latency) versus the correct protocol.

@@ -150,21 +150,16 @@ pub fn base_spec(scale: Scale) -> WorkloadSpec {
     }
 }
 
-/// The pod for the churn scenario: eight hosts so the lifecycle
-/// tenants can issue from device-less hosts 5-6 while the resident
-/// tenant keeps hosts 3-4 busy; two NICs is the contended resource the
-/// orchestrator spreads churn across. Like [`pod_params`], it does not
-/// depend on the seed.
-pub fn churn_pod_params(_seed: u64) -> PodParams {
-    let mut p = PodParams::new(8, 2);
-    p.mhds = 4;
-    p.domains = 2;
-    p.lambda = 4;
-    p.ssd_hosts = vec![0, 1];
-    p.accel_hosts = vec![2];
-    p.ring_slots = 128;
-    p.io_slots = 32;
-    p
+/// The pod for the churn scenario: [`pod_params`] with eight hosts so
+/// the lifecycle tenants can issue from device-less hosts 5-6 while the
+/// resident tenant keeps hosts 3-4 busy; two NICs is the contended
+/// resource the orchestrator spreads churn across. Like [`pod_params`],
+/// it does not depend on the seed.
+pub fn churn_pod_params(seed: u64) -> PodParams {
+    PodParams {
+        hosts: 8,
+        ..pod_params(seed)
+    }
 }
 
 /// The churn workload: one resident NIC tenant plus two lifecycle

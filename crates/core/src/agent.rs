@@ -342,19 +342,6 @@ impl Agent {
         }
     }
 
-    /// The kind of a local device, if it is attached here.
-    pub fn local_kind(&self, dev: DeviceId) -> Option<DeviceKind> {
-        if self.nics.contains_key(&dev) {
-            Some(DeviceKind::Nic)
-        } else if self.ssds.contains_key(&dev) {
-            Some(DeviceKind::Ssd)
-        } else if self.accels.contains_key(&dev) {
-            Some(DeviceKind::Accel)
-        } else {
-            None
-        }
-    }
-
     /// Sends `msg` to `peer`, charging the agent's clock.
     pub fn send_to(
         &mut self,

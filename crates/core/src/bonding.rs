@@ -212,7 +212,7 @@ mod tests {
             .find(|&d| pod.attach_of(d) == Some(HostId(0)))
             .expect("host 0 has a NIC");
         let mut bond = BondedNic::over(HostId(0), vec![own]);
-        pod.fail_nic(own);
+        pod.fail_device(own);
         assert!(bond.submit_one(&mut pod, &[1; 64]).is_err());
         assert_eq!(pod.agents[0].stats().failures_seen, 1);
     }

@@ -142,6 +142,10 @@ pub struct PodSim {
     /// Every actor executes every notional poll (see
     /// [`PodParams::exact_polling`]).
     exact_polling: bool,
+    /// Opt-in metrics registry + sampler (see `simkit::metrics`),
+    /// `None` until [`PodSim::enable_metrics_config`]; boxed so the
+    /// disabled fast path pays one pointer.
+    metrics: Option<Box<MetricsRecorder>>,
     /// Metric handles the pod-side sampler refreshes each tick
     /// (`None` until [`PodSim::enable_metrics_config`]).
     metric_ids: Option<PodMetricIds>,
@@ -233,8 +237,8 @@ impl PodSim {
     /// tracks (`"ph":"C"`) so gauges render alongside the spans.
     pub fn export_trace(&self) -> Option<String> {
         let counters = self
-            .fabric
-            .metrics()
+            .metrics
+            .as_deref()
             .map(|m| m.counter_track_events())
             .unwrap_or_default();
         self.fabric
@@ -251,33 +255,33 @@ impl PodSim {
     /// advances any simulated clock, so metrics-on runs stay
     /// bit-identical in simulated time.
     pub fn enable_metrics_config(&mut self, config: MetricsConfig) {
-        self.fabric.enable_metrics(config);
+        self.metrics = Some(Box::new(MetricsRecorder::new(config)));
         self.register_pod_metrics();
     }
 
     /// The metrics recorder, if enabled.
     pub fn metrics(&self) -> Option<&MetricsRecorder> {
-        self.fabric.metrics()
+        self.metrics.as_deref()
     }
 
     /// Mutable metrics recorder, if enabled. Workload drivers use
     /// this to register their own (e.g. per-tenant) series alongside
     /// the pod's.
     pub fn metrics_mut(&mut self) -> Option<&mut MetricsRecorder> {
-        self.fabric.metrics_mut()
+        self.metrics.as_deref_mut()
     }
 
     /// Schema'd CSV dump of every sampled point, sorted by metric
     /// registration with time ascending within a series (None when
     /// metrics were never enabled).
     pub fn export_metrics_csv(&self) -> Option<String> {
-        self.fabric.metrics().map(|m| m.export_csv())
+        self.metrics.as_deref().map(|m| m.export_csv())
     }
 
     /// Schema'd JSON dump (`cxl-pool-metrics/v1`) of every series
     /// (None when metrics were never enabled).
     pub fn export_metrics_json(&self) -> Option<String> {
-        self.fabric.metrics().map(|m| m.export_json())
+        self.metrics.as_deref().map(|m| m.export_json())
     }
 
     /// Registers the pod-level metric catalog in a fixed, deterministic
@@ -296,7 +300,7 @@ impl PodSim {
         let domain_of: Vec<u16> = (0..mhds)
             .map(|m| self.fabric.topology().domain_of(MhdId(m)).0)
             .collect();
-        let Some(rec) = self.fabric.metrics_mut() else {
+        let Some(rec) = self.metrics.as_deref_mut() else {
             return;
         };
         let mut ids = PodMetricIds {
@@ -351,7 +355,7 @@ impl PodSim {
     /// metric. Called from the pump loops after each quantum; a cheap
     /// no-op (one comparison) unless the sampling tick is due.
     fn sample_metrics(&mut self, now: Nanos) {
-        let due = self.fabric.metrics().is_some_and(|m| m.tick_due(now));
+        let due = self.metrics.as_deref().is_some_and(|m| m.tick_due(now));
         if !due {
             return;
         }
@@ -361,8 +365,8 @@ impl PodSim {
         // Gather every reading first (immutable borrows), then write
         // them through the recorder in one pass.
         let horizon = self
-            .fabric
-            .metrics()
+            .metrics
+            .as_deref()
             .map_or(Nanos::from_millis(1), |m| m.config().interval);
         let served: Vec<f64> = self
             .agents
@@ -395,7 +399,7 @@ impl PodSim {
         let failovers = self.orch.failover_log.len() as f64;
         let blackouts = self.lifecycle.blackout.count() as f64;
         let in_flight = self.lifecycle.in_flight as f64;
-        if let Some(rec) = self.fabric.metrics_mut() {
+        if let Some(rec) = self.metrics.as_deref_mut() {
             for (i, &id) in ids.host_served.iter().enumerate() {
                 rec.gauge_set(id, served[i]);
             }
@@ -598,6 +602,7 @@ impl PodSim {
             orch_segs,
             io_segs,
             exact_polling: params.exact_polling,
+            metrics: None,
             metric_ids: None,
             lifecycle: LifecycleStats::default(),
         };
@@ -781,27 +786,48 @@ impl PodSim {
     fn is_quiet(&self) -> bool {
         !self.exact_polling
             && !self.fabric.wakes_pending()
-            && self.fabric.metrics().is_none()
+            && self.metrics.is_none()
             && self.agents.iter().all(|a| !a.notices_queued())
     }
 
-    /// Injects a NIC failure.
-    pub fn fail_nic(&mut self, dev: DeviceId) {
-        for a in &mut self.agents {
-            if let Some(nic) = a.nics.get_mut(&dev) {
-                nic.fail();
-            }
-        }
+    /// Injects a failure of device `dev`, of any kind (an unknown id is
+    /// a no-op).
+    pub fn fail_device(&mut self, dev: DeviceId) {
+        self.set_device_up(dev, false);
     }
 
-    /// Repairs a NIC and tells the orchestrator.
-    pub fn repair_nic(&mut self, dev: DeviceId) {
-        for a in &mut self.agents {
-            if let Some(nic) = a.nics.get_mut(&dev) {
-                nic.restore();
+    /// Repairs device `dev`, of any kind, and tells the orchestrator
+    /// (an unknown id is a no-op).
+    pub fn repair_device(&mut self, dev: DeviceId) {
+        self.set_device_up(dev, true);
+        self.orch.on_repair(dev);
+    }
+
+    /// Fails or restores `dev` on the agent it attaches to.
+    fn set_device_up(&mut self, dev: DeviceId, up: bool) {
+        let Some(&HostId(h)) = self.dev_attach.get(&dev) else {
+            return;
+        };
+        let a = &mut self.agents[h as usize];
+        if let Some(nic) = a.nics.get_mut(&dev) {
+            if up {
+                nic.restore()
+            } else {
+                nic.fail()
+            }
+        } else if let Some(ssd) = a.ssds.get_mut(&dev) {
+            if up {
+                ssd.restore()
+            } else {
+                ssd.fail()
+            }
+        } else if let Some(accel) = a.accels.get_mut(&dev) {
+            if up {
+                accel.restore()
+            } else {
+                accel.fail()
             }
         }
-        self.orch.on_repair(dev);
     }
 
     /// Rebuilds every control channel and I/O segment that was backed
@@ -936,44 +962,6 @@ impl PodSim {
     /// Restores every MHD in `domain`.
     pub fn restore_domain(&mut self, domain: cxl_fabric::DomainId) {
         self.fabric.topology_mut().restore_domain(domain);
-    }
-
-    /// Injects an SSD failure.
-    pub fn fail_ssd(&mut self, dev: DeviceId) {
-        for a in &mut self.agents {
-            if let Some(ssd) = a.ssds.get_mut(&dev) {
-                ssd.fail();
-            }
-        }
-    }
-
-    /// Repairs an SSD and tells the orchestrator.
-    pub fn repair_ssd(&mut self, dev: DeviceId) {
-        for a in &mut self.agents {
-            if let Some(ssd) = a.ssds.get_mut(&dev) {
-                ssd.restore();
-            }
-        }
-        self.orch.on_repair(dev);
-    }
-
-    /// Injects an accelerator failure.
-    pub fn fail_accel(&mut self, dev: DeviceId) {
-        for a in &mut self.agents {
-            if let Some(acc) = a.accels.get_mut(&dev) {
-                acc.fail();
-            }
-        }
-    }
-
-    /// Repairs an accelerator and tells the orchestrator.
-    pub fn repair_accel(&mut self, dev: DeviceId) {
-        for a in &mut self.agents {
-            if let Some(acc) = a.accels.get_mut(&dev) {
-                acc.restore();
-            }
-        }
-        self.orch.on_repair(dev);
     }
 
     // -----------------------------------------------------------------
@@ -1405,7 +1393,7 @@ mod tests {
     fn failover_rebinds_to_surviving_nic() {
         let mut pod = PodSim::new(PodParams::new(4, 2));
         let dev = pod.binding(HostId(3), DeviceKind::Nic).unwrap();
-        pod.fail_nic(dev);
+        pod.fail_device(dev);
         // The send fails (remote device down).
         let err = pod
             .vnic_send(HostId(3), &[0u8; 64], deadline())
@@ -1473,8 +1461,8 @@ mod tests {
         let accel = pod
             .binding(HostId(2), DeviceKind::Accel)
             .expect("accel bound");
-        pod.fail_ssd(ssd);
-        pod.fail_accel(accel);
+        pod.fail_device(ssd);
+        pod.fail_device(accel);
         let err = pod.vssd_read(HostId(2), 0, 1, deadline()).unwrap_err();
         assert!(
             matches!(err, PoolError::RemoteFailed { dev, .. } if dev == ssd),

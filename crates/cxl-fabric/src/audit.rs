@@ -34,15 +34,19 @@
 //!
 //! ## Audit modes
 //!
-//! [`AuditMode::Version`] is the original scheme: one pool-wide
-//! monotone version. It is sound but over-approximate — two writes
-//! applied in the same `apply_pending` batch get an arbitrary relative
-//! order, so a DMA write racing a CPU publish is misreported as a
-//! definitely-ordered stale read.
+//! Both modes run one analysis: a happens-before race detector over
+//! the version shadow state. Every ordering agent is an [`Actor`] —
+//! one per host CPU plus one per DMA attach point — with its own
+//! [`VClock`] component. In [`AuditMode::VectorClock`] an actor's
+//! component advances on each of its ops; in [`AuditMode::Version`]
+//! the clocks never tick, so every clock is empty and there are no
+//! happens-before edges. Then every write is ordered before every
+//! read, nothing races, and a missed write always counts as stale:
+//! sound but over-approximate, since two writes applied in the same
+//! `apply_pending` batch get an arbitrary relative order and a DMA
+//! write racing a CPU publish is reported as a definitely-ordered
+//! stale read.
 //!
-//! [`AuditMode::VectorClock`] adds a happens-before race detector on
-//! top. Every ordering agent is an [`Actor`] — one per host CPU plus
-//! one per DMA attach point — with its own [`VClock`] component.
 //! Cross-actor edges come only from real coherence actions:
 //!
 //! - **release**: every visible write (nt-store, flush, DMA write,
@@ -110,10 +114,12 @@ use simkit::Nanos;
 use crate::params::{CACHELINE, INTERLEAVE_GRANULE};
 use crate::topology::{DomainId, HostId};
 
-/// Which analysis the auditor runs.
+/// Which analysis the auditor runs. Both are the same vector-clock
+/// analysis; they differ only in whether actors' clocks advance.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum AuditMode {
-    /// One pool-wide monotone visibility version: sound but
+    /// Clocks never tick, so there are no happens-before edges: every
+    /// missed write counts as stale and nothing races. Sound but
     /// over-approximate (batch-mates get an arbitrary order).
     Version,
     /// Per-actor vector clocks with happens-before race detection.
@@ -235,6 +241,11 @@ impl VClock {
     /// accesses race.
     pub fn concurrent_with(&self, other: &VClock) -> bool {
         !self.leq(other) && !other.leq(self)
+    }
+
+    /// True when every component is zero (a clock that never ticked).
+    fn is_empty(&self) -> bool {
+        self.0.is_empty()
     }
 }
 
@@ -639,6 +650,7 @@ struct LineState {
     /// Visibility-order version (staleness comparisons).
     version: u64,
     writer: HostId,
+    actor: Actor,
     kind: WriteKind,
     written_at: Nanos,
     visible_at: Nanos,
@@ -659,20 +671,37 @@ struct HostView {
     base_version: u64,
 }
 
+/// A clean copy of `cur`, a line's current write (`None`: never
+/// written): the view a fill installs, and the write's release clock.
+fn clean_copy(events: &DetHashMap<u64, EventMeta>, cur: Option<LineState>) -> (HostView, VClock) {
+    let (version, event) = cur.map_or((0, 0), |c| (c.version, c.event));
+    let view = HostView {
+        version,
+        event,
+        dirty: false,
+        dirty_since: Nanos::ZERO,
+        base_version: version,
+    };
+    let clock = events
+        .get(&event)
+        .map(|m| m.wclock.clone())
+        .unwrap_or_default();
+    (view, clock)
+}
+
 /// Shadow-state key: a cache line with the failure domain it resolves
 /// to. Versions are compared only within one domain.
 type LineKey = (DomainId, u64);
 
-/// One host's shadow view of one line, co-located with its vector-clock
-/// shadows (vector-clock mode leaves the clocks `None` when unused).
+/// One host's shadow view of one line, co-located with its clocks.
 #[derive(Clone, Debug)]
 struct ViewEntry {
     host: u16,
     view: HostView,
     /// Release clock of the write the cached copy reflects.
-    view_clock: Option<VClock>,
+    view_clock: VClock,
     /// The owner's clock when the view was first dirtied.
-    dirty_clock: Option<VClock>,
+    dirty_clock: VClock,
 }
 
 /// Lines per [`ViewTable`] page: 1024 lines = 64 KiB of pool address
@@ -723,9 +752,14 @@ impl ViewTable {
         Some(&slot[i])
     }
 
-    /// The host's view entry, inserting `seed` (with empty clocks) at
-    /// its host-sorted position when absent.
-    fn entry_or_insert(&mut self, host: u16, la: u64, seed: HostView) -> &mut ViewEntry {
+    /// The host's view entry, inserting `seed()` (a view and its
+    /// release clock) at its host-sorted position when absent.
+    fn entry_or_insert_with(
+        &mut self,
+        host: u16,
+        la: u64,
+        seed: impl FnOnce() -> (HostView, VClock),
+    ) -> &mut ViewEntry {
         let (p, off) = Self::index_of(la);
         if self.pages.len() <= p {
             self.pages.resize_with(p + 1, || None);
@@ -739,15 +773,14 @@ impl ViewTable {
         let i = match page.slots[off].binary_search_by_key(&host, |e| e.host) {
             Ok(i) => i,
             Err(i) => {
-                page.slots[off].insert(
-                    i,
-                    ViewEntry {
-                        host,
-                        view: seed,
-                        view_clock: None,
-                        dirty_clock: None,
-                    },
-                );
+                let (view, view_clock) = seed();
+                let entry = ViewEntry {
+                    host,
+                    view,
+                    view_clock,
+                    dirty_clock: VClock::default(),
+                };
+                page.slots[off].insert(i, entry);
                 page.occupied[off / 64] |= 1 << (off % 64);
                 i
             }
@@ -757,11 +790,11 @@ impl ViewTable {
 
     /// Replaces the host's view wholesale (clean fill semantics: any
     /// previous dirty clock is dropped with the previous view).
-    fn set(&mut self, host: u16, la: u64, view: HostView, view_clock: Option<VClock>) {
-        let entry = self.entry_or_insert(host, la, view);
+    fn set(&mut self, host: u16, la: u64, view: HostView, view_clock: VClock) {
+        let entry = self.entry_or_insert_with(host, la, || (view, VClock::default()));
         entry.view = view;
         entry.view_clock = view_clock;
-        entry.dirty_clock = None;
+        entry.dirty_clock = VClock::default();
     }
 
     /// Removes the host's view (and clock shadows), returning the view.
@@ -777,14 +810,14 @@ impl ViewTable {
         Some(view)
     }
 
-    /// The lowest-id host other than `host` holding the line dirty:
-    /// the deterministic "first writer" of conflict reports. Views are
-    /// host-sorted, so the first dirty match is the minimum.
-    fn min_dirty_other(&self, host: u16, la: u64) -> Option<(HostId, Nanos)> {
+    /// The view of the lowest-id host other than `host` holding the
+    /// line dirty: the deterministic "first writer" of conflict
+    /// reports. Views are host-sorted, so the first dirty match is the
+    /// minimum.
+    fn min_dirty_other(&self, host: u16, la: u64) -> Option<&ViewEntry> {
         self.slot(la)
             .iter()
             .find(|e| e.host != host && e.view.dirty)
-            .map(|e| (HostId(e.host), e.view.dirty_since))
     }
 
     /// Fills `out` with every line in `[lo, hi)` some host caches, in
@@ -878,9 +911,8 @@ struct EventMeta {
     /// Visibility version drawn in each domain the event touched, in
     /// domain order: a line's version is its domain's entry.
     versions: Vec<(DomainId, u64)>,
-    /// Release clock (vector-clock mode only), one per event rather
-    /// than one per line.
-    wclock: Option<VClock>,
+    /// Release clock, one per event rather than one per line.
+    wclock: VClock,
     /// Line-aligned `[start, end)` ranges the event covered when it was
     /// applied, ascending (torn-read identity).
     ranges: Vec<(u64, u64)>,
@@ -962,6 +994,36 @@ struct PendingEvent {
     runs: Vec<BaseRun>,
 }
 
+/// One side of a conflicting access pair: who, how, when, and the
+/// actor's clock then.
+#[derive(Clone, Debug)]
+struct Access {
+    actor: Actor,
+    kind: AccessKind,
+    at: Nanos,
+    clock: VClock,
+}
+
+impl Access {
+    fn write(actor: Actor, at: Nanos, clock: VClock) -> Access {
+        Access {
+            actor,
+            kind: AccessKind::Write,
+            at,
+            clock,
+        }
+    }
+
+    fn read(actor: Actor, at: Nanos, clock: VClock) -> Access {
+        Access {
+            actor,
+            kind: AccessKind::Read,
+            at,
+            clock,
+        }
+    }
+}
+
 /// Dedup identity of a violation (kind + site + parties).
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
 enum DedupKey {
@@ -1023,8 +1085,8 @@ pub struct Auditor {
     domain_scratch: Vec<DomainId>,
     seen: DetHashSet<(DomainId, DedupKey)>,
     report: AuditReport,
-    /// Per-actor clocks, indexed by [`Actor::index`] (vector-clock
-    /// mode; empty otherwise). Components inside each clock are
+    /// Per-actor clocks, indexed by [`Actor::index`] (all empty in
+    /// [`AuditMode::Version`]). Components inside each clock are
     /// namespaced per domain via [`Actor::index_in`].
     clocks: Vec<VClock>,
     /// Segment address ranges → per-granule failure-domain interleave
@@ -1155,17 +1217,6 @@ impl Auditor {
         }
     }
 
-    /// The distinct failure domains `[hpa, hpa+len)` touches, in id
-    /// order (never empty: an unmapped range is domain 0).
-    fn domains_of(&self, hpa: u64, len: u64) -> Vec<DomainId> {
-        let (lo, hi) = line_span(hpa, len);
-        let mut out = Vec::new();
-        self.push_domains(lo, hi, &mut out);
-        out.sort_unstable();
-        out.dedup();
-        out
-    }
-
     /// The event whose extent covers line `la`, if any.
     fn meta_at(&self, la: u64) -> Option<(u64, &EventMeta)> {
         let (_, x) = self.extents.range(..=la).next_back()?;
@@ -1182,16 +1233,11 @@ impl Auditor {
             event,
             version: m.version_in(key.0),
             writer: m.writer,
+            actor: m.actor,
             kind: m.kind,
             written_at: m.written_at,
             visible_at: m.visible_at,
         })
-    }
-
-    /// The last visible write's actor and release clock.
-    fn wclock(&self, la: u64) -> Option<(Actor, &VClock)> {
-        let (_, m) = self.meta_at(la)?;
-        m.wclock.as_ref().map(|c| (m.actor, c))
     }
 
     /// Fills `out` with the extent pieces overlapping `[lo, hi)`,
@@ -1263,18 +1309,13 @@ impl Auditor {
         &self.report
     }
 
-    /// The analysis mode in force.
-    pub fn mode(&self) -> AuditMode {
-        self.config.mode
-    }
-
     /// Removes and returns recorded violations, keeping the counters.
     pub fn drain_violations(&mut self) -> Vec<Violation> {
         std::mem::take(&mut self.report.violations)
     }
 
-    /// Race findings with full clock snapshots (vector-clock mode; in
-    /// version mode everything is empty).
+    /// Race findings with full clock snapshots (in
+    /// [`AuditMode::Version`] every clock is empty, so everything is).
     pub fn race_report(&self) -> RaceReport {
         let conflicts = self
             .report
@@ -1287,16 +1328,16 @@ impl Auditor {
             .clocks
             .iter()
             .enumerate()
-            .filter(|(_, c)| **c != VClock::default())
+            .filter(|(_, c)| !c.is_empty())
             .map(|(i, c)| (Actor::from_index(i), c.clone()))
             .collect();
         // One entry per line, ordered by (domain, line).
         let mut keyed: Vec<(LineKey, Actor, &VClock)> = Vec::new();
         for (&start, x) in &self.extents {
             let m = &self.events[&x.event];
-            if let Some(c) = &m.wclock {
+            if !m.wclock.is_empty() {
                 for la in (start..x.end).step_by(CACHELINE as usize) {
-                    keyed.push((self.key_of(la), m.actor, c));
+                    keyed.push((self.key_of(la), m.actor, &m.wclock));
                 }
             }
         }
@@ -1316,8 +1357,36 @@ impl Auditor {
     // Vector-clock plumbing
     // ---------------------------------------------------------------
 
-    fn vc_on(&self) -> bool {
-        self.config.mode == AuditMode::VectorClock
+    /// Advances `actor`'s own component once in each distinct failure
+    /// domain the line-aligned `ranges` touch (domain 0 when there are
+    /// none): an op spanning domains is one program-order step in each
+    /// namespace. This is the only place the mode is read — in
+    /// [`AuditMode::Version`] clocks never tick, so every clock stays
+    /// empty, every join is a no-op, every write is ordered before
+    /// every read and nothing races.
+    fn tick(&mut self, actor: Actor, ranges: impl IntoIterator<Item = (u64, u64)>) {
+        if self.config.mode == AuditMode::Version {
+            return;
+        }
+        let mut doms = std::mem::take(&mut self.domain_scratch);
+        doms.clear();
+        for (lo, hi) in ranges {
+            self.push_domains(lo, hi, &mut doms);
+        }
+        doms.sort_unstable();
+        doms.dedup();
+        if doms.is_empty() {
+            doms.push(DomainId(0));
+        }
+        for &d in &doms {
+            self.clock_mut(actor).bump(actor.index_in(d));
+        }
+        self.domain_scratch = doms;
+    }
+
+    /// Ticks `actor` for one op on `[hpa, hpa+len)`.
+    fn tick_range(&mut self, actor: Actor, hpa: u64, len: u64) {
+        self.tick(actor, [line_span(hpa, len)]);
     }
 
     fn clock_mut(&mut self, actor: Actor) -> &mut VClock {
@@ -1328,28 +1397,6 @@ impl Auditor {
         &mut self.clocks[i]
     }
 
-    /// Advances an actor's own component for one op against failure
-    /// domain `domain` (program order within that domain's namespace).
-    fn tick(&mut self, actor: Actor, domain: DomainId) {
-        if !self.vc_on() {
-            return;
-        }
-        let i = actor.index_in(domain);
-        self.clock_mut(actor).bump(i);
-    }
-
-    /// Ticks `actor` once per distinct domain `[hpa, hpa+len)` touches
-    /// (an op spanning domains is one program-order step in each
-    /// namespace).
-    fn tick_range(&mut self, actor: Actor, hpa: u64, len: u64) {
-        if !self.vc_on() {
-            return;
-        }
-        for d in self.domains_of(hpa, len) {
-            self.tick(actor, d);
-        }
-    }
-
     /// The actor's current clock (empty if it never acted).
     fn snapshot(&self, actor: Actor) -> VClock {
         self.clocks.get(actor.index()).cloned().unwrap_or_default()
@@ -1357,31 +1404,14 @@ impl Auditor {
 
     /// Joins `clock` into `dst`'s clock (an incoming hb edge).
     fn join_from(&mut self, dst: Actor, clock: &VClock) {
-        if !self.vc_on() {
-            return;
-        }
         self.clock_mut(dst).join(clock);
     }
 
     /// Joins `src`'s current clock into `dst`'s (e.g. a DMA doorbell
     /// or completion edge).
     fn join_actor(&mut self, dst: Actor, src: Actor) {
-        if !self.vc_on() {
-            return;
-        }
         let c = self.snapshot(src);
-        self.clock_mut(dst).join(&c);
-    }
-
-    /// Joins the release clock of `event` into `dst`'s clock.
-    fn join_event(&mut self, dst: Actor, event: u64) {
-        let i = dst.index();
-        if self.clocks.len() <= i {
-            self.clocks.resize(i + 1, VClock::default());
-        }
-        if let Some(c) = self.events.get(&event).and_then(|m| m.wclock.as_ref()) {
-            self.clocks[i].join(c);
-        }
+        self.join_from(dst, &c);
     }
 
     // ---------------------------------------------------------------
@@ -1422,7 +1452,6 @@ impl Auditor {
             })
             .collect();
         self.domain_scratch = doms;
-        let vc = self.vc_on();
         // Check the write against every extent it overwrites. A piece
         // is walked line by line only when it can report something.
         let mut pieces = std::mem::take(&mut self.piece_scratch);
@@ -1432,11 +1461,7 @@ impl Auditor {
                 let m = &self.events[&old];
                 let lost = m.writer != ev.writer
                     && m.versions.iter().any(|&(d, v)| v > run.base.version_in(d));
-                let race = vc
-                    && m.actor != ev.actor
-                    && m.wclock
-                        .as_ref()
-                        .is_some_and(|c| c.concurrent_with(&ev.wclock));
+                let race = m.actor != ev.actor && m.wclock.concurrent_with(&ev.wclock);
                 if lost || race {
                     let m = m.clone();
                     self.report_overwrite(visible_at, &ev, &run.base, &m, (ps, pe), race);
@@ -1466,7 +1491,7 @@ impl Auditor {
                 written_at: ev.written_at,
                 visible_at,
                 versions,
-                wclock: vc.then_some(ev.wclock),
+                wclock: ev.wclock,
                 ranges,
                 refs: lines,
             },
@@ -1505,48 +1530,39 @@ impl Auditor {
             // write's base and its visibility: that write is clobbered.
             let d = self.domain_of_line(la);
             if old.writer != ev.writer && old.version_in(d) > base.version_in(d) {
-                self.record(
-                    la,
-                    visible_at,
-                    ViolationKind::LostWrite {
-                        victim: old.writer,
-                        by: ev.writer,
-                        cause: LostWriteCause::StaleBasePublish,
-                        dirty_since: old.visible_at,
-                    },
-                    DedupKey::Lost {
-                        line: la,
-                        victim: old.writer.0,
-                        by: ev.writer.0,
-                        cause: LostWriteCause::StaleBasePublish,
-                    },
-                );
+                let cause = LostWriteCause::StaleBasePublish;
+                self.record_lost(la, visible_at, old.writer, ev.writer, cause, old.visible_at);
             }
             // Write-write race: the previous visible write and this one
             // carry incomparable release clocks — their relative order
             // is pure fabric timing, not program order.
             if race {
-                self.record(
-                    la,
-                    visible_at,
-                    ViolationKind::ConcurrentConflict {
-                        first: old.actor,
-                        first_access: AccessKind::Write,
-                        first_at: old.written_at,
-                        first_clock: old.wclock.clone().unwrap_or_default(),
-                        second: ev.actor,
-                        second_access: AccessKind::Write,
-                        second_at: ev.written_at,
-                        second_clock: ev.wclock.clone(),
-                    },
-                    DedupKey::Concurrent {
-                        line: la,
-                        a: old.actor.index().min(ev.actor.index()),
-                        b: old.actor.index().max(ev.actor.index()),
-                        accesses: (AccessKind::Write, AccessKind::Write),
-                    },
-                );
+                let first = Access::write(old.actor, old.written_at, old.wclock.clone());
+                let second = Access::write(ev.actor, ev.written_at, ev.wclock.clone());
+                self.record_race(la, visible_at, first, second);
             }
+        }
+    }
+
+    /// A new write by `actor` issued at `written_at`, released with the
+    /// actor's current clock.
+    fn issue(
+        &mut self,
+        written_at: Nanos,
+        actor: Actor,
+        kind: WriteKind,
+        runs: Vec<BaseRun>,
+    ) -> PendingEvent {
+        let event = self.next_event;
+        self.next_event += 1;
+        PendingEvent {
+            event,
+            writer: actor.host(),
+            actor,
+            wclock: self.snapshot(actor),
+            kind,
+            written_at,
+            runs,
         }
     }
 
@@ -1557,29 +1573,10 @@ impl Auditor {
         actor: Actor,
         kind: WriteKind,
         runs: Vec<BaseRun>,
-    ) -> u64 {
-        let event = self.next_event;
-        self.next_event += 1;
-        let seq = self.pending_seq;
+    ) {
+        let ev = self.issue(written_at, actor, kind, runs);
+        self.pending.insert((visible_at, self.pending_seq), ev);
         self.pending_seq += 1;
-        let wclock = if self.vc_on() {
-            self.snapshot(actor)
-        } else {
-            VClock::default()
-        };
-        self.pending.insert(
-            (visible_at, seq),
-            PendingEvent {
-                event,
-                writer: actor.host(),
-                actor,
-                wclock,
-                kind,
-                written_at,
-                runs,
-            },
-        );
-        event
     }
 
     // ---------------------------------------------------------------
@@ -1600,20 +1597,8 @@ impl Auditor {
         sync: &[(u64, u64)],
     ) {
         self.report.ops_audited += 1;
-        if self.vc_on() {
-            let mut doms: Vec<DomainId> = served
-                .iter()
-                .map(|&(la, _)| self.domain_of_line(la))
-                .collect();
-            doms.sort_unstable();
-            doms.dedup();
-            if doms.is_empty() {
-                doms.push(DomainId(0));
-            }
-            for d in doms {
-                self.tick(Actor::Cpu(host), d);
-            }
-        }
+        let reader = Actor::Cpu(host);
+        self.tick(reader, served.iter().map(|&(la, _)| (la, la + CACHELINE)));
         // (line key, observed version, observed event) per served line,
         // kept only when the load spans lines and so could tear.
         let multi_line = served.len() > 1;
@@ -1621,178 +1606,45 @@ impl Auditor {
         for &(la, hit) in served {
             let key = self.key_of(la);
             let cur = self.state(key);
-            if hit {
+            let view = if hit {
                 // Audit enabled mid-run: seed the cached copy as
                 // current rather than inventing a hazard.
-                let seed = HostView {
-                    version: cur.map(|c| c.version).unwrap_or(0),
-                    event: cur.map(|c| c.event).unwrap_or(0),
-                    dirty: false,
-                    dirty_since: Nanos::ZERO,
-                    base_version: cur.map(|c| c.version).unwrap_or(0),
-                };
-                let vc_on = self.vc_on();
-                let wc_seed = if vc_on {
-                    Some(self.wclock(la).map(|(_, c)| c.clone()).unwrap_or_default())
-                } else {
-                    None
-                };
-                let entry = self.views.entry_or_insert(host.0, la, seed);
-                if vc_on && entry.view_clock.is_none() {
-                    entry.view_clock = wc_seed;
-                }
+                let events = &self.events;
+                let entry = self
+                    .views
+                    .entry_or_insert_with(host.0, la, || clean_copy(events, cur));
                 let view = entry.view;
-                let mut stale = None;
-                if let Some(cur) = cur {
-                    // Reading your own dirty merge is read-own-writes;
-                    // the stale *base* is reported at publish instead.
-                    if !view.dirty && view.version < cur.version && cur.writer != host {
-                        stale = Some(cur);
-                    }
+                // Reading your own dirty merge is read-own-writes; the
+                // stale *base* is reported at publish instead.
+                let missed =
+                    cur.filter(|c| !view.dirty && view.version < c.version && c.writer != host);
+                // A fresh (or own-dirty) hit on a sync line acquires the
+                // ordering of the write the copy reflects.
+                let acquired =
+                    (missed.is_none() && in_ranges(sync, la)).then(|| entry.view_clock.clone());
+                if let Some(cur) = missed {
+                    let wclock = self.events[&cur.event].wclock.clone();
+                    self.missed_write(la, now, reader, cur, wclock);
+                } else if let Some(vc) = acquired {
+                    self.join_from(reader, &vc);
                 }
-                if let Some(cur) = stale {
-                    if self.vc_on() {
-                        let (wactor, wclock) = self
-                            .wclock(la)
-                            .map(|(a, c)| (a, c.clone()))
-                            .unwrap_or((Actor::Cpu(cur.writer), VClock::default()));
-                        let rclock = self.snapshot(Actor::Cpu(host));
-                        if wclock.leq(&rclock) {
-                            // The missed write happens-before this read:
-                            // a genuine (precisely ordered) stale read.
-                            self.record(
-                                la,
-                                now,
-                                ViolationKind::StaleRead {
-                                    reader: host,
-                                    writer: cur.writer,
-                                    write_kind: cur.kind,
-                                    written_at: cur.written_at,
-                                    visible_at: cur.visible_at,
-                                },
-                                DedupKey::Stale {
-                                    line: la,
-                                    reader: host.0,
-                                    event: cur.event,
-                                },
-                            );
-                        } else {
-                            // No edge orders the write before the read:
-                            // a race, not definite staleness.
-                            self.record(
-                                la,
-                                now,
-                                ViolationKind::ConcurrentConflict {
-                                    first: wactor,
-                                    first_access: AccessKind::Write,
-                                    first_at: cur.written_at,
-                                    first_clock: wclock,
-                                    second: Actor::Cpu(host),
-                                    second_access: AccessKind::Read,
-                                    second_at: now,
-                                    second_clock: rclock,
-                                },
-                                DedupKey::Concurrent {
-                                    line: la,
-                                    a: wactor.index().min(Actor::Cpu(host).index()),
-                                    b: wactor.index().max(Actor::Cpu(host).index()),
-                                    accesses: (AccessKind::Write, AccessKind::Read),
-                                },
-                            );
-                        }
-                    } else {
-                        self.record(
-                            la,
-                            now,
-                            ViolationKind::StaleRead {
-                                reader: host,
-                                writer: cur.writer,
-                                write_kind: cur.kind,
-                                written_at: cur.written_at,
-                                visible_at: cur.visible_at,
-                            },
-                            DedupKey::Stale {
-                                line: la,
-                                reader: host.0,
-                                event: cur.event,
-                            },
-                        );
-                    }
-                } else if self.vc_on() && in_ranges(sync, la) {
-                    // Fresh (or own-dirty) hit on a sync line: acquire
-                    // the ordering of the write the copy reflects.
-                    let vc = self
-                        .views
-                        .entry(host.0, la)
-                        .and_then(|e| e.view_clock.clone());
-                    if let Some(vc) = vc {
-                        self.join_from(Actor::Cpu(host), &vc);
-                    }
-                }
-                if multi_line {
-                    observed.push((key, view.version, view.event));
-                }
+                view
             } else {
                 // Miss: the host now caches the pool-current bytes.
-                let (version, event) = cur.map(|c| (c.version, c.event)).unwrap_or((0, 0));
-                let fresh = HostView {
-                    version,
-                    event,
-                    dirty: false,
-                    dirty_since: Nanos::ZERO,
-                    base_version: version,
-                };
-                if self.vc_on() {
-                    match self.wclock(la).map(|(a, c)| (a, c.clone())) {
-                        Some((wactor, wclock)) => {
-                            if in_ranges(sync, la) {
-                                // Acquire: the protocol on this line
-                                // (ring slot, mailbox, seqlock word)
-                                // creates the cross-actor edge.
-                                self.join_from(Actor::Cpu(host), &wclock);
-                            } else {
-                                let rclock = self.snapshot(Actor::Cpu(host));
-                                if wactor != Actor::Cpu(host) && wclock.concurrent_with(&rclock) {
-                                    self.record(
-                                        la,
-                                        now,
-                                        ViolationKind::ConcurrentConflict {
-                                            first: wactor,
-                                            first_access: AccessKind::Write,
-                                            first_at: cur
-                                                .map(|c| c.written_at)
-                                                .unwrap_or(Nanos::ZERO),
-                                            first_clock: wclock.clone(),
-                                            second: Actor::Cpu(host),
-                                            second_access: AccessKind::Read,
-                                            second_at: now,
-                                            second_clock: rclock,
-                                        },
-                                        DedupKey::Concurrent {
-                                            line: la,
-                                            a: wactor.index().min(Actor::Cpu(host).index()),
-                                            b: wactor.index().max(Actor::Cpu(host).index()),
-                                            accesses: (AccessKind::Write, AccessKind::Read),
-                                        },
-                                    );
-                                }
-                                // Join anyway so one unordered publish
-                                // does not cascade into a conflict on
-                                // every later access.
-                                self.join_from(Actor::Cpu(host), &wclock);
-                            }
-                            self.views.set(host.0, la, fresh, Some(wclock));
-                        }
-                        None => {
-                            self.views.set(host.0, la, fresh, Some(VClock::default()));
-                        }
+                let (fresh, wclock) = clean_copy(&self.events, cur);
+                let wclock = match cur {
+                    Some(c) => {
+                        let write = Access::write(c.actor, c.written_at, wclock);
+                        self.observe(la, now, reader, &write, sync);
+                        write.clock
                     }
-                } else {
-                    self.views.set(host.0, la, fresh, None);
-                }
-                if multi_line {
-                    observed.push((key, version, event));
-                }
+                    None => wclock,
+                };
+                self.views.set(host.0, la, fresh, wclock);
+                fresh
+            };
+            if multi_line {
+                observed.push((key, view.version, view.event));
             }
         }
         // Torn-read analysis runs per failure domain: versions are a
@@ -1813,6 +1665,59 @@ impl Auditor {
                 self.check_torn(now, host, group, tolerant);
             }
         }
+    }
+
+    /// A read by `reader` of line `la` that observes `write` in the
+    /// pool: a sync line acquires the write's clock; any other line
+    /// first checks that the write is ordered before the read, then
+    /// joins it anyway so one unordered publish does not cascade into a
+    /// conflict on every later access.
+    fn observe(&mut self, la: u64, now: Nanos, reader: Actor, write: &Access, sync: &[(u64, u64)]) {
+        let races = write.actor != reader
+            && self
+                .clocks
+                .get(reader.index())
+                .is_some_and(|r| write.clock.concurrent_with(r))
+            && !in_ranges(sync, la);
+        if races {
+            let read = Access::read(reader, now, self.snapshot(reader));
+            self.record_race(la, now, write.clone(), read);
+        }
+        self.join_from(reader, &write.clock);
+    }
+
+    /// A read by `reader` of line `la` that missed `missed`, a newer
+    /// write (visible, or dirty in another host's cache) released with
+    /// `wclock`: definite staleness when the write happens-before the
+    /// read, a race when no edge orders them. With frozen clocks every
+    /// write is ordered, so every missed write is stale.
+    fn missed_write(
+        &mut self,
+        la: u64,
+        now: Nanos,
+        reader: Actor,
+        missed: LineState,
+        wclock: VClock,
+    ) {
+        let read = Access::read(reader, now, self.snapshot(reader));
+        if !wclock.leq(&read.clock) {
+            let write = Access::write(missed.actor, missed.written_at, wclock);
+            self.record_race(la, now, write, read);
+            return;
+        }
+        let kind = ViolationKind::StaleRead {
+            reader: reader.host(),
+            writer: missed.writer,
+            write_kind: missed.kind,
+            written_at: missed.written_at,
+            visible_at: missed.visible_at,
+        };
+        let key = DedupKey::Stale {
+            line: la,
+            reader: reader.host().0,
+            event: missed.event,
+        };
+        self.record(la, now, kind, key);
     }
 
     /// Flags loads that saw a multi-line write event on one line but an
@@ -1874,28 +1779,8 @@ impl Auditor {
     /// load-miss fill: the host's copy now reflects the pool-current
     /// version.
     pub fn on_fill(&mut self, host: HostId, la: u64) {
-        let key = self.key_of(la);
-        let (version, event) = self
-            .state(key)
-            .map(|c| (c.version, c.event))
-            .unwrap_or((0, 0));
-        let view_clock = if self.vc_on() {
-            Some(self.wclock(la).map(|(_, c)| c.clone()).unwrap_or_default())
-        } else {
-            None
-        };
-        self.views.set(
-            host.0,
-            la,
-            HostView {
-                version,
-                event,
-                dirty: false,
-                dirty_since: Nanos::ZERO,
-                base_version: version,
-            },
-            view_clock,
-        );
+        let (view, clock) = clean_copy(&self.events, self.state(self.key_of(la)));
+        self.views.set(host.0, la, view, clock);
     }
 
     /// Audits a capacity eviction of a *clean* line: the host simply
@@ -1914,8 +1799,8 @@ impl Auditor {
         // the reported `first` (and the violation log) never varies
         // run to run; the line's views are host-sorted, so that is the
         // first dirty entry in the slot.
-        let other = self.views.min_dirty_other(host.0, la);
-        if let Some((first, first_dirty_since)) = other {
+        if let Some(e) = self.views.min_dirty_other(host.0, la) {
+            let (first, first_dirty_since) = (HostId(e.host), e.view.dirty_since);
             self.record(
                 la,
                 now,
@@ -1932,28 +1817,18 @@ impl Auditor {
             );
         }
         let cur = self.state(key);
-        let vc_snap = if self.vc_on() {
-            Some(self.snapshot(Actor::Cpu(host)))
-        } else {
-            None
-        };
-        let seed = HostView {
-            version: cur.map(|c| c.version).unwrap_or(0),
-            event: cur.map(|c| c.event).unwrap_or(0),
-            dirty: false,
-            dirty_since: Nanos::ZERO,
-            base_version: cur.map(|c| c.version).unwrap_or(0),
-        };
-        let entry = self.views.entry_or_insert(host.0, la, seed);
+        let dirty_clock = self.snapshot(Actor::Cpu(host));
+        let events = &self.events;
+        let entry = self
+            .views
+            .entry_or_insert_with(host.0, la, || clean_copy(events, cur));
         if !entry.view.dirty {
             entry.view.dirty = true;
             entry.view.dirty_since = now;
             // Freeze the merge base: publishing later writes back the
             // whole line as seen *now*.
             entry.view.base_version = entry.view.version;
-            if let Some(c) = vc_snap {
-                entry.dirty_clock = Some(c);
-            }
+            entry.dirty_clock = dirty_clock;
         }
     }
 
@@ -1970,7 +1845,7 @@ impl Auditor {
     pub fn on_nt_store(&mut self, now: Nanos, host: HostId, hpa: u64, len: u64, done: Nanos) {
         self.report.ops_audited += 1;
         self.tick_range(Actor::Cpu(host), hpa, len);
-        self.discard_for_overwrite(now, host, hpa, len);
+        self.drop_copies(now, host, hpa, len, Some(LostWriteCause::OverwriteDiscard));
         let runs = self.bases_for(hpa, len);
         self.enqueue(now, done, Actor::Cpu(host), WriteKind::NtStore, runs);
     }
@@ -1983,7 +1858,7 @@ impl Auditor {
         self.report.ops_audited += 1;
         self.join_actor(Actor::Dma(host), Actor::Cpu(host));
         self.tick_range(Actor::Dma(host), hpa, len);
-        self.discard_for_overwrite(now, host, hpa, len);
+        self.drop_copies(now, host, hpa, len, Some(LostWriteCause::OverwriteDiscard));
         let runs = self.bases_for(hpa, len);
         self.enqueue(now, done, Actor::Dma(host), WriteKind::DmaWrite, runs);
     }
@@ -2022,13 +1897,7 @@ impl Auditor {
         }
         debug_assert!(published.windows(2).all(|w| w[0].end <= w[1].start));
         // clflush semantics: every line in the range leaves the cache.
-        let (lo, hi) = line_span(hpa, len);
-        let mut lines = std::mem::take(&mut self.line_scratch);
-        self.views.lines_in(lo, hi, &mut lines);
-        for &la in &lines {
-            self.views.remove(host.0, la);
-        }
-        self.line_scratch = lines;
+        self.drop_copies(now, host, hpa, len, None);
         if !published.is_empty() {
             self.enqueue(now, done, Actor::Cpu(host), WriteKind::Flush, published);
         }
@@ -2038,39 +1907,14 @@ impl Auditor {
     /// loses the data.
     pub fn on_invalidate(&mut self, now: Nanos, host: HostId, hpa: u64, len: u64) {
         self.report.ops_audited += 1;
-        let (lo, hi) = line_span(hpa, len);
-        let mut lines = std::mem::take(&mut self.line_scratch);
-        self.views.lines_in(lo, hi, &mut lines);
-        for &la in &lines {
-            if let Some(view) = self.views.remove(host.0, la) {
-                if view.dirty {
-                    self.record(
-                        la,
-                        now,
-                        ViolationKind::LostWrite {
-                            victim: host,
-                            by: host,
-                            cause: LostWriteCause::InvalidateDiscard,
-                            dirty_since: view.dirty_since,
-                        },
-                        DedupKey::Lost {
-                            line: la,
-                            victim: host.0,
-                            by: host.0,
-                            cause: LostWriteCause::InvalidateDiscard,
-                        },
-                    );
-                }
-            }
-        }
-        self.line_scratch = lines;
+        self.drop_copies(now, host, hpa, len, Some(LostWriteCause::InvalidateDiscard));
     }
 
     /// Audits a DMA read via attach host `host`: the device sees the
     /// pool plus that host's dirty lines — any *other* host's dirty
     /// line in the range is invisible to it (an unpublished write the
-    /// device reads around). In vector-clock mode the read also checks
-    /// that the last visible write on each line is ordered before it.
+    /// device reads around). The read also checks that the last visible
+    /// write on each line is ordered before it.
     pub fn on_dma_read(
         &mut self,
         now: Nanos,
@@ -2080,20 +1924,18 @@ impl Auditor {
         sync: &[(u64, u64)],
     ) {
         self.report.ops_audited += 1;
-        self.join_actor(Actor::Dma(host), Actor::Cpu(host));
-        self.tick_range(Actor::Dma(host), hpa, len);
+        let reader = Actor::Dma(host);
+        self.join_actor(reader, Actor::Cpu(host));
+        self.tick_range(reader, hpa, len);
         let (lo, hi) = line_span(hpa, len);
-        // Lines another host may hold dirty, and (vector-clock mode)
-        // the first line of every extent piece: once the read has
-        // joined a piece's release clock, the piece's later lines can
-        // neither race nor add an edge, so only these lines can report.
+        // Lines another host may hold dirty, and the first line of
+        // every extent piece: once the read has joined a piece's
+        // release clock, the piece's later lines can neither race nor
+        // add an edge, so only these lines can report.
         let mut cached = std::mem::take(&mut self.line_scratch);
         self.views.lines_in(lo, hi, &mut cached);
         let mut pieces = std::mem::take(&mut self.piece_scratch);
-        pieces.clear();
-        if self.vc_on() {
-            self.pieces(lo, hi, &mut pieces);
-        }
+        self.pieces(lo, hi, &mut pieces);
         let (mut c, mut p) = (0, 0);
         while c < cached.len() || p < pieces.len() {
             let next_cached = cached.get(c).copied().unwrap_or(u64::MAX);
@@ -2104,7 +1946,9 @@ impl Auditor {
                 c += 1;
             }
             if next_piece == la {
-                self.dma_read_acquire(now, host, la, pieces[p].2, sync);
+                let m = &self.events[&pieces[p].2];
+                let write = Access::write(m.actor, m.written_at, m.wclock.clone());
+                self.observe(la, now, reader, &write, sync);
                 p += 1;
             }
         }
@@ -2112,126 +1956,27 @@ impl Auditor {
         self.piece_scratch = pieces;
     }
 
-    /// The remote-dirty half of [`Auditor::on_dma_read`] for line `la`.
+    /// The remote-dirty half of [`Auditor::on_dma_read`] for line `la`:
+    /// the device reads around another host's unpublished store.
     fn dma_read_dirty(&mut self, now: Nanos, host: HostId, la: u64) {
         // Lowest dirty host wins, as in on_store: the reported writer
         // is deterministic because the slot's views are host-sorted.
-        let Some((writer, dirty_since)) = self.views.min_dirty_other(host.0, la) else {
+        let Some(e) = self.views.min_dirty_other(host.0, la) else {
             return;
         };
-        if !self.vc_on() {
-            self.record_dma_stale(la, now, host, writer, dirty_since);
-            return;
-        }
-        let dclock = self
-            .views
-            .entry(writer.0, la)
-            .and_then(|e| e.dirty_clock.clone())
-            .unwrap_or_default();
-        let rclock = self.snapshot(Actor::Dma(host));
-        if dclock.leq(&rclock) {
-            // The store happens-before the DMA yet was never published:
-            // the device definitely reads around it.
-            self.record_dma_stale(la, now, host, writer, dirty_since);
-        } else {
-            // Unpublished store racing the DMA read.
-            self.record(
-                la,
-                now,
-                ViolationKind::ConcurrentConflict {
-                    first: Actor::Cpu(writer),
-                    first_access: AccessKind::Write,
-                    first_at: dirty_since,
-                    first_clock: dclock,
-                    second: Actor::Dma(host),
-                    second_access: AccessKind::Read,
-                    second_at: now,
-                    second_clock: rclock,
-                },
-                DedupKey::Concurrent {
-                    line: la,
-                    a: Actor::Cpu(writer).index().min(Actor::Dma(host).index()),
-                    b: Actor::Cpu(writer).index().max(Actor::Dma(host).index()),
-                    accesses: (AccessKind::Write, AccessKind::Read),
-                },
-            );
-        }
-    }
-
-    /// The visible-write half of [`Auditor::on_dma_read`] for line `la`,
-    /// the first line the read touches of an extent of `event`: a sync
-    /// line acquires the write's clock; any other line checks that the
-    /// write is ordered before the read, then joins it anyway so one
-    /// unordered publish does not cascade.
-    fn dma_read_acquire(
-        &mut self,
-        now: Nanos,
-        host: HostId,
-        la: u64,
-        event: u64,
-        sync: &[(u64, u64)],
-    ) {
-        let reader = Actor::Dma(host);
-        if !in_ranges(sync, la) {
-            let m = &self.events[&event];
-            let rclock = self.snapshot(reader);
-            let race = m.actor != reader
-                && m.wclock
-                    .as_ref()
-                    .is_some_and(|c| c.concurrent_with(&rclock));
-            if race {
-                let (wactor, written_at) = (m.actor, m.written_at);
-                let wclock = m.wclock.clone().unwrap_or_default();
-                self.record(
-                    la,
-                    now,
-                    ViolationKind::ConcurrentConflict {
-                        first: wactor,
-                        first_access: AccessKind::Write,
-                        first_at: written_at,
-                        first_clock: wclock,
-                        second: reader,
-                        second_access: AccessKind::Read,
-                        second_at: now,
-                        second_clock: rclock,
-                    },
-                    DedupKey::Concurrent {
-                        line: la,
-                        a: wactor.index().min(reader.index()),
-                        b: wactor.index().max(reader.index()),
-                        accesses: (AccessKind::Write, AccessKind::Read),
-                    },
-                );
-            }
-        }
-        self.join_event(reader, event);
-    }
-
-    fn record_dma_stale(
-        &mut self,
-        la: u64,
-        now: Nanos,
-        host: HostId,
-        writer: HostId,
-        dirty_since: Nanos,
-    ) {
-        self.record(
-            la,
-            now,
-            ViolationKind::StaleRead {
-                reader: host,
-                writer,
-                write_kind: WriteKind::Flush,
-                written_at: dirty_since,
-                // Never yet visible; report the dirtying time.
-                visible_at: dirty_since,
-            },
-            DedupKey::Stale {
-                line: la,
-                reader: host.0,
-                event: u64::MAX ^ la,
-            },
-        );
+        let writer = HostId(e.host);
+        let missed = LineState {
+            event: u64::MAX ^ la,
+            version: 0,
+            writer,
+            actor: Actor::Cpu(writer),
+            kind: WriteKind::Flush,
+            written_at: e.view.dirty_since,
+            // Never yet visible; report the dirtying time.
+            visible_at: e.view.dirty_since,
+        };
+        let dclock = e.dirty_clock.clone();
+        self.missed_write(la, now, Actor::Dma(host), missed, dclock);
     }
 
     /// Records the completion edge of a DMA operation: the attach
@@ -2251,30 +1996,14 @@ impl Auditor {
             .map(|e| e.view.base_version)
             .unwrap_or(0);
         self.views.remove(host.0, la);
-        self.tick(Actor::Cpu(host), self.domain_of_line(la));
-        let event = self.next_event;
-        self.next_event += 1;
-        let wclock = if self.vc_on() {
-            self.snapshot(Actor::Cpu(host))
-        } else {
-            VClock::default()
+        self.tick(Actor::Cpu(host), [(la, la + CACHELINE)]);
+        let run = BaseRun {
+            start: la,
+            end: la + CACHELINE,
+            base: Base::Flat(base),
         };
-        self.apply_event(
-            now,
-            PendingEvent {
-                event,
-                writer: host,
-                actor: Actor::Cpu(host),
-                wclock,
-                kind: WriteKind::Eviction,
-                written_at: now,
-                runs: vec![BaseRun {
-                    start: la,
-                    end: la + CACHELINE,
-                    base: Base::Flat(base),
-                }],
-            },
-        );
+        let ev = self.issue(now, Actor::Cpu(host), WriteKind::Eviction, vec![run]);
+        self.apply_event(now, ev);
     }
 
     /// Forgets all shadow state for `[base, end)` when the segment is
@@ -2352,11 +2081,18 @@ impl Auditor {
     // Internals
     // ---------------------------------------------------------------
 
-    /// Drops the overwriting host's cached lines in the overwritten
-    /// range, reporting dirty bytes the overwrite does not fully
-    /// replace.
-    fn discard_for_overwrite(&mut self, now: Nanos, host: HostId, hpa: u64, len: u64) {
-        let end = hpa + len;
+    /// Drops `host`'s cached copies of every line `[hpa, hpa+len)`
+    /// touches. With a `cause`, a dirty copy's bytes are lost: all of
+    /// them on an invalidate, and on an overwrite those of lines the
+    /// overwrite does not fully replace.
+    fn drop_copies(
+        &mut self,
+        now: Nanos,
+        host: HostId,
+        hpa: u64,
+        len: u64,
+        cause: Option<LostWriteCause>,
+    ) {
         let (lo, hi) = line_span(hpa, len);
         let mut lines = std::mem::take(&mut self.line_scratch);
         self.views.lines_in(lo, hi, &mut lines);
@@ -2364,24 +2100,12 @@ impl Auditor {
             let Some(view) = self.views.remove(host.0, la) else {
                 continue;
             };
-            let fully_covered = hpa <= la && la + CACHELINE <= end;
-            if view.dirty && !fully_covered {
-                self.record(
-                    la,
-                    now,
-                    ViolationKind::LostWrite {
-                        victim: host,
-                        by: host,
-                        cause: LostWriteCause::OverwriteDiscard,
-                        dirty_since: view.dirty_since,
-                    },
-                    DedupKey::Lost {
-                        line: la,
-                        victim: host.0,
-                        by: host.0,
-                        cause: LostWriteCause::OverwriteDiscard,
-                    },
-                );
+            let Some(cause) = cause.filter(|_| view.dirty) else {
+                continue;
+            };
+            let replaced = hpa <= la && la + CACHELINE <= hpa + len;
+            if cause != LostWriteCause::OverwriteDiscard || !replaced {
+                self.record_lost(la, now, host, host, cause, view.dirty_since);
             }
         }
         self.line_scratch = lines;
@@ -2420,6 +2144,54 @@ impl Auditor {
             });
         }
         runs
+    }
+
+    /// Records `victim`'s dirty (or visible) data lost to `by`.
+    fn record_lost(
+        &mut self,
+        la: u64,
+        now: Nanos,
+        victim: HostId,
+        by: HostId,
+        cause: LostWriteCause,
+        dirty_since: Nanos,
+    ) {
+        let kind = ViolationKind::LostWrite {
+            victim,
+            by,
+            cause,
+            dirty_since,
+        };
+        let key = DedupKey::Lost {
+            line: la,
+            victim: victim.0,
+            by: by.0,
+            cause,
+        };
+        self.record(la, now, kind, key);
+    }
+
+    /// Records a happens-before race between two conflicting accesses;
+    /// the pair dedups regardless of which actor came first.
+    fn record_race(&mut self, la: u64, now: Nanos, first: Access, second: Access) {
+        let (a, b) = (first.actor.index(), second.actor.index());
+        let key = DedupKey::Concurrent {
+            line: la,
+            a: a.min(b),
+            b: a.max(b),
+            accesses: (first.kind, second.kind),
+        };
+        let kind = ViolationKind::ConcurrentConflict {
+            first: first.actor,
+            first_access: first.kind,
+            first_at: first.at,
+            first_clock: first.clock,
+            second: second.actor,
+            second_access: second.kind,
+            second_at: second.at,
+            second_clock: second.clock,
+        };
+        self.record(la, now, kind, key);
     }
 
     fn record(&mut self, line: u64, detected_at: Nanos, kind: ViolationKind, key: DedupKey) {
@@ -2976,12 +2748,13 @@ mod tests {
                 let h = rng.below(4) as u16;
                 match rng.below(10) {
                     0..=3 => {
-                        table.set(h, la, hv(step, step), None);
+                        table.set(h, la, hv(step, step), VClock::default());
                         oracle.insert((h, la), hv(step, step));
                     }
                     4 | 5 => {
                         // The on_store shape: seed-or-get, then dirty.
-                        let entry = table.entry_or_insert(h, la, hv(step, step));
+                        let entry = table
+                            .entry_or_insert_with(h, la, || (hv(step, step), VClock::default()));
                         let oview = oracle.entry((h, la)).or_insert(hv(step, step));
                         assert_eq!(entry.view, *oview);
                         if !entry.view.dirty {
@@ -3011,7 +2784,12 @@ mod tests {
                     .filter_map(|o| oracle.get(&(o, q)).filter(|v| v.dirty).map(|v| (o, v)))
                     .min_by_key(|&(o, _)| o)
                     .map(|(o, v)| (HostId(o), v.dirty_since));
-                assert_eq!(table.min_dirty_other(qh, q), want_dirty);
+                assert_eq!(
+                    table
+                        .min_dirty_other(qh, q)
+                        .map(|e| (HostId(e.host), e.view.dirty_since)),
+                    want_dirty
+                );
                 let qhi = q + (rng.below(700) + 1) * CACHELINE;
                 let mut got = Vec::new();
                 table.lines_in(q, qhi, &mut got);

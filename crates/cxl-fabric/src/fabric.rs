@@ -11,7 +11,6 @@
 
 use std::collections::BTreeMap;
 
-use simkit::metrics::{MetricsConfig, MetricsRecorder};
 use simkit::server::{BandwidthPipe, OrderStats};
 use simkit::trace::{TraceConfig, TraceRecorder, Track};
 use simkit::Nanos;
@@ -150,10 +149,6 @@ pub struct Fabric {
     /// Opt-in flight recorder (see [`simkit::trace`]); boxed so the
     /// disabled fast path pays one pointer, mirroring `audit`.
     trace: Option<Box<TraceRecorder>>,
-    /// Opt-in metrics registry + sampler (see [`simkit::metrics`]);
-    /// boxed so the disabled fast path pays one pointer, mirroring
-    /// `trace` and `audit`.
-    metrics: Option<Box<MetricsRecorder>>,
     /// Reusable per-access scratch for [`Segment::spread_into`]: every
     /// pool access computes an interleave spread, and reusing one
     /// buffer keeps the datapath allocation-free.
@@ -221,7 +216,6 @@ impl Fabric {
             tear_tolerant: Vec::new(),
             sync_ranges: Vec::new(),
             trace: None,
-            metrics: None,
             spread_scratch: Vec::new(),
             missed_scratch: Vec::new(),
             served_scratch: Vec::new(),
@@ -250,11 +244,6 @@ impl Fabric {
             auditor.map_segment(seg.base(), seg.end(), doms);
         }
         self.audit = Some(auditor);
-    }
-
-    /// True when audit mode is on.
-    pub fn audit_enabled(&self) -> bool {
-        self.audit.is_some()
     }
 
     /// The auditor's findings so far, if auditing is enabled.
@@ -373,33 +362,6 @@ impl Fabric {
         if let Some(tr) = self.trace.as_deref_mut() {
             tr.pop_ctx();
         }
-    }
-
-    // ---------------------------------------------------------------
-    // Metrics plane
-    // ---------------------------------------------------------------
-
-    /// Turns on the metrics registry + sampler (see
-    /// [`simkit::metrics`]). Layers holding `&mut Fabric` register
-    /// series and record values; the pod's pump loop drives the
-    /// simulated-time sampling tick.
-    pub fn enable_metrics(&mut self, config: MetricsConfig) {
-        self.metrics = Some(Box::new(MetricsRecorder::new(config)));
-    }
-
-    /// True when the metrics plane is on.
-    pub fn metrics_enabled(&self) -> bool {
-        self.metrics.is_some()
-    }
-
-    /// The metrics recorder, if enabled.
-    pub fn metrics(&self) -> Option<&MetricsRecorder> {
-        self.metrics.as_deref()
-    }
-
-    /// Mutable access to the metrics recorder, if enabled.
-    pub fn metrics_mut(&mut self) -> Option<&mut MetricsRecorder> {
-        self.metrics.as_deref_mut()
     }
 
     /// Records a span for one fabric access when verbose fabric-op
@@ -1059,11 +1021,6 @@ impl Fabric {
     /// Utilization of a link's uplink direction over `[0, horizon]`.
     pub fn uplink_utilization(&self, link: LinkId, horizon: Nanos) -> f64 {
         self.uplinks[link.0 as usize].utilization(horizon)
-    }
-
-    /// Utilization of a link's downlink direction over `[0, horizon]`.
-    pub fn downlink_utilization(&self, link: LinkId, horizon: Nanos) -> f64 {
-        self.downlinks[link.0 as usize].utilization(horizon)
     }
 
     // ---------------------------------------------------------------

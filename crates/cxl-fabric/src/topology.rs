@@ -247,14 +247,6 @@ impl Topology {
         self.mhd_up.get(mhd.0 as usize).copied().unwrap_or(false)
     }
 
-    /// True if `link` is currently up.
-    pub fn link_is_up(&self, link: LinkId) -> bool {
-        self.links
-            .get(link.0 as usize)
-            .map(|l| l.up)
-            .unwrap_or(false)
-    }
-
     /// Marks a link down (cable pull, port failure).
     pub fn fail_link(&mut self, link: LinkId) {
         if let Some(l) = self.links.get_mut(link.0 as usize) {

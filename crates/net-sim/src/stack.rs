@@ -73,11 +73,6 @@ impl BufferPool {
             BufferPool::Cxl { seg } => BufRef::Pool(seg.base() + i * size),
         }
     }
-
-    /// True if buffers live in the CXL pool.
-    pub fn is_cxl(&self) -> bool {
-        matches!(self, BufferPool::Cxl { .. })
-    }
 }
 
 /// The echo server stack: run-to-completion on a small pool of cores.

@@ -263,13 +263,6 @@ impl Nic {
             done,
         }))
     }
-
-    /// Approximate current TX load: queueing delay on the line at `now`,
-    /// in nanoseconds. The orchestrator uses this as a utilization
-    /// signal.
-    pub fn tx_backlog(&self, now: Nanos) -> Nanos {
-        self.tx_line.backlog(now)
-    }
 }
 
 #[cfg(test)]

@@ -134,12 +134,6 @@ impl Rng {
         mean + std_dev * self.std_normal()
     }
 
-    /// Log-normal parameterized by the *underlying* normal's `mu` and
-    /// `sigma` (i.e. `exp(N(mu, sigma))`).
-    pub fn lognormal(&mut self, mu: f64, sigma: f64) -> f64 {
-        self.normal(mu, sigma).exp()
-    }
-
     /// Pareto (heavy tail) with scale `x_min` and shape `alpha`.
     ///
     /// # Panics

@@ -50,16 +50,6 @@ impl Table {
             .push(cells.iter().map(|s| s.to_string()).collect());
     }
 
-    /// Appends one row of already-owned cells.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the cell count differs from the header count.
-    pub fn row_owned(&mut self, cells: Vec<String>) {
-        assert_eq!(cells.len(), self.headers.len(), "cell count mismatch");
-        self.rows.push(cells);
-    }
-
     /// Number of data rows.
     pub fn len(&self) -> usize {
         self.rows.len()

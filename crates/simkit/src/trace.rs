@@ -304,14 +304,6 @@ impl TraceRecorder {
             .collect()
     }
 
-    /// The raw histogram for one `(stage, kind)`, if recorded.
-    pub fn stage_histogram(&self, name: &str, kind: u8) -> Option<&Histogram> {
-        self.stages
-            .iter()
-            .find(|(&(n, k), _)| n == name && k == kind)
-            .map(|(_, h)| h)
-    }
-
     /// Exports the recording as Chrome trace-event JSON, loadable in
     /// `ui.perfetto.dev` or `chrome://tracing`. Timestamps are emitted
     /// in microseconds (the format's unit) with nanosecond precision

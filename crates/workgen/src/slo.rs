@@ -1,6 +1,6 @@
 //! Service-level objectives over measured latency distributions.
 
-use simkit::stats::{Histogram, Summary};
+use simkit::stats::Histogram;
 use simkit::Nanos;
 
 /// A latency SLO: "the `quantile` latency stays under `limit`, with at
@@ -67,11 +67,6 @@ pub struct SloVerdict {
     pub ops: u64,
     /// Failed/timed-out operations among them.
     pub errors: u64,
-}
-
-/// Convenience: summary of the distribution a verdict was drawn from.
-pub fn summarize(hist: &Histogram) -> Summary {
-    hist.summary()
 }
 
 #[cfg(test)]

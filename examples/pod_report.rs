@@ -47,7 +47,7 @@ fn main() {
 
     // A NIC dies mid-day; traffic fails over.
     let victim = pod.binding(HostId(5), DeviceKind::Nic).expect("bound");
-    pod.fail_nic(victim);
+    pod.fail_device(victim);
     for _ in 0..10 {
         let d = pod.time() + Nanos::from_millis(20);
         if pod.vnic_send(HostId(5), b"after failover", d).is_ok() {

@@ -44,13 +44,13 @@ fn random_failures_under(mode: AuditMode) {
             let alive: Vec<usize> = (0..nics.len()).filter(|&i| !down[i]).collect();
             if alive.len() > 1 {
                 let victim = alive[rng.below(alive.len() as u64) as usize];
-                pod.fail_nic(nics[victim]);
+                pod.fail_device(nics[victim]);
                 down[victim] = true;
             }
         } else if roll == 1 {
             let dead: Vec<usize> = (0..nics.len()).filter(|&i| down[i]).collect();
             if let Some(&fix) = dead.first() {
-                pod.repair_nic(nics[fix]);
+                pod.repair_device(nics[fix]);
                 down[fix] = false;
             }
         }
@@ -129,7 +129,7 @@ fn dead_device_bindings_under(mode: AuditMode) {
         }
         // Repair someone at random so the pool doesn't drain.
         let fix = nics[rng.below(nics.len() as u64) as usize];
-        pod.repair_nic(fix);
+        pod.repair_device(fix);
     }
     let report = pod.audit_finalize().expect("audit on");
     assert!(
@@ -163,11 +163,7 @@ fn mixed_device_chaos_under(mode: AuditMode) {
         };
         let devs = pod.orch.devices_of(kind);
         let victim = devs[rng.below(devs.len() as u64) as usize];
-        match kind {
-            DeviceKind::Nic => pod.fail_nic(victim),
-            DeviceKind::Ssd => pod.fail_ssd(victim),
-            DeviceKind::Accel => pod.fail_accel(victim),
-        }
+        pod.fail_device(victim);
 
         // All three kinds must keep serving host 5 (retry allowed).
         let host = HostId(5);
@@ -197,11 +193,7 @@ fn mixed_device_chaos_under(mode: AuditMode) {
             "{mode:?} round {round}: nic={nic_ok} ssd={ssd_ok} accel={accel_ok} after failing {victim:?}"
         );
 
-        match kind {
-            DeviceKind::Nic => pod.repair_nic(victim),
-            DeviceKind::Ssd => pod.repair_ssd(victim),
-            DeviceKind::Accel => pod.repair_accel(victim),
-        }
+        pod.repair_device(victim);
     }
     let report = pod.audit_finalize().expect("audit on");
     assert!(
