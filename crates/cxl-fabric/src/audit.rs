@@ -52,7 +52,7 @@
 //! - **release**: every visible write (nt-store, flush, DMA write,
 //!   eviction) snapshots its actor's clock;
 //! - **acquire**: a load miss on a line inside a registered *sync
-//!   range* (message rings, mailboxes, seqlock words — see
+//!   range* (message rings and seqlock words — see
 //!   `Fabric::mark_sync_range`) joins the observed write's clock;
 //! - **DMA issue**: a DMA op joins the attach host's CPU clock (the
 //!   doorbell orders it after the CPU's prior work);

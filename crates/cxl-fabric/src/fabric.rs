@@ -142,7 +142,7 @@ pub struct Fabric {
     /// later [`Fabric::enable_audit`] still honours them.
     tear_tolerant: Vec<(u64, u64)>,
     /// Ranges holding synchronization protocol state (ring slots,
-    /// mailboxes, seqlock words): reads there are acquire operations
+    /// seqlock words): reads there are acquire operations
     /// in the vector-clock model. Kept even while auditing is off, as
     /// with `tear_tolerant`.
     sync_ranges: Vec<(u64, u64)>,
@@ -293,10 +293,10 @@ impl Fabric {
     }
 
     /// Declares `[hpa, hpa + len)` a synchronization range: the
-    /// protocol state there (ring slots, mailbox lines, seqlock words)
+    /// protocol state there (ring slots, seqlock words)
     /// transfers ordering, so in vector-clock audit mode a fresh read
     /// of such a line is an *acquire* of the observed write's clock.
-    /// Registered by the shmem channel/mailbox/seqlock constructors.
+    /// Registered by the shmem ring and seqlock constructors.
     pub fn mark_sync_range(&mut self, hpa: u64, len: u64) {
         if len > 0 {
             self.sync_ranges.push((hpa, hpa + len));

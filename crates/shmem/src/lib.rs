@@ -16,8 +16,8 @@
 //!   protocol has no ordering bugs that the (deterministic, sequential)
 //!   simulator could hide.
 //!
-//! Plus the control-plane primitives built from the same discipline:
-//! [`mailbox`] (latest-value register) and heartbeat tables.
+//! Plus [`seqlock`], a multi-line record built from the same
+//! discipline.
 //!
 //! # Examples
 //!
@@ -41,12 +41,10 @@
 //! ```
 
 pub mod channel;
-pub mod mailbox;
 pub mod pingpong;
 pub mod real;
 pub mod ring;
 pub mod seqlock;
 
 pub use channel::{Channel, ChannelReceiver, ChannelSend, ChannelSender, ChannelStats};
-pub use mailbox::{HeartbeatTable, Mailbox};
 pub use ring::{IdlePoll, PollOutcome, RingBuf, RingReceiver, RingSender, SendOutcome};

@@ -267,25 +267,3 @@ fn accelerator_failover_preserves_job_semantics() {
     assert_eq!(out, expect, "failover changed the job's semantics");
     assert_ne!(pod.binding(host, DeviceKind::Accel), Some(victim));
 }
-
-#[test]
-fn heartbeats_survive_device_failures() {
-    use shmem::mailbox::HeartbeatTable;
-    let mut pod = PodSim::new(PodParams::new(4, 2));
-    let members: Vec<HostId> = (0..4).map(HostId).collect();
-    let table = HeartbeatTable::allocate(&mut pod.fabric, &members, 4).expect("alloc");
-    // Device failures do not affect the memory-pool control plane.
-    let dev = pod.binding(HostId(3), DeviceKind::Nic).expect("bound");
-    pod.fail_device(dev);
-    let mut t = pod.time();
-    for beat in 1..=5u64 {
-        t = table
-            .beat(&mut pod.fabric, t, HostId(3), beat, 50)
-            .expect("beat");
-    }
-    let (beat, load, _, _) = table
-        .read(&mut pod.fabric, t, HostId(0), HostId(3))
-        .expect("read");
-    assert_eq!(beat, 5);
-    assert_eq!(load, 50);
-}
