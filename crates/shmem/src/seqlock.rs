@@ -2,11 +2,11 @@
 //!
 //! The fabric writes one 64 B cache line atomically, so a value that
 //! fits in a line needs no protocol. Larger records span several
-//! lines, and a reader can observe a *torn* mix of old and new lines. The classic cure is a sequence lock: the writer bumps a
-//! version to an odd value, writes the payload, then bumps it to the
-//! next even value (all with non-temporal stores, in order); the
-//! reader re-reads until it sees the same even version on both sides
-//! of the payload.
+//! lines, and a reader can observe a *torn* mix of old and new lines.
+//! The classic cure is a sequence lock: the writer bumps a version to
+//! an odd value, writes the payload, then bumps it to the next even
+//! value (all with non-temporal stores, in order); the reader re-reads
+//! until it sees the same even version on both sides of the payload.
 //!
 //! Layout: `[version: 8 B pad to 64][payload: N lines][version mirror:
 //! 8 B pad to 64]`.
