@@ -228,20 +228,7 @@ pub fn run_ssd_qd(scale: Scale) -> Table {
                 blocks: 1,
                 buf,
             };
-            match pod.submit(owner, dev, cmd) {
-                Ok(sub) => inflight.push_back(sub),
-                Err(_) => {
-                    // Ring backpressure: drain and retry.
-                    while let Some(sub) = inflight.pop_front() {
-                        let d = pod.time() + Nanos::from_millis(500);
-                        let r = pod.await_submitted(owner, sub, d).expect("await");
-                        done = done.max(r.at);
-                        pod.agents[owner.0 as usize].advance_clock(r.at);
-                    }
-                    let sub = pod.submit(owner, dev, cmd).expect("resubmit");
-                    inflight.push_back(sub);
-                }
-            }
+            inflight.push_back(pod.submit(owner, dev, cmd).expect("submit"));
         }
         for sub in inflight {
             let d = pod.time() + Nanos::from_millis(500);

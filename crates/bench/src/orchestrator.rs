@@ -353,19 +353,7 @@ pub fn run_sharing(scale: Scale) -> Table {
                     let r = pod.await_submitted(bond.owner, sub, d).expect("await");
                     done[s] = done[s].max(r.at);
                 }
-                match bond.submit_one(&mut pod, &payload) {
-                    Ok(sub) => inflight[s].push(sub),
-                    Err(_) => {
-                        // Ring backpressure: drain this sharer first.
-                        for sub in inflight[s].drain(..) {
-                            let d = pod.time() + Nanos::from_millis(500);
-                            let r = pod.await_submitted(bond.owner, sub, d).expect("await");
-                            done[s] = done[s].max(r.at);
-                        }
-                        let sub = bond.submit_one(&mut pod, &payload).expect("resubmit");
-                        inflight[s].push(sub);
-                    }
-                }
+                inflight[s].push(bond.submit_one(&mut pod, &payload).expect("submit"));
             }
         }
         for (s, bond) in bonds.iter().enumerate() {

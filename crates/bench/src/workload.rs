@@ -240,7 +240,8 @@ pub fn search_config(scale: Scale) -> CapacityConfig {
 
 /// Runs the whole bench and returns the (deterministic) JSON document.
 pub fn run(cfg: &Config) -> Value {
-    let build = || PodSim::new(pod_params(cfg.seed));
+    let params = pod_params(cfg.seed);
+    let build = || PodSim::new(params.clone());
     let base = base_spec(cfg.scale);
     let faulted = faulted_spec(cfg.scale);
     let engine = Engine::new(cfg.seed);
@@ -269,16 +270,18 @@ pub fn run(cfg: &Config) -> Value {
         let mig_spec = churn_workload(cfg.scale, true);
         let naive_spec = churn_workload(cfg.scale, false);
 
-        let mut mig_pod = PodSim::new(churn_pod_params(cfg.seed));
+        let churn_pod = churn_pod_params(cfg.seed);
+        let mut mig_pod = PodSim::new(churn_pod.clone());
         observe(&mut mig_pod);
         let mig = engine.run(&mut mig_pod, &mig_spec);
         let mig_snap = telemetry::snapshot(&mig_pod);
         let mig_audit = mig_pod.audit_finalize();
 
-        let mut naive_pod = PodSim::new(churn_pod_params(cfg.seed));
+        let mut naive_pod = PodSim::new(churn_pod.clone());
         let naive = engine.run(&mut naive_pod, &naive_spec);
 
         Some(churn_section(
+            &churn_pod,
             &mig_spec,
             &mig,
             &mig_snap,
@@ -315,18 +318,7 @@ pub fn run(cfg: &Config) -> Value {
                 .into(),
             ),
         ),
-        (
-            "pod",
-            obj(vec![
-                ("hosts", num(6.0)),
-                ("mhds", num(4.0)),
-                ("domains", num(2.0)),
-                ("lambda", num(4.0)),
-                ("nic_hosts", num(2.0)),
-                ("ssd_hosts", num(2.0)),
-                ("accel_hosts", num(1.0)),
-            ]),
-        ),
+        ("pod", obj(pod_fields(&params))),
         (
             "tenants",
             Value::Array(base.tenants.iter().map(tenant_spec_json).collect()),
@@ -764,6 +756,20 @@ fn obj(fields: Vec<(&str, Value)>) -> Value {
     )
 }
 
+/// The `pod` section's fields: the shape of the pod `p` builds, with
+/// device entries counting hosts.
+fn pod_fields(p: &PodParams) -> Vec<(&'static str, Value)> {
+    vec![
+        ("hosts", num(p.hosts as f64)),
+        ("mhds", num(p.mhds as f64)),
+        ("domains", num(p.domains as f64)),
+        ("lambda", num(p.lambda as f64)),
+        ("nic_hosts", num(p.nic_hosts.len() as f64)),
+        ("ssd_hosts", num(p.ssd_hosts.len() as f64)),
+        ("accel_hosts", num(p.accel_hosts.len() as f64)),
+    ]
+}
+
 fn num(x: f64) -> Value {
     Value::Number(x)
 }
@@ -897,6 +903,7 @@ fn report_json_fields(r: &RunReport) -> Vec<(&'static str, Value)> {
 /// accounting from the migrating run, the A/B SLO verdicts, and the
 /// audit result for the migrating datapath.
 fn churn_section(
+    pod: &PodParams,
     spec: &WorkloadSpec,
     mig: &RunReport,
     mig_snap: &telemetry::PodReport,
@@ -950,15 +957,11 @@ fn churn_section(
     ));
     mig_fields.push(("migrate_stage_ns", migrate_stage));
     obj(vec![
-        (
-            "pod",
-            obj(vec![
-                ("hosts", num(8.0)),
-                ("mhds", num(4.0)),
-                ("domains", num(2.0)),
-                ("nic_hosts", num(2.0)),
-            ]),
-        ),
+        ("pod", {
+            let mut fields = pod_fields(pod);
+            fields.retain(|(k, _)| ["hosts", "mhds", "domains", "nic_hosts"].contains(k));
+            obj(fields)
+        }),
         ("churn_tenants", Value::Array(churn_tenants)),
         ("events", Value::Array(events)),
         ("migrate", obj(mig_fields)),

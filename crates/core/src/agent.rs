@@ -9,7 +9,7 @@
 
 use std::collections::HashMap;
 
-use cxl_fabric::{Fabric, HostId};
+use cxl_fabric::{Fabric, FabricError, HostId};
 use pcie_sim::nic::TxFrame;
 use pcie_sim::{Accelerator, BufRef, DeviceError, DeviceId, Nic, Ssd};
 use shmem::channel::{ChannelReceiver, ChannelSend, ChannelSender, ChannelStats};
@@ -18,7 +18,7 @@ use simkit::Nanos;
 
 use crate::poll::{self, PollActor, PollLoop};
 use crate::proto::{Cmd, Msg};
-use crate::vdev::DeviceKind;
+use crate::vdev::{DeviceKind, PoolError};
 
 /// Who is on the other end of one of the agent's channel links.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -38,12 +38,48 @@ pub struct Link {
 }
 
 impl Link {
+    /// Sends `msg` toward the peer at `*clock` and charges the sending
+    /// CPU. An NT store is posted: the CPU moves on after issuing it,
+    /// long before the line lands in pool DRAM. A full ring holds the
+    /// CPU until the failed credit check completes and leaves the
+    /// message queued in the sender for [`Link::flush`].
+    pub(crate) fn post(
+        &mut self,
+        fabric: &mut Fabric,
+        clock: &mut Nanos,
+        msg: &Msg,
+    ) -> Result<(), FabricError> {
+        let sent = self.tx.send(fabric, *clock, &msg.encode())?;
+        charge(clock, sent);
+        Ok(())
+    }
+
+    /// Writes out the messages a full ring left queued, charged as in
+    /// [`Link::post`]. A no-op while nothing is queued; a fabric error
+    /// drops the queue.
+    pub(crate) fn flush(&mut self, fabric: &mut Fabric, clock: &mut Nanos) {
+        if self.tx.queued() > 0 {
+            if let Ok(sent) = self.tx.flush(fabric, *clock) {
+                charge(clock, sent);
+            }
+        }
+    }
+
     /// Both directions' counters: the send side's sends and stalls,
     /// the receive side's empty and hit polls.
     pub fn stats(&self) -> ChannelStats {
         let mut s = self.tx.stats();
         s += self.rx.stats();
         s
+    }
+}
+
+/// Charges a sending CPU for one [`ChannelSend`] outcome (see
+/// [`Link::post`]).
+fn charge(clock: &mut Nanos, sent: ChannelSend) {
+    match sent {
+        ChannelSend::Sent(_) => *clock += Nanos(30),
+        ChannelSend::Queued(at) => *clock = (*clock).max(at),
     }
 }
 
@@ -142,16 +178,12 @@ impl Agent {
         }
     }
 
-    /// Attaches a link to a peer.
-    pub fn add_link(&mut self, peer: Peer, link: Link) {
-        self.links.push((peer, link));
-    }
-
-    /// Replaces the link to `peer` (pool-failure recovery: the old
-    /// rings died with their MHD). Any in-flight protocol state on the
-    /// old rings is abandoned; outstanding operations time out and get
-    /// retried by their callers.
-    pub fn replace_link(&mut self, peer: Peer, link: Link) {
+    /// Attaches the link to `peer`, replacing any old one (pool-failure
+    /// recovery: the old rings died with their MHD). Any in-flight
+    /// protocol state on the old rings, messages queued in its sender
+    /// included, is abandoned; outstanding operations time out and get
+    /// retried by their callers. Links are polled in attach order.
+    pub(crate) fn set_link(&mut self, peer: Peer, link: Link) {
         if let Some(slot) = self.links.iter_mut().find(|(p, _)| *p == peer) {
             slot.1 = link;
         } else {
@@ -178,17 +210,12 @@ impl Agent {
         }
     }
 
-    /// True while failure notices wait for the next pass to flush them
-    /// to the orchestrator.
-    pub(crate) fn notices_queued(&self) -> bool {
-        !self.outbox_orch.is_empty()
-    }
-
-    /// Control-plane queue occupancy: orchestrator messages waiting to
-    /// flush plus TX frames awaiting harness pickup. The metrics plane
-    /// samples this as `host/queue_depth`.
+    /// Control-plane queue occupancy: orchestrator notices and channel
+    /// messages waiting to flush plus TX frames awaiting harness
+    /// pickup. The metrics plane samples this as `host/queue_depth`.
     pub fn queue_depth(&self) -> usize {
-        self.outbox_orch.len() + self.out_frames.len()
+        let queued: usize = self.links.iter().map(|(_, l)| l.tx.queued()).sum();
+        self.outbox_orch.len() + queued + self.out_frames.len()
     }
 
     /// Aggregated ring statistics across every channel link this agent
@@ -245,9 +272,9 @@ impl Agent {
                 };
                 let clock = self.clock;
                 let (_, link) = &mut self.links[i];
-                // Best effort, like a real CQE ring: if the channel is
-                // jammed the owner's poll will still find the payload
-                // once it learns the buffer address out of band.
+                // Posted like a CQE write: the agent's clock does not
+                // move, and a full ring queues the notice. A fabric
+                // error loses it; the owner's receive times out.
                 let _ = link.tx.send(fabric, clock, &msg.encode());
             }
         }
@@ -342,48 +369,35 @@ impl Agent {
         }
     }
 
-    /// Sends `msg` to `peer`, charging the agent's clock.
-    pub fn send_to(
-        &mut self,
-        fabric: &mut Fabric,
-        peer: Peer,
-        msg: &Msg,
-    ) -> Result<Nanos, crate::vdev::PoolError> {
-        let clock = self.clock;
+    /// Sends `msg` to `peer`, charging the agent's clock: 30 ns for a
+    /// posted NT store, or until the failed credit check when the ring
+    /// is full. A full ring queues the message; the poll loop flushes
+    /// it.
+    pub fn send_to(&mut self, fabric: &mut Fabric, peer: Peer, msg: &Msg) -> Result<(), PoolError> {
         if let Some(tr) = fabric.trace_mut() {
             tr.instant_note(
                 Track::HostCpu(self.host.0),
                 "proto/encode",
-                clock,
+                self.clock,
                 msg.kind_name(),
             );
         }
-        let link = self
+        let (_, link) = self
             .links
             .iter_mut()
             .find(|(p, _)| *p == peer)
-            .map(|(_, l)| l)
-            .ok_or(crate::vdev::PoolError::ChannelBlocked)?;
-        match link.tx.send(fabric, clock, &msg.encode())? {
-            ChannelSend::Sent(t) => {
-                // An NT store is posted: the CPU moves on after issuing
-                // it, long before the line lands in pool DRAM at `t`.
-                self.clock += Nanos(30);
-                Ok(t)
-            }
-            ChannelSend::Blocked { at, .. } => {
-                self.clock = self.clock.max(at);
-                Err(crate::vdev::PoolError::ChannelBlocked)
-            }
-        }
+            .ok_or(PoolError::NoLink(peer))?;
+        link.post(fabric, &mut self.clock, msg)?;
+        Ok(())
     }
 
     /// Runs the agent's poll loop until its clock reaches `until`,
     /// executing any forwarded operations and orchestrator commands it
-    /// receives. Failure notices for the orchestrator accumulate in an
-    /// outbox and are flushed at the start of each pass. Provably empty
-    /// polls are skipped at their exact idle cost unless exact polling
-    /// is on (see `crate::poll`).
+    /// receives. Each pass starts by flushing the messages a full ring
+    /// left queued and the failure notices for the orchestrator, which
+    /// accumulate in an outbox. Provably empty polls are skipped at
+    /// their exact idle cost unless exact polling is on (see
+    /// `crate::poll`).
     pub fn pump(&mut self, fabric: &mut Fabric, until: Nanos) {
         poll::pump(self, fabric, until);
     }
@@ -473,11 +487,10 @@ impl Agent {
         };
         let clock = self.clock;
         let (_, link) = &mut self.links[link_idx];
-        if let Ok(ChannelSend::Sent(_)) = link.tx.send(fabric, clock, &done.encode()) {
-            // Reply issued; agent keeps polling from its own clock.
-        }
-        // A blocked reply ring is dropped silently here: the requester
-        // will time out and retry. (Rings are sized to make this rare.)
+        // The reply is posted and the agent keeps polling from its own
+        // clock; a full ring queues it. A fabric error loses it, and
+        // the requester times out.
+        let _ = link.tx.send(fabric, clock, &done.encode());
     }
 }
 
@@ -503,13 +516,17 @@ impl PollActor for Agent {
     }
 
     fn pending(&self) -> bool {
-        self.notices_queued()
+        !self.outbox_orch.is_empty() || self.links.iter().any(|(_, l)| l.tx.queued() > 0)
     }
 
-    fn begin_pass(&mut self, fabric: &mut Fabric) {
-        let pending: Vec<Msg> = std::mem::take(&mut self.outbox_orch);
-        for msg in pending {
-            // Best effort: if blocked, requeue for the next pass.
+    fn flush(&mut self, fabric: &mut Fabric) {
+        for (_, link) in &mut self.links {
+            link.flush(fabric, &mut self.clock);
+        }
+        for msg in std::mem::take(&mut self.outbox_orch) {
+            // A full ring queues the notice; one whose ring is on
+            // failed pool memory (or that has no orchestrator link)
+            // waits in the outbox for the next pass.
             if self.send_to(fabric, Peer::Orchestrator, &msg).is_err() {
                 self.outbox_orch.push(msg);
             }
@@ -536,14 +553,14 @@ mod tests {
         let ch = Channel::allocate(&mut f, HostId(0), HostId(1), 64).expect("chan");
         let mut a0 = Agent::new(HostId(0));
         let mut a1 = Agent::new(HostId(1));
-        a0.add_link(
+        a0.set_link(
             Peer::Host(HostId(1)),
             Link {
                 tx: ch.ab.0,
                 rx: ch.ba.1,
             },
         );
-        a1.add_link(
+        a1.set_link(
             Peer::Host(HostId(0)),
             Link {
                 tx: ch.ba.0,

@@ -78,8 +78,9 @@ impl BondedNic {
     }
 
     /// Sends `frames` frames of `frame_len` bytes round-robin across
-    /// the bond, keeping a submission window in flight (bounded by the
-    /// control rings' capacity) and overlapping awaits with submits.
+    /// the bond, keeping a submission window in flight and overlapping
+    /// awaits with submits. A window wider than a control ring queues
+    /// in the owner's channel until credits return.
     pub fn burst(
         &mut self,
         pod: &mut PodSim,
@@ -87,35 +88,18 @@ impl BondedNic {
         frame_len: u32,
         deadline: Nanos,
     ) -> Result<BurstResult, PoolError> {
-        // Stay well below the per-ring slot count so credit returns
-        // keep up (each submit is 1 fragment on one peer's ring).
         let window = 16 * self.devs.len().max(1);
         let issued = pod.time();
         let payload = vec![0xB0u8; frame_len as usize];
         let mut inflight: std::collections::VecDeque<Submitted> = Default::default();
         let mut done = issued;
         for _ in 0..frames {
-            let dev = self.devs[self.next % self.devs.len()];
-            self.next += 1;
             if inflight.len() >= window {
                 let sub = inflight.pop_front().expect("window nonempty");
                 let r = pod.await_submitted(self.owner, sub, deadline)?;
                 done = done.max(r.at);
             }
-            // A blocked ring means credits are in flight: drain one
-            // more completion and retry once.
-            let sub = match self.submit_on(pod, dev, &payload) {
-                Ok(s) => s,
-                Err(PoolError::ChannelBlocked) => {
-                    while let Some(prev) = inflight.pop_front() {
-                        let r = pod.await_submitted(self.owner, prev, deadline)?;
-                        done = done.max(r.at);
-                    }
-                    self.submit_on(pod, dev, &payload)?
-                }
-                Err(e) => return Err(e),
-            };
-            inflight.push_back(sub);
+            inflight.push_back(self.submit_one(pod, &payload)?);
         }
         for sub in inflight {
             let r = pod.await_submitted(self.owner, sub, deadline)?;
@@ -135,15 +119,6 @@ impl BondedNic {
     pub fn submit_one(&mut self, pod: &mut PodSim, payload: &[u8]) -> Result<Submitted, PoolError> {
         let dev = self.devs[self.next % self.devs.len()];
         self.next += 1;
-        self.submit_on(pod, dev, payload)
-    }
-
-    fn submit_on(
-        &self,
-        pod: &mut PodSim,
-        dev: DeviceId,
-        payload: &[u8],
-    ) -> Result<Submitted, PoolError> {
         let buf = pod.stage(self.owner, payload)?;
         let len = payload.len() as u32;
         pod.submit(self.owner, dev, Cmd::Tx { buf, len })
@@ -200,6 +175,22 @@ mod tests {
             results[1],
             results[0]
         );
+    }
+
+    #[test]
+    fn burst_wider_than_the_ring_queues_and_completes() {
+        // A 4-slot ring under a 16-frame window: submits queue in the
+        // owner's channel, and replies in the attach host's.
+        let mut params = PodParams::new(4, 1);
+        params.ring_slots = 4;
+        let mut pod = PodSim::new(params);
+        let nic = pod.orch.devices_of(DeviceKind::Nic)[0];
+        let mut bond = BondedNic::over(HostId(3), vec![nic]);
+        let d = deadline(&pod);
+        let r = bond.burst(&mut pod, 64, 256, d).expect("burst");
+        assert_eq!(r.frames, 64);
+        assert_eq!(pod.take_frames(nic).len(), 64);
+        assert!(pod.channel_stats().blocked_events > 0, "the ring filled");
     }
 
     #[test]

@@ -11,7 +11,7 @@ use std::collections::{BTreeMap, HashMap};
 
 use cxl_fabric::{DomainId, Fabric, FabricError, HostId};
 use pcie_sim::DeviceId;
-use shmem::channel::{ChannelReceiver, ChannelSend, ChannelStats};
+use shmem::channel::{ChannelReceiver, ChannelStats};
 use simkit::rng::Rng;
 use simkit::Nanos;
 
@@ -118,13 +118,9 @@ impl Orchestrator {
         }
     }
 
-    /// Attaches the channel link to `agent_host`'s agent.
-    pub fn add_link(&mut self, agent_host: HostId, link: Link) {
-        self.links.push((agent_host, link));
-    }
-
-    /// Replaces the link to `agent_host` (pool-failure recovery).
-    pub fn replace_link(&mut self, agent_host: HostId, link: Link) {
+    /// Attaches the link to `agent_host`'s agent, replacing any old one
+    /// (see [`crate::agent::Agent::set_link`]).
+    pub(crate) fn set_link(&mut self, agent_host: HostId, link: Link) {
         if let Some(slot) = self.links.iter_mut().find(|(h, _)| *h == agent_host) {
             slot.1 = link;
         } else {
@@ -298,26 +294,19 @@ impl Orchestrator {
             kind: kind.as_u8(),
             dev,
         };
-        let clock = self.clock;
         let Some((_, link)) = self.links.iter_mut().find(|(h, _)| *h == host) else {
             // No link (unit tests / local bookkeeping only): the
             // registry update stands, but nothing is pushed.
             return Ok(());
         };
-        match link.tx.send(fabric, clock, &msg.encode())? {
-            ChannelSend::Sent(_) => {
-                self.clock += Nanos(30);
-                Ok(())
-            }
-            ChannelSend::Blocked { at, .. } => {
-                self.clock = self.clock.max(at);
-                Err(PoolError::ChannelBlocked)
-            }
-        }
+        // A full ring queues the Assign; the poll loop flushes it.
+        link.post(fabric, &mut self.clock, &msg)?;
+        Ok(())
     }
 
     /// Polls agent channels until `until`, reacting to failure and load
-    /// reports after each pass (see `crate::poll`).
+    /// reports after each pass and flushing queued `Assign`s before it
+    /// (see `crate::poll`).
     pub fn pump(&mut self, fabric: &mut Fabric, until: Nanos) {
         poll::pump(self, fabric, until);
     }
@@ -516,6 +505,16 @@ impl PollActor for Orchestrator {
 
     fn receiver_mut(&mut self, i: usize) -> &mut ChannelReceiver {
         &mut self.links[i].1.rx
+    }
+
+    fn pending(&self) -> bool {
+        self.links.iter().any(|(_, l)| l.tx.queued() > 0)
+    }
+
+    fn flush(&mut self, fabric: &mut Fabric) {
+        for (_, link) in &mut self.links {
+            link.flush(fabric, &mut self.clock);
+        }
     }
 
     fn on_message(&mut self, _fabric: &mut Fabric, _i: usize, data: Vec<u8>) {

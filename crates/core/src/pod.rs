@@ -18,7 +18,7 @@
 
 use std::collections::HashMap;
 
-use cxl_fabric::{DomainId, Fabric, HostId, LinkId, MhdId, PodConfig};
+use cxl_fabric::{DomainId, Fabric, HostId, LinkId, MhdId, PodConfig, SegmentId};
 use pcie_sim::nic::TxFrame;
 use pcie_sim::{Accelerator, BufRef, DeviceId, Nic, NicConfig, Ssd, SsdConfig};
 use simkit::metrics::{Labels, MetricId, MetricsConfig, MetricsRecorder};
@@ -28,6 +28,7 @@ use simkit::Nanos;
 use crate::agent::{Agent, Link, Origin, Peer};
 use crate::lifecycle::LifecycleStats;
 use crate::orchestrator::{AllocPolicy, Orchestrator};
+use crate::poll::PollActor;
 use crate::proto::{Cmd, Msg};
 use crate::vdev::{DeviceKind, PoolError};
 
@@ -133,12 +134,11 @@ pub struct PodSim {
     next_op: u64,
     dev_attach: HashMap<DeviceId, HostId>,
     ring_slots: u64,
-    /// Mesh channel backing segments: `(a, b, seg_ab, seg_ba)`.
-    mesh_segs: Vec<(u16, u16, cxl_fabric::SegmentId, cxl_fabric::SegmentId)>,
-    /// Orchestrator channel backing segments: `(host, seg_to, seg_from)`.
-    orch_segs: Vec<(u16, cxl_fabric::SegmentId, cxl_fabric::SegmentId)>,
+    /// Every control channel, in allocation order: the agent mesh,
+    /// then the orchestrator's links.
+    channels: Vec<ControlChannel>,
     /// Per-host I/O segment ids.
-    io_segs: Vec<cxl_fabric::SegmentId>,
+    io_segs: Vec<SegmentId>,
     /// Every actor executes every notional poll (see
     /// [`PodParams::exact_polling`]).
     exact_polling: bool,
@@ -152,6 +152,16 @@ pub struct PodSim {
     /// Tenant-lifecycle counters and the pod-wide blackout histogram
     /// (see [`crate::lifecycle`]); always on, metrics-independent.
     pub lifecycle: LifecycleStats,
+}
+
+/// One control channel of the pod: the two rings between end `a` (an
+/// agent, or the orchestrator) and agent `b`.
+#[derive(Clone, Copy, Debug)]
+struct ControlChannel {
+    a: Peer,
+    b: HostId,
+    /// Backing segments of the `a → b` and `b → a` rings.
+    segs: (SegmentId, SegmentId),
 }
 
 /// Handles for every pod-level metric series, in registration order.
@@ -478,134 +488,85 @@ impl PodSim {
         if params.domains != 0 {
             config = config.with_domains(params.domains);
         }
-        let mut fabric = Fabric::new(config);
-        let all_hosts: Vec<HostId> = (0..params.hosts).map(HostId).collect();
+        let fabric = Fabric::new(config);
+        let hosts = params.hosts;
+        let all_hosts: Vec<HostId> = (0..hosts).map(HostId).collect();
         let mut agents: Vec<Agent> = all_hosts.iter().map(|&h| Agent::new(h)).collect();
         for a in &mut agents {
             a.set_exact_polling(params.exact_polling);
         }
-
-        // Agent-to-agent mesh. Channels are failure-isolated (one MHD
-        // each) so a pool-device failure breaks some channels, not all.
-        let mut mesh_segs = Vec::new();
-        for a in 0..params.hosts {
-            for b in (a + 1)..params.hosts {
-                let ch = shmem::channel::Channel::allocate_isolated(
-                    &mut fabric,
-                    HostId(a),
-                    HostId(b),
-                    params.ring_slots,
-                )
-                .expect("pod pool holds control rings");
-                mesh_segs.push((a, b, ch.segments.0, ch.segments.1));
-                agents[a as usize].add_link(
-                    Peer::Host(HostId(b)),
-                    Link {
-                        tx: ch.ab.0,
-                        rx: ch.ba.1,
-                    },
-                );
-                agents[b as usize].add_link(
-                    Peer::Host(HostId(a)),
-                    Link {
-                        tx: ch.ba.0,
-                        rx: ch.ab.1,
-                    },
-                );
-            }
-        }
-
-        // Orchestrator on host 0, linked to every agent.
+        // The orchestrator runs on host 0.
         let mut orch = Orchestrator::new(HostId(0), params.policy);
         orch.set_exact_polling(params.exact_polling);
-        let mut orch_segs = Vec::new();
-        for h in 0..params.hosts {
-            let ch = shmem::channel::Channel::allocate_isolated(
-                &mut fabric,
-                HostId(0),
-                HostId(h),
-                params.ring_slots,
-            )
-            .expect("pod pool holds orchestrator rings");
-            orch_segs.push((h, ch.segments.0, ch.segments.1));
-            orch.add_link(
-                HostId(h),
-                Link {
-                    tx: ch.ab.0,
-                    rx: ch.ba.1,
-                },
-            );
-            agents[h as usize].add_link(
-                Peer::Orchestrator,
-                Link {
-                    tx: ch.ba.0,
-                    rx: ch.ab.1,
-                },
-            );
-        }
-
-        // Physical devices.
-        let mut dev_attach = HashMap::new();
-        let mut next_dev = 0u32;
-        for &h in &params.nic_hosts {
-            let id = DeviceId(next_dev);
-            next_dev += 1;
-            agents[h as usize]
-                .nics
-                .insert(id, Nic::new(id, HostId(h), NicConfig::default()));
-            orch.register(id, DeviceKind::Nic, HostId(h));
-            dev_attach.insert(id, HostId(h));
-        }
-        for &h in &params.ssd_hosts {
-            let id = DeviceId(next_dev);
-            next_dev += 1;
-            agents[h as usize]
-                .ssds
-                .insert(id, Ssd::new(id, HostId(h), SsdConfig::default()));
-            orch.register(id, DeviceKind::Ssd, HostId(h));
-            dev_attach.insert(id, HostId(h));
-        }
-        for &h in &params.accel_hosts {
-            let id = DeviceId(next_dev);
-            next_dev += 1;
-            agents[h as usize].accels.insert(
-                id,
-                Accelerator::new(id, HostId(h), pcie_sim::accel::AccelConfig::default()),
-            );
-            orch.register(id, DeviceKind::Accel, HostId(h));
-            dev_attach.insert(id, HostId(h));
-        }
-
-        // Per-host I/O buffer segments, shared pod-wide so any device's
-        // attach host can DMA them.
-        let mut io_base = Vec::with_capacity(params.hosts as usize);
-        let mut io_segs = Vec::with_capacity(params.hosts as usize);
-        for _ in 0..params.hosts {
-            let seg = fabric
-                .alloc_shared(&all_hosts, params.io_slots * IO_SLOT)
-                .expect("pod pool holds I/O buffers");
-            io_base.push(seg.base());
-            io_segs.push(seg.id());
-        }
-
         let mut pod = PodSim {
             fabric,
             agents,
             orch,
-            io_base,
+            io_base: Vec::with_capacity(hosts as usize),
             io_slots: params.io_slots,
-            next_io: vec![0; params.hosts as usize],
+            next_io: vec![0; hosts as usize],
             next_op: 1,
-            dev_attach,
+            dev_attach: HashMap::new(),
             ring_slots: params.ring_slots,
-            mesh_segs,
-            orch_segs,
-            io_segs,
+            channels: Vec::new(),
+            io_segs: Vec::with_capacity(hosts as usize),
             exact_polling: params.exact_polling,
             metrics: None,
             metric_ids: None,
             lifecycle: LifecycleStats::default(),
         };
+
+        // Control channels: the agent-to-agent mesh, then the
+        // orchestrator's link to every agent.
+        let mesh = (0..hosts)
+            .flat_map(|a| ((a + 1)..hosts).map(move |b| (Peer::Host(HostId(a)), HostId(b))));
+        let orch_links = all_hosts.iter().map(|&h| (Peer::Orchestrator, h));
+        for (a, b) in mesh.chain(orch_links) {
+            let segs = pod.open_channel(a, b);
+            pod.channels.push(ControlChannel { a, b, segs });
+        }
+
+        // Physical devices.
+        let mut next_dev = 0u32;
+        for &h in &params.nic_hosts {
+            let id = DeviceId(next_dev);
+            next_dev += 1;
+            pod.agents[h as usize]
+                .nics
+                .insert(id, Nic::new(id, HostId(h), NicConfig::default()));
+            pod.orch.register(id, DeviceKind::Nic, HostId(h));
+            pod.dev_attach.insert(id, HostId(h));
+        }
+        for &h in &params.ssd_hosts {
+            let id = DeviceId(next_dev);
+            next_dev += 1;
+            pod.agents[h as usize]
+                .ssds
+                .insert(id, Ssd::new(id, HostId(h), SsdConfig::default()));
+            pod.orch.register(id, DeviceKind::Ssd, HostId(h));
+            pod.dev_attach.insert(id, HostId(h));
+        }
+        for &h in &params.accel_hosts {
+            let id = DeviceId(next_dev);
+            next_dev += 1;
+            pod.agents[h as usize].accels.insert(
+                id,
+                Accelerator::new(id, HostId(h), pcie_sim::accel::AccelConfig::default()),
+            );
+            pod.orch.register(id, DeviceKind::Accel, HostId(h));
+            pod.dev_attach.insert(id, HostId(h));
+        }
+
+        // Per-host I/O buffer segments, shared pod-wide so any device's
+        // attach host can DMA them.
+        for _ in 0..hosts {
+            let seg = pod
+                .fabric
+                .alloc_shared(&all_hosts, params.io_slots * IO_SLOT)
+                .expect("pod pool holds I/O buffers");
+            pod.io_base.push(seg.base());
+            pod.io_segs.push(seg.id());
+        }
 
         // Initial allocation: give every host a binding for each kind
         // that exists in the pod, then let the Assign messages land.
@@ -617,7 +578,7 @@ impl PodSim {
         .into_iter()
         .flatten()
         .collect();
-        for h in 0..params.hosts {
+        for h in 0..hosts {
             for &k in &kinds {
                 let _ = pod.orch.allocate(&mut pod.fabric, HostId(h), k);
             }
@@ -781,13 +742,15 @@ impl PodSim {
     }
 
     /// True when no actor can receive or send anything until someone
-    /// submits work: the wake-driven pollers have nothing in flight
-    /// and nothing queued, and no sampler needs the quantum ticks.
+    /// submits work: the wake-driven pollers have nothing in flight,
+    /// no message waits for ring credits, no notice waits in an
+    /// outbox, and no sampler needs the quantum ticks.
     fn is_quiet(&self) -> bool {
         !self.exact_polling
             && !self.fabric.wakes_pending()
             && self.metrics.is_none()
-            && self.agents.iter().all(|a| !a.notices_queued())
+            && !self.orch.pending()
+            && self.agents.iter().all(|a| !a.pending())
     }
 
     /// Injects a failure of device `dev`, of any kind (an unknown id is
@@ -847,71 +810,14 @@ impl PodSim {
                 .unwrap_or(false)
         };
         let mut rebuilt = 0;
-
-        // Mesh channels.
-        let mesh: Vec<(u16, u16, cxl_fabric::SegmentId, cxl_fabric::SegmentId)> =
-            self.mesh_segs.clone();
-        for (i, (a, b, s_ab, s_ba)) in mesh.into_iter().enumerate() {
-            if !uses_dead(&self.fabric, s_ab) && !uses_dead(&self.fabric, s_ba) {
+        for i in 0..self.channels.len() {
+            let ControlChannel { a, b, segs } = self.channels[i];
+            if !uses_dead(&self.fabric, segs.0) && !uses_dead(&self.fabric, segs.1) {
                 continue;
             }
-            let _ = self.fabric.free_segment(s_ab);
-            let _ = self.fabric.free_segment(s_ba);
-            let ch = shmem::channel::Channel::allocate_isolated(
-                &mut self.fabric,
-                HostId(a),
-                HostId(b),
-                self.ring_slots,
-            )
-            .expect("survivors hold replacement rings");
-            self.mesh_segs[i] = (a, b, ch.segments.0, ch.segments.1);
-            self.agents[a as usize].replace_link(
-                Peer::Host(HostId(b)),
-                Link {
-                    tx: ch.ab.0,
-                    rx: ch.ba.1,
-                },
-            );
-            self.agents[b as usize].replace_link(
-                Peer::Host(HostId(a)),
-                Link {
-                    tx: ch.ba.0,
-                    rx: ch.ab.1,
-                },
-            );
-            rebuilt += 1;
-        }
-
-        // Orchestrator channels.
-        let orch: Vec<(u16, cxl_fabric::SegmentId, cxl_fabric::SegmentId)> = self.orch_segs.clone();
-        for (i, (h, s_to, s_from)) in orch.into_iter().enumerate() {
-            if !uses_dead(&self.fabric, s_to) && !uses_dead(&self.fabric, s_from) {
-                continue;
-            }
-            let _ = self.fabric.free_segment(s_to);
-            let _ = self.fabric.free_segment(s_from);
-            let ch = shmem::channel::Channel::allocate_isolated(
-                &mut self.fabric,
-                HostId(0),
-                HostId(h),
-                self.ring_slots,
-            )
-            .expect("survivors hold replacement rings");
-            self.orch_segs[i] = (h, ch.segments.0, ch.segments.1);
-            self.orch.replace_link(
-                HostId(h),
-                Link {
-                    tx: ch.ab.0,
-                    rx: ch.ba.1,
-                },
-            );
-            self.agents[h as usize].replace_link(
-                Peer::Orchestrator,
-                Link {
-                    tx: ch.ba.0,
-                    rx: ch.ab.1,
-                },
-            );
+            let _ = self.fabric.free_segment(segs.0);
+            let _ = self.fabric.free_segment(segs.1);
+            self.channels[i].segs = self.open_channel(a, b);
             rebuilt += 1;
         }
 
@@ -934,6 +840,38 @@ impl PodSim {
             rebuilt += 1;
         }
         rebuilt
+    }
+
+    /// Allocates the channel between end `a` and agent `b` on a single
+    /// MHD each way, so a pool-device failure breaks some channels, not
+    /// all, and hands each end its link (replacing any old one, whose
+    /// queued messages go with it). Returns the backing segments.
+    fn open_channel(&mut self, a: Peer, b: HostId) -> (SegmentId, SegmentId) {
+        let a_host = match a {
+            Peer::Host(h) => h,
+            Peer::Orchestrator => self.orch.host,
+        };
+        let ch = shmem::channel::Channel::allocate_isolated(
+            &mut self.fabric,
+            a_host,
+            b,
+            self.ring_slots,
+        )
+        .expect("pod pool holds control rings");
+        let a_end = Link {
+            tx: ch.ab.0,
+            rx: ch.ba.1,
+        };
+        let b_end = Link {
+            tx: ch.ba.0,
+            rx: ch.ab.1,
+        };
+        match a {
+            Peer::Host(h) => self.agents[h.0 as usize].set_link(Peer::Host(b), a_end),
+            Peer::Orchestrator => self.orch.set_link(b, a_end),
+        }
+        self.agents[b.0 as usize].set_link(a, b_end);
+        ch.segments
     }
 
     /// Whole-domain outage recovery (§5, multi-MHD failure domains):
@@ -1562,6 +1500,65 @@ mod tests {
         for (i, f) in frames.iter().enumerate() {
             assert_eq!(f.bytes, payloads[i], "frame {i}");
         }
+    }
+
+    #[test]
+    fn forwarded_submits_past_a_full_ring_queue_in_order() {
+        let mut params = PodParams::new(4, 1);
+        params.ring_slots = 4;
+        let mut pod = PodSim::new(params);
+        let owner = HostId(3);
+        let dev = pod.binding(owner, DeviceKind::Nic).unwrap();
+        assert_ne!(pod.attach_of(dev), Some(owner));
+        let payloads: Vec<Vec<u8>> = (0..17u8).map(|i| vec![i; 64]).collect();
+        // 16 submits on a 4-slot ring before any await: the 5th on
+        // queue in the owner's channel.
+        let mut subs = Vec::new();
+        for p in &payloads[..16] {
+            let buf = pod.stage(owner, p).expect("stage");
+            let len = p.len() as u32;
+            subs.push(
+                pod.submit(owner, dev, Cmd::Tx { buf, len })
+                    .expect("submit"),
+            );
+        }
+        assert!(pod.channel_stats().blocked_events > 0, "the ring filled");
+        for sub in subs {
+            pod.await_submitted(owner, sub, deadline()).expect("await");
+        }
+        // The link still works once its queue has drained.
+        pod.vnic_send(owner, &payloads[16], deadline())
+            .expect("send");
+        let sent: Vec<Vec<u8>> = pod.take_frames(dev).into_iter().map(|f| f.bytes).collect();
+        assert_eq!(sent, payloads, "frames leave in submit order");
+    }
+
+    #[test]
+    fn rebuilt_channel_takes_its_queue_with_it() {
+        use cxl_fabric::MhdId;
+        let mut params = PodParams::new(4, 1);
+        params.ring_slots = 4;
+        let mut pod = PodSim::new(params);
+        let owner = HostId(3);
+        let dev = pod.binding(owner, DeviceKind::Nic).unwrap();
+        for i in 0..8u8 {
+            let buf = pod.stage(owner, &[i; 64]).expect("stage");
+            pod.submit(owner, dev, Cmd::Tx { buf, len: 64 })
+                .expect("submit");
+        }
+        assert!(pod.agents[3].pending(), "submits wait for credits");
+        // Kill the MHD under host 3's ring to host 0 and rebuild.
+        let ring = pod
+            .channels
+            .iter()
+            .find(|c| c.a == Peer::Host(HostId(0)) && c.b == owner)
+            .expect("mesh channel")
+            .segs
+            .1;
+        let mhd: MhdId = pod.fabric.segment(ring).expect("live").ways()[0];
+        pod.fabric.topology_mut().fail_mhd(mhd);
+        assert!(pod.recover_pool_failure(mhd) > 0);
+        assert!(!pod.agents[3].pending(), "the old queue went with its link");
     }
 
     #[test]

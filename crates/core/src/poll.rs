@@ -22,8 +22,8 @@
 //! [`Fabric::wake_at`].)
 //!
 //! The *wake* poller therefore executes a poll for real exactly when its
-//! link's wake is due (or when the actor has a pending notice to flush,
-//! which the exact loop retries every pass), and skips every other poll
+//! link's wake is due (or when the actor has queued messages or notices
+//! to flush, which every pass retries), and skips every other poll
 //! by adding `p_i` to the clock without loading anything. When nothing
 //! is due before `until`, the clock lands on the first pass boundary at
 //! or after `until` — where the exact loop's `while clock < until {
@@ -66,13 +66,13 @@ pub(crate) trait PollActor {
     /// A complete message arrived on link `i`; the clock stands at its
     /// receipt time.
     fn on_message(&mut self, fabric: &mut Fabric, i: usize, data: Vec<u8>);
-    /// True when [`PollActor::begin_pass`] has work to retry, which
+    /// True when [`PollActor::flush`] has work to retry (messages a
+    /// full ring left queued, notices waiting in an outbox), which
     /// makes the next pass real.
-    fn pending(&self) -> bool {
-        false
-    }
-    /// Work at the start of every pass (flushing queued notices).
-    fn begin_pass(&mut self, _fabric: &mut Fabric) {}
+    fn pending(&self) -> bool;
+    /// Sends what is pending; runs at the start of a pass while
+    /// [`PollActor::pending`] holds.
+    fn flush(&mut self, fabric: &mut Fabric);
     /// Work at the end of every pass.
     fn end_pass(&mut self, _fabric: &mut Fabric) {}
 }
@@ -84,7 +84,8 @@ pub(crate) fn pump<A: PollActor>(actor: &mut A, fabric: &mut Fabric, until: Nano
     // Load instant of the latest skipped poll, settled on the way out.
     let mut skipped_load: Option<Nanos> = None;
     while *actor.clock_mut() < until {
-        let real = actor.poll_loop().exact || actor.pending();
+        let pending = actor.pending();
+        let real = actor.poll_loop().exact || pending;
         if !real {
             plan.clear();
             plan.extend((0..actor.link_count()).map(|i| actor.receiver(i).idle_poll(fabric)));
@@ -101,7 +102,9 @@ pub(crate) fn pump<A: PollActor>(actor: &mut A, fabric: &mut Fabric, until: Nano
             }
         }
         let before = *actor.clock_mut();
-        actor.begin_pass(fabric);
+        if pending {
+            actor.flush(fabric);
+        }
         for i in 0..actor.link_count() {
             let t = *actor.clock_mut();
             if !real {

@@ -61,8 +61,8 @@ pub enum PoolError {
     Device(DeviceError),
     /// A fabric error (buffer placement, path failure…).
     Fabric(FabricError),
-    /// The shared-memory channel to the target host is jammed.
-    ChannelBlocked,
+    /// The host has no control channel to this peer.
+    NoLink(crate::agent::Peer),
 }
 
 impl fmt::Display for PoolError {
@@ -76,7 +76,7 @@ impl fmt::Display for PoolError {
             }
             PoolError::Device(e) => write!(f, "device error: {e}"),
             PoolError::Fabric(e) => write!(f, "fabric error: {e}"),
-            PoolError::ChannelBlocked => write!(f, "control channel is full"),
+            PoolError::NoLink(p) => write!(f, "no control channel to {p:?}"),
         }
     }
 }

@@ -818,7 +818,6 @@ impl Fabric {
                 + self.uplinks[link.0 as usize].service_time(CACHELINE)
                 + wire
                 + self.mhd_pipes[mhd.0 as usize].service_time(CACHELINE)
-                + Nanos(self.params.mhd_occupancy_ns)
                 + Nanos(self.params.cxl_device_ns)
                 + self.downlinks[link.0 as usize].service_time(CACHELINE)
                 + wire,
@@ -956,8 +955,8 @@ impl Fabric {
     // Local DRAM access
     // ---------------------------------------------------------------
 
-    /// CPU load from the host's local DRAM (always coherent within the
-    /// host).
+    /// CPU load, or device DMA read, from the host's local DRAM (always
+    /// coherent within the host).
     pub fn local_load(&mut self, now: Nanos, host: HostId, addr: u64, buf: &mut [u8]) -> Nanos {
         if let Some(a) = self.audit.as_deref_mut() {
             a.on_local();
@@ -967,28 +966,8 @@ impl Fabric {
         xfer + Nanos(self.params.local_load_ns)
     }
 
-    /// CPU store to the host's local DRAM.
+    /// CPU store, or device DMA write, to the host's local DRAM.
     pub fn local_store(&mut self, now: Nanos, host: HostId, addr: u64, data: &[u8]) -> Nanos {
-        if let Some(a) = self.audit.as_deref_mut() {
-            a.on_local();
-        }
-        self.local_mem[host.0 as usize].write(addr, data);
-        let xfer = self.local_pipes[host.0 as usize].transfer(now, data.len() as u64);
-        xfer + Nanos(self.params.local_store_ns)
-    }
-
-    /// Device DMA read from the attach host's local DRAM.
-    pub fn local_dma_read(&mut self, now: Nanos, host: HostId, addr: u64, buf: &mut [u8]) -> Nanos {
-        if let Some(a) = self.audit.as_deref_mut() {
-            a.on_local();
-        }
-        self.local_mem[host.0 as usize].read(addr, buf);
-        let xfer = self.local_pipes[host.0 as usize].transfer(now, buf.len() as u64);
-        xfer + Nanos(self.params.local_load_ns)
-    }
-
-    /// Device DMA write to the attach host's local DRAM.
-    pub fn local_dma_write(&mut self, now: Nanos, host: HostId, addr: u64, data: &[u8]) -> Nanos {
         if let Some(a) = self.audit.as_deref_mut() {
             a.on_local();
         }
@@ -1154,7 +1133,6 @@ impl Fabric {
         if result.is_ok() {
             let wire = Nanos(self.params.cxl_wire_ns);
             let dev_fixed = Nanos(self.params.cxl_device_ns);
-            let occ = Nanos(self.params.mhd_occupancy_ns);
             let t_issue = now + Nanos(issue_ns);
             let mut done = Nanos::ZERO;
             for &(mhd, b) in &spread {
@@ -1163,7 +1141,7 @@ impl Fabric {
                         // Request packet (header-sized; modelled as one line).
                         let up = self.uplinks[link.0 as usize].transfer(t_issue, CACHELINE);
                         let at_dev = up + wire;
-                        let dev_ready = self.mhd_pipes[mhd.0 as usize].transfer(at_dev, b) + occ;
+                        let dev_ready = self.mhd_pipes[mhd.0 as usize].transfer(at_dev, b);
                         let stream_start = dev_ready + dev_fixed;
                         let down = self.downlinks[link.0 as usize].transfer(stream_start, b);
                         done = done.max(down + wire);
@@ -1219,7 +1197,6 @@ impl Fabric {
         if result.is_ok() {
             let wire = Nanos(self.params.cxl_wire_ns);
             let dev_half = Nanos(self.params.cxl_device_ns / 2);
-            let occ = Nanos(self.params.mhd_occupancy_ns);
             let t_issue = now + Nanos(issue_ns);
             let mut done = Nanos::ZERO;
             for &(mhd, b) in &spread {
@@ -1227,8 +1204,7 @@ impl Fabric {
                     Ok(link) => {
                         let up = self.uplinks[link.0 as usize].transfer(t_issue, b);
                         let at_dev = up + wire;
-                        let landed =
-                            self.mhd_pipes[mhd.0 as usize].transfer(at_dev, b) + occ + dev_half;
+                        let landed = self.mhd_pipes[mhd.0 as usize].transfer(at_dev, b) + dev_half;
                         done = done.max(landed);
                     }
                     Err(e) => {

@@ -81,9 +81,6 @@ pub struct FabricParams {
     /// Host cache-model capacity in lines (per host). Small by design:
     /// only pool-mapped lines are tracked.
     pub host_cache_lines: usize,
-    /// Extra per-access controller occupancy (ns) modelling request
-    /// processing on the MHD; bounds the device's request rate.
-    pub mhd_occupancy_ns: u64,
 }
 
 impl Default for FabricParams {
@@ -102,7 +99,6 @@ impl Default for FabricParams {
             width: LinkWidth::X8,
             mhd_dram_gbps: 120.0,
             host_cache_lines: 32_768,
-            mhd_occupancy_ns: 0,
         }
     }
 }

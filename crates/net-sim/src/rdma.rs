@@ -87,7 +87,7 @@ impl RdmaSsd {
         let flash_done =
             self.ssd
                 .read(fabric, handled, lba, blocks, BufRef::Local(self.staging))?;
-        fabric.local_dma_read(flash_done, self.target_host, self.staging, out);
+        fabric.local_load(flash_done, self.target_host, self.staging, out);
         // RDMA write of the payload back to the client.
         let landed = self.to_client.carry(flash_done, blocks * BLOCK) + self.params.verb_overhead;
         Ok(landed)
@@ -107,7 +107,7 @@ impl RdmaSsd {
         // Payload travels with the request.
         let arrived = self.to_target.carry(now, 64 + blocks * BLOCK) + self.params.verb_overhead;
         let handled = arrived + self.params.target_cpu;
-        fabric.local_dma_write(handled, self.target_host, self.staging, data);
+        fabric.local_store(handled, self.target_host, self.staging, data);
         let flash_done =
             self.ssd
                 .write(fabric, handled, lba, blocks, BufRef::Local(self.staging))?;

@@ -269,12 +269,12 @@ mod tests {
             8,
         );
         let payload = vec![7u8; 256];
-        let rx_done = f.local_dma_write(Nanos(0), HostId(0), 0x10_0000, &payload);
+        let rx_done = f.local_store(Nanos(0), HostId(0), 0x10_0000, &payload);
         let (tx_buf, _, done) = stack
             .handle(&mut f, rx_done, BufRef::Local(0x10_0000), 256)
             .expect("handle");
         let mut out = vec![0u8; 256];
-        f.local_dma_read(done, HostId(0), tx_buf.addr(), &mut out);
+        f.local_load(done, HostId(0), tx_buf.addr(), &mut out);
         assert_eq!(out, payload);
     }
 
@@ -292,7 +292,7 @@ mod tests {
             16,
         );
         let payload = vec![1u8; 64];
-        f.local_dma_write(Nanos(0), HostId(0), 0x10_0000, &payload);
+        f.local_store(Nanos(0), HostId(0), 0x10_0000, &payload);
         let (_, _, d1) = stack
             .handle(&mut f, Nanos(0), BufRef::Local(0x10_0000), 64)
             .expect("p1");
@@ -330,7 +330,7 @@ mod tests {
         let rx_cxl = f
             .dma_write(Nanos(0), HostId(0), base, &payload)
             .expect("dma");
-        f.local_dma_write(Nanos(0), HostId(0), 0x10_0000, &payload);
+        f.local_store(Nanos(0), HostId(0), 0x10_0000, &payload);
         let (_, _, d_cxl) = cxl
             .handle(&mut f, rx_cxl, BufRef::Pool(base), 1024)
             .expect("cxl");

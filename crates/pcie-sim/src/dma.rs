@@ -53,7 +53,7 @@ impl DmaEngine {
     ) -> Result<Nanos, DeviceError> {
         let pcie_done = self.read_pipe.transfer(now, buf.len() as u64);
         let mem_done = match src {
-            BufRef::Local(addr) => fabric.local_dma_read(now, self.host, addr, buf),
+            BufRef::Local(addr) => fabric.local_load(now, self.host, addr, buf),
             BufRef::Pool(hpa) => {
                 let t = fabric.dma_read(now, self.host, hpa, buf)?;
                 // The caller holds the completion before using the
@@ -80,7 +80,7 @@ impl DmaEngine {
     ) -> Result<Nanos, DeviceError> {
         let pcie_done = self.write_pipe.transfer(now, data.len() as u64);
         let mem_done = match dst {
-            BufRef::Local(addr) => fabric.local_dma_write(now, self.host, addr, data),
+            BufRef::Local(addr) => fabric.local_store(now, self.host, addr, data),
             BufRef::Pool(hpa) => {
                 let t = fabric.dma_write(now, self.host, hpa, data)?;
                 // Completion (the CQE the driver polls) orders the

@@ -4,7 +4,11 @@
 //! one slot's 54 B payload. The channel layer splits a message into
 //! fragments, each tagged with a 2-byte header `[more: u8][frag_len:
 //! u8]`, leaving 52 B of message payload per slot. The ring's FIFO
-//! guarantee makes reassembly trivial.
+//! guarantee makes reassembly trivial, and the sender's queue keeps a
+//! message the full ring cannot take whole and in order, so fragments
+//! of two messages never interleave.
+
+use std::collections::VecDeque;
 
 use cxl_fabric::{Fabric, FabricError, HostId};
 use simkit::trace::Track;
@@ -70,35 +74,31 @@ impl Channel {
     }
 }
 
-/// Result of a channel send.
+/// Result of a channel send or flush.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ChannelSend {
-    /// All fragments written; last is visible at this time.
+    /// Every queued message is in the ring; the last fragment is
+    /// visible at this time.
     Sent(Nanos),
-    /// Ring filled up mid-message after this many fragments; retry the
-    /// remainder later. (The receiver will reassemble correctly because
-    /// fragments of one message are never interleaved with another's on
-    /// an SPSC ring.)
-    Blocked {
-        /// Fragments successfully written.
-        sent_frags: usize,
-        /// When the failed credit check completed.
-        at: Nanos,
-    },
+    /// The ring is full: what it could not take waits in the sender's
+    /// queue for [`ChannelSender::flush`]. The failed credit check
+    /// completed at this time.
+    Queued(Nanos),
 }
 
 /// Counters kept by a channel endpoint. A [`ChannelSender`] fills the
-/// send-side fields: backpressure used to be invisible (a `Blocked` →
-/// `resume` cycle left no trace in any statistic), and these make
-/// stalls first-class. A [`ChannelReceiver`] fills the poll counts.
+/// send-side fields, so backpressure shows up in statistics and not
+/// only in latency. A [`ChannelReceiver`] fills the poll counts.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ChannelStats {
     /// Messages fully sent (all fragments written).
     pub sends: u64,
-    /// Times a send or resume returned [`ChannelSend::Blocked`].
+    /// Times a send or flush found the ring full and left messages
+    /// queued.
     pub blocked_events: u64,
     /// Cumulative nanoseconds messages spent stalled between the first
-    /// `Blocked` and the start of the resume that completed them.
+    /// full-ring attempt and the start of the flush that completed
+    /// them.
     pub stall_ns: u64,
     /// Ring polls that found no new fragment.
     pub polls_empty: u64,
@@ -116,12 +116,16 @@ impl std::ops::AddAssign for ChannelStats {
     }
 }
 
-/// Sending half: fragments and writes messages.
+/// Sending half: fragments and writes messages, queueing whatever a
+/// full ring cannot take until [`ChannelSender::flush`].
 pub struct ChannelSender {
     ring: RingSender,
-    /// Resume state for a blocked multi-fragment send.
-    pending: Option<(Vec<u8>, usize)>,
-    /// When the pending message first blocked (cleared on completion).
+    /// Messages the ring could not take yet, oldest first.
+    queue: VecDeque<Vec<u8>>,
+    /// Fragments of the head message already in the ring.
+    head_sent: usize,
+    /// When the head message first found the ring full (cleared when
+    /// it completes).
     blocked_since: Option<Nanos>,
     stats: ChannelStats,
 }
@@ -130,7 +134,8 @@ impl ChannelSender {
     fn new(ring: RingSender) -> ChannelSender {
         ChannelSender {
             ring,
-            pending: None,
+            queue: VecDeque::new(),
+            head_sent: 0,
             blocked_since: None,
             stats: ChannelStats::default(),
         }
@@ -141,88 +146,75 @@ impl ChannelSender {
         self.stats
     }
 
-    /// Sends `msg`, fragmenting as needed. If a previous send blocked,
-    /// call [`ChannelSender::resume`] first; starting a new message
-    /// while one is pending panics.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a blocked message is pending.
+    /// Messages waiting for ring credits.
+    #[inline]
+    pub fn queued(&self) -> usize {
+        self.queue.len()
+    }
+
+    /// Sends `msg`, fragmenting as needed, behind any queued messages.
+    /// Whatever the ring cannot take stays queued for
+    /// [`ChannelSender::flush`].
     pub fn send(
         &mut self,
         fabric: &mut Fabric,
         now: Nanos,
         msg: &[u8],
     ) -> Result<ChannelSend, FabricError> {
-        assert!(
-            self.pending.is_none(),
-            "resume() the blocked message before sending a new one"
-        );
-        self.send_from(fabric, now, msg.to_vec(), 0)
+        self.queue.push_back(msg.to_vec());
+        self.flush(fabric, now)
     }
 
-    /// Resumes a blocked send. No-op returning `Sent(now)` if nothing is
-    /// pending.
-    pub fn resume(&mut self, fabric: &mut Fabric, now: Nanos) -> Result<ChannelSend, FabricError> {
-        match self.pending.take() {
-            Some((msg, done)) => self.send_from(fabric, now, msg, done),
-            None => Ok(ChannelSend::Sent(now)),
-        }
-    }
-
-    /// True if a blocked message awaits [`ChannelSender::resume`].
-    pub fn has_pending(&self) -> bool {
-        self.pending.is_some()
-    }
-
-    fn send_from(
-        &mut self,
-        fabric: &mut Fabric,
-        now: Nanos,
-        msg: Vec<u8>,
-        first_frag: usize,
-    ) -> Result<ChannelSend, FabricError> {
-        let frags: Vec<&[u8]> = if msg.is_empty() {
-            vec![&[][..]]
-        } else {
-            msg.chunks(FRAG_PAYLOAD).collect()
-        };
+    /// Writes queued messages into the ring, oldest first, until the
+    /// queue is empty or the ring is full. A message blocked mid-way
+    /// keeps its remaining fragments at the head. `Sent(now)` when
+    /// nothing is queued. A fabric error (the ring's pool memory is
+    /// unreachable) drops every queued message.
+    pub fn flush(&mut self, fabric: &mut Fabric, now: Nanos) -> Result<ChannelSend, FabricError> {
+        let track = Track::Channel(self.ring.base());
         let mut t = now;
-        for (i, frag) in frags.iter().enumerate().skip(first_frag) {
-            let more = if i + 1 < frags.len() { 1u8 } else { 0u8 };
-            let mut slot = Vec::with_capacity(FRAG_HDR + frag.len());
-            slot.push(more);
-            slot.push(frag.len() as u8);
-            slot.extend_from_slice(frag);
-            match self.ring.send(fabric, t, &slot)? {
-                SendOutcome::Sent(at) => t = at,
-                SendOutcome::Full(at) => {
-                    self.pending = Some((msg.clone(), i));
-                    self.stats.blocked_events += 1;
-                    if self.blocked_since.is_none() {
-                        self.blocked_since = Some(at);
+        while let Some(msg) = self.queue.front() {
+            let start = t;
+            let frags = msg.len().div_ceil(FRAG_PAYLOAD).max(1);
+            for i in self.head_sent..frags {
+                let frag = &msg[i * FRAG_PAYLOAD..msg.len().min((i + 1) * FRAG_PAYLOAD)];
+                let mut slot = [0u8; SLOT_PAYLOAD];
+                slot[0] = u8::from(i + 1 < frags);
+                slot[1] = frag.len() as u8;
+                slot[FRAG_HDR..FRAG_HDR + frag.len()].copy_from_slice(frag);
+                match self.ring.send(fabric, t, &slot[..FRAG_HDR + frag.len()]) {
+                    Ok(SendOutcome::Sent(at)) => {
+                        t = at;
+                        self.head_sent = i + 1;
                     }
-                    if let Some(tr) = fabric.trace_mut() {
-                        tr.instant(Track::Channel(self.ring.base()), "chan/blocked", at);
+                    Ok(SendOutcome::Full(at)) => {
+                        self.stats.blocked_events += 1;
+                        self.blocked_since.get_or_insert(at);
+                        if let Some(tr) = fabric.trace_mut() {
+                            tr.instant(track, "chan/blocked", at);
+                        }
+                        return Ok(ChannelSend::Queued(at));
                     }
-                    return Ok(ChannelSend::Blocked { sent_frags: i, at });
+                    Err(e) => {
+                        self.queue.clear();
+                        self.head_sent = 0;
+                        self.blocked_since = None;
+                        return Err(e);
+                    }
                 }
             }
-        }
-        if let Some(blocked_at) = self.blocked_since.take() {
-            self.stats.stall_ns += now.saturating_sub(blocked_at).as_nanos();
-            if let Some(tr) = fabric.trace_mut() {
-                tr.span(
-                    Track::Channel(self.ring.base()),
-                    "chan/stall",
-                    blocked_at,
-                    now,
-                );
+            self.queue.pop_front();
+            self.head_sent = 0;
+            if let Some(blocked_at) = self.blocked_since.take() {
+                self.stats.stall_ns += start.saturating_sub(blocked_at).as_nanos();
+                if let Some(tr) = fabric.trace_mut() {
+                    tr.span(track, "chan/stall", blocked_at, start);
+                }
             }
-        }
-        self.stats.sends += 1;
-        if let Some(tr) = fabric.trace_mut() {
-            tr.span(Track::Channel(self.ring.base()), "chan/send", now, t);
+            self.stats.sends += 1;
+            if let Some(tr) = fabric.trace_mut() {
+                tr.span(track, "chan/send", start, t);
+            }
         }
         Ok(ChannelSend::Sent(t))
     }
@@ -324,13 +316,18 @@ mod tests {
         (f, ch.ab.0, ch.ab.1)
     }
 
+    /// Sends `msg` on a ring with room for it; returns its visibility.
+    fn send_now(f: &mut Fabric, tx: &mut ChannelSender, msg: &[u8]) -> Nanos {
+        match tx.send(f, Nanos(0), msg).expect("send") {
+            ChannelSend::Sent(t) => t,
+            ChannelSend::Queued(_) => panic!("queued"),
+        }
+    }
+
     #[test]
     fn small_message_single_fragment() {
         let (mut f, mut tx, mut rx) = setup(8);
-        let t = match tx.send(&mut f, Nanos(0), b"hello").expect("send") {
-            ChannelSend::Sent(t) => t,
-            ChannelSend::Blocked { .. } => panic!("blocked"),
-        };
+        let t = send_now(&mut f, &mut tx, b"hello");
         let (msg, _) = rx
             .poll_until(&mut f, t, t + Nanos(10_000))
             .expect("poll")
@@ -342,10 +339,7 @@ mod tests {
     fn large_message_reassembles() {
         let (mut f, mut tx, mut rx) = setup(64);
         let msg: Vec<u8> = (0..=255u8).cycle().take(1000).collect();
-        let t = match tx.send(&mut f, Nanos(0), &msg).expect("send") {
-            ChannelSend::Sent(t) => t,
-            ChannelSend::Blocked { .. } => panic!("blocked"),
-        };
+        let t = send_now(&mut f, &mut tx, &msg);
         let (got, _) = rx
             .poll_until(&mut f, t, t + Nanos(1_000_000))
             .expect("poll")
@@ -356,10 +350,7 @@ mod tests {
     #[test]
     fn empty_message_roundtrips() {
         let (mut f, mut tx, mut rx) = setup(8);
-        let t = match tx.send(&mut f, Nanos(0), b"").expect("send") {
-            ChannelSend::Sent(t) => t,
-            ChannelSend::Blocked { .. } => panic!("blocked"),
-        };
+        let t = send_now(&mut f, &mut tx, b"");
         let (msg, _) = rx
             .poll_until(&mut f, t, t + Nanos(10_000))
             .expect("poll")
@@ -367,33 +358,89 @@ mod tests {
         assert!(msg.is_empty());
     }
 
+    /// Polls `rx` and flushes `tx` in turn until `want` messages
+    /// arrive; returns them in arrival order.
+    fn drain(
+        f: &mut Fabric,
+        tx: &mut ChannelSender,
+        rx: &mut ChannelReceiver,
+        mut t: Nanos,
+        want: usize,
+    ) -> Vec<Vec<u8>> {
+        let mut got = Vec::new();
+        while got.len() < want {
+            assert!(t < Nanos::from_millis(1), "{} of {want} arrived", got.len());
+            t = match rx.poll(f, t).expect("poll") {
+                PollOutcome::Msg { data, at } => {
+                    got.push(data);
+                    at
+                }
+                PollOutcome::Empty(at) => at,
+            };
+            t = match tx.flush(f, t).expect("flush") {
+                ChannelSend::Sent(at) | ChannelSend::Queued(at) => at,
+            };
+        }
+        got
+    }
+
     #[test]
-    fn blocked_send_resumes_cleanly() {
-        // Capacity 4 slots, message needs 8 fragments -> must block.
+    fn blocked_send_flushes_from_the_queue() {
+        // Capacity 4 slots, message needs 8 fragments -> must queue.
         let (mut f, mut tx, mut rx) = setup(4);
         let msg: Vec<u8> = (0..8 * FRAG_PAYLOAD).map(|i| i as u8).collect();
-        let r = tx.send(&mut f, Nanos(0), &msg).expect("send");
-        let (sent, mut t) = match r {
-            ChannelSend::Blocked { sent_frags, at } => (sent_frags, at),
+        let mut t = match tx.send(&mut f, Nanos(0), &msg).expect("send") {
+            ChannelSend::Queued(at) => at,
             ChannelSend::Sent(_) => panic!("should block on a tiny ring"),
         };
-        assert!(sent >= 3, "should have written some fragments");
-        assert!(tx.has_pending());
-        // Drain + resume until the whole message lands.
-        let mut got = None;
+        assert_eq!(tx.queued(), 1);
+        // The ring took four fragments before the rest queued.
         for _ in 0..100 {
-            if let Some((m, _at)) = rx.poll_until(&mut f, t, t + Nanos(50_000)).expect("poll") {
-                got = Some(m);
-                break;
-            }
-            t += Nanos(1_000);
-            match tx.resume(&mut f, t).expect("resume") {
-                ChannelSend::Sent(at) => t = at,
-                ChannelSend::Blocked { at, .. } => t = at + Nanos(1_000),
-            }
+            t = match rx.poll(&mut f, t).expect("poll") {
+                PollOutcome::Empty(at) => at,
+                PollOutcome::Msg { .. } => panic!("message completed early"),
+            };
         }
-        assert_eq!(got.expect("message completes"), msg);
-        assert!(!tx.has_pending());
+        assert_eq!(rx.stats().polls_hit, 4);
+        assert_eq!(drain(&mut f, &mut tx, &mut rx, t, 1), vec![msg]);
+        assert_eq!(tx.queued(), 0);
+        assert_eq!(tx.flush(&mut f, t).expect("flush"), ChannelSend::Sent(t));
+    }
+
+    #[test]
+    fn send_behind_a_queued_message_waits_its_turn() {
+        let (mut f, mut tx, mut rx) = setup(4);
+        let big = vec![1u8; 8 * FRAG_PAYLOAD];
+        assert!(matches!(
+            tx.send(&mut f, Nanos(0), &big).expect("send"),
+            ChannelSend::Queued(_)
+        ));
+        // The ring stays full, so the short message queues behind the
+        // big one's remaining fragments instead of interleaving.
+        let t = match tx.send(&mut f, Nanos(1_000), b"new").expect("send") {
+            ChannelSend::Queued(at) => at,
+            ChannelSend::Sent(_) => panic!("should queue behind the big message"),
+        };
+        assert_eq!(tx.queued(), 2);
+        let got = drain(&mut f, &mut tx, &mut rx, t, 2);
+        assert_eq!(got, vec![big, b"new".to_vec()]);
+        assert_eq!(tx.stats().sends, 2);
+    }
+
+    #[test]
+    fn fabric_error_drops_the_queue() {
+        let mut f = Fabric::new(PodConfig::new(2, 2, 2));
+        let ch = Channel::allocate_isolated(&mut f, HostId(0), HostId(1), 4).expect("alloc");
+        let mhd = f.segment(ch.segments.0).expect("live").ways()[0];
+        let mut tx = ch.ab.0;
+        assert!(matches!(
+            tx.send(&mut f, Nanos(0), &[7u8; 8 * FRAG_PAYLOAD])
+                .expect("send"),
+            ChannelSend::Queued(_)
+        ));
+        f.topology_mut().fail_mhd(mhd);
+        assert!(tx.flush(&mut f, Nanos(10_000)).is_err());
+        assert_eq!(tx.queued(), 0);
     }
 
     #[test]
@@ -402,14 +449,8 @@ mod tests {
         let ch = Channel::allocate(&mut f, HostId(0), HostId(1), 8).expect("alloc");
         let (mut atx, mut arx) = (ch.ab.0, ch.ab.1);
         let (mut btx, mut brx) = (ch.ba.0, ch.ba.1);
-        let t1 = match atx.send(&mut f, Nanos(0), b"fwd").expect("send") {
-            ChannelSend::Sent(t) => t,
-            ChannelSend::Blocked { .. } => panic!(),
-        };
-        let t2 = match btx.send(&mut f, Nanos(0), b"rev").expect("send") {
-            ChannelSend::Sent(t) => t,
-            ChannelSend::Blocked { .. } => panic!(),
-        };
+        let t1 = send_now(&mut f, &mut atx, b"fwd");
+        let t2 = send_now(&mut f, &mut btx, b"rev");
         let (m1, _) = arx
             .poll_until(&mut f, t1, t1 + Nanos(10_000))
             .expect("poll")
@@ -420,17 +461,5 @@ mod tests {
             .expect("rev");
         assert_eq!(m1, b"fwd");
         assert_eq!(m2, b"rev");
-    }
-
-    #[test]
-    #[should_panic(expected = "resume")]
-    fn new_send_while_pending_panics() {
-        let (mut f, mut tx, _rx) = setup(4);
-        let msg = vec![1u8; 8 * FRAG_PAYLOAD];
-        match tx.send(&mut f, Nanos(0), &msg).expect("send") {
-            ChannelSend::Blocked { .. } => {}
-            ChannelSend::Sent(_) => panic!("should block"),
-        }
-        let _ = tx.send(&mut f, Nanos(1_000_000), b"new");
     }
 }

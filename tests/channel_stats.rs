@@ -1,7 +1,8 @@
 //! Backpressure accounting on the shared-memory channel: a send that
-//! outgrows the ring must surface as counted blocked events and
-//! cumulative stall nanoseconds, and leave blocked/stall marks in the
-//! flight recorder.
+//! outgrows the ring queues in the sender, and must surface as counted
+//! blocked events and cumulative stall nanoseconds (from the first
+//! full-ring attempt to the flush that completes it), and leave
+//! blocked/stall marks in the flight recorder.
 
 use cxl_fabric::{Fabric, HostId, PodConfig};
 use shmem::channel::{Channel, ChannelSend};
@@ -22,31 +23,32 @@ fn blocked_send_counts_events_and_stall_nanos() {
     let msg: Vec<u8> = (0..400u32).map(|i| i as u8).collect();
 
     let r = tx.send(&mut f, Nanos(0), &msg).expect("send");
-    assert!(matches!(r, ChannelSend::Blocked { .. }), "got {r:?}");
+    assert!(matches!(r, ChannelSend::Queued(_)), "got {r:?}");
+    assert_eq!(tx.queued(), 1);
     let s = tx.stats();
     assert_eq!(s.blocked_events, 1);
     assert_eq!(s.sends, 0, "the message has not completed yet");
-    assert_eq!(s.stall_ns, 0, "stall accrues when the resume completes");
+    assert_eq!(s.stall_ns, 0, "stall accrues when the flush completes");
 
-    // Drain and resume until the message is fully written.
+    // Drain and flush until the message is fully written.
     let mut now = Nanos(10_000);
     let mut rounds = 0;
-    while tx.has_pending() {
+    while tx.queued() > 0 {
         for _ in 0..8 {
             let _ = rx.poll(&mut f, now).expect("poll");
             now += Nanos(100);
         }
-        tx.resume(&mut f, now).expect("resume");
+        tx.flush(&mut f, now).expect("flush");
         now += Nanos(100);
         rounds += 1;
-        assert!(rounds < 100, "resume loop did not converge");
+        assert!(rounds < 100, "flush loop did not converge");
     }
     let s = tx.stats();
     assert_eq!(s.sends, 1, "exactly one message completed");
     assert!(s.blocked_events >= 1);
     assert!(
         s.stall_ns >= 10_000 - 1,
-        "stall must cover the blocked->resume gap, got {}",
+        "stall must cover the blocked->flush gap, got {}",
         s.stall_ns
     );
 

@@ -109,10 +109,12 @@ proptest! {
 
     /// The framed channel reassembles arbitrary message sequences —
     /// any sizes (multi-fragment included) over any power-of-two ring —
-    /// in order and byte-exact, with blocked sends resumed.
+    /// in order and byte-exact, with sends issued in bursts that queue
+    /// behind a full ring and flushed as credits return.
     #[test]
     fn channel_reassembles_arbitrary_messages(
         cap_pow in 2u32..5,
+        burst in 1usize..4,
         msgs in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..400), 1..12),
     ) {
         for mode in AuditMode::ALL {
@@ -124,22 +126,25 @@ proptest! {
             let mut t = Nanos(0);
             let mut received = 0usize;
             let mut sent = 0usize;
-            let mut pending = false;
             let mut guard = 0u32;
             while received < msgs.len() {
                 guard += 1;
                 prop_assert!(guard < 100_000, "{mode:?} livelock: {received}/{} received", msgs.len());
-                if pending {
-                    match tx.resume(&mut fabric, t).expect("resume") {
-                        ChannelSend::Sent(at) => { t = at; pending = false; sent += 1; }
-                        ChannelSend::Blocked { at, .. } => t = at + Nanos(500),
+                let outcome = if sent < msgs.len() {
+                    // Up to `burst` sends per poll: later ones queue
+                    // behind whatever the ring could not take.
+                    let mut last = ChannelSend::Sent(t);
+                    for msg in msgs.iter().skip(sent).take(burst) {
+                        last = tx.send(&mut fabric, t, msg).expect("send");
+                        sent += 1;
                     }
-                } else if sent < msgs.len() {
-                    match tx.send(&mut fabric, t, &msgs[sent]).expect("send") {
-                        ChannelSend::Sent(at) => { t = at; sent += 1; }
-                        ChannelSend::Blocked { at, .. } => { t = at; pending = true; }
-                    }
-                }
+                    last
+                } else {
+                    tx.flush(&mut fabric, t).expect("flush")
+                };
+                t = match outcome {
+                    ChannelSend::Sent(at) | ChannelSend::Queued(at) => at,
+                };
                 match rx.poll(&mut fabric, t).expect("poll") {
                     shmem::ring::PollOutcome::Msg { data, at } => {
                         prop_assert_eq!(&data, &msgs[received], "{:?} message {} corrupted", mode, received);
