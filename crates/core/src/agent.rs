@@ -459,9 +459,9 @@ impl Agent {
                     }
                 }
             }
-            // Control-plane reports are consumed by the orchestrator,
-            // not by agents.
-            Msg::DevFailed { .. } | Msg::HostLoad { .. } | Msg::DevLoad { .. } => {}
+            // Failure reports are consumed by the orchestrator, not by
+            // agents.
+            Msg::DevFailed { .. } => {}
         }
     }
 

@@ -18,7 +18,7 @@
 //!   migrates load, and fails affected hosts over to surviving devices.
 //! - **Assembly** ([`pod`]): [`pod::PodSim`] wires fabric, devices,
 //!   agents, channels, and orchestrator into one simulated rack you can
-//!   drive from tests, examples, and benches.
+//!   drive from tests, examples, and the `repro` experiments.
 //! - **Tenant lifecycle** ([`lifecycle`]): provision/migrate/release a
 //!   whole tenant's device bindings and pool state — the §4.2
 //!   orchestrator's churn response, generalizing connection migration.

@@ -50,7 +50,8 @@ pub struct DevInfo {
     pub attach: HostId,
     /// Liveness, as believed by the orchestrator.
     pub up: bool,
-    /// Last reported load (0-100).
+    /// Load estimate (0-100): set by `Orchestrator::set_load`, adjusted
+    /// by allocation, balancing and repair.
     pub load: u8,
     /// Hosts currently assigned to this device.
     pub users: Vec<HostId>,
@@ -147,15 +148,17 @@ impl Orchestrator {
         self.registry.get(&dev)
     }
 
-    /// Overrides a device's reported load (tests and synthetic setups).
+    /// Sets a device's load (0-100), which `choose` and `balance`
+    /// rank devices by (tests and synthetic setups).
     pub fn set_load(&mut self, dev: DeviceId, load: u8) {
         if let Some(info) = self.registry.get_mut(&dev) {
             info.load = load;
         }
     }
 
-    /// Records a host's reported load (normally fed by `HostLoad`
-    /// messages; exposed for synthetic setups).
+    /// Records a host's load (0-100), which `balance` uses to pick the
+    /// user it migrates. Load generators feed it through
+    /// [`crate::pod::PodSim::report_host_load`].
     pub fn set_host_load(&mut self, host: HostId, load: u8) {
         self.host_loads.insert(host, load);
     }
@@ -276,7 +279,7 @@ impl Orchestrator {
             .get_mut(&dev)
             .expect("chosen device is registered");
         info.users.push(host);
-        // Optimistic estimate until the next DevLoad report, so a burst
+        // Optimistic estimate until `set_load` overrides it, so a burst
         // of allocations does not pile onto one device.
         info.load = info.load.saturating_add(5);
         self.push_assign(fabric, host, kind, dev)
@@ -304,25 +307,16 @@ impl Orchestrator {
         Ok(())
     }
 
-    /// Polls agent channels until `until`, reacting to failure and load
-    /// reports after each pass and flushing queued `Assign`s before it
+    /// Polls agent channels until `until`, reacting to failure reports
+    /// after each pass and flushing queued `Assign`s before it
     /// (see `crate::poll`).
     pub fn pump(&mut self, fabric: &mut Fabric, until: Nanos) {
         poll::pump(self, fabric, until);
     }
 
     fn handle(&mut self, fabric: &mut Fabric, msg: Msg) {
-        match msg {
-            Msg::DevFailed { dev, .. } => self.on_failure(fabric, dev),
-            Msg::DevLoad { dev, load } => {
-                if let Some(info) = self.registry.get_mut(&dev) {
-                    info.load = load;
-                }
-            }
-            Msg::HostLoad { host, load } => {
-                self.host_loads.insert(host, load);
-            }
-            _ => {}
+        if let Msg::DevFailed { dev, .. } = msg {
+            self.on_failure(fabric, dev);
         }
     }
 

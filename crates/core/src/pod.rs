@@ -16,8 +16,6 @@
 //! the same executor ([`Agent::execute`]) runs the command at once,
 //! with no ring in between.
 
-use std::collections::HashMap;
-
 use cxl_fabric::{DomainId, Fabric, HostId, LinkId, MhdId, PodConfig, SegmentId};
 use pcie_sim::nic::TxFrame;
 use pcie_sim::{Accelerator, BufRef, DeviceId, Nic, NicConfig, Ssd, SsdConfig};
@@ -132,7 +130,6 @@ pub struct PodSim {
     io_slots: u64,
     next_io: Vec<u64>,
     next_op: u64,
-    dev_attach: HashMap<DeviceId, HostId>,
     ring_slots: u64,
     /// Every control channel, in allocation order: the agent mesh,
     /// then the orchestrator's links.
@@ -506,7 +503,6 @@ impl PodSim {
             io_slots: params.io_slots,
             next_io: vec![0; hosts as usize],
             next_op: 1,
-            dev_attach: HashMap::new(),
             ring_slots: params.ring_slots,
             channels: Vec::new(),
             io_segs: Vec::with_capacity(hosts as usize),
@@ -535,7 +531,6 @@ impl PodSim {
                 .nics
                 .insert(id, Nic::new(id, HostId(h), NicConfig::default()));
             pod.orch.register(id, DeviceKind::Nic, HostId(h));
-            pod.dev_attach.insert(id, HostId(h));
         }
         for &h in &params.ssd_hosts {
             let id = DeviceId(next_dev);
@@ -544,7 +539,6 @@ impl PodSim {
                 .ssds
                 .insert(id, Ssd::new(id, HostId(h), SsdConfig::default()));
             pod.orch.register(id, DeviceKind::Ssd, HostId(h));
-            pod.dev_attach.insert(id, HostId(h));
         }
         for &h in &params.accel_hosts {
             let id = DeviceId(next_dev);
@@ -554,7 +548,6 @@ impl PodSim {
                 Accelerator::new(id, HostId(h), pcie_sim::accel::AccelConfig::default()),
             );
             pod.orch.register(id, DeviceKind::Accel, HostId(h));
-            pod.dev_attach.insert(id, HostId(h));
         }
 
         // Per-host I/O buffer segments, shared pod-wide so any device's
@@ -609,9 +602,10 @@ impl PodSim {
         total
     }
 
-    /// Where a device is physically attached.
+    /// Where a device is physically attached (the orchestrator's
+    /// registry, which never drops a device).
     pub fn attach_of(&self, dev: DeviceId) -> Option<HostId> {
-        self.dev_attach.get(&dev).copied()
+        self.orch.device(dev).map(|d| d.attach)
     }
 
     /// Device kinds with at least one registered device in the pod
@@ -623,10 +617,10 @@ impl PodSim {
             .collect()
     }
 
-    /// Feeds a host-load observation into the orchestrator, as the
-    /// agent's periodic `HostLoad` report would. Load generators use
-    /// this to close the control loop: the orchestrator's balance pass
-    /// migrates the heaviest *reported* user off a hot device.
+    /// Feeds a host-load observation (0-100) into the orchestrator.
+    /// Load generators use this to close the control loop: the
+    /// orchestrator's balance pass migrates the heaviest *reported*
+    /// user off a hot device.
     pub fn report_host_load(&mut self, host: HostId, load: u8) {
         self.orch.set_host_load(host, load);
     }
@@ -768,7 +762,7 @@ impl PodSim {
 
     /// Fails or restores `dev` on the agent it attaches to.
     fn set_device_up(&mut self, dev: DeviceId, up: bool) {
-        let Some(&HostId(h)) = self.dev_attach.get(&dev) else {
+        let Some(HostId(h)) = self.attach_of(dev) else {
             return;
         };
         let a = &mut self.agents[h as usize];

@@ -128,20 +128,6 @@ pub enum Msg {
         /// The newly assigned device.
         dev: DeviceId,
     },
-    /// Agent → orchestrator: periodic load report (0-100).
-    HostLoad {
-        /// Reporting host.
-        host: HostId,
-        /// Aggregate device load percentage.
-        load: u8,
-    },
-    /// Agent → orchestrator: per-device load report (0-100).
-    DevLoad {
-        /// The device being reported.
-        dev: DeviceId,
-        /// Load percentage.
-        load: u8,
-    },
     /// Attach agent → buffer owner: a frame landed in your RX buffer.
     RxDone {
         /// Pool address of the filled buffer.
@@ -235,8 +221,6 @@ impl Msg {
             Msg::Done { .. } => "Done",
             Msg::DevFailed { .. } => "DevFailed",
             Msg::Assign { .. } => "Assign",
-            Msg::HostLoad { .. } => "HostLoad",
-            Msg::DevLoad { .. } => "DevLoad",
             Msg::RxDone { .. } => "RxDone",
         }
     }
@@ -282,16 +266,6 @@ impl Msg {
                 put_u16(&mut out, host.0);
                 out.push(kind);
                 put_u32(&mut out, dev.0);
-            }
-            Msg::HostLoad { host, load } => {
-                out.push(9);
-                put_u16(&mut out, host.0);
-                out.push(load);
-            }
-            Msg::DevLoad { dev, load } => {
-                out.push(10);
-                put_u32(&mut out, dev.0);
-                out.push(load);
             }
             Msg::RxDone { buf, len, at } => {
                 out.push(11);
@@ -345,14 +319,6 @@ impl Msg {
                 host: HostId(r.u16()?),
                 kind: r.u8()?,
                 dev: DeviceId(r.u32()?),
-            },
-            9 => Msg::HostLoad {
-                host: HostId(r.u16()?),
-                load: r.u8()?,
-            },
-            10 => Msg::DevLoad {
-                dev: DeviceId(r.u32()?),
-                load: r.u8()?,
             },
             11 => Msg::RxDone {
                 buf: r.u64()?,
@@ -428,14 +394,6 @@ mod tests {
                 kind: 1,
                 dev: DeviceId(8),
             },
-            Msg::HostLoad {
-                host: HostId(2),
-                load: 85,
-            },
-            Msg::DevLoad {
-                dev: DeviceId(9),
-                load: 61,
-            },
             Msg::RxDone {
                 buf: 0x7000,
                 len: 1500,
@@ -478,6 +436,11 @@ mod tests {
     fn unknown_kind_rejected() {
         assert_eq!(Msg::decode(&[200, 0, 0]), Err(DecodeError::BadKind(200)));
         assert_eq!(Msg::decode(&[0]), Err(DecodeError::BadKind(0)));
+        assert_eq!(Msg::decode(&[9, 0, 0, 0]), Err(DecodeError::BadKind(9)));
+        assert_eq!(
+            Msg::decode(&[10, 0, 0, 0, 0, 0]),
+            Err(DecodeError::BadKind(10))
+        );
     }
 
     proptest! {

@@ -52,8 +52,8 @@
 //! - **release**: every visible write (nt-store, flush, DMA write,
 //!   eviction) snapshots its actor's clock;
 //! - **acquire**: a load miss on a line inside a registered *sync
-//!   range* (message rings and seqlock words — see
-//!   `Fabric::mark_sync_range`) joins the observed write's clock;
+//!   range* (message rings — see `Fabric::mark_sync_range`) joins the
+//!   observed write's clock;
 //! - **DMA issue**: a DMA op joins the attach host's CPU clock (the
 //!   doorbell orders it after the CPU's prior work);
 //! - **DMA completion**: [`Auditor::on_dma_complete`] joins the DMA
@@ -85,9 +85,9 @@
 //! - [`ViolationKind::ConcurrentConflict`]: two conflicting accesses
 //!   with incomparable vector clocks (vector-clock mode only).
 //!
-//! Protocols that *tolerate* tearing by design (the seqlock re-reads
-//! until versions match) register their payload range as tear-tolerant
-//! so retry loops are not reported as hazards.
+//! Protocols that *tolerate* tearing by design (a reader that re-reads
+//! until a version word matches) register their payload range as
+//! tear-tolerant so retry loops are not reported as hazards.
 //!
 //! ## Failure-domain namespacing
 //!
@@ -1586,8 +1586,9 @@ impl Auditor {
     /// Audits one CPU load. `served` lists each line the load touched
     /// and whether it was served from the host's cache (`true`) or
     /// fetched fresh from the pool (`false`). `tolerant` holds ranges
-    /// where torn reads are by-design (seqlock bodies); `sync` holds
-    /// synchronization ranges where reads are acquire operations.
+    /// where torn reads are by design (`Fabric::mark_tear_tolerant`);
+    /// `sync` holds synchronization ranges where reads are acquire
+    /// operations.
     pub fn on_load(
         &mut self,
         now: Nanos,

@@ -138,11 +138,12 @@ pub struct Fabric {
     /// small.
     audit: Option<Box<Auditor>>,
     /// Ranges where torn multi-line reads are tolerated by protocol
-    /// design (seqlock bodies). Kept even while auditing is off so a
-    /// later [`Fabric::enable_audit`] still honours them.
+    /// design (see [`Fabric::mark_tear_tolerant`]). Kept even while
+    /// auditing is off so a later [`Fabric::enable_audit`] still
+    /// honours them.
     tear_tolerant: Vec<(u64, u64)>,
-    /// Ranges holding synchronization protocol state (ring slots,
-    /// seqlock words): reads there are acquire operations
+    /// Ranges holding synchronization protocol state (ring slots):
+    /// reads there are acquire operations
     /// in the vector-clock model. Kept even while auditing is off, as
     /// with `tear_tolerant`.
     sync_ranges: Vec<(u64, u64)>,
@@ -284,8 +285,9 @@ impl Fabric {
     }
 
     /// Declares `[hpa, hpa + len)` tear-tolerant: a protocol there
-    /// (e.g. a seqlock) detects and retries torn reads itself, so the
-    /// auditor does not report them.
+    /// detects and retries torn reads itself (a version word checked
+    /// before and after the payload read), so the auditor does not
+    /// report them.
     pub fn mark_tear_tolerant(&mut self, hpa: u64, len: u64) {
         if len > 0 {
             self.tear_tolerant.push((hpa, hpa + len));
@@ -293,10 +295,10 @@ impl Fabric {
     }
 
     /// Declares `[hpa, hpa + len)` a synchronization range: the
-    /// protocol state there (ring slots, seqlock words)
-    /// transfers ordering, so in vector-clock audit mode a fresh read
-    /// of such a line is an *acquire* of the observed write's clock.
-    /// Registered by the shmem ring and seqlock constructors.
+    /// protocol state there (ring slots) transfers ordering, so in
+    /// vector-clock audit mode a fresh read of such a line is an
+    /// *acquire* of the observed write's clock. Registered by the
+    /// shmem ring constructor.
     pub fn mark_sync_range(&mut self, hpa: u64, len: u64) {
         if len > 0 {
             self.sync_ranges.push((hpa, hpa + len));

@@ -254,13 +254,6 @@ impl Topology {
         }
     }
 
-    /// Restores a failed link.
-    pub fn restore_link(&mut self, link: LinkId) {
-        if let Some(l) = self.links.get_mut(link.0 as usize) {
-            l.up = true;
-        }
-    }
-
     /// Marks an entire MHD down (controller failure / firmware reboot).
     pub fn fail_mhd(&mut self, mhd: MhdId) {
         if let Some(m) = self.mhd_up.get_mut(mhd.0 as usize) {
@@ -322,8 +315,6 @@ mod tests {
         // The other MHD is still reachable: λ redundancy at work.
         assert_eq!(t.effective_lambda(HostId(0)), 1);
         assert!(t.fully_connected());
-        t.restore_link(victim);
-        assert_eq!(t.effective_lambda(HostId(0)), 2);
     }
 
     #[test]

@@ -16,9 +16,6 @@
 //!   protocol has no ordering bugs that the (deterministic, sequential)
 //!   simulator could hide.
 //!
-//! Plus [`seqlock`], a multi-line record built from the same
-//! discipline.
-//!
 //! # Examples
 //!
 //! ```
@@ -44,7 +41,6 @@ pub mod channel;
 pub mod pingpong;
 pub mod real;
 pub mod ring;
-pub mod seqlock;
 
 pub use channel::{Channel, ChannelReceiver, ChannelSend, ChannelSender, ChannelStats};
 pub use ring::{IdlePoll, PollOutcome, RingBuf, RingReceiver, RingSender, SendOutcome};

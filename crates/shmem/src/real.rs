@@ -25,7 +25,7 @@ struct Slot {
     data: UnsafeCell<[u8; 2 + SLOT_PAYLOAD]>,
 }
 
-// SAFETY: `Slot.data` is accessed under the seqlock protocol: the
+// SAFETY: `Slot.data` is accessed under the per-slot `seq` protocol: the
 // producer writes it only while `seq < m + 1` (consumer will not read),
 // and publishes with a release store to `seq`; the consumer reads only
 // after an acquire load observes `seq == m + 1`, and the producer will

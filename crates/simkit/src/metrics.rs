@@ -220,9 +220,9 @@ pub struct Series {
     pub points: Vec<(Nanos, f64)>,
 }
 
-/// The metrics registry + sampler. Owned by the fabric (mirroring the
-/// trace recorder) so every layer that already holds `&mut Fabric` can
-/// record without signature churn.
+/// The metrics registry + sampler. Owned by the simulation driver (the
+/// pod simulator, which lends it to workload engines), which registers
+/// the metrics and writes their values when a tick is due.
 pub struct MetricsRecorder {
     config: MetricsConfig,
     metrics: Vec<Metric>,
@@ -322,11 +322,6 @@ impl MetricsRecorder {
     /// Iterates recorded samples, oldest first.
     pub fn samples(&self) -> impl Iterator<Item = &Sample> {
         self.samples.iter()
-    }
-
-    /// Number of retained samples.
-    pub fn sample_count(&self) -> usize {
-        self.samples.len()
     }
 
     /// Samples not retained because the ring was full.
@@ -544,7 +539,7 @@ mod tests {
         let g = m.gauge("g", Labels::NONE);
         assert!(!m.tick_due(Nanos(99)));
         m.sample(Nanos(99));
-        assert_eq!(m.sample_count(), 0);
+        assert_eq!(m.samples().count(), 0);
         m.gauge_set(g, 7.0);
         m.sample(Nanos(100));
         m.gauge_set(g, 9.0);
@@ -588,7 +583,7 @@ mod tests {
             m.sample(Nanos(t * 10));
         }
         // 5 ticks x 3 metrics = 15 attempts; 8 kept, 7 dropped.
-        assert_eq!(m.sample_count(), 8);
+        assert_eq!(m.samples().count(), 8);
         assert_eq!(m.dropped(), 7);
     }
 

@@ -134,16 +134,6 @@ impl Rng {
         mean + std_dev * self.std_normal()
     }
 
-    /// Pareto (heavy tail) with scale `x_min` and shape `alpha`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x_min <= 0` or `alpha <= 0`.
-    pub fn pareto(&mut self, x_min: f64, alpha: f64) -> f64 {
-        assert!(x_min > 0.0 && alpha > 0.0, "invalid pareto parameters");
-        x_min / (1.0 - self.f64()).powf(1.0 / alpha)
-    }
-
     /// Picks an index from a slice of nonnegative weights proportional to
     /// weight.
     ///
@@ -164,14 +154,6 @@ impl Rng {
             x -= w;
         }
         weights.len() - 1
-    }
-
-    /// Fisher–Yates shuffle of a slice.
-    pub fn shuffle<T>(&mut self, items: &mut [T]) {
-        for i in (1..items.len()).rev() {
-            let j = self.below(i as u64 + 1) as usize;
-            items.swap(i, j);
-        }
     }
 }
 
@@ -314,17 +296,6 @@ mod tests {
     }
 
     #[test]
-    fn shuffle_is_permutation() {
-        let mut r = Rng::new(11);
-        let mut v: Vec<u32> = (0..50).collect();
-        r.shuffle(&mut v);
-        let mut sorted = v.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..50).collect::<Vec<_>>());
-        assert_ne!(v, (0..50).collect::<Vec<_>>(), "shuffle should move items");
-    }
-
-    #[test]
     fn fork_produces_independent_stream() {
         let mut a = Rng::new(12);
         let mut child = a.fork();
@@ -332,13 +303,5 @@ mod tests {
             .filter(|_| a.next_u64() == child.next_u64())
             .count();
         assert_eq!(overlap, 0);
-    }
-
-    #[test]
-    fn pareto_respects_minimum() {
-        let mut r = Rng::new(13);
-        for _ in 0..10_000 {
-            assert!(r.pareto(2.0, 1.5) >= 2.0);
-        }
     }
 }

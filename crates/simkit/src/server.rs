@@ -102,11 +102,6 @@ impl TimelineServer {
         self.next_free.saturating_sub(now)
     }
 
-    /// True if a job arriving at `now` would start immediately.
-    pub fn is_idle(&self, now: Nanos) -> bool {
-        self.next_free <= now
-    }
-
     /// Total service time dispensed so far.
     pub fn busy_time(&self) -> Nanos {
         self.busy
@@ -215,8 +210,8 @@ mod tests {
     fn idle_server_starts_immediately() {
         let mut s = TimelineServer::new();
         assert_eq!(s.serve(Nanos(50), Nanos(10)), Nanos(60));
-        assert!(s.is_idle(Nanos(60)));
-        assert!(!s.is_idle(Nanos(59)));
+        assert_eq!(s.backlog(Nanos(60)), Nanos::ZERO);
+        assert_eq!(s.backlog(Nanos(59)), Nanos(1));
     }
 
     #[test]
@@ -267,7 +262,7 @@ mod tests {
         let mut s = TimelineServer::new();
         s.serve(Nanos(0), Nanos(100));
         s.reset();
-        assert!(s.is_idle(Nanos(0)));
+        assert_eq!(s.backlog(Nanos(0)), Nanos::ZERO);
         assert_eq!(s.jobs_served(), 0);
     }
 

@@ -200,24 +200,6 @@ impl Histogram {
             .map(|(i, &c)| (bucket_midpoint(i).clamp(self.min, self.max), c))
             .collect()
     }
-
-    /// Returns `(value, cumulative_fraction)` pairs suitable for plotting
-    /// a CDF, one point per non-empty bucket.
-    pub fn cdf(&self) -> Vec<(u64, f64)> {
-        let mut points = Vec::new();
-        let mut seen = 0u64;
-        for (i, &c) in self.buckets.iter().enumerate() {
-            if c == 0 {
-                continue;
-            }
-            seen += c;
-            points.push((
-                bucket_midpoint(i).clamp(self.min, self.max),
-                seen as f64 / self.count as f64,
-            ));
-        }
-        points
-    }
 }
 
 impl Default for Histogram {
@@ -412,24 +394,6 @@ mod tests {
         for &(mid, _) in &buckets {
             assert!(mid >= h.min() && mid <= h.max());
         }
-    }
-
-    #[test]
-    fn cdf_is_monotonic_and_ends_at_one() {
-        let mut h = Histogram::new();
-        for v in [5u64, 50, 500, 5_000, 50_000] {
-            for _ in 0..10 {
-                h.record(v);
-            }
-        }
-        let cdf = h.cdf();
-        assert!(!cdf.is_empty());
-        let mut prev = 0.0;
-        for &(_, f) in &cdf {
-            assert!(f >= prev);
-            prev = f;
-        }
-        assert!((cdf.last().expect("nonempty").1 - 1.0).abs() < 1e-12);
     }
 
     #[test]

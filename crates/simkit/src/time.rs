@@ -18,7 +18,6 @@ use core::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 ///
 /// let t = Nanos::from_micros(1) + Nanos(500);
 /// assert_eq!(t, Nanos(1_500));
-/// assert_eq!(t.as_micros_f64(), 1.5);
 /// ```
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, serde::Serialize)]
 pub struct Nanos(pub u64);
@@ -44,25 +43,9 @@ impl Nanos {
         Nanos(s * 1_000_000_000)
     }
 
-    /// Creates a time value from fractional seconds, rounding to the
-    /// nearest nanosecond.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `s` is negative or not finite.
-    pub fn from_secs_f64(s: f64) -> Nanos {
-        assert!(s.is_finite() && s >= 0.0, "invalid seconds value: {s}");
-        Nanos((s * 1e9).round() as u64)
-    }
-
     /// Returns the raw nanosecond count.
     pub const fn as_nanos(self) -> u64 {
         self.0
-    }
-
-    /// Returns the value in microseconds as a float.
-    pub fn as_micros_f64(self) -> f64 {
-        self.0 as f64 / 1e3
     }
 
     /// Returns the value in seconds as a float.
@@ -194,7 +177,6 @@ mod tests {
         assert_eq!(Nanos::from_micros(3), Nanos(3_000));
         assert_eq!(Nanos::from_millis(3), Nanos(3_000_000));
         assert_eq!(Nanos::from_secs(3), Nanos(3_000_000_000));
-        assert_eq!(Nanos::from_secs_f64(1.5), Nanos(1_500_000_000));
     }
 
     #[test]

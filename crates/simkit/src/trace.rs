@@ -307,15 +307,11 @@ impl TraceRecorder {
     /// Exports the recording as Chrome trace-event JSON, loadable in
     /// `ui.perfetto.dev` or `chrome://tracing`. Timestamps are emitted
     /// in microseconds (the format's unit) with nanosecond precision
-    /// preserved as fractions.
-    pub fn export_chrome_json(&self) -> String {
-        self.export_chrome_json_with(&[])
-    }
-
-    /// Exports the recording with extra pre-rendered trace-event JSON
-    /// objects merged in (e.g. the metrics plane's `"ph":"C"` counter
-    /// tracks from [`crate::metrics::MetricsRecorder::counter_track_events`]),
-    /// so counters render alongside spans in one Perfetto view.
+    /// preserved as fractions. `extra` holds pre-rendered trace-event
+    /// JSON objects to merge in (e.g. the metrics plane's `"ph":"C"`
+    /// counter tracks from
+    /// [`crate::metrics::MetricsRecorder::counter_track_events`]), so
+    /// counters render alongside spans in one Perfetto view.
     pub fn export_chrome_json_with(&self, extra: &[String]) -> String {
         // Deterministic track→tid assignment in first-use order.
         let mut tids: BTreeMap<Track, u64> = BTreeMap::new();
@@ -485,7 +481,7 @@ mod tests {
             "ring \"full\"",
         );
         tr.pop_ctx();
-        let json = tr.export_chrome_json();
+        let json = tr.export_chrome_json_with(&[]);
         assert!(json.contains("\"traceEvents\""));
         assert!(json.contains("\"thread_name\""));
         assert!(json.contains("\"op/vnic_send\""));

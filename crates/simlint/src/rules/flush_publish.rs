@@ -6,7 +6,7 @@
 //! `store`s, push them to fabric visibility with `flush` (or register
 //! the happens-before edge with `mark_sync_range`), and only then make
 //! the data observable — ring the doorbell, bump a ring sequence word
-//! with `nt_store`, or `publish` a seqlock generation. A `store` that
+//! with `nt_store`, or `publish` a new generation. A `store` that
 //! can reach a publish without an intervening flush on *some* path is
 //! a stale-read bug the vector-clock auditor only catches when a seed
 //! happens to execute that path; this rule catches it on every path,

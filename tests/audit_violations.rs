@@ -9,7 +9,6 @@ use cxl_fabric::{
     domain_of_index, AccessKind, Actor, AuditConfig, AuditMode, Auditor, DomainId, Fabric, HostId,
     LostWriteCause, PodConfig, Segment, ViolationKind, WriteKind, DOMAIN_STRIDE,
 };
-use shmem::seqlock::{ReadOutcome, SeqLock};
 use simkit::Nanos;
 
 const LINE: u64 = 64;
@@ -310,50 +309,6 @@ fn dma_read_around_remote_dirty_line_fires_stale_read() {
             assert_eq!(*writer, HostId(1));
         }
         other => panic!("expected StaleRead, got {other:?}"),
-    }
-}
-
-/// The seqlock's read loop is designed to tolerate mid-update reads;
-/// its retries must not be reported as hazards.
-#[test]
-fn seqlock_retry_loop_is_audit_clean() {
-    for mode in AuditMode::ALL {
-        // The seqlock protocol must be clean in both audit modes.
-        let mut f = Fabric::new(PodConfig::new(2, 2, 2));
-        f.enable_audit(AuditConfig {
-            mode,
-            ..AuditConfig::default()
-        });
-        let mut lock =
-            SeqLock::allocate(&mut f, &[HostId(0), HostId(1)], HostId(0), 256).expect("alloc");
-        let mut t = Nanos(0);
-        for round in 0..8u8 {
-            let data = vec![round; 256];
-            let done = lock.publish(&mut f, t, &data).expect("publish");
-            // Read from mid-publish (tolerated torn window) and settled.
-            let mid = t + (done - t) / 2;
-            match lock.read(&mut f, mid, HostId(1)).expect("read") {
-                ReadOutcome::Snapshot { data: got, .. } => {
-                    assert!(
-                        got.iter().all(|&b| b == round) || got.iter().all(|&b| b + 1 == round),
-                        "{mode:?}: snapshot of round {round} mixes versions"
-                    );
-                }
-                ReadOutcome::Torn(_) => {}
-            }
-            let (_, got, at) = lock
-                .read_consistent(&mut f, done, HostId(1), done + Nanos::from_micros(100))
-                .expect("read")
-                .expect("snapshot");
-            assert_eq!(got, data, "{mode:?}");
-            t = at;
-        }
-        let report = f.audit_finalize(t).expect("audit on");
-        assert!(
-            report.is_clean(),
-            "{mode:?} seqlock violations:\n{}",
-            report.render()
-        );
     }
 }
 

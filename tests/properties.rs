@@ -187,62 +187,6 @@ proptest! {
         }
     }
 
-    /// The seqlock never serves a torn payload: for arbitrary payload
-    /// sizes and read timings — including reads landing anywhere inside
-    /// a publish window — every snapshot is exactly one published value,
-    /// and its version identifies which one.
-    #[test]
-    fn seqlock_snapshots_are_never_torn(
-        payload_len in 65u64..320,
-        rounds in 1usize..6,
-        fracs in proptest::collection::vec(0u64..300, 1..20),
-    ) {
-        for mode in AuditMode::ALL {
-            use shmem::seqlock::{ReadOutcome, SeqLock};
-            let mut fabric = audited_fabric(mode);
-            let mut lock =
-                SeqLock::allocate(&mut fabric, &[HostId(0), HostId(1)], HostId(0), payload_len)
-                    .expect("alloc");
-            // Version v carries payload fill byte v/2 (version 0 = the
-            // unwritten all-zeros record).
-            let payload_for = |v: u64| vec![(v / 2) as u8; payload_len as usize];
-            let mut t = Nanos(0);
-            for round in 0..rounds {
-                let start = t;
-                let done = lock
-                    .publish(&mut fabric, t, &payload_for((round as u64 + 1) * 2))
-                    .expect("publish");
-                // Reads scattered through (and past) the publish window.
-                for &frac in &fracs {
-                    let at = Nanos(start.0 + (done.0 - start.0) * frac / 256);
-                    match lock.read(&mut fabric, at, HostId(1)).expect("read") {
-                        ReadOutcome::Snapshot { version, data, .. } => {
-                            prop_assert_eq!(version % 2, 0, "{:?}", mode);
-                            prop_assert_eq!(
-                                &data,
-                                &payload_for(version),
-                                "{:?} torn payload at version {}", mode, version
-                            );
-                        }
-                        ReadOutcome::Torn(_) => {}
-                    }
-                }
-                t = done;
-            }
-            // A settled read always lands on the newest version.
-            let (version, data, at) = lock
-                .read_consistent(&mut fabric, t, HostId(1), t + Nanos::from_micros(100))
-                .expect("read")
-                .expect("snapshot");
-            prop_assert_eq!(version, rounds as u64 * 2, "{:?}", mode);
-            prop_assert_eq!(data, payload_for(version), "{:?}", mode);
-            // Retry loops are the protocol working as designed, not
-            // coherence hazards.
-            let report = fabric.audit_finalize(at).expect("audit on");
-            prop_assert!(report.is_clean(), "{:?} seqlock violations:\n{}", mode, report.render());
-        }
-    }
-
     /// Histogram quantiles are monotone in q and bounded by min/max for
     /// arbitrary samples.
     #[test]
