@@ -8,7 +8,9 @@
 //! published numbers, pin the default wake model's own seed-42 numbers
 //! exactly, and bound how far the wake model drifts from the oracle.
 
-use bench::workload::{base_spec, faulted_spec, pod_params, search_config};
+use bench::workload::{
+    base_spec, churn_pod_params, churn_workload, faulted_spec, pod_params, search_config,
+};
 use bench::Scale;
 use cxl_pcie_pool::cxl_fabric::{AuditMode, HostId, MhdId};
 use cxl_pcie_pool::pool::pod::{PodParams, PodSim};
@@ -42,6 +44,38 @@ const WAKE_SEED42_CAPACITY: (f64, f64) = (91_375.0, 84_125.0);
 /// Pool loads, NT stores and DMA ops of that baseline's engine run (the
 /// bench ledger's per-op figures times [`WAKE_SEED42_OPS`]).
 const WAKE_SEED42_LEDGER: [u64; 3] = [1_785, 2_681, 1_656];
+
+/// Per-tenant `(name, p50, p90, p99)` of the seed-42 quick run with the
+/// whole-domain loss (`faulted_spec`) under the default wake rule: the
+/// fault and heal events land between ops, so their timing shows here.
+const FAULT_SEED42_TENANTS: [(&str, u64, u64, u64); 3] = [
+    ("frontend", 3_280, 6_688, 150_528),
+    ("analytics", 77_312, 91_648, 150_528),
+    ("ml", 3_728, 4_320, 4_832),
+];
+/// Measured ops, errors and simulated elapsed time of that run.
+const FAULT_SEED42_OPS: u64 = 749;
+const FAULT_SEED42_ERRORS: u64 = 6;
+const FAULT_SEED42_ELAPSED: Nanos = Nanos(2_801_213);
+
+/// Every applied lifecycle event `(at ns, tenant, event, migrated,
+/// blackout ns)` of the seed-42 quick migrating churn run.
+const CHURN_SEED42_LIFECYCLE: [(u64, &str, &str, bool, Option<u64>); 8] = [
+    (450_768, "diurnal-b", "arrive", false, None),
+    (607_080, "diurnal-a", "arrive", true, Some(5_601)),
+    (1_379_740, "diurnal-a", "grow", false, None),
+    (1_430_282, "diurnal-b", "grow", false, None),
+    (2_302_252, "diurnal-b", "shrink", false, None),
+    (2_534_753, "diurnal-a", "shrink", false, None),
+    (2_790_466, "diurnal-b", "depart", false, None),
+    (3_140_413, "diurnal-a", "depart", false, None),
+];
+/// Per-tenant `(name, ops, p99)` of that run.
+const CHURN_SEED42_TENANTS: [(&str, u64, u64); 3] = [
+    ("steady", 75, 5_536),
+    ("diurnal-a", 15, 259_072),
+    ("diurnal-b", 7, 115_200),
+];
 
 /// The quick search's final bracket width: `(hi - lo) / 2^iters`.
 fn search_step() -> f64 {
@@ -210,6 +244,46 @@ fn wake_rule_capacity_is_within_one_search_step() {
         "fault {fault}"
     );
     assert!(fault < clean, "domain loss must still cost capacity");
+}
+
+#[test]
+fn wake_rule_pins_the_domain_loss_run() {
+    let mut pod = PodSim::new(params(42, false));
+    let report = Engine::new(42).run(&mut pod, &faulted_spec(Scale::Quick));
+    assert_tenants(
+        &report,
+        FAULT_SEED42_OPS,
+        &FAULT_SEED42_TENANTS,
+        "the wake rule (domain loss)",
+    );
+    assert_eq!(report.errors, FAULT_SEED42_ERRORS, "errors moved");
+    assert_eq!(report.elapsed, FAULT_SEED42_ELAPSED, "elapsed moved");
+}
+
+#[test]
+fn wake_rule_pins_the_churn_run() {
+    let mut pod = PodSim::new(churn_pod_params(42));
+    let report = Engine::new(42).run(&mut pod, &churn_workload(Scale::Quick, true));
+    let lifecycle: Vec<_> = report
+        .lifecycle
+        .iter()
+        .map(|e| {
+            (
+                e.at.as_nanos(),
+                e.tenant.as_str(),
+                e.event,
+                e.migrated,
+                e.blackout.map(|b| b.as_nanos()),
+            )
+        })
+        .collect();
+    assert_eq!(lifecycle, CHURN_SEED42_LIFECYCLE, "lifecycle records moved");
+    let tenants: Vec<_> = report
+        .tenants
+        .iter()
+        .map(|t| (t.name.as_str(), t.ops, t.latency.p99))
+        .collect();
+    assert_eq!(tenants, CHURN_SEED42_TENANTS, "churn tenants moved");
 }
 
 #[test]
