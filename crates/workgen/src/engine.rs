@@ -15,6 +15,7 @@
 //! errors (see [`crate::slo`]).
 
 use std::collections::BTreeMap;
+use std::iter::successors;
 
 use cxl_fabric::{DomainId, HostId, MhdId};
 use cxl_pool_core::lifecycle::{self as pod_lifecycle, TenantState};
@@ -131,15 +132,146 @@ impl RunReport {
     }
 }
 
-/// One pending issue source during the run.
+/// One operation: when it issues, for which tenant, and its drawn host,
+/// class and block address.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-struct Issue {
-    /// Absolute simulated time of the (scheduled) issue.
+struct Op {
+    /// Scheduled issue time: an offset from run start in a [`Plan`],
+    /// absolute in the executor.
     at: Nanos,
-    /// Tenant index.
+    /// Tenant index (residents first, then churn tenants).
     tenant: usize,
-    /// Closed-loop worker index, usize::MAX for open-loop arrivals.
-    worker: usize,
+    host: u16,
+    kind: OpKind,
+    /// Block address (used by SSD ops).
+    lba: u64,
+}
+
+/// A pod event the plan fixes in time. Events at one offset apply in
+/// variant order.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+enum Event {
+    /// The fault plan's target (one MHD or a whole failure domain) dies.
+    Fail(FaultTarget),
+    /// Software recovery rebuilds the channels `heal_after` later.
+    Heal(FaultTarget),
+    /// A churn tenant arrives, grows, shrinks or departs.
+    Lifecycle(LifecycleEvent),
+    /// Per-host issue counts go to the orchestrator as loads for one
+    /// balance pass.
+    Balance,
+}
+
+/// One tenant's choice stream: the k-th op the tenant issues takes the
+/// k-th `(host, op, lba)` draw.
+#[derive(Clone, Debug)]
+struct Choices<'a> {
+    tenant: usize,
+    spec: &'a TenantSpec,
+    /// The mix weights, in mix order.
+    weights: Vec<f64>,
+    rng: Rng,
+}
+
+impl Choices<'_> {
+    /// The tenant's next op, issued at `at`.
+    fn draw(&mut self, at: Nanos) -> Op {
+        let t = self.spec;
+        let host = t.hosts[self.rng.below(t.hosts.len() as u64) as usize];
+        let kind = t.mix[self.rng.weighted(&self.weights)].0;
+        let lba = self.rng.below(1 << 16);
+        Op {
+            at,
+            tenant: self.tenant,
+            host,
+            kind,
+            lba,
+        }
+    }
+}
+
+/// Everything a run does that the pod cannot change, computed by
+/// [`plan`] from the spec and the seed alone.
+#[derive(Clone, Debug)]
+struct Plan<'a> {
+    /// Open-loop arrivals with their draws, sorted by `(at, tenant)`.
+    ops: Vec<Op>,
+    /// Fault, heal, lifecycle and balance events, sorted by `(at, event)`.
+    events: Vec<(Nanos, Event)>,
+    /// Choice streams of the closed-loop tenants, by tenant index (None
+    /// for open-loop tenants, whose draws are in `ops`).
+    closed: Vec<Option<Choices<'a>>>,
+}
+
+/// Residents first, then churn tenants: the order of every per-tenant
+/// vector in a run.
+fn all_tenants(spec: &WorkloadSpec) -> impl Iterator<Item = &TenantSpec> {
+    let churn = spec.churn.iter().flat_map(|c| c.tenants.iter());
+    spec.tenants.iter().chain(churn.map(|ct| &ct.spec))
+}
+
+/// Plans a run of `spec` over `[0, warmup + measure)` as a pure
+/// function of `(spec, seed)`.
+fn plan(spec: &WorkloadSpec, seed: u64) -> Plan<'_> {
+    let span = spec.warmup + spec.measure;
+
+    // Seed derivation: one schedule stream and one choice stream per
+    // tenant, all forked from the master in tenant order.
+    let mut master = Rng::new(seed);
+    let mut streams: Vec<(Vec<Nanos>, Rng)> = Vec::new();
+    for t in &spec.tenants {
+        let sched_seed = master.next_u64();
+        streams.push((t.arrival.schedule(sched_seed, span), master.fork()));
+    }
+
+    // Churn: the lifecycle event schedule and the churn tenants'
+    // thinned peak-rate schedules derive from the same master
+    // stream, *after* the residents — a churn-free spec replays
+    // bit-identically to a pre-churn engine.
+    let mut lifecycle = Vec::new();
+    if let Some(c) = &spec.churn {
+        lifecycle = c.schedule(master.next_u64(), span);
+        for (ci, ct) in c.tenants.iter().enumerate() {
+            let full = ct.spec.arrival.schedule(master.next_u64(), span);
+            streams.push((thin_schedule(full, &lifecycle, ci), master.fork()));
+        }
+    }
+
+    let mut ops = Vec::new();
+    let mut closed = Vec::new();
+    for (ti, (t, (schedule, rng))) in all_tenants(spec).zip(streams).enumerate() {
+        let weights = t.mix.iter().map(|&(_, w)| w).collect();
+        let mut choices = Choices {
+            tenant: ti,
+            spec: t,
+            weights,
+            rng,
+        };
+        ops.extend(schedule.into_iter().map(|at| choices.draw(at)));
+        closed.push((!t.arrival.is_open_loop()).then_some(choices));
+    }
+    ops.sort_by_key(|o| (o.at, o.tenant));
+
+    let mut events: Vec<(Nanos, Event)> = lifecycle
+        .into_iter()
+        .map(|e| (e.at, Event::Lifecycle(e)))
+        .collect();
+    if let Some(f) = spec.fault {
+        events.push((f.at, Event::Fail(f.target)));
+        events.push((f.at + f.heal_after, Event::Heal(f.target)));
+    }
+    if let Some(every) = spec.balance_every {
+        let ticks = successors(Some(every), |&t| Some(t + every));
+        events.extend(ticks.take_while(|&t| t < span).map(|t| (t, Event::Balance)));
+    }
+    // No op issues at or past the span, so no event there applies.
+    events.retain(|&(at, _)| at < span);
+    events.sort();
+    Plan {
+        ops,
+        events,
+        closed,
+    }
 }
 
 /// Per-tenant metric handles, registered when the pod's metrics plane
@@ -172,66 +304,30 @@ impl Engine {
     /// Runs `spec` against `pod` and reports per-tenant latency and
     /// SLO verdicts. Panics if the spec does not validate against the
     /// pod (use [`WorkloadSpec::validate`] to pre-check).
+    ///
+    /// Executes the run's plan: planned arrivals and closed-loop worker
+    /// heads issue in `(at, tenant, worker)` order. Before each op,
+    /// every event at or before its issue time applies at the pod's
+    /// current time; events after the last op apply once it is done.
     pub fn run(&self, pod: &mut PodSim, spec: &WorkloadSpec) -> RunReport {
         let kinds = pod.kinds_available();
         spec.validate(pod.agents.len() as u16, &kinds)
             .expect("workload spec fits the pod");
+        let mut plan = plan(spec, self.seed);
 
         let t0 = pod.time();
         let span = spec.warmup + spec.measure;
         let meas_start = t0 + spec.warmup;
         let meas_end = t0 + span;
-
-        // Seed derivation: one schedule stream and one choice stream
-        // per tenant, all forked from the master in tenant order.
-        let mut master = Rng::new(self.seed);
-        let mut schedules: Vec<Vec<Nanos>> = Vec::new();
-        let mut choice_rngs: Vec<Rng> = Vec::new();
-        for t in &spec.tenants {
-            let sched_seed = master.next_u64();
-            schedules.push(t.arrival.schedule(sched_seed, span));
-            choice_rngs.push(master.fork());
-        }
-
-        // Churn: the lifecycle event schedule and the churn tenants'
-        // thinned peak-rate schedules derive from the same master
-        // stream, *after* the residents — a churn-free spec replays
-        // bit-identically to a pre-churn engine.
-        let churn = spec.churn.as_ref();
-        let mut events: Vec<LifecycleEvent> = Vec::new();
-        if let Some(c) = churn {
-            let ev_seed = master.next_u64();
-            events = c.schedule(ev_seed, span);
-            for (ci, ct) in c.tenants.iter().enumerate() {
-                let sched_seed = master.next_u64();
-                let full = ct.spec.arrival.schedule(sched_seed, span);
-                schedules.push(thin_schedule(full, &events, ci));
-                choice_rngs.push(master.fork());
-            }
-        }
-        let all_tenants: Vec<&TenantSpec> = spec
-            .tenants
-            .iter()
-            .chain(
-                churn
-                    .into_iter()
-                    .flat_map(|c| c.tenants.iter().map(|ct| &ct.spec)),
-            )
-            .collect();
+        let all_tenants: Vec<&TenantSpec> = all_tenants(spec).collect();
         let resident_n = spec.tenants.len();
 
-        // Issue sources: open-loop cursors + closed-loop workers.
-        let mut cursors = vec![0usize; all_tenants.len()];
-        let mut workers: Vec<Issue> = Vec::new();
+        // Closed-loop workers as `(next issue, tenant)`, in tenant then
+        // worker order.
+        let mut workers: Vec<(Nanos, usize)> = Vec::new();
         for (ti, t) in spec.tenants.iter().enumerate() {
             if let Arrival::ClosedLoop { concurrency, .. } = t.arrival {
-                for w in 0..concurrency {
-                    workers.push(Issue {
-                        at: t0,
-                        tenant: ti,
-                        worker: w,
-                    });
-                }
+                workers.extend((0..concurrency).map(|_| (t0, ti)));
             }
         }
 
@@ -259,161 +355,106 @@ impl Engine {
                 .collect()
         });
 
-        // Fault plan state.
-        let mut fault_pending = spec.fault;
-        let mut heal_at: Option<(Nanos, FaultTarget)> = None;
-        let mut next_balance = spec.balance_every.map(|every| t0 + every);
-
-        // Lifecycle runtime state: pool-resident tenant state, current
-        // activity level per churn tenant, and the applied-event log.
-        let churn_count = churn.map_or(0, |c| c.tenants.len());
-        let mut lc_states: Vec<Option<TenantState>> = (0..churn_count).map(|_| None).collect();
-        let mut lc_levels: Vec<f64> = vec![0.0; churn_count];
-        let mut lc_next = 0usize;
-        let mut lifecycle_log: Vec<LifecycleEventReport> = Vec::new();
-
+        let mut churn = spec.churn.as_ref().map(|c| ChurnState {
+            spec,
+            churn: c,
+            states: c.tenants.iter().map(|_| None).collect(),
+            levels: vec![0.0; c.tenants.len()],
+            log: Vec::new(),
+        });
+        let mut ops = plan.ops.iter().peekable();
+        let mut events = plan.events.iter().peekable();
         loop {
-            // Earliest pending issue, deterministic tie-break.
-            let open_head = cursors
+            // The next op: the earliest planned arrival or closed-loop
+            // worker head, by `(at, tenant, worker)`.
+            let worker = workers
                 .iter()
                 .enumerate()
-                .filter_map(|(ti, &c)| {
-                    schedules[ti].get(c).map(|&off| Issue {
-                        at: t0 + off,
-                        tenant: ti,
-                        worker: usize::MAX,
-                    })
-                })
-                .min_by_key(|i| (i.at, i.tenant));
-            let worker_head = workers
-                .iter()
-                .filter(|i| i.at < meas_end)
-                .min_by_key(|i| (i.at, i.tenant, i.worker))
-                .copied();
-            let issue = match (open_head, worker_head) {
-                (Some(a), Some(b)) => {
-                    if (a.at, a.tenant, a.worker) <= (b.at, b.tenant, b.worker) {
-                        a
-                    } else {
-                        b
-                    }
+                .filter(|(_, &(at, _))| at < meas_end)
+                .min_by_key(|&(w, &(at, _))| (at, w))
+                .map(|(w, _)| w);
+            let arrival =
+                ops.next_if(|o| worker.is_none_or(|w| (t0 + o.at, o.tenant) < workers[w]));
+            let next = match (arrival, worker) {
+                (Some(o), _) => {
+                    let at = t0 + o.at;
+                    Some((Op { at, ..*o }, None))
                 }
-                (Some(a), None) => a,
-                (None, Some(b)) => b,
-                (None, None) => break,
+                (None, Some(w)) => {
+                    let (at, ti) = workers[w];
+                    let stream = plan.closed[ti].as_mut().expect("closed-loop tenant");
+                    Some((stream.draw(at), Some(w)))
+                }
+                (None, None) => None,
             };
 
-            // Fault plan: fail the target (one MHD or a whole failure
-            // domain) once the schedule crosses the plan's offset,
-            // recover `heal_after` later.
-            if let Some(f) = fault_pending {
-                if issue.at >= t0 + f.at {
-                    match f.target {
-                        FaultTarget::Mhd(m) => pod.fabric.topology_mut().fail_mhd(MhdId(m)),
-                        FaultTarget::Domain(d) => {
-                            pod.fabric.topology_mut().fail_domain(DomainId(d))
-                        }
+            // Apply every event at or before the op (all that are left
+            // once no op is) at the pod's current time.
+            let until = next.map_or(Nanos::MAX, |(op, _)| op.at);
+            while let Some(&(_, ev)) = events.next_if(|&&(off, _)| t0 + off <= until) {
+                match ev {
+                    Event::Fail(FaultTarget::Mhd(m)) => {
+                        pod.fabric.topology_mut().fail_mhd(MhdId(m));
                     }
-                    heal_at = Some((t0 + f.at + f.heal_after, f.target));
-                    fault_pending = None;
-                }
-            }
-            if let Some((t, target)) = heal_at {
-                if issue.at >= t {
-                    match target {
-                        FaultTarget::Mhd(m) => {
-                            pod.recover_pool_failure(MhdId(m));
-                        }
-                        FaultTarget::Domain(d) => {
-                            pod.recover_domain_failure(DomainId(d));
-                        }
+                    Event::Fail(FaultTarget::Domain(d)) => {
+                        pod.fabric.topology_mut().fail_domain(DomainId(d));
                     }
-                    heal_at = None;
-                }
-            }
-
-            // Tenant lifecycle: apply every event the schedule has
-            // crossed (same pattern as the fault plan).
-            while let Some(&ev) = events.get(lc_next) {
-                if issue.at < t0 + ev.at {
-                    break;
-                }
-                lc_next += 1;
-                let c = churn.expect("lifecycle events imply a churn spec");
-                apply_lifecycle_event(
-                    pod,
-                    spec,
-                    c,
-                    &ev,
-                    &mut lc_states,
-                    &mut lc_levels,
-                    &mut lifecycle_log,
-                );
-            }
-
-            // Control-plane feedback: report per-host issue counts as
-            // loads and let the orchestrator rebalance.
-            if let (Some(t), Some(every)) = (next_balance, spec.balance_every) {
-                if issue.at >= t {
-                    let peak = host_issued.values().copied().max().unwrap_or(0).max(1);
-                    for (&h, &count) in &host_issued {
-                        let load = ((count * 100) / peak).min(100) as u8;
-                        pod.report_host_load(HostId(h), load);
+                    Event::Heal(FaultTarget::Mhd(m)) => {
+                        pod.recover_pool_failure(MhdId(m));
                     }
-                    host_issued.clear();
-                    pod.rebalance(30);
-                    next_balance = Some(t + every);
+                    Event::Heal(FaultTarget::Domain(d)) => {
+                        pod.recover_domain_failure(DomainId(d));
+                    }
+                    Event::Lifecycle(e) => {
+                        let churn = churn.as_mut().expect("lifecycle events imply churn");
+                        churn.apply(pod, &e);
+                    }
+                    Event::Balance => {
+                        let peak = host_issued.values().copied().max().unwrap_or(0).max(1);
+                        for (&h, &count) in &host_issued {
+                            let load = ((count * 100) / peak).min(100) as u8;
+                            pod.report_host_load(HostId(h), load);
+                        }
+                        host_issued.clear();
+                        pod.rebalance(30);
+                    }
                 }
             }
+            let Some((issue, worker)) = next else {
+                break;
+            };
 
             // Let the pod idle forward to the scheduled issue.
             let now = pod.time();
             if now < issue.at {
                 pod.run_control(issue.at - now);
             }
-
-            // Advance this source past the issue we are about to run.
             let tenant = all_tenants[issue.tenant];
-            let closed = issue.worker != usize::MAX;
-            if !closed {
-                cursors[issue.tenant] += 1;
-            }
-
-            // Pick host and op class from the tenant's choice stream.
-            let rng = &mut choice_rngs[issue.tenant];
-            let host = tenant.hosts[rng.below(tenant.hosts.len() as u64) as usize];
-            let weights: Vec<f64> = tenant.mix.iter().map(|&(_, w)| w).collect();
-            let op = tenant.mix[rng.weighted(&weights)].0;
-            let lba = rng.below(1 << 16);
-            *host_issued.entry(host).or_insert(0) += 1;
+            *host_issued.entry(issue.host).or_insert(0) += 1;
 
             // Execute. Open loop measures from the scheduled arrival
             // (queueing delay included); closed loop from the actual
             // issue instant.
+            let closed = worker.is_some();
             let start = if closed {
                 pod.time().max(issue.at)
             } else {
                 issue.at
             };
             let deadline = pod.time().max(issue.at) + spec.op_timeout;
-            if let Some(tm) = &tenant_metrics {
-                let id = tm[issue.tenant].in_flight;
-                if let Some(rec) = pod.metrics_mut() {
-                    rec.gauge_set(id, 1.0);
-                }
+            if let (Some(tm), Some(rec)) = (&tenant_metrics, pod.metrics_mut()) {
+                rec.gauge_set(tm[issue.tenant].in_flight, 1.0);
             }
-            let result = execute(pod, HostId(host), op, lba, issue.at, deadline);
-            let (end, failed) = match result {
+            let (end, failed) = match execute(pod, issue, deadline) {
                 Ok(done) => (done, false),
                 Err(_) => (deadline, true),
             };
             let latency = end.saturating_sub(start);
 
-            let measured = issue.at >= meas_start && issue.at < meas_end;
-            if measured {
+            if (meas_start..meas_end).contains(&issue.at) {
                 hists[issue.tenant].record_nanos(latency);
                 kind_hists
-                    .entry(op.label())
+                    .entry(issue.kind.label())
                     .or_default()
                     .record_nanos(latency);
                 if failed {
@@ -428,7 +469,7 @@ impl Engine {
                     within_slo[issue.tenant] += 1;
                 }
             }
-            if let Some(tm) = &tenant_metrics {
+            if let (Some(tm), Some(rec)) = (&tenant_metrics, pod.metrics_mut()) {
                 let ids = &tm[issue.tenant];
                 let measured_ops = hists[issue.tenant].count();
                 let attainment = if measured_ops == 0 {
@@ -436,49 +477,18 @@ impl Engine {
                 } else {
                     within_slo[issue.tenant] as f64 / measured_ops as f64
                 };
-                let (in_flight, done, errs, slo) =
-                    (ids.in_flight, ids.completed, ids.errors, ids.slo);
-                let (done_v, errs_v) = (completed[issue.tenant], errors[issue.tenant]);
-                if let Some(rec) = pod.metrics_mut() {
-                    rec.gauge_set(in_flight, 0.0);
-                    rec.gauge_set(done, done_v as f64);
-                    rec.gauge_set(errs, errs_v as f64);
-                    rec.gauge_set(slo, attainment);
-                }
+                rec.gauge_set(ids.in_flight, 0.0);
+                rec.gauge_set(ids.completed, completed[issue.tenant] as f64);
+                rec.gauge_set(ids.errors, errors[issue.tenant] as f64);
+                rec.gauge_set(ids.slo, attainment);
             }
 
             // Closed-loop worker reschedule.
-            if closed {
-                if let Arrival::ClosedLoop { think, .. } = tenant.arrival {
-                    let slot = workers
-                        .iter_mut()
-                        .find(|i| i.tenant == issue.tenant && i.worker == issue.worker)
-                        .expect("worker exists");
-                    slot.at = end.max(issue.at) + think;
-                }
+            if let (Some(w), Arrival::ClosedLoop { think, .. }) = (worker, &tenant.arrival) {
+                workers[w].0 = end.max(issue.at) + *think;
             }
         }
-
-        // Run out the remaining lifecycle events (departures scheduled
-        // after the last issued op), then reclaim any tenant still
-        // resident so the pod hands back every churn-owned segment.
-        if let Some(c) = churn {
-            while let Some(&ev) = events.get(lc_next) {
-                lc_next += 1;
-                apply_lifecycle_event(
-                    pod,
-                    spec,
-                    c,
-                    &ev,
-                    &mut lc_states,
-                    &mut lc_levels,
-                    &mut lifecycle_log,
-                );
-            }
-            for st in lc_states.into_iter().flatten() {
-                st.release(pod);
-            }
-        }
+        let lifecycle = churn.map_or_else(Vec::new, |c| c.finish(pod));
 
         // Reduce.
         let secs = spec.measure.as_secs_f64();
@@ -488,9 +498,9 @@ impl Engine {
             // A churn tenant's offered rate is what its thinned
             // schedule actually put inside the measurement window.
             let offered = if ti >= resident_n {
-                schedules[ti]
+                plan.ops
                     .iter()
-                    .filter(|&&off| off >= spec.warmup && off < span)
+                    .filter(|o| o.tenant == ti && o.at >= spec.warmup && o.at < span)
                     .count() as f64
                     / secs
             } else {
@@ -520,7 +530,7 @@ impl Engine {
             errors: tenants.iter().map(|t| t.errors).sum(),
             elapsed: pod.time().saturating_sub(t0),
             tenants,
-            lifecycle: lifecycle_log,
+            lifecycle,
         }
     }
 }
@@ -555,165 +565,175 @@ fn kind_share(t: &TenantSpec, kind: DeviceKind) -> f64 {
     on / total
 }
 
-/// Offered-rate attribution for `kind`, in milli-ops/s per live
-/// device: every open-loop tenant's mean rate (scaled by its mix
-/// share on `kind` and, for churn tenants, its lifecycle level) is
-/// split across its hosts and charged to the device each host is
-/// currently bound to. Churn tenant `exclude` is left out so the
-/// placement choice reflects the load it would *join*. Deterministic:
-/// BTreeMap keying and integer milli-pps totals.
-fn device_load_mpps(
-    pod: &PodSim,
-    spec: &WorkloadSpec,
-    churn: &ChurnSpec,
-    levels: &[f64],
-    kind: DeviceKind,
-    exclude: usize,
-) -> BTreeMap<DeviceId, u64> {
-    let mut load: BTreeMap<DeviceId, u64> = pod
-        .orch
-        .devices_of(kind)
-        .into_iter()
-        .filter(|&d| pod.orch.device(d).is_some_and(|i| i.up))
-        .map(|d| (d, 0))
-        .collect();
-    let charge = |load: &mut BTreeMap<DeviceId, u64>, t: &TenantSpec, level: f64| {
-        let Some(rate) = t.arrival.mean_rate_pps() else {
-            return;
-        };
-        let share = kind_share(t, kind);
-        if share <= 0.0 || level <= 0.0 {
-            return;
-        }
-        let per_host = rate * share * level / t.hosts.len() as f64;
-        for &h in &t.hosts {
-            if let Some(d) = pod.binding(HostId(h), kind) {
-                if let Some(v) = load.get_mut(&d) {
-                    *v += (per_host * 1000.0) as u64;
-                }
-            }
-        }
-    };
-    for t in &spec.tenants {
-        charge(&mut load, t, 1.0);
-    }
-    for (ci, ct) in churn.tenants.iter().enumerate() {
-        if ci != exclude {
-            charge(&mut load, &ct.spec, levels[ci]);
-        }
-    }
-    load
+/// The churn tenants' runtime state in one run: each one's
+/// pool-resident state and current activity level, and the log of
+/// applied lifecycle events.
+struct ChurnState<'a> {
+    spec: &'a WorkloadSpec,
+    churn: &'a ChurnSpec,
+    states: Vec<Option<TenantState>>,
+    levels: Vec<f64>,
+    log: Vec<LifecycleEventReport>,
 }
 
-/// Live-migrates churn tenant `ci` to the least-loaded `kind` device
-/// if that device carries strictly less attributed load than the
-/// tenant's current one. Returns the blackout when a migration ran.
-fn rebalance_tenant(
-    pod: &mut PodSim,
-    spec: &WorkloadSpec,
-    c: &ChurnSpec,
-    levels: &[f64],
-    ci: usize,
-    st: &mut TenantState,
-    kind: DeviceKind,
-) -> Option<Nanos> {
-    let load = device_load_mpps(pod, spec, c, levels, kind, ci);
-    let cur = pod.binding(st.hosts[0], kind)?;
-    let (&target, &target_load) = load.iter().min_by_key(|&(&d, &l)| (l, d))?;
-    let cur_load = load.get(&cur).copied().unwrap_or(u64::MAX);
-    if target == cur || target_load >= cur_load {
-        return None;
-    }
-    match pod_lifecycle::migrate_tenant(pod, st, kind, target) {
-        Ok(Some(rep)) => Some(rep.blackout),
-        _ => None,
-    }
-}
-
-/// Applies one lifecycle event to the pod: arrival provisions and
-/// statically places the tenant, grow/shrink re-checkpoint it,
-/// departure releases everything it owns. With [`ChurnSpec::migrate`]
-/// on, arrival/grow/shrink additionally rebalance by live migration.
-fn apply_lifecycle_event(
-    pod: &mut PodSim,
-    spec: &WorkloadSpec,
-    c: &ChurnSpec,
-    ev: &LifecycleEvent,
-    states: &mut [Option<TenantState>],
-    levels: &mut [f64],
-    log: &mut Vec<LifecycleEventReport>,
-) {
-    let ct = &c.tenants[ev.tenant];
-    let kind = primary_kind(&ct.spec);
-    let mut migrated = None;
-    match ev.kind {
-        LifecycleEventKind::Arrive => {
-            let hosts: Vec<HostId> = ct.spec.hosts.iter().map(|&h| HostId(h)).collect();
-            let Ok(mut st) =
-                pod_lifecycle::provision(pod, ev.tenant as u16, &hosts, ct.state_len, ct.replicas)
-            else {
+impl ChurnState<'_> {
+    /// Offered-rate attribution for `kind`, in milli-ops/s per live
+    /// device: every open-loop tenant's mean rate (scaled by its mix
+    /// share on `kind` and, for churn tenants, its lifecycle level) is
+    /// split across its hosts and charged to the device each host is
+    /// currently bound to. Churn tenant `exclude` is left out so the
+    /// placement choice reflects the load it would *join*.
+    /// Deterministic: BTreeMap keying and integer milli-pps totals.
+    fn device_load_mpps(
+        &self,
+        pod: &PodSim,
+        kind: DeviceKind,
+        exclude: usize,
+    ) -> BTreeMap<DeviceId, u64> {
+        let mut load: BTreeMap<DeviceId, u64> = pod
+            .orch
+            .devices_of(kind)
+            .into_iter()
+            .filter(|&d| pod.orch.device(d).is_some_and(|i| i.up))
+            .map(|d| (d, 0))
+            .collect();
+        let charge = |load: &mut BTreeMap<DeviceId, u64>, t: &TenantSpec, level: f64| {
+            let Some(rate) = t.arrival.mean_rate_pps() else {
                 return;
             };
-            levels[ev.tenant] = ev.kind.level();
-            // Naive static placement: every tenant host lands on the
-            // spec'd device, migration or not — the baseline the
-            // orchestrator's churn response is judged against.
-            let devs = pod.orch.devices_of(kind);
-            if !devs.is_empty() {
-                let naive = devs[ct.naive_dev.min(devs.len() - 1)];
-                let now = pod.time();
-                for &h in &hosts {
-                    if pod.binding(h, kind) != Some(naive) {
-                        let _ = pod_lifecycle::rebind(pod, h, kind, naive, now);
+            let share = kind_share(t, kind);
+            if share <= 0.0 || level <= 0.0 {
+                return;
+            }
+            let per_host = rate * share * level / t.hosts.len() as f64;
+            for &h in &t.hosts {
+                if let Some(d) = pod.binding(HostId(h), kind) {
+                    if let Some(v) = load.get_mut(&d) {
+                        *v += (per_host * 1000.0) as u64;
                     }
                 }
             }
-            if c.migrate {
-                migrated = rebalance_tenant(pod, spec, c, levels, ev.tenant, &mut st, kind);
-            }
-            states[ev.tenant] = Some(st);
+        };
+        for t in &self.spec.tenants {
+            charge(&mut load, t, 1.0);
         }
-        LifecycleEventKind::Grow | LifecycleEventKind::Shrink => {
-            levels[ev.tenant] = ev.kind.level();
-            let Some(mut st) = states[ev.tenant].take() else {
-                return;
-            };
-            let _ = st.checkpoint(pod);
-            if c.migrate {
-                migrated = rebalance_tenant(pod, spec, c, levels, ev.tenant, &mut st, kind);
+        for (ci, ct) in self.churn.tenants.iter().enumerate() {
+            if ci != exclude {
+                charge(&mut load, &ct.spec, self.levels[ci]);
             }
-            states[ev.tenant] = Some(st);
         }
-        LifecycleEventKind::Depart => {
-            levels[ev.tenant] = 0.0;
-            let Some(st) = states[ev.tenant].take() else {
-                return;
-            };
-            st.release(pod);
+        load
+    }
+
+    /// Live-migrates churn tenant `ci` to the least-loaded `kind` device
+    /// if that device carries strictly less attributed load than the
+    /// tenant's current one. Returns the blackout when a migration ran.
+    fn rebalance(
+        &self,
+        pod: &mut PodSim,
+        ci: usize,
+        st: &mut TenantState,
+        kind: DeviceKind,
+    ) -> Option<Nanos> {
+        let load = self.device_load_mpps(pod, kind, ci);
+        let cur = pod.binding(st.hosts[0], kind)?;
+        let (&target, &target_load) = load.iter().min_by_key(|&(&d, &l)| (l, d))?;
+        let cur_load = load.get(&cur).copied().unwrap_or(u64::MAX);
+        if target == cur || target_load >= cur_load {
+            return None;
+        }
+        match pod_lifecycle::migrate_tenant(pod, st, kind, target) {
+            Ok(Some(rep)) => Some(rep.blackout),
+            _ => None,
         }
     }
-    log.push(LifecycleEventReport {
-        at: ev.at,
-        tenant: ct.spec.name.clone(),
-        event: ev.kind.label(),
-        migrated: migrated.is_some(),
-        blackout: migrated,
-    });
+
+    /// Applies one lifecycle event to the pod: arrival provisions and
+    /// statically places the tenant, grow/shrink re-checkpoint it,
+    /// departure releases everything it owns. With
+    /// [`ChurnSpec::migrate`] on, arrival/grow/shrink additionally
+    /// rebalance by live migration.
+    fn apply(&mut self, pod: &mut PodSim, ev: &LifecycleEvent) {
+        let c = self.churn;
+        let ct = &c.tenants[ev.tenant];
+        let kind = primary_kind(&ct.spec);
+        let mut migrated = None;
+        match ev.kind {
+            LifecycleEventKind::Arrive => {
+                let hosts: Vec<HostId> = ct.spec.hosts.iter().map(|&h| HostId(h)).collect();
+                let Ok(mut st) = pod_lifecycle::provision(
+                    pod,
+                    ev.tenant as u16,
+                    &hosts,
+                    ct.state_len,
+                    ct.replicas,
+                ) else {
+                    return;
+                };
+                self.levels[ev.tenant] = ev.kind.level();
+                // Naive static placement: every tenant host lands on the
+                // spec'd device, migration or not — the baseline the
+                // orchestrator's churn response is judged against.
+                let devs = pod.orch.devices_of(kind);
+                if !devs.is_empty() {
+                    let naive = devs[ct.naive_dev.min(devs.len() - 1)];
+                    let now = pod.time();
+                    for &h in &hosts {
+                        if pod.binding(h, kind) != Some(naive) {
+                            let _ = pod_lifecycle::rebind(pod, h, kind, naive, now);
+                        }
+                    }
+                }
+                if c.migrate {
+                    migrated = self.rebalance(pod, ev.tenant, &mut st, kind);
+                }
+                self.states[ev.tenant] = Some(st);
+            }
+            LifecycleEventKind::Grow | LifecycleEventKind::Shrink => {
+                self.levels[ev.tenant] = ev.kind.level();
+                let Some(mut st) = self.states[ev.tenant].take() else {
+                    return;
+                };
+                let _ = st.checkpoint(pod);
+                if c.migrate {
+                    migrated = self.rebalance(pod, ev.tenant, &mut st, kind);
+                }
+                self.states[ev.tenant] = Some(st);
+            }
+            LifecycleEventKind::Depart => {
+                self.levels[ev.tenant] = 0.0;
+                let Some(st) = self.states[ev.tenant].take() else {
+                    return;
+                };
+                st.release(pod);
+            }
+        }
+        self.log.push(LifecycleEventReport {
+            at: ev.at,
+            tenant: ct.spec.name.clone(),
+            event: ev.kind.label(),
+            migrated: migrated.is_some(),
+            blackout: migrated,
+        });
+    }
+
+    /// Reclaims every tenant still resident, so the pod hands back every
+    /// churn-owned segment, and returns the applied-event log.
+    fn finish(self, pod: &mut PodSim) -> Vec<LifecycleEventReport> {
+        for st in self.states.into_iter().flatten() {
+            st.release(pod);
+        }
+        self.log
+    }
 }
 
 /// Runs one operation to completion; returns the completion time.
-fn execute(
-    pod: &mut PodSim,
-    host: HostId,
-    op: OpKind,
-    lba: u64,
-    issue_id: Nanos,
-    deadline: Nanos,
-) -> Result<Nanos, PoolError> {
-    match op {
+fn execute(pod: &mut PodSim, issue: Op, deadline: Nanos) -> Result<Nanos, PoolError> {
+    let (host, lba) = (HostId(issue.host), issue.lba);
+    match issue.kind {
         OpKind::NicSend { bytes } => {
             assert!(bytes as u64 <= IO_SLOT, "payload exceeds an I/O slot");
-            let payload = payload(bytes, issue_id);
+            let payload = payload(bytes, issue.at);
             pod.vnic_send(host, &payload, deadline).map(|r| r.at)
         }
         OpKind::NicRecv { bytes } => {
@@ -722,7 +742,7 @@ fn execute(
                 .binding(host, DeviceKind::Nic)
                 .ok_or(PoolError::NotAssigned(DeviceKind::Nic))?;
             pod.vnic_post_rx(host, deadline)?;
-            let frame = payload(bytes, issue_id);
+            let frame = payload(bytes, issue.at);
             pod.deliver_frame(dev, &frame)?;
             let ev = pod
                 .vnic_poll_rx(host, deadline)
@@ -734,14 +754,14 @@ fn execute(
             .map(|(_, r)| r.at),
         OpKind::SsdWrite { blocks } => {
             let bytes = (blocks as u64 * 4096).min(IO_SLOT) as u32;
-            let data = payload(bytes, issue_id);
+            let data = payload(bytes, issue.at);
             let buf = pod.stage(host, &data)?;
             pod.vssd_write(host, lba, blocks, buf, deadline)
                 .map(|r| r.at)
         }
         OpKind::AccelRun { bytes } => {
             assert!(bytes as u64 <= IO_SLOT, "input exceeds an I/O slot");
-            let input = payload(bytes, issue_id);
+            let input = payload(bytes, issue.at);
             pod.vaccel_run(host, &input, deadline).map(|(_, r)| r.at)
         }
     }
@@ -777,6 +797,121 @@ fn peak_overlap(intervals: &mut [(Nanos, Nanos)]) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lifecycle::ChurnTenant;
+    use crate::slo::SloSpec;
+    use crate::spec::FaultPlan;
+
+    fn tenant(name: &str, arrival: Arrival, host: u16) -> TenantSpec {
+        TenantSpec {
+            name: name.into(),
+            arrival,
+            mix: vec![
+                (OpKind::NicSend { bytes: 64 }, 0.7),
+                (OpKind::SsdRead { blocks: 1 }, 0.3),
+            ],
+            hosts: vec![host, host + 1],
+            slo: SloSpec::p99(Nanos::from_micros(50)),
+        }
+    }
+
+    /// An open-loop and a closed-loop resident, a domain loss, balance
+    /// feedback and, with `churn`, one churn tenant.
+    fn spec(churn: bool) -> WorkloadSpec {
+        let closed = Arrival::ClosedLoop {
+            concurrency: 2,
+            think: Nanos(0),
+        };
+        let churn_tenant = ChurnTenant {
+            spec: tenant("churn", Arrival::Poisson { rate_pps: 40_000.0 }, 4),
+            state_len: 4096,
+            replicas: 0,
+            naive_dev: 0,
+        };
+        WorkloadSpec {
+            tenants: vec![
+                tenant("open", Arrival::Poisson { rate_pps: 50_000.0 }, 0),
+                tenant("closed", closed, 2),
+            ],
+            warmup: Nanos::from_micros(100),
+            measure: Nanos::from_millis(2),
+            op_timeout: Nanos::from_micros(200),
+            balance_every: Some(Nanos::from_micros(500)),
+            fault: Some(FaultPlan::domain(
+                1,
+                Nanos::from_micros(700),
+                Nanos::from_micros(100),
+            )),
+            churn: churn.then(|| ChurnSpec {
+                tenants: vec![churn_tenant],
+                migrate: true,
+            }),
+        }
+    }
+
+    #[test]
+    fn plan_is_a_pure_function_of_spec_and_seed() {
+        // No pod exists here: the plan is built from the spec and seed.
+        let s = spec(true);
+        let (a, b) = (plan(&s, 7), plan(&s, 7));
+        assert_eq!(format!("{a:?}"), format!("{b:?}"));
+        assert_ne!(format!("{a:?}"), format!("{:?}", plan(&s, 8)));
+        assert!(a.ops.iter().any(|o| o.tenant == 2), "churn tenant issues");
+        assert!(a
+            .ops
+            .windows(2)
+            .all(|w| (w[0].at, w[0].tenant) <= (w[1].at, w[1].tenant)));
+        let span = s.warmup + s.measure;
+        assert!(a.events.windows(2).all(|w| w[0] <= w[1]));
+        assert!(a.events.iter().all(|&(at, _)| at < span));
+    }
+
+    #[test]
+    fn churn_leaves_the_resident_arrivals_alone() {
+        let residents = |s: &WorkloadSpec| -> Vec<Op> {
+            let p = plan(s, 3);
+            p.ops.into_iter().filter(|o| o.tenant < 2).collect()
+        };
+        assert_eq!(residents(&spec(true)), residents(&spec(false)));
+        assert!(!residents(&spec(false)).is_empty());
+    }
+
+    #[test]
+    fn events_at_one_offset_apply_fail_heal_lifecycle_balance() {
+        // Move the fault, its heal and a balance tick onto the first
+        // lifecycle event's offset.
+        let mut s = spec(true);
+        let p = plan(&s, 5);
+        let lifecycle = p.events.iter().find(|e| matches!(e.1, Event::Lifecycle(_)));
+        let (at, _) = *lifecycle.expect("churn plans lifecycle events");
+        s.fault = Some(FaultPlan::domain(1, at, Nanos::ZERO));
+        s.balance_every = Some(at);
+        let p = plan(&s, 5);
+        let same: Vec<Event> = p.events.iter().filter(|e| e.0 == at).map(|e| e.1).collect();
+        assert!(
+            matches!(
+                same[..],
+                [
+                    Event::Fail(_),
+                    Event::Heal(_),
+                    Event::Lifecycle(_),
+                    Event::Balance
+                ]
+            ),
+            "{same:?}"
+        );
+    }
+
+    #[test]
+    fn closed_loop_tenants_get_a_stream_and_no_planned_ops() {
+        let s = spec(true);
+        let mut p = plan(&s, 1);
+        assert!(p.ops.iter().all(|o| o.tenant != 1));
+        assert!(p.closed[0].is_none() && p.closed[2].is_none());
+        let stream = p.closed[1].as_mut().expect("closed-loop stream");
+        let op = stream.draw(Nanos(9));
+        assert_eq!((op.at, op.tenant), (Nanos(9), 1));
+        assert!([2, 3].contains(&op.host));
+    }
 
     #[test]
     fn peak_overlap_counts_concurrency() {

@@ -72,8 +72,9 @@ impl LifecycleEventKind {
     }
 }
 
-/// One lifecycle event on the churn timeline.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// One lifecycle event on the churn timeline. Ordered by `(at,
+/// tenant, kind)`, the order [`ChurnSpec::schedule`] returns.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub struct LifecycleEvent {
     /// Offset from run start.
     pub at: Nanos,

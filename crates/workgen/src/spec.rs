@@ -77,7 +77,7 @@ pub struct TenantSpec {
 }
 
 /// What a [`FaultPlan`] takes down.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum FaultTarget {
     /// One MHD dies.
     Mhd(u16),
@@ -135,7 +135,8 @@ pub struct WorkloadSpec {
     /// Per-operation deadline; timed-out ops are censored at this.
     pub op_timeout: Nanos,
     /// Report per-host loads to the orchestrator (and run one balance
-    /// pass) every so often; None disables the control-plane feedback.
+    /// pass) once per nonzero period; None disables the control-plane
+    /// feedback.
     pub balance_every: Option<Nanos>,
     /// Optional injected pool failure.
     pub fault: Option<FaultPlan>,
@@ -176,6 +177,9 @@ impl WorkloadSpec {
         }
         if self.measure == Nanos::ZERO {
             return Err("measurement window is empty".into());
+        }
+        if self.balance_every == Some(Nanos::ZERO) {
+            return Err("balance period is zero".into());
         }
         let churn_tenants = self
             .churn
@@ -292,6 +296,16 @@ mod tests {
             .validate(2, &[DeviceKind::Nic, DeviceKind::Ssd])
             .unwrap_err();
         assert!(err.contains("host 2"), "{err}");
+    }
+
+    #[test]
+    fn validate_rejects_a_zero_balance_period() {
+        let s = WorkloadSpec {
+            balance_every: Some(Nanos::ZERO),
+            ..spec()
+        };
+        let err = s.validate(4, &[DeviceKind::Nic, DeviceKind::Ssd]);
+        assert!(err.unwrap_err().contains("balance"));
     }
 
     #[test]
