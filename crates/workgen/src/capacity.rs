@@ -10,7 +10,7 @@
 use cxl_pool_core::pod::PodSim;
 use simkit::Nanos;
 
-use crate::engine::{Engine, RunReport};
+use crate::engine::{Engine, RunReport, TenantReport};
 use crate::spec::WorkloadSpec;
 
 /// Search configuration.
@@ -42,7 +42,8 @@ pub struct TrialPoint {
     pub offered_pps: f64,
     /// Whether every tenant met its SLO at this rate.
     pub pass: bool,
-    /// Name of the tenant furthest over (or closest to) its SLO.
+    /// Name of the tenant furthest over (or closest to) its SLO,
+    /// failing tenants first: a failing trial names a failing tenant.
     pub worst_tenant: String,
     /// That tenant's observed latency at its SLO quantile.
     pub worst_observed: Nanos,
@@ -89,15 +90,18 @@ where
         let spec = base.scaled(rate / base_total);
         let mut pod = build_pod();
         let report = engine.run(&mut pod, &spec);
+        // A tenant with no ops observes 0 ns yet fails, so failing
+        // tenants rank ahead of every passing one, then by observed/limit.
+        let ratio = |t: &TenantReport| {
+            t.verdict.observed.as_nanos() as f64 / t.verdict.spec.limit.as_nanos() as f64
+        };
         let worst = report
             .tenants
             .iter()
             .max_by(|a, b| {
-                let ra =
-                    a.verdict.observed.as_nanos() as f64 / a.verdict.spec.limit.as_nanos() as f64;
-                let rb =
-                    b.verdict.observed.as_nanos() as f64 / b.verdict.spec.limit.as_nanos() as f64;
-                ra.total_cmp(&rb)
+                (!a.verdict.pass)
+                    .cmp(&!b.verdict.pass)
+                    .then(ratio(a).total_cmp(&ratio(b)))
             })
             .expect("spec has tenants");
         let pass = report.all_slos_pass();

@@ -167,6 +167,29 @@ fn impossible_slo_yields_zero_capacity() {
     assert!(result.report_at_capacity.is_none());
 }
 
+#[test]
+fn a_failing_trial_names_a_failing_tenant() {
+    // "quiet" offers about one op per second, so no trial window holds
+    // one of its ops: its empty distribution fails every trial while
+    // the other tenants pass with nonzero observed latencies.
+    let mut base = mixed_spec(20_000.0);
+    base.tenants.push(TenantSpec {
+        name: "quiet".into(),
+        arrival: Arrival::Poisson { rate_pps: 1.0 },
+        ..base.tenants[0].clone()
+    });
+    let cfg = CapacityConfig {
+        lo_pps: 5_000.0,
+        hi_pps: 50_000.0,
+        iters: 2,
+    };
+    let result = workgen::capacity::search(pod, &base, &cfg, 3);
+    let first = &result.trials[0];
+    assert!(!first.pass);
+    assert_eq!(first.worst_tenant, "quiet");
+    assert_eq!(first.worst_observed, Nanos::ZERO);
+}
+
 fn churn_pod() -> PodSim {
     let mut p = PodParams::new(8, 2);
     p.ssd_hosts = vec![0, 1];
