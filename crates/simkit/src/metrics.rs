@@ -128,12 +128,6 @@ impl Labels {
         self
     }
 
-    /// Adds a device-kind tag to an existing label set.
-    pub fn with_device(mut self, device: &'static str) -> Labels {
-        self.device = Some(device);
-        self
-    }
-
     /// Adds a domain tag to an existing label set.
     pub fn with_domain(mut self, domain: u16) -> Labels {
         self.domain = Some(domain);
@@ -388,7 +382,7 @@ impl MetricsRecorder {
     }
 
     /// Schema'd CSV dump: header
-    /// `time_ns,name,host,domain,device,tenant,value`, rows in
+    /// `time_ns,name,host,domain,mhd,device,tenant,value`, rows in
     /// export-key order then time. Absent labels render as empty
     /// fields.
     pub fn export_csv(&self) -> String {
