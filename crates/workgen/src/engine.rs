@@ -164,7 +164,7 @@ enum Event {
 
 /// One tenant's choice stream: the k-th op the tenant issues takes the
 /// k-th `(host, op, lba)` draw.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 struct Choices<'a> {
     tenant: usize,
     spec: &'a TenantSpec,
@@ -192,7 +192,7 @@ impl Choices<'_> {
 
 /// Everything a run does that the pod cannot change, computed by
 /// [`plan`] from the spec and the seed alone.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 struct Plan<'a> {
     /// Open-loop arrivals with their draws, sorted by `(at, tenant)`.
     ops: Vec<Op>,
