@@ -9,78 +9,24 @@
 
 use std::collections::HashMap;
 
-use cxl_fabric::{Fabric, FabricError, HostId};
+use cxl_fabric::{Fabric, HostId};
 use pcie_sim::nic::TxFrame;
 use pcie_sim::{Accelerator, BufRef, DeviceError, DeviceId, Nic, Ssd};
-use shmem::channel::{ChannelReceiver, ChannelSend, ChannelSender, ChannelStats};
+use shmem::channel::ChannelStats;
 use simkit::trace::Track;
 use simkit::Nanos;
 
-use crate::poll::{self, PollActor, PollLoop};
+use crate::poll::{self, Endpoint, PollActor};
 use crate::proto::{Cmd, Msg};
 use crate::vdev::{DeviceKind, PoolError};
 
-/// Who is on the other end of one of the agent's channel links.
+/// Who is on the other end of a link (see [`Endpoint`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Peer {
     /// Another host's agent (datapath forwarding).
     Host(HostId),
     /// The pooling orchestrator (control plane).
     Orchestrator,
-}
-
-/// One bidirectional link (a pair of rings) to a peer.
-pub struct Link {
-    /// Sender toward the peer.
-    pub tx: ChannelSender,
-    /// Receiver from the peer.
-    pub rx: ChannelReceiver,
-}
-
-impl Link {
-    /// Sends `msg` toward the peer at `*clock` and charges the sending
-    /// CPU. An NT store is posted: the CPU moves on after issuing it,
-    /// long before the line lands in pool DRAM. A full ring holds the
-    /// CPU until the failed credit check completes and leaves the
-    /// message queued in the sender for [`Link::flush`].
-    pub(crate) fn post(
-        &mut self,
-        fabric: &mut Fabric,
-        clock: &mut Nanos,
-        msg: &Msg,
-    ) -> Result<(), FabricError> {
-        let sent = self.tx.send(fabric, *clock, &msg.encode())?;
-        charge(clock, sent);
-        Ok(())
-    }
-
-    /// Writes out the messages a full ring left queued, charged as in
-    /// [`Link::post`]. A no-op while nothing is queued; a fabric error
-    /// drops the queue.
-    pub(crate) fn flush(&mut self, fabric: &mut Fabric, clock: &mut Nanos) {
-        if self.tx.queued() > 0 {
-            if let Ok(sent) = self.tx.flush(fabric, *clock) {
-                charge(clock, sent);
-            }
-        }
-    }
-
-    /// Both directions' counters: the send side's sends and stalls,
-    /// the receive side's empty and hit polls.
-    pub fn stats(&self) -> ChannelStats {
-        let mut s = self.tx.stats();
-        s += self.rx.stats();
-        s
-    }
-}
-
-/// Charges a sending CPU for one [`ChannelSend`] outcome (see
-/// [`Link::post`]).
-fn charge(clock: &mut Nanos, sent: ChannelSend) {
-    match sent {
-        ChannelSend::Sent(_) => *clock += Nanos(30),
-        ChannelSend::Queued(at) => *clock = (*clock).max(at),
-    }
 }
 
 /// A completed forwarded operation, as recorded by the *requesting*
@@ -137,7 +83,8 @@ pub struct Agent {
     pub ssds: HashMap<DeviceId, Ssd>,
     /// Local physical accelerators.
     pub accels: HashMap<DeviceId, Accelerator>,
-    links: Vec<(Peer, Link)>,
+    /// Links to every peer, the poll-loop clock and the poll state.
+    pub endpoint: Endpoint,
     /// This host's current device bindings, per kind (set by
     /// orchestrator `Assign` messages).
     pub assigned: HashMap<DeviceKind, DeviceId>,
@@ -152,9 +99,7 @@ pub struct Agent {
     rx_routes: HashMap<DeviceId, std::collections::VecDeque<Origin>>,
     /// Failure notices awaiting forwarding to the orchestrator.
     outbox_orch: Vec<Msg>,
-    clock: Nanos,
     stats: AgentStats,
-    poll: PollLoop,
 }
 
 impl Agent {
@@ -165,57 +110,32 @@ impl Agent {
             nics: HashMap::new(),
             ssds: HashMap::new(),
             accels: HashMap::new(),
-            links: Vec::new(),
+            endpoint: Endpoint::default(),
             assigned: HashMap::new(),
             completions: HashMap::new(),
             out_frames: Vec::new(),
             rx_inbox: Vec::new(),
             rx_routes: HashMap::new(),
             outbox_orch: Vec::new(),
-            clock: Nanos::ZERO,
             stats: AgentStats::default(),
-            poll: PollLoop::default(),
         }
-    }
-
-    /// Attaches the link to `peer`, replacing any old one (pool-failure
-    /// recovery: the old rings died with their MHD). Any in-flight
-    /// protocol state on the old rings, messages queued in its sender
-    /// included, is abandoned; outstanding operations time out and get
-    /// retried by their callers. Links are polled in attach order.
-    pub(crate) fn set_link(&mut self, peer: Peer, link: Link) {
-        if let Some(slot) = self.links.iter_mut().find(|(p, _)| *p == peer) {
-            slot.1 = link;
-        } else {
-            self.links.push((peer, link));
-        }
-    }
-
-    /// Executes every notional ring poll for real instead of skipping
-    /// the provably empty ones (the exact oracle; see
-    /// [`crate::pod::PodParams::exact_polling`]).
-    pub fn set_exact_polling(&mut self, exact: bool) {
-        self.poll.exact = exact;
     }
 
     /// The agent's local poll-loop clock.
     pub fn clock(&self) -> Nanos {
-        self.clock
+        self.endpoint.clock()
     }
 
     /// Moves the clock forward (e.g. after the host was busy elsewhere).
     pub fn advance_clock(&mut self, to: Nanos) {
-        if to > self.clock {
-            self.clock = to;
-        }
+        self.endpoint.advance_clock(to);
     }
 
     /// Control-plane queue occupancy: orchestrator notices and channel
     /// messages waiting to flush plus TX frames awaiting harness
     /// pickup. The metrics plane samples this as `host/queue_depth`.
     pub fn queue_depth(&self) -> usize {
-        let queued: usize = self.links.iter().map(|(_, l)| l.tx.queued()).sum();
-        self.outbox_orch.len() + queued + self.out_frames.len()
+        self.outbox_orch.len() + self.endpoint.queued() + self.out_frames.len()
     }
 
     /// Aggregated ring statistics across every channel link this agent
@@ -224,11 +144,7 @@ impl Agent {
     /// and hit polls on the receive side. The metrics plane samples the
     /// send side as `chan/*` series.
     pub fn channel_stats(&self) -> ChannelStats {
-        let mut total = ChannelStats::default();
-        for (_, link) in &self.links {
-            total += link.stats();
-        }
-        total
+        self.endpoint.channel_stats()
     }
 
     /// Counter snapshot.
@@ -246,7 +162,7 @@ impl Agent {
         dev: DeviceId,
         bytes: &[u8],
     ) -> Result<Option<pcie_sim::RxCompletion>, DeviceError> {
-        let now = self.clock;
+        let now = self.clock();
         let nic = self.nics.get_mut(&dev).ok_or(DeviceError::Failed(dev))?;
         let completion = nic.receive(fabric, now, bytes)?;
         let Some(c) = completion else {
@@ -270,12 +186,7 @@ impl Agent {
                     len: event.len,
                     at: event.at.as_nanos(),
                 };
-                let clock = self.clock;
-                let (_, link) = &mut self.links[i];
-                // Posted like a CQE write: the agent's clock does not
-                // move, and a full ring queues the notice. A fabric
-                // error loses it; the owner's receive times out.
-                let _ = link.tx.send(fabric, clock, &msg.encode());
+                self.endpoint.reply(fabric, i, &msg);
             }
         }
         Ok(Some(c))
@@ -301,7 +212,7 @@ impl Agent {
         let result = self.drive(fabric, dev, cmd, at, from);
         if result.is_err() {
             self.stats.failures_seen += 1;
-            let clock = self.clock;
+            let clock = self.clock();
             if let Some(tr) = fabric.trace_mut() {
                 tr.instant_note(
                     Track::HostCpu(self.host.0),
@@ -378,17 +289,11 @@ impl Agent {
             tr.instant_note(
                 Track::HostCpu(self.host.0),
                 "proto/encode",
-                self.clock,
+                self.clock(),
                 msg.kind_name(),
             );
         }
-        let (_, link) = self
-            .links
-            .iter_mut()
-            .find(|(p, _)| *p == peer)
-            .ok_or(PoolError::NoLink(peer))?;
-        link.post(fabric, &mut self.clock, msg)?;
-        Ok(())
+        self.endpoint.post(fabric, peer, msg)
     }
 
     /// Runs the agent's poll loop until its clock reaches `until`,
@@ -407,7 +312,7 @@ impl Agent {
         match msg {
             Msg::Submit { op, dev, cmd } => {
                 fabric.trace_push(op, cmd.trace_kind());
-                let clock = self.clock;
+                let clock = self.clock();
                 if let Some(tr) = fabric.trace_mut() {
                     tr.instant(Track::HostCpu(host), "agent/dispatch", clock);
                 }
@@ -447,7 +352,7 @@ impl Agent {
                     if let Some(k) = DeviceKind::from_u8(kind) {
                         self.assigned.insert(k, dev);
                         self.stats.assigns += 1;
-                        let clock = self.clock;
+                        let clock = self.clock();
                         if let Some(tr) = fabric.trace_mut() {
                             tr.instant_note(
                                 Track::HostCpu(self.host.0),
@@ -478,51 +383,27 @@ impl Agent {
                 self.stats.served += 1;
                 (0u8, t)
             }
-            Err(_) => (1u8, self.clock),
+            Err(_) => (1u8, self.clock()),
         };
         let done = Msg::Done {
             op,
             status,
             at: at.as_nanos(),
         };
-        let clock = self.clock;
-        let (_, link) = &mut self.links[link_idx];
-        // The reply is posted and the agent keeps polling from its own
-        // clock; a full ring queues it. A fabric error loses it, and
-        // the requester times out.
-        let _ = link.tx.send(fabric, clock, &done.encode());
+        self.endpoint.reply(fabric, link_idx, &done);
     }
 }
 
 impl PollActor for Agent {
-    fn poll_loop(&mut self) -> &mut PollLoop {
-        &mut self.poll
-    }
-
-    fn clock_mut(&mut self) -> &mut Nanos {
-        &mut self.clock
-    }
-
-    fn link_count(&self) -> usize {
-        self.links.len()
-    }
-
-    fn receiver(&self, i: usize) -> &ChannelReceiver {
-        &self.links[i].1.rx
-    }
-
-    fn receiver_mut(&mut self, i: usize) -> &mut ChannelReceiver {
-        &mut self.links[i].1.rx
+    fn endpoint(&mut self) -> &mut Endpoint {
+        &mut self.endpoint
     }
 
     fn pending(&self) -> bool {
-        !self.outbox_orch.is_empty() || self.links.iter().any(|(_, l)| l.tx.queued() > 0)
+        !self.outbox_orch.is_empty()
     }
 
     fn flush(&mut self, fabric: &mut Fabric) {
-        for (_, link) in &mut self.links {
-            link.flush(fabric, &mut self.clock);
-        }
         for msg in std::mem::take(&mut self.outbox_orch) {
             // A full ring queues the notice; one whose ring is on
             // failed pool memory (or that has no orchestrator link)
@@ -543,6 +424,7 @@ impl PollActor for Agent {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::poll::Link;
     use cxl_fabric::PodConfig;
     use pcie_sim::NicConfig;
     use shmem::channel::Channel;
@@ -553,14 +435,14 @@ mod tests {
         let ch = Channel::allocate(&mut f, HostId(0), HostId(1), 64).expect("chan");
         let mut a0 = Agent::new(HostId(0));
         let mut a1 = Agent::new(HostId(1));
-        a0.set_link(
+        a0.endpoint.set_link(
             Peer::Host(HostId(1)),
             Link {
                 tx: ch.ab.0,
                 rx: ch.ba.1,
             },
         );
-        a1.set_link(
+        a1.endpoint.set_link(
             Peer::Host(HostId(0)),
             Link {
                 tx: ch.ba.0,

@@ -36,7 +36,7 @@ pub mod lifecycle;
 pub mod migration;
 pub mod orchestrator;
 pub mod pod;
-mod poll;
+pub mod poll;
 pub mod proto;
 pub mod striping;
 pub mod telemetry;

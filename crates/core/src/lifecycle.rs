@@ -151,7 +151,7 @@ pub fn rebind(
     to: DeviceId,
     quiesced_at: Nanos,
 ) -> Result<(), PoolError> {
-    pod.orch.advance_clock(quiesced_at);
+    pod.orch.endpoint.advance_clock(quiesced_at);
     pod.orch
         .allocate_specific(&mut pod.fabric, host, kind, to)?;
     // Let the Assign land.

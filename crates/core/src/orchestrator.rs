@@ -11,12 +11,11 @@ use std::collections::{BTreeMap, HashMap};
 
 use cxl_fabric::{DomainId, Fabric, FabricError, HostId};
 use pcie_sim::DeviceId;
-use shmem::channel::{ChannelReceiver, ChannelStats};
 use simkit::rng::Rng;
 use simkit::Nanos;
 
-use crate::agent::Link;
-use crate::poll::{self, PollActor, PollLoop};
+use crate::agent::Peer;
+use crate::poll::{self, Endpoint, PollActor};
 use crate::proto::Msg;
 use crate::striping::ReplicaSet;
 use crate::vdev::{DeviceKind, PoolError};
@@ -75,7 +74,8 @@ pub struct Orchestrator {
     /// Host the orchestrator runs on.
     pub host: HostId,
     policy: AllocPolicy,
-    links: Vec<(HostId, Link)>,
+    /// Links to every agent, the poll-loop clock and the poll state.
+    pub endpoint: Endpoint,
     /// Device registry. Ordered so every walk (choose, balance,
     /// devices_of) visits devices in id order: `AllocPolicy::Random`
     /// indexes into the collected list with the seeded RNG, and a
@@ -89,9 +89,7 @@ pub struct Orchestrator {
     pub failover_log: Vec<FailoverEvent>,
     /// Migrations performed by load balancing.
     pub migrations: u64,
-    clock: Nanos,
     rng: Rng,
-    poll: PollLoop,
     /// Messages received during the current pass, handled at its end.
     inbox: Vec<Msg>,
 }
@@ -106,26 +104,14 @@ impl Orchestrator {
         Orchestrator {
             host,
             policy,
-            links: Vec::new(),
+            endpoint: Endpoint::default(),
             registry: BTreeMap::new(),
             assignments: HashMap::new(),
             host_loads: HashMap::new(),
             failover_log: Vec::new(),
             migrations: 0,
-            clock: Nanos::ZERO,
             rng: Rng::new(seed),
-            poll: PollLoop::default(),
             inbox: Vec::new(),
-        }
-    }
-
-    /// Attaches the link to `agent_host`'s agent, replacing any old one
-    /// (see [`crate::agent::Agent::set_link`]).
-    pub(crate) fn set_link(&mut self, agent_host: HostId, link: Link) {
-        if let Some(slot) = self.links.iter_mut().find(|(h, _)| *h == agent_host) {
-            slot.1 = link;
-        } else {
-            self.links.push((agent_host, link));
         }
     }
 
@@ -166,34 +152,6 @@ impl Orchestrator {
     /// Current assignment of `host` for `kind`.
     pub fn assignment(&self, host: HostId, kind: DeviceKind) -> Option<DeviceId> {
         self.assignments.get(&(host, kind)).copied()
-    }
-
-    /// Executes every notional ring poll for real (see
-    /// [`crate::agent::Agent::set_exact_polling`]).
-    pub fn set_exact_polling(&mut self, exact: bool) {
-        self.poll.exact = exact;
-    }
-
-    /// Ring statistics summed over every agent link (see
-    /// [`crate::agent::Agent::channel_stats`]).
-    pub fn channel_stats(&self) -> ChannelStats {
-        let mut total = ChannelStats::default();
-        for (_, link) in &self.links {
-            total += link.stats();
-        }
-        total
-    }
-
-    /// The orchestrator's clock.
-    pub fn clock(&self) -> Nanos {
-        self.clock
-    }
-
-    /// Moves the clock forward.
-    pub fn advance_clock(&mut self, to: Nanos) {
-        if to > self.clock {
-            self.clock = to;
-        }
     }
 
     /// Picks a device of `kind` for `host` under the configured policy.
@@ -297,14 +255,13 @@ impl Orchestrator {
             kind: kind.as_u8(),
             dev,
         };
-        let Some((_, link)) = self.links.iter_mut().find(|(h, _)| *h == host) else {
+        // A full ring queues the Assign; the poll loop flushes it.
+        match self.endpoint.post(fabric, Peer::Host(host), &msg) {
             // No link (unit tests / local bookkeeping only): the
             // registry update stands, but nothing is pushed.
-            return Ok(());
-        };
-        // A full ring queues the Assign; the poll loop flushes it.
-        link.post(fabric, &mut self.clock, &msg)?;
-        Ok(())
+            Err(PoolError::NoLink(_)) => Ok(()),
+            r => r,
+        }
     }
 
     /// Polls agent channels until `until`, reacting to failure reports
@@ -336,7 +293,7 @@ impl Orchestrator {
             match self.choose(host, kind) {
                 Ok(replacement) => {
                     if self.bind(fabric, host, kind, replacement).is_ok() {
-                        let at = self.clock;
+                        let at = self.endpoint.clock();
                         self.failover_log.push(FailoverEvent {
                             at,
                             failed: dev,
@@ -481,34 +438,8 @@ impl Orchestrator {
 }
 
 impl PollActor for Orchestrator {
-    fn poll_loop(&mut self) -> &mut PollLoop {
-        &mut self.poll
-    }
-
-    fn clock_mut(&mut self) -> &mut Nanos {
-        &mut self.clock
-    }
-
-    fn link_count(&self) -> usize {
-        self.links.len()
-    }
-
-    fn receiver(&self, i: usize) -> &ChannelReceiver {
-        &self.links[i].1.rx
-    }
-
-    fn receiver_mut(&mut self, i: usize) -> &mut ChannelReceiver {
-        &mut self.links[i].1.rx
-    }
-
-    fn pending(&self) -> bool {
-        self.links.iter().any(|(_, l)| l.tx.queued() > 0)
-    }
-
-    fn flush(&mut self, fabric: &mut Fabric) {
-        for (_, link) in &mut self.links {
-            link.flush(fabric, &mut self.clock);
-        }
+    fn endpoint(&mut self) -> &mut Endpoint {
+        &mut self.endpoint
     }
 
     fn on_message(&mut self, _fabric: &mut Fabric, _i: usize, data: Vec<u8>) {

@@ -23,10 +23,10 @@ use simkit::metrics::{Labels, MetricId, MetricsConfig, MetricsRecorder};
 use simkit::trace::{self, TraceConfig, TraceRecorder, Track};
 use simkit::Nanos;
 
-use crate::agent::{Agent, Link, Origin, Peer};
+use crate::agent::{Agent, Origin, Peer};
 use crate::lifecycle::LifecycleStats;
 use crate::orchestrator::{AllocPolicy, Orchestrator};
-use crate::poll::PollActor;
+use crate::poll::{Link, PollActor};
 use crate::proto::{Cmd, Msg};
 use crate::vdev::{DeviceKind, PoolError};
 
@@ -490,11 +490,11 @@ impl PodSim {
         let all_hosts: Vec<HostId> = (0..hosts).map(HostId).collect();
         let mut agents: Vec<Agent> = all_hosts.iter().map(|&h| Agent::new(h)).collect();
         for a in &mut agents {
-            a.set_exact_polling(params.exact_polling);
+            a.endpoint.exact = params.exact_polling;
         }
         // The orchestrator runs on host 0.
         let mut orch = Orchestrator::new(HostId(0), params.policy);
-        orch.set_exact_polling(params.exact_polling);
+        orch.endpoint.exact = params.exact_polling;
         let mut pod = PodSim {
             fabric,
             agents,
@@ -589,13 +589,13 @@ impl PodSim {
             .map(|a| a.clock())
             .max()
             .unwrap_or(Nanos::ZERO);
-        agents.max(self.orch.clock())
+        agents.max(self.orch.endpoint.clock())
     }
 
     /// Ring statistics summed over every agent and the orchestrator:
     /// channel sends and stalls, and empty versus hit ring polls.
     pub fn channel_stats(&self) -> shmem::channel::ChannelStats {
-        let mut total = self.orch.channel_stats();
+        let mut total = self.orch.endpoint.channel_stats();
         for a in &self.agents {
             total += a.channel_stats();
         }
@@ -724,7 +724,7 @@ impl PodSim {
             .map(|a| a.clock())
             .min()
             .unwrap_or(Nanos::ZERO)
-            .min(self.orch.clock());
+            .min(self.orch.endpoint.clock());
         while step < until {
             step = (step + PUMP_QUANTUM).min(until);
             for a in &mut self.agents {
@@ -743,8 +743,11 @@ impl PodSim {
         !self.exact_polling
             && !self.fabric.wakes_pending()
             && self.metrics.is_none()
-            && !self.orch.pending()
-            && self.agents.iter().all(|a| !a.pending())
+            && self.orch.endpoint.queued() == 0
+            && self
+                .agents
+                .iter()
+                .all(|a| a.endpoint.queued() == 0 && !a.pending())
     }
 
     /// Injects a failure of device `dev`, of any kind (an unknown id is
@@ -860,11 +863,12 @@ impl PodSim {
             tx: ch.ba.0,
             rx: ch.ab.1,
         };
-        match a {
-            Peer::Host(h) => self.agents[h.0 as usize].set_link(Peer::Host(b), a_end),
-            Peer::Orchestrator => self.orch.set_link(b, a_end),
-        }
-        self.agents[b.0 as usize].set_link(a, b_end);
+        let a_endpoint = match a {
+            Peer::Host(h) => &mut self.agents[h.0 as usize].endpoint,
+            Peer::Orchestrator => &mut self.orch.endpoint,
+        };
+        a_endpoint.set_link(Peer::Host(b), a_end);
+        self.agents[b.0 as usize].endpoint.set_link(a, b_end);
         ch.segments
     }
 
@@ -1540,7 +1544,10 @@ mod tests {
             pod.submit(owner, dev, Cmd::Tx { buf, len: 64 })
                 .expect("submit");
         }
-        assert!(pod.agents[3].pending(), "submits wait for credits");
+        assert!(
+            pod.agents[3].endpoint.queued() > 0,
+            "submits wait for credits"
+        );
         // Kill the MHD under host 3's ring to host 0 and rebuild.
         let ring = pod
             .channels
@@ -1552,7 +1559,11 @@ mod tests {
         let mhd: MhdId = pod.fabric.segment(ring).expect("live").ways()[0];
         pod.fabric.topology_mut().fail_mhd(mhd);
         assert!(pod.recover_pool_failure(mhd) > 0);
-        assert!(!pod.agents[3].pending(), "the old queue went with its link");
+        assert_eq!(
+            pod.agents[3].endpoint.queued(),
+            0,
+            "the old queue went with its link"
+        );
     }
 
     #[test]

@@ -1,4 +1,10 @@
-//! The poll loop every agent and the orchestrator runs.
+//! The ring endpoint and poll loop every agent and the orchestrator
+//! runs.
+//!
+//! An actor's [`Endpoint`] holds its links (a pair of rings to each
+//! peer), its clock and its poll-loop state; `PollActor` adds only
+//! what differs between the two actors: what a message does, and any
+//! work of its own to flush or to finish a pass with.
 //!
 //! Both actors are single-threaded and poll-mode (§4.2): a *pass* polls
 //! each of the actor's `n` receive rings once, round robin, and the
@@ -32,47 +38,211 @@
 //!
 //! The one model difference: skipped polls book no link or MHD
 //! bandwidth, so they neither queue behind other traffic nor delay it.
-//! [`PollLoop::exact`] keeps the exact poller as the test oracle.
+//! [`Endpoint::exact`] keeps the exact poller as the test oracle.
 
-use cxl_fabric::Fabric;
-use shmem::channel::ChannelReceiver;
-use shmem::ring::PollOutcome;
+use cxl_fabric::{Fabric, FabricError};
+use shmem::channel::{ChannelSend, ChannelSender, ChannelStats};
+use shmem::ring::{PollOutcome, RingReceiver};
 use shmem::IdlePoll;
 use simkit::Nanos;
 
-/// Per-actor state of the shared poll loop.
-#[derive(Debug, Default)]
-pub(crate) struct PollLoop {
+use crate::agent::Peer;
+use crate::proto::Msg;
+use crate::vdev::PoolError;
+
+/// One bidirectional link (a pair of rings) to a peer.
+pub struct Link {
+    /// Sender toward the peer.
+    pub tx: ChannelSender,
+    /// Receiver from the peer.
+    pub rx: RingReceiver,
+}
+
+impl Link {
+    /// Sends `msg` toward the peer at `*clock` and charges the sending
+    /// CPU. An NT store is posted: the CPU moves on after issuing it,
+    /// long before the line lands in pool DRAM. A full ring holds the
+    /// CPU until the failed credit check completes and leaves the
+    /// message queued in the sender for [`Link::flush`].
+    pub(crate) fn post(
+        &mut self,
+        fabric: &mut Fabric,
+        clock: &mut Nanos,
+        msg: &Msg,
+    ) -> Result<(), FabricError> {
+        let sent = self.tx.send(fabric, *clock, msg.encode())?;
+        charge(clock, sent);
+        Ok(())
+    }
+
+    /// Writes out the messages a full ring left queued, charged as in
+    /// [`Link::post`]. A no-op while nothing is queued; a fabric error
+    /// drops the queue.
+    pub(crate) fn flush(&mut self, fabric: &mut Fabric, clock: &mut Nanos) {
+        if self.tx.queued() > 0 {
+            if let Ok(sent) = self.tx.flush(fabric, *clock) {
+                charge(clock, sent);
+            }
+        }
+    }
+
+    /// Both directions' counters: the send side's sends and stalls,
+    /// the receive side's empty and hit polls.
+    pub fn stats(&self) -> ChannelStats {
+        let (polls_empty, polls_hit) = self.rx.poll_counts();
+        ChannelStats {
+            polls_empty,
+            polls_hit,
+            ..self.tx.stats()
+        }
+    }
+}
+
+/// Charges a sending CPU for one [`ChannelSend`] outcome (see
+/// [`Link::post`]).
+fn charge(clock: &mut Nanos, sent: ChannelSend) {
+    match sent {
+        ChannelSend::Sent(_) => *clock += Nanos(30),
+        ChannelSend::Queued(at) => *clock = (*clock).max(at),
+    }
+}
+
+/// One actor's ring endpoint: its links, keyed by peer and polled in
+/// attach order, its clock, and its poll-loop state.
+#[derive(Default)]
+pub struct Endpoint {
+    links: Vec<(Peer, Link)>,
+    clock: Nanos,
     /// Execute every notional poll for real (the exact oracle). Off by
-    /// default; set from [`crate::pod::PodParams::exact_polling`].
-    pub(crate) exact: bool,
+    /// default; [`crate::pod::PodSim::new`] sets it from
+    /// [`crate::pod::PodParams::exact_polling`].
+    pub exact: bool,
     /// Each link's idle poll timing for the current pass (`None`: the
     /// poll would fail, so it costs nothing). Reused across passes.
     plan: Vec<Option<IdlePoll>>,
 }
 
-/// A poll-mode actor as the shared loop drives it.
+impl Endpoint {
+    /// Attaches the link to `peer`, replacing any old one (pool-failure
+    /// recovery: the old rings died with their MHD). Any in-flight
+    /// protocol state on the old rings, messages queued in its sender
+    /// included, is abandoned; outstanding operations time out and get
+    /// retried by their callers. Links are polled in attach order.
+    pub(crate) fn set_link(&mut self, peer: Peer, link: Link) {
+        if let Some(slot) = self.links.iter_mut().find(|(p, _)| *p == peer) {
+            slot.1 = link;
+        } else {
+            self.links.push((peer, link));
+        }
+    }
+
+    /// The actor's poll-loop clock.
+    pub fn clock(&self) -> Nanos {
+        self.clock
+    }
+
+    /// Moves the clock forward (e.g. after the host was busy elsewhere).
+    pub fn advance_clock(&mut self, to: Nanos) {
+        if to > self.clock {
+            self.clock = to;
+        }
+    }
+
+    /// Messages waiting in the links' senders for ring credits.
+    pub fn queued(&self) -> usize {
+        self.links.iter().map(|(_, l)| l.tx.queued()).sum()
+    }
+
+    /// Ring statistics summed over every link: sends, backpressure
+    /// events and stall nanoseconds on the send side, empty and hit
+    /// polls on the receive side.
+    pub fn channel_stats(&self) -> ChannelStats {
+        let mut total = ChannelStats::default();
+        for (_, link) in &self.links {
+            total += link.stats();
+        }
+        total
+    }
+
+    /// Sends `msg` to `peer`, charging the clock as [`Link::post`]
+    /// does.
+    pub(crate) fn post(
+        &mut self,
+        fabric: &mut Fabric,
+        peer: Peer,
+        msg: &Msg,
+    ) -> Result<(), PoolError> {
+        let (_, link) = self
+            .links
+            .iter_mut()
+            .find(|(p, _)| *p == peer)
+            .ok_or(PoolError::NoLink(peer))?;
+        link.post(fabric, &mut self.clock, msg)?;
+        Ok(())
+    }
+
+    /// Replies on link `i` at the current clock. Posted like a CQE
+    /// write: the clock does not move, and a full ring queues the
+    /// reply. A fabric error loses it, and the peer times out.
+    pub(crate) fn reply(&mut self, fabric: &mut Fabric, i: usize, msg: &Msg) {
+        let _ = self.links[i].1.tx.send(fabric, self.clock, msg.encode());
+    }
+
+    /// Writes out what full rings left queued (see [`Link::flush`]).
+    fn flush(&mut self, fabric: &mut Fabric) {
+        for (_, link) in &mut self.links {
+            link.flush(fabric, &mut self.clock);
+        }
+    }
+
+    /// Plans a pass of idle polls from the clock, a pass boundary `c`,
+    /// and returns the boundary of the first pass in which some link's
+    /// poll is due; or, when none is due in a pass starting before
+    /// `until`, the first boundary at or after `until`.
+    fn next_due_pass(&mut self, fabric: &Fabric, until: Nanos) -> Nanos {
+        self.plan.clear();
+        self.plan
+            .extend(self.links.iter().map(|(_, l)| l.rx.idle_poll(fabric)));
+        let c = self.clock;
+        let period: u64 = self.plan.iter().flatten().map(|p| p.cost.as_nanos()).sum();
+        if period == 0 {
+            // Every poll would fail: the exact pass consumes no time and
+            // burns the span.
+            return until;
+        }
+        let mut rounds = until.saturating_sub(c).as_nanos().div_ceil(period);
+        let mut offset = c;
+        for (idle, (_, link)) in self.plan.iter().zip(&self.links) {
+            let Some(idle) = *idle else { continue };
+            if let Some(v) = link.rx.next_wake(fabric) {
+                // Round r polls link i at offset + r·P; due once
+                // v <= offset + r·P + applies.
+                let first = v.saturating_sub(offset + idle.applies).as_nanos();
+                rounds = rounds.min(first.div_ceil(period));
+            }
+            offset += idle.cost;
+        }
+        c + Nanos(period) * rounds
+    }
+}
+
+/// A poll-mode actor as the shared loop drives it: its endpoint, plus
+/// what differs between the agent and the orchestrator.
 pub(crate) trait PollActor {
-    /// The loop state.
-    fn poll_loop(&mut self) -> &mut PollLoop;
-    /// The actor's clock.
-    fn clock_mut(&mut self) -> &mut Nanos;
-    /// Number of links polled per pass.
-    fn link_count(&self) -> usize;
-    /// The receive side of link `i`.
-    fn receiver(&self, i: usize) -> &ChannelReceiver;
-    /// Mutable receive side of link `i`.
-    fn receiver_mut(&mut self, i: usize) -> &mut ChannelReceiver;
-    /// A complete message arrived on link `i`; the clock stands at its
-    /// receipt time.
+    /// The actor's ring endpoint.
+    fn endpoint(&mut self) -> &mut Endpoint;
+    /// A message arrived on link `i`; the clock stands at its receipt
+    /// time.
     fn on_message(&mut self, fabric: &mut Fabric, i: usize, data: Vec<u8>);
-    /// True when [`PollActor::flush`] has work to retry (messages a
-    /// full ring left queued, notices waiting in an outbox), which
-    /// makes the next pass real.
-    fn pending(&self) -> bool;
-    /// Sends what is pending; runs at the start of a pass while
-    /// [`PollActor::pending`] holds.
-    fn flush(&mut self, fabric: &mut Fabric);
+    /// True when [`PollActor::flush`] has work of the actor's own to
+    /// retry (notices waiting in an outbox), which makes the next pass
+    /// real, as queued ring messages do.
+    fn pending(&self) -> bool {
+        false
+    }
+    /// Sends the actor's own pending work; runs at the start of a pass,
+    /// after the endpoint's queued messages, while anything is pending.
+    fn flush(&mut self, _fabric: &mut Fabric) {}
     /// Work at the end of every pass.
     fn end_pass(&mut self, _fabric: &mut Fabric) {}
 }
@@ -80,49 +250,50 @@ pub(crate) trait PollActor {
 /// Runs `actor`'s poll loop until its clock reaches `until` (see the
 /// module docs for the schedule and the wake rule).
 pub(crate) fn pump<A: PollActor>(actor: &mut A, fabric: &mut Fabric, until: Nanos) {
-    let mut plan = std::mem::take(&mut actor.poll_loop().plan);
     // Load instant of the latest skipped poll, settled on the way out.
     let mut skipped_load: Option<Nanos> = None;
-    while *actor.clock_mut() < until {
-        let pending = actor.pending();
-        let real = actor.poll_loop().exact || pending;
+    while actor.endpoint().clock < until {
+        let pending = actor.endpoint().queued() > 0 || actor.pending();
+        let ep = actor.endpoint();
+        let real = ep.exact || pending;
         if !real {
-            plan.clear();
-            plan.extend((0..actor.link_count()).map(|i| actor.receiver(i).idle_poll(fabric)));
-            let c = *actor.clock_mut();
-            let next = next_due_pass(actor, fabric, &plan, c, until);
+            let c = ep.clock;
+            let next = ep.next_due_pass(fabric, until);
             if next > c {
-                if let Some(last) = plan.iter().flatten().last() {
+                if let Some(last) = ep.plan.iter().flatten().last() {
                     skipped_load = Some(next - last.cost + last.applies);
                 }
             }
-            *actor.clock_mut() = next;
+            ep.clock = next;
             if next >= until {
                 break;
             }
         }
-        let before = *actor.clock_mut();
+        let before = ep.clock;
         if pending {
+            ep.flush(fabric);
             actor.flush(fabric);
         }
-        for i in 0..actor.link_count() {
-            let t = *actor.clock_mut();
+        for i in 0..actor.endpoint().links.len() {
+            let ep = actor.endpoint();
+            let t = ep.clock;
+            let rx = &mut ep.links[i].1.rx;
             if !real {
                 // Skipped polls cost their idle time (nothing, when the
                 // poll would fail) and touch nothing.
-                let Some(idle) = plan.get(i).copied().flatten() else {
+                let Some(idle) = ep.plan.get(i).copied().flatten() else {
                     continue;
                 };
-                if !is_due(actor.receiver(i).next_wake(fabric), t, idle) {
+                if !is_due(rx.next_wake(fabric), t, idle) {
                     skipped_load = Some(t + idle.applies);
-                    *actor.clock_mut() = t + idle.cost;
+                    ep.clock = t + idle.cost;
                     continue;
                 }
             }
-            match actor.receiver_mut(i).poll(fabric, t) {
-                Ok(PollOutcome::Empty(done)) => *actor.clock_mut() = done,
+            match rx.poll(fabric, t) {
+                Ok(PollOutcome::Empty(done)) => ep.clock = done,
                 Ok(PollOutcome::Msg { data, at }) => {
-                    *actor.clock_mut() = at;
+                    ep.clock = at;
                     actor.on_message(fabric, i, data);
                 }
                 // Fabric trouble on this link (e.g. MHD failure): skip
@@ -130,53 +301,22 @@ pub(crate) fn pump<A: PollActor>(actor: &mut A, fabric: &mut Fabric, until: Nano
                 Err(_) => {}
             }
         }
-        if *actor.clock_mut() == before {
+        let ep = actor.endpoint();
+        if ep.clock == before {
             // No link consumed any time this pass: every ring sits on
             // failed pool memory. The actor busy-polls through the
             // outage; burn the span instead of spinning forever.
-            *actor.clock_mut() = until;
+            ep.clock = until;
         }
         actor.end_pass(fabric);
     }
     if let Some(at) = skipped_load {
         fabric.settle(at);
     }
-    actor.poll_loop().plan = plan;
 }
 
 /// True when a poll starting at `t` would load the message loadable
 /// from `wake`.
 fn is_due(wake: Option<Nanos>, t: Nanos, idle: IdlePoll) -> bool {
     wake.is_some_and(|v| v <= t + idle.applies)
-}
-
-/// The boundary of the first pass, starting from boundary `c`, in which
-/// some link's poll is due; or, when none is due in a pass starting
-/// before `until`, the first boundary at or after `until`.
-fn next_due_pass<A: PollActor>(
-    actor: &A,
-    fabric: &Fabric,
-    plan: &[Option<IdlePoll>],
-    c: Nanos,
-    until: Nanos,
-) -> Nanos {
-    let period: u64 = plan.iter().flatten().map(|p| p.cost.as_nanos()).sum();
-    if period == 0 {
-        // Every poll would fail: the exact pass consumes no time and
-        // burns the span.
-        return until;
-    }
-    let mut rounds = until.saturating_sub(c).as_nanos().div_ceil(period);
-    let mut offset = c;
-    for (i, idle) in plan.iter().enumerate() {
-        let Some(idle) = *idle else { continue };
-        if let Some(v) = actor.receiver(i).next_wake(fabric) {
-            // Round r polls link i at offset + r·P; due once
-            // v <= offset + r·P + applies.
-            let first = v.saturating_sub(offset + idle.applies).as_nanos();
-            rounds = rounds.min(first.div_ceil(period));
-        }
-        offset += idle.cost;
-    }
-    c + Nanos(period) * rounds
 }

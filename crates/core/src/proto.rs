@@ -1,12 +1,14 @@
 //! Wire format of pooling control messages.
 //!
-//! Every message fits one ring fragment (≤ 52 bytes) so the common case
-//! — one doorbell forward — costs exactly one non-temporal store on the
-//! sender and one load on the receiver. Encoding is a hand-rolled
+//! Every message fits one ring slot ([`SLOT_PAYLOAD`], 54 bytes), so
+//! each one — a doorbell forward, a completion, an orchestrator RPC —
+//! costs exactly one non-temporal store on the sender and one load on
+//! the receiver. Encoding is a hand-rolled
 //! little-endian TLV: `[kind: u8][fields…]`; no self-describing overhead.
 
 use cxl_fabric::HostId;
 use pcie_sim::DeviceId;
+use shmem::ring::SLOT_PAYLOAD;
 use simkit::trace;
 
 use crate::vdev::DeviceKind;
@@ -227,7 +229,7 @@ impl Msg {
 
     /// Serializes to bytes (≤ 30 for every variant).
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(30);
+        let mut out = Vec::with_capacity(SLOT_PAYLOAD);
         match *self {
             Msg::Submit { op, dev, cmd } => {
                 out.push(cmd.wire_kind());
@@ -412,10 +414,10 @@ mod tests {
     }
 
     #[test]
-    fn every_variant_fits_one_fragment() {
+    fn every_variant_fits_one_slot() {
         for m in all_variants() {
             assert!(
-                m.encode().len() <= 52,
+                m.encode().len() <= SLOT_PAYLOAD,
                 "{m:?} is {} bytes",
                 m.encode().len()
             );

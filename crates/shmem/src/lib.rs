@@ -10,7 +10,9 @@
 //!
 //! - [`ring`], [`channel`]: over the simulated [`cxl_fabric::Fabric`],
 //!   with full timing — this is what the Figure 4 reproduction and the
-//!   MMIO-forwarding datapath use.
+//!   MMIO-forwarding datapath use. Every message is one slot; the
+//!   channel's sender adds a FIFO queue for what a full ring cannot
+//!   take yet.
 //! - [`real`]: over actual process memory with atomics, byte-identical
 //!   protocol, runnable across real threads — this is how we prove the
 //!   protocol has no ordering bugs that the (deterministic, sequential)
@@ -42,5 +44,5 @@ pub mod pingpong;
 pub mod real;
 pub mod ring;
 
-pub use channel::{Channel, ChannelReceiver, ChannelSend, ChannelSender, ChannelStats};
+pub use channel::{Channel, ChannelSend, ChannelSender, ChannelStats};
 pub use ring::{IdlePoll, PollOutcome, RingBuf, RingReceiver, RingSender, SendOutcome};

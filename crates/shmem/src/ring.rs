@@ -21,6 +21,7 @@
 //! keeping the common-case send to exactly one CXL write.
 
 use cxl_fabric::{Fabric, FabricError, HostId, Segment};
+use simkit::trace::Track;
 use simkit::Nanos;
 
 /// Bytes of payload carried by one slot.
@@ -275,7 +276,9 @@ impl RingReceiver {
 
     /// Polls for the next message: invalidate + load of the expected
     /// slot line. Publishes credits as a side effect when due, and
-    /// clears the slot's wake when it consumes a message.
+    /// clears the slot's wake when it consumes a message. A consumed
+    /// message leaves a `chan/recv` instant on the ring's channel
+    /// track at its receipt time.
     pub fn poll(&mut self, fabric: &mut Fabric, now: Nanos) -> Result<PollOutcome, FabricError> {
         let m = self.next;
         let addr = self.slot_addr(m);
@@ -302,6 +305,9 @@ impl RingReceiver {
             fabric.nt_store(at, self.host, self.credit_addr(), &line)?;
             at += Nanos(SEND_CPU_NS);
             self.published = self.next;
+        }
+        if let Some(tr) = fabric.trace_mut() {
+            tr.instant(Track::Channel(self.base), "chan/recv", at);
         }
         Ok(PollOutcome::Msg { data, at })
     }

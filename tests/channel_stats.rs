@@ -1,11 +1,12 @@
 //! Backpressure accounting on the shared-memory channel: a send that
-//! outgrows the ring queues in the sender, and must surface as counted
+//! finds the ring full queues in the sender, and must surface as counted
 //! blocked events and cumulative stall nanoseconds (from the first
 //! full-ring attempt to the flush that completes it), and leave
 //! blocked/stall marks in the flight recorder.
 
 use cxl_fabric::{Fabric, HostId, PodConfig};
 use shmem::channel::{Channel, ChannelSend};
+use shmem::ring::PollOutcome;
 use simkit::trace::TraceConfig;
 use simkit::Nanos;
 
@@ -16,26 +17,34 @@ fn blocked_send_counts_events_and_stall_nanos() {
         capacity: 4096,
         fabric_ops: false,
     });
-    // 4 slots; a 400-byte message needs 8 fragments: guaranteed
-    // backpressure.
+    // 4 slots and five 32-byte messages: guaranteed backpressure.
     let ch = Channel::allocate(&mut f, HostId(0), HostId(1), 4).expect("chan");
     let (mut tx, mut rx) = ch.ab;
-    let msg: Vec<u8> = (0..400u32).map(|i| i as u8).collect();
+    let msgs: Vec<Vec<u8>> = (0..5u8).map(|i| vec![i; 32]).collect();
 
-    let r = tx.send(&mut f, Nanos(0), &msg).expect("send");
-    assert!(matches!(r, ChannelSend::Queued(_)), "got {r:?}");
+    for (i, msg) in msgs.iter().enumerate() {
+        let r = tx.send(&mut f, Nanos(0), msg.clone()).expect("send");
+        assert_eq!(
+            matches!(r, ChannelSend::Queued(_)),
+            i == 4,
+            "send {i}: {r:?}"
+        );
+    }
     assert_eq!(tx.queued(), 1);
     let s = tx.stats();
     assert_eq!(s.blocked_events, 1);
-    assert_eq!(s.sends, 0, "the message has not completed yet");
+    assert_eq!(s.sends, 4, "the fifth message is not in the ring yet");
     assert_eq!(s.stall_ns, 0, "stall accrues when the flush completes");
 
-    // Drain and flush until the message is fully written.
+    // Drain and flush until the queued message is written.
+    let mut got = Vec::new();
     let mut now = Nanos(10_000);
     let mut rounds = 0;
     while tx.queued() > 0 {
         for _ in 0..8 {
-            let _ = rx.poll(&mut f, now).expect("poll");
+            if let PollOutcome::Msg { data, .. } = rx.poll(&mut f, now).expect("poll") {
+                got.push(data);
+            }
             now += Nanos(100);
         }
         tx.flush(&mut f, now).expect("flush");
@@ -44,7 +53,7 @@ fn blocked_send_counts_events_and_stall_nanos() {
         assert!(rounds < 100, "flush loop did not converge");
     }
     let s = tx.stats();
-    assert_eq!(s.sends, 1, "exactly one message completed");
+    assert_eq!(s.sends, 5, "every message was written");
     assert!(s.blocked_events >= 1);
     assert!(
         s.stall_ns >= 10_000 - 1,
@@ -52,12 +61,21 @@ fn blocked_send_counts_events_and_stall_nanos() {
         s.stall_ns
     );
 
-    // The receiver still reassembles the message intact.
-    let (data, _) = rx
-        .poll_until(&mut f, now, now + Nanos::from_millis(1))
-        .expect("poll")
-        .expect("message completes");
-    assert_eq!(data, msg);
+    // The receiver still gets every message intact and in order.
+    while got.len() < msgs.len() {
+        assert!(
+            now < Nanos::from_millis(1),
+            "the last message never arrived"
+        );
+        now = match rx.poll(&mut f, now).expect("poll") {
+            PollOutcome::Msg { data, at } => {
+                got.push(data);
+                at
+            }
+            PollOutcome::Empty(at) => at,
+        };
+    }
+    assert_eq!(got, msgs);
 
     // The stall is visible in the trace: a blocked instant and a stall
     // span on the channel's track.
@@ -77,7 +95,7 @@ fn unblocked_sends_accrue_no_stall() {
     let (mut tx, _rx) = ch.ab;
     for i in 0..4u64 {
         let r = tx
-            .send(&mut f, Nanos(i * 1000), &[i as u8; 32])
+            .send(&mut f, Nanos(i * 1000), vec![i as u8; 32])
             .expect("send");
         assert!(matches!(r, ChannelSend::Sent(_)));
     }

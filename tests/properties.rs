@@ -107,15 +107,18 @@ proptest! {
         prop_assert!(next_recv <= next_send);
     }
 
-    /// The framed channel reassembles arbitrary message sequences —
-    /// any sizes (multi-fragment included) over any power-of-two ring —
-    /// in order and byte-exact, with sends issued in bursts that queue
-    /// behind a full ring and flushed as credits return.
+    /// The queued channel delivers arbitrary message sequences — any
+    /// size up to one slot, over any power-of-two ring — in order and
+    /// byte-exact, with sends issued in bursts that queue behind a full
+    /// ring and flushed as credits return.
     #[test]
-    fn channel_reassembles_arbitrary_messages(
+    fn channel_delivers_arbitrary_messages(
         cap_pow in 2u32..5,
-        burst in 1usize..4,
-        msgs in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..400), 1..12),
+        burst in 1usize..8,
+        msgs in proptest::collection::vec(
+            proptest::collection::vec(any::<u8>(), 0..shmem::ring::SLOT_PAYLOAD + 1),
+            1..12,
+        ),
     ) {
         for mode in AuditMode::ALL {
             use shmem::channel::{Channel, ChannelSend};
@@ -135,7 +138,7 @@ proptest! {
                     // behind whatever the ring could not take.
                     let mut last = ChannelSend::Sent(t);
                     for msg in msgs.iter().skip(sent).take(burst) {
-                        last = tx.send(&mut fabric, t, msg).expect("send");
+                        last = tx.send(&mut fabric, t, msg.clone()).expect("send");
                         sent += 1;
                     }
                     last
@@ -154,7 +157,8 @@ proptest! {
                     shmem::ring::PollOutcome::Empty(at) => t = at,
                 }
             }
-            // Framing rides the same discipline; it must be audit-clean.
+            // The sender's queue rides the same discipline; it must be
+            // audit-clean.
             let report = fabric.audit_finalize(t).expect("audit on");
             prop_assert!(report.is_clean(), "{:?} channel protocol violations:\n{}", mode, report.render());
         }

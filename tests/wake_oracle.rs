@@ -135,7 +135,7 @@ fn clocks(pod: &PodSim) -> Vec<Nanos> {
     pod.agents
         .iter()
         .map(|a| a.clock())
-        .chain([pod.orch.clock()])
+        .chain([pod.orch.endpoint.clock()])
         .collect()
 }
 
@@ -144,9 +144,9 @@ fn clocks(pod: &PodSim) -> Vec<Nanos> {
 fn switched_to_wake(seed: u64) -> PodSim {
     let mut pod = PodSim::new(params(seed, true));
     for a in &mut pod.agents {
-        a.set_exact_polling(false);
+        a.endpoint.exact = false;
     }
-    pod.orch.set_exact_polling(false);
+    pod.orch.endpoint.exact = false;
     pod
 }
 
