@@ -34,8 +34,9 @@ use crate::Scale;
 /// Stable schema tag for downstream consumers (v4: `baseline.ledger`
 /// per-layer counts, and offered/achieved rates split into open- and
 /// closed-loop figures; v5: audit hook calls and trace spans per op in
-/// the ledger).
-pub const SCHEMA: &str = "cxl-pool-workload-bench/v5";
+/// the ledger; v6: the worst tenant's op count in every capacity
+/// trial).
+pub const SCHEMA: &str = "cxl-pool-workload-bench/v6";
 
 /// `--check` fails when the baseline run issues more pool loads than
 /// this per measured op: idle ring polls are skipped, so loads track
@@ -1002,6 +1003,7 @@ fn capacity_json(c: &CapacityResult, fault: Option<&FaultPlan>) -> Value {
                 ("pass", Value::Bool(t.pass)),
                 ("worst_tenant", Value::String(t.worst_tenant.clone())),
                 ("worst_observed_ns", num(t.worst_observed.as_nanos() as f64)),
+                ("worst_ops", num(t.worst_ops as f64)),
             ])
         })
         .collect();

@@ -47,6 +47,9 @@ pub struct TrialPoint {
     pub worst_tenant: String,
     /// That tenant's observed latency at its SLO quantile.
     pub worst_observed: Nanos,
+    /// That tenant's measured op count: a 0 here means its 0 ns
+    /// observed latency is no sample at all, not a fast one.
+    pub worst_ops: u64,
 }
 
 /// The search outcome.
@@ -110,6 +113,7 @@ where
             pass,
             worst_tenant: worst.name.clone(),
             worst_observed: worst.verdict.observed,
+            worst_ops: worst.ops,
         });
         (pass, report)
     };

@@ -188,6 +188,7 @@ fn a_failing_trial_names_a_failing_tenant() {
     assert!(!first.pass);
     assert_eq!(first.worst_tenant, "quiet");
     assert_eq!(first.worst_observed, Nanos::ZERO);
+    assert_eq!(first.worst_ops, 0);
 }
 
 fn churn_pod() -> PodSim {
