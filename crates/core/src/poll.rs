@@ -39,6 +39,20 @@
 //! The one model difference: skipped polls book no link or MHD
 //! bandwidth, so they neither queue behind other traffic nor delay it.
 //! [`Endpoint::exact`] keeps the exact poller as the test oracle.
+//!
+//! Deciding to skip costs constant host time. The endpoint caches each
+//! link's idle poll, the period `P` and the earliest due offset
+//! `E = min_i(v_i - off_i - applies_i)` over the links with a posted
+//! wake, so a pass from `c` with nothing due before `until` lands on
+//! `c + P·min(⌈(until - c)/P⌉, ⌈max(0, E - c)/P⌉)`: the per-link
+//! minimum, since `x ↦ ⌈max(0, x)/P⌉` is monotone. The idle polls are
+//! recomputed only when their inputs change: a link's receive index
+//! moves ([`RingReceiver::consumed`]), a link is attached or replaced
+//! (`Endpoint::set_link`), or the fabric layout changes
+//! ([`Fabric::layout_generation`]). `E` is recomputed when the plan is,
+//! or when the wake table changes ([`Fabric::wake_generation`]). The
+//! cache is a host-time shortcut: it changes no simulated number, and
+//! debug builds check every cached answer against the uncached one.
 
 use cxl_fabric::{Fabric, FabricError};
 use shmem::channel::{ChannelSend, ChannelSender, ChannelStats};
@@ -117,9 +131,33 @@ pub struct Endpoint {
     /// default; [`crate::pod::PodSim::new`] sets it from
     /// [`crate::pod::PodParams::exact_polling`].
     pub exact: bool,
-    /// Each link's idle poll timing for the current pass (`None`: the
-    /// poll would fail, so it costs nothing). Reused across passes.
-    plan: Vec<Option<IdlePoll>>,
+    /// Messages waiting in the links' senders, kept in step with every
+    /// send, flush and attach.
+    queued: usize,
+    /// The idle-poll plan, cached across passes (see the module docs).
+    plan: Plan,
+}
+
+/// An endpoint's cached idle-poll plan.
+#[derive(Default)]
+struct Plan {
+    /// Per link, in link order: the idle poll of its next slot (`None`:
+    /// the poll would fail, so it costs nothing), and the receive index
+    /// it was computed for.
+    polls: Vec<(Option<IdlePoll>, u64)>,
+    /// The fabric layout generation `polls` were computed under;
+    /// `None` after a link was attached or replaced.
+    layout: Option<u64>,
+    /// Some link was polled for real since `polls` were checked, so
+    /// its receive index may have moved.
+    polled: bool,
+    /// `P`: the summed cost of one pass of idle polls.
+    period: Nanos,
+    /// The last link's idle poll that would not fail.
+    last: Option<IdlePoll>,
+    /// `E` (`None`: no link has a posted wake), and the fabric wake
+    /// generation it was computed under; `None` after a plan change.
+    due: Option<(u64, Option<Nanos>)>,
 }
 
 impl Endpoint {
@@ -129,11 +167,20 @@ impl Endpoint {
     /// included, is abandoned; outstanding operations time out and get
     /// retried by their callers. Links are polled in attach order.
     pub(crate) fn set_link(&mut self, peer: Peer, link: Link) {
+        self.queued += link.tx.queued();
         if let Some(slot) = self.links.iter_mut().find(|(p, _)| *p == peer) {
+            self.queued -= slot.1.tx.queued();
             slot.1 = link;
         } else {
             self.links.push((peer, link));
         }
+        self.plan.layout = None;
+    }
+
+    /// The base address of the ring each link receives on, in attach
+    /// order.
+    pub fn receive_rings(&self) -> impl Iterator<Item = u64> + '_ {
+        self.links.iter().map(|(_, l)| l.rx.base())
     }
 
     /// The actor's poll-loop clock.
@@ -150,7 +197,11 @@ impl Endpoint {
 
     /// Messages waiting in the links' senders for ring credits.
     pub fn queued(&self) -> usize {
-        self.links.iter().map(|(_, l)| l.tx.queued()).sum()
+        debug_assert_eq!(
+            self.queued,
+            self.links.iter().map(|(_, l)| l.tx.queued()).sum::<usize>()
+        );
+        self.queued
     }
 
     /// Ring statistics summed over every link: sends, backpressure
@@ -177,7 +228,10 @@ impl Endpoint {
             .iter_mut()
             .find(|(p, _)| *p == peer)
             .ok_or(PoolError::NoLink(peer))?;
-        link.post(fabric, &mut self.clock, msg)?;
+        let before = link.tx.queued();
+        let posted = link.post(fabric, &mut self.clock, msg);
+        self.queued = self.queued + link.tx.queued() - before;
+        posted?;
         Ok(())
     }
 
@@ -185,44 +239,135 @@ impl Endpoint {
     /// write: the clock does not move, and a full ring queues the
     /// reply. A fabric error loses it, and the peer times out.
     pub(crate) fn reply(&mut self, fabric: &mut Fabric, i: usize, msg: &Msg) {
-        let _ = self.links[i].1.tx.send(fabric, self.clock, msg.encode());
+        let tx = &mut self.links[i].1.tx;
+        let before = tx.queued();
+        let _ = tx.send(fabric, self.clock, msg.encode());
+        self.queued = self.queued + tx.queued() - before;
     }
 
     /// Writes out what full rings left queued (see [`Link::flush`]).
     fn flush(&mut self, fabric: &mut Fabric) {
+        self.queued = 0;
         for (_, link) in &mut self.links {
             link.flush(fabric, &mut self.clock);
+            self.queued += link.tx.queued();
         }
     }
 
     /// Plans a pass of idle polls from the clock, a pass boundary `c`,
     /// and returns the boundary of the first pass in which some link's
     /// poll is due; or, when none is due in a pass starting before
-    /// `until`, the first boundary at or after `until`.
+    /// `until`, the first boundary at or after `until`. Reads the
+    /// cached plan and earliest due offset, refreshing what changed.
     fn next_due_pass(&mut self, fabric: &Fabric, until: Nanos) -> Nanos {
-        self.plan.clear();
-        self.plan
-            .extend(self.links.iter().map(|(_, l)| l.rx.idle_poll(fabric)));
+        self.refresh_plan(fabric);
         let c = self.clock;
-        let period: u64 = self.plan.iter().flatten().map(|p| p.cost.as_nanos()).sum();
-        if period == 0 {
+        let period = self.plan.period.as_nanos();
+        let next = if period == 0 {
             // Every poll would fail: the exact pass consumes no time and
             // burns the span.
-            return until;
+            until
+        } else {
+            let mut rounds = until.saturating_sub(c).as_nanos().div_ceil(period);
+            if let Some(due) = self.earliest_due(fabric) {
+                rounds = rounds.min(due.saturating_sub(c).as_nanos().div_ceil(period));
+            }
+            c + Nanos(period) * rounds
+        };
+        #[cfg(debug_assertions)]
+        self.check_plan(fabric, until, next);
+        next
+    }
+
+    /// Brings the cached idle polls and period up to date with the
+    /// links' receive indices and the fabric layout.
+    fn refresh_plan(&mut self, fabric: &Fabric) {
+        let layout = fabric.layout_generation();
+        let plan = &mut self.plan;
+        let mut changed = false;
+        if plan.layout != Some(layout) {
+            plan.polls.clear();
+            plan.polls.extend(
+                self.links
+                    .iter()
+                    .map(|(_, l)| (l.rx.idle_poll(fabric), l.rx.consumed())),
+            );
+            plan.layout = Some(layout);
+            changed = true;
+        } else if plan.polled {
+            for ((idle, at), (_, link)) in plan.polls.iter_mut().zip(&self.links) {
+                if *at != link.rx.consumed() {
+                    *idle = link.rx.idle_poll(fabric);
+                    *at = link.rx.consumed();
+                    changed = true;
+                }
+            }
         }
-        let mut rounds = until.saturating_sub(c).as_nanos().div_ceil(period);
-        let mut offset = c;
-        for (idle, (_, link)) in self.plan.iter().zip(&self.links) {
-            let Some(idle) = *idle else { continue };
+        plan.polled = false;
+        if changed {
+            let idle = || plan.polls.iter().filter_map(|&(idle, _)| idle);
+            plan.period = idle().map(|p| p.cost).sum();
+            plan.last = idle().next_back();
+            plan.due = None;
+        }
+    }
+
+    /// `E`, the earliest `v_i - off_i - applies_i` over the links with
+    /// a posted wake (floored at 0, which changes no pass it picks),
+    /// recomputed when the wake table or the plan changed.
+    fn earliest_due(&mut self, fabric: &Fabric) -> Option<Nanos> {
+        let wakes = fabric.wake_generation();
+        if let Some((generation, due)) = self.plan.due {
+            if generation == wakes {
+                return due;
+            }
+        }
+        let mut due: Option<Nanos> = None;
+        let mut offset = Nanos::ZERO;
+        for (&(idle, _), (_, link)) in self.plan.polls.iter().zip(&self.links) {
+            let Some(idle) = idle else { continue };
             if let Some(v) = link.rx.next_wake(fabric) {
-                // Round r polls link i at offset + r·P; due once
-                // v <= offset + r·P + applies.
-                let first = v.saturating_sub(offset + idle.applies).as_nanos();
-                rounds = rounds.min(first.div_ceil(period));
+                // Round r polls link i at c + r·P + off_i; due once
+                // v <= c + r·P + off_i + applies.
+                let e = v.saturating_sub(offset + idle.applies);
+                due = Some(due.map_or(e, |d| d.min(e)));
             }
             offset += idle.cost;
         }
-        c + Nanos(period) * rounds
+        self.plan.due = Some((wakes, due));
+        due
+    }
+
+    /// Debug builds' oracle for the cache: the plan and the pass
+    /// [`Endpoint::next_due_pass`] picked must equal what an uncached
+    /// plan of every link gives.
+    #[cfg(debug_assertions)]
+    fn check_plan(&self, fabric: &Fabric, until: Nanos, next: Nanos) {
+        let plan: Vec<Option<IdlePoll>> = self
+            .links
+            .iter()
+            .map(|(_, l)| l.rx.idle_poll(fabric))
+            .collect();
+        let cached: Vec<Option<IdlePoll>> = self.plan.polls.iter().map(|&(p, _)| p).collect();
+        debug_assert_eq!(cached, plan, "stale idle-poll plan");
+        let c = self.clock;
+        let period: u64 = plan.iter().flatten().map(|p| p.cost.as_nanos()).sum();
+        let uncached = if period == 0 {
+            until
+        } else {
+            let mut rounds = until.saturating_sub(c).as_nanos().div_ceil(period);
+            let mut offset = c;
+            for (idle, (_, link)) in plan.iter().zip(&self.links) {
+                let Some(idle) = *idle else { continue };
+                if let Some(v) = link.rx.next_wake(fabric) {
+                    let first = v.saturating_sub(offset + idle.applies).as_nanos();
+                    rounds = rounds.min(first.div_ceil(period));
+                }
+                offset += idle.cost;
+            }
+            c + Nanos(period) * rounds
+        };
+        debug_assert_eq!(next, uncached, "cached due pass differs");
     }
 }
 
@@ -260,7 +405,7 @@ pub(crate) fn pump<A: PollActor>(actor: &mut A, fabric: &mut Fabric, until: Nano
             let c = ep.clock;
             let next = ep.next_due_pass(fabric, until);
             if next > c {
-                if let Some(last) = ep.plan.iter().flatten().last() {
+                if let Some(last) = ep.plan.last {
                     skipped_load = Some(next - last.cost + last.applies);
                 }
             }
@@ -281,7 +426,7 @@ pub(crate) fn pump<A: PollActor>(actor: &mut A, fabric: &mut Fabric, until: Nano
             if !real {
                 // Skipped polls cost their idle time (nothing, when the
                 // poll would fail) and touch nothing.
-                let Some(idle) = ep.plan.get(i).copied().flatten() else {
+                let Some((Some(idle), _)) = ep.plan.polls.get(i).copied() else {
                     continue;
                 };
                 if !is_due(rx.next_wake(fabric), t, idle) {
@@ -290,6 +435,7 @@ pub(crate) fn pump<A: PollActor>(actor: &mut A, fabric: &mut Fabric, until: Nano
                     continue;
                 }
             }
+            ep.plan.polled = true;
             match rx.poll(fabric, t) {
                 Ok(PollOutcome::Empty(done)) => ep.clock = done,
                 Ok(PollOutcome::Msg { data, at }) => {
@@ -319,4 +465,82 @@ pub(crate) fn pump<A: PollActor>(actor: &mut A, fabric: &mut Fabric, until: Nano
 /// from `wake`.
 fn is_due(wake: Option<Nanos>, t: Nanos, idle: IdlePoll) -> bool {
     wake.is_some_and(|v| v <= t + idle.applies)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use cxl_fabric::{HostId, PodConfig};
+    use shmem::channel::Channel;
+
+    /// An actor that only polls.
+    #[derive(Default)]
+    struct Idle(Endpoint);
+
+    impl PollActor for Idle {
+        fn endpoint(&mut self) -> &mut Endpoint {
+            &mut self.0
+        }
+        fn on_message(&mut self, _: &mut Fabric, _: usize, _: Vec<u8>) {}
+    }
+
+    /// Host 0's end of a fresh channel to host `peer`.
+    fn link(f: &mut Fabric, peer: u16) -> Link {
+        let ch = Channel::allocate(f, HostId(0), HostId(peer), 8).expect("channel");
+        Link {
+            tx: ch.ab.0,
+            rx: ch.ba.1,
+        }
+    }
+
+    /// How far one idle pass moves the actor's clock: pumping 1 ns
+    /// ahead lands it on its next pass boundary.
+    fn pass(actor: &mut Idle, f: &mut Fabric) -> Nanos {
+        let start = actor.0.clock();
+        pump(actor, f, start + Nanos(1));
+        actor.0.clock() - start
+    }
+
+    #[test]
+    fn an_attached_link_joins_the_cached_plan() {
+        let mut f = Fabric::new(PodConfig::new(3, 2, 2));
+        let mut actor = Idle::default();
+        actor.0.set_link(Peer::Host(HostId(1)), link(&mut f, 1));
+        let one = pass(&mut actor, &mut f);
+        assert!(one > Nanos::ZERO);
+        assert_eq!(pass(&mut actor, &mut f), one, "cached pass");
+        actor.0.set_link(Peer::Host(HostId(2)), link(&mut f, 2));
+        let idle: Nanos = actor
+            .0
+            .links
+            .iter()
+            .map(|(_, l)| l.rx.idle_poll(&f).expect("live ring").cost)
+            .sum();
+        assert!(idle > one);
+        assert_eq!(pass(&mut actor, &mut f), idle, "both links polled");
+    }
+
+    #[test]
+    fn a_message_settled_early_is_due_at_once() {
+        let mut f = Fabric::new(PodConfig::new(2, 2, 2));
+        let ch = Channel::allocate(&mut f, HostId(1), HostId(0), 8).expect("channel");
+        let (mut tx, rx) = ch.ab;
+        let mut actor = Idle::default();
+        actor
+            .0
+            .set_link(Peer::Host(HostId(1)), Link { tx: ch.ba.0, rx });
+        let Ok(ChannelSend::Sent(vis)) = tx.send(&mut f, Nanos(10_000), vec![1]) else {
+            panic!("an empty ring takes the message");
+        };
+        // The actor caches its due pass: the message's visibility.
+        pump(&mut actor, &mut f, Nanos(1_000));
+        assert_eq!(actor.0.channel_stats().polls_hit, 0);
+        // Another actor's access settles the message into pool memory,
+        // so the lagging actor's next poll of the ring loads it.
+        f.settle(vis);
+        let c = actor.0.clock();
+        pump(&mut actor, &mut f, c + Nanos(1));
+        assert_eq!(actor.0.channel_stats().polls_hit, 1);
+        assert!(actor.0.clock() < vis);
+    }
 }

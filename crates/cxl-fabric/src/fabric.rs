@@ -165,6 +165,10 @@ pub struct Fabric {
     /// consumed yet. A scheduling shortcut for poll loops (see
     /// [`Fabric::post_wake`]); it never serves data.
     wakes: BTreeMap<u64, Nanos>,
+    /// See [`Fabric::layout_generation`].
+    layout_gen: u64,
+    /// See [`Fabric::wake_generation`].
+    wake_gen: u64,
 }
 
 impl Fabric {
@@ -221,6 +225,8 @@ impl Fabric {
             missed_scratch: Vec::new(),
             served_scratch: Vec::new(),
             wakes: BTreeMap::new(),
+            layout_gen: 0,
+            wake_gen: 0,
         }
     }
 
@@ -406,9 +412,29 @@ impl Fabric {
         &self.topology
     }
 
-    /// Mutable topology access (failure injection).
+    /// Mutable topology access (failure injection). Bumps
+    /// [`Fabric::layout_generation`].
     pub fn topology_mut(&mut self) -> &mut Topology {
+        self.layout_gen += 1;
         &mut self.topology
+    }
+
+    /// Counts the changes that can move an idle load's cost or make it
+    /// fail (see [`Fabric::idle_line_load`]): every
+    /// [`Fabric::topology_mut`] call and every [`Fabric::free_segment`].
+    /// Allocation does not count: pool addresses are never reused, and
+    /// a segment's owners and every pipe's bandwidth are fixed once
+    /// they exist. Poll loops key their cached idle-poll plans on it.
+    pub fn layout_generation(&self) -> u64 {
+        self.layout_gen
+    }
+
+    /// Counts the changes to the ring-slot wake table (see
+    /// [`Fabric::wake_at`]): every posted wake, every cleared one, every
+    /// wake a settle turns loadable, and every [`Fabric::free_segment`].
+    /// Poll loops key their cached earliest due poll on it.
+    pub fn wake_generation(&self) -> u64 {
+        self.wake_gen
     }
 
     /// The timing parameters in force.
@@ -505,6 +531,8 @@ impl Fabric {
             self.tear_tolerant.retain(|&(s, e)| e <= base || s >= end);
             self.sync_ranges.retain(|&(s, e)| e <= base || s >= end);
             self.wakes.retain(|&la, _| la < base || la >= end);
+            self.layout_gen += 1;
+            self.wake_gen += 1;
             // Every pending write lies inside one segment (accesses are
             // bounds-checked), so its start address places it.
             self.pending.retain(|_, w| w.hpa < base || w.hpa >= end);
@@ -838,11 +866,14 @@ impl Fabric {
     /// store's address.
     pub fn post_wake(&mut self, la: u64, at: Nanos) {
         self.wakes.insert(la, at);
+        self.wake_gen += 1;
     }
 
     /// Forgets slot line `la`'s wake (its message was consumed).
     pub fn clear_wake(&mut self, la: u64) {
-        self.wakes.remove(&la);
+        if self.wakes.remove(&la).is_some() {
+            self.wake_gen += 1;
+        }
     }
 
     /// When the unconsumed message posted to slot line `la` becomes
@@ -1055,7 +1086,10 @@ impl Fabric {
             // A ring message settled into pool memory is loadable from
             // now on, even by an actor whose clock has not reached `ts`.
             if let Some(wake) = self.wakes.get_mut(&w.hpa) {
-                *wake = Nanos::ZERO;
+                if *wake != Nanos::ZERO {
+                    *wake = Nanos::ZERO;
+                    self.wake_gen += 1;
+                }
             }
         }
     }
@@ -1528,6 +1562,34 @@ mod tests {
         f.free_segment(seg.id()).expect("free");
         assert_eq!(f.wake_at(la), None);
         assert_eq!(f.wake_at(other.base()), Some(vis));
+    }
+
+    #[test]
+    fn generations_count_wake_and_layout_changes() {
+        let mut f = pod();
+        let gens = |f: &Fabric| (f.layout_generation(), f.wake_generation());
+        let seg = f
+            .alloc_shared(&[HostId(0), HostId(1)], 4096)
+            .expect("alloc");
+        assert_eq!(gens(&f), (0, 0), "allocation changes no generation");
+        let la = seg.base();
+        let vis = f
+            .nt_store(Nanos(0), HostId(0), la, &[9u8; 64])
+            .expect("store");
+        f.post_wake(la, vis);
+        assert_eq!(gens(&f), (0, 1));
+        // Only a settle that turns the wake loadable counts, once.
+        f.settle(vis - Nanos(1));
+        assert_eq!(gens(&f), (0, 1));
+        f.settle(vis);
+        assert_eq!(gens(&f), (0, 2));
+        f.clear_wake(la);
+        f.clear_wake(la);
+        assert_eq!(gens(&f), (0, 3), "clearing nothing changes nothing");
+        f.topology_mut().fail_mhd(MhdId(0));
+        assert_eq!(gens(&f), (1, 3));
+        f.free_segment(seg.id()).expect("free");
+        assert_eq!(gens(&f), (2, 4));
     }
 
     #[test]

@@ -6,7 +6,9 @@
 //! every notional poll executes for real: the busy-polling model the
 //! wake rule replaces. These tests pin the oracle to that model's
 //! published numbers, pin the default wake model's own seed-42 numbers
-//! exactly, and bound how far the wake model drifts from the oracle.
+//! exactly, bound how far the wake model drifts from the oracle, and
+//! check that the endpoints' cached poll plans follow pool failures,
+//! restores and channel rebuilds.
 
 use bench::workload::{
     base_spec, churn_pod_params, churn_workload, faulted_spec, pod_params, search_config,
@@ -335,4 +337,89 @@ fn rings_on_failed_pool_memory_neither_spin_nor_wake() {
     // every actor ends the span at the same instant.
     assert_eq!(clocks(&exact), clocks(&wake));
     assert!(clocks(&wake).iter().all(|&c| c == exact.time()));
+}
+
+/// Every actor's receive rings (slots and credit line), read with all
+/// in-flight writes settled, in actor and attach order.
+#[allow(clippy::disallowed_methods)] // reading pool contents is the check
+fn settled_rings(pod: &mut PodSim) -> Vec<Vec<u8>> {
+    let bases: Vec<u64> = pod
+        .agents
+        .iter()
+        .map(|a| &a.endpoint)
+        .chain([&pod.orch.endpoint])
+        .flat_map(|ep| ep.receive_rings())
+        .collect();
+    bases
+        .into_iter()
+        .map(|base| {
+            let len = pod.fabric.segment_at(base).expect("ring mapped").len();
+            let mut ring = vec![0; len as usize];
+            pod.fabric.peek_settled(base, &mut ring);
+            ring
+        })
+        .collect()
+}
+
+/// Polls every actor idle for a few passes, one actor at a time, each
+/// from its own start far from the others': exact polls then find idle
+/// pipes, so they cost exactly what skipped ones do, and both modes
+/// must land every actor on the same pass boundary. (Under
+/// `run_control`'s lockstep quanta, exact polls of several actors can
+/// queue on a shared MHD pipe for a few ns: the one model difference
+/// the wake rule documents.)
+fn isolated_passes(pod: &mut PodSim) {
+    const GAP: Nanos = Nanos::from_micros(20);
+    const WINDOW: Nanos = Nanos::from_micros(5);
+    let mut start = pod.time() + GAP;
+    for a in &mut pod.agents {
+        a.advance_clock(start);
+        a.pump(&mut pod.fabric, start + WINDOW);
+        start += GAP;
+    }
+    pod.orch.endpoint.advance_clock(start);
+    pod.orch.pump(&mut pod.fabric, start + WINDOW);
+}
+
+#[test]
+fn cached_poll_plans_follow_pool_failure_restore_and_rebuild() {
+    // Each step changes what an idle poll of some ring costs, or which
+    // rings there are, after every actor has cached its plan. A plan
+    // the step left stale would charge the old idle costs and put the
+    // wake-rule actors on other pass boundaries than the exact ones.
+    let mut exact = PodSim::new(params(7, true));
+    let mut wake = switched_to_wake(7);
+    for pod in [&mut exact, &mut wake] {
+        isolated_passes(pod);
+    }
+    assert_eq!(clocks(&exact), clocks(&wake), "before any step");
+
+    let ring = wake.agents[0]
+        .endpoint
+        .receive_rings()
+        .next()
+        .expect("host 0 has links");
+    let mhd = wake.fabric.segment_at(ring).expect("ring mapped").ways()[0];
+    type Step = fn(&mut PodSim, MhdId);
+    let steps: [(&str, Step); 3] = [
+        ("fail", |pod, mhd| pod.fabric.topology_mut().fail_mhd(mhd)),
+        ("restore", |pod, mhd| {
+            pod.fabric.topology_mut().restore_mhd(mhd)
+        }),
+        ("rebuild", |pod, mhd| {
+            assert!(pod.recover_pool_failure(mhd) > 0, "no ring rebuilt");
+        }),
+    ];
+    for (name, step) in steps {
+        for pod in [&mut exact, &mut wake] {
+            step(pod, mhd);
+            isolated_passes(pod);
+        }
+        assert_eq!(clocks(&exact), clocks(&wake), "after {name}");
+        assert_eq!(
+            settled_rings(&mut exact),
+            settled_rings(&mut wake),
+            "ring contents after {name}"
+        );
+    }
 }
