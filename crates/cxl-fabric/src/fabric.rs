@@ -1535,6 +1535,59 @@ mod tests {
         assert!(d2 > d1);
     }
     #[test]
+    fn same_instant_writes_to_one_line_settle_in_enqueue_order() {
+        // Idle-path completion of a 64 B and a 128 B write issued at 0:
+        // a 128 B write issued that much earlier than a 64 B one lands
+        // at the same instant (both pipes book it out of order).
+        let idle_done = |len: usize| {
+            let mut f = pod();
+            let seg = f.alloc_shared(&[HostId(0)], 4096).expect("alloc");
+            f.nt_store(Nanos(0), HostId(0), seg.base(), &vec![0u8; len])
+                .expect("store")
+        };
+        let lead = idle_done(128) - idle_done(64);
+        let mut f = pod();
+        let seg = f.alloc_shared(&[HostId(0)], 4096).expect("alloc");
+        let la = seg.base();
+        let first = f
+            .nt_store(Nanos(1_000), HostId(0), la, &[1u8; 64])
+            .expect("first");
+        let second = f
+            .nt_store(Nanos(1_000) - lead, HostId(0), la, &[2u8; 128])
+            .expect("second");
+        assert_eq!(first, second, "both writes become visible together");
+        f.settle(first - Nanos(1));
+        let mut buf = [0u8; 128];
+        f.peek(la, &mut buf);
+        assert_eq!(buf, [0u8; 128], "neither is visible early");
+        f.settle(first);
+        f.peek(la, &mut buf);
+        assert_eq!(buf, [2u8; 128], "the later-enqueued write lands last");
+    }
+
+    #[test]
+    fn short_write_after_a_longer_one_changes_only_its_own_bytes() {
+        let mut f = pod();
+        let seg = f.alloc_shared(&[HostId(0)], 4096).expect("alloc");
+        let long = f
+            .nt_store(Nanos(0), HostId(0), seg.base(), &[7u8; 128])
+            .expect("long");
+        f.settle(long);
+        let mut before = vec![0u8; 4096];
+        f.peek(seg.base(), &mut before);
+        let short = f
+            .nt_store(long, HostId(0), seg.base() + 256, &[9u8; 64])
+            .expect("short");
+        f.settle(short);
+        let mut after = vec![0u8; 4096];
+        f.peek(seg.base(), &mut after);
+        let changed: Vec<usize> = (0..4096).filter(|&i| before[i] != after[i]).collect();
+        assert_eq!(changed, (256..320).collect::<Vec<_>>());
+        assert!(after[256..320].iter().all(|&b| b == 9));
+        assert!(after[..128].iter().all(|&b| b == 7));
+    }
+
+    #[test]
     fn wake_table_tracks_settling_and_segment_frees() {
         let mut f = pod();
         let seg = f

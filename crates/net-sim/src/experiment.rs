@@ -490,6 +490,38 @@ mod tests {
         );
     }
 
+    /// Exact outputs of four 1 ms points: the local and pooled zero-copy
+    /// paths, the forwarded (remote NIC) path, and an overload whose
+    /// drops exercise the dropped-request path. A datapath refactor
+    /// must keep every field bit for bit.
+    #[test]
+    fn run_point_outputs_are_pinned() {
+        let remote = Some(RemoteNicCosts::default());
+        let cases = [
+            (64, 1_000_000.0, BufferMode::LocalDram, None),
+            (1500, 500_000.0, BufferMode::CxlPool, None),
+            (1024, 500_000.0, BufferMode::CxlPool, remote),
+            (64, 20_000_000.0, BufferMode::CxlPool, None),
+        ];
+        // (p50, p99, mean, drops, achieved_pps)
+        let pins = [
+            (4768, 4768, 4749.14681724846, 0, 974_000.0),
+            (5626, 5728, 5630.50826446281, 0, 484_000.0),
+            (7718, 8640, 7862.417355371901, 0, 484_000.0),
+            (37120, 37120, 36360.33235294118, 12331, 7_480_000.0),
+        ];
+        for ((payload, pps, mode, remote_nic), pin) in cases.into_iter().zip(pins) {
+            let mut cfg = UdpConfig::new(payload, pps, mode);
+            cfg.duration = Nanos::from_millis(1);
+            cfg.remote_nic = remote_nic;
+            let p = run_point(cfg);
+            let got = (p.p50, p.p99, p.mean, p.drops, p.achieved_pps);
+            assert_eq!(got, pin, "{payload} B at {pps} pps, {mode:?}");
+            assert_eq!(p.mean.to_bits(), pin.2.to_bits());
+            assert!(p.integrity_ok, "{payload} B at {pps} pps, {mode:?}");
+        }
+    }
+
     #[test]
     fn throughput_tracks_offered_load_before_saturation() {
         let lo = point(1500, 100_000.0, BufferMode::CxlPool);
