@@ -247,7 +247,7 @@ impl Agent {
                 if let Some(tr) = fabric.trace_mut() {
                     tr.instant(cpu, "dev/doorbell", t);
                 }
-                let frame = nic.transmit(fabric, t, BufRef::Pool(buf), len)?;
+                let frame = nic.transmit(fabric, t, BufRef::Pool(buf), len, Vec::new())?;
                 let done = frame.wire_exit;
                 self.out_frames.push((dev, frame));
                 if from == Origin::Local {

@@ -58,6 +58,9 @@ pub struct HostCache {
     fifo: VecDeque<(u64, u64)>,
     next_stamp: u64,
     capacity: usize,
+    /// Resident lines that are dirty, kept so the fabric can skip a
+    /// DMA's per-line dirty-overlay walk when there are none.
+    dirty: usize,
     stats: CacheStats,
 }
 
@@ -95,6 +98,7 @@ impl HostCache {
             fifo: VecDeque::new(),
             next_stamp: 0,
             capacity,
+            dirty: 0,
             stats: CacheStats::default(),
         }
     }
@@ -192,7 +196,10 @@ impl HostCache {
         };
         let line = self.lines.get_mut(&la).expect("just inserted");
         line.data[offset..offset + data.len()].copy_from_slice(data);
-        line.dirty = true;
+        if !line.dirty {
+            line.dirty = true;
+            self.dirty += 1;
+        }
         evicted
     }
 
@@ -207,6 +214,7 @@ impl HostCache {
                 // make_room skip it by stamp.
                 self.maybe_compact();
                 if line.dirty {
+                    self.dirty -= 1;
                     self.stats.writebacks += 1;
                     Some(line.data)
                 } else {
@@ -222,7 +230,8 @@ impl HostCache {
     /// real invalidate would).
     pub fn invalidate(&mut self, addr: u64) {
         let la = Self::line_addr(addr);
-        if self.lines.remove(&la).is_some() {
+        if let Some(line) = self.lines.remove(&la) {
+            self.dirty -= usize::from(line.dirty);
             self.maybe_compact();
             self.stats.invalidations += 1;
         }
@@ -246,6 +255,16 @@ impl HostCache {
         self.lines.len()
     }
 
+    /// Number of resident dirty lines. Debug builds recount them.
+    pub fn dirty_lines(&self) -> usize {
+        debug_assert_eq!(
+            self.dirty,
+            self.lines.values().filter(|l| l.dirty).count(),
+            "kept dirty count drifted"
+        );
+        self.dirty
+    }
+
     /// Snapshot of hit/miss/write-back counters.
     pub fn stats(&self) -> CacheStats {
         self.stats
@@ -262,6 +281,7 @@ impl HostCache {
             if self.lines.get(&victim).is_some_and(|l| l.stamp == stamp) {
                 let line = self.lines.remove(&victim).expect("stamp-checked above");
                 if line.dirty {
+                    self.dirty -= 1;
                     self.stats.writebacks += 1;
                     return Some(Eviction {
                         addr: victim,
@@ -307,6 +327,31 @@ mod tests {
         assert_eq!(&flushed[..3], &[1, 2, 3]);
         assert!(!c.contains(0x40));
         assert_eq!(c.stats().writebacks, 1);
+    }
+
+    #[test]
+    fn dirty_count_follows_every_transition() {
+        let mut c = HostCache::new(2);
+        assert_eq!(c.dirty_lines(), 0);
+        c.store(0x0, &[1u8; 4]);
+        c.store(0x8, &[2u8; 4]); // same line, already dirty
+        assert_eq!(c.dirty_lines(), 1);
+        c.fill(0x0, [0u8; L]); // fill over a dirty line is a no-op
+        assert_eq!(c.dirty_lines(), 1);
+        c.fill(0x40, [0u8; L]);
+        c.store(0x40, &[3u8; 4]);
+        assert_eq!(c.dirty_lines(), 2);
+        assert!(c.flush(0x40).is_some());
+        assert_eq!(c.dirty_lines(), 1);
+        c.store(0x40, &[4u8; 4]);
+        c.invalidate(0x40);
+        assert_eq!(c.dirty_lines(), 1);
+        c.fill(0x80, [0u8; L]);
+        // A third line evicts dirty 0x0.
+        let ev = c.fill(0xC0, [0u8; L]).expect("eviction");
+        assert_eq!((ev.addr, ev.writeback.is_some()), (0x0, true));
+        assert_eq!(c.dirty_lines(), 0);
+        assert_eq!(c.resident(), 2);
     }
 
     #[test]

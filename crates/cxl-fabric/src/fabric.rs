@@ -9,7 +9,9 @@
 //! cached stores are not visible at all until flushed or evicted — the
 //! two hazards software coherence must handle on real non-coherent pools.
 
-use std::collections::BTreeMap;
+use std::cmp::Reverse;
+use std::collections::binary_heap::PeekMut;
+use std::collections::{BTreeMap, BinaryHeap};
 
 use simkit::server::{BandwidthPipe, OrderStats};
 use simkit::trace::{TraceConfig, TraceRecorder, Track};
@@ -113,9 +115,53 @@ pub struct AccessStats {
     pub bytes_written: u64,
 }
 
+/// A pool write in flight until `visible_at`. The derived order
+/// compares `(visible_at, seq)` first, and `seq` (the enqueue order) is
+/// unique, so writes visible at one instant settle in the order they
+/// were issued and `hpa` and `data` never decide.
+#[derive(PartialEq, Eq, PartialOrd, Ord)]
 struct PendingWrite {
+    visible_at: Nanos,
+    seq: u64,
     hpa: u64,
     data: Vec<u8>,
+}
+
+/// Byte buffers of in-flight writes, recycled: a settled write's
+/// buffer carries a later write, so enqueueing one does not allocate.
+/// The spare list holds at most the peak in-flight bytes; a buffer
+/// that would push it past that is freed instead.
+#[derive(Default)]
+struct WriteBufs {
+    spare: Vec<Vec<u8>>,
+    /// Capacity held by `spare`.
+    spare_bytes: usize,
+    /// Data bytes of the writes in flight.
+    in_flight: usize,
+    /// Peak of `in_flight`.
+    peak: usize,
+}
+
+impl WriteBufs {
+    /// A buffer holding a copy of `data`, counted in flight.
+    fn take(&mut self, data: &[u8]) -> Vec<u8> {
+        let mut buf = self.spare.pop().unwrap_or_default();
+        self.spare_bytes -= buf.capacity();
+        buf.clear();
+        buf.extend_from_slice(data);
+        self.in_flight += data.len();
+        self.peak = self.peak.max(self.in_flight);
+        buf
+    }
+
+    /// Takes back a settled write's buffer.
+    fn give(&mut self, buf: Vec<u8>) {
+        self.in_flight -= buf.len();
+        if self.spare_bytes + buf.capacity() <= self.peak {
+            self.spare_bytes += buf.capacity();
+            self.spare.push(buf);
+        }
+    }
 }
 
 /// A CXL pod: topology + timing + contents + per-host caches.
@@ -124,8 +170,10 @@ pub struct Fabric {
     params: FabricParams,
     alloc: PoolAllocator,
     pool: SparseMem,
-    pending: BTreeMap<(Nanos, u64), PendingWrite>,
+    /// In-flight writes, earliest `(visible_at, seq)` on top.
+    pending: BinaryHeap<Reverse<PendingWrite>>,
     pending_seq: u64,
+    write_bufs: WriteBufs,
     caches: Vec<HostCache>,
     local_mem: Vec<SparseMem>,
     local_pipes: Vec<BandwidthPipe>,
@@ -211,8 +259,9 @@ impl Fabric {
                 .map(|_| BandwidthPipe::new(config.params.mhd_dram_gbps))
                 .collect(),
             pool: SparseMem::new(),
-            pending: BTreeMap::new(),
+            pending: BinaryHeap::new(),
             pending_seq: 0,
+            write_bufs: WriteBufs::default(),
             default_ways: config.default_ways.max(1),
             params: config.params,
             topology,
@@ -535,7 +584,14 @@ impl Fabric {
             self.wake_gen += 1;
             // Every pending write lies inside one segment (accesses are
             // bounds-checked), so its start address places it.
-            self.pending.retain(|_, w| w.hpa < base || w.hpa >= end);
+            let bufs = &mut self.write_bufs;
+            self.pending.retain(|Reverse(w)| {
+                let keep = w.hpa < base || w.hpa >= end;
+                if !keep {
+                    bufs.in_flight -= w.data.len();
+                }
+                keep
+            });
             self.pool.clear_range(base, end - base);
             if let Some(a) = self.audit.as_deref_mut() {
                 a.on_segment_free(base, end);
@@ -744,16 +800,14 @@ impl Fabric {
         self.stats.nt_stores += 1;
         self.stats.bytes_written += len;
 
-        for la in lines(hpa, len) {
-            self.caches[host.0 as usize].invalidate(la);
-        }
+        self.invalidate_lines(host, hpa, len);
         let done = self.timed_pool_write(now, host, hpa, len)?;
         if let Some(a) = self.audit.as_deref_mut() {
             a.on_nt_store(now, host, hpa, len, done);
         }
         self.sync_trace_audit();
         self.trace_fabric_op(Track::HostCpu(host.0), "fabric/nt_store", now, done);
-        self.enqueue_write(done, hpa, data.to_vec());
+        self.enqueue_write(done, hpa, data);
         Ok(done)
     }
 
@@ -796,7 +850,7 @@ impl Fabric {
         self.sync_trace_audit();
         self.trace_fabric_op(Track::HostCpu(host.0), "fabric/flush", now, done);
         for (la, data) in dirty {
-            self.enqueue_write(done, la, data.to_vec());
+            self.enqueue_write(done, la, &data);
         }
         Ok(done)
     }
@@ -805,9 +859,7 @@ impl Fabric {
     /// back, so the next load refetches from the pool. This is how a
     /// reader guarantees freshness on non-coherent hardware.
     pub fn invalidate(&mut self, now: Nanos, host: HostId, hpa: u64, len: u64) -> Nanos {
-        for la in lines(hpa, len) {
-            self.caches[host.0 as usize].invalidate(la);
-        }
+        self.invalidate_lines(host, hpa, len);
         if let Some(a) = self.audit.as_deref_mut() {
             a.on_invalidate(now, host, hpa, len);
         }
@@ -940,11 +992,14 @@ impl Fabric {
         }
 
         self.pool.read(hpa, buf);
-        // Overlay the attach host's dirty lines.
-        for la in lines(hpa, len) {
-            if self.caches[host.0 as usize].is_dirty(la) {
-                if let LoadOutcome::Hit(line) = self.caches[host.0 as usize].load(la) {
-                    copy_line_to_buf(la, &line, hpa, buf);
+        // Overlay the attach host's dirty lines, if it has any.
+        let cache = &mut self.caches[host.0 as usize];
+        if cache.dirty_lines() > 0 {
+            for la in lines(hpa, len) {
+                if cache.is_dirty(la) {
+                    if let LoadOutcome::Hit(line) = cache.load(la) {
+                        copy_line_to_buf(la, &line, hpa, buf);
+                    }
                 }
             }
         }
@@ -971,16 +1026,14 @@ impl Fabric {
         self.stats.dma_writes += 1;
         self.stats.bytes_written += len;
 
-        for la in lines(hpa, len) {
-            self.caches[host.0 as usize].invalidate(la);
-        }
+        self.invalidate_lines(host, hpa, len);
         let done = self.timed_pool_write_dev(now, host, hpa, len)?;
         if let Some(a) = self.audit.as_deref_mut() {
             a.on_dma_write(now, host, hpa, len, done);
         }
         self.sync_trace_audit();
         self.trace_fabric_op(Track::Dma(host.0), "fabric/dma_write", now, done);
-        self.enqueue_write(done, hpa, data.to_vec());
+        self.enqueue_write(done, hpa, data);
         Ok(done)
     }
 
@@ -1077,28 +1130,46 @@ impl Fabric {
         if let Some(a) = self.audit.as_deref_mut() {
             a.advance(now);
         }
-        while let Some((&(ts, seq), _)) = self.pending.first_key_value() {
-            if ts > now {
+        while let Some(top) = self.pending.peek_mut() {
+            if top.0.visible_at > now {
                 break;
             }
-            let w = self.pending.remove(&(ts, seq)).expect("key just seen");
+            let Reverse(w) = PeekMut::pop(top);
             self.pool.write(w.hpa, &w.data);
             // A ring message settled into pool memory is loadable from
-            // now on, even by an actor whose clock has not reached `ts`.
+            // now on, even by an actor whose clock has not reached
+            // `visible_at`.
             if let Some(wake) = self.wakes.get_mut(&w.hpa) {
                 if *wake != Nanos::ZERO {
                     *wake = Nanos::ZERO;
                     self.wake_gen += 1;
                 }
             }
+            self.write_bufs.give(w.data);
         }
     }
 
-    fn enqueue_write(&mut self, visible_at: Nanos, hpa: u64, data: Vec<u8>) {
+    fn enqueue_write(&mut self, visible_at: Nanos, hpa: u64, data: &[u8]) {
         let seq = self.pending_seq;
         self.pending_seq += 1;
-        self.pending
-            .insert((visible_at, seq), PendingWrite { hpa, data });
+        let data = self.write_bufs.take(data);
+        self.pending.push(Reverse(PendingWrite {
+            visible_at,
+            seq,
+            hpa,
+            data,
+        }));
+    }
+
+    /// Drops `[hpa, hpa + len)` from `host`'s cache. An empty cache is
+    /// skipped whole: each line would be a lookup that finds nothing.
+    fn invalidate_lines(&mut self, host: HostId, hpa: u64, len: u64) {
+        let cache = &mut self.caches[host.0 as usize];
+        if cache.resident() > 0 {
+            for la in lines(hpa, len) {
+                cache.invalidate(la);
+            }
+        }
     }
 
     /// Picks the least-backlogged up link from `host` to `mhd`.

@@ -6,8 +6,6 @@
 //! overlays the two placements; the paper's claim is that the curves
 //! coincide (≤ ~5 % gap) all the way to NIC saturation.
 
-use std::collections::HashMap;
-
 use cxl_fabric::{Fabric, HostId, PodConfig};
 use pcie_sim::{BufRef, DeviceId, Nic, NicConfig};
 use serde::Serialize;
@@ -15,7 +13,7 @@ use simkit::rng::Rng;
 use simkit::stats::Histogram;
 use simkit::{run, Nanos, Scheduler, World};
 
-use crate::loadgen::{next_gap, pattern, Client, HEADERS};
+use crate::loadgen::{fill_pattern, next_gap, pattern_matches, Client, HEADERS};
 use crate::stack::{BufferPool, EchoStack, StackParams};
 use crate::wire::{Wire, WireParams};
 
@@ -126,23 +124,24 @@ pub struct UdpPoint {
     pub integrity_ok: bool,
 }
 
+/// A request in flight: its id (which fixes its payload pattern),
+/// when the client sent it, and its frame buffer. The buffer carries
+/// the request to the server NIC, takes the response from the NIC's TX
+/// DMA, and returns to the client's free list when the request ends.
+struct Req {
+    id: u64,
+    sent: Nanos,
+    bytes: Vec<u8>,
+}
+
 enum Ev {
     /// Client issues the next request.
     Send,
-    /// Request frame arrives at the server NIC.
-    Arrive {
-        /// Request id.
-        id: u64,
-        /// Frame bytes (headers zeroed, payload patterned).
-        bytes: Vec<u8>,
-    },
-    /// Response frame arrives back at the client.
-    Return {
-        /// Request id.
-        id: u64,
-        /// Echoed frame bytes.
-        bytes: Vec<u8>,
-    },
+    /// Request frame arrives at the server NIC (headers zeroed,
+    /// payload patterned).
+    Arrive(Req),
+    /// Response frame arrives back at the client (echoed bytes).
+    Return(Req),
     /// The stack finished with an RX buffer; return it to the NIC ring.
     Repost {
         /// Buffer to recycle.
@@ -151,8 +150,8 @@ enum Ev {
     /// Remote-NIC path: the RX completion (RxDone) reaches the attach
     /// agent for forwarding to the owner.
     AgentRx {
-        /// Request id.
-        id: u64,
+        /// The request.
+        req: Req,
         /// Filled RX buffer.
         buf: BufRef,
         /// Frame length.
@@ -161,8 +160,8 @@ enum Ev {
     /// Remote-NIC path: the owner's TX submission reaches the attach
     /// agent.
     AgentTx {
-        /// Request id.
-        id: u64,
+        /// The request.
+        req: Req,
         /// TX buffer (pool).
         buf: BufRef,
         /// Frame length.
@@ -182,7 +181,8 @@ struct EchoWorld {
     client: Client,
     rng: Rng,
     buf_size: u64,
-    inflight: HashMap<u64, Nanos>,
+    /// Frame buffers of finished requests, reused by later sends.
+    free_frames: Vec<Vec<u8>>,
     rtt: Histogram,
     next_id: u64,
     drops: u64,
@@ -222,7 +222,7 @@ impl EchoWorld {
             wire_rev: Wire::new(cfg.wire),
             rng: Rng::new(cfg.seed),
             buf_size,
-            inflight: HashMap::new(),
+            free_frames: Vec::new(),
             rtt: Histogram::new(),
             next_id: 0,
             drops: 0,
@@ -242,6 +242,21 @@ impl EchoWorld {
     fn frame_len(&self) -> u64 {
         self.cfg.payload as u64 + HEADERS as u64
     }
+
+    /// The NIC transmits the response from `tx_buf` at `at` into the
+    /// request's frame buffer.
+    fn transmit(&mut self, at: Nanos, tx_buf: BufRef, len: u32, req: Req) -> (Nanos, Req) {
+        let frame = self
+            .nic
+            .transmit(&mut self.fabric, at, tx_buf, len, req.bytes)
+            .expect("response tx");
+        let back = self.wire_rev.carry(frame.wire_exit, len as u64);
+        let req = Req {
+            bytes: frame.bytes,
+            ..req
+        };
+        (back, req)
+    }
 }
 
 impl World for EchoWorld {
@@ -252,19 +267,26 @@ impl World for EchoWorld {
             Ev::Send => {
                 let id = self.next_id;
                 self.next_id += 1;
-                self.inflight.insert(id, now);
-                let mut bytes = vec![0u8; self.frame_len() as usize];
-                bytes[HEADERS as usize..].copy_from_slice(&pattern(id, self.cfg.payload as usize));
+                let mut bytes = self.free_frames.pop().unwrap_or_default();
+                bytes.resize(self.frame_len() as usize, 0);
+                let (headers, payload) = bytes.split_at_mut(HEADERS as usize);
+                headers.fill(0);
+                fill_pattern(id, payload);
                 let on_wire = self.client.send(now, self.frame_len());
                 let arrive = self.wire_fwd.carry(on_wire, self.frame_len());
-                sched.schedule(arrive, Ev::Arrive { id, bytes });
+                let req = Req {
+                    id,
+                    sent: now,
+                    bytes,
+                };
+                sched.schedule(arrive, Ev::Arrive(req));
                 if now < self.cfg.duration {
                     let gap = next_gap(&mut self.rng, self.cfg.offered_pps);
                     sched.schedule(now + gap, Ev::Send);
                 }
             }
-            Ev::Arrive { id, bytes } => {
-                match self.nic.receive(&mut self.fabric, now, &bytes) {
+            Ev::Arrive(req) => {
+                match self.nic.receive(&mut self.fabric, now, &req.bytes) {
                     Ok(Some(c)) => {
                         if self.cfg.remote_nic.is_some() {
                             // Figure 1 path: the completion must reach
@@ -272,7 +294,7 @@ impl World for EchoWorld {
                             sched.schedule(
                                 c.done.max(now),
                                 Ev::AgentRx {
-                                    id,
+                                    req,
                                     buf: c.buf,
                                     len: c.len,
                                 },
@@ -285,51 +307,38 @@ impl World for EchoWorld {
                             // The RX buffer is busy until the stack is
                             // done with it; recycle it then, not now.
                             sched.schedule(ready.max(now), Ev::Repost { buf: c.buf });
-                            let frame = self
-                                .nic
-                                .transmit(&mut self.fabric, ready, tx_buf, len)
-                                .expect("response tx");
-                            let back = self.wire_rev.carry(frame.wire_exit, len as u64);
-                            sched.schedule(
-                                back,
-                                Ev::Return {
-                                    id,
-                                    bytes: frame.bytes,
-                                },
-                            );
+                            let (back, req) = self.transmit(ready, tx_buf, len, req);
+                            sched.schedule(back, Ev::Return(req));
                         }
                     }
                     Ok(None) => {
                         self.drops += 1;
-                        self.inflight.remove(&id);
+                        self.free_frames.push(req.bytes);
                     }
                     Err(e) => panic!("server NIC failed mid-run: {e}"),
                 }
             }
-            Ev::Return { id, bytes } => {
-                let sent = self
-                    .inflight
-                    .remove(&id)
-                    .expect("response matches a request");
+            Ev::Return(req) => {
                 // Only responses inside the measurement window count;
                 // the post-window drain would otherwise inflate
                 // saturation throughput.
                 if now <= self.cfg.duration {
-                    let rtt = (now - sent) + self.client.rx_overhead;
+                    let rtt = (now - req.sent) + self.client.rx_overhead;
                     self.rtt.record(rtt.as_nanos());
                     self.returned += 1;
                 }
-                // Integrity: the echoed frame must start with the
-                // request's payload pattern.
-                let expect = pattern(id, self.cfg.payload as usize);
-                if bytes[HEADERS as usize..HEADERS as usize + expect.len()] != expect[..] {
+                // Integrity: the echoed frame must carry the request's
+                // payload pattern after the headers.
+                let payload = &req.bytes[HEADERS as usize..][..self.cfg.payload as usize];
+                if !pattern_matches(req.id, payload) {
                     self.corrupt += 1;
                 }
+                self.free_frames.push(req.bytes);
             }
             Ev::Repost { buf } => {
                 let _ = self.nic.post_rx(buf, self.buf_size as u32);
             }
-            Ev::AgentRx { id, buf, len } => {
+            Ev::AgentRx { req, buf, len } => {
                 let costs = self.cfg.remote_nic.expect("remote path");
                 // The attach agent relays the completion; the owner
                 // sees it one channel hop later.
@@ -344,7 +353,7 @@ impl World for EchoWorld {
                 sched.schedule(
                     (ready + costs.forward_latency).max(now),
                     Ev::AgentTx {
-                        id,
+                        req,
                         buf: tx_buf,
                         len,
                         rx_buf: buf,
@@ -352,26 +361,16 @@ impl World for EchoWorld {
                 );
             }
             Ev::AgentTx {
-                id,
+                req,
                 buf,
                 len,
                 rx_buf,
             } => {
                 let costs = self.cfg.remote_nic.expect("remote path");
                 let submit_at = self.forward_agent.serve(now, costs.agent_occupancy);
-                let frame = self
-                    .nic
-                    .transmit(&mut self.fabric, submit_at, buf, len)
-                    .expect("response tx");
+                let (back, req) = self.transmit(submit_at, buf, len, req);
                 let _ = self.nic.post_rx(rx_buf, self.buf_size as u32);
-                let back = self.wire_rev.carry(frame.wire_exit, len as u64);
-                sched.schedule(
-                    back.max(now),
-                    Ev::Return {
-                        id,
-                        bytes: frame.bytes,
-                    },
-                );
+                sched.schedule(back.max(now), Ev::Return(req));
             }
         }
     }

@@ -46,10 +46,26 @@ pub fn next_gap(rng: &mut Rng, rate_pps: f64) -> Nanos {
     Nanos(rng.exp(mean_ns).max(1.0) as u64)
 }
 
-/// Deterministic request payload: byte `i` of request `id` is
-/// `id + i` (wrapping), so the client can verify echoes byte-for-byte.
-pub fn pattern(id: u64, len: usize) -> Vec<u8> {
-    (0..len).map(|i| (id as u8).wrapping_add(i as u8)).collect()
+/// Writes request `id`'s deterministic payload into `payload`: byte
+/// `i` is `id + i` (wrapping), so the client can verify echoes
+/// byte-for-byte with [`pattern_matches`].
+pub fn fill_pattern(id: u64, payload: &mut [u8]) {
+    let seed = id as u8;
+    for (i, b) in payload.iter_mut().enumerate() {
+        *b = seed.wrapping_add(i as u8);
+    }
+}
+
+/// True if `payload` is exactly what [`fill_pattern`] writes for
+/// request `id`. Every byte is compared, with no early exit, so the
+/// loop vectorises.
+pub fn pattern_matches(id: u64, payload: &[u8]) -> bool {
+    let seed = id as u8;
+    let diff = payload
+        .iter()
+        .enumerate()
+        .fold(0u8, |diff, (i, &b)| diff | (b ^ seed.wrapping_add(i as u8)));
+    diff == 0
 }
 
 #[cfg(test)]
@@ -67,11 +83,38 @@ mod tests {
         assert!((mean - 1_000.0).abs() < 20.0, "mean gap {mean} ns");
     }
 
+    fn pattern(id: u64, len: usize) -> Vec<u8> {
+        let mut payload = vec![0u8; len];
+        fill_pattern(id, &mut payload);
+        payload
+    }
+
     #[test]
     fn pattern_is_deterministic_and_id_dependent() {
         assert_eq!(pattern(3, 4), vec![3, 4, 5, 6]);
         assert_ne!(pattern(1, 8), pattern(2, 8));
         assert_eq!(pattern(7, 8), pattern(7, 8));
+        // A fill overwrites whatever the buffer held.
+        let mut reused = vec![0xFFu8; 4];
+        fill_pattern(3, &mut reused);
+        assert_eq!(reused, vec![3, 4, 5, 6]);
+    }
+
+    #[test]
+    fn pattern_check_accepts_the_pattern_and_rejects_any_flipped_byte() {
+        for len in [64, 4096] {
+            let id = 0x1234_5678_9ABC;
+            let good = pattern(id, len);
+            assert!(pattern_matches(id, &good));
+            assert!(!pattern_matches(id + 1, &good), "{len} B: wrong id");
+            for at in [0, len / 2, len - 1] {
+                for bit in [0x01, 0x80] {
+                    let mut bad = good.clone();
+                    bad[at] ^= bit;
+                    assert!(!pattern_matches(id, &bad), "{len} B: byte {at} ^ {bit:#x}");
+                }
+            }
+        }
     }
 
     #[test]

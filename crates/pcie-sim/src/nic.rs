@@ -173,28 +173,23 @@ impl Nic {
     }
 
     /// Processes one TX descriptor at `now`: DMA-reads `len` bytes from
-    /// `buf`, pushes the frame through the NIC pipeline and serializes
-    /// it at line rate. Returns the frame with its wire-exit time.
+    /// `buf` into `frame` (resized to `len`; its old contents are
+    /// overwritten), pushes the frame through the NIC pipeline and
+    /// serializes it at line rate. Returns the frame, whose `bytes` is
+    /// `frame`, with its wire-exit time. Passing back a buffer from an
+    /// earlier frame keeps a transmit loop allocation-free.
     pub fn transmit(
         &mut self,
         fabric: &mut Fabric,
         now: Nanos,
         buf: BufRef,
         len: u32,
+        frame: Vec<u8>,
     ) -> Result<TxFrame, DeviceError> {
         if !self.up {
             return Err(DeviceError::Failed(self.id));
         }
-        let mut bytes = vec![0u8; len as usize];
-        let fetched = self.dma.read(fabric, now, buf, &mut bytes)?;
-        let staged = fetched + self.config.pipeline;
-        let wire_exit = self.tx_line.transfer(staged, len as u64);
-        self.stats.tx_frames += 1;
-        self.stats.tx_bytes += len as u64;
-        if let Some(tr) = fabric.trace_mut() {
-            tr.span(Track::Dma(self.dma.host().0), "dev/nic_tx", now, wire_exit);
-        }
-        Ok(TxFrame { bytes, wire_exit })
+        self.send(fabric, now, now, buf, len, frame)
     }
 
     /// Descriptor-accurate transmit: DMA-fetches the next descriptor
@@ -216,8 +211,24 @@ impl Nic {
         let Some((payload, len, fetched_desc)) = ring.fetch(fabric, now, &mut self.dma)? else {
             return Ok(None);
         };
-        let mut bytes = vec![0u8; len as usize];
-        let fetched = self.dma.read(fabric, fetched_desc, payload, &mut bytes)?;
+        self.send(fabric, now, fetched_desc, payload, len, Vec::new())
+            .map(Some)
+    }
+
+    /// The TX body shared by both transmit paths: DMA-reads the payload
+    /// from `fetch_at` on into `bytes`, then stages and serializes it.
+    /// The trace span covers the whole descriptor, from `now`.
+    fn send(
+        &mut self,
+        fabric: &mut Fabric,
+        now: Nanos,
+        fetch_at: Nanos,
+        buf: BufRef,
+        len: u32,
+        mut bytes: Vec<u8>,
+    ) -> Result<TxFrame, DeviceError> {
+        bytes.resize(len as usize, 0);
+        let fetched = self.dma.read(fabric, fetch_at, buf, &mut bytes)?;
         let staged = fetched + self.config.pipeline;
         let wire_exit = self.tx_line.transfer(staged, len as u64);
         self.stats.tx_frames += 1;
@@ -225,7 +236,7 @@ impl Nic {
         if let Some(tr) = fabric.trace_mut() {
             tr.span(Track::Dma(self.dma.host().0), "dev/nic_tx", now, wire_exit);
         }
-        Ok(Some(TxFrame { bytes, wire_exit }))
+        Ok(TxFrame { bytes, wire_exit })
     }
 
     /// Accepts a frame arriving from the wire at `now`: deserializes at
@@ -288,10 +299,25 @@ mod tests {
             .nt_store(Nanos(0), HostId(1), base, &payload)
             .expect("store");
         let frame = nic
-            .transmit(&mut f, t, BufRef::Pool(base), 1500)
+            .transmit(&mut f, t, BufRef::Pool(base), 1500, Vec::new())
             .expect("tx");
         assert_eq!(frame.bytes, payload, "NIC must read remote host's data");
         assert!(frame.wire_exit > t);
+    }
+
+    #[test]
+    fn tx_overwrites_a_reused_frame_buffer() {
+        let (mut f, mut nic, base) = setup();
+        let payload: Vec<u8> = (0..256).map(|i| i as u8).collect();
+        let t = f
+            .nt_store(Nanos(0), HostId(1), base, &payload)
+            .expect("store");
+        // A longer buffer left over from an earlier frame.
+        let stale = vec![0xEEu8; 4096];
+        let frame = nic
+            .transmit(&mut f, t, BufRef::Pool(base), 256, stale)
+            .expect("tx");
+        assert_eq!(frame.bytes, payload);
     }
 
     #[test]
@@ -304,7 +330,7 @@ mod tests {
         let n = 1000;
         for _ in 0..n {
             let fr = nic
-                .transmit(&mut f, Nanos(0), BufRef::Pool(base), 1500)
+                .transmit(&mut f, Nanos(0), BufRef::Pool(base), 1500, Vec::new())
                 .expect("tx");
             last = fr.wire_exit;
         }
@@ -352,14 +378,14 @@ mod tests {
         nic.fail();
         assert!(!nic.is_up());
         let err = nic
-            .transmit(&mut f, Nanos(0), BufRef::Pool(base), 64)
+            .transmit(&mut f, Nanos(0), BufRef::Pool(base), 64, Vec::new())
             .unwrap_err();
         assert!(matches!(err, DeviceError::Failed(_)));
         nic.restore();
         f.nt_store(Nanos(0), HostId(0), base, &[0u8; 64])
             .expect("store");
         assert!(nic
-            .transmit(&mut f, Nanos(1000), BufRef::Pool(base), 64)
+            .transmit(&mut f, Nanos(1000), BufRef::Pool(base), 64, Vec::new())
             .is_ok());
     }
 
@@ -446,7 +472,7 @@ mod tests {
         let payload = vec![9u8; 256];
         f.local_store(Nanos(0), HostId(0), 0x5000, &payload);
         let frame = nic
-            .transmit(&mut f, Nanos(100), BufRef::Local(0x5000), 256)
+            .transmit(&mut f, Nanos(100), BufRef::Local(0x5000), 256, Vec::new())
             .expect("tx");
         assert_eq!(frame.bytes, payload);
     }
