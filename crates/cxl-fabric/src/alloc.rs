@@ -5,6 +5,13 @@
 //! interleaving at 256 B granularity. A segment is either private to one
 //! host or shared by an explicit host group (the shared segments are
 //! what the PCIe-pooling datapath lives in).
+//!
+//! Ordering invariant: segment ids and base addresses are both handed
+//! out in increasing order and never reused (a freed range stays a
+//! hole), so the live segments, kept in allocation order, are sorted
+//! by id *and* by base at once. Address resolution and id lookup are
+//! each one binary search over that one list, and
+//! [`PoolAllocator::segments`] walks it in id order.
 
 use std::collections::BTreeMap;
 
@@ -147,12 +154,9 @@ pub struct PoolAllocator {
     /// Free bytes per MHD, indexed by MhdId.
     free: Vec<u64>,
     capacity_per_mhd: u64,
-    /// Live segments, ordered by id: [`PoolAllocator::segments`]
-    /// exposes an iterator, and a `HashMap` here would hand callers a
-    /// nondeterministic walk (simlint `hash-iter`).
-    segments: BTreeMap<SegmentId, Segment>,
-    /// base -> id, for address resolution.
-    by_base: BTreeMap<u64, SegmentId>,
+    /// Live segments in allocation order, which is ascending id and
+    /// ascending base (see the module docs).
+    segments: Vec<Segment>,
 }
 
 impl PoolAllocator {
@@ -166,8 +170,7 @@ impl PoolAllocator {
             next_hpa: 1 << 20,
             free: vec![capacity_per_mhd; mhds as usize],
             capacity_per_mhd,
-            segments: BTreeMap::new(),
-            by_base: BTreeMap::new(),
+            segments: Vec::new(),
         }
     }
 
@@ -296,18 +299,22 @@ impl PoolAllocator {
             ways,
             owners: owners.to_vec(),
         };
-        self.segments.insert(id, seg.clone());
-        self.by_base.insert(base, id);
+        debug_assert!(
+            self.segments
+                .last()
+                .is_none_or(|last| last.id < id && last.end() <= base),
+            "segments must stay sorted by id and base"
+        );
+        self.segments.push(seg.clone());
         Ok(seg)
     }
 
     /// Releases a segment, returning its capacity to its MHDs.
     pub fn free(&mut self, id: SegmentId) -> Result<(), FabricError> {
-        let seg = self
-            .segments
-            .remove(&id)
+        let i = self
+            .index_of(id)
             .ok_or_else(|| FabricError::UnknownEntity(format!("segment {id:?}")))?;
-        self.by_base.remove(&seg.base);
+        let seg = self.segments.remove(i);
         let per_way = seg.len.div_ceil(seg.ways.len() as u64);
         for m in &seg.ways {
             self.free[m.0 as usize] =
@@ -316,24 +323,24 @@ impl PoolAllocator {
         Ok(())
     }
 
+    /// Position of live segment `id` in `segments`.
+    fn index_of(&self, id: SegmentId) -> Option<usize> {
+        self.segments.binary_search_by_key(&id, |s| s.id).ok()
+    }
+
     /// Resolves a pool address to its segment.
     pub fn segment_at(&self, hpa: u64) -> Result<&Segment, FabricError> {
-        let (_, &id) = self
-            .by_base
-            .range(..=hpa)
-            .next_back()
-            .ok_or(FabricError::Unmapped { hpa })?;
-        let seg = &self.segments[&id];
-        if hpa < seg.end() {
-            Ok(seg)
-        } else {
-            Err(FabricError::Unmapped { hpa })
+        // The last segment whose base is at or below `hpa`.
+        let above = self.segments.partition_point(|s| s.base <= hpa);
+        match above.checked_sub(1).map(|i| &self.segments[i]) {
+            Some(seg) if hpa < seg.end() => Ok(seg),
+            _ => Err(FabricError::Unmapped { hpa }),
         }
     }
 
     /// Looks up a segment by id.
     pub fn segment(&self, id: SegmentId) -> Option<&Segment> {
-        self.segments.get(&id)
+        self.index_of(id).map(|i| &self.segments[i])
     }
 
     /// Total free bytes across the pool.
@@ -351,9 +358,9 @@ impl PoolAllocator {
         self.capacity_per_mhd
     }
 
-    /// Iterates over live segments.
+    /// Iterates over live segments in id order.
     pub fn segments(&self) -> impl Iterator<Item = &Segment> {
-        self.segments.values()
+        self.segments.iter()
     }
 }
 
@@ -562,5 +569,56 @@ mod tests {
             let seg = a.alloc(&t, &[HostId(0)], len, 2).expect("alloc");
             assert_eq!(seg.base() % INTERLEAVE_GRANULE, 0);
         }
+    }
+
+    #[test]
+    fn segment_at_resolves_first_and_last_byte() {
+        let t = topo();
+        let mut a = alloc4();
+        let before = a.alloc(&t, &[HostId(0)], 300, 1).expect("alloc");
+        let seg = a.alloc(&t, &[HostId(0)], 1000, 2).expect("alloc");
+        let after = a.alloc(&t, &[HostId(0)], 300, 1).expect("alloc");
+        for hpa in [seg.base(), seg.end() - 1] {
+            assert_eq!(a.segment_at(hpa).expect("mapped").id(), seg.id());
+        }
+        assert_eq!(
+            a.segment_at(before.end() - 1).expect("mapped").id(),
+            before.id()
+        );
+        assert_eq!(a.segment_at(after.base()).expect("mapped").id(), after.id());
+    }
+
+    #[test]
+    fn freed_gap_and_outer_addresses_are_unmapped() {
+        let t = topo();
+        let mut a = alloc4();
+        let first = a.alloc(&t, &[HostId(0)], 512, 1).expect("alloc");
+        let mid = a.alloc(&t, &[HostId(0)], 512, 1).expect("alloc");
+        let last = a.alloc(&t, &[HostId(0)], 512, 1).expect("alloc");
+        a.free(mid.id()).expect("free");
+        for hpa in [first.base() - 1, mid.base(), mid.end() - 1, last.end()] {
+            assert!(
+                matches!(a.segment_at(hpa), Err(FabricError::Unmapped { hpa: h }) if h == hpa),
+                "{hpa:#x} should be unmapped"
+            );
+        }
+        assert!(a.segment(mid.id()).is_none());
+        assert_eq!(a.segment(last.id()).map(Segment::base), Some(last.base()));
+    }
+
+    #[test]
+    fn segments_iterate_in_id_order_after_frees_and_reallocs() {
+        let t = topo();
+        let mut a = alloc4();
+        let ids: Vec<SegmentId> = (0..5)
+            .map(|_| a.alloc(&t, &[HostId(0)], 256, 1).expect("alloc").id())
+            .collect();
+        a.free(ids[3]).expect("free");
+        a.free(ids[0]).expect("free");
+        let again = a.alloc(&t, &[HostId(0)], 256, 1).expect("alloc").id();
+        a.free(ids[2]).expect("free");
+        let listed: Vec<SegmentId> = a.segments().map(Segment::id).collect();
+        assert_eq!(listed, [ids[1], ids[4], again]);
+        assert!(listed.windows(2).all(|w| w[0] < w[1]));
     }
 }

@@ -12,12 +12,43 @@
 //! coherent within a host) with FIFO eviction; evicting a dirty line
 //! writes it back to the pool, which is why "it happened to work" is a
 //! real failure mode of missing-flush bugs.
+//!
+//! Ordering invariants:
+//!
+//! - Eviction takes the oldest *live* residency: a line's FIFO position
+//!   is set when it becomes resident (fill, or a store that misses) and
+//!   never refreshed, and an entry whose stamp no longer matches its
+//!   line is a ghost that eviction skips.
+//! - A bitmap over 1024-line pages holds exactly one bit per resident
+//!   line, set when a line becomes resident and cleared when it leaves
+//!   (flush, invalidate, eviction); a page with no bit set is dropped.
+//!   The range walks (`invalidate_range`, `flush_range`,
+//!   `load_dirty_in`) visit the resident lines of a range in ascending
+//!   address order, the order of a per-line loop. They skip only absent
+//!   lines, on which every per-line operation is a no-op, so stats, the
+//!   dirty count, ghost compaction and eviction order are those of the
+//!   per-line loop.
 
 use std::collections::VecDeque;
 
 use simkit::hash::DetHashMap;
 
 use crate::params::CACHELINE;
+
+/// Lines per residency-bitmap page (64 KiB of pool).
+const PAGE_LINES: u64 = 1024;
+/// `u64` words per bitmap page.
+const PAGE_WORDS: usize = (PAGE_LINES / 64) as usize;
+
+/// The line-aligned span `[first, end)` of the lines overlapping
+/// `[hpa, hpa + len)`. A zero `len` at an unaligned `hpa` still covers
+/// `hpa`'s line.
+pub(crate) fn span(hpa: u64, len: u64) -> (u64, u64) {
+    (
+        HostCache::line_addr(hpa),
+        HostCache::line_addr(hpa + len - 1) + CACHELINE,
+    )
+}
 
 /// One cached 64 B line.
 #[derive(Clone, Debug)]
@@ -53,6 +84,9 @@ pub struct CacheStats {
 /// which invalidate a line on every poll.
 pub struct HostCache {
     lines: DetHashMap<u64, Line>,
+    /// Residency bitmap: page number -> one bit per line of the page,
+    /// set exactly for the keys of `lines`. Empty pages are removed.
+    pages: DetHashMap<u64, [u64; PAGE_WORDS]>,
     /// `(line, stamp)` in insertion order; entries whose stamp is no
     /// longer current for the line are ghosts.
     fifo: VecDeque<(u64, u64)>,
@@ -95,6 +129,7 @@ impl HostCache {
         assert!(capacity > 0, "cache needs at least one line");
         HostCache {
             lines: DetHashMap::default(),
+            pages: DetHashMap::default(),
             fifo: VecDeque::new(),
             next_stamp: 0,
             capacity,
@@ -127,6 +162,129 @@ impl HostCache {
         addr & !(CACHELINE - 1)
     }
 
+    /// `la`'s bitmap page, word within the page, and bit within the
+    /// word.
+    fn bit_of(la: u64) -> (u64, usize, u64) {
+        let idx = la / CACHELINE;
+        let i = idx % PAGE_LINES;
+        (idx / PAGE_LINES, (i / 64) as usize, 1 << (i % 64))
+    }
+
+    /// Makes line `la` resident with `line`, setting its bitmap bit.
+    fn insert(&mut self, la: u64, line: Line) {
+        let (page, word, bit) = Self::bit_of(la);
+        self.pages.entry(page).or_insert([0; PAGE_WORDS])[word] |= bit;
+        self.lines.insert(la, line);
+    }
+
+    /// Removes line `la` if resident, clearing its bitmap bit and
+    /// dropping the page once it is empty.
+    fn take(&mut self, la: u64) -> Option<Line> {
+        let line = self.lines.remove(&la)?;
+        let (page, word, bit) = Self::bit_of(la);
+        if let Some(words) = self.pages.get_mut(&page) {
+            words[word] &= !bit;
+            if words.iter().all(|&w| w == 0) {
+                self.pages.remove(&page);
+            }
+        }
+        Some(line)
+    }
+
+    /// The lowest resident line address in the line-aligned span
+    /// `[from, end)`. One map lookup per bitmap page the span touches,
+    /// however few of its lines are resident.
+    fn next_resident(&self, from: u64, end: u64) -> Option<u64> {
+        if self.pages.is_empty() {
+            return None;
+        }
+        let mut idx = from / CACHELINE;
+        let end_idx = end / CACHELINE;
+        while idx < end_idx {
+            let page = idx / PAGE_LINES;
+            let page_base = page * PAGE_LINES;
+            let stop = (page_base + PAGE_LINES).min(end_idx) - page_base;
+            if let Some(words) = self.pages.get(&page) {
+                let mut i = idx - page_base;
+                while i < stop {
+                    let w = (i / 64) as usize;
+                    let bits = words[w] & (!0u64 << (i % 64));
+                    if bits != 0 {
+                        let hit = w as u64 * 64 + u64::from(bits.trailing_zeros());
+                        return (hit < stop).then_some((page_base + hit) * CACHELINE);
+                    }
+                    i = (w as u64 + 1) * 64;
+                }
+            }
+            idx = page_base + stop;
+        }
+        None
+    }
+
+    /// Resident line addresses overlapping `[hpa, hpa + len)`, in
+    /// ascending order: the lines of the range for which
+    /// [`HostCache::contains`] holds. The walk the range methods take,
+    /// as an iterator for tests.
+    #[cfg(test)]
+    pub(crate) fn resident_in(&self, hpa: u64, len: u64) -> impl Iterator<Item = u64> + '_ {
+        let (first, end) = span(hpa, len);
+        let mut next = self.next_resident(first, end);
+        std::iter::from_fn(move || {
+            let la = next?;
+            next = self.next_resident(la + CACHELINE, end);
+            Some(la)
+        })
+    }
+
+    /// [`HostCache::invalidate`] on every line overlapping
+    /// `[hpa, hpa + len)`, visiting only the resident ones, in
+    /// ascending order.
+    pub(crate) fn invalidate_range(&mut self, hpa: u64, len: u64) {
+        let (mut from, end) = span(hpa, len);
+        while let Some(la) = self.next_resident(from, end) {
+            self.invalidate(la);
+            from = la + CACHELINE;
+        }
+    }
+
+    /// [`HostCache::load`] of every dirty line overlapping `[hpa, hpa +
+    /// len)`, visiting only the resident ones, in ascending order;
+    /// passes each line's address and data to `f`.
+    pub(crate) fn load_dirty_in(
+        &mut self,
+        hpa: u64,
+        len: u64,
+        mut f: impl FnMut(u64, &[u8; CACHELINE as usize]),
+    ) {
+        let (mut from, end) = span(hpa, len);
+        while let Some(la) = self.next_resident(from, end) {
+            if self.is_dirty(la) {
+                if let LoadOutcome::Hit(data) = self.load(la) {
+                    f(la, &data);
+                }
+            }
+            from = la + CACHELINE;
+        }
+    }
+
+    /// [`HostCache::flush`] on every line overlapping `[hpa, hpa +
+    /// len)`, visiting only the resident ones, in ascending order.
+    /// Appends each dirty line's address and data to `dirty`.
+    pub(crate) fn flush_range(
+        &mut self,
+        hpa: u64,
+        len: u64,
+        dirty: &mut Vec<(u64, [u8; CACHELINE as usize])>,
+    ) {
+        let (mut from, end) = span(hpa, len);
+        while let Some(la) = self.next_resident(from, end) {
+            if let Some(data) = self.flush(la) {
+                dirty.push((la, data));
+            }
+            from = la + CACHELINE;
+        }
+    }
+
     /// Looks up the line containing `addr` for a load.
     pub fn load(&mut self, addr: u64) -> LoadOutcome {
         let la = Self::line_addr(addr);
@@ -156,7 +314,7 @@ impl HostCache {
         }
         let evicted = self.make_room(la);
         let stamp = self.stamp_in(la);
-        self.lines.insert(
+        self.insert(
             la,
             Line {
                 data,
@@ -184,7 +342,7 @@ impl HostCache {
         } else {
             let ev = self.make_room(la);
             let stamp = self.stamp_in(la);
-            self.lines.insert(
+            self.insert(
                 la,
                 Line {
                     data: [0; CACHELINE as usize],
@@ -208,7 +366,7 @@ impl HostCache {
     /// semantics).
     pub fn flush(&mut self, addr: u64) -> Option<[u8; CACHELINE as usize]> {
         let la = Self::line_addr(addr);
-        match self.lines.remove(&la) {
+        match self.take(la) {
             Some(line) => {
                 // The FIFO entry becomes a ghost; compaction and
                 // make_room skip it by stamp.
@@ -230,7 +388,7 @@ impl HostCache {
     /// real invalidate would).
     pub fn invalidate(&mut self, addr: u64) {
         let la = Self::line_addr(addr);
-        if let Some(line) = self.lines.remove(&la) {
+        if let Some(line) = self.take(la) {
             self.dirty -= usize::from(line.dirty);
             self.maybe_compact();
             self.stats.invalidations += 1;
@@ -250,13 +408,16 @@ impl HostCache {
         self.lines.contains_key(&Self::line_addr(addr))
     }
 
-    /// Number of resident lines.
+    /// Number of resident lines. Debug builds recount the bitmap.
     pub fn resident(&self) -> usize {
+        self.debug_check_bitmap();
         self.lines.len()
     }
 
-    /// Number of resident dirty lines. Debug builds recount them.
+    /// Number of resident dirty lines. Debug builds recount them and
+    /// the bitmap.
     pub fn dirty_lines(&self) -> usize {
+        self.debug_check_bitmap();
         debug_assert_eq!(
             self.dirty,
             self.lines.values().filter(|l| l.dirty).count(),
@@ -270,6 +431,29 @@ impl HostCache {
         self.stats
     }
 
+    /// Debug builds: the bitmap holds one bit per resident line and no
+    /// empty page.
+    fn debug_check_bitmap(&self) {
+        if cfg!(debug_assertions) {
+            let bits: u32 = self
+                .pages
+                .values()
+                .map(|words| {
+                    debug_assert!(words.iter().any(|&w| w != 0), "empty bitmap page kept");
+                    words.iter().map(|w| w.count_ones()).sum::<u32>()
+                })
+                .sum();
+            debug_assert_eq!(bits as usize, self.lines.len(), "residency bitmap drifted");
+            debug_assert!(
+                self.lines.keys().all(|&la| {
+                    let (page, word, bit) = Self::bit_of(la);
+                    self.pages.get(&page).is_some_and(|w| w[word] & bit != 0)
+                }),
+                "resident line missing from the bitmap"
+            );
+        }
+    }
+
     fn make_room(&mut self, incoming: u64) -> Option<Eviction> {
         if self.lines.len() < self.capacity || self.lines.contains_key(&incoming) {
             return None;
@@ -279,7 +463,7 @@ impl HostCache {
         // skipped.
         while let Some((victim, stamp)) = self.fifo.pop_front() {
             if self.lines.get(&victim).is_some_and(|l| l.stamp == stamp) {
-                let line = self.lines.remove(&victim).expect("stamp-checked above");
+                let line = self.take(victim).expect("stamp-checked above");
                 if line.dirty {
                     self.dirty -= 1;
                     self.stats.writebacks += 1;
@@ -509,5 +693,138 @@ mod tests {
         assert!(!c.contains(0x0));
         assert!(c.contains(0x40));
         assert_eq!(c.resident(), 2);
+    }
+
+    #[test]
+    fn range_walks_cross_bitmap_pages_and_keep_partial_lines() {
+        let page = PAGE_LINES * CACHELINE;
+        let mut c = HostCache::new(16);
+        // The last line of page 0, the first two of page 1, one line of
+        // page 3.
+        for la in [page - 64, page, page + 64, 3 * page + 128] {
+            c.fill(la, [1u8; L]);
+        }
+        let got: Vec<u64> = c.resident_in(page - 1, 2 * page + 200).collect();
+        assert_eq!(got, [page - 64, page, page + 64, 3 * page + 128]);
+        // A zero-length range at an unaligned address still covers its
+        // line, as the fabric's per-line walk does.
+        assert_eq!(c.resident_in(page + 5, 0).collect::<Vec<_>>(), [page]);
+        assert_eq!(c.resident_in(page, 0).count(), 0);
+        c.invalidate_range(page - 1, 2);
+        assert_eq!(c.resident_in(0, 4 * page).count(), 2);
+        assert_eq!(c.stats().invalidations, 2);
+        // Emptying a page drops it from the bitmap.
+        c.invalidate_range(page + 64, 64);
+        c.invalidate_range(3 * page, page);
+        assert_eq!(c.resident(), 0);
+        assert!(c.pages.is_empty());
+    }
+
+    /// Line addresses overlapping `[hpa, hpa + len)`, one by one: the
+    /// walk the range methods replace.
+    fn every_line(hpa: u64, len: u64) -> impl Iterator<Item = u64> {
+        let (first, end) = span(hpa, len);
+        (first..end).step_by(L)
+    }
+
+    fn victim(ev: Option<Eviction>) -> Option<(u64, Option<[u8; L]>)> {
+        ev.map(|e| (e.addr, e.writeback))
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// A cache driven by the range walks behaves exactly like a
+        /// twin driven by per-line loops over every line of each range:
+        /// same eviction victims, stats, dirty count and resident set,
+        /// and `resident_in` equals a per-line `contains` walk.
+        #[test]
+        fn range_walks_match_per_line_loops(
+            capacity in 1usize..10,
+            steps in proptest::collection::vec(
+                (
+                    0u8..6,
+                    // Lines clustered on both sides of bitmap page
+                    // boundaries (1024 lines per page).
+                    proptest::prop_oneof![0u64..24, 1000u64..1048, 2030u64..2060],
+                    0u64..64,
+                    proptest::prop_oneof![0u64..200, 0u64..4096, 0u64..140_000],
+                    0u8..255,
+                ),
+                1..300,
+            )
+        ) {
+            // Keep addresses away from 0 (a zero-length range at 0 has
+            // no last byte).
+            let base = 1u64 << 20;
+            let mut walked = HostCache::new(capacity);
+            let mut looped = HostCache::new(capacity);
+            for step in steps {
+                let (kind, line, off, len, byte) = step;
+                let hpa = base + line * CACHELINE + off;
+                match kind {
+                    0 => {
+                        let la = base + line * CACHELINE;
+                        proptest::prop_assert_eq!(
+                            victim(walked.fill(la, [byte; L])),
+                            victim(looped.fill(la, [byte; L])),
+                            "fill {:?}", step
+                        );
+                    }
+                    1 => {
+                        let n = (L as u64 - off).min(8) as usize;
+                        let data = [byte; 8];
+                        proptest::prop_assert_eq!(
+                            victim(walked.store(hpa, &data[..n])),
+                            victim(looped.store(hpa, &data[..n])),
+                            "store {:?}", step
+                        );
+                    }
+                    2 => {
+                        let mut got = Vec::new();
+                        walked.flush_range(hpa, len, &mut got);
+                        let want: Vec<(u64, [u8; L])> = every_line(hpa, len)
+                            .filter_map(|la| looped.flush(la).map(|d| (la, d)))
+                            .collect();
+                        proptest::prop_assert_eq!(got, want, "flush {:?}", step);
+                    }
+                    3 => {
+                        walked.invalidate_range(hpa, len);
+                        for la in every_line(hpa, len) {
+                            looped.invalidate(la);
+                        }
+                    }
+                    4 => {
+                        let mut got = Vec::new();
+                        walked.load_dirty_in(hpa, len, |la, d| got.push((la, *d)));
+                        let mut want = Vec::new();
+                        for la in every_line(hpa, len) {
+                            if looped.is_dirty(la) {
+                                if let LoadOutcome::Hit(d) = looped.load(la) {
+                                    want.push((la, d));
+                                }
+                            }
+                        }
+                        proptest::prop_assert_eq!(got, want, "dirty overlay {:?}", step);
+                    }
+                    _ => {
+                        let got: Vec<u64> = walked.resident_in(hpa, len).collect();
+                        let want: Vec<u64> = every_line(hpa, len)
+                            .filter(|&la| walked.contains(la))
+                            .collect();
+                        proptest::prop_assert_eq!(got, want, "resident_in {:?}", step);
+                    }
+                }
+                proptest::prop_assert_eq!(walked.stats(), looped.stats(), "stats after {:?}", step);
+                proptest::prop_assert_eq!(walked.dirty_lines(), looped.dirty_lines());
+                proptest::prop_assert_eq!(walked.resident(), looped.resident());
+            }
+            let everything = 3000 * CACHELINE;
+            proptest::prop_assert_eq!(
+                walked.resident_in(base, everything).collect::<Vec<_>>(),
+                looped.resident_in(base, everything).collect::<Vec<_>>()
+            );
+            proptest::prop_assert_eq!(walked.fifo, looped.fifo);
+        }
     }
 }

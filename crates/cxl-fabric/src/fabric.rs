@@ -21,7 +21,7 @@ use crate::alloc::{DomainPlacement, PoolAllocator, Segment, SegmentId};
 use crate::audit::{
     Actor, AuditConfig, AuditReport, Auditor, RaceReport, Violation, ViolationKind,
 };
-use crate::cache::{CacheStats, Eviction, HostCache, LoadOutcome};
+use crate::cache::{self, CacheStats, Eviction, HostCache, LoadOutcome};
 use crate::error::FabricError;
 use crate::params::{FabricParams, CACHELINE};
 use crate::sparse::SparseMem;
@@ -826,11 +826,7 @@ impl Fabric {
         self.stats.flushes += 1;
 
         let mut dirty: Vec<(u64, [u8; CACHELINE as usize])> = Vec::new();
-        for la in lines(hpa, len) {
-            if let Some(data) = self.caches[host.0 as usize].flush(la) {
-                dirty.push((la, data));
-            }
-        }
+        self.caches[host.0 as usize].flush_range(hpa, len, &mut dirty);
         if dirty.is_empty() {
             if let Some(a) = self.audit.as_deref_mut() {
                 a.on_flush(now, host, hpa, len, &[], now);
@@ -871,7 +867,8 @@ impl Fabric {
 
     /// What [`Fabric::invalidate`] charges for `[hpa, hpa + len)`.
     pub fn invalidate_cost(hpa: u64, len: u64) -> Nanos {
-        Nanos(INVALIDATE_NS) * lines(hpa, len).count() as u64
+        let (first, end) = cache::span(hpa, len);
+        Nanos(INVALIDATE_NS) * ((end - first) / CACHELINE)
     }
 
     /// What a [`Fabric::load`] of the one line at `la` adds to its start
@@ -995,13 +992,7 @@ impl Fabric {
         // Overlay the attach host's dirty lines, if it has any.
         let cache = &mut self.caches[host.0 as usize];
         if cache.dirty_lines() > 0 {
-            for la in lines(hpa, len) {
-                if cache.is_dirty(la) {
-                    if let LoadOutcome::Hit(line) = cache.load(la) {
-                        copy_line_to_buf(la, &line, hpa, buf);
-                    }
-                }
-            }
+            cache.load_dirty_in(hpa, len, |la, line| copy_line_to_buf(la, line, hpa, buf));
         }
         let done = self.timed_pool_read_dev(now, host, hpa, len)?;
         self.sync_trace_audit();
@@ -1161,15 +1152,10 @@ impl Fabric {
         }));
     }
 
-    /// Drops `[hpa, hpa + len)` from `host`'s cache. An empty cache is
-    /// skipped whole: each line would be a lookup that finds nothing.
+    /// Drops `[hpa, hpa + len)` from `host`'s cache, visiting only the
+    /// range's resident lines.
     fn invalidate_lines(&mut self, host: HostId, hpa: u64, len: u64) {
-        let cache = &mut self.caches[host.0 as usize];
-        if cache.resident() > 0 {
-            for la in lines(hpa, len) {
-                cache.invalidate(la);
-            }
-        }
+        self.caches[host.0 as usize].invalidate_range(hpa, len);
     }
 
     /// Picks the least-backlogged up link from `host` to `mhd`.
@@ -1351,9 +1337,8 @@ fn line_of(addr: u64) -> u64 {
 
 /// Iterates the line addresses overlapping `[hpa, hpa + len)`.
 fn lines(hpa: u64, len: u64) -> impl Iterator<Item = u64> {
-    let first = line_of(hpa);
-    let last = line_of(hpa + len - 1);
-    (first..=last).step_by(CACHELINE as usize)
+    let (first, end) = cache::span(hpa, len);
+    (first..end).step_by(CACHELINE as usize)
 }
 
 /// Copies the overlap between cache line `la` (contents `line`) and the

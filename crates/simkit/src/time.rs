@@ -164,8 +164,18 @@ pub fn transfer_time(bytes: u64, gbytes_per_sec: f64) -> Nanos {
     if bytes == 0 {
         return Nanos::ZERO;
     }
-    // 1 GB/s == 1 byte/ns, so ns = bytes / GBps.
-    Nanos((bytes as f64 / gbytes_per_sec).ceil() as u64)
+    // 1 GB/s == 1 byte/ns, so ns = bytes / GBps. Rounding up by
+    // truncate-and-compare equals `ceil` for every positive quotient:
+    // below 2^53 the truncation is exact, at and above it every f64 is
+    // an integer, and past u64::MAX the cast saturates as `ceil() as
+    // u64` does. It avoids a libm call on every pipe transfer.
+    let ns = bytes as f64 / gbytes_per_sec;
+    let whole = ns as u64;
+    Nanos(if (whole as f64) < ns {
+        whole.saturating_add(1)
+    } else {
+        whole
+    })
 }
 
 #[cfg(test)]
@@ -213,6 +223,57 @@ mod tests {
         assert_eq!(transfer_time(0, 30.0), Nanos::ZERO);
         // 1 GiB at 1 GB/s is just over one second.
         assert_eq!(transfer_time(1 << 30, 1.0), Nanos(1 << 30));
+    }
+
+    /// The rounding [`transfer_time`] used to do: libm `ceil`, then the
+    /// saturating cast.
+    fn ceil_reference(bytes: u64, gbytes_per_sec: f64) -> Nanos {
+        Nanos((bytes as f64 / gbytes_per_sec).ceil() as u64)
+    }
+
+    #[test]
+    fn transfer_time_matches_ceil_on_configured_bandwidths() {
+        // CXL links (Gen4/Gen5 × x4/x8/x16: 7.5, 15, 30, 60), MHD DRAM
+        // 120, local DRAM 150, NIC/accelerator PCIe 16, SSD PCIe 7.5,
+        // accelerator compute 20, and 100 Gb/s NIC lines, wire ports
+        // and load generators (12.5).
+        let bandwidths = [7.5, 12.5, 15.0, 16.0, 20.0, 30.0, 60.0, 120.0, 150.0];
+        for g in bandwidths {
+            let mut sizes: Vec<u64> = (0..4096).collect();
+            // Exact multiples (quotient k, exactly representable since
+            // 2g is an integer) and ±1 byte around them.
+            for k in [1u64, 2, 3, 64, 1000, 1 << 20, 1 << 40, 1 << 52, 1 << 55] {
+                let m = k * (2.0 * g) as u64;
+                sizes.extend([m - 1, m, m + 1]);
+            }
+            sizes.extend([1 << 53, (1 << 53) + 1, u64::MAX / 2, u64::MAX - 1, u64::MAX]);
+            for bytes in sizes {
+                assert_eq!(
+                    transfer_time(bytes, g),
+                    ceil_reference(bytes, g),
+                    "{bytes} B at {g} GB/s"
+                );
+            }
+        }
+        assert_eq!(transfer_time(0, 7.5), Nanos::ZERO);
+        assert_eq!(transfer_time(15, 7.5), Nanos(2));
+        assert_eq!(transfer_time(16, 7.5), Nanos(3));
+    }
+
+    #[test]
+    fn transfer_time_saturates_like_the_cast() {
+        // Quotients at and past 2^64 ns saturate to u64::MAX, and an
+        // infinite one (a subnormal bandwidth) does too.
+        for (bytes, g) in [
+            (u64::MAX, 0.5),
+            (u64::MAX, 1e-9),
+            (1 << 40, 1e-300),
+            (1, f64::from_bits(1)),
+        ] {
+            assert_eq!(transfer_time(bytes, g), Nanos(u64::MAX));
+            assert_eq!(transfer_time(bytes, g), ceil_reference(bytes, g));
+        }
+        assert_eq!(transfer_time(u64::MAX, 1.0), Nanos(u64::MAX));
     }
 
     #[test]

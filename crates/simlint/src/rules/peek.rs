@@ -9,7 +9,10 @@
 //!
 //! Token-level type resolution is impossible, so the `.peek(` pattern
 //! only fires in files that mention `Fabric` at all — `BinaryHeap::
-//! peek` in `simkit::sched` stays clean without an allow.
+//! peek` in `simkit::sched` stays clean without an allow — and never on
+//! an empty argument list: `.peek()` cannot be `Fabric::peek(hpa, buf)`,
+//! so a heap's `peek()` in a file that does mention `Fabric` is clean
+//! too.
 
 use crate::diag::Diagnostic;
 use crate::source::FileCtx;
@@ -49,11 +52,15 @@ pub fn check(ctx: &FileCtx, out: &mut Vec<Diagnostic>) {
             continue;
         }
         // A UFCS path call `Fabric::peek…` is always a finding; a
-        // method call `.peek…(` needs the file to mention Fabric
-        // (unambiguous `peek_settled` is flagged regardless).
+        // method call `.peek…(args)` needs the file to mention Fabric
+        // (unambiguous `peek_settled` is flagged regardless). Both
+        // methods take `(hpa, buf)`, so `.peek()` is someone else's.
         let ufcs =
             i >= 3 && ctx.sig_text(i - 3) == "Fabric" && match_seq(ctx, i - 2, &["::"]).is_some();
-        let method_call = i >= 1 && ctx.sig_text(i - 1) == "." && ctx.sig_text(i + 1) == "(";
+        let method_call = i >= 1
+            && ctx.sig_text(i - 1) == "."
+            && ctx.sig_text(i + 1) == "("
+            && ctx.sig_text(i + 2) != ")";
         let unambiguous = text != "peek";
         if ufcs || (method_call && (mentions_fabric || unambiguous)) {
             out.push(diag_at(

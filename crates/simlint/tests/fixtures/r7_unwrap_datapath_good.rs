@@ -2,7 +2,8 @@
 //! Known-good R7 corpus: cold-path asserts are free, hot paths
 //! propagate with `?`, the `try_into().expect` fixed-width idiom is
 //! auto-exempt, literal-bounded ranges cannot drift, and a provably
-//! clamped computed range carries a reasoned suppression.
+//! clamped computed range carries a reasoned suppression. The file
+//! mentions `Fabric`, so it also holds R3's empty-argument `peek()`.
 
 struct Fabric;
 
@@ -43,4 +44,10 @@ fn hot_clamped(fabric: &mut Fabric, addr: u64, len: usize) -> Result<Vec<u8>, ()
     fabric.load(addr, &mut buf)?;
     // simlint: allow(unwrap-in-datapath) -- len is min-clamped to the buffer size
     Ok(buf[0..len.min(64)].to_vec())
+}
+
+/// A pending-write heap's `peek()` takes no arguments, so R3 cannot
+/// mistake it for `Fabric::peek(hpa, buf)` even in a Fabric file.
+fn next_visible(pending: &std::collections::BinaryHeap<u64>) -> Option<u64> {
+    pending.peek().copied()
 }
