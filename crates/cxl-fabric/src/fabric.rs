@@ -8,6 +8,21 @@
 //! completion time (an in-flight write buffer holds them until then), and
 //! cached stores are not visible at all until flushed or evicted — the
 //! two hazards software coherence must handle on real non-coherent pools.
+//!
+//! # Pool accesses
+//!
+//! The seven pool accesses ([`Fabric::load`], [`Fabric::store`],
+//! [`Fabric::nt_store`], [`Fabric::flush`], [`Fabric::invalidate`],
+//! [`Fabric::dma_read`] and [`Fabric::dma_write`]) share one prologue.
+//! Each first settles every in-flight write visible by its start time,
+//! then checks its range: a zero-length range panics, and the range
+//! must lie in one mapped segment granted to the accessing host. A
+//! rejected range charges nothing: no time, no [`AccessStats`] counter,
+//! no audit op and no trace span. The six accesses that return a
+//! `Result` report it as a [`FabricError`]; [`Fabric::invalidate`]
+//! returns its start time instead. An accepted access is counted, then
+//! shadowed by the auditor's hook for its kind, and ends in one shared
+//! epilogue that records its trace span.
 
 use std::cmp::Reverse;
 use std::collections::binary_heap::PeekMut;
@@ -204,7 +219,7 @@ pub struct Fabric {
     spread_scratch: Vec<(MhdId, u64)>,
     /// Reusable [`Fabric::load`] scratch: the lines that missed the
     /// host cache, and every line with its hit/miss outcome for the
-    /// auditor. Taken and put back per call, like `spread_scratch`.
+    /// auditor. Taken and put back per call.
     missed_scratch: Vec<u64>,
     /// See [`Fabric::missed_scratch`].
     served_scratch: Vec<(u64, bool)>,
@@ -325,7 +340,7 @@ impl Fabric {
     /// on segments other hosts can read, and returns the final report.
     /// `now` stamps the unflushed-write findings.
     pub fn audit_finalize(&mut self, now: Nanos) -> Option<AuditReport> {
-        self.apply_pending(Nanos::MAX);
+        self.settle(Nanos::MAX);
         let audit = self.audit.as_deref_mut()?;
         for (host, la, dirty_since) in audit.dirty_lines() {
             if let Ok(seg) = self.alloc.segment_at(la) {
@@ -418,16 +433,6 @@ impl Fabric {
     pub fn trace_pop(&mut self) {
         if let Some(tr) = self.trace.as_deref_mut() {
             tr.pop_ctx();
-        }
-    }
-
-    /// Records a span for one fabric access when verbose fabric-op
-    /// tracing is requested.
-    fn trace_fabric_op(&mut self, track: Track, name: &'static str, start: Nanos, end: Nanos) {
-        if let Some(tr) = self.trace.as_deref_mut() {
-            if tr.config().fabric_ops {
-                tr.span(track, name, start, end);
-            }
         }
     }
 
@@ -666,12 +671,8 @@ impl Fabric {
         hpa: u64,
         buf: &mut [u8],
     ) -> Result<Nanos, FabricError> {
-        self.apply_pending(now);
         let len = buf.len() as u64;
-        self.check(host, hpa, len)?;
-        self.stats.loads += 1;
-        self.stats.bytes_read += len;
-
+        self.begin(PoolOp::Load, now, host, hpa, len)?;
         let mut missed = std::mem::take(&mut self.missed_scratch);
         let mut served = std::mem::take(&mut self.served_scratch);
         missed.clear();
@@ -692,33 +693,26 @@ impl Fabric {
         if let Some(a) = self.audit.as_deref_mut() {
             a.on_load(now, host, &served, &self.tear_tolerant, &self.sync_ranges);
         }
-        self.sync_trace_audit();
-        let result = if missed.is_empty() {
-            Ok(now + Nanos(CACHE_HIT_NS))
-        } else {
-            // Fetch missing lines from the pool and install them.
-            let mut evictions: Vec<Eviction> = Vec::new();
-            for &la in &missed {
-                let mut line = [0u8; CACHELINE as usize];
-                self.pool.read(la, &mut line);
-                copy_line_to_buf(la, &line, hpa, buf);
-                if let Some(ev) = self.caches[host.0 as usize].fill(la, line) {
-                    evictions.push(ev);
-                }
+        // Fetch missing lines from the pool and install them.
+        let mut evictions: Vec<Eviction> = Vec::new();
+        for &la in &missed {
+            let mut line = [0u8; CACHELINE as usize];
+            self.pool.read(la, &mut line);
+            copy_line_to_buf(la, &line, hpa, buf);
+            if let Some(ev) = self.caches[host.0 as usize].fill(la, line) {
+                evictions.push(ev);
             }
-            // Dirty evictions write back immediately (they ride the same
-            // link traffic; visibility now is the conservative choice).
-            for ev in evictions {
-                self.apply_eviction(now, host, ev);
-            }
-            let bytes = missed.len() as u64 * CACHELINE;
-            self.timed_pool_read(now, host, hpa, bytes)
-        };
+        }
+        // Dirty evictions write back immediately (they ride the same
+        // link traffic; visibility now is the conservative choice).
+        for ev in evictions {
+            self.apply_eviction(now, host, ev);
+        }
+        let bytes = missed.len() as u64 * CACHELINE;
         self.missed_scratch = missed;
         self.served_scratch = served;
-        let done = result?;
-        self.trace_fabric_op(Track::HostCpu(host.0), "fabric/load", now, done);
-        Ok(done)
+        let done = self.timed(PoolOp::Load, now, host, hpa, bytes)?;
+        Ok(self.finish(PoolOp::Load, now, host, done))
     }
 
     /// CPU cached (write-back) store. The data lands in the host's cache
@@ -732,10 +726,8 @@ impl Fabric {
         hpa: u64,
         data: &[u8],
     ) -> Result<Nanos, FabricError> {
-        self.apply_pending(now);
         let len = data.len() as u64;
-        self.check(host, hpa, len)?;
-        self.stats.stores += 1;
+        self.begin(PoolOp::Store, now, host, hpa, len)?;
         if let Some(a) = self.audit.as_deref_mut() {
             a.count_store(host, hpa, len);
         }
@@ -772,16 +764,8 @@ impl Fabric {
             }
             cur += n as u64;
         }
-
-        self.sync_trace_audit();
-        if fetched == 0 {
-            let done = now + Nanos(CACHE_HIT_NS);
-            self.trace_fabric_op(Track::HostCpu(host.0), "fabric/store", now, done);
-            return Ok(done);
-        }
-        let done = self.timed_pool_read(now, host, hpa, fetched)?;
-        self.trace_fabric_op(Track::HostCpu(host.0), "fabric/store", now, done);
-        Ok(done)
+        let done = self.timed(PoolOp::Store, now, host, hpa, fetched)?;
+        Ok(self.finish(PoolOp::Store, now, host, done))
     }
 
     /// Non-temporal store: bypasses the host cache and becomes visible
@@ -794,21 +778,15 @@ impl Fabric {
         hpa: u64,
         data: &[u8],
     ) -> Result<Nanos, FabricError> {
-        self.apply_pending(now);
         let len = data.len() as u64;
-        self.check(host, hpa, len)?;
-        self.stats.nt_stores += 1;
-        self.stats.bytes_written += len;
-
-        self.invalidate_lines(host, hpa, len);
-        let done = self.timed_pool_write(now, host, hpa, len)?;
+        self.begin(PoolOp::NtStore, now, host, hpa, len)?;
+        self.caches[host.0 as usize].invalidate_range(hpa, len);
+        let done = self.timed(PoolOp::NtStore, now, host, hpa, len)?;
         if let Some(a) = self.audit.as_deref_mut() {
             a.on_nt_store(now, host, hpa, len, done);
         }
-        self.sync_trace_audit();
-        self.trace_fabric_op(Track::HostCpu(host.0), "fabric/nt_store", now, done);
         self.enqueue_write(done, hpa, data);
-        Ok(done)
+        Ok(self.finish(PoolOp::NtStore, now, host, done))
     }
 
     /// Flushes `[hpa, hpa + len)` from the host's cache: dirty lines are
@@ -821,48 +799,45 @@ impl Fabric {
         hpa: u64,
         len: u64,
     ) -> Result<Nanos, FabricError> {
-        self.apply_pending(now);
-        self.check(host, hpa, len)?;
-        self.stats.flushes += 1;
-
+        self.begin(PoolOp::Flush, now, host, hpa, len)?;
         let mut dirty: Vec<(u64, [u8; CACHELINE as usize])> = Vec::new();
         self.caches[host.0 as usize].flush_range(hpa, len, &mut dirty);
-        if dirty.is_empty() {
-            if let Some(a) = self.audit.as_deref_mut() {
-                a.on_flush(now, host, hpa, len, &[], now);
-            }
-            self.sync_trace_audit();
-            let done = now + Nanos(CACHE_HIT_NS);
-            self.trace_fabric_op(Track::HostCpu(host.0), "fabric/flush", now, done);
-            return Ok(done);
-        }
         let bytes = dirty.len() as u64 * CACHELINE;
         self.stats.bytes_written += bytes;
-        let done = self.timed_pool_write(now, host, hpa, bytes)?;
+        let done = self.timed(PoolOp::Flush, now, host, hpa, bytes)?;
         if let Some(a) = self.audit.as_deref_mut() {
             let dirty_lines: Vec<u64> = dirty.iter().map(|&(la, _)| la).collect();
             a.on_flush(now, host, hpa, len, &dirty_lines, done);
         }
-        self.sync_trace_audit();
-        self.trace_fabric_op(Track::HostCpu(host.0), "fabric/flush", now, done);
         for (la, data) in dirty {
             self.enqueue_write(done, la, &data);
         }
-        Ok(done)
+        Ok(self.finish(PoolOp::Flush, now, host, done))
     }
 
     /// Drops `[hpa, hpa + len)` from the host's cache without writing
     /// back, so the next load refetches from the pool. This is how a
     /// reader guarantees freshness on non-coherent hardware.
+    ///
+    /// A range the access check rejects (see the [module docs](crate::fabric))
+    /// charges nothing: the call returns `now`, and the load that
+    /// follows reports the error. The invalidate itself returns a bare
+    /// completion time rather than a `Result` because every caller
+    /// chains it straight into that load, perfbench's probes included.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `len` is zero, as every pool access does.
     pub fn invalidate(&mut self, now: Nanos, host: HostId, hpa: u64, len: u64) -> Nanos {
-        self.invalidate_lines(host, hpa, len);
+        if self.begin(PoolOp::Invalidate, now, host, hpa, len).is_err() {
+            return now;
+        }
+        self.caches[host.0 as usize].invalidate_range(hpa, len);
         if let Some(a) = self.audit.as_deref_mut() {
             a.on_invalidate(now, host, hpa, len);
         }
-        self.sync_trace_audit();
         let done = now + Fabric::invalidate_cost(hpa, len);
-        self.trace_fabric_op(Track::HostCpu(host.0), "fabric/invalidate", now, done);
-        done
+        self.finish(PoolOp::Invalidate, now, host, done)
     }
 
     /// What [`Fabric::invalidate`] charges for `[hpa, hpa + len)`.
@@ -877,11 +852,7 @@ impl Fabric {
     /// when the load would fail (unmapped, not granted, or no up path).
     /// Poll loops use it as the exact cost of an empty ring poll.
     pub fn idle_line_load(&self, host: HostId, la: u64) -> Option<Nanos> {
-        let seg = self.alloc.segment_at(la).ok()?;
-        if !seg.grants(host) || la + CACHELINE > seg.end() {
-            return None;
-        }
-        let mhd = seg.mhd_for(la);
+        let mhd = self.check(host, la, CACHELINE).ok()?.mhd_for(la);
         if !self.topology.mhd_is_up(mhd) {
             return None;
         }
@@ -893,7 +864,7 @@ impl Fabric {
             .id;
         let wire = Nanos(self.params.cxl_wire_ns);
         Some(
-            Nanos(self.params.cxl_host_overhead_ns)
+            Nanos(PoolOp::Load.issue_ns(&self.params))
                 + self.uplinks[link.0 as usize].service_time(CACHELINE)
                 + wire
                 + self.mhd_pipes[mhd.0 as usize].service_time(CACHELINE)
@@ -945,7 +916,28 @@ impl Fabric {
     /// empty polls calls it with its last skipped poll's load instant,
     /// so pool contents advance exactly as if those polls had run.
     pub fn settle(&mut self, now: Nanos) {
-        self.apply_pending(now);
+        // The auditor's pending mirror advances in lockstep so its
+        // shadow versions always match pool-visible contents.
+        if let Some(a) = self.audit.as_deref_mut() {
+            a.advance(now);
+        }
+        while let Some(top) = self.pending.peek_mut() {
+            if top.0.visible_at > now {
+                break;
+            }
+            let Reverse(w) = PeekMut::pop(top);
+            self.pool.write(w.hpa, &w.data);
+            // A ring message settled into pool memory is loadable from
+            // now on, even by an actor whose clock has not reached
+            // `visible_at`.
+            if let Some(wake) = self.wakes.get_mut(&w.hpa) {
+                if *wake != Nanos::ZERO {
+                    *wake = Nanos::ZERO;
+                    self.wake_gen += 1;
+                }
+            }
+            self.write_bufs.give(w.data);
+        }
     }
 
     /// Booking order over every link pipe (both directions) and MHD
@@ -979,11 +971,8 @@ impl Fabric {
         hpa: u64,
         buf: &mut [u8],
     ) -> Result<Nanos, FabricError> {
-        self.apply_pending(now);
         let len = buf.len() as u64;
-        self.check(host, hpa, len)?;
-        self.stats.dma_reads += 1;
-        self.stats.bytes_read += len;
+        self.begin(PoolOp::DmaRead, now, host, hpa, len)?;
         if let Some(a) = self.audit.as_deref_mut() {
             a.on_dma_read(now, host, hpa, len, &self.sync_ranges);
         }
@@ -994,10 +983,8 @@ impl Fabric {
         if cache.dirty_lines() > 0 {
             cache.load_dirty_in(hpa, len, |la, line| copy_line_to_buf(la, line, hpa, buf));
         }
-        let done = self.timed_pool_read_dev(now, host, hpa, len)?;
-        self.sync_trace_audit();
-        self.trace_fabric_op(Track::Dma(host.0), "fabric/dma_read", now, done);
-        Ok(done)
+        let done = self.timed(PoolOp::DmaRead, now, host, hpa, len)?;
+        Ok(self.finish(PoolOp::DmaRead, now, host, done))
     }
 
     /// Device DMA write to the pool, issued by a device attached to
@@ -1011,21 +998,15 @@ impl Fabric {
         hpa: u64,
         data: &[u8],
     ) -> Result<Nanos, FabricError> {
-        self.apply_pending(now);
         let len = data.len() as u64;
-        self.check(host, hpa, len)?;
-        self.stats.dma_writes += 1;
-        self.stats.bytes_written += len;
-
-        self.invalidate_lines(host, hpa, len);
-        let done = self.timed_pool_write_dev(now, host, hpa, len)?;
+        self.begin(PoolOp::DmaWrite, now, host, hpa, len)?;
+        self.caches[host.0 as usize].invalidate_range(hpa, len);
+        let done = self.timed(PoolOp::DmaWrite, now, host, hpa, len)?;
         if let Some(a) = self.audit.as_deref_mut() {
             a.on_dma_write(now, host, hpa, len, done);
         }
-        self.sync_trace_audit();
-        self.trace_fabric_op(Track::Dma(host.0), "fabric/dma_write", now, done);
         self.enqueue_write(done, hpa, data);
-        Ok(done)
+        Ok(self.finish(PoolOp::DmaWrite, now, host, done))
     }
 
     // ---------------------------------------------------------------
@@ -1062,7 +1043,7 @@ impl Fabric {
     /// builds compile this escape hatch out (`debug-peek` feature).
     #[cfg(any(test, feature = "debug-peek"))]
     pub fn peek_settled(&mut self, hpa: u64, buf: &mut [u8]) {
-        self.apply_pending(Nanos::MAX);
+        self.settle(Nanos::MAX);
         self.pool.read(hpa, buf);
     }
 
@@ -1083,7 +1064,44 @@ impl Fabric {
     // Internals
     // ---------------------------------------------------------------
 
-    fn check(&self, host: HostId, hpa: u64, len: u64) -> Result<(), FabricError> {
+    /// The prologue every pool access shares: settles the writes
+    /// visible by `now`, checks the range, then counts the access.
+    /// Settling comes first, so a rejected access still advances pool
+    /// contents to `now`.
+    fn begin(
+        &mut self,
+        op: PoolOp,
+        now: Nanos,
+        host: HostId,
+        hpa: u64,
+        len: u64,
+    ) -> Result<(), FabricError> {
+        self.settle(now);
+        self.check(host, hpa, len)?;
+        op.count(&mut self.stats, len);
+        Ok(())
+    }
+
+    /// The epilogue every pool access shares: emits the audit findings
+    /// raised since the last sync as trace instants, then records the
+    /// access's span when fabric-op tracing is on. Returns `done`.
+    fn finish(&mut self, op: PoolOp, now: Nanos, host: HostId, done: Nanos) -> Nanos {
+        self.sync_trace_audit();
+        if let Some(tr) = self.trace.as_deref_mut() {
+            if tr.config().fabric_ops {
+                tr.span(op.track(host), op.span_name(), now, done);
+            }
+        }
+        done
+    }
+
+    /// The segment holding `[hpa, hpa + len)`, if it is mapped, granted
+    /// to `host` and holds the whole range.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `len` is zero.
+    fn check(&self, host: HostId, hpa: u64, len: u64) -> Result<&Segment, FabricError> {
         assert!(len > 0, "zero-length access");
         let seg = self.alloc.segment_at(hpa)?;
         if !seg.grants(host) {
@@ -1092,7 +1110,7 @@ impl Fabric {
         if hpa + len > seg.end() {
             return Err(FabricError::OutOfBounds { hpa, len });
         }
-        Ok(())
+        Ok(seg)
     }
 
     /// Settles one cache eviction: dirty victims write back to the
@@ -1115,31 +1133,6 @@ impl Fabric {
         }
     }
 
-    fn apply_pending(&mut self, now: Nanos) {
-        // The auditor's pending mirror advances in lockstep so its
-        // shadow versions always match pool-visible contents.
-        if let Some(a) = self.audit.as_deref_mut() {
-            a.advance(now);
-        }
-        while let Some(top) = self.pending.peek_mut() {
-            if top.0.visible_at > now {
-                break;
-            }
-            let Reverse(w) = PeekMut::pop(top);
-            self.pool.write(w.hpa, &w.data);
-            // A ring message settled into pool memory is loadable from
-            // now on, even by an actor whose clock has not reached
-            // `visible_at`.
-            if let Some(wake) = self.wakes.get_mut(&w.hpa) {
-                if *wake != Nanos::ZERO {
-                    *wake = Nanos::ZERO;
-                    self.wake_gen += 1;
-                }
-            }
-            self.write_bufs.give(w.data);
-        }
-    }
-
     fn enqueue_write(&mut self, visible_at: Nanos, hpa: u64, data: &[u8]) {
         let seq = self.pending_seq;
         self.pending_seq += 1;
@@ -1150,12 +1143,6 @@ impl Fabric {
             hpa,
             data,
         }));
-    }
-
-    /// Drops `[hpa, hpa + len)` from `host`'s cache, visiting only the
-    /// range's resident lines.
-    fn invalidate_lines(&mut self, host: HostId, hpa: u64, len: u64) {
-        self.caches[host.0 as usize].invalidate_range(hpa, len);
     }
 
     /// Picks the least-backlogged up link from `host` to `mhd`.
@@ -1175,143 +1162,129 @@ impl Fabric {
             .ok_or(FabricError::NoPath { host, mhd })
     }
 
-    /// Fills `spread_scratch`'s stand-in `out` with the interleave
-    /// spread of `[hpa, hpa + bytes)`, resolving the owning segment.
-    fn spread_at(
-        &self,
+    /// Books `bytes` of `op`'s pool traffic over the interleave set of
+    /// the segment at `hpa` and returns when it completes. A read sends
+    /// a request up each involved link and streams the data back down;
+    /// a write streams the data up into the MHD. An access that moves
+    /// no bytes was served by the host cache.
+    fn timed(
+        &mut self,
+        op: PoolOp,
+        now: Nanos,
+        host: HostId,
         hpa: u64,
         bytes: u64,
-        out: &mut Vec<(MhdId, u64)>,
-    ) -> Result<(), FabricError> {
+    ) -> Result<Nanos, FabricError> {
+        if bytes == 0 {
+            return Ok(now + Nanos(CACHE_HIT_NS));
+        }
         let seg = self.alloc.segment_at(hpa)?;
-        seg.spread_into(hpa, bytes.min(seg.end() - hpa).max(1), out);
-        Ok(())
+        seg.spread_into(
+            hpa,
+            bytes.min(seg.end() - hpa).max(1),
+            &mut self.spread_scratch,
+        );
+        let wire = Nanos(self.params.cxl_wire_ns);
+        let dev = self.params.cxl_device_ns;
+        let t_issue = now + Nanos(op.issue_ns(&self.params));
+        let mut done = Nanos::ZERO;
+        for i in 0..self.spread_scratch.len() {
+            let (mhd, b) = self.spread_scratch[i];
+            let link = self.pick_link(now, host, mhd)?.0 as usize;
+            let mhd_pipe = &mut self.mhd_pipes[mhd.0 as usize];
+            let end = if op.writes_pool() {
+                let at_dev = self.uplinks[link].transfer(t_issue, b) + wire;
+                mhd_pipe.transfer(at_dev, b) + Nanos(dev / 2)
+            } else {
+                // Request packet (header-sized; modelled as one line).
+                let at_dev = self.uplinks[link].transfer(t_issue, CACHELINE) + wire;
+                let dev_ready = mhd_pipe.transfer(at_dev, b);
+                self.downlinks[link].transfer(dev_ready + Nanos(dev), b) + wire
+            };
+            done = done.max(end);
+        }
+        Ok(done)
+    }
+}
+
+/// The seven pool accesses, as [`Fabric::begin`] counts them and
+/// [`Fabric::finish`] records them.
+#[derive(Clone, Copy)]
+enum PoolOp {
+    Load,
+    Store,
+    NtStore,
+    Flush,
+    Invalidate,
+    DmaRead,
+    DmaWrite,
+}
+
+impl PoolOp {
+    fn is_dma(self) -> bool {
+        matches!(self, PoolOp::DmaRead | PoolOp::DmaWrite)
     }
 
-    /// Timed CPU read of `bytes` spread over the segment's interleave
-    /// set: request up each involved link, data streams back down.
-    fn timed_pool_read(
-        &mut self,
-        now: Nanos,
-        host: HostId,
-        hpa: u64,
-        bytes: u64,
-    ) -> Result<Nanos, FabricError> {
-        self.timed_read_inner(now, host, hpa, bytes, self.params.cxl_host_overhead_ns)
+    /// True for the kinds whose pool traffic is a write.
+    fn writes_pool(self) -> bool {
+        matches!(self, PoolOp::NtStore | PoolOp::Flush | PoolOp::DmaWrite)
     }
 
-    /// Timed device DMA read: same path, no CPU issue overhead.
-    fn timed_pool_read_dev(
-        &mut self,
-        now: Nanos,
-        host: HostId,
-        hpa: u64,
-        bytes: u64,
-    ) -> Result<Nanos, FabricError> {
-        self.timed_read_inner(now, host, hpa, bytes, 0)
-    }
-
-    fn timed_read_inner(
-        &mut self,
-        now: Nanos,
-        host: HostId,
-        hpa: u64,
-        bytes: u64,
-        issue_ns: u64,
-    ) -> Result<Nanos, FabricError> {
-        let mut spread = std::mem::take(&mut self.spread_scratch);
-        let mut result = self
-            .spread_at(hpa, bytes, &mut spread)
-            .map(|()| Nanos::ZERO);
-        if result.is_ok() {
-            let wire = Nanos(self.params.cxl_wire_ns);
-            let dev_fixed = Nanos(self.params.cxl_device_ns);
-            let t_issue = now + Nanos(issue_ns);
-            let mut done = Nanos::ZERO;
-            for &(mhd, b) in &spread {
-                match self.pick_link(now, host, mhd) {
-                    Ok(link) => {
-                        // Request packet (header-sized; modelled as one line).
-                        let up = self.uplinks[link.0 as usize].transfer(t_issue, CACHELINE);
-                        let at_dev = up + wire;
-                        let dev_ready = self.mhd_pipes[mhd.0 as usize].transfer(at_dev, b);
-                        let stream_start = dev_ready + dev_fixed;
-                        let down = self.downlinks[link.0 as usize].transfer(stream_start, b);
-                        done = done.max(down + wire);
-                    }
-                    Err(e) => {
-                        result = Err(e);
-                        break;
-                    }
-                }
+    /// Bumps this kind's [`AccessStats`] counter and, for the kinds that
+    /// move exactly their range, its byte counter. Flush write-backs and
+    /// eviction write-backs depend on cache state and are counted where
+    /// they happen.
+    fn count(self, stats: &mut AccessStats, len: u64) {
+        match self {
+            PoolOp::Load => {
+                stats.loads += 1;
+                stats.bytes_read += len;
             }
-            if result.is_ok() {
-                result = Ok(done);
+            PoolOp::Store => stats.stores += 1,
+            PoolOp::NtStore => {
+                stats.nt_stores += 1;
+                stats.bytes_written += len;
+            }
+            PoolOp::Flush => stats.flushes += 1,
+            PoolOp::Invalidate => {}
+            PoolOp::DmaRead => {
+                stats.dma_reads += 1;
+                stats.bytes_read += len;
+            }
+            PoolOp::DmaWrite => {
+                stats.dma_writes += 1;
+                stats.bytes_written += len;
             }
         }
-        self.spread_scratch = spread;
-        result
     }
 
-    /// Timed CPU-visible pool write (non-temporal / flush path).
-    fn timed_pool_write(
-        &mut self,
-        now: Nanos,
-        host: HostId,
-        hpa: u64,
-        bytes: u64,
-    ) -> Result<Nanos, FabricError> {
-        self.timed_write_inner(now, host, hpa, bytes, self.params.cxl_host_overhead_ns)
-    }
-
-    /// Timed device DMA pool write.
-    fn timed_pool_write_dev(
-        &mut self,
-        now: Nanos,
-        host: HostId,
-        hpa: u64,
-        bytes: u64,
-    ) -> Result<Nanos, FabricError> {
-        self.timed_write_inner(now, host, hpa, bytes, 0)
-    }
-
-    fn timed_write_inner(
-        &mut self,
-        now: Nanos,
-        host: HostId,
-        hpa: u64,
-        bytes: u64,
-        issue_ns: u64,
-    ) -> Result<Nanos, FabricError> {
-        let mut spread = std::mem::take(&mut self.spread_scratch);
-        let mut result = self
-            .spread_at(hpa, bytes, &mut spread)
-            .map(|()| Nanos::ZERO);
-        if result.is_ok() {
-            let wire = Nanos(self.params.cxl_wire_ns);
-            let dev_half = Nanos(self.params.cxl_device_ns / 2);
-            let t_issue = now + Nanos(issue_ns);
-            let mut done = Nanos::ZERO;
-            for &(mhd, b) in &spread {
-                match self.pick_link(now, host, mhd) {
-                    Ok(link) => {
-                        let up = self.uplinks[link.0 as usize].transfer(t_issue, b);
-                        let at_dev = up + wire;
-                        let landed = self.mhd_pipes[mhd.0 as usize].transfer(at_dev, b) + dev_half;
-                        done = done.max(landed);
-                    }
-                    Err(e) => {
-                        result = Err(e);
-                        break;
-                    }
-                }
-            }
-            if result.is_ok() {
-                result = Ok(done);
-            }
+    /// The CPU's issue overhead; a device issues its own DMA.
+    fn issue_ns(self, params: &FabricParams) -> u64 {
+        if self.is_dma() {
+            0
+        } else {
+            params.cxl_host_overhead_ns
         }
-        self.spread_scratch = spread;
-        result
+    }
+
+    fn track(self, host: HostId) -> Track {
+        if self.is_dma() {
+            Track::Dma(host.0)
+        } else {
+            Track::HostCpu(host.0)
+        }
+    }
+
+    fn span_name(self) -> &'static str {
+        match self {
+            PoolOp::Load => "fabric/load",
+            PoolOp::Store => "fabric/store",
+            PoolOp::NtStore => "fabric/nt_store",
+            PoolOp::Flush => "fabric/flush",
+            PoolOp::Invalidate => "fabric/invalidate",
+            PoolOp::DmaRead => "fabric/dma_read",
+            PoolOp::DmaWrite => "fabric/dma_write",
+        }
     }
 }
 
@@ -1750,6 +1723,121 @@ mod tests {
         let mhd = f.segment_at(seg.base()).expect("seg").mhd_for(seg.base());
         f.topology_mut().fail_mhd(mhd);
         assert_eq!(f.idle_line_load(HostId(1), seg.base()), None);
+    }
+
+    /// Every pool access in one call shape; `invalidate`'s bare time
+    /// comes back as `Ok`.
+    type Access = fn(&mut Fabric, Nanos, HostId, u64, u64) -> Result<Nanos, FabricError>;
+
+    fn accesses() -> [(&'static str, Access); 7] {
+        [
+            ("load", |f, t, h, a, n| {
+                f.load(t, h, a, &mut vec![0; n as usize])
+            }),
+            ("store", |f, t, h, a, n| {
+                f.store(t, h, a, &vec![1; n as usize])
+            }),
+            ("nt_store", |f, t, h, a, n| {
+                f.nt_store(t, h, a, &vec![1; n as usize])
+            }),
+            ("flush", |f, t, h, a, n| f.flush(t, h, a, n)),
+            ("invalidate", |f, t, h, a, n| Ok(f.invalidate(t, h, a, n))),
+            ("dma_read", |f, t, h, a, n| {
+                f.dma_read(t, h, a, &mut vec![0; n as usize])
+            }),
+            ("dma_write", |f, t, h, a, n| {
+                f.dma_write(t, h, a, &vec![1; n as usize])
+            }),
+        ]
+    }
+
+    /// Everything an access can charge: counters, pipe bookings, audit
+    /// ops and trace events.
+    fn charges(f: &Fabric) -> String {
+        let tr = f.trace().expect("trace on");
+        format!(
+            "{:?} {:?} audited {} events {}",
+            f.stats(),
+            f.timeline_order(),
+            f.audit_report().expect("audit on").ops_audited,
+            tr.event_count() as u64 + tr.dropped()
+        )
+    }
+
+    #[test]
+    fn every_access_rejects_a_bad_range_and_charges_nothing() {
+        let mut f = pod();
+        f.enable_audit(AuditConfig::default());
+        f.enable_trace(TraceConfig {
+            fabric_ops: true,
+            ..TraceConfig::default()
+        });
+        let seg = f.alloc_private(HostId(0), 4096).expect("alloc");
+        let now = Nanos(1_000);
+        for (name, access) in accesses() {
+            access(&mut f, now, HostId(0), seg.base(), 64).expect(name);
+        }
+        for off in [0, 8] {
+            let unmapped = seg.end() + 4096 + off;
+            let stranger = seg.base() + off;
+            let straddle = seg.end() - 64 + off;
+            let cases = [
+                (
+                    "unmapped",
+                    HostId(0),
+                    unmapped,
+                    64,
+                    FabricError::Unmapped { hpa: unmapped },
+                ),
+                (
+                    "not granted",
+                    HostId(3),
+                    stranger,
+                    64,
+                    FabricError::AccessDenied {
+                        host: HostId(3),
+                        hpa: stranger,
+                    },
+                ),
+                (
+                    "out of bounds",
+                    HostId(0),
+                    straddle,
+                    128,
+                    FabricError::OutOfBounds {
+                        hpa: straddle,
+                        len: 128,
+                    },
+                ),
+            ];
+            for (case, host, hpa, len, err) in cases {
+                for (name, access) in accesses() {
+                    let before = charges(&f);
+                    let got = access(&mut f, now, host, hpa, len);
+                    let want = if name == "invalidate" {
+                        Ok(now)
+                    } else {
+                        Err(err.clone())
+                    };
+                    assert_eq!(got, want, "{name}, {case} at {hpa:#x}");
+                    assert_eq!(charges(&f), before, "{name}, {case} at {hpa:#x}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_zero_length_range_panics_for_every_access() {
+        for off in [0, 8] {
+            for (name, access) in accesses() {
+                let mut f = pod();
+                let seg = f.alloc_private(HostId(0), 4096).expect("alloc");
+                let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    access(&mut f, Nanos(0), HostId(0), seg.base() + off, 0)
+                }));
+                assert!(outcome.is_err(), "{name} took 0 bytes at +{off}");
+            }
+        }
     }
 
     #[test]

@@ -503,6 +503,43 @@ fn unordered_dma_write_vs_load_is_a_race_only_vc_can_see() {
     }
 }
 
+/// An invalidate settles the writes visible by its start, like every
+/// other pool access. Here the last access before a segment free is an
+/// invalidate issued after a racing DMA write became visible: that
+/// write must reach the auditor (and report its race with the earlier
+/// CPU publish) before the free drops whatever is still in flight.
+#[test]
+fn invalidate_settles_a_visible_write_before_its_segment_is_freed() {
+    let (mut f, seg) = audited_pod_mode(vc_cfg());
+    let published = f
+        .nt_store(Nanos(0), HostId(0), seg.base(), &[1u8; LINE as usize])
+        .expect("nt");
+    // A device on host 1 overwrites the line, unordered with host 0.
+    let visible = f
+        .dma_write(published, HostId(1), seg.base(), &[2u8; LINE as usize])
+        .expect("dma");
+    f.invalidate(visible, HostId(0), seg.base(), LINE);
+    f.free_segment(seg.id()).expect("free");
+    let report = f.audit_report().expect("audit on");
+    assert_eq!(report.counts.concurrent_conflicts, 1, "{}", report.render());
+    match &report.violations[0].kind {
+        ViolationKind::ConcurrentConflict {
+            first,
+            first_access,
+            second,
+            second_access,
+            ..
+        } => {
+            assert_eq!(*first, Actor::Cpu(HostId(0)));
+            assert_eq!(*first_access, AccessKind::Write);
+            assert_eq!(*second, Actor::Dma(HostId(1)));
+            assert_eq!(*second_access, AccessKind::Write);
+        }
+        other => panic!("expected ConcurrentConflict, got {other:?}"),
+    }
+    assert_eq!(report.violations[0].detected_at, visible);
+}
+
 /// A device DMA-reading around a store the owning CPU never published:
 /// vector-clock mode reports the unpublished store racing the DMA read
 /// (with both clock snapshots) instead of a definite stale read.

@@ -14,7 +14,7 @@ use bench::workload::{
     base_spec, churn_pod_params, churn_workload, faulted_spec, pod_params, search_config,
 };
 use bench::Scale;
-use cxl_pcie_pool::cxl_fabric::{AuditMode, HostId, MhdId};
+use cxl_pcie_pool::cxl_fabric::{AccessStats, AuditMode, HostId, MhdId};
 use cxl_pcie_pool::pool::pod::{PodParams, PodSim};
 use cxl_pcie_pool::simkit::Nanos;
 use cxl_pcie_pool::workgen::{self, Engine, RunReport};
@@ -43,9 +43,11 @@ const WAKE_SEED42_TENANTS: [(&str, u64, u64, u64); 3] = [
 const WAKE_SEED42_OPS: u64 = 789;
 /// Its clean and single-domain-loss capacities (pps).
 const WAKE_SEED42_CAPACITY: (f64, f64) = (91_375.0, 84_125.0);
-/// Pool loads, NT stores and DMA ops of that baseline's engine run (the
-/// bench ledger's per-op figures times [`WAKE_SEED42_OPS`]).
-const WAKE_SEED42_LEDGER: [u64; 3] = [1_785, 2_681, 1_656];
+/// Every [`AccessStats`] counter of that baseline's engine run, in field
+/// order: loads, stores, NT stores, flushes, DMA reads, DMA writes,
+/// bytes read and bytes written. Loads, NT stores and DMA ops are the
+/// bench ledger's per-op figures times [`WAKE_SEED42_OPS`].
+const WAKE_SEED42_LEDGER: [u64; 8] = [1_785, 0, 2_681, 0, 856, 800, 1_827_856, 3_489_616];
 
 /// Per-tenant `(name, p50, p90, p99)` of the seed-42 quick run with the
 /// whole-domain loss (`faulted_spec`) under the default wake rule: the
@@ -93,21 +95,38 @@ fn params(seed: u64, exact: bool) -> PodParams {
 }
 
 /// Runs the quick baseline, audited in `audit` when given; also returns
-/// the pool loads, NT stores and DMA ops the engine run cost (the bench
-/// ledger's counts).
-fn baseline(seed: u64, exact: bool, audit: Option<AuditMode>) -> (RunReport, PodSim, [u64; 3]) {
+/// every [`AccessStats`] counter the engine run moved, in field order.
+fn baseline(seed: u64, exact: bool, audit: Option<AuditMode>) -> (RunReport, PodSim, [u64; 8]) {
     let mut pod = PodSim::new(params(seed, exact));
     if let Some(mode) = audit {
         pod.enable_audit_mode(mode);
     }
     let counts = |pod: &PodSim| {
-        let f = pod.fabric.stats();
-        [f.loads, f.nt_stores, f.dma_reads + f.dma_writes]
+        let AccessStats {
+            loads,
+            stores,
+            nt_stores,
+            flushes,
+            dma_reads,
+            dma_writes,
+            bytes_read,
+            bytes_written,
+        } = pod.fabric.stats();
+        [
+            loads,
+            stores,
+            nt_stores,
+            flushes,
+            dma_reads,
+            dma_writes,
+            bytes_read,
+            bytes_written,
+        ]
     };
     let before = counts(&pod);
     let report = Engine::new(seed).run(&mut pod, &base_spec(Scale::Quick));
     let after = counts(&pod);
-    let ledger = [0, 1, 2].map(|i| after[i] - before[i]);
+    let ledger = std::array::from_fn(|i| after[i] - before[i]);
     (report, pod, ledger)
 }
 
@@ -194,10 +213,7 @@ fn wake_rule_tracks_the_exact_latencies_verdicts_and_audit() {
                     &WAKE_SEED42_TENANTS,
                     &format!("the wake rule ({mode:?} audit)"),
                 );
-                assert_eq!(
-                    ledger, WAKE_SEED42_LEDGER,
-                    "loads, NT stores, DMA ops ({mode:?} audit)"
-                );
+                assert_eq!(ledger, WAKE_SEED42_LEDGER, "access stats ({mode:?} audit)");
             }
             for (e, w) in exact.tenants.iter().zip(&wake.tenants) {
                 let (e50, w50) = (e.latency.p50 as f64, w.latency.p50 as f64);
