@@ -122,54 +122,78 @@ pub struct UdpPoint {
     pub drops: u64,
     /// True if every echoed payload matched its request byte-for-byte.
     pub integrity_ok: bool,
+    /// Discrete events the run dispatched, the post-window drain
+    /// included: the event loop's share of the host cost.
+    pub events: u64,
 }
 
-/// A request in flight: its id (which fixes its payload pattern),
-/// when the client sent it, and its frame buffer. The buffer carries
-/// the request to the server NIC, takes the response from the NIC's TX
-/// DMA, and returns to the client's free list when the request ends.
+/// A request in flight, as its events carry it: its id (which fixes
+/// its payload pattern), when the client sent it, and the index of its
+/// [`Slot`]. The buffers stay in the slot table, so a heap entry stays
+/// small.
+#[derive(Clone, Copy)]
 struct Req {
     id: u64,
     sent: Nanos,
-    bytes: Vec<u8>,
+    frame: u32,
 }
 
+/// A request's buffers, owned by the world's slot table. `frame`
+/// carries the request to the server NIC and takes the response from
+/// the NIC's TX DMA; the other fields hold the forwarded path's state
+/// between its two agent events.
+struct Slot {
+    frame: Vec<u8>,
+    /// RX buffer the NIC filled with the request.
+    rx_buf: BufRef,
+    /// TX buffer the stack built the response in.
+    tx_buf: BufRef,
+    /// Length of the frame the next agent event hands on.
+    len: u32,
+}
+
+impl Slot {
+    fn new() -> Slot {
+        Slot {
+            frame: Vec::new(),
+            rx_buf: BufRef::Local(0),
+            tx_buf: BufRef::Local(0),
+            len: 0,
+        }
+    }
+}
+
+/// The events of an echo. A local or pooled echo takes three (`Send`,
+/// `Arrive`, `Repost`), a forwarded one four (`Send`, `Arrive`,
+/// `AgentRx`, `AgentTx`). The response's arrival at the client is not
+/// an event: it only feeds tallies that do not depend on order (the
+/// RTT histogram, the returned count, the integrity check and the slot
+/// free list), so [`EchoWorld::respond`] records it at the transmit,
+/// with the arrival time it has already computed.
 enum Ev {
     /// Client issues the next request.
     Send,
     /// Request frame arrives at the server NIC (headers zeroed,
     /// payload patterned).
     Arrive(Req),
-    /// Response frame arrives back at the client (echoed bytes).
-    Return(Req),
     /// The stack finished with an RX buffer; return it to the NIC ring.
     Repost {
         /// Buffer to recycle.
         buf: BufRef,
     },
     /// Remote-NIC path: the RX completion (RxDone) reaches the attach
-    /// agent for forwarding to the owner.
-    AgentRx {
-        /// The request.
-        req: Req,
-        /// Filled RX buffer.
-        buf: BufRef,
-        /// Frame length.
-        len: u32,
-    },
+    /// agent for forwarding to the owner. The slot holds the filled RX
+    /// buffer and the frame length.
+    AgentRx(Req),
     /// Remote-NIC path: the owner's TX submission reaches the attach
-    /// agent.
-    AgentTx {
-        /// The request.
-        req: Req,
-        /// TX buffer (pool).
-        buf: BufRef,
-        /// Frame length.
-        len: u32,
-        /// RX buffer to recycle once the submission is in.
-        rx_buf: BufRef,
-    },
+    /// agent. The slot holds the TX buffer, the response length and the
+    /// RX buffer to recycle once the submission is in.
+    AgentTx(Req),
 }
+
+/// Why returning an RX buffer cannot fail: every buffer in flight was
+/// taken from the ring, which never held more than its capacity.
+const RING_HAS_ROOM: &str = "a returned RX buffer was taken from the ring, so it has room";
 
 struct EchoWorld {
     cfg: UdpConfig,
@@ -181,13 +205,16 @@ struct EchoWorld {
     client: Client,
     rng: Rng,
     buf_size: u64,
-    /// Frame buffers of finished requests, reused by later sends.
-    free_frames: Vec<Vec<u8>>,
+    /// Buffers of the requests in flight and of finished ones.
+    slots: Vec<Slot>,
+    /// Slots of finished requests, reused by later sends.
+    free_slots: Vec<u32>,
     rtt: Histogram,
     next_id: u64,
     drops: u64,
     corrupt: u64,
     returned: u64,
+    events: u64,
     /// The attach-host agent serializing forwarded MMIO operations
     /// when the NIC is remote.
     forward_agent: simkit::server::TimelineServer,
@@ -222,12 +249,14 @@ impl EchoWorld {
             wire_rev: Wire::new(cfg.wire),
             rng: Rng::new(cfg.seed),
             buf_size,
-            free_frames: Vec::new(),
+            slots: Vec::new(),
+            free_slots: Vec::new(),
             rtt: Histogram::new(),
             next_id: 0,
             drops: 0,
             corrupt: 0,
             returned: 0,
+            events: 0,
             forward_agent: simkit::server::TimelineServer::new(),
             cfg,
             fabric,
@@ -236,26 +265,42 @@ impl EchoWorld {
         }
     }
 
-    // When the NIC is remote, a submission ready at `t` reaches the
-    // device only after the channel hop and the attach agent's turn.
-
     fn frame_len(&self) -> u64 {
         self.cfg.payload as u64 + HEADERS as u64
     }
 
     /// The NIC transmits the response from `tx_buf` at `at` into the
-    /// request's frame buffer.
-    fn transmit(&mut self, at: Nanos, tx_buf: BufRef, len: u32, req: Req) -> (Nanos, Req) {
+    /// request's frame, and the echo ends: the response's arrival at the
+    /// client is tallied here and its slot freed.
+    fn respond(&mut self, at: Nanos, tx_buf: BufRef, len: u32, req: Req) {
+        let slot = &mut self.slots[req.frame as usize];
         let frame = self
             .nic
-            .transmit(&mut self.fabric, at, tx_buf, len, req.bytes)
+            .transmit(
+                &mut self.fabric,
+                at,
+                tx_buf,
+                len,
+                std::mem::take(&mut slot.frame),
+            )
             .expect("response tx");
         let back = self.wire_rev.carry(frame.wire_exit, len as u64);
-        let req = Req {
-            bytes: frame.bytes,
-            ..req
-        };
-        (back, req)
+        // Only responses inside the measurement window count; the
+        // post-window drain would otherwise inflate saturation
+        // throughput.
+        if back <= self.cfg.duration {
+            let rtt = (back - req.sent) + self.client.rx_overhead;
+            self.rtt.record(rtt.as_nanos());
+            self.returned += 1;
+        }
+        // Integrity: the echoed frame must carry the request's payload
+        // pattern after the headers.
+        let payload = &frame.bytes[HEADERS as usize..][..self.cfg.payload as usize];
+        if !pattern_matches(req.id, payload) {
+            self.corrupt += 1;
+        }
+        slot.frame = frame.bytes;
+        self.free_slots.push(req.frame);
     }
 }
 
@@ -263,42 +308,47 @@ impl World for EchoWorld {
     type Event = Ev;
 
     fn handle(&mut self, now: Nanos, ev: Ev, sched: &mut Scheduler<Ev>) {
+        self.events += 1;
         match ev {
             Ev::Send => {
                 let id = self.next_id;
                 self.next_id += 1;
-                let mut bytes = self.free_frames.pop().unwrap_or_default();
-                bytes.resize(self.frame_len() as usize, 0);
+                let len = self.frame_len();
+                let frame = self.free_slots.pop().unwrap_or_else(|| {
+                    self.slots.push(Slot::new());
+                    u32::try_from(self.slots.len() - 1).expect("requests in flight fit u32")
+                });
+                let bytes = &mut self.slots[frame as usize].frame;
+                bytes.resize(len as usize, 0);
                 let (headers, payload) = bytes.split_at_mut(HEADERS as usize);
                 headers.fill(0);
                 fill_pattern(id, payload);
-                let on_wire = self.client.send(now, self.frame_len());
-                let arrive = self.wire_fwd.carry(on_wire, self.frame_len());
-                let req = Req {
-                    id,
-                    sent: now,
-                    bytes,
-                };
-                sched.schedule(arrive, Ev::Arrive(req));
+                let on_wire = self.client.send(now, len);
+                let arrive = self.wire_fwd.carry(on_wire, len);
+                sched.schedule(
+                    arrive,
+                    Ev::Arrive(Req {
+                        id,
+                        sent: now,
+                        frame,
+                    }),
+                );
                 if now < self.cfg.duration {
                     let gap = next_gap(&mut self.rng, self.cfg.offered_pps);
                     sched.schedule(now + gap, Ev::Send);
                 }
             }
             Ev::Arrive(req) => {
-                match self.nic.receive(&mut self.fabric, now, &req.bytes) {
+                let bytes = &self.slots[req.frame as usize].frame;
+                match self.nic.receive(&mut self.fabric, now, bytes) {
                     Ok(Some(c)) => {
                         if self.cfg.remote_nic.is_some() {
                             // Figure 1 path: the completion must reach
                             // the owner via the attach agent first.
-                            sched.schedule(
-                                c.done.max(now),
-                                Ev::AgentRx {
-                                    req,
-                                    buf: c.buf,
-                                    len: c.len,
-                                },
-                            );
+                            let slot = &mut self.slots[req.frame as usize];
+                            slot.rx_buf = c.buf;
+                            slot.len = c.len;
+                            sched.schedule(c.done.max(now), Ev::AgentRx(req));
                         } else {
                             let (tx_buf, len, ready) = self
                                 .stack
@@ -307,70 +357,47 @@ impl World for EchoWorld {
                             // The RX buffer is busy until the stack is
                             // done with it; recycle it then, not now.
                             sched.schedule(ready.max(now), Ev::Repost { buf: c.buf });
-                            let (back, req) = self.transmit(ready, tx_buf, len, req);
-                            sched.schedule(back, Ev::Return(req));
+                            self.respond(ready, tx_buf, len, req);
                         }
                     }
                     Ok(None) => {
                         self.drops += 1;
-                        self.free_frames.push(req.bytes);
+                        self.free_slots.push(req.frame);
                     }
                     Err(e) => panic!("server NIC failed mid-run: {e}"),
                 }
             }
-            Ev::Return(req) => {
-                // Only responses inside the measurement window count;
-                // the post-window drain would otherwise inflate
-                // saturation throughput.
-                if now <= self.cfg.duration {
-                    let rtt = (now - req.sent) + self.client.rx_overhead;
-                    self.rtt.record(rtt.as_nanos());
-                    self.returned += 1;
-                }
-                // Integrity: the echoed frame must carry the request's
-                // payload pattern after the headers.
-                let payload = &req.bytes[HEADERS as usize..][..self.cfg.payload as usize];
-                if !pattern_matches(req.id, payload) {
-                    self.corrupt += 1;
-                }
-                self.free_frames.push(req.bytes);
-            }
             Ev::Repost { buf } => {
-                let _ = self.nic.post_rx(buf, self.buf_size as u32);
+                self.nic
+                    .post_rx(buf, self.buf_size as u32)
+                    .expect(RING_HAS_ROOM);
             }
-            Ev::AgentRx { req, buf, len } => {
+            Ev::AgentRx(req) => {
                 let costs = self.cfg.remote_nic.expect("remote path");
                 // The attach agent relays the completion; the owner
                 // sees it one channel hop later.
                 let relayed = self.forward_agent.serve(now, costs.agent_occupancy);
                 let rx_seen = relayed + costs.forward_latency;
+                let slot = &mut self.slots[req.frame as usize];
                 let (tx_buf, len, ready) = self
                     .stack
-                    .handle(&mut self.fabric, rx_seen, buf, len)
+                    .handle(&mut self.fabric, rx_seen, slot.rx_buf, slot.len)
                     .expect("echo handling");
+                slot.tx_buf = tx_buf;
+                slot.len = len;
                 // The owner's TX submission arrives back at the agent
                 // one hop after the stack finished.
-                sched.schedule(
-                    (ready + costs.forward_latency).max(now),
-                    Ev::AgentTx {
-                        req,
-                        buf: tx_buf,
-                        len,
-                        rx_buf: buf,
-                    },
-                );
+                sched.schedule((ready + costs.forward_latency).max(now), Ev::AgentTx(req));
             }
-            Ev::AgentTx {
-                req,
-                buf,
-                len,
-                rx_buf,
-            } => {
+            Ev::AgentTx(req) => {
                 let costs = self.cfg.remote_nic.expect("remote path");
                 let submit_at = self.forward_agent.serve(now, costs.agent_occupancy);
-                let (back, req) = self.transmit(submit_at, buf, len, req);
-                let _ = self.nic.post_rx(rx_buf, self.buf_size as u32);
-                sched.schedule(back.max(now), Ev::Return(req));
+                let slot = &self.slots[req.frame as usize];
+                let (tx_buf, len, rx_buf) = (slot.tx_buf, slot.len, slot.rx_buf);
+                self.respond(submit_at, tx_buf, len, req);
+                self.nic
+                    .post_rx(rx_buf, self.buf_size as u32)
+                    .expect(RING_HAS_ROOM);
             }
         }
     }
@@ -395,6 +422,7 @@ pub fn run_point(cfg: UdpConfig) -> UdpPoint {
         mean: world.rtt.mean(),
         drops: world.drops,
         integrity_ok: world.corrupt == 0,
+        events: world.events,
     }
 }
 
@@ -489,36 +517,70 @@ mod tests {
         );
     }
 
-    /// Exact outputs of four 1 ms points: the local and pooled zero-copy
-    /// paths, the forwarded (remote NIC) path, and an overload whose
-    /// drops exercise the dropped-request path. A datapath refactor
-    /// must keep every field bit for bit.
+    /// Exact outputs of seven 1 ms points: the local and pooled
+    /// zero-copy paths, the copying stack, a multi-granule 4096 B frame,
+    /// the forwarded (remote NIC) path light and overloaded, and an
+    /// overload whose drops exercise the dropped-request path. A
+    /// datapath refactor must keep every model field bit for bit;
+    /// `events` moves only with a deliberate change to the event path.
     #[test]
     fn run_point_outputs_are_pinned() {
-        let remote = Some(RemoteNicCosts::default());
-        let cases = [
-            (64, 1_000_000.0, BufferMode::LocalDram, None),
-            (1500, 500_000.0, BufferMode::CxlPool, None),
-            (1024, 500_000.0, BufferMode::CxlPool, remote),
-            (64, 20_000_000.0, BufferMode::CxlPool, None),
-        ];
-        // (p50, p99, mean, drops, achieved_pps)
-        let pins = [
-            (4768, 4768, 4749.14681724846, 0, 974_000.0),
-            (5626, 5728, 5630.50826446281, 0, 484_000.0),
-            (7718, 8640, 7862.417355371901, 0, 484_000.0),
-            (37120, 37120, 36360.33235294118, 12331, 7_480_000.0),
-        ];
-        for ((payload, pps, mode, remote_nic), pin) in cases.into_iter().zip(pins) {
+        let point = |payload, pps, mode| {
             let mut cfg = UdpConfig::new(payload, pps, mode);
             cfg.duration = Nanos::from_millis(1);
-            cfg.remote_nic = remote_nic;
+            cfg
+        };
+        let remote = |mut cfg: UdpConfig| {
+            cfg.remote_nic = Some(RemoteNicCosts::default());
+            cfg
+        };
+        let mut copying = point(1500, 500_000.0, BufferMode::CxlPool);
+        copying.stack.zero_copy = false;
+        let cases = [
+            point(64, 1_000_000.0, BufferMode::LocalDram),
+            point(1500, 500_000.0, BufferMode::CxlPool),
+            remote(point(1024, 500_000.0, BufferMode::CxlPool)),
+            point(64, 20_000_000.0, BufferMode::CxlPool),
+            copying,
+            point(4096, 1_000_000.0, BufferMode::CxlPool),
+            remote(point(64, 4_000_000.0, BufferMode::CxlPool)),
+        ];
+        // (p50, p99, mean, drops, achieved_pps, events)
+        let pins = [
+            (4768, 4768, 4749.14681724846, 0, 974_000.0, 2940),
+            (5626, 5728, 5630.50826446281, 0, 484_000.0, 1461),
+            (7718, 8640, 7862.417355371901, 0, 484_000.0, 1948),
+            (37120, 37120, 36360.33235294118, 12331, 7_480_000.0, 47939),
+            (5734, 5855, 5738.55785123967, 0, 484_000.0, 1461),
+            (6893, 7776, 6984.776748971193, 0, 972_000.0, 2940),
+            (337920, 358400, 286117.1621621622, 2195, 1_295_000.0, 11618),
+        ];
+        for (cfg, pin) in cases.into_iter().zip(pins) {
+            let case = format!(
+                "{} B at {} pps, {:?}, zero_copy {}, remote {}",
+                cfg.payload,
+                cfg.offered_pps,
+                cfg.mode,
+                cfg.stack.zero_copy,
+                cfg.remote_nic.is_some()
+            );
             let p = run_point(cfg);
-            let got = (p.p50, p.p99, p.mean, p.drops, p.achieved_pps);
-            assert_eq!(got, pin, "{payload} B at {pps} pps, {mode:?}");
-            assert_eq!(p.mean.to_bits(), pin.2.to_bits());
-            assert!(p.integrity_ok, "{payload} B at {pps} pps, {mode:?}");
+            let got = (p.p50, p.p99, p.mean, p.drops, p.achieved_pps, p.events);
+            assert_eq!(got, pin, "{case}");
+            assert_eq!(p.mean.to_bits(), pin.2.to_bits(), "{case}");
+            assert!(p.integrity_ok, "{case}");
         }
+    }
+
+    /// An event carries only ids and times; the request's buffers stay
+    /// in the slot table, so a heap entry stays small.
+    #[test]
+    fn an_event_fits_in_32_bytes() {
+        assert!(
+            std::mem::size_of::<Ev>() <= 32,
+            "{}",
+            std::mem::size_of::<Ev>()
+        );
     }
 
     #[test]

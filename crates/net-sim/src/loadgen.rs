@@ -46,26 +46,41 @@ pub fn next_gap(rng: &mut Rng, rate_pps: f64) -> Nanos {
     Nanos(rng.exp(mean_ns).max(1.0) as u64)
 }
 
+/// Two periods of the byte ramp 0, 1, …, 255. Request `id`'s payload
+/// repeats the 256-byte window that starts at `id as u8`, so filling
+/// and checking it are plain copies and compares.
+static RAMP: [u8; 512] = {
+    let mut ramp = [0u8; 512];
+    let mut i = 0;
+    while i < ramp.len() {
+        ramp[i] = i as u8;
+        i += 1;
+    }
+    ramp
+};
+
+/// The 256-byte period of request `id`'s payload pattern.
+fn period(id: u64) -> &'static [u8] {
+    &RAMP[id as u8 as usize..][..256]
+}
+
 /// Writes request `id`'s deterministic payload into `payload`: byte
 /// `i` is `id + i` (wrapping), so the client can verify echoes
 /// byte-for-byte with [`pattern_matches`].
 pub fn fill_pattern(id: u64, payload: &mut [u8]) {
-    let seed = id as u8;
-    for (i, b) in payload.iter_mut().enumerate() {
-        *b = seed.wrapping_add(i as u8);
+    let period = period(id);
+    for chunk in payload.chunks_mut(period.len()) {
+        chunk.copy_from_slice(&period[..chunk.len()]);
     }
 }
 
 /// True if `payload` is exactly what [`fill_pattern`] writes for
-/// request `id`. Every byte is compared, with no early exit, so the
-/// loop vectorises.
+/// request `id`.
 pub fn pattern_matches(id: u64, payload: &[u8]) -> bool {
-    let seed = id as u8;
-    let diff = payload
-        .iter()
-        .enumerate()
-        .fold(0u8, |diff, (i, &b)| diff | (b ^ seed.wrapping_add(i as u8)));
-    diff == 0
+    let period = period(id);
+    payload
+        .chunks(period.len())
+        .all(|chunk| chunk == &period[..chunk.len()])
 }
 
 #[cfg(test)]
@@ -98,6 +113,15 @@ mod tests {
         let mut reused = vec![0xFFu8; 4];
         fill_pattern(3, &mut reused);
         assert_eq!(reused, vec![3, 4, 5, 6]);
+        // Byte `i` is `id + i` (wrapping) for every seed byte and for
+        // lengths on and off the 256-byte period.
+        for id in [0, 1, 200, 255, 256, 0x1234_5678_9ABC] {
+            for len in [0, 1, 255, 256, 257, 1500, 4096] {
+                let want: Vec<u8> = (0..len).map(|i| (id as u8).wrapping_add(i as u8)).collect();
+                assert_eq!(pattern(id, len), want, "id {id}, {len} B");
+                assert!(pattern_matches(id, &want), "id {id}, {len} B");
+            }
+        }
     }
 
     #[test]

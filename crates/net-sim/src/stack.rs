@@ -84,6 +84,8 @@ pub struct EchoStack {
     buf_size: u64,
     n_bufs: u64,
     next_tx: u64,
+    /// The copying echo's payload buffer, reused by every packet.
+    scratch: Vec<u8>,
 }
 
 impl EchoStack {
@@ -107,6 +109,7 @@ impl EchoStack {
             buf_size,
             n_bufs,
             next_tx: 0,
+            scratch: Vec::new(),
         }
     }
 
@@ -173,21 +176,22 @@ impl EchoStack {
         } else {
             // Copying echo: pull the whole payload, write it into the
             // next TX buffer.
-            let mut payload = vec![0u8; len as usize];
+            let payload = &mut self.scratch;
+            payload.resize(len as usize, 0);
             t = match rx_buf {
                 BufRef::Pool(hpa) => {
                     let ti = fabric.invalidate(t, self.host, hpa, len as u64);
-                    fabric.load(ti, self.host, hpa, &mut payload)?
+                    fabric.load(ti, self.host, hpa, payload)?
                 }
-                BufRef::Local(addr) => fabric.local_load(t, self.host, addr, &mut payload),
+                BufRef::Local(addr) => fabric.local_load(t, self.host, addr, payload),
             };
             t += self.params.app;
             let tx_index = self.n_bufs / 2 + (self.next_tx % (self.n_bufs / 2));
             self.next_tx += 1;
             let tx_buf = self.pool.buf(tx_index, self.buf_size);
             t = match tx_buf {
-                BufRef::Pool(hpa) => fabric.nt_store(t, self.host, hpa, &payload)?,
-                BufRef::Local(addr) => fabric.local_store(t, self.host, addr, &payload),
+                BufRef::Pool(hpa) => fabric.nt_store(t, self.host, hpa, payload)?,
+                BufRef::Local(addr) => fabric.local_store(t, self.host, addr, payload),
             };
             (tx_buf, t + self.params.tx_proto)
         };
