@@ -18,9 +18,11 @@
 //! order differ when a slow large write overlaps a fast small one, so
 //! staleness is judged on versions, never on issue ids. Per (host,
 //! line) it tracks the version that host's cached copy reflects and
-//! whether the host holds the line dirty. In-flight writes live in a
-//! mirror of the fabric's pending-write buffer and advance in lockstep
-//! with it.
+//! whether the host holds the line dirty. The auditor keeps no
+//! in-flight writes of its own: each write hook returns the write's
+//! [`ShadowWrite`], which rides with the write in the fabric's
+//! pending-write heap and lands (through [`Auditor::land`]) when
+//! `Fabric::settle` pops the write.
 //!
 //! Visible-write state is kept as *extents*, not per line: each applied
 //! write range is one extent of pool addresses pointing at its event,
@@ -42,8 +44,8 @@
 //! the clocks never tick, so every clock is empty and there are no
 //! happens-before edges. Then every write is ordered before every
 //! read, nothing races, and a missed write always counts as stale:
-//! sound but over-approximate, since two writes applied in the same
-//! `apply_pending` batch get an arbitrary relative order and a DMA
+//! sound but over-approximate, since two writes landed by the same
+//! `Fabric::settle` get an arbitrary relative order and a DMA
 //! write racing a CPU publish is reported as a definitely-ordered
 //! stale read.
 //!
@@ -972,16 +974,22 @@ impl Base {
 
 /// A line-aligned `[start, end)` run of an in-flight write whose lines
 /// share one [`Base`]: a write's base versions, run-length encoded.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 struct BaseRun {
     start: u64,
     end: u64,
     base: Base,
 }
 
-/// A mirror of one in-flight fabric write.
-#[derive(Clone, Debug)]
-struct PendingEvent {
+/// The auditor's shadow of one in-flight pool write: its event id,
+/// writer, release clock and the base versions of the lines it
+/// overwrites. A write hook returns it when the write is issued; the
+/// fabric keeps it with the write and hands it to [`Auditor::land`]
+/// once the write becomes visible, or drops it with the write when the
+/// segment is freed. Opaque outside this module.
+#[must_use = "a shadow write must land when its write becomes visible"]
+#[derive(Debug)]
+pub struct ShadowWrite {
     event: u64,
     writer: HostId,
     /// Actor that issued the write (vector-clock mode provenance).
@@ -1068,8 +1076,6 @@ pub struct Auditor {
     /// its own monotone visibility order (independent devices share
     /// none), so versions are only ever compared within one domain.
     next_versions: DetHashMap<DomainId, u64>,
-    pending: BTreeMap<(Nanos, u64), PendingEvent>,
-    pending_seq: u64,
     /// Visible-write state: `start → extent`, one extent per applied
     /// write range, split only where a later write overlaps it.
     extents: BTreeMap<u64, Extent>,
@@ -1120,8 +1126,6 @@ impl Auditor {
             config,
             next_event: 1,
             next_versions: DetHashMap::default(),
-            pending: BTreeMap::new(),
-            pending_seq: 0,
             extents: BTreeMap::new(),
             events: DetHashMap::default(),
             views: ViewTable::default(),
@@ -1415,22 +1419,15 @@ impl Auditor {
     }
 
     // ---------------------------------------------------------------
-    // Pending-write mirror
+    // Landing writes
     // ---------------------------------------------------------------
 
-    /// Applies every mirrored write visible at or before `now`, in the
-    /// same (time, sequence) order the fabric applies its own buffer.
-    pub fn advance(&mut self, now: Nanos) {
-        while let Some((&(ts, seq), _)) = self.pending.first_key_value() {
-            if ts > now {
-                break;
-            }
-            let ev = self.pending.remove(&(ts, seq)).expect("key just seen");
-            self.apply_event(ts, ev);
-        }
-    }
-
-    fn apply_event(&mut self, visible_at: Nanos, ev: PendingEvent) {
+    /// Lands a write that became visible at `visible_at`: draws its
+    /// visibility versions, checks it against the writes it overwrites
+    /// and installs it as the lines' current write. The fabric lands
+    /// shadows in the `(visible_at, issue order)` order it settles pool
+    /// bytes in; versions follow landing order.
+    pub fn land(&mut self, visible_at: Nanos, ev: ShadowWrite) {
         // Draw one visibility version per domain the write touches
         // under the current mappings: visibility order is a per-domain
         // notion (independent devices apply writes independently), so
@@ -1519,7 +1516,7 @@ impl Auditor {
     fn report_overwrite(
         &mut self,
         visible_at: Nanos,
-        ev: &PendingEvent,
+        ev: &ShadowWrite,
         base: &Base,
         old: &EventMeta,
         (ps, pe): (u64, u64),
@@ -1552,10 +1549,10 @@ impl Auditor {
         actor: Actor,
         kind: WriteKind,
         runs: Vec<BaseRun>,
-    ) -> PendingEvent {
+    ) -> ShadowWrite {
         let event = self.next_event;
         self.next_event += 1;
-        PendingEvent {
+        ShadowWrite {
             event,
             writer: actor.host(),
             actor,
@@ -1564,19 +1561,6 @@ impl Auditor {
             written_at,
             runs,
         }
-    }
-
-    fn enqueue(
-        &mut self,
-        written_at: Nanos,
-        visible_at: Nanos,
-        actor: Actor,
-        kind: WriteKind,
-        runs: Vec<BaseRun>,
-    ) {
-        let ev = self.issue(written_at, actor, kind, runs);
-        self.pending.insert((visible_at, self.pending_seq), ev);
-        self.pending_seq += 1;
     }
 
     // ---------------------------------------------------------------
@@ -1841,32 +1825,35 @@ impl Auditor {
     }
 
     /// Audits a non-temporal store: the writer's own cached lines are
-    /// dropped (dirty bytes outside the written range are lost) and the
-    /// write is queued for visibility at `done`.
-    pub fn on_nt_store(&mut self, now: Nanos, host: HostId, hpa: u64, len: u64, done: Nanos) {
+    /// dropped (dirty bytes outside the written range are lost). Returns
+    /// the write's shadow, to [`Auditor::land`] once it is visible.
+    pub fn on_nt_store(&mut self, now: Nanos, host: HostId, hpa: u64, len: u64) -> ShadowWrite {
         self.report.ops_audited += 1;
         self.tick_range(Actor::Cpu(host), hpa, len);
         self.drop_copies(now, host, hpa, len, Some(LostWriteCause::OverwriteDiscard));
         let runs = self.bases_for(hpa, len);
-        self.enqueue(now, done, Actor::Cpu(host), WriteKind::NtStore, runs);
+        self.issue(now, Actor::Cpu(host), WriteKind::NtStore, runs)
     }
 
     /// Audits a device DMA write via attach host `host`: snoop drops
     /// the attach host's copies; remote hosts keep theirs (and go
     /// stale). The doorbell orders the DMA after the attach CPU's prior
-    /// work (one hb edge); remote CPUs get no edge.
-    pub fn on_dma_write(&mut self, now: Nanos, host: HostId, hpa: u64, len: u64, done: Nanos) {
+    /// work (one hb edge); remote CPUs get no edge. Returns the write's
+    /// shadow, to [`Auditor::land`] once it is visible.
+    pub fn on_dma_write(&mut self, now: Nanos, host: HostId, hpa: u64, len: u64) -> ShadowWrite {
         self.report.ops_audited += 1;
         self.join_actor(Actor::Dma(host), Actor::Cpu(host));
         self.tick_range(Actor::Dma(host), hpa, len);
         self.drop_copies(now, host, hpa, len, Some(LostWriteCause::OverwriteDiscard));
         let runs = self.bases_for(hpa, len);
-        self.enqueue(now, done, Actor::Dma(host), WriteKind::DmaWrite, runs);
+        self.issue(now, Actor::Dma(host), WriteKind::DmaWrite, runs)
     }
 
-    /// Audits a flush: `dirty` lists the dirty lines being published
-    /// (visible at `done`), in ascending order; clean lines in the range
-    /// are just dropped.
+    /// Audits a flush: `dirty` lists the dirty lines being published,
+    /// in ascending order; clean lines in the range are just dropped.
+    /// Returns the publish's shadow, to [`Auditor::land`] once it is
+    /// visible, or `None` when no line was dirty.
+    #[must_use = "a shadow write must land when its write becomes visible"]
     pub fn on_flush(
         &mut self,
         now: Nanos,
@@ -1874,8 +1861,7 @@ impl Auditor {
         hpa: u64,
         len: u64,
         dirty: &[u64],
-        done: Nanos,
-    ) {
+    ) -> Option<ShadowWrite> {
         self.report.ops_audited += 1;
         self.tick_range(Actor::Cpu(host), hpa, len);
         let mut published: Vec<BaseRun> = Vec::new();
@@ -1899,9 +1885,8 @@ impl Auditor {
         debug_assert!(published.windows(2).all(|w| w[0].end <= w[1].start));
         // clflush semantics: every line in the range leaves the cache.
         self.drop_copies(now, host, hpa, len, None);
-        if !published.is_empty() {
-            self.enqueue(now, done, Actor::Cpu(host), WriteKind::Flush, published);
-        }
+        (!published.is_empty())
+            .then(|| self.issue(now, Actor::Cpu(host), WriteKind::Flush, published))
     }
 
     /// Audits an invalidate: dropping a dirty line without write-back
@@ -2004,40 +1989,19 @@ impl Auditor {
             base: Base::Flat(base),
         };
         let ev = self.issue(now, Actor::Cpu(host), WriteKind::Eviction, vec![run]);
-        self.apply_event(now, ev);
+        self.land(now, ev);
     }
 
     /// Forgets all shadow state for `[base, end)` when the segment is
     /// freed: a reallocation of the space must be audited from scratch,
-    /// not against ghosts of the previous tenant.
+    /// not against ghosts of the previous tenant. Shadows of writes
+    /// still in flight into the segment are the fabric's to drop, with
+    /// their writes.
     pub fn on_segment_free(&mut self, base: u64, end: u64) {
         // Visible-write extents and views of every line the range
         // touches go in one carve and one view sweep; the carve keeps
         // event refcounts balanced.
         self.forget(base, end);
-        // In-flight writes keep only their lines outside the range.
-        let lo = base.next_multiple_of(CACHELINE);
-        let hi = end.next_multiple_of(CACHELINE);
-        for ev in self.pending.values_mut() {
-            let mut kept = Vec::with_capacity(ev.runs.len() + 1);
-            for run in ev.runs.drain(..) {
-                if run.end <= lo || run.start >= hi {
-                    kept.push(run);
-                    continue;
-                }
-                if run.start < lo {
-                    kept.push(BaseRun {
-                        end: lo,
-                        ..run.clone()
-                    });
-                }
-                if run.end > hi {
-                    kept.push(BaseRun { start: hi, ..run });
-                }
-            }
-            ev.runs = kept;
-        }
-        self.pending.retain(|_, ev| !ev.runs.is_empty());
         // Retire the freed range's domain mapping; a realloc of the
         // space registers its own.
         self.domain_map
@@ -2252,8 +2216,8 @@ mod tests {
         // Host 1 load-misses line 0 (caches pool state, version 0).
         a.on_load(Nanos(0), HostId(1), &[(0, false)], &[], &[]);
         // Host 0 nt-stores the line, visible at t=100.
-        a.on_nt_store(Nanos(10), HostId(0), 0, L, Nanos(100));
-        a.advance(Nanos(100));
+        let w = a.on_nt_store(Nanos(10), HostId(0), 0, L);
+        a.land(Nanos(100), w);
         // Host 1 hits its stale copy.
         a.on_load(Nanos(200), HostId(1), &[(0, true)], &[], &[]);
         let r = a.report();
@@ -2271,8 +2235,8 @@ mod tests {
     fn own_write_hit_is_not_stale() {
         let mut a = Auditor::new(ver());
         a.on_load(Nanos(0), HostId(0), &[(0, false)], &[], &[]);
-        a.on_nt_store(Nanos(10), HostId(0), 0, L, Nanos(100));
-        a.advance(Nanos(100));
+        let w = a.on_nt_store(Nanos(10), HostId(0), 0, L);
+        a.land(Nanos(100), w);
         // Host 0 re-caching pre-publish bytes of its *own* write is an
         // ordering quirk, not a cross-host hazard.
         a.on_load(Nanos(200), HostId(0), &[(0, true)], &[], &[]);
@@ -2283,10 +2247,13 @@ mod tests {
     fn visibility_order_not_issue_order_decides_staleness() {
         let mut a = Auditor::new(ver());
         // Host 0 issues a slow write first (visible at 200), host 1 a
-        // fast one second (visible at 100). Final state is host 0's.
-        a.on_nt_store(Nanos(0), HostId(0), 0, L, Nanos(200));
-        a.on_nt_store(Nanos(10), HostId(1), 0, L, Nanos(100));
-        a.advance(Nanos(300));
+        // fast one second (visible at 100). They land in visibility
+        // order, as the fabric settles them, so the final state is
+        // host 0's.
+        let slow = a.on_nt_store(Nanos(0), HostId(0), 0, L);
+        let fast = a.on_nt_store(Nanos(10), HostId(1), 0, L);
+        a.land(Nanos(100), fast);
+        a.land(Nanos(200), slow);
         // A host that missed *after* both applied observes the final
         // (host 0) version: fresh, no violation.
         a.on_load(Nanos(300), HostId(1), &[(0, false)], &[], &[]);
@@ -2336,11 +2303,13 @@ mod tests {
         a.on_fill(HostId(1), 0);
         a.on_store(Nanos(5), HostId(1), 0);
         // Host 0 publishes a newer value.
-        a.on_nt_store(Nanos(10), HostId(0), 0, L, Nanos(50));
-        a.advance(Nanos(50));
+        let w = a.on_nt_store(Nanos(10), HostId(0), 0, L);
+        a.land(Nanos(50), w);
         // Host 1 flushes its version-0-based merge over it.
-        a.on_flush(Nanos(60), HostId(1), 0, L, &[0], Nanos(120));
-        a.advance(Nanos(120));
+        let w = a
+            .on_flush(Nanos(60), HostId(1), 0, L, &[0])
+            .expect("dirty line published");
+        a.land(Nanos(120), w);
         let r = a.report();
         assert_eq!(r.counts.lost_writes, 1);
         match &r.violations[0].kind {
@@ -2361,8 +2330,8 @@ mod tests {
         // Host 1 caches both lines at version 0.
         a.on_load(Nanos(0), HostId(1), &[(0, false), (L, false)], &[], &[]);
         // Host 0 publishes a 2-line write.
-        a.on_nt_store(Nanos(10), HostId(0), 0, 2 * L, Nanos(100));
-        a.advance(Nanos(100));
+        let w = a.on_nt_store(Nanos(10), HostId(0), 0, 2 * L);
+        a.land(Nanos(100), w);
         // Host 1's next load hits line 0 stale but misses line 1
         // (fresh): a torn observation of one event.
         a.on_load(Nanos(200), HostId(1), &[(0, true), (L, false)], &[], &[]);
@@ -2393,8 +2362,8 @@ mod tests {
         // The same pattern inside a tear-tolerant range stays quiet.
         let mut b = Auditor::new(ver());
         b.on_load(Nanos(0), HostId(1), &[(0, false), (L, false)], &[], &[]);
-        b.on_nt_store(Nanos(10), HostId(0), 0, 2 * L, Nanos(100));
-        b.advance(Nanos(100));
+        let w = b.on_nt_store(Nanos(10), HostId(0), 0, 2 * L);
+        b.land(Nanos(100), w);
         b.on_load(
             Nanos(200),
             HostId(1),
@@ -2409,8 +2378,8 @@ mod tests {
     fn duplicate_violations_count_but_record_once() {
         let mut a = Auditor::new(ver());
         a.on_load(Nanos(0), HostId(1), &[(0, false)], &[], &[]);
-        a.on_nt_store(Nanos(10), HostId(0), 0, L, Nanos(100));
-        a.advance(Nanos(100));
+        let w = a.on_nt_store(Nanos(10), HostId(0), 0, L);
+        a.land(Nanos(100), w);
         a.on_load(Nanos(200), HostId(1), &[(0, true)], &[], &[]);
         a.on_load(Nanos(300), HostId(1), &[(0, true)], &[], &[]);
         a.on_load(Nanos(400), HostId(1), &[(0, true)], &[], &[]);
@@ -2499,9 +2468,10 @@ mod tests {
         // call the race out.
         let run = |cfg: AuditConfig| {
             let mut a = Auditor::new(cfg);
-            a.on_nt_store(Nanos(0), HostId(0), 0, L, Nanos(100));
-            a.on_nt_store(Nanos(10), HostId(1), 0, L, Nanos(110));
-            a.advance(Nanos(200));
+            let first = a.on_nt_store(Nanos(0), HostId(0), 0, L);
+            let second = a.on_nt_store(Nanos(10), HostId(1), 0, L);
+            a.land(Nanos(100), first);
+            a.land(Nanos(110), second);
             a.report().clone()
         };
         assert_eq!(run(ver()).counts.concurrent_conflicts, 0);
@@ -2535,8 +2505,8 @@ mod tests {
         // DMA-written line races it; with the edge it is ordered.
         let run = |complete: bool| {
             let mut a = Auditor::new(vc());
-            a.on_dma_write(Nanos(0), HostId(0), 0, L, Nanos(100));
-            a.advance(Nanos(100));
+            let w = a.on_dma_write(Nanos(0), HostId(0), 0, L);
+            a.land(Nanos(100), w);
             if complete {
                 a.on_dma_complete(HostId(0));
             }
@@ -2555,9 +2525,10 @@ mod tests {
         let run = |sync: &[(u64, u64)]| {
             let mut a = Auditor::new(vc());
             // Data write, then flag write (program order on cpu0).
-            a.on_nt_store(Nanos(0), HostId(0), 2 * L, L, Nanos(90));
-            a.on_nt_store(Nanos(10), HostId(0), 0, L, Nanos(100));
-            a.advance(Nanos(150));
+            let data = a.on_nt_store(Nanos(0), HostId(0), 2 * L, L);
+            let flag = a.on_nt_store(Nanos(10), HostId(0), 0, L);
+            a.land(Nanos(90), data);
+            a.land(Nanos(100), flag);
             // Host 1 reads flag then data, both fresh.
             a.on_load(Nanos(200), HostId(1), &[(0, false)], &[], sync);
             a.on_load(Nanos(210), HostId(1), &[(2 * L, false)], &[], sync);
@@ -2575,9 +2546,10 @@ mod tests {
         // Host 1 caches the data line.
         a.on_load(Nanos(0), HostId(1), &[(2 * L, false)], &[], &[]);
         // Host 0 publishes data then a sync flag.
-        a.on_nt_store(Nanos(10), HostId(0), 2 * L, L, Nanos(90));
-        a.on_nt_store(Nanos(20), HostId(0), 0, L, Nanos(100));
-        a.advance(Nanos(150));
+        let data = a.on_nt_store(Nanos(10), HostId(0), 2 * L, L);
+        let flag = a.on_nt_store(Nanos(20), HostId(0), 0, L);
+        a.land(Nanos(90), data);
+        a.land(Nanos(100), flag);
         // Host 1 acquires via the flag, then hits its stale data copy:
         // the missed write is hb-ordered before the read, so this is a
         // definite stale read, not a race.
@@ -2591,8 +2563,8 @@ mod tests {
     #[test]
     fn segment_free_clears_shadow_state() {
         let mut a = Auditor::new(vc());
-        a.on_nt_store(Nanos(0), HostId(0), 0, 2 * L, Nanos(100));
-        a.advance(Nanos(100));
+        let w = a.on_nt_store(Nanos(0), HostId(0), 0, 2 * L);
+        a.land(Nanos(100), w);
         a.on_load(Nanos(110), HostId(1), &[(0, false)], &[], &[(0, 2 * L)]);
         a.on_segment_free(0, 2 * L);
         // The next tenant of the space starts from scratch: a fresh
@@ -2605,9 +2577,10 @@ mod tests {
     #[test]
     fn race_report_carries_clock_snapshots() {
         let mut a = Auditor::new(vc());
-        a.on_nt_store(Nanos(0), HostId(0), 0, L, Nanos(100));
-        a.on_nt_store(Nanos(10), HostId(1), 0, L, Nanos(110));
-        a.advance(Nanos(200));
+        let first = a.on_nt_store(Nanos(0), HostId(0), 0, L);
+        let second = a.on_nt_store(Nanos(10), HostId(1), 0, L);
+        a.land(Nanos(100), first);
+        a.land(Nanos(110), second);
         let rr = a.race_report();
         assert_eq!(rr.conflicts.len(), 1);
         assert_eq!(rr.line_clocks.len(), 1);
@@ -2624,8 +2597,8 @@ mod tests {
     #[test]
     fn version_mode_keeps_empty_race_report() {
         let mut a = Auditor::new(ver());
-        a.on_nt_store(Nanos(0), HostId(0), 0, L, Nanos(100));
-        a.advance(Nanos(100));
+        let w = a.on_nt_store(Nanos(0), HostId(0), 0, L);
+        a.land(Nanos(100), w);
         let rr = a.race_report();
         assert!(rr.conflicts.is_empty());
         assert!(rr.actor_clocks.is_empty());
@@ -2682,8 +2655,8 @@ mod tests {
         // A write in domain 1 then a host caching a domain-0 line: the
         // domain-0 view must not appear stale against domain 1's
         // version counter.
-        a.on_nt_store(Nanos(0), HostId(0), 0, L, Nanos(50));
-        a.advance(Nanos(50));
+        let w = a.on_nt_store(Nanos(0), HostId(0), 0, L);
+        a.land(Nanos(50), w);
         let far = 0x10_0000;
         a.on_load(Nanos(60), HostId(1), &[(far, false)], &[], &[]);
         a.on_load(Nanos(70), HostId(1), &[(far, true)], &[], &[]);
@@ -2696,8 +2669,8 @@ mod tests {
         // First tenant: the range lives in domain 0; host 0 publishes
         // and host 1 caches it.
         a.map_segment(0, 2 * L, vec![DomainId(0)]);
-        a.on_nt_store(Nanos(0), HostId(0), 0, 2 * L, Nanos(100));
-        a.advance(Nanos(100));
+        let w = a.on_nt_store(Nanos(0), HostId(0), 0, 2 * L);
+        a.land(Nanos(100), w);
         a.on_load(Nanos(110), HostId(1), &[(0, false)], &[], &[(0, 2 * L)]);
         // Free and re-map the same addresses into domain 1.
         a.on_segment_free(0, 2 * L);
@@ -2705,8 +2678,8 @@ mod tests {
         // The new tenant's fresh accesses find no ghost of the old
         // domain's writes: no stale read, no race, no line clocks.
         a.on_load(Nanos(200), HostId(2), &[(0, false), (L, false)], &[], &[]);
-        a.on_nt_store(Nanos(210), HostId(2), 0, L, Nanos(300));
-        a.advance(Nanos(300));
+        let w = a.on_nt_store(Nanos(210), HostId(2), 0, L);
+        a.land(Nanos(300), w);
         assert!(a.report().is_clean(), "{}", a.report().render());
         let rr = a.race_report();
         assert_eq!(rr.line_clocks.len(), 1, "only the new tenant's write");
@@ -2875,14 +2848,8 @@ mod tests {
                 } else {
                     // Mid-line starts and ends still cover whole lines.
                     let cut = rng.below(2) * 8;
-                    a.on_nt_store(
-                        Nanos(step),
-                        HostId(0),
-                        lo + cut,
-                        lines * L - cut,
-                        Nanos(step),
-                    );
-                    a.advance(Nanos(step));
+                    let w = a.on_nt_store(Nanos(step), HostId(0), lo + cut, lines * L - cut);
+                    a.land(Nanos(step), w);
                     for i in 0..lines {
                         model.insert(lo + i * L, next_event);
                     }

@@ -24,7 +24,7 @@
 //! shadowed by the auditor's hook for its kind, and ends in one shared
 //! epilogue that records its trace span.
 
-use std::cmp::Reverse;
+use std::cmp::{Ordering, Reverse};
 use std::collections::binary_heap::PeekMut;
 use std::collections::{BTreeMap, BinaryHeap};
 
@@ -34,7 +34,7 @@ use simkit::Nanos;
 
 use crate::alloc::{DomainPlacement, PoolAllocator, Segment, SegmentId};
 use crate::audit::{
-    Actor, AuditConfig, AuditReport, Auditor, RaceReport, Violation, ViolationKind,
+    Actor, AuditConfig, AuditReport, Auditor, RaceReport, ShadowWrite, Violation, ViolationKind,
 };
 use crate::cache::{self, CacheStats, Eviction, HostCache, LoadOutcome};
 use crate::error::FabricError;
@@ -130,16 +130,38 @@ pub struct AccessStats {
     pub bytes_written: u64,
 }
 
-/// A pool write in flight until `visible_at`. The derived order
-/// compares `(visible_at, seq)` first, and `seq` (the enqueue order) is
-/// unique, so writes visible at one instant settle in the order they
-/// were issued and `hpa` and `data` never decide.
-#[derive(PartialEq, Eq, PartialOrd, Ord)]
+/// A pool write in flight until `visible_at`. Writes are ordered by
+/// `(visible_at, seq)` alone, and `seq` (the enqueue order) is unique,
+/// so writes visible at one instant settle in the order they were
+/// issued.
 struct PendingWrite {
     visible_at: Nanos,
     seq: u64,
     hpa: u64,
     data: Vec<u8>,
+    /// The auditor's shadow of the write, landed when it settles. A
+    /// flush's shadow rides on its first dirty line's write.
+    shadow: Option<Box<ShadowWrite>>,
+}
+
+impl PartialEq for PendingWrite {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other).is_eq()
+    }
+}
+
+impl Eq for PendingWrite {}
+
+impl PartialOrd for PendingWrite {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for PendingWrite {
+    fn cmp(&self, other: &Self) -> Ordering {
+        (self.visible_at, self.seq).cmp(&(other.visible_at, other.seq))
+    }
 }
 
 /// Byte buffers of in-flight writes, recycled: a settled write's
@@ -313,6 +335,15 @@ impl Fabric {
                 .map(|&w| self.topology.domain_of(w))
                 .collect();
             auditor.map_segment(seg.base(), seg.end(), doms);
+        }
+        // Writes already in flight carry shadows of the auditor being
+        // replaced, if any; the new one never saw them issued.
+        if self.audit.is_some() {
+            let mut writes = std::mem::take(&mut self.pending).into_vec();
+            for Reverse(w) in &mut writes {
+                w.shadow = None;
+            }
+            self.pending = writes.into();
         }
         self.audit = Some(auditor);
     }
@@ -588,7 +619,8 @@ impl Fabric {
             self.layout_gen += 1;
             self.wake_gen += 1;
             // Every pending write lies inside one segment (accesses are
-            // bounds-checked), so its start address places it.
+            // bounds-checked), so its start address places it. A
+            // write's shadow goes with it.
             let bufs = &mut self.write_bufs;
             self.pending.retain(|Reverse(w)| {
                 let keep = w.hpa < base || w.hpa >= end;
@@ -782,10 +814,11 @@ impl Fabric {
         self.begin(PoolOp::NtStore, now, host, hpa, len)?;
         self.caches[host.0 as usize].invalidate_range(hpa, len);
         let done = self.timed(PoolOp::NtStore, now, host, hpa, len)?;
-        if let Some(a) = self.audit.as_deref_mut() {
-            a.on_nt_store(now, host, hpa, len, done);
-        }
-        self.enqueue_write(done, hpa, data);
+        let shadow = self
+            .audit
+            .as_deref_mut()
+            .map(|a| a.on_nt_store(now, host, hpa, len));
+        self.enqueue_write(done, hpa, data, shadow);
         Ok(self.finish(PoolOp::NtStore, now, host, done))
     }
 
@@ -805,12 +838,12 @@ impl Fabric {
         let bytes = dirty.len() as u64 * CACHELINE;
         self.stats.bytes_written += bytes;
         let done = self.timed(PoolOp::Flush, now, host, hpa, bytes)?;
-        if let Some(a) = self.audit.as_deref_mut() {
+        let mut shadow = self.audit.as_deref_mut().and_then(|a| {
             let dirty_lines: Vec<u64> = dirty.iter().map(|&(la, _)| la).collect();
-            a.on_flush(now, host, hpa, len, &dirty_lines, done);
-        }
+            a.on_flush(now, host, hpa, len, &dirty_lines)
+        });
         for (la, data) in dirty {
-            self.enqueue_write(done, la, &data);
+            self.enqueue_write(done, la, &data, shadow.take());
         }
         Ok(self.finish(PoolOp::Flush, now, host, done))
     }
@@ -915,12 +948,11 @@ impl Fabric {
     /// as the start of any access at `now` does. A poll loop that skips
     /// empty polls calls it with its last skipped poll's load instant,
     /// so pool contents advance exactly as if those polls had run.
+    ///
+    /// This is the one place in-flight writes are ordered: each write's
+    /// shadow lands in the auditor as the write is popped, so shadow
+    /// versions always match pool-visible contents.
     pub fn settle(&mut self, now: Nanos) {
-        // The auditor's pending mirror advances in lockstep so its
-        // shadow versions always match pool-visible contents.
-        if let Some(a) = self.audit.as_deref_mut() {
-            a.advance(now);
-        }
         while let Some(top) = self.pending.peek_mut() {
             if top.0.visible_at > now {
                 break;
@@ -935,6 +967,9 @@ impl Fabric {
                     *wake = Nanos::ZERO;
                     self.wake_gen += 1;
                 }
+            }
+            if let (Some(a), Some(shadow)) = (self.audit.as_deref_mut(), w.shadow) {
+                a.land(w.visible_at, *shadow);
             }
             self.write_bufs.give(w.data);
         }
@@ -1002,10 +1037,11 @@ impl Fabric {
         self.begin(PoolOp::DmaWrite, now, host, hpa, len)?;
         self.caches[host.0 as usize].invalidate_range(hpa, len);
         let done = self.timed(PoolOp::DmaWrite, now, host, hpa, len)?;
-        if let Some(a) = self.audit.as_deref_mut() {
-            a.on_dma_write(now, host, hpa, len, done);
-        }
-        self.enqueue_write(done, hpa, data);
+        let shadow = self
+            .audit
+            .as_deref_mut()
+            .map(|a| a.on_dma_write(now, host, hpa, len));
+        self.enqueue_write(done, hpa, data, shadow);
         Ok(self.finish(PoolOp::DmaWrite, now, host, done))
     }
 
@@ -1133,7 +1169,13 @@ impl Fabric {
         }
     }
 
-    fn enqueue_write(&mut self, visible_at: Nanos, hpa: u64, data: &[u8]) {
+    fn enqueue_write(
+        &mut self,
+        visible_at: Nanos,
+        hpa: u64,
+        data: &[u8],
+        shadow: Option<ShadowWrite>,
+    ) {
         let seq = self.pending_seq;
         self.pending_seq += 1;
         let data = self.write_bufs.take(data);
@@ -1142,6 +1184,7 @@ impl Fabric {
             seq,
             hpa,
             data,
+            shadow: shadow.map(Box::new),
         }));
     }
 
@@ -1592,6 +1635,30 @@ mod tests {
         f.settle(first);
         f.peek(la, &mut buf);
         assert_eq!(buf, [2u8; 128], "the later-enqueued write lands last");
+    }
+
+    #[test]
+    fn re_enabled_audit_does_not_land_writes_it_never_saw_issued() {
+        let vc = AuditConfig {
+            mode: crate::audit::AuditMode::VectorClock,
+            ..AuditConfig::default()
+        };
+        let mut f = pod();
+        let seg = f
+            .alloc_shared(&[HostId(0), HostId(1)], 4096)
+            .expect("alloc");
+        f.enable_audit(vc);
+        let done = f
+            .nt_store(Nanos(0), HostId(0), seg.base(), &[1u8; 64])
+            .expect("nt");
+        f.enable_audit(vc);
+        // The write lands in pool memory, but the fresh auditor never
+        // saw it issued, so host 1's unordered read races nothing.
+        let mut buf = [0u8; 64];
+        f.load(done, HostId(1), seg.base(), &mut buf).expect("load");
+        assert_eq!(buf, [1u8; 64]);
+        let report = f.audit_report().expect("audit on");
+        assert!(report.is_clean(), "{}", report.render());
     }
 
     #[test]

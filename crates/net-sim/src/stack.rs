@@ -113,11 +113,6 @@ impl EchoStack {
         }
     }
 
-    /// The host the stack runs on.
-    pub fn host(&self) -> HostId {
-        self.host
-    }
-
     /// The `i`-th RX buffer.
     pub fn rx_buf(&self, i: u64) -> BufRef {
         self.pool.buf(i % (self.n_bufs / 2), self.buf_size)
@@ -205,20 +200,6 @@ impl EchoStack {
         let booked_done = self.cores[core].serve(rx_done, busy);
         debug_assert_eq!(booked_done, done, "core booking must match computed time");
         Ok((tx_buf, len, done))
-    }
-
-    /// The minimum core backlog at `now` (load signal).
-    pub fn backlog(&self, now: Nanos) -> Nanos {
-        self.cores
-            .iter()
-            .map(|c| c.backlog(now))
-            .min()
-            .unwrap_or(Nanos::ZERO)
-    }
-
-    /// Total busy time across cores.
-    pub fn busy(&self) -> Nanos {
-        self.cores.iter().map(|c| c.busy_time()).sum()
     }
 }
 

@@ -38,6 +38,7 @@
 
 use crate::arena::Arena;
 use crate::time::Nanos;
+use crate::trace::json_string;
 
 /// Handle to a registered metric; cheap to copy and store.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -484,25 +485,6 @@ pub fn fmt_value(v: f64) -> String {
     } else {
         format!("{v:?}")
     }
-}
-
-/// Escapes `s` as a JSON string literal.
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]

@@ -382,8 +382,9 @@ impl TraceRecorder {
     }
 }
 
-/// Escapes `s` as a JSON string literal.
-fn json_string(s: &str) -> String {
+/// Escapes `s` as a JSON string literal (the trace and metrics
+/// exports share it).
+pub(crate) fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {

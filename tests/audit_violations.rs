@@ -343,12 +343,90 @@ fn repeat_offenders_are_counted_but_deduplicated() {
     assert_eq!(report.suppressed, 4);
 }
 
+/// Writes become visible in `(visibility time, issue order)`, not in
+/// issue order, and the audit must judge them in that same order: its
+/// verdicts name the write each line really ends with. On line `a` the
+/// write issued first becomes visible last; on line `b` two writes
+/// become visible at one instant and the one issued second lands last.
+#[test]
+fn audit_judges_writes_in_visibility_order() {
+    let pod = || Fabric::new(PodConfig::new(3, 2, 2));
+    // How much earlier a 128 B write must issue than a 64 B one for
+    // both to become visible at one instant on idle pipes.
+    let idle_done = |len: usize| {
+        let mut f = pod();
+        let seg = f.alloc_shared(&[HostId(0)], 4096).expect("alloc");
+        f.nt_store(Nanos(0), HostId(0), seg.base(), &vec![0u8; len])
+            .expect("store")
+    };
+    let lead = idle_done(128) - idle_done(64);
+
+    let mut f = pod();
+    f.enable_audit(version_cfg());
+    let seg = f
+        .alloc_shared(&[HostId(0), HostId(1), HostId(2)], 4096)
+        .expect("alloc");
+    let (a, b) = (seg.base(), seg.base() + 1024);
+    // Host 2 caches both lines before any write.
+    let mut buf = [0u8; LINE as usize];
+    for la in [a, b] {
+        f.load(Nanos(0), HostId(2), la, &mut buf).expect("load");
+    }
+    // Line a: host 0 issues first but at a later clock, so host 1's
+    // write, issued second, becomes visible first.
+    let slow = f
+        .nt_store(Nanos(1_000), HostId(0), a, &[1u8; LINE as usize])
+        .expect("slow");
+    let fast = f
+        .nt_store(Nanos(0), HostId(1), a, &[2u8; LINE as usize])
+        .expect("fast");
+    assert!(fast < slow, "visible in reverse issue order");
+    // Line b: a tie, broken by issue order.
+    let first = f
+        .nt_store(Nanos(500), HostId(0), b, &[3u8; LINE as usize])
+        .expect("first");
+    let second = f
+        .nt_store(Nanos(500) - lead, HostId(1), b, &[4u8; 2 * LINE as usize])
+        .expect("second");
+    assert_eq!(first, second, "both visible at one instant");
+
+    // Host 2 hits both stale copies once every write is visible.
+    let t = slow.max(second) + Nanos(10);
+    for la in [a, b] {
+        f.load(t, HostId(2), la, &mut buf).expect("stale hit");
+        assert_eq!(buf, [0u8; LINE as usize]);
+    }
+    let report = f.audit_report().expect("audit on").clone();
+    let mut stale = Vec::new();
+    let mut lost = Vec::new();
+    for v in &report.violations {
+        match v.kind {
+            ViolationKind::StaleRead {
+                writer, visible_at, ..
+            } => stale.push((v.line, writer, visible_at)),
+            ViolationKind::LostWrite { victim, by, .. } => lost.push((v.line, victim, by)),
+            _ => panic!("unexpected violation: {v}"),
+        }
+    }
+    // Each stale hit missed the write that landed last, and that write
+    // clobbered the one that landed before it (recorded as they land:
+    // line b's pair first).
+    assert_eq!(stale, [(a, HostId(0), slow), (b, HostId(1), second)]);
+    assert_eq!(lost, [(b, HostId(0), HostId(1)), (a, HostId(1), HostId(0))]);
+    // Pool bytes agree: a fresh read returns the same writes' data.
+    for (la, byte) in [(a, 1u8), (b, 4)] {
+        let t = f.invalidate(t, HostId(2), la, LINE);
+        f.load(t, HostId(2), la, &mut buf).expect("fresh load");
+        assert_eq!(buf, [byte; LINE as usize]);
+    }
+}
+
 // ---------------------------------------------------------------------
 // Vector-clock race detection (DMA-aware happens-before analysis)
 // ---------------------------------------------------------------------
 
 /// The ROADMAP false-positive regression: a device DMA write and a CPU
-/// publish settling in the same `apply_pending` batch have *no*
+/// publish settling in the same `Fabric::settle` batch have *no*
 /// coherence edge between them, so a reader that misses the CPU write
 /// is racing it, not definitely behind it. The single-version scheme
 /// invents an order and misreports a stale read; vector clocks carry
@@ -596,8 +674,8 @@ fn reuse_scenario(free_between: bool) -> cxl_fabric::AuditReport {
     // Host 1 caches the line (load miss).
     a.on_load(Nanos(0), HostId(1), &[(base, false)], &[], &[]);
     // Host 0 publishes over it; the write settles.
-    a.on_nt_store(Nanos(10), HostId(0), base, LINE, Nanos(500));
-    a.advance(Nanos(1_000));
+    let w = a.on_nt_store(Nanos(10), HostId(0), base, LINE);
+    a.land(Nanos(500), w);
     if free_between {
         // The tenant dies; the range is reused in another domain.
         a.on_segment_free(base, end);
@@ -650,9 +728,10 @@ fn replica_reuse_scenario(free_between: bool) -> cxl_fabric::AuditReport {
         &[],
     );
     // The owner publishes new state to both copies; writes settle.
-    a.on_nt_store(Nanos(10), HostId(0), primary, LINE, Nanos(500));
-    a.on_nt_store(Nanos(20), HostId(0), replica, LINE, Nanos(600));
-    a.advance(Nanos(1_000));
+    let to_primary = a.on_nt_store(Nanos(10), HostId(0), primary, LINE);
+    let to_replica = a.on_nt_store(Nanos(20), HostId(0), replica, LINE);
+    a.land(Nanos(500), to_primary);
+    a.land(Nanos(600), to_replica);
     if free_between {
         // Departure: the whole replica set is reclaimed, then a new
         // tenant reuses both ranges with the domains *swapped*.
@@ -708,8 +787,8 @@ fn torn_scenario(way_domains: Vec<DomainId>) -> cxl_fabric::AuditReport {
     // Host 1 caches both lines of the record.
     a.on_load(Nanos(0), HostId(1), &[(lo, false), (hi, false)], &[], &[]);
     // Host 0 publishes the 2-line record in one nt-store.
-    a.on_nt_store(Nanos(10), HostId(0), lo, 2 * LINE, Nanos(500));
-    a.advance(Nanos(1_000));
+    let w = a.on_nt_store(Nanos(10), HostId(0), lo, 2 * LINE);
+    a.land(Nanos(500), w);
     // BUG under test: host 1 invalidates only the second line, then
     // reads the whole record (first line hits stale, second misses).
     a.on_invalidate(Nanos(1_100), HostId(1), hi, LINE);
@@ -757,9 +836,10 @@ fn vc_write_clocks_are_namespaced_per_domain() {
     a.map_segment(base, base + 4096, vec![DomainId(0), DomainId(1)]);
     let in_d0 = base;
     let in_d1 = base + 256;
-    a.on_nt_store(Nanos(0), HostId(0), in_d0, LINE, Nanos(100));
-    a.on_nt_store(Nanos(200), HostId(0), in_d1, LINE, Nanos(300));
-    a.advance(Nanos(1_000));
+    let to_d0 = a.on_nt_store(Nanos(0), HostId(0), in_d0, LINE);
+    let to_d1 = a.on_nt_store(Nanos(200), HostId(0), in_d1, LINE);
+    a.land(Nanos(100), to_d0);
+    a.land(Nanos(300), to_d1);
 
     let races = a.race_report();
     let clock_of = |la: u64| {
