@@ -136,9 +136,6 @@ pub struct PodSim {
     channels: Vec<ControlChannel>,
     /// Per-host I/O segment ids.
     io_segs: Vec<SegmentId>,
-    /// Every actor executes every notional poll (see
-    /// [`PodParams::exact_polling`]).
-    exact_polling: bool,
     /// Opt-in metrics registry + sampler (see `simkit::metrics`),
     /// `None` until [`PodSim::enable_metrics_config`]; boxed so the
     /// disabled fast path pays one pointer.
@@ -506,7 +503,6 @@ impl PodSim {
             ring_slots: params.ring_slots,
             channels: Vec::new(),
             io_segs: Vec::with_capacity(hosts as usize),
-            exact_polling: params.exact_polling,
             metrics: None,
             metric_ids: None,
             lifecycle: LifecycleStats::default(),
@@ -740,7 +736,8 @@ impl PodSim {
     /// no message waits for ring credits, no notice waits in an
     /// outbox, and no sampler needs the quantum ticks.
     fn is_quiet(&self) -> bool {
-        !self.exact_polling
+        // Every endpoint carries the pod's exact-polling flag.
+        !self.orch.endpoint.exact
             && !self.fabric.wakes_pending()
             && self.metrics.is_none()
             && self.orch.endpoint.queued() == 0

@@ -99,22 +99,25 @@
 //! counter (there is no pool-wide visibility order across independent
 //! devices), staleness and torn reads compare versions only within one
 //! domain, and vector-clock components are per `(actor, domain)` via
-//! [`Actor::index_in`]. The fabric registers each segment's per-granule
-//! domain mapping with [`Auditor::map_segment`]; unmapped addresses
-//! fall back to [`DomainId`]`(0)`, which keeps single-domain pods (and
-//! direct-drive tests) byte-for-byte compatible with the pre-domain
-//! auditor. Shadow state is keyed by address and a line's domain is
-//! resolved through the current mapping, so [`Auditor::on_segment_free`]
-//! (and a remap) clears the range's state: address reuse across
-//! domains cannot alias stale shadow state.
+//! [`Actor::index_in`]. The auditor keeps no domain table of its own:
+//! each hook that needs a line's domain takes a [`Layout`], the
+//! fabric's segment table and topology, and resolves the line through
+//! them (its segment, the MHD backing its interleave granule, that
+//! MHD's domain). A line no live segment holds audits in
+//! [`DomainId`]`(0)`, which keeps single-domain pods (and direct-drive
+//! tests) byte-for-byte compatible with the pre-domain auditor. Shadow
+//! state is keyed by address, so [`Auditor::on_segment_free`] clears
+//! the freed range's state: a later tenant of the same addresses, in
+//! whatever domain, is audited from scratch.
 
 use std::collections::BTreeMap;
 
 use simkit::hash::{DetHashMap, DetHashSet};
 use simkit::Nanos;
 
+use crate::alloc::PoolAllocator;
 use crate::params::{CACHELINE, INTERLEAVE_GRANULE};
-use crate::topology::{DomainId, HostId};
+use crate::topology::{DomainId, HostId, Topology};
 
 /// Which analysis the auditor runs. Both are the same vector-clock
 /// analysis; they differ only in whether actors' clocks advance.
@@ -643,6 +646,63 @@ impl Default for AuditConfig {
     }
 }
 
+/// The fabric state the auditor's hooks read, borrowed for one call:
+/// the segment table and topology that place a line in its failure
+/// domain, and the registered tear-tolerant and sync ranges.
+#[derive(Clone, Copy)]
+pub struct Layout<'a> {
+    /// Live segments: a line's segment and the MHD backing its granule.
+    pub alloc: &'a PoolAllocator,
+    /// Each MHD's failure domain.
+    pub topology: &'a Topology,
+    /// Ranges where torn reads are by design
+    /// (`Fabric::mark_tear_tolerant`).
+    pub tolerant: &'a [(u64, u64)],
+    /// Synchronization ranges, where reads are acquire operations
+    /// (`Fabric::mark_sync_range`).
+    pub sync: &'a [(u64, u64)],
+}
+
+impl Layout<'_> {
+    /// The failure domain backing cache line `la`: [`DomainId`]`(0)`
+    /// when no live segment holds it.
+    pub fn domain_of(&self, la: u64) -> DomainId {
+        self.alloc
+            .segment_at(la)
+            .map_or(DomainId(0), |seg| self.topology.domain_of(seg.mhd_for(la)))
+    }
+
+    /// Shadow-state key of cache line `la`.
+    fn key_of(&self, la: u64) -> LineKey {
+        (self.domain_of(la), la)
+    }
+
+    /// Appends the failure domains the lines of the line-aligned `[lo,
+    /// hi)` resolve to (unsorted, possibly repeated): one segment lookup
+    /// per segment the range crosses and one step per granule, not per
+    /// line.
+    fn push_domains(&self, lo: u64, hi: u64, out: &mut Vec<DomainId>) {
+        let mut la = lo;
+        while la < hi {
+            let Ok(seg) = self.alloc.segment_at(la) else {
+                out.push(DomainId(0));
+                // Segments start on granule boundaries, so the next
+                // mapped line, if any, starts one.
+                la = (la / INTERLEAVE_GRANULE + 1) * INTERLEAVE_GRANULE;
+                continue;
+            };
+            let ways = seg.ways();
+            let last = line_of(hi.min(seg.end()) - 1);
+            let g0 = ((la - seg.base()) / INTERLEAVE_GRANULE) as usize;
+            let g1 = ((last - seg.base()) / INTERLEAVE_GRANULE) as usize;
+            // A run of at least `ways.len()` granules covers every way.
+            let n = (g1 - g0 + 1).min(ways.len());
+            out.extend((g0..g0 + n).map(|g| self.topology.domain_of(ways[g % ways.len()])));
+            la = last + CACHELINE;
+        }
+    }
+}
+
 /// Latest visible write on one line, as derived from the extent that
 /// covers the line and that extent's event.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -1095,11 +1155,6 @@ pub struct Auditor {
     /// [`AuditMode::Version`]). Components inside each clock are
     /// namespaced per domain via [`Actor::index_in`].
     clocks: Vec<VClock>,
-    /// Segment address ranges → per-granule failure-domain interleave
-    /// pattern (`base → (end, way domains)`), registered by the fabric
-    /// on allocation. Addresses outside every mapping resolve to
-    /// [`DomainId`]`(0)`.
-    domain_map: BTreeMap<u64, (u64, Vec<DomainId>)>,
 }
 
 fn line_of(addr: u64) -> u64 {
@@ -1135,89 +1190,6 @@ impl Auditor {
             seen: DetHashSet::default(),
             report: AuditReport::default(),
             clocks: Vec::new(),
-            domain_map: BTreeMap::new(),
-        }
-    }
-
-    /// Registers the failure-domain interleave pattern of a segment
-    /// covering `[base, end)`: granule `g` (of [`INTERLEAVE_GRANULE`]
-    /// bytes) lives in `way_domains[g % way_domains.len()]`. Called by
-    /// the fabric on every allocation while auditing is on; shadow
-    /// state for the range is namespaced accordingly. Unregistered
-    /// addresses audit under [`DomainId`]`(0)`.
-    ///
-    /// Shadow state is keyed by address and each line's domain is
-    /// resolved through the current mapping, so a remap without a free
-    /// retires every mapping it overlaps and forgets the shadow state of
-    /// the old and new ranges; mappings never overlap.
-    pub fn map_segment(&mut self, base: u64, end: u64, way_domains: Vec<DomainId>) {
-        if end <= base || way_domains.is_empty() {
-            return;
-        }
-        let overlapped: Vec<(u64, u64)> = self
-            .domain_map
-            .range(..end)
-            .filter(|&(_, &(e, _))| e > base)
-            .map(|(&b, &(e, _))| (b, e))
-            .collect();
-        for (b, e) in overlapped {
-            self.domain_map.remove(&b);
-            self.forget(b, e);
-        }
-        self.forget(base, end);
-        self.domain_map.insert(base, (end, way_domains));
-    }
-
-    /// The failure domain backing cache line `la` under the current
-    /// segment mappings.
-    fn domain_of_line(&self, la: u64) -> DomainId {
-        if let Some((&base, (end, ways))) = self.domain_map.range(..=la).next_back() {
-            if la < *end {
-                let g = ((la - base) / INTERLEAVE_GRANULE) as usize;
-                return ways[g % ways.len()];
-            }
-        }
-        DomainId(0)
-    }
-
-    /// Shadow-state key of cache line `la`.
-    fn key_of(&self, la: u64) -> LineKey {
-        (self.domain_of_line(la), la)
-    }
-
-    /// Appends the failure domains the lines of `[lo, hi)` resolve to
-    /// (unsorted, possibly repeated): one mapping lookup per segment the
-    /// range crosses and one step per granule, not per line.
-    fn push_domains(&self, lo: u64, hi: u64, out: &mut Vec<DomainId>) {
-        let mut la = lo;
-        while la < hi {
-            let mapped = self
-                .domain_map
-                .range(..=la)
-                .next_back()
-                .filter(|(_, (end, _))| la < *end);
-            match mapped {
-                Some((&base, (end, ways))) => {
-                    let stop = hi.min(*end);
-                    let g0 = ((la - base) / INTERLEAVE_GRANULE) as usize;
-                    let g1 = ((line_of(stop - 1) - base) / INTERLEAVE_GRANULE) as usize;
-                    if g1 - g0 + 1 >= ways.len() {
-                        out.extend_from_slice(ways);
-                    } else {
-                        out.extend((g0..=g1).map(|g| ways[g % ways.len()]));
-                    }
-                    la = line_of(stop - 1) + CACHELINE;
-                }
-                None => {
-                    out.push(DomainId(0));
-                    // The next mapped line is the first whose address
-                    // reaches the next mapping's base.
-                    la = match self.domain_map.range(la + 1..).next() {
-                        Some((&next, _)) if next < hi => next.next_multiple_of(CACHELINE),
-                        _ => hi,
-                    };
-                }
-            }
         }
     }
 
@@ -1297,17 +1269,6 @@ impl Auditor {
         }
     }
 
-    /// Forgets visible-write state and views for every line `[base,
-    /// end)` touches.
-    fn forget(&mut self, base: u64, end: u64) {
-        if end <= base {
-            return;
-        }
-        let (lo, hi) = line_span(base, end - base);
-        self.carve(lo, hi);
-        self.views.clear_range(lo, hi);
-    }
-
     /// Findings so far.
     pub fn report(&self) -> &AuditReport {
         &self.report
@@ -1320,7 +1281,7 @@ impl Auditor {
 
     /// Race findings with full clock snapshots (in
     /// [`AuditMode::Version`] every clock is empty, so everything is).
-    pub fn race_report(&self) -> RaceReport {
+    pub fn race_report(&self, lay: &Layout<'_>) -> RaceReport {
         let conflicts = self
             .report
             .violations
@@ -1341,7 +1302,7 @@ impl Auditor {
             let m = &self.events[&x.event];
             if !m.wclock.is_empty() {
                 for la in (start..x.end).step_by(CACHELINE as usize) {
-                    keyed.push((self.key_of(la), m.actor, &m.wclock));
+                    keyed.push((lay.key_of(la), m.actor, &m.wclock));
                 }
             }
         }
@@ -1368,14 +1329,19 @@ impl Auditor {
     /// [`AuditMode::Version`] clocks never tick, so every clock stays
     /// empty, every join is a no-op, every write is ordered before
     /// every read and nothing races.
-    fn tick(&mut self, actor: Actor, ranges: impl IntoIterator<Item = (u64, u64)>) {
+    fn tick(
+        &mut self,
+        lay: &Layout<'_>,
+        actor: Actor,
+        ranges: impl IntoIterator<Item = (u64, u64)>,
+    ) {
         if self.config.mode == AuditMode::Version {
             return;
         }
         let mut doms = std::mem::take(&mut self.domain_scratch);
         doms.clear();
         for (lo, hi) in ranges {
-            self.push_domains(lo, hi, &mut doms);
+            lay.push_domains(lo, hi, &mut doms);
         }
         doms.sort_unstable();
         doms.dedup();
@@ -1389,8 +1355,8 @@ impl Auditor {
     }
 
     /// Ticks `actor` for one op on `[hpa, hpa+len)`.
-    fn tick_range(&mut self, actor: Actor, hpa: u64, len: u64) {
-        self.tick(actor, [line_span(hpa, len)]);
+    fn tick_range(&mut self, lay: &Layout<'_>, actor: Actor, hpa: u64, len: u64) {
+        self.tick(lay, actor, [line_span(hpa, len)]);
     }
 
     fn clock_mut(&mut self, actor: Actor) -> &mut VClock {
@@ -1427,15 +1393,14 @@ impl Auditor {
     /// and installs it as the lines' current write. The fabric lands
     /// shadows in the `(visible_at, issue order)` order it settles pool
     /// bytes in; versions follow landing order.
-    pub fn land(&mut self, visible_at: Nanos, ev: ShadowWrite) {
-        // Draw one visibility version per domain the write touches
-        // under the current mappings: visibility order is a per-domain
-        // notion (independent devices apply writes independently), so
-        // counters never cross domains.
+    pub fn land(&mut self, lay: &Layout<'_>, visible_at: Nanos, ev: ShadowWrite) {
+        // Draw one visibility version per domain the write touches:
+        // visibility order is a per-domain notion (independent devices
+        // apply writes independently), so counters never cross domains.
         let mut doms = std::mem::take(&mut self.domain_scratch);
         doms.clear();
         for run in &ev.runs {
-            self.push_domains(run.start, run.end, &mut doms);
+            lay.push_domains(run.start, run.end, &mut doms);
         }
         doms.sort_unstable();
         doms.dedup();
@@ -1449,20 +1414,12 @@ impl Auditor {
             })
             .collect();
         self.domain_scratch = doms;
-        // Check the write against every extent it overwrites. A piece
-        // is walked line by line only when it can report something.
+        // Check the write against every extent it overwrites.
         let mut pieces = std::mem::take(&mut self.piece_scratch);
         for run in &ev.runs {
             self.pieces(run.start, run.end, &mut pieces);
             for &(ps, pe, old) in &pieces {
-                let m = &self.events[&old];
-                let lost = m.writer != ev.writer
-                    && m.versions.iter().any(|&(d, v)| v > run.base.version_in(d));
-                let race = m.actor != ev.actor && m.wclock.concurrent_with(&ev.wclock);
-                if lost || race {
-                    let m = m.clone();
-                    self.report_overwrite(visible_at, &ev, &run.base, &m, (ps, pe), race);
-                }
+                self.check_overwrite(lay, visible_at, &ev, &run.base, old, (ps, pe));
             }
         }
         self.piece_scratch = pieces;
@@ -1510,25 +1467,34 @@ impl Auditor {
         self.extents.insert(lo, Extent { end: hi, event });
     }
 
-    /// Reports, line by line over `[ps, pe)`, what write `ev` does to
-    /// the lines of the older event `old`: a clobbered newer write, and
-    /// a write-write race when `race` is set.
-    fn report_overwrite(
+    /// Reports what write `ev` does to the lines `[ps, pe)` of the older
+    /// event `old`: a clobbered newer write, and a write-write race. The
+    /// piece is walked line by line only when it can report something.
+    fn check_overwrite(
         &mut self,
+        lay: &Layout<'_>,
         visible_at: Nanos,
         ev: &ShadowWrite,
         base: &Base,
-        old: &EventMeta,
+        old: u64,
         (ps, pe): (u64, u64),
-        race: bool,
     ) {
+        let old = &self.events[&old];
+        let lost =
+            old.writer != ev.writer && old.versions.iter().any(|&(d, v)| v > base.version_in(d));
+        let race = old.actor != ev.actor && old.wclock.concurrent_with(&ev.wclock);
+        if !lost && !race {
+            return;
+        }
+        let old = old.clone();
         for la in (ps..pe).step_by(CACHELINE as usize) {
             // A newer visible write by someone else landed between this
             // write's base and its visibility: that write is clobbered.
-            let d = self.domain_of_line(la);
+            let d = lay.domain_of(la);
             if old.writer != ev.writer && old.version_in(d) > base.version_in(d) {
                 let cause = LostWriteCause::StaleBasePublish;
-                self.record_lost(la, visible_at, old.writer, ev.writer, cause, old.visible_at);
+                let parties = (old.writer, ev.writer);
+                self.record_lost(lay, la, visible_at, parties, cause, old.visible_at);
             }
             // Write-write race: the previous visible write and this one
             // carry incomparable release clocks — their relative order
@@ -1536,7 +1502,7 @@ impl Auditor {
             if race {
                 let first = Access::write(old.actor, old.written_at, old.wclock.clone());
                 let second = Access::write(ev.actor, ev.written_at, ev.wclock.clone());
-                self.record_race(la, visible_at, first, second);
+                self.record_race(lay, la, visible_at, first, second);
             }
         }
     }
@@ -1569,27 +1535,18 @@ impl Auditor {
 
     /// Audits one CPU load. `served` lists each line the load touched
     /// and whether it was served from the host's cache (`true`) or
-    /// fetched fresh from the pool (`false`). `tolerant` holds ranges
-    /// where torn reads are by design (`Fabric::mark_tear_tolerant`);
-    /// `sync` holds synchronization ranges where reads are acquire
-    /// operations.
-    pub fn on_load(
-        &mut self,
-        now: Nanos,
-        host: HostId,
-        served: &[(u64, bool)],
-        tolerant: &[(u64, u64)],
-        sync: &[(u64, u64)],
-    ) {
+    /// fetched fresh from the pool (`false`).
+    pub fn on_load(&mut self, lay: &Layout<'_>, now: Nanos, host: HostId, served: &[(u64, bool)]) {
         self.report.ops_audited += 1;
         let reader = Actor::Cpu(host);
-        self.tick(reader, served.iter().map(|&(la, _)| (la, la + CACHELINE)));
+        let lines = served.iter().map(|&(la, _)| (la, la + CACHELINE));
+        self.tick(lay, reader, lines);
         // (line key, observed version, observed event) per served line,
         // kept only when the load spans lines and so could tear.
         let multi_line = served.len() > 1;
         let mut observed: Vec<(LineKey, u64, u64)> = Vec::new();
         for &(la, hit) in served {
-            let key = self.key_of(la);
+            let key = lay.key_of(la);
             let cur = self.state(key);
             let view = if hit {
                 // Audit enabled mid-run: seed the cached copy as
@@ -1606,10 +1563,10 @@ impl Auditor {
                 // A fresh (or own-dirty) hit on a sync line acquires the
                 // ordering of the write the copy reflects.
                 let acquired =
-                    (missed.is_none() && in_ranges(sync, la)).then(|| entry.view_clock.clone());
+                    (missed.is_none() && in_ranges(lay.sync, la)).then(|| entry.view_clock.clone());
                 if let Some(cur) = missed {
                     let wclock = self.events[&cur.event].wclock.clone();
-                    self.missed_write(la, now, reader, cur, wclock);
+                    self.missed_write(lay, la, now, reader, cur, wclock);
                 } else if let Some(vc) = acquired {
                     self.join_from(reader, &vc);
                 }
@@ -1620,7 +1577,7 @@ impl Auditor {
                 let wclock = match cur {
                     Some(c) => {
                         let write = Access::write(c.actor, c.written_at, wclock);
-                        self.observe(la, now, reader, &write, sync);
+                        self.observe(lay, la, now, reader, &write);
                         write.clock
                     }
                     None => wclock,
@@ -1637,7 +1594,7 @@ impl Auditor {
         // no single order to tear against.
         if observed.iter().all(|&((d, _), _, _)| d == observed[0].0 .0) {
             if observed.len() > 1 {
-                self.check_torn(now, host, &observed, tolerant);
+                self.check_torn(lay, now, host, &observed);
             }
             return;
         }
@@ -1647,7 +1604,7 @@ impl Auditor {
         }
         for group in by_domain.values() {
             if group.len() > 1 {
-                self.check_torn(now, host, group, tolerant);
+                self.check_torn(lay, now, host, group);
             }
         }
     }
@@ -1657,16 +1614,16 @@ impl Auditor {
     /// first checks that the write is ordered before the read, then
     /// joins it anyway so one unordered publish does not cascade into a
     /// conflict on every later access.
-    fn observe(&mut self, la: u64, now: Nanos, reader: Actor, write: &Access, sync: &[(u64, u64)]) {
+    fn observe(&mut self, lay: &Layout<'_>, la: u64, now: Nanos, reader: Actor, write: &Access) {
         let races = write.actor != reader
             && self
                 .clocks
                 .get(reader.index())
                 .is_some_and(|r| write.clock.concurrent_with(r))
-            && !in_ranges(sync, la);
+            && !in_ranges(lay.sync, la);
         if races {
             let read = Access::read(reader, now, self.snapshot(reader));
-            self.record_race(la, now, write.clone(), read);
+            self.record_race(lay, la, now, write.clone(), read);
         }
         self.join_from(reader, &write.clock);
     }
@@ -1678,6 +1635,7 @@ impl Auditor {
     /// write is ordered, so every missed write is stale.
     fn missed_write(
         &mut self,
+        lay: &Layout<'_>,
         la: u64,
         now: Nanos,
         reader: Actor,
@@ -1687,7 +1645,7 @@ impl Auditor {
         let read = Access::read(reader, now, self.snapshot(reader));
         if !wclock.leq(&read.clock) {
             let write = Access::write(missed.actor, missed.written_at, wclock);
-            self.record_race(la, now, write, read);
+            self.record_race(lay, la, now, write, read);
             return;
         }
         let kind = ViolationKind::StaleRead {
@@ -1702,7 +1660,7 @@ impl Auditor {
             reader: reader.host().0,
             event: missed.event,
         };
-        self.record(la, now, kind, key);
+        self.record(lay, la, now, kind, key);
     }
 
     /// Flags loads that saw a multi-line write event on one line but an
@@ -1710,10 +1668,10 @@ impl Auditor {
     /// holds lines of a single failure domain.
     fn check_torn(
         &mut self,
+        lay: &Layout<'_>,
         now: Nanos,
         host: HostId,
         observed: &[(LineKey, u64, u64)],
-        tolerant: &[(u64, u64)],
     ) {
         let Some(&(fresh_key, fresh_version, fresh_event)) =
             observed.iter().max_by_key(|&&(_, v, _)| v)
@@ -1737,12 +1695,13 @@ impl Auditor {
                 key != fresh_key
                     && v < fresh_version
                     && meta.covers(key.1)
-                    && !in_ranges(tolerant, key.1)
+                    && !in_ranges(lay.tolerant, key.1)
             })
             .map(|&(key, _, _)| key.1)
             .collect();
         for stale_line in torn {
             self.record(
+                lay,
                 stale_line,
                 now,
                 ViolationKind::TornRead {
@@ -1763,8 +1722,8 @@ impl Auditor {
     /// Audits the read-for-ownership fill of one line (write miss) or a
     /// load-miss fill: the host's copy now reflects the pool-current
     /// version.
-    pub fn on_fill(&mut self, host: HostId, la: u64) {
-        let (view, clock) = clean_copy(&self.events, self.state(self.key_of(la)));
+    pub fn on_fill(&mut self, lay: &Layout<'_>, host: HostId, la: u64) {
+        let (view, clock) = clean_copy(&self.events, self.state(lay.key_of(la)));
         self.views.set(host.0, la, view, clock);
     }
 
@@ -1777,8 +1736,8 @@ impl Auditor {
     /// Audits one cached (write-back) store to one line. Reports a
     /// write-write conflict when another host already holds the line
     /// dirty.
-    pub fn on_store(&mut self, now: Nanos, host: HostId, la: u64) {
-        let key = self.key_of(la);
+    pub fn on_store(&mut self, lay: &Layout<'_>, now: Nanos, host: HostId, la: u64) {
+        let key = lay.key_of(la);
         // Dirty elsewhere? Both hosts intend to publish: a race. When
         // several hosts hold the line dirty, report the lowest id so
         // the reported `first` (and the violation log) never varies
@@ -1787,6 +1746,7 @@ impl Auditor {
         if let Some(e) = self.views.min_dirty_other(host.0, la) {
             let (first, first_dirty_since) = (HostId(e.host), e.view.dirty_since);
             self.record(
+                lay,
                 la,
                 now,
                 ViolationKind::WriteWriteConflict {
@@ -1819,18 +1779,26 @@ impl Auditor {
 
     /// Counts a cached-store op (once per `Fabric::store` call) against
     /// the domains `[hpa, hpa+len)` touches.
-    pub fn count_store(&mut self, host: HostId, hpa: u64, len: u64) {
+    pub fn count_store(&mut self, lay: &Layout<'_>, host: HostId, hpa: u64, len: u64) {
         self.report.ops_audited += 1;
-        self.tick_range(Actor::Cpu(host), hpa, len);
+        self.tick_range(lay, Actor::Cpu(host), hpa, len);
     }
 
     /// Audits a non-temporal store: the writer's own cached lines are
     /// dropped (dirty bytes outside the written range are lost). Returns
     /// the write's shadow, to [`Auditor::land`] once it is visible.
-    pub fn on_nt_store(&mut self, now: Nanos, host: HostId, hpa: u64, len: u64) -> ShadowWrite {
+    pub fn on_nt_store(
+        &mut self,
+        lay: &Layout<'_>,
+        now: Nanos,
+        host: HostId,
+        hpa: u64,
+        len: u64,
+    ) -> ShadowWrite {
         self.report.ops_audited += 1;
-        self.tick_range(Actor::Cpu(host), hpa, len);
-        self.drop_copies(now, host, hpa, len, Some(LostWriteCause::OverwriteDiscard));
+        self.tick_range(lay, Actor::Cpu(host), hpa, len);
+        let cause = Some(LostWriteCause::OverwriteDiscard);
+        self.drop_copies(lay, now, host, hpa, len, cause);
         let runs = self.bases_for(hpa, len);
         self.issue(now, Actor::Cpu(host), WriteKind::NtStore, runs)
     }
@@ -1840,11 +1808,19 @@ impl Auditor {
     /// stale). The doorbell orders the DMA after the attach CPU's prior
     /// work (one hb edge); remote CPUs get no edge. Returns the write's
     /// shadow, to [`Auditor::land`] once it is visible.
-    pub fn on_dma_write(&mut self, now: Nanos, host: HostId, hpa: u64, len: u64) -> ShadowWrite {
+    pub fn on_dma_write(
+        &mut self,
+        lay: &Layout<'_>,
+        now: Nanos,
+        host: HostId,
+        hpa: u64,
+        len: u64,
+    ) -> ShadowWrite {
         self.report.ops_audited += 1;
         self.join_actor(Actor::Dma(host), Actor::Cpu(host));
-        self.tick_range(Actor::Dma(host), hpa, len);
-        self.drop_copies(now, host, hpa, len, Some(LostWriteCause::OverwriteDiscard));
+        self.tick_range(lay, Actor::Dma(host), hpa, len);
+        let cause = Some(LostWriteCause::OverwriteDiscard);
+        self.drop_copies(lay, now, host, hpa, len, cause);
         let runs = self.bases_for(hpa, len);
         self.issue(now, Actor::Dma(host), WriteKind::DmaWrite, runs)
     }
@@ -1856,6 +1832,7 @@ impl Auditor {
     #[must_use = "a shadow write must land when its write becomes visible"]
     pub fn on_flush(
         &mut self,
+        lay: &Layout<'_>,
         now: Nanos,
         host: HostId,
         hpa: u64,
@@ -1863,7 +1840,7 @@ impl Auditor {
         dirty: &[u64],
     ) -> Option<ShadowWrite> {
         self.report.ops_audited += 1;
-        self.tick_range(Actor::Cpu(host), hpa, len);
+        self.tick_range(lay, Actor::Cpu(host), hpa, len);
         let mut published: Vec<BaseRun> = Vec::new();
         for &la in dirty {
             let base = self
@@ -1884,16 +1861,24 @@ impl Auditor {
         }
         debug_assert!(published.windows(2).all(|w| w[0].end <= w[1].start));
         // clflush semantics: every line in the range leaves the cache.
-        self.drop_copies(now, host, hpa, len, None);
+        self.drop_copies(lay, now, host, hpa, len, None);
         (!published.is_empty())
             .then(|| self.issue(now, Actor::Cpu(host), WriteKind::Flush, published))
     }
 
     /// Audits an invalidate: dropping a dirty line without write-back
     /// loses the data.
-    pub fn on_invalidate(&mut self, now: Nanos, host: HostId, hpa: u64, len: u64) {
+    pub fn on_invalidate(
+        &mut self,
+        lay: &Layout<'_>,
+        now: Nanos,
+        host: HostId,
+        hpa: u64,
+        len: u64,
+    ) {
         self.report.ops_audited += 1;
-        self.drop_copies(now, host, hpa, len, Some(LostWriteCause::InvalidateDiscard));
+        let cause = Some(LostWriteCause::InvalidateDiscard);
+        self.drop_copies(lay, now, host, hpa, len, cause);
     }
 
     /// Audits a DMA read via attach host `host`: the device sees the
@@ -1901,18 +1886,11 @@ impl Auditor {
     /// line in the range is invisible to it (an unpublished write the
     /// device reads around). The read also checks that the last visible
     /// write on each line is ordered before it.
-    pub fn on_dma_read(
-        &mut self,
-        now: Nanos,
-        host: HostId,
-        hpa: u64,
-        len: u64,
-        sync: &[(u64, u64)],
-    ) {
+    pub fn on_dma_read(&mut self, lay: &Layout<'_>, now: Nanos, host: HostId, hpa: u64, len: u64) {
         self.report.ops_audited += 1;
         let reader = Actor::Dma(host);
         self.join_actor(reader, Actor::Cpu(host));
-        self.tick_range(reader, hpa, len);
+        self.tick_range(lay, reader, hpa, len);
         let (lo, hi) = line_span(hpa, len);
         // Lines another host may hold dirty, and the first line of
         // every extent piece: once the read has joined a piece's
@@ -1928,13 +1906,13 @@ impl Auditor {
             let next_piece = pieces.get(p).map_or(u64::MAX, |x| x.0);
             let la = next_cached.min(next_piece);
             if next_cached == la {
-                self.dma_read_dirty(now, host, la);
+                self.dma_read_dirty(lay, now, host, la);
                 c += 1;
             }
             if next_piece == la {
                 let m = &self.events[&pieces[p].2];
                 let write = Access::write(m.actor, m.written_at, m.wclock.clone());
-                self.observe(la, now, reader, &write, sync);
+                self.observe(lay, la, now, reader, &write);
                 p += 1;
             }
         }
@@ -1944,7 +1922,7 @@ impl Auditor {
 
     /// The remote-dirty half of [`Auditor::on_dma_read`] for line `la`:
     /// the device reads around another host's unpublished store.
-    fn dma_read_dirty(&mut self, now: Nanos, host: HostId, la: u64) {
+    fn dma_read_dirty(&mut self, lay: &Layout<'_>, now: Nanos, host: HostId, la: u64) {
         // Lowest dirty host wins, as in on_store: the reported writer
         // is deterministic because the slot's views are host-sorted.
         let Some(e) = self.views.min_dirty_other(host.0, la) else {
@@ -1962,7 +1940,7 @@ impl Auditor {
             visible_at: e.view.dirty_since,
         };
         let dclock = e.dirty_clock.clone();
-        self.missed_write(la, now, Actor::Dma(host), missed, dclock);
+        self.missed_write(lay, la, now, Actor::Dma(host), missed, dclock);
     }
 
     /// Records the completion edge of a DMA operation: the attach
@@ -1975,21 +1953,21 @@ impl Auditor {
     /// Audits a dirty capacity eviction: the line is published *now*
     /// (the fabric writes it back immediately), an accidental publish
     /// the owner never ordered.
-    pub fn on_dirty_eviction(&mut self, now: Nanos, host: HostId, la: u64) {
+    pub fn on_dirty_eviction(&mut self, lay: &Layout<'_>, now: Nanos, host: HostId, la: u64) {
         let base = self
             .views
             .entry(host.0, la)
             .map(|e| e.view.base_version)
             .unwrap_or(0);
         self.views.remove(host.0, la);
-        self.tick(Actor::Cpu(host), [(la, la + CACHELINE)]);
+        self.tick(lay, Actor::Cpu(host), [(la, la + CACHELINE)]);
         let run = BaseRun {
             start: la,
             end: la + CACHELINE,
             base: Base::Flat(base),
         };
         let ev = self.issue(now, Actor::Cpu(host), WriteKind::Eviction, vec![run]);
-        self.land(now, ev);
+        self.land(lay, now, ev);
     }
 
     /// Forgets all shadow state for `[base, end)` when the segment is
@@ -2001,11 +1979,12 @@ impl Auditor {
         // Visible-write extents and views of every line the range
         // touches go in one carve and one view sweep; the carve keeps
         // event refcounts balanced.
-        self.forget(base, end);
-        // Retire the freed range's domain mapping; a realloc of the
-        // space registers its own.
-        self.domain_map
-            .retain(|&b, &mut (e, _)| e <= base || b >= end);
+        if end <= base {
+            return;
+        }
+        let (lo, hi) = line_span(base, end - base);
+        self.carve(lo, hi);
+        self.views.clear_range(lo, hi);
     }
 
     /// Counts a local-DRAM access (always coherent; nothing to check).
@@ -2013,33 +1992,27 @@ impl Auditor {
         self.report.local_ops += 1;
     }
 
-    /// Lines still dirty per host: `(host, line, dirty_since)`. Used by
-    /// finalize to flag unpublished writes on shared segments.
-    pub fn dirty_lines(&self) -> Vec<(HostId, u64, Nanos)> {
-        let mut out: Vec<(HostId, u64, Nanos)> = self
-            .views
-            .dirty_views()
-            .into_iter()
-            .map(|(h, la, since)| (HostId(h), la, since))
-            .collect();
-        out.sort_by_key(|&(h, la, _)| (h.0, la));
-        out
-    }
-
-    /// Records an [`ViolationKind::UnflushedWrite`] found by finalize.
-    pub fn record_unflushed(&mut self, now: Nanos, writer: HostId, la: u64, dirty_since: Nanos) {
-        self.record(
-            la,
-            now,
-            ViolationKind::UnflushedWrite {
-                writer,
-                dirty_since,
-            },
-            DedupKey::Unflushed {
-                line: la,
-                writer: writer.0,
-            },
-        );
+    /// Audits finalize: every line a host still holds dirty on a
+    /// segment other hosts can read is an
+    /// [`ViolationKind::UnflushedWrite`], flagged in `(host, line)`
+    /// order and stamped `now`.
+    pub fn on_finalize(&mut self, lay: &Layout<'_>, now: Nanos) {
+        let mut dirty = self.views.dirty_views();
+        dirty.sort_by_key(|&(h, la, _)| (h, la));
+        for (h, la, dirty_since) in dirty {
+            if lay.alloc.segment_at(la).is_ok_and(|s| s.owners().len() > 1) {
+                let writer = HostId(h);
+                let kind = ViolationKind::UnflushedWrite {
+                    writer,
+                    dirty_since,
+                };
+                let key = DedupKey::Unflushed {
+                    line: la,
+                    writer: h,
+                };
+                self.record(lay, la, now, kind, key);
+            }
+        }
     }
 
     // ---------------------------------------------------------------
@@ -2052,6 +2025,7 @@ impl Auditor {
     /// overwrite does not fully replace.
     fn drop_copies(
         &mut self,
+        lay: &Layout<'_>,
         now: Nanos,
         host: HostId,
         hpa: u64,
@@ -2070,7 +2044,7 @@ impl Auditor {
             };
             let replaced = hpa <= la && la + CACHELINE <= hpa + len;
             if cause != LostWriteCause::OverwriteDiscard || !replaced {
-                self.record_lost(la, now, host, host, cause, view.dirty_since);
+                self.record_lost(lay, la, now, (host, host), cause, view.dirty_since);
             }
         }
         self.line_scratch = lines;
@@ -2114,10 +2088,10 @@ impl Auditor {
     /// Records `victim`'s dirty (or visible) data lost to `by`.
     fn record_lost(
         &mut self,
+        lay: &Layout<'_>,
         la: u64,
         now: Nanos,
-        victim: HostId,
-        by: HostId,
+        (victim, by): (HostId, HostId),
         cause: LostWriteCause,
         dirty_since: Nanos,
     ) {
@@ -2133,12 +2107,19 @@ impl Auditor {
             by: by.0,
             cause,
         };
-        self.record(la, now, kind, key);
+        self.record(lay, la, now, kind, key);
     }
 
     /// Records a happens-before race between two conflicting accesses;
     /// the pair dedups regardless of which actor came first.
-    fn record_race(&mut self, la: u64, now: Nanos, first: Access, second: Access) {
+    fn record_race(
+        &mut self,
+        lay: &Layout<'_>,
+        la: u64,
+        now: Nanos,
+        first: Access,
+        second: Access,
+    ) {
         let (a, b) = (first.actor.index(), second.actor.index());
         let key = DedupKey::Concurrent {
             line: la,
@@ -2156,11 +2137,18 @@ impl Auditor {
             second_at: second.at,
             second_clock: second.clock,
         };
-        self.record(la, now, kind, key);
+        self.record(lay, la, now, kind, key);
     }
 
-    fn record(&mut self, line: u64, detected_at: Nanos, kind: ViolationKind, key: DedupKey) {
-        let domain = self.domain_of_line(line);
+    fn record(
+        &mut self,
+        lay: &Layout<'_>,
+        line: u64,
+        detected_at: Nanos,
+        kind: ViolationKind,
+        key: DedupKey,
+    ) {
+        let domain = lay.domain_of(line);
         match &kind {
             ViolationKind::StaleRead { .. } => self.report.counts.stale_reads += 1,
             ViolationKind::TornRead { .. } => self.report.counts.torn_reads += 1,
@@ -2189,7 +2177,53 @@ impl Auditor {
 mod tests {
     use super::*;
 
+    use std::sync::OnceLock;
+
+    use crate::alloc::DomainPlacement;
+
     const L: u64 = CACHELINE;
+
+    /// A two-host pod's segment table and topology, each of its two
+    /// MHDs its own failure domain.
+    struct Pod {
+        alloc: PoolAllocator,
+        topo: Topology,
+    }
+
+    impl Pod {
+        fn new() -> Pod {
+            Pod {
+                alloc: PoolAllocator::new(2, 1 << 30),
+                topo: Topology::dense(2, 2, 2),
+            }
+        }
+
+        /// Allocates `len` bytes shared by both hosts under `placement`
+        /// and returns the segment's base.
+        fn alloc(&mut self, len: u64, placement: DomainPlacement) -> u64 {
+            let owners = [HostId(0), HostId(1)];
+            self.alloc
+                .alloc_placed(&self.topo, &owners, len, 2, placement)
+                .expect("alloc")
+                .base()
+        }
+
+        fn lay(&self) -> Layout<'_> {
+            Layout {
+                alloc: &self.alloc,
+                topology: &self.topo,
+                tolerant: &[],
+                sync: &[],
+            }
+        }
+    }
+
+    /// The layout of a pod with no live segment: every line audits in
+    /// domain 0.
+    fn bare() -> Layout<'static> {
+        static POD: OnceLock<Pod> = OnceLock::new();
+        POD.get_or_init(Pod::new).lay()
+    }
 
     /// Version-mode config (these tests pin the single-version
     /// semantics).
@@ -2212,14 +2246,15 @@ mod tests {
     /// scenario: host 1 caches a line, host 0 publishes, host 1 hits.
     #[test]
     fn stale_hit_after_remote_publish_is_flagged() {
+        let lay = bare();
         let mut a = Auditor::new(ver());
         // Host 1 load-misses line 0 (caches pool state, version 0).
-        a.on_load(Nanos(0), HostId(1), &[(0, false)], &[], &[]);
+        a.on_load(&lay, Nanos(0), HostId(1), &[(0, false)]);
         // Host 0 nt-stores the line, visible at t=100.
-        let w = a.on_nt_store(Nanos(10), HostId(0), 0, L);
-        a.land(Nanos(100), w);
+        let w = a.on_nt_store(&lay, Nanos(10), HostId(0), 0, L);
+        a.land(&lay, Nanos(100), w);
         // Host 1 hits its stale copy.
-        a.on_load(Nanos(200), HostId(1), &[(0, true)], &[], &[]);
+        a.on_load(&lay, Nanos(200), HostId(1), &[(0, true)]);
         let r = a.report();
         assert_eq!(r.counts.stale_reads, 1);
         match &r.violations[0].kind {
@@ -2233,40 +2268,43 @@ mod tests {
 
     #[test]
     fn own_write_hit_is_not_stale() {
+        let lay = bare();
         let mut a = Auditor::new(ver());
-        a.on_load(Nanos(0), HostId(0), &[(0, false)], &[], &[]);
-        let w = a.on_nt_store(Nanos(10), HostId(0), 0, L);
-        a.land(Nanos(100), w);
+        a.on_load(&lay, Nanos(0), HostId(0), &[(0, false)]);
+        let w = a.on_nt_store(&lay, Nanos(10), HostId(0), 0, L);
+        a.land(&lay, Nanos(100), w);
         // Host 0 re-caching pre-publish bytes of its *own* write is an
         // ordering quirk, not a cross-host hazard.
-        a.on_load(Nanos(200), HostId(0), &[(0, true)], &[], &[]);
+        a.on_load(&lay, Nanos(200), HostId(0), &[(0, true)]);
         assert!(a.report().is_clean());
     }
 
     #[test]
     fn visibility_order_not_issue_order_decides_staleness() {
+        let lay = bare();
         let mut a = Auditor::new(ver());
         // Host 0 issues a slow write first (visible at 200), host 1 a
         // fast one second (visible at 100). They land in visibility
         // order, as the fabric settles them, so the final state is
         // host 0's.
-        let slow = a.on_nt_store(Nanos(0), HostId(0), 0, L);
-        let fast = a.on_nt_store(Nanos(10), HostId(1), 0, L);
-        a.land(Nanos(100), fast);
-        a.land(Nanos(200), slow);
+        let slow = a.on_nt_store(&lay, Nanos(0), HostId(0), 0, L);
+        let fast = a.on_nt_store(&lay, Nanos(10), HostId(1), 0, L);
+        a.land(&lay, Nanos(100), fast);
+        a.land(&lay, Nanos(200), slow);
         // A host that missed *after* both applied observes the final
         // (host 0) version: fresh, no violation.
-        a.on_load(Nanos(300), HostId(1), &[(0, false)], &[], &[]);
-        a.on_load(Nanos(310), HostId(1), &[(0, true)], &[], &[]);
+        a.on_load(&lay, Nanos(300), HostId(1), &[(0, false)]);
+        a.on_load(&lay, Nanos(310), HostId(1), &[(0, true)]);
         assert_eq!(a.report().counts.stale_reads, 0);
     }
 
     #[test]
     fn invalidate_of_dirty_line_loses_the_write() {
+        let lay = bare();
         let mut a = Auditor::new(ver());
-        a.on_fill(HostId(0), 0);
-        a.on_store(Nanos(5), HostId(0), 0);
-        a.on_invalidate(Nanos(10), HostId(0), 0, L);
+        a.on_fill(&lay, HostId(0), 0);
+        a.on_store(&lay, Nanos(5), HostId(0), 0);
+        a.on_invalidate(&lay, Nanos(10), HostId(0), 0, L);
         let r = a.report();
         assert_eq!(r.counts.lost_writes, 1);
         match &r.violations[0].kind {
@@ -2280,11 +2318,12 @@ mod tests {
 
     #[test]
     fn two_dirty_hosts_conflict() {
+        let lay = bare();
         let mut a = Auditor::new(ver());
-        a.on_fill(HostId(0), 0);
-        a.on_store(Nanos(5), HostId(0), 0);
-        a.on_fill(HostId(1), 0);
-        a.on_store(Nanos(9), HostId(1), 0);
+        a.on_fill(&lay, HostId(0), 0);
+        a.on_store(&lay, Nanos(5), HostId(0), 0);
+        a.on_fill(&lay, HostId(1), 0);
+        a.on_store(&lay, Nanos(9), HostId(1), 0);
         let r = a.report();
         assert_eq!(r.counts.ww_conflicts, 1);
         match &r.violations[0].kind {
@@ -2298,18 +2337,19 @@ mod tests {
 
     #[test]
     fn stale_base_flush_clobbers_newer_write() {
+        let lay = bare();
         let mut a = Auditor::new(ver());
         // Host 1 fills at version 0 and dirties the line.
-        a.on_fill(HostId(1), 0);
-        a.on_store(Nanos(5), HostId(1), 0);
+        a.on_fill(&lay, HostId(1), 0);
+        a.on_store(&lay, Nanos(5), HostId(1), 0);
         // Host 0 publishes a newer value.
-        let w = a.on_nt_store(Nanos(10), HostId(0), 0, L);
-        a.land(Nanos(50), w);
+        let w = a.on_nt_store(&lay, Nanos(10), HostId(0), 0, L);
+        a.land(&lay, Nanos(50), w);
         // Host 1 flushes its version-0-based merge over it.
         let w = a
-            .on_flush(Nanos(60), HostId(1), 0, L, &[0])
+            .on_flush(&lay, Nanos(60), HostId(1), 0, L, &[0])
             .expect("dirty line published");
-        a.land(Nanos(120), w);
+        a.land(&lay, Nanos(120), w);
         let r = a.report();
         assert_eq!(r.counts.lost_writes, 1);
         match &r.violations[0].kind {
@@ -2326,15 +2366,16 @@ mod tests {
 
     #[test]
     fn torn_multi_line_read_is_flagged_and_tolerance_suppresses_it() {
+        let lay = bare();
         let mut a = Auditor::new(ver());
         // Host 1 caches both lines at version 0.
-        a.on_load(Nanos(0), HostId(1), &[(0, false), (L, false)], &[], &[]);
+        a.on_load(&lay, Nanos(0), HostId(1), &[(0, false), (L, false)]);
         // Host 0 publishes a 2-line write.
-        let w = a.on_nt_store(Nanos(10), HostId(0), 0, 2 * L);
-        a.land(Nanos(100), w);
+        let w = a.on_nt_store(&lay, Nanos(10), HostId(0), 0, 2 * L);
+        a.land(&lay, Nanos(100), w);
         // Host 1's next load hits line 0 stale but misses line 1
         // (fresh): a torn observation of one event.
-        a.on_load(Nanos(200), HostId(1), &[(0, true), (L, false)], &[], &[]);
+        a.on_load(&lay, Nanos(200), HostId(1), &[(0, true), (L, false)]);
         let r = a.report();
         assert_eq!(r.counts.torn_reads, 1);
         match &r
@@ -2361,28 +2402,27 @@ mod tests {
 
         // The same pattern inside a tear-tolerant range stays quiet.
         let mut b = Auditor::new(ver());
-        b.on_load(Nanos(0), HostId(1), &[(0, false), (L, false)], &[], &[]);
-        let w = b.on_nt_store(Nanos(10), HostId(0), 0, 2 * L);
-        b.land(Nanos(100), w);
-        b.on_load(
-            Nanos(200),
-            HostId(1),
-            &[(0, true), (L, false)],
-            &[(0, 2 * L)],
-            &[],
-        );
+        b.on_load(&lay, Nanos(0), HostId(1), &[(0, false), (L, false)]);
+        let w = b.on_nt_store(&lay, Nanos(10), HostId(0), 0, 2 * L);
+        b.land(&lay, Nanos(100), w);
+        let tolerant = Layout {
+            tolerant: &[(0, 2 * L)],
+            ..lay
+        };
+        b.on_load(&tolerant, Nanos(200), HostId(1), &[(0, true), (L, false)]);
         assert_eq!(b.report().counts.torn_reads, 0);
     }
 
     #[test]
     fn duplicate_violations_count_but_record_once() {
+        let lay = bare();
         let mut a = Auditor::new(ver());
-        a.on_load(Nanos(0), HostId(1), &[(0, false)], &[], &[]);
-        let w = a.on_nt_store(Nanos(10), HostId(0), 0, L);
-        a.land(Nanos(100), w);
-        a.on_load(Nanos(200), HostId(1), &[(0, true)], &[], &[]);
-        a.on_load(Nanos(300), HostId(1), &[(0, true)], &[], &[]);
-        a.on_load(Nanos(400), HostId(1), &[(0, true)], &[], &[]);
+        a.on_load(&lay, Nanos(0), HostId(1), &[(0, false)]);
+        let w = a.on_nt_store(&lay, Nanos(10), HostId(0), 0, L);
+        a.land(&lay, Nanos(100), w);
+        a.on_load(&lay, Nanos(200), HostId(1), &[(0, true)]);
+        a.on_load(&lay, Nanos(300), HostId(1), &[(0, true)]);
+        a.on_load(&lay, Nanos(400), HostId(1), &[(0, true)]);
         let r = a.report();
         assert_eq!(r.counts.stale_reads, 3);
         assert_eq!(r.violations.len(), 1);
@@ -2391,16 +2431,17 @@ mod tests {
 
     #[test]
     fn record_cap_suppresses_overflow() {
+        let lay = bare();
         let mut a = Auditor::new(AuditConfig {
             max_recorded: 1,
             ..ver()
         });
-        a.on_fill(HostId(0), 0);
-        a.on_store(Nanos(1), HostId(0), 0);
-        a.on_invalidate(Nanos(2), HostId(0), 0, L);
-        a.on_fill(HostId(0), L);
-        a.on_store(Nanos(3), HostId(0), L);
-        a.on_invalidate(Nanos(4), HostId(0), L, L);
+        a.on_fill(&lay, HostId(0), 0);
+        a.on_store(&lay, Nanos(1), HostId(0), 0);
+        a.on_invalidate(&lay, Nanos(2), HostId(0), 0, L);
+        a.on_fill(&lay, HostId(0), L);
+        a.on_store(&lay, Nanos(3), HostId(0), L);
+        a.on_invalidate(&lay, Nanos(4), HostId(0), L, L);
         let r = a.report();
         assert_eq!(r.counts.lost_writes, 2);
         assert_eq!(r.violations.len(), 1);
@@ -2463,15 +2504,16 @@ mod tests {
 
     #[test]
     fn unordered_writes_race_in_vc_mode_but_not_version_mode() {
+        let lay = bare();
         // Two hosts publish the same line with no coherence edge
         // between them: version mode invents an order, vector clocks
         // call the race out.
         let run = |cfg: AuditConfig| {
             let mut a = Auditor::new(cfg);
-            let first = a.on_nt_store(Nanos(0), HostId(0), 0, L);
-            let second = a.on_nt_store(Nanos(10), HostId(1), 0, L);
-            a.land(Nanos(100), first);
-            a.land(Nanos(110), second);
+            let first = a.on_nt_store(&lay, Nanos(0), HostId(0), 0, L);
+            let second = a.on_nt_store(&lay, Nanos(10), HostId(1), 0, L);
+            a.land(&lay, Nanos(100), first);
+            a.land(&lay, Nanos(110), second);
             a.report().clone()
         };
         assert_eq!(run(ver()).counts.concurrent_conflicts, 0);
@@ -2501,16 +2543,17 @@ mod tests {
 
     #[test]
     fn dma_completion_edge_orders_cpu_read_after_dma_write() {
+        let lay = bare();
         // Without the completion edge the attach CPU's fresh read of a
         // DMA-written line races it; with the edge it is ordered.
         let run = |complete: bool| {
             let mut a = Auditor::new(vc());
-            let w = a.on_dma_write(Nanos(0), HostId(0), 0, L);
-            a.land(Nanos(100), w);
+            let w = a.on_dma_write(&lay, Nanos(0), HostId(0), 0, L);
+            a.land(&lay, Nanos(100), w);
             if complete {
                 a.on_dma_complete(HostId(0));
             }
-            a.on_load(Nanos(200), HostId(0), &[(0, false)], &[], &[]);
+            a.on_load(&lay, Nanos(200), HostId(0), &[(0, false)]);
             a.report().counts.concurrent_conflicts
         };
         assert_eq!(run(false), 1);
@@ -2523,15 +2566,16 @@ mod tests {
         // host 1's fresh read of it joins host 0's clock, ordering a
         // subsequent read of host 0's earlier data write.
         let run = |sync: &[(u64, u64)]| {
+            let lay = Layout { sync, ..bare() };
             let mut a = Auditor::new(vc());
             // Data write, then flag write (program order on cpu0).
-            let data = a.on_nt_store(Nanos(0), HostId(0), 2 * L, L);
-            let flag = a.on_nt_store(Nanos(10), HostId(0), 0, L);
-            a.land(Nanos(90), data);
-            a.land(Nanos(100), flag);
+            let data = a.on_nt_store(&lay, Nanos(0), HostId(0), 2 * L, L);
+            let flag = a.on_nt_store(&lay, Nanos(10), HostId(0), 0, L);
+            a.land(&lay, Nanos(90), data);
+            a.land(&lay, Nanos(100), flag);
             // Host 1 reads flag then data, both fresh.
-            a.on_load(Nanos(200), HostId(1), &[(0, false)], &[], sync);
-            a.on_load(Nanos(210), HostId(1), &[(2 * L, false)], &[], sync);
+            a.on_load(&lay, Nanos(200), HostId(1), &[(0, false)]);
+            a.on_load(&lay, Nanos(210), HostId(1), &[(2 * L, false)]);
             a.report().counts.concurrent_conflicts
         };
         // No sync range: the flag read itself races host 0's write.
@@ -2542,19 +2586,24 @@ mod tests {
 
     #[test]
     fn stale_hit_with_edge_is_precise_stale_read_not_race() {
+        let lay = bare();
         let mut a = Auditor::new(vc());
         // Host 1 caches the data line.
-        a.on_load(Nanos(0), HostId(1), &[(2 * L, false)], &[], &[]);
+        a.on_load(&lay, Nanos(0), HostId(1), &[(2 * L, false)]);
         // Host 0 publishes data then a sync flag.
-        let data = a.on_nt_store(Nanos(10), HostId(0), 2 * L, L);
-        let flag = a.on_nt_store(Nanos(20), HostId(0), 0, L);
-        a.land(Nanos(90), data);
-        a.land(Nanos(100), flag);
+        let data = a.on_nt_store(&lay, Nanos(10), HostId(0), 2 * L, L);
+        let flag = a.on_nt_store(&lay, Nanos(20), HostId(0), 0, L);
+        a.land(&lay, Nanos(90), data);
+        a.land(&lay, Nanos(100), flag);
         // Host 1 acquires via the flag, then hits its stale data copy:
         // the missed write is hb-ordered before the read, so this is a
         // definite stale read, not a race.
-        a.on_load(Nanos(200), HostId(1), &[(0, false)], &[], &[(0, L)]);
-        a.on_load(Nanos(210), HostId(1), &[(2 * L, true)], &[], &[(0, L)]);
+        let sync = Layout {
+            sync: &[(0, L)],
+            ..lay
+        };
+        a.on_load(&sync, Nanos(200), HostId(1), &[(0, false)]);
+        a.on_load(&sync, Nanos(210), HostId(1), &[(2 * L, true)]);
         let r = a.report();
         assert_eq!(r.counts.stale_reads, 1);
         assert_eq!(r.counts.concurrent_conflicts, 0);
@@ -2562,26 +2611,32 @@ mod tests {
 
     #[test]
     fn segment_free_clears_shadow_state() {
+        let lay = bare();
         let mut a = Auditor::new(vc());
-        let w = a.on_nt_store(Nanos(0), HostId(0), 0, 2 * L);
-        a.land(Nanos(100), w);
-        a.on_load(Nanos(110), HostId(1), &[(0, false)], &[], &[(0, 2 * L)]);
+        let w = a.on_nt_store(&lay, Nanos(0), HostId(0), 0, 2 * L);
+        a.land(&lay, Nanos(100), w);
+        let sync = Layout {
+            sync: &[(0, 2 * L)],
+            ..lay
+        };
+        a.on_load(&sync, Nanos(110), HostId(1), &[(0, false)]);
         a.on_segment_free(0, 2 * L);
         // The next tenant of the space starts from scratch: a fresh
         // read finds no prior write to race with.
-        a.on_load(Nanos(200), HostId(2), &[(0, false), (L, false)], &[], &[]);
+        a.on_load(&lay, Nanos(200), HostId(2), &[(0, false), (L, false)]);
         assert!(a.report().is_clean());
-        assert!(a.race_report().line_clocks.is_empty());
+        assert!(a.race_report(&lay).line_clocks.is_empty());
     }
 
     #[test]
     fn race_report_carries_clock_snapshots() {
+        let lay = bare();
         let mut a = Auditor::new(vc());
-        let first = a.on_nt_store(Nanos(0), HostId(0), 0, L);
-        let second = a.on_nt_store(Nanos(10), HostId(1), 0, L);
-        a.land(Nanos(100), first);
-        a.land(Nanos(110), second);
-        let rr = a.race_report();
+        let first = a.on_nt_store(&lay, Nanos(0), HostId(0), 0, L);
+        let second = a.on_nt_store(&lay, Nanos(10), HostId(1), 0, L);
+        a.land(&lay, Nanos(100), first);
+        a.land(&lay, Nanos(110), second);
+        let rr = a.race_report(&lay);
         assert_eq!(rr.conflicts.len(), 1);
         assert_eq!(rr.line_clocks.len(), 1);
         assert_eq!(rr.line_clocks[0].0, 0);
@@ -2596,10 +2651,11 @@ mod tests {
 
     #[test]
     fn version_mode_keeps_empty_race_report() {
+        let lay = bare();
         let mut a = Auditor::new(ver());
-        let w = a.on_nt_store(Nanos(0), HostId(0), 0, L);
-        a.land(Nanos(100), w);
-        let rr = a.race_report();
+        let w = a.on_nt_store(&lay, Nanos(0), HostId(0), 0, L);
+        a.land(&lay, Nanos(100), w);
+        let rr = a.race_report(&lay);
         assert!(rr.conflicts.is_empty());
         assert!(rr.actor_clocks.is_empty());
         assert!(rr.line_clocks.is_empty());
@@ -2632,56 +2688,75 @@ mod tests {
 
     #[test]
     fn unmapped_addresses_audit_in_domain_zero() {
-        let a = Auditor::new(vc());
-        assert_eq!(a.domain_of_line(0x1234_0000), DomainId(0));
+        assert_eq!(bare().domain_of(0x1234_0000), DomainId(0));
     }
 
     #[test]
-    fn map_segment_resolves_per_granule_domains() {
-        let mut a = Auditor::new(vc());
+    fn segment_table_resolves_per_granule_domains() {
+        const G: u64 = INTERLEAVE_GRANULE;
+        let mut pod = Pod::new();
         // Two-way interleave alternating domains every granule.
-        a.map_segment(0, 4 * INTERLEAVE_GRANULE, vec![DomainId(0), DomainId(1)]);
-        assert_eq!(a.domain_of_line(0), DomainId(0));
-        assert_eq!(a.domain_of_line(INTERLEAVE_GRANULE), DomainId(1));
-        assert_eq!(a.domain_of_line(2 * INTERLEAVE_GRANULE), DomainId(0));
-        // Outside the mapping: default domain.
-        assert_eq!(a.domain_of_line(4 * INTERLEAVE_GRANULE), DomainId(0));
+        let base = pod.alloc(4 * G, DomainPlacement::Striped { min_domains: 2 });
+        let lay = pod.lay();
+        assert_eq!(lay.domain_of(base), DomainId(0));
+        assert_eq!(lay.domain_of(base + G), DomainId(1));
+        assert_eq!(lay.domain_of(base + 2 * G), DomainId(0));
+        // Outside the segment: default domain.
+        assert_eq!(lay.domain_of(base + 4 * G), DomainId(0));
     }
 
     #[test]
     fn per_domain_versions_do_not_cross() {
+        let mut pod = Pod::new();
+        let base = pod.alloc(INTERLEAVE_GRANULE, DomainPlacement::Pinned(DomainId(1)));
+        let lay = pod.lay();
         let mut a = Auditor::new(ver());
-        a.map_segment(0, INTERLEAVE_GRANULE, vec![DomainId(1)]);
         // A write in domain 1 then a host caching a domain-0 line: the
         // domain-0 view must not appear stale against domain 1's
         // version counter.
-        let w = a.on_nt_store(Nanos(0), HostId(0), 0, L);
-        a.land(Nanos(50), w);
-        let far = 0x10_0000;
-        a.on_load(Nanos(60), HostId(1), &[(far, false)], &[], &[]);
-        a.on_load(Nanos(70), HostId(1), &[(far, true)], &[], &[]);
+        let w = a.on_nt_store(&lay, Nanos(0), HostId(0), base, L);
+        a.land(&lay, Nanos(50), w);
+        let far = base + 0x10_0000;
+        a.on_load(&lay, Nanos(60), HostId(1), &[(far, false)]);
+        a.on_load(&lay, Nanos(70), HostId(1), &[(far, true)]);
         assert!(a.report().is_clean(), "{}", a.report().render());
     }
 
     #[test]
     fn cross_domain_reuse_does_not_alias_shadow_state() {
+        // The pool never reuses an address, so two segment tables stage
+        // the reuse: the same range in domain 0, then in domain 1.
+        let (mut first, mut second) = (Pod::new(), Pod::new());
+        let base = first.alloc(2 * L, DomainPlacement::Pinned(DomainId(0)));
+        assert_eq!(
+            second.alloc(2 * L, DomainPlacement::Pinned(DomainId(1))),
+            base
+        );
         let mut a = Auditor::new(vc());
-        // First tenant: the range lives in domain 0; host 0 publishes
-        // and host 1 caches it.
-        a.map_segment(0, 2 * L, vec![DomainId(0)]);
-        let w = a.on_nt_store(Nanos(0), HostId(0), 0, 2 * L);
-        a.land(Nanos(100), w);
-        a.on_load(Nanos(110), HostId(1), &[(0, false)], &[], &[(0, 2 * L)]);
-        // Free and re-map the same addresses into domain 1.
-        a.on_segment_free(0, 2 * L);
-        a.map_segment(0, 2 * L, vec![DomainId(1)]);
+        // First tenant: host 0 publishes and host 1 caches the range.
+        let lay = first.lay();
+        let w = a.on_nt_store(&lay, Nanos(0), HostId(0), base, 2 * L);
+        a.land(&lay, Nanos(100), w);
+        let sync = Layout {
+            sync: &[(base, base + 2 * L)],
+            ..lay
+        };
+        a.on_load(&sync, Nanos(110), HostId(1), &[(base, false)]);
+        // Free the range; the next tenant holds it in domain 1.
+        a.on_segment_free(base, base + 2 * L);
+        let lay = second.lay();
         // The new tenant's fresh accesses find no ghost of the old
         // domain's writes: no stale read, no race, no line clocks.
-        a.on_load(Nanos(200), HostId(2), &[(0, false), (L, false)], &[], &[]);
-        let w = a.on_nt_store(Nanos(210), HostId(2), 0, L);
-        a.land(Nanos(300), w);
+        a.on_load(
+            &lay,
+            Nanos(200),
+            HostId(2),
+            &[(base, false), (base + L, false)],
+        );
+        let w = a.on_nt_store(&lay, Nanos(210), HostId(2), base, L);
+        a.land(&lay, Nanos(300), w);
         assert!(a.report().is_clean(), "{}", a.report().render());
-        let rr = a.race_report();
+        let rr = a.race_report(&lay);
         assert_eq!(rr.line_clocks.len(), 1, "only the new tenant's write");
     }
 
@@ -2788,31 +2863,60 @@ mod tests {
         }
     }
 
-    /// The granule-stepped domain walk must find exactly the domains a
-    /// line-by-line resolution finds, across unmapped gaps, unaligned
-    /// mapping edges and remaps that overlap earlier mappings.
+    /// The granule-stepped domain walk must find exactly the domains
+    /// that resolving each line through the segment table finds, across
+    /// unmapped gaps (below the pool floor, after frees, past unaligned
+    /// segment ends) and fresh allocations.
     #[test]
     fn domain_walk_matches_per_line_resolution() {
+        use crate::alloc::SegmentId;
         use simkit::rng::Rng;
 
         let mut rng = Rng::new(5);
-        let mut a = Auditor::new(ver());
+        // Three domains of two MHDs each; the host reaches all six.
+        let topo = Topology::multi_domain(1, 3, 2, 6);
+        let mut alloc = PoolAllocator::new(6, 1 << 40);
+        let mut live: Vec<SegmentId> = Vec::new();
+        let floor = 1 << 20;
+        let mut top = floor;
         for _ in 0..300 {
-            let base = rng.below(1 << 16) * 8;
-            let end = base + 1 + rng.below(1 << 13);
-            let ways = (0..1 + rng.below(4))
-                .map(|_| DomainId(rng.below(5) as u16))
-                .collect();
-            a.map_segment(base, end, ways);
-            let lo = line_of(rng.below(1 << 19));
+            if !live.is_empty() && rng.chance(0.3) {
+                let id = live.swap_remove(rng.below(live.len() as u64) as usize);
+                alloc.free(id).expect("live segment");
+            } else {
+                let placement = match rng.below(3) {
+                    0 => DomainPlacement::Any,
+                    1 => DomainPlacement::Pinned(DomainId(rng.below(3) as u16)),
+                    _ => DomainPlacement::Striped {
+                        min_domains: 2 + rng.below(2) as usize,
+                    },
+                };
+                let len = 1 + rng.below(1 << 13);
+                let ways = 1 + rng.below(4) as usize;
+                let seg = alloc
+                    .alloc_placed(&topo, &[HostId(0)], len, ways, placement)
+                    .expect("alloc");
+                top = seg.end();
+                live.push(seg.id());
+            }
+            let lay = Layout {
+                alloc: &alloc,
+                topology: &topo,
+                tolerant: &[],
+                sync: &[],
+            };
+            let lo = line_of(floor - 8192 + rng.below(top - floor + 16384));
             let hi = lo + (1 + rng.below(200)) * L;
             let mut got = Vec::new();
-            a.push_domains(lo, hi, &mut got);
+            lay.push_domains(lo, hi, &mut got);
             got.sort_unstable();
             got.dedup();
             let mut want: Vec<DomainId> = (lo..hi)
                 .step_by(L as usize)
-                .map(|la| a.domain_of_line(la))
+                .map(|la| match alloc.segment_at(la) {
+                    Ok(seg) => topo.domain_of(seg.mhd_for(la)),
+                    Err(_) => DomainId(0),
+                })
                 .collect();
             want.sort_unstable();
             want.dedup();
@@ -2829,34 +2933,36 @@ mod tests {
         use simkit::rng::Rng;
         use std::collections::BTreeMap;
 
-        const FLOOR: u64 = 1 << 20;
         const LINES: u64 = 300;
 
+        let mut pod = Pod::new();
+        let floor = pod.alloc(LINES * L, DomainPlacement::Striped { min_domains: 2 });
+        let lay = pod.lay();
         for seed in [3u64, 11, 0xBEEF] {
             let mut rng = Rng::new(seed);
             let mut a = Auditor::new(ver());
-            a.map_segment(FLOOR, FLOOR + LINES * L, vec![DomainId(0), DomainId(1)]);
             let mut model: BTreeMap<u64, u64> = BTreeMap::new();
             let mut next_event = 1;
             for step in 0..2000u64 {
                 let first = rng.below(LINES);
                 let lines = 1 + rng.below((LINES - first).min(40));
-                let lo = FLOOR + first * L;
+                let lo = floor + first * L;
                 if rng.chance(0.05) {
                     a.on_segment_free(lo, lo + lines * L);
                     model.retain(|&la, _| la < lo || la >= lo + lines * L);
                 } else {
                     // Mid-line starts and ends still cover whole lines.
                     let cut = rng.below(2) * 8;
-                    let w = a.on_nt_store(Nanos(step), HostId(0), lo + cut, lines * L - cut);
-                    a.land(Nanos(step), w);
+                    let (hpa, len) = (lo + cut, lines * L - cut);
+                    let w = a.on_nt_store(&lay, Nanos(step), HostId(0), hpa, len);
+                    a.land(&lay, Nanos(step), w);
                     for i in 0..lines {
                         model.insert(lo + i * L, next_event);
                     }
                     next_event += 1;
                 }
                 for i in 0..LINES {
-                    let la = FLOOR + i * L;
+                    let la = floor + i * L;
                     assert_eq!(
                         a.meta_at(la).map(|(e, _)| e),
                         model.get(&la).copied(),

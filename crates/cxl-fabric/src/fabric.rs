@@ -34,7 +34,8 @@ use simkit::Nanos;
 
 use crate::alloc::{DomainPlacement, PoolAllocator, Segment, SegmentId};
 use crate::audit::{
-    Actor, AuditConfig, AuditReport, Auditor, RaceReport, ShadowWrite, Violation, ViolationKind,
+    Actor, AuditConfig, AuditReport, Auditor, Layout, RaceReport, ShadowWrite, Violation,
+    ViolationKind,
 };
 use crate::cache::{self, CacheStats, Eviction, HostCache, LoadOutcome};
 use crate::error::FabricError;
@@ -325,17 +326,6 @@ impl Fabric {
     /// detected. Cached state present before the call is treated as
     /// current (enabling mid-run never invents violations).
     pub fn enable_audit(&mut self, config: AuditConfig) {
-        let mut auditor = Box::new(Auditor::new(config));
-        // Register live segments' failure-domain interleave patterns so
-        // shadow state is namespaced correctly from the first access.
-        for seg in self.alloc.segments() {
-            let doms = seg
-                .ways()
-                .iter()
-                .map(|&w| self.topology.domain_of(w))
-                .collect();
-            auditor.map_segment(seg.base(), seg.end(), doms);
-        }
         // Writes already in flight carry shadows of the auditor being
         // replaced, if any; the new one never saw them issued.
         if self.audit.is_some() {
@@ -345,7 +335,19 @@ impl Fabric {
             }
             self.pending = writes.into();
         }
-        self.audit = Some(auditor);
+        self.audit = Some(Box::new(Auditor::new(config)));
+    }
+
+    /// The auditor, when auditing is on, with the layout its hooks read.
+    fn auditor(&mut self) -> Option<(&mut Auditor, Layout<'_>)> {
+        let audit = self.audit.as_deref_mut()?;
+        let lay = Layout {
+            alloc: &self.alloc,
+            topology: &self.topology,
+            tolerant: &self.tear_tolerant,
+            sync: &self.sync_ranges,
+        };
+        Some((audit, lay))
     }
 
     /// The auditor's findings so far, if auditing is enabled.
@@ -372,14 +374,8 @@ impl Fabric {
     /// `now` stamps the unflushed-write findings.
     pub fn audit_finalize(&mut self, now: Nanos) -> Option<AuditReport> {
         self.settle(Nanos::MAX);
-        let audit = self.audit.as_deref_mut()?;
-        for (host, la, dirty_since) in audit.dirty_lines() {
-            if let Ok(seg) = self.alloc.segment_at(la) {
-                if seg.owners().len() > 1 {
-                    audit.record_unflushed(now, host, la, dirty_since);
-                }
-            }
-        }
+        let (audit, lay) = self.auditor()?;
+        audit.on_finalize(&lay, now);
         let report = audit.report().clone();
         self.sync_trace_audit();
         Some(report)
@@ -410,7 +406,13 @@ impl Fabric {
     /// auditing is enabled (empty unless the auditor runs in
     /// [`crate::audit::AuditMode::VectorClock`]).
     pub fn race_report(&self) -> Option<RaceReport> {
-        self.audit.as_deref().map(Auditor::race_report)
+        let lay = Layout {
+            alloc: &self.alloc,
+            topology: &self.topology,
+            tolerant: &self.tear_tolerant,
+            sync: &self.sync_ranges,
+        };
+        self.audit.as_deref().map(|a| a.race_report(&lay))
     }
 
     /// Records a DMA completion observed by `host`'s CPU (the CQE /
@@ -543,21 +545,15 @@ impl Fabric {
 
     /// Allocates a private segment for `host`.
     pub fn alloc_private(&mut self, host: HostId, len: u64) -> Result<Segment, FabricError> {
-        let seg = self
-            .alloc
-            .alloc(&self.topology, &[host], len, self.default_ways)?;
-        self.register_segment_domains(&seg);
-        Ok(seg)
+        self.alloc
+            .alloc(&self.topology, &[host], len, self.default_ways)
     }
 
     /// Allocates a segment shared by `hosts` (the substrate for
     /// cross-host I/O buffers and message channels).
     pub fn alloc_shared(&mut self, hosts: &[HostId], len: u64) -> Result<Segment, FabricError> {
-        let seg = self
-            .alloc
-            .alloc(&self.topology, hosts, len, self.default_ways)?;
-        self.register_segment_domains(&seg);
-        Ok(seg)
+        self.alloc
+            .alloc(&self.topology, hosts, len, self.default_ways)
     }
 
     /// Allocates with an explicit interleave width (for the interleave
@@ -568,9 +564,7 @@ impl Fabric {
         len: u64,
         ways: usize,
     ) -> Result<Segment, FabricError> {
-        let seg = self.alloc.alloc(&self.topology, hosts, len, ways)?;
-        self.register_segment_domains(&seg);
-        Ok(seg)
+        self.alloc.alloc(&self.topology, hosts, len, ways)
     }
 
     /// Allocates a segment shared by `hosts` under an explicit
@@ -584,24 +578,8 @@ impl Fabric {
         max_ways: usize,
         placement: DomainPlacement,
     ) -> Result<Segment, FabricError> {
-        let seg = self
-            .alloc
-            .alloc_placed(&self.topology, hosts, len, max_ways, placement)?;
-        self.register_segment_domains(&seg);
-        Ok(seg)
-    }
-
-    /// Tells the auditor which failure domain backs each interleave
-    /// granule of a fresh segment (a no-op with auditing off).
-    fn register_segment_domains(&mut self, seg: &Segment) {
-        if let Some(a) = self.audit.as_deref_mut() {
-            let doms = seg
-                .ways()
-                .iter()
-                .map(|&w| self.topology.domain_of(w))
-                .collect();
-            a.map_segment(seg.base(), seg.end(), doms);
-        }
+        self.alloc
+            .alloc_placed(&self.topology, hosts, len, max_ways, placement)
     }
 
     /// Releases a segment. Tear-tolerant and sync ranges inside it are
@@ -722,8 +700,8 @@ impl Fabric {
                 }
             }
         }
-        if let Some(a) = self.audit.as_deref_mut() {
-            a.on_load(now, host, &served, &self.tear_tolerant, &self.sync_ranges);
+        if let Some((a, lay)) = self.auditor() {
+            a.on_load(&lay, now, host, &served);
         }
         // Fetch missing lines from the pool and install them.
         let mut evictions: Vec<Eviction> = Vec::new();
@@ -760,8 +738,8 @@ impl Fabric {
     ) -> Result<Nanos, FabricError> {
         let len = data.len() as u64;
         self.begin(PoolOp::Store, now, host, hpa, len)?;
-        if let Some(a) = self.audit.as_deref_mut() {
-            a.count_store(host, hpa, len);
+        if let Some((a, lay)) = self.auditor() {
+            a.count_store(&lay, host, hpa, len);
         }
 
         // RFO: fetch lines we don't own yet so partial-line stores merge
@@ -774,8 +752,8 @@ impl Fabric {
                 if let Some(ev) = self.caches[host.0 as usize].fill(la, line) {
                     self.apply_eviction(now, host, ev);
                 }
-                if let Some(a) = self.audit.as_deref_mut() {
-                    a.on_fill(host, la);
+                if let Some((a, lay)) = self.auditor() {
+                    a.on_fill(&lay, host, la);
                 }
                 fetched += CACHELINE;
             }
@@ -791,8 +769,8 @@ impl Fabric {
             if let Some(ev) = self.caches[host.0 as usize].store(cur, &data[off..off + n]) {
                 self.apply_eviction(now, host, ev);
             }
-            if let Some(a) = self.audit.as_deref_mut() {
-                a.on_store(now, host, la);
+            if let Some((a, lay)) = self.auditor() {
+                a.on_store(&lay, now, host, la);
             }
             cur += n as u64;
         }
@@ -815,9 +793,8 @@ impl Fabric {
         self.caches[host.0 as usize].invalidate_range(hpa, len);
         let done = self.timed(PoolOp::NtStore, now, host, hpa, len)?;
         let shadow = self
-            .audit
-            .as_deref_mut()
-            .map(|a| a.on_nt_store(now, host, hpa, len));
+            .auditor()
+            .map(|(a, lay)| a.on_nt_store(&lay, now, host, hpa, len));
         self.enqueue_write(done, hpa, data, shadow);
         Ok(self.finish(PoolOp::NtStore, now, host, done))
     }
@@ -838,9 +815,9 @@ impl Fabric {
         let bytes = dirty.len() as u64 * CACHELINE;
         self.stats.bytes_written += bytes;
         let done = self.timed(PoolOp::Flush, now, host, hpa, bytes)?;
-        let mut shadow = self.audit.as_deref_mut().and_then(|a| {
+        let mut shadow = self.auditor().and_then(|(a, lay)| {
             let dirty_lines: Vec<u64> = dirty.iter().map(|&(la, _)| la).collect();
-            a.on_flush(now, host, hpa, len, &dirty_lines)
+            a.on_flush(&lay, now, host, hpa, len, &dirty_lines)
         });
         for (la, data) in dirty {
             self.enqueue_write(done, la, &data, shadow.take());
@@ -866,8 +843,8 @@ impl Fabric {
             return now;
         }
         self.caches[host.0 as usize].invalidate_range(hpa, len);
-        if let Some(a) = self.audit.as_deref_mut() {
-            a.on_invalidate(now, host, hpa, len);
+        if let Some((a, lay)) = self.auditor() {
+            a.on_invalidate(&lay, now, host, hpa, len);
         }
         let done = now + Fabric::invalidate_cost(hpa, len);
         self.finish(PoolOp::Invalidate, now, host, done)
@@ -953,7 +930,10 @@ impl Fabric {
     /// shadow lands in the auditor as the write is popped, so shadow
     /// versions always match pool-visible contents.
     pub fn settle(&mut self, now: Nanos) {
-        while let Some(top) = self.pending.peek_mut() {
+        loop {
+            let Some(top) = self.pending.peek_mut() else {
+                break;
+            };
             if top.0.visible_at > now {
                 break;
             }
@@ -968,8 +948,8 @@ impl Fabric {
                     self.wake_gen += 1;
                 }
             }
-            if let (Some(a), Some(shadow)) = (self.audit.as_deref_mut(), w.shadow) {
-                a.land(w.visible_at, *shadow);
+            if let (Some((a, lay)), Some(shadow)) = (self.auditor(), w.shadow) {
+                a.land(&lay, w.visible_at, *shadow);
             }
             self.write_bufs.give(w.data);
         }
@@ -1008,8 +988,8 @@ impl Fabric {
     ) -> Result<Nanos, FabricError> {
         let len = buf.len() as u64;
         self.begin(PoolOp::DmaRead, now, host, hpa, len)?;
-        if let Some(a) = self.audit.as_deref_mut() {
-            a.on_dma_read(now, host, hpa, len, &self.sync_ranges);
+        if let Some((a, lay)) = self.auditor() {
+            a.on_dma_read(&lay, now, host, hpa, len);
         }
 
         self.pool.read(hpa, buf);
@@ -1038,9 +1018,8 @@ impl Fabric {
         self.caches[host.0 as usize].invalidate_range(hpa, len);
         let done = self.timed(PoolOp::DmaWrite, now, host, hpa, len)?;
         let shadow = self
-            .audit
-            .as_deref_mut()
-            .map(|a| a.on_dma_write(now, host, hpa, len));
+            .auditor()
+            .map(|(a, lay)| a.on_dma_write(&lay, now, host, hpa, len));
         self.enqueue_write(done, hpa, data, shadow);
         Ok(self.finish(PoolOp::DmaWrite, now, host, done))
     }
@@ -1157,8 +1136,8 @@ impl Fabric {
             Some(data) => {
                 self.pool.write(ev.addr, &data);
                 self.stats.bytes_written += CACHELINE;
-                if let Some(a) = self.audit.as_deref_mut() {
-                    a.on_dirty_eviction(now, host, ev.addr);
+                if let Some((a, lay)) = self.auditor() {
+                    a.on_dirty_eviction(&lay, now, host, ev.addr);
                 }
             }
             None => {

@@ -191,11 +191,6 @@ impl BandwidthPipe {
         self.server.utilization(horizon)
     }
 
-    /// Number of transfers served.
-    pub fn transfers(&self) -> u64 {
-        self.server.jobs_served()
-    }
-
     /// In-order versus out-of-order transfer counts so far.
     pub fn order_stats(&self) -> OrderStats {
         self.server.order_stats()

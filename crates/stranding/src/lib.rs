@@ -24,5 +24,5 @@ pub mod pooling;
 pub mod vm;
 
 pub use packing::{pack_fleet, FleetStats, HostShape};
-pub use pooling::{pack_pooled, sweep_pool_sizes, PoolSweepRow};
+pub use pooling::{sweep_pool_sizes, PoolSweepRow};
 pub use vm::VmCatalog;

@@ -152,24 +152,6 @@ pub fn sweep_pool_sizes(
     rows
 }
 
-/// Convenience: the unpooled (N = 1) stranding of both resources, used
-/// as the Figure-2-consistent anchor.
-pub fn pack_pooled(
-    catalog: &mut VmCatalog,
-    shape: &HostShape,
-    hosts: usize,
-    pool_n: usize,
-    rng: &mut Rng,
-) -> (f64, f64) {
-    let demands = sample_host_demands(catalog, shape, hosts, rng);
-    let ssd: Vec<f64> = demands.iter().map(|d| d.ssd_gb).collect();
-    let nic: Vec<f64> = demands.iter().map(|d| d.nic_gbps).collect();
-    (
-        stranding_at_quantile(&pod_sums(&ssd, pool_n), SERVICE_QUANTILE),
-        stranding_at_quantile(&pod_sums(&nic, pool_n), SERVICE_QUANTILE),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -264,14 +246,5 @@ mod tests {
         for (x, y) in a.iter().zip(b.iter()) {
             assert_eq!(x.ssd, y.ssd);
         }
-    }
-
-    #[test]
-    fn pack_pooled_matches_sweep_anchor() {
-        let mut cat = VmCatalog::azure_like();
-        let mut rng = Rng::new(21);
-        let (ssd1, _) = pack_pooled(&mut cat, &HostShape::default_cloud(), 4096, 1, &mut rng);
-        let rows = sweep(0.0);
-        assert!((ssd1 - rows[0].ssd).abs() < 1e-12);
     }
 }

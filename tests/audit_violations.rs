@@ -5,9 +5,11 @@
 //! protocols run audit-clean — is asserted by `chaos.rs` and
 //! `properties.rs`.
 
+use cxl_fabric::audit::Layout;
 use cxl_fabric::{
-    domain_of_index, AccessKind, Actor, AuditConfig, AuditMode, Auditor, DomainId, Fabric, HostId,
-    LostWriteCause, PodConfig, Segment, ViolationKind, WriteKind, DOMAIN_STRIDE,
+    domain_of_index, AccessKind, Actor, AuditConfig, AuditMode, Auditor, DomainId, DomainPlacement,
+    Fabric, HostId, LostWriteCause, PodConfig, PoolAllocator, Segment, Topology, ViolationKind,
+    WriteKind, DOMAIN_STRIDE,
 };
 use simkit::Nanos;
 
@@ -660,29 +662,71 @@ fn dma_read_of_unpublished_store_races_in_vc_mode() {
 // Failure-domain namespacing (multi-MHD pods)
 // ---------------------------------------------------------------------
 
+/// The segment table and topology of a two-host pod whose two MHDs are
+/// each their own failure domain, for driving the [`Auditor`] directly.
+struct PodLayout {
+    alloc: PoolAllocator,
+    topology: Topology,
+}
+
+impl PodLayout {
+    fn new() -> PodLayout {
+        PodLayout {
+            alloc: PoolAllocator::new(2, 1 << 30),
+            topology: Topology::dense(2, 2, 2),
+        }
+    }
+
+    /// Allocates 4 KiB shared by both hosts under `placement`; returns
+    /// the segment's base.
+    fn alloc(&mut self, placement: DomainPlacement) -> u64 {
+        let owners = [HostId(0), HostId(1)];
+        self.alloc
+            .alloc_placed(&self.topology, &owners, 4096, 2, placement)
+            .expect("alloc")
+            .base()
+    }
+
+    fn layout(&self) -> Layout<'_> {
+        Layout {
+            alloc: &self.alloc,
+            topology: &self.topology,
+            tolerant: &[],
+            sync: &[],
+        }
+    }
+}
+
+fn pinned(d: u16) -> DomainPlacement {
+    DomainPlacement::Pinned(DomainId(d))
+}
+
 /// A tenant leaves a host holding a stale cached copy, then its segment
 /// is freed and the *same address range* is reallocated in a different
 /// failure domain. The pool allocator never reuses addresses, so this
-/// drives the [`Auditor`] directly: the sin (a cache hit at the reused
-/// address) must audit against the new tenant's state, not the ghost of
-/// the old one.
+/// drives the [`Auditor`] directly, with a second segment table that
+/// holds the same range in the other domain: the sin (a cache hit at
+/// the reused address) must audit against the new tenant's state, not
+/// the ghost of the old one.
 fn reuse_scenario(free_between: bool) -> cxl_fabric::AuditReport {
-    let mut a = Auditor::new(version_cfg());
-    let base = 0x10_000u64;
+    let (mut first, mut second) = (PodLayout::new(), PodLayout::new());
+    let base = first.alloc(pinned(0));
+    assert_eq!(second.alloc(pinned(1)), base, "the same range");
     let end = base + 4096;
-    a.map_segment(base, end, vec![DomainId(0)]);
+    let mut a = Auditor::new(version_cfg());
+    let mut lay = first.layout();
     // Host 1 caches the line (load miss).
-    a.on_load(Nanos(0), HostId(1), &[(base, false)], &[], &[]);
+    a.on_load(&lay, Nanos(0), HostId(1), &[(base, false)]);
     // Host 0 publishes over it; the write settles.
-    let w = a.on_nt_store(Nanos(10), HostId(0), base, LINE);
-    a.land(Nanos(500), w);
+    let w = a.on_nt_store(&lay, Nanos(10), HostId(0), base, LINE);
+    a.land(&lay, Nanos(500), w);
     if free_between {
         // The tenant dies; the range is reused in another domain.
         a.on_segment_free(base, end);
-        a.map_segment(base, end, vec![DomainId(1)]);
+        lay = second.layout();
     }
     // Host 1 hits a cached copy at the same address.
-    a.on_load(Nanos(2_000), HostId(1), &[(base, true)], &[], &[]);
+    a.on_load(&lay, Nanos(2_000), HostId(1), &[(base, true)]);
     a.report().clone()
 }
 
@@ -714,39 +758,39 @@ fn address_reuse_across_domains_does_not_alias_shadow_state() {
 /// range in every domain — so a new tenant reusing *either* address
 /// (even swapped across domains) starts from scratch.
 fn replica_reuse_scenario(free_between: bool) -> cxl_fabric::AuditReport {
+    let (mut first, mut second) = (PodLayout::new(), PodLayout::new());
+    let primary = first.alloc(pinned(0));
+    let replica = first.alloc(pinned(1));
+    // The new tenant's table holds both ranges with the domains swapped.
+    assert_eq!(second.alloc(pinned(1)), primary);
+    assert_eq!(second.alloc(pinned(0)), replica);
     let mut a = Auditor::new(version_cfg());
-    let primary = 0x40_000u64;
-    let replica = 0x50_000u64;
-    a.map_segment(primary, primary + 4096, vec![DomainId(0)]);
-    a.map_segment(replica, replica + 4096, vec![DomainId(1)]);
+    let mut lay = first.layout();
     // Host 1 caches a line of each copy (load misses).
     a.on_load(
+        &lay,
         Nanos(0),
         HostId(1),
         &[(primary, false), (replica, false)],
-        &[],
-        &[],
     );
     // The owner publishes new state to both copies; writes settle.
-    let to_primary = a.on_nt_store(Nanos(10), HostId(0), primary, LINE);
-    let to_replica = a.on_nt_store(Nanos(20), HostId(0), replica, LINE);
-    a.land(Nanos(500), to_primary);
-    a.land(Nanos(600), to_replica);
+    let to_primary = a.on_nt_store(&lay, Nanos(10), HostId(0), primary, LINE);
+    let to_replica = a.on_nt_store(&lay, Nanos(20), HostId(0), replica, LINE);
+    a.land(&lay, Nanos(500), to_primary);
+    a.land(&lay, Nanos(600), to_replica);
     if free_between {
         // Departure: the whole replica set is reclaimed, then a new
         // tenant reuses both ranges with the domains *swapped*.
         a.on_segment_free(primary, primary + 4096);
         a.on_segment_free(replica, replica + 4096);
-        a.map_segment(primary, primary + 4096, vec![DomainId(1)]);
-        a.map_segment(replica, replica + 4096, vec![DomainId(0)]);
+        lay = second.layout();
     }
     // Host 1 hits cached copies at both reused addresses.
     a.on_load(
+        &lay,
         Nanos(2_000),
         HostId(1),
         &[(primary, true), (replica, true)],
-        &[],
-        &[],
     );
     a.report().clone()
 }
@@ -776,41 +820,37 @@ fn replica_set_reuse_after_departure_does_not_alias_shadow_state() {
 /// drawn per failure domain, so a record spanning two domains has no
 /// single order to tear against. The same access pattern *does* tear
 /// when both lines share a domain.
-fn torn_scenario(way_domains: Vec<DomainId>) -> cxl_fabric::AuditReport {
+fn torn_scenario(placement: DomainPlacement) -> cxl_fabric::AuditReport {
+    let mut pod = PodLayout::new();
+    let base = pod.alloc(placement);
+    let lay = pod.layout();
     let mut a = Auditor::new(version_cfg());
-    let base = 0x20_000u64;
-    a.map_segment(base, base + 4096, way_domains);
     // Adjacent lines straddling the interleave-granule boundary: with
     // two way domains they land in different domains.
     let lo = base + 192;
     let hi = base + 256;
     // Host 1 caches both lines of the record.
-    a.on_load(Nanos(0), HostId(1), &[(lo, false), (hi, false)], &[], &[]);
+    a.on_load(&lay, Nanos(0), HostId(1), &[(lo, false), (hi, false)]);
     // Host 0 publishes the 2-line record in one nt-store.
-    let w = a.on_nt_store(Nanos(10), HostId(0), lo, 2 * LINE);
-    a.land(Nanos(500), w);
+    let w = a.on_nt_store(&lay, Nanos(10), HostId(0), lo, 2 * LINE);
+    a.land(&lay, Nanos(500), w);
     // BUG under test: host 1 invalidates only the second line, then
     // reads the whole record (first line hits stale, second misses).
-    a.on_invalidate(Nanos(1_100), HostId(1), hi, LINE);
-    a.on_load(
-        Nanos(1_200),
-        HostId(1),
-        &[(lo, true), (hi, false)],
-        &[],
-        &[],
-    );
+    a.on_invalidate(&lay, Nanos(1_100), HostId(1), hi, LINE);
+    a.on_load(&lay, Nanos(1_200), HostId(1), &[(lo, true), (hi, false)]);
     a.report().clone()
 }
 
 #[test]
 fn half_invalidated_record_tears_within_one_domain() {
-    let report = torn_scenario(vec![DomainId(0)]);
+    let report = torn_scenario(pinned(0));
     assert_eq!(report.counts.torn_reads, 1, "{}", report.render());
 }
 
 #[test]
 fn record_spanning_two_domains_does_not_tear_across_them() {
-    let report = torn_scenario(vec![DomainId(0), DomainId(1)]);
+    // Two ways, one per domain: granule 0 in domain 0, granule 1 in 1.
+    let report = torn_scenario(DomainPlacement::Striped { min_domains: 2 });
     assert_eq!(
         report.counts.torn_reads,
         0,
@@ -831,17 +871,20 @@ fn vc_write_clocks_are_namespaced_per_domain() {
     assert_eq!(Actor::from_index(cpu0.index_in(DomainId(3))), cpu0);
 
     let mut a = Auditor::new(vc_cfg());
-    let base = 0x30_000u64;
+    let mut pod = PodLayout::new();
     // Two-way interleave: granule 0 in domain 0, granule 1 in domain 1.
-    a.map_segment(base, base + 4096, vec![DomainId(0), DomainId(1)]);
+    let base = pod.alloc(DomainPlacement::Striped { min_domains: 2 });
+    let lay = pod.layout();
     let in_d0 = base;
     let in_d1 = base + 256;
-    let to_d0 = a.on_nt_store(Nanos(0), HostId(0), in_d0, LINE);
-    let to_d1 = a.on_nt_store(Nanos(200), HostId(0), in_d1, LINE);
-    a.land(Nanos(100), to_d0);
-    a.land(Nanos(300), to_d1);
+    assert_eq!(lay.domain_of(in_d0), DomainId(0));
+    assert_eq!(lay.domain_of(in_d1), DomainId(1));
+    let to_d0 = a.on_nt_store(&lay, Nanos(0), HostId(0), in_d0, LINE);
+    let to_d1 = a.on_nt_store(&lay, Nanos(200), HostId(0), in_d1, LINE);
+    a.land(&lay, Nanos(100), to_d0);
+    a.land(&lay, Nanos(300), to_d1);
 
-    let races = a.race_report();
+    let races = a.race_report(&lay);
     let clock_of = |la: u64| {
         races
             .line_clocks
