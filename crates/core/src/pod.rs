@@ -363,80 +363,44 @@ impl PodSim {
         if !due {
             return;
         }
-        let Some(ids) = self.metric_ids.take() else {
+        // The recorder leaves `self` for the tick, so each reading is
+        // written as it is taken.
+        let Some(mut rec) = self.metrics.take() else {
             return;
         };
-        // Gather every reading first (immutable borrows), then write
-        // them through the recorder in one pass.
-        let horizon = self
-            .metrics
-            .as_deref()
-            .map_or(Nanos::from_millis(1), |m| m.config().interval);
-        let served: Vec<f64> = self
-            .agents
-            .iter()
-            .map(|a| a.stats().served as f64)
-            .collect();
-        let queue: Vec<f64> = self.agents.iter().map(|a| a.queue_depth() as f64).collect();
-        let chan: Vec<shmem::channel::ChannelStats> =
-            self.agents.iter().map(Agent::channel_stats).collect();
-        let pool_free = self.fabric.free_capacity() as f64;
-        let domain_free: Vec<f64> = (0..ids.domain_free.len() as u16)
-            .map(|d| self.fabric.domain_free(DomainId(d)) as f64)
-            .collect();
-        let domain_cap: Vec<f64> = (0..ids.domain_capacity.len() as u16)
-            .map(|d| self.fabric.domain_capacity(DomainId(d)) as f64)
-            .collect();
-        let mhd_free: Vec<f64> = (0..ids.mhd_free.len() as u16)
-            .map(|m| self.fabric.mhd_free(MhdId(m)) as f64)
-            .collect();
-        let link_util: Vec<f64> = ids
-            .link_util
-            .iter()
-            .map(|&(l, _)| self.fabric.uplink_utilization(l, horizon))
-            .collect();
-        let violations = self
-            .fabric
-            .audit_report()
-            .map_or(0.0, |r| r.counts.total() as f64);
-        let migrations = self.orch.migrations as f64;
-        let failovers = self.orch.failover_log.len() as f64;
-        let blackouts = self.lifecycle.blackout.count() as f64;
-        let in_flight = self.lifecycle.in_flight as f64;
-        if let Some(rec) = self.metrics.as_deref_mut() {
-            for (i, &id) in ids.host_served.iter().enumerate() {
-                rec.gauge_set(id, served[i]);
+        if let Some(ids) = &self.metric_ids {
+            let horizon = rec.config().interval;
+            for (i, agent) in self.agents.iter().enumerate() {
+                let chan = agent.channel_stats();
+                rec.gauge_set(ids.host_served[i], agent.stats().served as f64);
+                rec.gauge_set(ids.host_queue[i], agent.queue_depth() as f64);
+                rec.gauge_set(ids.chan_stall[i], chan.stall_ns as f64);
+                rec.gauge_set(ids.chan_blocked[i], chan.blocked_events as f64);
             }
-            for (i, &id) in ids.host_queue.iter().enumerate() {
-                rec.gauge_set(id, queue[i]);
+            rec.gauge_set(ids.pool_free, self.fabric.free_capacity() as f64);
+            for (d, &id) in ids.domain_free.iter().enumerate() {
+                rec.gauge_set(id, self.fabric.domain_free(DomainId(d as u16)) as f64);
             }
-            for (i, &id) in ids.chan_stall.iter().enumerate() {
-                rec.gauge_set(id, chan[i].stall_ns as f64);
+            for (d, &id) in ids.domain_capacity.iter().enumerate() {
+                let cap = self.fabric.domain_capacity(DomainId(d as u16));
+                rec.gauge_set(id, cap as f64);
             }
-            for (i, &id) in ids.chan_blocked.iter().enumerate() {
-                rec.gauge_set(id, chan[i].blocked_events as f64);
+            for (m, &id) in ids.mhd_free.iter().enumerate() {
+                rec.gauge_set(id, self.fabric.mhd_free(MhdId(m as u16)) as f64);
             }
-            rec.gauge_set(ids.pool_free, pool_free);
-            for (i, &id) in ids.domain_free.iter().enumerate() {
-                rec.gauge_set(id, domain_free[i]);
+            for &(l, id) in &ids.link_util {
+                rec.gauge_set(id, self.fabric.uplink_utilization(l, horizon));
             }
-            for (i, &id) in ids.domain_capacity.iter().enumerate() {
-                rec.gauge_set(id, domain_cap[i]);
-            }
-            for (i, &id) in ids.mhd_free.iter().enumerate() {
-                rec.gauge_set(id, mhd_free[i]);
-            }
-            for (i, &(_, id)) in ids.link_util.iter().enumerate() {
-                rec.gauge_set(id, link_util[i]);
-            }
-            rec.gauge_set(ids.audit_violations, violations);
-            rec.gauge_set(ids.orch_migrations, migrations);
-            rec.gauge_set(ids.orch_failovers, failovers);
-            rec.gauge_set(ids.lifecycle_blackout, blackouts);
-            rec.gauge_set(ids.lifecycle_in_flight, in_flight);
+            let violations = self.fabric.audit_report().map(|r| r.counts.total());
+            rec.gauge_set(ids.audit_violations, violations.unwrap_or(0) as f64);
+            rec.gauge_set(ids.orch_migrations, self.orch.migrations as f64);
+            rec.gauge_set(ids.orch_failovers, self.orch.failover_log.len() as f64);
+            let blackouts = self.lifecycle.blackout.count();
+            rec.gauge_set(ids.lifecycle_blackout, blackouts as f64);
+            rec.gauge_set(ids.lifecycle_in_flight, self.lifecycle.in_flight as f64);
             rec.sample(now);
         }
-        self.metric_ids = Some(ids);
+        self.metrics = Some(rec);
     }
 
     /// Wraps one client-side pooled operation in a trace context: the
@@ -845,13 +809,8 @@ impl PodSim {
             Peer::Host(h) => h,
             Peer::Orchestrator => self.orch.host,
         };
-        let ch = shmem::channel::Channel::allocate_isolated(
-            &mut self.fabric,
-            a_host,
-            b,
-            self.ring_slots,
-        )
-        .expect("pod pool holds control rings");
+        let ch = shmem::channel::Channel::allocate(&mut self.fabric, a_host, b, self.ring_slots)
+            .expect("pod pool holds control rings");
         let a_end = Link {
             tx: ch.ab.0,
             rx: ch.ba.1,

@@ -45,16 +45,21 @@
 //! `E = min_i(v_i - off_i - applies_i)` over the links with a posted
 //! wake, so a pass from `c` with nothing due before `until` lands on
 //! `c + P·min(⌈(until - c)/P⌉, ⌈max(0, E - c)/P⌉)`: the per-link
-//! minimum, since `x ↦ ⌈max(0, x)/P⌉` is monotone. The idle polls are
-//! recomputed only when their inputs change: a link's receive index
-//! moves ([`RingReceiver::consumed`]), a link is attached or replaced
-//! (`Endpoint::set_link`), or the fabric layout changes
-//! ([`Fabric::layout_generation`]). `E` is recomputed when the plan is,
-//! or when the wake table changes ([`Fabric::wake_generation`]). The
-//! cache is a host-time shortcut: it changes no simulated number, and
-//! debug builds check every cached answer against the uncached one.
+//! minimum, since `x ↦ ⌈max(0, x)/P⌉` is monotone. A link's idle poll
+//! depends on its ring and not on which slot the poll reads: every
+//! control ring sits on a single MHD ([`shmem::channel::Channel`]), so
+//! all of its slots share one path. The idle polls are therefore
+//! recomputed only when a link is attached or replaced
+//! (`Endpoint::set_link`) or the fabric layout changes
+//! ([`Fabric::layout_generation`]); consuming a message changes none of
+//! them. `E` is recomputed when the plan is, or when the wake table
+//! changes ([`Fabric::wake_generation`]), which consuming a message
+//! does, since it clears the message's wake. The cache is a host-time
+//! shortcut: it changes no simulated number, and debug builds check
+//! every cached answer against one computed from each link's current
+//! slot.
 
-use cxl_fabric::{Fabric, FabricError};
+use cxl_fabric::Fabric;
 use shmem::channel::{ChannelSend, ChannelSender, ChannelStats};
 use shmem::ring::{PollOutcome, RingReceiver};
 use shmem::IdlePoll;
@@ -73,33 +78,6 @@ pub struct Link {
 }
 
 impl Link {
-    /// Sends `msg` toward the peer at `*clock` and charges the sending
-    /// CPU. An NT store is posted: the CPU moves on after issuing it,
-    /// long before the line lands in pool DRAM. A full ring holds the
-    /// CPU until the failed credit check completes and leaves the
-    /// message queued in the sender for [`Link::flush`].
-    pub(crate) fn post(
-        &mut self,
-        fabric: &mut Fabric,
-        clock: &mut Nanos,
-        msg: &Msg,
-    ) -> Result<(), FabricError> {
-        let sent = self.tx.send(fabric, *clock, msg.encode())?;
-        charge(clock, sent);
-        Ok(())
-    }
-
-    /// Writes out the messages a full ring left queued, charged as in
-    /// [`Link::post`]. A no-op while nothing is queued; a fabric error
-    /// drops the queue.
-    pub(crate) fn flush(&mut self, fabric: &mut Fabric, clock: &mut Nanos) {
-        if self.tx.queued() > 0 {
-            if let Ok(sent) = self.tx.flush(fabric, *clock) {
-                charge(clock, sent);
-            }
-        }
-    }
-
     /// Both directions' counters: the send side's sends and stalls,
     /// the receive side's empty and hit polls.
     pub fn stats(&self) -> ChannelStats {
@@ -112,14 +90,9 @@ impl Link {
     }
 }
 
-/// Charges a sending CPU for one [`ChannelSend`] outcome (see
-/// [`Link::post`]).
-fn charge(clock: &mut Nanos, sent: ChannelSend) {
-    match sent {
-        ChannelSend::Sent(_) => *clock += Nanos(30),
-        ChannelSend::Queued(at) => *clock = (*clock).max(at),
-    }
-}
+/// What a sending CPU spends issuing a message's NT store (see
+/// [`Endpoint::post`]).
+const POST_CPU: Nanos = Nanos(30);
 
 /// One actor's ring endpoint: its links, keyed by peer and polled in
 /// attach order, its clock, and its poll-loop state.
@@ -138,19 +111,17 @@ pub struct Endpoint {
     plan: Plan,
 }
 
-/// An endpoint's cached idle-poll plan.
+/// An endpoint's cached idle-poll plan, keyed on the attached links
+/// and the fabric layout alone: a link's idle poll is the same for
+/// every slot of its single-MHD ring (see the module docs).
 #[derive(Default)]
 struct Plan {
-    /// Per link, in link order: the idle poll of its next slot (`None`:
-    /// the poll would fail, so it costs nothing), and the receive index
-    /// it was computed for.
-    polls: Vec<(Option<IdlePoll>, u64)>,
+    /// Per link, in link order: the idle poll of its ring (`None`: the
+    /// poll would fail, so it costs nothing).
+    polls: Vec<Option<IdlePoll>>,
     /// The fabric layout generation `polls` were computed under;
     /// `None` after a link was attached or replaced.
     layout: Option<u64>,
-    /// Some link was polled for real since `polls` were checked, so
-    /// its receive index may have moved.
-    polled: bool,
     /// `P`: the summed cost of one pass of idle polls.
     period: Nanos,
     /// The last link's idle poll that would not fail.
@@ -215,8 +186,11 @@ impl Endpoint {
         total
     }
 
-    /// Sends `msg` to `peer`, charging the clock as [`Link::post`]
-    /// does.
+    /// Sends `msg` to `peer` at the clock and charges the sending CPU.
+    /// An NT store is posted: the CPU moves on after issuing it, long
+    /// before the line lands in pool DRAM. A full ring holds the CPU
+    /// until the failed credit check completes and leaves the message
+    /// queued in the sender for [`Endpoint::flush`].
     pub(crate) fn post(
         &mut self,
         fabric: &mut Fabric,
@@ -229,9 +203,12 @@ impl Endpoint {
             .find(|(p, _)| *p == peer)
             .ok_or(PoolError::NoLink(peer))?;
         let before = link.tx.queued();
-        let posted = link.post(fabric, &mut self.clock, msg);
+        let sent = link.tx.send(fabric, self.clock, msg.encode());
         self.queued = self.queued + link.tx.queued() - before;
-        posted?;
+        self.clock = match sent? {
+            ChannelSend::Sent(_) => self.clock + POST_CPU,
+            ChannelSend::Queued(at) => self.clock.max(at),
+        };
         Ok(())
     }
 
@@ -245,11 +222,19 @@ impl Endpoint {
         self.queued = self.queued + tx.queued() - before;
     }
 
-    /// Writes out what full rings left queued (see [`Link::flush`]).
+    /// Writes out what full rings left queued, each link's sends
+    /// charged as in [`Endpoint::post`]. A link with nothing queued is
+    /// skipped; a fabric error drops its queue.
     fn flush(&mut self, fabric: &mut Fabric) {
         self.queued = 0;
         for (_, link) in &mut self.links {
-            link.flush(fabric, &mut self.clock);
+            if link.tx.queued() > 0 {
+                self.clock = match link.tx.flush(fabric, self.clock) {
+                    Ok(ChannelSend::Sent(_)) => self.clock + POST_CPU,
+                    Ok(ChannelSend::Queued(at)) => self.clock.max(at),
+                    Err(_) => self.clock,
+                };
+            }
             self.queued += link.tx.queued();
         }
     }
@@ -279,37 +264,21 @@ impl Endpoint {
         next
     }
 
-    /// Brings the cached idle polls and period up to date with the
-    /// links' receive indices and the fabric layout.
+    /// Rebuilds the cached idle polls and period after a link was
+    /// attached or replaced, or the fabric layout changed.
     fn refresh_plan(&mut self, fabric: &Fabric) {
         let layout = fabric.layout_generation();
         let plan = &mut self.plan;
-        let mut changed = false;
-        if plan.layout != Some(layout) {
-            plan.polls.clear();
-            plan.polls.extend(
-                self.links
-                    .iter()
-                    .map(|(_, l)| (l.rx.idle_poll(fabric), l.rx.consumed())),
-            );
-            plan.layout = Some(layout);
-            changed = true;
-        } else if plan.polled {
-            for ((idle, at), (_, link)) in plan.polls.iter_mut().zip(&self.links) {
-                if *at != link.rx.consumed() {
-                    *idle = link.rx.idle_poll(fabric);
-                    *at = link.rx.consumed();
-                    changed = true;
-                }
-            }
+        if plan.layout == Some(layout) {
+            return;
         }
-        plan.polled = false;
-        if changed {
-            let idle = || plan.polls.iter().filter_map(|&(idle, _)| idle);
-            plan.period = idle().map(|p| p.cost).sum();
-            plan.last = idle().next_back();
-            plan.due = None;
-        }
+        plan.polls.clear();
+        plan.polls
+            .extend(self.links.iter().map(|(_, l)| l.rx.idle_poll(fabric)));
+        plan.layout = Some(layout);
+        plan.period = plan.polls.iter().flatten().map(|p| p.cost).sum();
+        plan.last = plan.polls.iter().flatten().next_back().copied();
+        plan.due = None;
     }
 
     /// `E`, the earliest `v_i - off_i - applies_i` over the links with
@@ -324,7 +293,7 @@ impl Endpoint {
         }
         let mut due: Option<Nanos> = None;
         let mut offset = Nanos::ZERO;
-        for (&(idle, _), (_, link)) in self.plan.polls.iter().zip(&self.links) {
+        for (&idle, (_, link)) in self.plan.polls.iter().zip(&self.links) {
             let Some(idle) = idle else { continue };
             if let Some(v) = link.rx.next_wake(fabric) {
                 // Round r polls link i at c + r·P + off_i; due once
@@ -340,7 +309,7 @@ impl Endpoint {
 
     /// Debug builds' oracle for the cache: the plan and the pass
     /// [`Endpoint::next_due_pass`] picked must equal what an uncached
-    /// plan of every link gives.
+    /// plan of every link's current slot gives.
     #[cfg(debug_assertions)]
     fn check_plan(&self, fabric: &Fabric, until: Nanos, next: Nanos) {
         let plan: Vec<Option<IdlePoll>> = self
@@ -348,8 +317,7 @@ impl Endpoint {
             .iter()
             .map(|(_, l)| l.rx.idle_poll(fabric))
             .collect();
-        let cached: Vec<Option<IdlePoll>> = self.plan.polls.iter().map(|&(p, _)| p).collect();
-        debug_assert_eq!(cached, plan, "stale idle-poll plan");
+        debug_assert_eq!(self.plan.polls, plan, "stale idle-poll plan");
         let c = self.clock;
         let period: u64 = plan.iter().flatten().map(|p| p.cost.as_nanos()).sum();
         let uncached = if period == 0 {
@@ -426,7 +394,7 @@ pub(crate) fn pump<A: PollActor>(actor: &mut A, fabric: &mut Fabric, until: Nano
             if !real {
                 // Skipped polls cost their idle time (nothing, when the
                 // poll would fail) and touch nothing.
-                let Some((Some(idle), _)) = ep.plan.polls.get(i).copied() else {
+                let Some(Some(idle)) = ep.plan.polls.get(i).copied() else {
                     continue;
                 };
                 if !is_due(rx.next_wake(fabric), t, idle) {
@@ -435,7 +403,6 @@ pub(crate) fn pump<A: PollActor>(actor: &mut A, fabric: &mut Fabric, until: Nano
                     continue;
                 }
             }
-            ep.plan.polled = true;
             match rx.poll(fabric, t) {
                 Ok(PollOutcome::Empty(done)) => ep.clock = done,
                 Ok(PollOutcome::Msg { data, at }) => {

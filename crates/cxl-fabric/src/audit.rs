@@ -1274,11 +1274,6 @@ impl Auditor {
         &self.report
     }
 
-    /// Removes and returns recorded violations, keeping the counters.
-    pub fn drain_violations(&mut self) -> Vec<Violation> {
-        std::mem::take(&mut self.report.violations)
-    }
-
     /// Race findings with full clock snapshots (in
     /// [`AuditMode::Version`] every clock is empty, so everything is).
     pub fn race_report(&self, lay: &Layout<'_>) -> RaceReport {

@@ -34,8 +34,7 @@ use simkit::Nanos;
 
 use crate::alloc::{DomainPlacement, PoolAllocator, Segment, SegmentId};
 use crate::audit::{
-    Actor, AuditConfig, AuditReport, Auditor, Layout, RaceReport, ShadowWrite, Violation,
-    ViolationKind,
+    Actor, AuditConfig, AuditReport, Auditor, Layout, RaceReport, ShadowWrite, ViolationKind,
 };
 use crate::cache::{self, CacheStats, Eviction, HostCache, LoadOutcome};
 use crate::error::FabricError;
@@ -47,6 +46,10 @@ use crate::topology::{HostId, LinkId, MhdId, Topology};
 const CACHE_HIT_NS: u64 = 5;
 /// CPU cost of issuing one cache-line invalidate.
 const INVALIDATE_NS: u64 = 2;
+/// Capacity contributed by each MHD, in bytes.
+const MHD_CAPACITY: u64 = 256 << 30;
+/// Per-host local DDR5 bandwidth available to I/O, in GB/s.
+const LOCAL_DRAM_GBPS: f64 = 150.0;
 
 /// Construction parameters for a pod.
 #[derive(Clone, Debug)]
@@ -64,17 +67,12 @@ pub struct PodConfig {
     pub domains: u16,
     /// Timing parameters.
     pub params: FabricParams,
-    /// Capacity contributed by each MHD, in bytes.
-    pub mhd_capacity: u64,
-    /// Default interleave width for allocations made through
-    /// [`Fabric::alloc_private`] / [`Fabric::alloc_shared`].
-    pub default_ways: usize,
-    /// Per-host local DDR5 bandwidth available to I/O, in GB/s.
-    pub local_dram_gbps: f64,
 }
 
 impl PodConfig {
-    /// A pod with the given shape and default timing/capacity.
+    /// A pod with the given shape and default timing. Every MHD holds
+    /// 256 GiB, every host has 150 GB/s of local DRAM bandwidth for
+    /// I/O, and default allocations interleave λ ways.
     pub fn new(hosts: u16, mhds: u16, lambda: u16) -> PodConfig {
         PodConfig {
             hosts,
@@ -82,9 +80,6 @@ impl PodConfig {
             lambda,
             domains: mhds,
             params: FabricParams::default(),
-            mhd_capacity: 256 << 30,
-            default_ways: lambda as usize,
-            local_dram_gbps: 150.0,
         }
     }
 
@@ -218,6 +213,8 @@ pub struct Fabric {
     uplinks: Vec<BandwidthPipe>,
     downlinks: Vec<BandwidthPipe>,
     mhd_pipes: Vec<BandwidthPipe>,
+    /// Interleave width of [`Fabric::alloc_private`] and
+    /// [`Fabric::alloc_shared`]: λ, one way per path a host has.
     default_ways: usize,
     stats: AccessStats,
     /// Opt-in coherence checker; boxed to keep the disabled fast path
@@ -279,13 +276,13 @@ impl Fabric {
         let link_gbps = config.params.link_gbps();
         let n_links = topology.links().len();
         Fabric {
-            alloc: PoolAllocator::new(config.mhds, config.mhd_capacity),
+            alloc: PoolAllocator::new(config.mhds, MHD_CAPACITY),
             caches: (0..config.hosts)
                 .map(|_| HostCache::new(config.params.host_cache_lines))
                 .collect(),
             local_mem: (0..config.hosts).map(|_| SparseMem::new()).collect(),
             local_pipes: (0..config.hosts)
-                .map(|_| BandwidthPipe::new(config.local_dram_gbps))
+                .map(|_| BandwidthPipe::new(LOCAL_DRAM_GBPS))
                 .collect(),
             uplinks: (0..n_links)
                 .map(|_| BandwidthPipe::new(link_gbps))
@@ -300,7 +297,7 @@ impl Fabric {
             pending: BinaryHeap::new(),
             pending_seq: 0,
             write_bufs: WriteBufs::default(),
-            default_ways: config.default_ways.max(1),
+            default_ways: usize::from(config.lambda.max(1)),
             params: config.params,
             topology,
             stats: AccessStats::default(),
@@ -353,20 +350,6 @@ impl Fabric {
     /// The auditor's findings so far, if auditing is enabled.
     pub fn audit_report(&self) -> Option<&AuditReport> {
         self.audit.as_deref().map(Auditor::report)
-    }
-
-    /// Removes and returns recorded violations (counters are kept).
-    pub fn drain_audit_violations(&mut self) -> Vec<Violation> {
-        // Emit any not-yet-traced violations first, then rewind the
-        // trace watermark: the recorded list is about to reset.
-        self.sync_trace_audit();
-        if let Some(tr) = self.trace.as_deref_mut() {
-            tr.set_audit_watermark(0);
-        }
-        self.audit
-            .as_deref_mut()
-            .map(Auditor::drain_violations)
-            .unwrap_or_default()
     }
 
     /// Settles all in-flight writes, flags dirty lines still unpublished

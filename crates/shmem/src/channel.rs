@@ -8,6 +8,15 @@
 //! channel adds is the send side's backpressure: a message the full
 //! ring cannot take waits, in order, in the sender's FIFO queue until
 //! credits return and [`ChannelSender::flush`] writes it out.
+//!
+//! A [`Channel`] is a pair of such rings between two hosts, and
+//! [`Channel::allocate`] places each ring on a single MHD, the way a
+//! highly available pod places its control plane (§5): a failed pool
+//! device breaks the channels it backs and leaves every other one
+//! working. It follows that a channel ring's slots all sit behind one
+//! MHD, so an empty poll costs the same whichever slot it reads, which
+//! lets poll loops plan idle polls per ring rather than per slot (see
+//! `cxl_pool_core::poll`).
 
 use std::collections::VecDeque;
 
@@ -27,41 +36,18 @@ pub struct Channel {
     pub segments: (cxl_fabric::SegmentId, cxl_fabric::SegmentId),
 }
 
-/// How one ring of a channel is allocated ([`RingBuf::allocate`] or
-/// [`RingBuf::allocate_isolated`]).
-type RingAlloc = fn(&mut Fabric, HostId, HostId, u64) -> Result<RingBuf, FabricError>;
-
 impl Channel {
-    /// Allocates both directions with `capacity` slots each.
+    /// Allocates both directions with `capacity` slots each, each ring
+    /// on a single MHD ([`RingBuf::allocate_isolated`]): losing one
+    /// pool device breaks the channels it backs and no others.
     pub fn allocate(
         fabric: &mut Fabric,
         a: HostId,
         b: HostId,
         capacity: u64,
     ) -> Result<Channel, FabricError> {
-        Channel::allocate_with(RingBuf::allocate, fabric, a, b, capacity)
-    }
-
-    /// Allocates both directions on single MHDs (failure-isolated; see
-    /// [`RingBuf::allocate_isolated`]).
-    pub fn allocate_isolated(
-        fabric: &mut Fabric,
-        a: HostId,
-        b: HostId,
-        capacity: u64,
-    ) -> Result<Channel, FabricError> {
-        Channel::allocate_with(RingBuf::allocate_isolated, fabric, a, b, capacity)
-    }
-
-    fn allocate_with(
-        alloc: RingAlloc,
-        fabric: &mut Fabric,
-        a: HostId,
-        b: HostId,
-        capacity: u64,
-    ) -> Result<Channel, FabricError> {
-        let fwd = alloc(fabric, a, b, capacity)?;
-        let rev = alloc(fabric, b, a, capacity)?;
+        let fwd = RingBuf::allocate_isolated(fabric, a, b, capacity)?;
+        let rev = RingBuf::allocate_isolated(fabric, b, a, capacity)?;
         let segments = (fwd.segment().id(), rev.segment().id());
         let (ftx, frx) = fwd.split();
         let (rtx, rrx) = rev.split();
@@ -363,7 +349,7 @@ mod tests {
     #[test]
     fn fabric_error_drops_the_queue() {
         let mut f = Fabric::new(PodConfig::new(2, 2, 2));
-        let ch = Channel::allocate_isolated(&mut f, HostId(0), HostId(1), 4).expect("alloc");
+        let ch = Channel::allocate(&mut f, HostId(0), HostId(1), 4).expect("alloc");
         let mhd = f.segment(ch.segments.0).expect("live").ways()[0];
         let mut tx = ch.ab.0;
         let msgs = vec![vec![7u8; SLOT_PAYLOAD]; 6];

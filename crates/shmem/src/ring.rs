@@ -83,7 +83,7 @@ pub enum PollOutcome {
 
 impl RingBuf {
     /// Allocates a ring of `capacity` slots in memory shared by the two
-    /// endpoint hosts.
+    /// endpoint hosts, interleaved at the pod's default width.
     ///
     /// # Panics
     ///
@@ -94,23 +94,7 @@ impl RingBuf {
         receiver: HostId,
         capacity: u64,
     ) -> Result<RingBuf, FabricError> {
-        assert!(
-            capacity.is_power_of_two(),
-            "capacity must be a power of two, got {capacity}"
-        );
-        let seg = fabric.alloc_shared(&[sender, receiver], (capacity + 1) * SLOT)?;
-        // Slot sequence numbers and the credit line transfer ordering:
-        // a receiver observing a slot's seq acquires everything the
-        // sender did before publishing it (and vice versa for
-        // credits). Registering the ring keeps the vector-clock
-        // auditor's happens-before graph in step with the protocol.
-        fabric.mark_sync_range(seg.base(), (capacity + 1) * SLOT);
-        Ok(RingBuf {
-            seg,
-            capacity,
-            sender,
-            receiver,
-        })
+        RingBuf::place(fabric, sender, receiver, capacity, None)
     }
 
     /// Like [`RingBuf::allocate`] but backed by a *single* MHD
@@ -124,12 +108,33 @@ impl RingBuf {
         receiver: HostId,
         capacity: u64,
     ) -> Result<RingBuf, FabricError> {
+        RingBuf::place(fabric, sender, receiver, capacity, Some(1))
+    }
+
+    /// Allocates the ring over `ways` MHDs (`None`: the pod's default
+    /// width) and registers it as synchronization state.
+    fn place(
+        fabric: &mut Fabric,
+        sender: HostId,
+        receiver: HostId,
+        capacity: u64,
+        ways: Option<usize>,
+    ) -> Result<RingBuf, FabricError> {
         assert!(
             capacity.is_power_of_two(),
             "capacity must be a power of two, got {capacity}"
         );
-        let seg = fabric.alloc_interleaved(&[sender, receiver], (capacity + 1) * SLOT, 1)?;
-        fabric.mark_sync_range(seg.base(), (capacity + 1) * SLOT);
+        let (hosts, len) = ([sender, receiver], (capacity + 1) * SLOT);
+        let seg = match ways {
+            Some(ways) => fabric.alloc_interleaved(&hosts, len, ways)?,
+            None => fabric.alloc_shared(&hosts, len)?,
+        };
+        // Slot sequence numbers and the credit line transfer ordering:
+        // a receiver observing a slot's seq acquires everything the
+        // sender did before publishing it (and vice versa for
+        // credits). Registering the ring keeps the vector-clock
+        // auditor's happens-before graph in step with the protocol.
+        fabric.mark_sync_range(seg.base(), len);
         Ok(RingBuf {
             seg,
             capacity,
@@ -312,11 +317,6 @@ impl RingReceiver {
         Ok(PollOutcome::Msg { data, at })
     }
 
-    /// Number of messages consumed so far.
-    pub fn consumed(&self) -> u64 {
-        self.next
-    }
-
     /// `(empty, hit)` poll counts so far.
     pub fn poll_counts(&self) -> (u64, u64) {
         (self.polls_empty, self.polls_hit)
@@ -457,7 +457,7 @@ mod tests {
                 PollOutcome::Empty(_) => panic!("expected message {i}"),
             }
         }
-        assert_eq!(rx.consumed(), 64);
+        assert_eq!(rx.poll_counts(), (0, 64));
     }
 
     #[test]

@@ -903,23 +903,3 @@ fn vc_write_clocks_are_namespaced_per_domain() {
     );
     assert_eq!(d1_clock.get(cpu0.index_in(DomainId(1))), 1);
 }
-
-/// Draining violations keeps counters so long-running monitors can
-/// poll without unbounded memory.
-#[test]
-fn drain_keeps_counters() {
-    let (mut f, seg) = audited_pod();
-    let mut buf = [0u8; LINE as usize];
-    let t = f
-        .load(Nanos(0), HostId(1), seg.base(), &mut buf)
-        .expect("load");
-    let done = f
-        .nt_store(t, HostId(0), seg.base(), &[1u8; LINE as usize])
-        .expect("nt");
-    f.load(done, HostId(1), seg.base(), &mut buf).expect("load");
-    let drained = f.drain_audit_violations();
-    assert_eq!(drained.len(), 1);
-    let report = f.audit_report().expect("audit on");
-    assert!(report.violations.is_empty());
-    assert_eq!(report.counts.stale_reads, 1);
-}

@@ -8,7 +8,8 @@
 //! published numbers, pin the default wake model's own seed-42 numbers
 //! exactly, bound how far the wake model drifts from the oracle, and
 //! check that the endpoints' cached poll plans follow pool failures,
-//! restores and channel rebuilds.
+//! restores and channel rebuilds, and that every control ring they
+//! plan for sits on a single MHD.
 
 use bench::workload::{
     base_spec, churn_pod_params, churn_workload, faulted_spec, pod_params, search_config,
@@ -436,6 +437,50 @@ fn cached_poll_plans_follow_pool_failure_restore_and_rebuild() {
             settled_rings(&mut exact),
             settled_rings(&mut wake),
             "ring contents after {name}"
+        );
+    }
+}
+
+/// Every actor's receive rings with the MHDs their segments span, in
+/// actor and attach order.
+fn ring_ways(pod: &PodSim) -> Vec<(u64, Vec<MhdId>)> {
+    pod.agents
+        .iter()
+        .map(|a| &a.endpoint)
+        .chain([&pod.orch.endpoint])
+        .flat_map(|ep| ep.receive_rings())
+        .map(|base| {
+            let seg = pod.fabric.segment_at(base).expect("ring mapped");
+            (base, seg.ways().to_vec())
+        })
+        .collect()
+}
+
+#[test]
+fn every_control_ring_sits_on_one_mhd() {
+    // The cached poll plans charge each link one idle poll whichever
+    // slot it reads, which holds only while every ring has one way.
+    let mut pod = PodSim::new(params(7, false));
+    let fresh = ring_ways(&pod);
+    // Six agents and the orchestrator: each agent links to its five
+    // peers and the orchestrator, the orchestrator to every agent.
+    assert_eq!(fresh.len(), 6 * 6 + 6);
+    for (base, ways) in &fresh {
+        assert_eq!(ways.len(), 1, "fresh ring at {base:#x} spans {ways:?}");
+    }
+
+    let mhd = fresh[0].1[0];
+    let domain = pod.fabric.topology().domain_of(mhd);
+    assert!(pod.fail_domain(domain) > 0, "no ring rebuilt");
+    let rebuilt = ring_ways(&pod);
+    assert_eq!(rebuilt.len(), fresh.len());
+    assert_ne!(rebuilt, fresh, "the loss moved no ring");
+    for (base, ways) in &rebuilt {
+        assert_eq!(ways.len(), 1, "rebuilt ring at {base:#x} spans {ways:?}");
+        assert!(
+            pod.fabric.topology().mhd_is_up(ways[0]),
+            "ring at {base:#x} left on failed MHD {:?}",
+            ways[0]
         );
     }
 }
