@@ -247,6 +247,21 @@ impl HostCache {
         }
     }
 
+    /// Drops every resident line overlapping `[hpa, hpa + len)`, dirty
+    /// ones included, visiting only the resident ones. Nothing is
+    /// written back and no [`CacheStats`] counter moves: the range's
+    /// segment was freed, so no access can reach the lines again.
+    pub(crate) fn forget_range(&mut self, hpa: u64, len: u64) {
+        let (mut from, end) = span(hpa, len);
+        while let Some(la) = self.next_resident(from, end) {
+            if let Some(line) = self.take(la) {
+                self.dirty -= usize::from(line.dirty);
+            }
+            from = la + CACHELINE;
+        }
+        self.maybe_compact();
+    }
+
     /// [`HostCache::load`] of every dirty line overlapping `[hpa, hpa +
     /// len)`, visiting only the resident ones, in ascending order;
     /// passes each line's address and data to `f`.
@@ -555,6 +570,26 @@ mod tests {
         assert!(matches!(c.load(0x80), LoadOutcome::Miss));
         assert_eq!(c.stats().invalidations, 1);
         assert_eq!(c.stats().writebacks, 0);
+    }
+
+    #[test]
+    fn forgotten_lines_leave_uncounted_and_are_never_evicted() {
+        let mut c = HostCache::new(3);
+        c.store(0x0, &[1u8; 8]);
+        c.fill(0x40, [2u8; L]);
+        c.store(0x1000, &[3u8; 8]);
+        let stats = c.stats();
+        c.forget_range(0x0, 0x80);
+        assert!(!c.contains(0x0) && !c.contains(0x40));
+        assert_eq!(c.dirty_lines(), 1);
+        assert_eq!(c.stats(), stats, "forgetting counts nothing");
+        // Two fills take the freed room; only the third evicts, and
+        // its victim is the surviving line, not a forgotten one.
+        assert!(c.fill(0x2000, [0u8; L]).is_none());
+        assert!(c.fill(0x3000, [0u8; L]).is_none());
+        let ev = c.fill(0x4000, [0u8; L]).expect("cache full");
+        assert_eq!(ev.addr, 0x1000);
+        assert!(ev.writeback.is_some());
     }
 
     #[test]

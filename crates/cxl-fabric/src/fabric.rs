@@ -568,8 +568,9 @@ impl Fabric {
     /// Releases a segment. Tear-tolerant and sync ranges inside it are
     /// dropped, and the auditor forgets its shadow state for the
     /// space, so a reallocation is audited from scratch. The segment's
-    /// pool pages are released and writes still in flight into it are
-    /// dropped: pool addresses are never handed out again, so nothing
+    /// pool pages are released, and writes still in flight into it and
+    /// every host cache's lines of it, dirty ones included, are dropped
+    /// unwritten: pool addresses are never handed out again, so nothing
     /// could read them.
     pub fn free_segment(&mut self, id: SegmentId) -> Result<(), FabricError> {
         if let Some(seg) = self.alloc.segment(id) {
@@ -591,6 +592,9 @@ impl Fabric {
                 keep
             });
             self.pool.clear_range(base, end - base);
+            for cache in &mut self.caches {
+                cache.forget_range(base, end - base);
+            }
             if let Some(a) = self.audit.as_deref_mut() {
                 a.on_segment_free(base, end);
             }
@@ -1734,6 +1738,47 @@ mod tests {
         let mut line = [0u8; 64];
         f.peek(keep.base(), &mut line);
         assert_eq!(line, [1u8; 64]);
+    }
+
+    #[test]
+    fn freed_segment_leaves_no_line_in_host_caches() {
+        let params = FabricParams {
+            host_cache_lines: 4,
+            ..FabricParams::default()
+        };
+        let mut f = Fabric::new(PodConfig::new(2, 2, 2).with_params(params));
+        f.enable_audit(AuditConfig {
+            mode: crate::audit::AuditMode::VectorClock,
+            ..AuditConfig::default()
+        });
+        let hosts = [HostId(0), HostId(1)];
+        let a = f.alloc_shared(&hosts, 4096).expect("alloc");
+        let b = f.alloc_shared(&hosts, 4096).expect("alloc");
+        let t = f
+            .store(Nanos(0), HostId(0), a.base(), &[0xab; 64])
+            .expect("store");
+        let (written, cache) = (f.stats().bytes_written, f.cache_stats(HostId(0)));
+        f.free_segment(a.id()).expect("free");
+        assert_eq!(f.caches[0].dirty_lines(), 0, "freed dirty line kept");
+        assert_eq!(f.cache_stats(HostId(0)), cache, "the drop is not counted");
+        // Eight loads from B cycle host 0's four-line cache twice: a
+        // freed line still resident would be evicted and written back.
+        let mut t = t;
+        let mut line = [0u8; 64];
+        for i in 0..8 {
+            t = f
+                .load(t, HostId(0), b.base() + i * 64, &mut line)
+                .expect("load");
+        }
+        f.settle(Nanos::MAX);
+        f.peek(a.base(), &mut line);
+        assert_eq!(line, [0u8; 64], "freed line written back");
+        assert_eq!(f.stats().bytes_written, written);
+        let in_a = |la: u64| (a.base()..a.end()).contains(&la);
+        let race = f.race_report().expect("audit on");
+        assert!(race.line_clocks.iter().all(|&(la, ..)| !in_a(la)));
+        let report = f.audit_report().expect("audit on");
+        assert!(report.violations.iter().all(|v| !in_a(v.line)));
     }
 
     #[test]
