@@ -14,21 +14,20 @@
 //!
 //! Per cache line the auditor tracks the latest *visible* write event
 //! (writer, kind, issue/visibility times) plus a monotone application
-//! `version` assigned in visibility order — issue order and visibility
-//! order differ when a slow large write overlaps a fast small one, so
-//! staleness is judged on versions, never on issue ids. Per (host,
-//! line) it tracks the version that host's cached copy reflects and
-//! whether the host holds the line dirty. The auditor keeps no
-//! in-flight writes of its own: each write hook returns the write's
-//! [`ShadowWrite`], which rides with the write in the fabric's
-//! pending-write heap and lands (through [`Auditor::land`]) when
-//! `Fabric::settle` pops the write.
+//! `version`: the write's landing number, assigned in visibility order
+//! — issue order and visibility order differ when a slow large write
+//! overlaps a fast small one, so staleness is judged on versions, never
+//! on issue ids. Per (host, line) it tracks the version that host's
+//! cached copy reflects and whether the host holds the line dirty. The
+//! auditor keeps no in-flight writes of its own: each write hook
+//! returns the write's [`ShadowWrite`], which rides with the write in
+//! the fabric's pending-write heap and lands (through [`Auditor::land`])
+//! when `Fabric::settle` pops the write.
 //!
 //! Visible-write state is kept as *extents*, not per line: each applied
 //! write range is one extent of pool addresses pointing at its event,
 //! split only where a later write overlaps it, and a line's version is
-//! the event's version in the line's failure domain (from the segment's
-//! interleave). Only host views — lines some CPU caches — are kept per
+//! its event's. Only host views — lines some CPU caches — are kept per
 //! line, in a paged table with occupancy bitmaps. So a DMA or
 //! non-temporal store of many lines costs one segment resolution and
 //! one ordered walk over the extents and cached lines it touches, not
@@ -95,20 +94,37 @@
 //!
 //! A multi-MHD pod groups MHDs into failure domains
 //! ([`crate::topology::DomainId`]), and the auditor namespaces its
-//! analysis by domain: a line's version is drawn from its domain's
-//! counter (there is no pool-wide visibility order across independent
-//! devices), staleness and torn reads compare versions only within one
-//! domain, and vector-clock components are per `(actor, domain)` via
-//! [`Actor::index_in`]. The auditor keeps no domain table of its own:
-//! each hook that needs a line's domain takes a [`Layout`], the
-//! fabric's segment table and topology, and resolves the line through
-//! them (its segment, the MHD backing its interleave granule, that
-//! MHD's domain). A line no live segment holds audits in
-//! [`DomainId`]`(0)`, which keeps single-domain pods (and direct-drive
-//! tests) byte-for-byte compatible with the pre-domain auditor. Shadow
-//! state is keyed by address, so [`Auditor::on_segment_free`] clears
-//! the freed range's state: a later tenant of the same addresses, in
-//! whatever domain, is audited from scratch.
+//! analysis by domain: shadow lines and dedup keys are keyed by
+//! `(domain, line)`, torn reads are judged within one domain's lines
+//! of a load, and vector-clock components are per `(actor, domain)` via
+//! [`Actor::index_in`].
+//!
+//! Versions come from one counter, the number of writes landed so far,
+//! yet invent no order across independent devices, because no report
+//! compares versions across domains. A version is only compared with
+//! another on one line (a stale hit, a clobbered write, a flush's
+//! merge base) or among one domain's lines of one load (a torn read),
+//! and the landing order restricted to one domain's writes is exactly
+//! that domain's own visibility order. An overwrite (non-temporal store
+//! or DMA write) takes as its base the landing count when it was
+//! issued: the write current on a line when the overwrite lands is
+//! newer than the one current at issue exactly when it landed after
+//! the issue. That holds because a shadow lands only in the auditor
+//! that issued it, on state no segment free has cleared since:
+//! `Fabric::free_segment` drops the shadows of writes into the freed
+//! segment, and `Fabric::enable_audit` drops every shadow of the
+//! auditor it replaces.
+//!
+//! The auditor keeps no domain table of its own: each hook that needs
+//! a line's domain takes a [`Layout`], the fabric's segment table and
+//! topology, and resolves the line through them (its segment, the MHD
+//! backing its interleave granule, that MHD's domain). A line no live
+//! segment holds audits in [`DomainId`]`(0)`, which keeps single-domain
+//! pods (and direct-drive tests) byte-for-byte compatible with the
+//! pre-domain auditor. Shadow state is keyed by address, so
+//! [`Auditor::on_segment_free`] clears the freed range's state: a later
+//! tenant of the same addresses, in whatever domain, is audited from
+//! scratch.
 
 use std::collections::BTreeMap;
 
@@ -678,9 +694,9 @@ impl Layout<'_> {
     }
 
     /// Appends the failure domains the lines of the line-aligned `[lo,
-    /// hi)` resolve to (unsorted, possibly repeated): one segment lookup
-    /// per segment the range crosses and one step per granule, not per
-    /// line.
+    /// hi)` resolve to (unsorted, possibly repeated): the domains whose
+    /// clock components an op ticks. One segment lookup per segment the
+    /// range crosses and one step per granule, not per line.
     fn push_domains(&self, lo: u64, hi: u64, out: &mut Vec<DomainId>) {
         let mut la = lo;
         while la < hi {
@@ -959,10 +975,9 @@ impl ViewTable {
     }
 }
 
-/// One visible write event: its provenance, the per-domain versions it
-/// drew, and the line ranges it covered. Shared by every extent piece
-/// of the event and kept while the event is still current on at least
-/// one line.
+/// One visible write event: its provenance, its version, and the line
+/// ranges it covered. Shared by every extent piece of the event and
+/// kept while the event is still current on at least one line.
 #[derive(Clone, Debug)]
 struct EventMeta {
     writer: HostId,
@@ -970,9 +985,8 @@ struct EventMeta {
     kind: WriteKind,
     written_at: Nanos,
     visible_at: Nanos,
-    /// Visibility version drawn in each domain the event touched, in
-    /// domain order: a line's version is its domain's entry.
-    versions: Vec<(DomainId, u64)>,
+    /// Landing number: the event's version on every line it covers.
+    version: u64,
     /// Release clock, one per event rather than one per line.
     wclock: VClock,
     /// Line-aligned `[start, end)` ranges the event covered when it was
@@ -983,25 +997,11 @@ struct EventMeta {
 }
 
 impl EventMeta {
-    /// The event's version on a line of domain `d`.
-    fn version_in(&self, d: DomainId) -> u64 {
-        version_in(&self.versions, d)
-    }
-
     /// True when the event covered line `la` when it was applied.
     fn covers(&self, la: u64) -> bool {
         let i = self.ranges.partition_point(|&(_, end)| end <= la);
         self.ranges.get(i).is_some_and(|&(start, _)| start <= la)
     }
-}
-
-/// The entry for domain `d` in a domain-sorted version list (0 when the
-/// domain is absent: no write yet).
-fn version_in(versions: &[(DomainId, u64)], d: DomainId) -> u64 {
-    versions
-        .iter()
-        .find(|&&(vd, _)| vd == d)
-        .map_or(0, |&(_, v)| v)
 }
 
 /// A line-aligned extent of pool addresses whose current visible write
@@ -1013,27 +1013,30 @@ struct Extent {
     event: u64,
 }
 
-/// What the lines of a [`BaseRun`] were derived from.
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// What the lines of a [`BaseRun`] were derived from: the newest
+/// version the writer could have seen on them. A write current on one
+/// of the lines at landing with a higher version, by another host, is
+/// clobbered.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Base {
-    /// One base version for every line (a flush of lines merged onto
-    /// that version; 0 for lines never written).
+    /// Dirty lines merged onto the copy of that version (a flush or a
+    /// dirty eviction; 0 for lines never written).
     Flat(u64),
-    /// The per-domain versions of the extent the lines belonged to.
-    Versions(Vec<(DomainId, u64)>),
+    /// Whole lines overwritten when that many writes had landed (a
+    /// non-temporal store or DMA write).
+    Since(u64),
 }
 
 impl Base {
-    fn version_in(&self, d: DomainId) -> u64 {
+    fn version(self) -> u64 {
         match self {
-            Base::Flat(v) => *v,
-            Base::Versions(vs) => version_in(vs, d),
+            Base::Flat(v) | Base::Since(v) => v,
         }
     }
 }
 
 /// A line-aligned `[start, end)` run of an in-flight write whose lines
-/// share one [`Base`]: a write's base versions, run-length encoded.
+/// share one [`Base`]: a write's bases, run-length encoded.
 #[derive(Debug)]
 struct BaseRun {
     start: u64,
@@ -1042,11 +1045,12 @@ struct BaseRun {
 }
 
 /// The auditor's shadow of one in-flight pool write: its event id,
-/// writer, release clock and the base versions of the lines it
-/// overwrites. A write hook returns it when the write is issued; the
-/// fabric keeps it with the write and hands it to [`Auditor::land`]
-/// once the write becomes visible, or drops it with the write when the
-/// segment is freed. Opaque outside this module.
+/// writer, release clock and the bases of the lines it writes (one run
+/// for an overwrite, one per merge base for a flush). A write hook
+/// returns it when the write is issued; the fabric keeps it with the
+/// write and hands it to [`Auditor::land`] once the write becomes
+/// visible, or drops it with the write when the segment is freed.
+/// Opaque outside this module.
 #[must_use = "a shadow write must land when its write becomes visible"]
 #[derive(Debug)]
 pub struct ShadowWrite {
@@ -1132,10 +1136,10 @@ enum DedupKey {
 pub struct Auditor {
     config: AuditConfig,
     next_event: u64,
-    /// Per-domain visibility version counters: each failure domain has
-    /// its own monotone visibility order (independent devices share
-    /// none), so versions are only ever compared within one domain.
-    next_versions: DetHashMap<DomainId, u64>,
+    /// Writes landed so far: each landing takes the next number as its
+    /// version. One pool-wide count, yet versions are compared only
+    /// within one domain (see the module docs).
+    landed: u64,
     /// Visible-write state: `start → extent`, one extent per applied
     /// write range, split only where a later write overlaps it.
     extents: BTreeMap<u64, Extent>,
@@ -1147,7 +1151,7 @@ pub struct Auditor {
     line_scratch: Vec<u64>,
     /// Reusable `(start, end, event)` list for extent walks.
     piece_scratch: Vec<(u64, u64, u64)>,
-    /// Reusable domain list for version draws.
+    /// Reusable domain list for clock ticks.
     domain_scratch: Vec<DomainId>,
     seen: DetHashSet<(DomainId, DedupKey)>,
     report: AuditReport,
@@ -1180,7 +1184,7 @@ impl Auditor {
         Auditor {
             config,
             next_event: 1,
-            next_versions: DetHashMap::default(),
+            landed: 0,
             extents: BTreeMap::new(),
             events: DetHashMap::default(),
             views: ViewTable::default(),
@@ -1207,7 +1211,7 @@ impl Auditor {
         let (event, m) = self.meta_at(key.1)?;
         Some(LineState {
             event,
-            version: m.version_in(key.0),
+            version: m.version,
             writer: m.writer,
             actor: m.actor,
             kind: m.kind,
@@ -1383,38 +1387,19 @@ impl Auditor {
     // Landing writes
     // ---------------------------------------------------------------
 
-    /// Lands a write that became visible at `visible_at`: draws its
-    /// visibility versions, checks it against the writes it overwrites
-    /// and installs it as the lines' current write. The fabric lands
-    /// shadows in the `(visible_at, issue order)` order it settles pool
-    /// bytes in; versions follow landing order.
+    /// Lands a write that became visible at `visible_at`: takes the
+    /// next landing number as its version, checks it against the writes
+    /// it overwrites and installs it as the lines' current write. The
+    /// fabric lands shadows in the `(visible_at, issue order)` order it
+    /// settles pool bytes in.
     pub fn land(&mut self, lay: &Layout<'_>, visible_at: Nanos, ev: ShadowWrite) {
-        // Draw one visibility version per domain the write touches:
-        // visibility order is a per-domain notion (independent devices
-        // apply writes independently), so counters never cross domains.
-        let mut doms = std::mem::take(&mut self.domain_scratch);
-        doms.clear();
-        for run in &ev.runs {
-            lay.push_domains(run.start, run.end, &mut doms);
-        }
-        doms.sort_unstable();
-        doms.dedup();
-        let versions: Vec<(DomainId, u64)> = doms
-            .iter()
-            .map(|&d| {
-                let counter = self.next_versions.entry(d).or_insert(1);
-                let v = *counter;
-                *counter += 1;
-                (d, v)
-            })
-            .collect();
-        self.domain_scratch = doms;
+        self.landed += 1;
         // Check the write against every extent it overwrites.
         let mut pieces = std::mem::take(&mut self.piece_scratch);
         for run in &ev.runs {
             self.pieces(run.start, run.end, &mut pieces);
             for &(ps, pe, old) in &pieces {
-                self.check_overwrite(lay, visible_at, &ev, &run.base, old, (ps, pe));
+                self.check_overwrite(lay, visible_at, &ev, run.base, old, (ps, pe));
             }
         }
         self.piece_scratch = pieces;
@@ -1439,7 +1424,7 @@ impl Auditor {
                 kind: ev.kind,
                 written_at: ev.written_at,
                 visible_at,
-                versions,
+                version: self.landed,
                 wclock: ev.wclock,
                 ranges,
                 refs: lines,
@@ -1470,23 +1455,21 @@ impl Auditor {
         lay: &Layout<'_>,
         visible_at: Nanos,
         ev: &ShadowWrite,
-        base: &Base,
+        base: Base,
         old: u64,
         (ps, pe): (u64, u64),
     ) {
         let old = &self.events[&old];
-        let lost =
-            old.writer != ev.writer && old.versions.iter().any(|&(d, v)| v > base.version_in(d));
+        // A newer visible write by someone else landed between this
+        // write's base and its visibility: that write is clobbered.
+        let lost = old.writer != ev.writer && old.version > base.version();
         let race = old.actor != ev.actor && old.wclock.concurrent_with(&ev.wclock);
         if !lost && !race {
             return;
         }
         let old = old.clone();
         for la in (ps..pe).step_by(CACHELINE as usize) {
-            // A newer visible write by someone else landed between this
-            // write's base and its visibility: that write is clobbered.
-            let d = lay.domain_of(la);
-            if old.writer != ev.writer && old.version_in(d) > base.version_in(d) {
+            if lost {
                 let cause = LostWriteCause::StaleBasePublish;
                 let parties = (old.writer, ev.writer);
                 self.record_lost(lay, la, visible_at, parties, cause, old.visible_at);
@@ -1584,9 +1567,9 @@ impl Auditor {
                 observed.push((key, view.version, view.event));
             }
         }
-        // Torn-read analysis runs per failure domain: versions are a
-        // per-domain visibility order, and a load spanning domains has
-        // no single order to tear against.
+        // Torn-read analysis runs per failure domain: independent
+        // devices share no visibility order, so a load spanning domains
+        // has no single order to tear against.
         if observed.iter().all(|&((d, _), _, _)| d == observed[0].0 .0) {
             if observed.len() > 1 {
                 self.check_torn(lay, now, host, &observed);
@@ -1794,7 +1777,7 @@ impl Auditor {
         self.tick_range(lay, Actor::Cpu(host), hpa, len);
         let cause = Some(LostWriteCause::OverwriteDiscard);
         self.drop_copies(lay, now, host, hpa, len, cause);
-        let runs = self.bases_for(hpa, len);
+        let runs = self.overwrite_run(hpa, len);
         self.issue(now, Actor::Cpu(host), WriteKind::NtStore, runs)
     }
 
@@ -1816,7 +1799,7 @@ impl Auditor {
         self.tick_range(lay, Actor::Dma(host), hpa, len);
         let cause = Some(LostWriteCause::OverwriteDiscard);
         self.drop_copies(lay, now, host, hpa, len, cause);
-        let runs = self.bases_for(hpa, len);
+        let runs = self.overwrite_run(hpa, len);
         self.issue(now, Actor::Dma(host), WriteKind::DmaWrite, runs)
     }
 
@@ -2045,39 +2028,16 @@ impl Auditor {
         self.line_scratch = lines;
     }
 
-    /// The base runs an overwrite of `[hpa, hpa+len)` is derived from:
-    /// one run per extent piece it overwrites, `Flat(0)` for lines never
-    /// written.
-    fn bases_for(&mut self, hpa: u64, len: u64) -> Vec<BaseRun> {
-        let (lo, hi) = line_span(hpa, len);
-        let mut runs = Vec::new();
-        let mut at = lo;
-        let mut pieces = std::mem::take(&mut self.piece_scratch);
-        self.pieces(lo, hi, &mut pieces);
-        for &(ps, pe, event) in &pieces {
-            if ps > at {
-                runs.push(BaseRun {
-                    start: at,
-                    end: ps,
-                    base: Base::Flat(0),
-                });
-            }
-            runs.push(BaseRun {
-                start: ps,
-                end: pe,
-                base: Base::Versions(self.events[&event].versions.clone()),
-            });
-            at = pe;
-        }
-        self.piece_scratch = pieces;
-        if at < hi {
-            runs.push(BaseRun {
-                start: at,
-                end: hi,
-                base: Base::Flat(0),
-            });
-        }
-        runs
+    /// The one base run of an overwrite of `[hpa, hpa+len)`: it
+    /// replaces whole lines, so it clobbers whatever lands on them after
+    /// it is issued.
+    fn overwrite_run(&self, hpa: u64, len: u64) -> Vec<BaseRun> {
+        let (start, end) = line_span(hpa, len);
+        vec![BaseRun {
+            start,
+            end,
+            base: Base::Since(self.landed),
+        }]
     }
 
     /// Records `victim`'s dirty (or visible) data lost to `by`.
@@ -2707,8 +2667,8 @@ mod tests {
         let lay = pod.lay();
         let mut a = Auditor::new(ver());
         // A write in domain 1 then a host caching a domain-0 line: the
-        // domain-0 view must not appear stale against domain 1's
-        // version counter.
+        // domain-0 view must not appear stale against the domain-1
+        // write's version.
         let w = a.on_nt_store(&lay, Nanos(0), HostId(0), base, L);
         a.land(&lay, Nanos(50), w);
         let far = base + 0x10_0000;

@@ -903,3 +903,70 @@ fn vc_write_clocks_are_namespaced_per_domain() {
     );
     assert_eq!(d1_clock.get(cpu0.index_in(DomainId(1))), 1);
 }
+
+/// The lost-write base rule for overwrites, on a record striped over
+/// two failure domains: an overwrite clobbers exactly the writes by
+/// other hosts that land after it is issued. Host 0 publishes eight
+/// lines (two granules, one per domain); `writer` overwrites the middle
+/// four, two in each domain. With `issue_first` the overwrite is issued
+/// before host 0's write lands and becomes visible after it; otherwise
+/// it is issued once host 0's write has landed. Returns the lost-write
+/// lines (as line offsets into the record) with their domains, and the
+/// report.
+fn overwrite_base_scenario(
+    cfg: AuditConfig,
+    writer: HostId,
+    issue_first: bool,
+) -> (Vec<(u64, DomainId)>, cxl_fabric::AuditReport) {
+    let mut pod = PodLayout::new();
+    let base = pod.alloc(DomainPlacement::Striped { min_domains: 2 });
+    let lay = pod.layout();
+    let mut a = Auditor::new(cfg);
+    let (lo, len) = (base + 2 * LINE, 4 * LINE);
+    let (early, late) = (Nanos(0), Nanos(300));
+    let over_at = if issue_first { early } else { late };
+    let over = issue_first.then(|| a.on_nt_store(&lay, over_at, writer, lo, len));
+    let first = a.on_nt_store(&lay, Nanos(10), HostId(0), base, 8 * LINE);
+    a.land(&lay, Nanos(100), first);
+    let over = over.unwrap_or_else(|| a.on_nt_store(&lay, over_at, writer, lo, len));
+    a.land(&lay, Nanos(400), over);
+    let report = a.report().clone();
+    let lost = report
+        .violations
+        .iter()
+        .filter_map(|v| match v.kind {
+            ViolationKind::LostWrite {
+                victim,
+                by,
+                cause: LostWriteCause::StaleBasePublish,
+                ..
+            } => {
+                assert_eq!((victim, by), (HostId(0), writer));
+                Some(((v.line - base) / LINE, lay.domain_of(v.line)))
+            }
+            _ => None,
+        })
+        .collect();
+    (lost, report)
+}
+
+#[test]
+fn overwrite_clobbers_only_writes_landed_after_its_issue() {
+    for cfg in [version_cfg(), vc_cfg()] {
+        let mode = cfg.mode;
+        // Issued before host 0's write landed: every overlapped line,
+        // in both domains, loses host 0's write.
+        // Four lines per interleave granule: lines 2 and 3 sit in
+        // domain 0, lines 4 and 5 in domain 1.
+        let (lost, report) = overwrite_base_scenario(cfg, HostId(1), true);
+        let (d0, d1) = (DomainId(0), DomainId(1));
+        let want = [(2, d0), (3, d0), (4, d1), (5, d1)];
+        assert_eq!(lost, want, "{mode:?}:\n{}", report.render());
+        // Issued after host 0's write landed: it saw that write.
+        let (lost, report) = overwrite_base_scenario(cfg, HostId(1), false);
+        assert!(lost.is_empty(), "{mode:?}:\n{}", report.render());
+        // One writer never clobbers itself.
+        let (_, report) = overwrite_base_scenario(cfg, HostId(0), true);
+        assert_eq!(report.counts.total(), 0, "{mode:?}:\n{}", report.render());
+    }
+}
