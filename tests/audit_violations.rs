@@ -923,8 +923,7 @@ fn overwrite_base_scenario(
     let lay = pod.layout();
     let mut a = Auditor::new(cfg);
     let (lo, len) = (base + 2 * LINE, 4 * LINE);
-    let (early, late) = (Nanos(0), Nanos(300));
-    let over_at = if issue_first { early } else { late };
+    let over_at = if issue_first { Nanos(0) } else { Nanos(300) };
     let over = issue_first.then(|| a.on_nt_store(&lay, over_at, writer, lo, len));
     let first = a.on_nt_store(&lay, Nanos(10), HostId(0), base, 8 * LINE);
     a.land(&lay, Nanos(100), first);
@@ -954,10 +953,9 @@ fn overwrite_base_scenario(
 fn overwrite_clobbers_only_writes_landed_after_its_issue() {
     for cfg in [version_cfg(), vc_cfg()] {
         let mode = cfg.mode;
-        // Issued before host 0's write landed: every overlapped line,
-        // in both domains, loses host 0's write.
-        // Four lines per interleave granule: lines 2 and 3 sit in
-        // domain 0, lines 4 and 5 in domain 1.
+        // Issued before host 0's write landed: every overlapped line
+        // loses host 0's write, in both domains (four lines per
+        // interleave granule: lines 2 and 3 in domain 0, 4 and 5 in 1).
         let (lost, report) = overwrite_base_scenario(cfg, HostId(1), true);
         let (d0, d1) = (DomainId(0), DomainId(1));
         let want = [(2, d0), (3, d0), (4, d1), (5, d1)];
