@@ -4,7 +4,7 @@
 use cxl_fabric::HostId;
 use cxl_pool_core::accelpool::{run as accel_run, AccelPoolConfig};
 use cxl_pool_core::migration::Connection;
-use cxl_pool_core::pod::{PodParams, PodSim};
+use cxl_pool_core::pod::{InFlight, PodParams, PodSim};
 use cxl_pool_core::proto::Cmd;
 use cxl_pool_core::striping::StripedVolume;
 use cxl_pool_core::torless::{nines, p_unreachable, simulate, FailureRates, RackDesign};
@@ -208,13 +208,13 @@ pub fn run_ssd_qd(scale: Scale) -> Table {
         let owner = HostId(2);
         let issued = pod.time();
         let mut done = issued;
-        let mut inflight = std::collections::VecDeque::new();
+        let mut inflight = std::collections::VecDeque::<InFlight>::new();
         let mut rng = simkit::rng::Rng::new(qd as u64);
         for _ in 0..ios {
             if inflight.len() >= qd {
-                let sub = inflight.pop_front().expect("nonempty");
+                let f = inflight.pop_front().expect("nonempty");
                 let d = pod.time() + Nanos::from_millis(500);
-                let r = pod.await_submitted(owner, sub, d).expect("await");
+                let r = pod.finish(f.with_deadline(d)).expect("await");
                 done = done.max(r.at);
                 // Closed loop: the next submission waits for the
                 // oldest command's *device* completion, not just its
@@ -230,9 +230,9 @@ pub fn run_ssd_qd(scale: Scale) -> Table {
             };
             inflight.push_back(pod.submit(owner, dev, cmd).expect("submit"));
         }
-        for sub in inflight {
+        for f in inflight {
             let d = pod.time() + Nanos::from_millis(500);
-            let r = pod.await_submitted(owner, sub, d).expect("await");
+            let r = pod.finish(f.with_deadline(d)).expect("await");
             done = done.max(r.at);
         }
         let iops = ios as f64 / (done.saturating_sub(issued)).as_secs_f64();

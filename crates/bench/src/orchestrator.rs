@@ -10,7 +10,7 @@
 
 use cxl_fabric::HostId;
 use cxl_pool_core::orchestrator::AllocPolicy;
-use cxl_pool_core::pod::{PodParams, PodSim};
+use cxl_pool_core::pod::{InFlight, PodParams, PodSim};
 use cxl_pool_core::vdev::DeviceKind;
 use simkit::rng::Rng;
 use simkit::stats::Histogram;
@@ -342,24 +342,23 @@ pub fn run_sharing(scale: Scale) -> Table {
         let payload = vec![0xF0u8; 9000];
         let issued = pod.time();
         let window = 8usize;
-        let mut inflight: Vec<Vec<cxl_pool_core::pod::Submitted>> =
-            vec![Vec::new(); sharers as usize];
+        let mut inflight: Vec<Vec<InFlight>> = (0..sharers).map(|_| Vec::new()).collect();
         let mut done: Vec<Nanos> = vec![issued; sharers as usize];
         for _ in 0..frames {
             for (s, bond) in bonds.iter_mut().enumerate() {
                 if inflight[s].len() >= window {
-                    let sub = inflight[s].remove(0);
+                    let f = inflight[s].remove(0);
                     let d = pod.time() + Nanos::from_millis(500);
-                    let r = pod.await_submitted(bond.owner, sub, d).expect("await");
+                    let r = pod.finish(f.with_deadline(d)).expect("await");
                     done[s] = done[s].max(r.at);
                 }
                 inflight[s].push(bond.submit_one(&mut pod, &payload).expect("submit"));
             }
         }
-        for (s, bond) in bonds.iter().enumerate() {
-            for sub in inflight[s].clone() {
+        for (s, ops) in inflight.into_iter().enumerate() {
+            for f in ops {
                 let d = pod.time() + Nanos::from_millis(500);
-                let r = pod.await_submitted(bond.owner, sub, d).expect("await");
+                let r = pod.finish(f.with_deadline(d)).expect("await");
                 done[s] = done[s].max(r.at);
             }
         }

@@ -10,7 +10,7 @@ use cxl_fabric::HostId;
 use pcie_sim::DeviceId;
 use simkit::Nanos;
 
-use crate::pod::{PodSim, Submitted};
+use crate::pod::{InFlight, PodSim};
 use crate::proto::Cmd;
 use crate::vdev::{DeviceKind, PoolError};
 
@@ -91,19 +91,17 @@ impl BondedNic {
         let window = 16 * self.devs.len().max(1);
         let issued = pod.time();
         let payload = vec![0xB0u8; frame_len as usize];
-        let mut inflight: std::collections::VecDeque<Submitted> = Default::default();
+        let mut inflight: std::collections::VecDeque<InFlight> = Default::default();
         let mut done = issued;
         for _ in 0..frames {
             if inflight.len() >= window {
-                let sub = inflight.pop_front().expect("window nonempty");
-                let r = pod.await_submitted(self.owner, sub, deadline)?;
-                done = done.max(r.at);
+                let f = inflight.pop_front().expect("window nonempty");
+                done = done.max(pod.finish(f)?.at);
             }
-            inflight.push_back(self.submit_one(pod, &payload)?);
+            inflight.push_back(self.submit_one(pod, &payload)?.with_deadline(deadline));
         }
-        for sub in inflight {
-            let r = pod.await_submitted(self.owner, sub, deadline)?;
-            done = done.max(r.at);
+        for f in inflight {
+            done = done.max(pod.finish(f)?.at);
         }
         Ok(BurstResult {
             frames,
@@ -115,8 +113,8 @@ impl BondedNic {
 
     /// Submits a single frame on the next NIC in the bond without
     /// awaiting it (callers interleaving several bonds' traffic pair
-    /// this with [`PodSim::await_submitted`]).
-    pub fn submit_one(&mut self, pod: &mut PodSim, payload: &[u8]) -> Result<Submitted, PoolError> {
+    /// this with [`PodSim::finish`]).
+    pub fn submit_one(&mut self, pod: &mut PodSim, payload: &[u8]) -> Result<InFlight, PoolError> {
         let dev = self.devs[self.next % self.devs.len()];
         self.next += 1;
         let buf = pod.stage(self.owner, payload)?;

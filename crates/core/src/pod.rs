@@ -10,7 +10,13 @@
 //!    [`PodSim::stage`]),
 //! 2. forward the MMIO command to the device's attach host
 //!    ([`PodSim::submit`]),
-//! 3. poll for the completion message ([`PodSim::await_submitted`]).
+//! 3. poll for the completion message ([`PodSim::step`]).
+//!
+//! Every pooled op is one split-phase [`InFlight`]: [`PodSim::start`]
+//! runs steps 1 and 2 on the owner's bound device, each
+//! [`PodSim::step`] runs one pump round of step 3, and
+//! [`PodSim::finish`] steps the op until it is done. The blocking calls
+//! (`vnic_send`, `vssd_read`, ...) are `start` plus `finish`.
 //!
 //! When the device happens to be local, `submit` takes the fast path:
 //! the same executor ([`Agent::execute`]) runs the command at once,
@@ -33,9 +39,9 @@ use crate::vdev::{DeviceKind, PoolError};
 /// Size of one client I/O buffer slot.
 pub const IO_SLOT: u64 = 64 * 1024;
 
-/// Step of the lockstep control-plane pump: `run_control`,
-/// `vnic_poll_rx` and `await_submitted` advance agents and the
-/// orchestrator this much simulated time per round.
+/// Step of the lockstep control-plane pump: `run_control` and each
+/// [`PodSim::step`] round advance agents and the orchestrator this much
+/// simulated time.
 const PUMP_QUANTUM: Nanos = Nanos(2_000);
 
 /// Pod construction parameters.
@@ -90,32 +96,129 @@ impl PodParams {
     }
 }
 
-/// A submitted-but-not-awaited pooled operation (see
-/// [`PodSim::submit`]).
-#[derive(Clone, Copy, Debug)]
-pub enum Submitted {
-    /// The fast path already completed the operation.
-    Local(OpResult),
-    /// A forwarded operation whose completion must be awaited.
-    Remote {
-        /// Operation id to match the completion.
-        op: u64,
-        /// Host executing the operation.
-        attach: HostId,
-        /// The device it runs on.
-        dev: DeviceId,
+/// What [`PodSim::start`] runs on the owner's bound device.
+#[derive(Clone, Debug)]
+pub enum Req<'a> {
+    /// Stage the payload and transmit it on the NIC.
+    Send(&'a [u8]),
+    /// Post one RX buffer on the NIC.
+    PostRx,
+    /// Post one RX buffer, deliver this frame from the wire once the
+    /// post completes, then poll for the owner's RX completion.
+    Recv(Vec<u8>),
+    /// Read blocks from the SSD into a fresh I/O buffer.
+    SsdRead {
+        /// First block.
+        lba: u64,
+        /// Block count.
+        blocks: u32,
     },
+    /// Write blocks, already staged in pool memory, to the SSD.
+    SsdWrite {
+        /// First block.
+        lba: u64,
+        /// Block count.
+        blocks: u32,
+        /// Pool address of the staged blocks.
+        buf: u64,
+    },
+    /// Stage the input and run an offload job on the accelerator; the
+    /// output lands in a fresh I/O buffer.
+    Accel(&'a [u8]),
+}
+
+/// One pooled operation on its way: started by [`PodSim::start`] or
+/// [`PodSim::submit`], advanced by [`PodSim::step`], waited for by
+/// [`PodSim::finish`].
+#[derive(Debug)]
+#[must_use = "an op completes only when it is stepped"]
+pub struct InFlight {
+    owner: HostId,
+    /// Matches the completion and names a timeout; 0 for a local RX
+    /// post or a bare RX poll, which have no completion to match.
+    op: u64,
+    /// See [`OpResult::buf`].
+    buf: u64,
+    /// Past this pod time the op fails with `Timeout`.
+    deadline: Nanos,
+    stage: Stage,
+    /// A NIC receive's NIC and frame, delivered once the post completes.
+    frame: Option<(DeviceId, Vec<u8>)>,
+    /// The owner's root trace span, open until the op (for a NIC
+    /// receive, its post) completes.
+    root: Option<RootSpan>,
+}
+
+impl InFlight {
+    /// Sets the pod time past which the op fails with `Timeout` (a
+    /// [`PodSim::submit`]ted op has none until given one).
+    pub fn with_deadline(mut self, deadline: Nanos) -> InFlight {
+        self.deadline = deadline;
+        self
+    }
+
+    fn new(owner: HostId, op: u64, buf: u64, stage: Stage) -> InFlight {
+        InFlight {
+            owner,
+            op,
+            buf,
+            deadline: Nanos::MAX,
+            stage,
+            frame: None,
+            root: None,
+        }
+    }
+
+    fn result(&self, at: Nanos, local: bool, len: u32) -> OpResult {
+        OpResult {
+            op: self.op,
+            at,
+            local,
+            buf: self.buf,
+            len,
+        }
+    }
+}
+
+#[derive(Debug)]
+enum Stage {
+    /// Done on the local fast path; the device completes at `at`.
+    Local { at: Nanos },
+    /// Forwarded to `attach`; waits for the completion message.
+    Forwarded { attach: HostId, dev: DeviceId },
+    /// Waits for an event in the owner's RX inbox. The event counts as
+    /// local when its post was (a local post takes no op id).
+    Polling,
+    /// Finished with this outcome.
+    Done(Result<OpResult, PoolError>),
+}
+
+/// What a root trace span records at [`PodSim::start`].
+#[derive(Clone, Copy, Debug)]
+struct RootSpan {
+    kind: u8,
+    name: &'static str,
+    start: Nanos,
+    /// The span runs to the device's completion when that is later
+    /// than the owner's clock (not for an RX post).
+    to_completion: bool,
 }
 
 /// Outcome of a completed pooled operation.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct OpResult {
-    /// Operation id.
+    /// Operation id (0 for a local RX post or a bare RX poll).
     pub op: u64,
     /// Device-reported completion time.
     pub at: Nanos,
     /// True if the fast (local, non-forwarded) path was used.
     pub local: bool,
+    /// The op's I/O buffer: the transmitted, posted, read or written
+    /// buffer, the accelerator's output, or the buffer a received
+    /// frame filled.
+    pub buf: u64,
+    /// Frame length of a received frame (0 for other ops).
+    pub len: u32,
 }
 
 /// The full simulated pod.
@@ -401,42 +504,6 @@ impl PodSim {
             rec.sample(now);
         }
         self.metrics = Some(rec);
-    }
-
-    /// Wraps one client-side pooled operation in a trace context: the
-    /// next operation id is peeked (not allocated — allocation order is
-    /// untouched), pushed as the recording context so every stage the
-    /// call touches inherits `(op, kind)`, and a root span is emitted
-    /// on the owner's CPU track. The root span is skipped when the call
-    /// never allocated an op id (e.g. a local RX post or an early
-    /// binding error), so it can't mislabel a later operation.
-    fn traced_op<T>(
-        &mut self,
-        owner: HostId,
-        kind: u8,
-        name: &'static str,
-        end_of: impl Fn(&T) -> Option<Nanos>,
-        f: impl FnOnce(&mut Self) -> Result<T, PoolError>,
-    ) -> Result<T, PoolError> {
-        if !self.fabric.trace_enabled() {
-            return f(self);
-        }
-        let op_hint = self.next_op;
-        let start = self.agents[owner.0 as usize].clock();
-        self.fabric.trace_push(op_hint, kind);
-        let r = f(self);
-        self.fabric.trace_pop();
-        if self.next_op != op_hint {
-            let clock = self.agents[owner.0 as usize].clock();
-            let end = match &r {
-                Ok(v) => end_of(v).unwrap_or(clock).max(clock),
-                Err(_) => clock,
-            };
-            if let Some(tr) = self.fabric.trace_mut() {
-                tr.span_for(Track::HostCpu(owner.0), name, op_hint, kind, start, end);
-            }
-        }
-        r
     }
 
     /// Builds and wires the whole pod, performing initial device
@@ -870,19 +937,8 @@ impl PodSim {
         payload: &[u8],
         deadline: Nanos,
     ) -> Result<OpResult, PoolError> {
-        self.traced_op(
-            owner,
-            trace::KIND_NIC,
-            "op/vnic_send",
-            |r: &OpResult| Some(r.at),
-            |pod| {
-                let dev = pod.bound(owner, DeviceKind::Nic)?;
-                let buf = pod.stage(owner, payload)?;
-                let len = payload.len() as u32;
-                let sub = pod.submit(owner, dev, Cmd::Tx { buf, len })?;
-                pod.await_submitted(owner, sub, deadline)
-            },
-        )
+        let op = self.start(owner, Req::Send(payload), deadline)?;
+        self.finish(op)
     }
 
     /// Sends a batch of payloads through `owner`'s pooled NIC with one
@@ -896,36 +952,19 @@ impl PodSim {
         payloads: &[&[u8]],
         deadline: Nanos,
     ) -> Result<Vec<OpResult>, PoolError> {
-        let dev = self.bound(owner, DeviceKind::Nic)?;
-        let mut subs = Vec::with_capacity(payloads.len());
-        for payload in payloads {
-            let buf = self.stage(owner, payload)?;
-            let len = payload.len() as u32;
-            subs.push(self.submit(owner, dev, Cmd::Tx { buf, len })?);
-        }
+        let ops = payloads
+            .iter()
+            .map(|payload| self.start(owner, Req::Send(payload), deadline))
+            .collect::<Result<Vec<_>, _>>()?;
         // One polling phase covers the whole batch.
-        subs.into_iter()
-            .map(|sub| self.await_submitted(owner, sub, deadline))
-            .collect()
+        ops.into_iter().map(|op| self.finish(op)).collect()
     }
 
     /// Posts one RX buffer on `owner`'s pooled NIC; returns the buffer's
     /// pool address.
     pub fn vnic_post_rx(&mut self, owner: HostId, deadline: Nanos) -> Result<u64, PoolError> {
-        self.traced_op(
-            owner,
-            trace::KIND_NIC,
-            "op/vnic_post_rx",
-            |_| None,
-            |pod| {
-                let dev = pod.bound(owner, DeviceKind::Nic)?;
-                let buf = pod.io_buf(owner);
-                let len = IO_SLOT as u32;
-                let sub = pod.submit(owner, dev, Cmd::RxPost { buf, len })?;
-                pod.await_submitted(owner, sub, deadline)?;
-                Ok(buf)
-            },
-        )
+        let op = self.start(owner, Req::PostRx, deadline)?;
+        self.finish(op).map(|r| r.buf)
     }
 
     /// A frame arrives from the wire at physical NIC `dev`; delivers it
@@ -946,22 +985,20 @@ impl PodSim {
     }
 
     /// Polls `owner`'s RX completion inbox, pumping the control plane
-    /// until an event arrives or `deadline` passes.
+    /// until an event arrives or `deadline` passes: the poll stage of a
+    /// NIC receive, on its own.
     pub fn vnic_poll_rx(
         &mut self,
         owner: HostId,
         deadline: Nanos,
     ) -> Option<crate::agent::RxEvent> {
-        loop {
-            let inbox = &mut self.agents[owner.0 as usize].rx_inbox;
-            if !inbox.is_empty() {
-                return Some(inbox.remove(0));
-            }
-            if self.time() > deadline {
-                return None;
-            }
-            self.run_control(PUMP_QUANTUM);
-        }
+        let poll = InFlight::new(owner, 0, 0, Stage::Polling).with_deadline(deadline);
+        let r = self.finish(poll).ok()?;
+        Some(crate::agent::RxEvent {
+            buf: r.buf,
+            len: r.len,
+            at: r.at,
+        })
     }
 
     /// `owner` reads `len` bytes of RX payload from pool address `addr`
@@ -994,18 +1031,8 @@ impl PodSim {
         blocks: u32,
         deadline: Nanos,
     ) -> Result<(u64, OpResult), PoolError> {
-        self.traced_op(
-            owner,
-            trace::KIND_SSD,
-            "op/vssd_read",
-            |(_, r): &(u64, OpResult)| Some(r.at),
-            |pod| {
-                let dev = pod.bound(owner, DeviceKind::Ssd)?;
-                let buf = pod.io_buf(owner);
-                let sub = pod.submit(owner, dev, Cmd::SsdRead { lba, blocks, buf })?;
-                Ok((buf, pod.await_submitted(owner, sub, deadline)?))
-            },
-        )
+        let op = self.start(owner, Req::SsdRead { lba, blocks }, deadline)?;
+        self.finish(op).map(|r| (r.buf, r))
     }
 
     /// Writes `blocks` blocks (already staged at `buf`) to `owner`'s
@@ -1018,17 +1045,8 @@ impl PodSim {
         buf: u64,
         deadline: Nanos,
     ) -> Result<OpResult, PoolError> {
-        self.traced_op(
-            owner,
-            trace::KIND_SSD,
-            "op/vssd_write",
-            |r: &OpResult| Some(r.at),
-            |pod| {
-                let dev = pod.bound(owner, DeviceKind::Ssd)?;
-                let sub = pod.submit(owner, dev, Cmd::SsdWrite { lba, blocks, buf })?;
-                pod.await_submitted(owner, sub, deadline)
-            },
-        )
+        let op = self.start(owner, Req::SsdWrite { lba, blocks, buf }, deadline)?;
+        self.finish(op)
     }
 
     // -----------------------------------------------------------------
@@ -1044,96 +1062,220 @@ impl PodSim {
         input: &[u8],
         deadline: Nanos,
     ) -> Result<(u64, OpResult), PoolError> {
-        self.traced_op(
-            owner,
-            trace::KIND_ACCEL,
-            "op/vaccel_run",
-            |(_, r): &(u64, OpResult)| Some(r.at),
-            |pod| {
-                let dev = pod.bound(owner, DeviceKind::Accel)?;
-                let inbuf = pod.stage(owner, input)?;
-                let outbuf = pod.io_buf(owner);
-                let len = input.len() as u32;
-                let sub = pod.submit(owner, dev, Cmd::Accel { inbuf, len, outbuf })?;
-                Ok((outbuf, pod.await_submitted(owner, sub, deadline)?))
-            },
-        )
+        let op = self.start(owner, Req::Accel(input), deadline)?;
+        self.finish(op).map(|r| (r.buf, r))
     }
 
     // -----------------------------------------------------------------
-    // Submit / await
+    // Start / step / finish
     // -----------------------------------------------------------------
 
-    /// Submits `cmd` to device `dev` on behalf of `owner` without
-    /// waiting for its completion, so callers can keep several devices
-    /// busy at once (striping, bonding). A device attached to `owner`
-    /// runs on the local fast path at once: [`Agent::execute`] on the
-    /// owner's agent, no ring. Any other device gets the command
-    /// forwarded to its attach host in a [`Msg::Submit`], which that
-    /// host's agent hands to the same executor. Pair with
-    /// [`PodSim::await_submitted`].
+    /// Starts `req` on `owner`'s bound device: stages or picks the I/O
+    /// buffer, then [`PodSim::submit`]s the command. While tracing, a
+    /// root span opens on the owner's CPU track and every stage records
+    /// under the op's id until the op (for a NIC receive, its post)
+    /// completes, when the span closes. An op that takes no op id (a
+    /// local RX post, an early binding error) leaves no root span, so it
+    /// cannot mislabel a later op.
+    pub fn start(
+        &mut self,
+        owner: HostId,
+        req: Req<'_>,
+        deadline: Nanos,
+    ) -> Result<InFlight, PoolError> {
+        let (kind, trace_kind, name) = match req {
+            Req::Send(_) => (DeviceKind::Nic, trace::KIND_NIC, "op/vnic_send"),
+            Req::PostRx | Req::Recv(_) => (DeviceKind::Nic, trace::KIND_NIC, "op/vnic_post_rx"),
+            Req::SsdRead { .. } => (DeviceKind::Ssd, trace::KIND_SSD, "op/vssd_read"),
+            Req::SsdWrite { .. } => (DeviceKind::Ssd, trace::KIND_SSD, "op/vssd_write"),
+            Req::Accel(_) => (DeviceKind::Accel, trace::KIND_ACCEL, "op/vaccel_run"),
+        };
+        let dev = self.bound(owner, kind)?;
+        if !self.fabric.trace_enabled() {
+            return self
+                .issue(owner, dev, req)
+                .map(|f| f.with_deadline(deadline));
+        }
+        // The next op id is peeked, not allocated: allocation order is
+        // untouched.
+        let op = self.next_op;
+        let root = RootSpan {
+            kind: trace_kind,
+            name,
+            start: self.agents[owner.0 as usize].clock(),
+            to_completion: !matches!(req, Req::PostRx | Req::Recv(_)),
+        };
+        self.fabric.trace_push(op, trace_kind);
+        let started = self.issue(owner, dev, req);
+        self.fabric.trace_pop();
+        let root = (self.next_op != op).then_some(root);
+        if let (Some(root), Err(_)) = (root, &started) {
+            self.close_root(owner, op, root, None);
+        }
+        started.map(|f| InFlight { root, ..f }.with_deadline(deadline))
+    }
+
+    /// [`PodSim::start`] on `dev`, without the trace context.
+    fn issue(&mut self, owner: HostId, dev: DeviceId, req: Req) -> Result<InFlight, PoolError> {
+        let mut frame = None;
+        let cmd = match req {
+            Req::Send(payload) => {
+                let buf = self.stage(owner, payload)?;
+                let len = payload.len() as u32;
+                Cmd::Tx { buf, len }
+            }
+            Req::PostRx | Req::Recv(_) => {
+                if let Req::Recv(bytes) = req {
+                    frame = Some((dev, bytes));
+                }
+                let (buf, len) = (self.io_buf(owner), IO_SLOT as u32);
+                Cmd::RxPost { buf, len }
+            }
+            Req::SsdRead { lba, blocks } => {
+                let buf = self.io_buf(owner);
+                Cmd::SsdRead { lba, blocks, buf }
+            }
+            Req::SsdWrite { lba, blocks, buf } => Cmd::SsdWrite { lba, blocks, buf },
+            Req::Accel(input) => {
+                let inbuf = self.stage(owner, input)?;
+                let outbuf = self.io_buf(owner);
+                let len = input.len() as u32;
+                Cmd::Accel { inbuf, len, outbuf }
+            }
+        };
+        let f = self.submit(owner, dev, cmd)?;
+        Ok(InFlight { frame, ..f })
+    }
+
+    /// Submits `cmd` to device `dev` on behalf of `owner`, so callers
+    /// can keep several devices busy at once (striping, bonding). A
+    /// device attached to `owner` runs on the local fast path at once:
+    /// [`Agent::execute`] on the owner's agent, no ring. Any other
+    /// device gets the command forwarded to its attach host in a
+    /// [`Msg::Submit`], which that host's agent hands to the same
+    /// executor. The op has no deadline until
+    /// [`InFlight::with_deadline`] gives it one.
     pub fn submit(
         &mut self,
         owner: HostId,
         dev: DeviceId,
         cmd: Cmd,
-    ) -> Result<Submitted, PoolError> {
+    ) -> Result<InFlight, PoolError> {
         let attach = self.attach_of(dev).ok_or(PoolError::NoDevice(cmd.kind()))?;
+        let buf = match cmd {
+            Cmd::Tx { buf, .. }
+            | Cmd::RxPost { buf, .. }
+            | Cmd::SsdRead { buf, .. }
+            | Cmd::SsdWrite { buf, .. } => buf,
+            Cmd::Accel { outbuf, .. } => outbuf,
+        };
         if attach == owner {
             let agent = &mut self.agents[owner.0 as usize];
             let now = agent.clock();
             let at = agent.execute(&mut self.fabric, dev, &cmd, now, Origin::Local)?;
             // A local RX post has no completion to match, so it takes
-            // no op id (and its traced call no root span).
+            // no op id (and its traced op no root span).
             let op = match cmd {
                 Cmd::RxPost { .. } => 0,
                 _ => self.take_op_id(),
             };
-            return Ok(Submitted::Local(OpResult {
-                op,
-                at,
-                local: true,
-            }));
+            return Ok(InFlight::new(owner, op, buf, Stage::Local { at }));
         }
         let op = self.take_op_id();
         let msg = Msg::Submit { op, dev, cmd };
         self.agents[owner.0 as usize].send_to(&mut self.fabric, Peer::Host(attach), &msg)?;
-        Ok(Submitted::Remote { op, attach, dev })
+        let stage = Stage::Forwarded { attach, dev };
+        Ok(InFlight::new(owner, op, buf, stage))
     }
 
-    /// Waits for a [`Submitted`] operation to complete: drives the
-    /// attach and owner agents (and the orchestrator) until the
-    /// completion arrives at the owner or `deadline` passes.
-    pub fn await_submitted(
-        &mut self,
-        owner: HostId,
-        submitted: Submitted,
-        deadline: Nanos,
-    ) -> Result<OpResult, PoolError> {
-        let (op, attach, dev) = match submitted {
-            Submitted::Local(r) => return Ok(r),
-            Submitted::Remote { op, attach, dev } => (op, attach, dev),
-        };
+    /// Advances `f` by one pump round that ends by `until`, and
+    /// returns its outcome once it is done (again on every later call).
+    /// A forwarded op pumps the attach agent, the owner and the
+    /// orchestrator; an RX poll pumps the whole pod. A NIC receive
+    /// delivers its frame the moment its post completes and then polls.
+    /// Past the op's deadline it fails with `Timeout`.
+    pub fn step(&mut self, f: &mut InFlight, until: Nanos) -> Option<Result<OpResult, PoolError>> {
+        let owner = f.owner.0 as usize;
         loop {
-            if let Some(c) = self.agents[owner.0 as usize].completions.remove(&op) {
-                if c.status != 0 {
-                    return Err(PoolError::RemoteFailed { op, dev });
-                }
-                return Ok(OpResult {
-                    op,
-                    at: c.at,
-                    local: false,
-                });
-            }
+            let done =
+                match f.stage {
+                    Stage::Done(ref done) => return Some(done.clone()),
+                    Stage::Local { at } => Some(Ok(f.result(at, true, 0))),
+                    Stage::Forwarded { dev, .. } => self.agents[owner]
+                        .completions
+                        .remove(&f.op)
+                        .map(|c| match c.status {
+                            0 => Ok(f.result(c.at, false, 0)),
+                            _ => Err(PoolError::RemoteFailed { op: f.op, dev }),
+                        }),
+                    Stage::Polling => {
+                        let inbox = &mut self.agents[owner].rx_inbox;
+                        (!inbox.is_empty()).then(|| {
+                            let ev = inbox.remove(0);
+                            f.buf = ev.buf;
+                            Ok(f.result(ev.at, f.op == 0, ev.len))
+                        })
+                    }
+                };
             let now = self.time();
-            if now > deadline {
-                return Err(PoolError::Timeout { op });
+            let done = match done {
+                Some(done) => done,
+                None if now > f.deadline => Err(PoolError::Timeout { op: f.op }),
+                None => {
+                    let Stage::Forwarded { attach, .. } = f.stage else {
+                        self.run_control(PUMP_QUANTUM.min(until.saturating_sub(now)));
+                        return None;
+                    };
+                    // One round of the attach agent, the owner and the
+                    // orchestrator, under the op's trace context (none
+                    // without a root span, as outside the op).
+                    let end = (now + PUMP_QUANTUM).min(until);
+                    let (op, kind) = f.root.map_or((0, trace::KIND_NONE), |r| (f.op, r.kind));
+                    self.fabric.trace_push(op, kind);
+                    self.agents[attach.0 as usize].pump(&mut self.fabric, end);
+                    self.agents[owner].pump(&mut self.fabric, end);
+                    self.orch.pump(&mut self.fabric, end);
+                    self.sample_metrics(end);
+                    self.fabric.trace_pop();
+                    return None;
+                }
+            };
+            if let Some(root) = f.root.take() {
+                self.close_root(f.owner, f.op, root, done.as_ref().ok());
             }
-            let until = now + PUMP_QUANTUM;
-            self.agents[attach.0 as usize].pump(&mut self.fabric, until);
-            self.agents[owner.0 as usize].pump(&mut self.fabric, until);
-            self.orch.pump(&mut self.fabric, until);
-            self.sample_metrics(until);
+            if let (Ok(_), Some((dev, frame))) = (&done, f.frame.take()) {
+                f.stage = match self.deliver_frame(dev, &frame) {
+                    Ok(_) => Stage::Polling,
+                    Err(e) => Stage::Done(Err(e)),
+                };
+                continue;
+            }
+            f.stage = Stage::Done(done.clone());
+            return Some(done);
+        }
+    }
+
+    /// Steps `f` until it is done: the one wait loop of the datapath.
+    pub fn finish(&mut self, mut f: InFlight) -> Result<OpResult, PoolError> {
+        loop {
+            if let Some(done) = self.step(&mut f, Nanos::MAX) {
+                return done;
+            }
+        }
+    }
+
+    /// Emits `op`'s root span on the owner's CPU track, ending at the
+    /// owner's clock or, for an op that runs `to_completion`, at the
+    /// device's completion if that is later.
+    fn close_root(&mut self, owner: HostId, op: u64, root: RootSpan, done: Option<&OpResult>) {
+        let clock = self.agents[owner.0 as usize].clock();
+        let end = match done {
+            Some(r) if root.to_completion => r.at.max(clock),
+            _ => clock,
+        };
+        if let Some(tr) = self.fabric.trace_mut() {
+            let track = Track::HostCpu(owner.0);
+            tr.span_for(track, root.name, op, root.kind, root.start, end);
         }
     }
 
@@ -1142,18 +1284,11 @@ impl PodSim {
         let Some(attach) = self.attach_of(dev) else {
             return Vec::new();
         };
-        let agent = &mut self.agents[attach.0 as usize];
-        let mut out = Vec::new();
-        let mut keep = Vec::new();
-        for (d, f) in agent.out_frames.drain(..) {
-            if d == dev {
-                out.push(f);
-            } else {
-                keep.push((d, f));
-            }
-        }
-        agent.out_frames = keep;
-        out
+        let frames = &mut self.agents[attach.0 as usize].out_frames;
+        frames
+            .extract_if(.., |(d, _)| *d == dev)
+            .map(|(_, f)| f)
+            .collect()
     }
 }
 
@@ -1478,7 +1613,7 @@ mod tests {
         }
         assert!(pod.channel_stats().blocked_events > 0, "the ring filled");
         for sub in subs {
-            pod.await_submitted(owner, sub, deadline()).expect("await");
+            pod.finish(sub.with_deadline(deadline())).expect("await");
         }
         // The link still works once its queue has drained.
         pod.vnic_send(owner, &payloads[16], deadline())
@@ -1497,7 +1632,8 @@ mod tests {
         let dev = pod.binding(owner, DeviceKind::Nic).unwrap();
         for i in 0..8u8 {
             let buf = pod.stage(owner, &[i; 64]).expect("stage");
-            pod.submit(owner, dev, Cmd::Tx { buf, len: 64 })
+            let _ = pod
+                .submit(owner, dev, Cmd::Tx { buf, len: 64 })
                 .expect("submit");
         }
         assert!(
@@ -1520,6 +1656,164 @@ mod tests {
             0,
             "the old queue went with its link"
         );
+    }
+
+    /// The five op kinds a workload issues.
+    #[derive(Clone, Copy, Debug)]
+    enum Kind {
+        Send,
+        Recv,
+        SsdRead,
+        SsdWrite,
+        Accel,
+    }
+
+    /// NIC, SSD and accelerator on host 0, traced: host 0 reaches each
+    /// on the local fast path, host 3 over the channel.
+    fn twin_pod() -> PodSim {
+        let mut params = PodParams::new(4, 1);
+        params.ssd_hosts = vec![0];
+        params.accel_hosts = vec![0];
+        let mut pod = PodSim::new(params);
+        pod.enable_trace_config(TraceConfig {
+            capacity: 1 << 14,
+            fabric_ops: true,
+        });
+        pod
+    }
+
+    /// Runs `kind` for `owner` through the blocking calls (a NIC
+    /// receive chains post, frame delivery and poll).
+    fn blocking(pod: &mut PodSim, owner: HostId, kind: Kind) -> OpResult {
+        let d = deadline();
+        match kind {
+            Kind::Send => pod.vnic_send(owner, &[3; 300], d).expect("send"),
+            Kind::Recv => {
+                let dev = pod.binding(owner, DeviceKind::Nic).expect("bound");
+                let buf = pod.vnic_post_rx(owner, d).expect("post");
+                pod.deliver_frame(dev, &[4; 200]).expect("deliver");
+                let ev = pod.vnic_poll_rx(owner, d).expect("event");
+                assert_eq!((ev.buf, ev.len), (buf, 200));
+                OpResult {
+                    op: 0,
+                    at: ev.at,
+                    local: false,
+                    buf: ev.buf,
+                    len: ev.len,
+                }
+            }
+            Kind::SsdRead => pod.vssd_read(owner, 9, 2, d).expect("read").1,
+            Kind::SsdWrite => {
+                let buf = pod.stage(owner, &[5; 4096]).expect("stage");
+                pod.vssd_write(owner, 9, 1, buf, d).expect("write")
+            }
+            Kind::Accel => pod.vaccel_run(owner, &[6; 512], d).expect("run").1,
+        }
+    }
+
+    /// Starts `kind` for `owner` and steps it to completion; returns
+    /// the outcome and the number of steps that returned `None`.
+    fn stepped(pod: &mut PodSim, owner: HostId, kind: Kind) -> (OpResult, usize) {
+        let d = deadline();
+        let mut op = match kind {
+            Kind::Send => pod.start(owner, Req::Send(&[3; 300]), d),
+            Kind::Recv => pod.start(owner, Req::Recv(vec![4; 200]), d),
+            Kind::SsdRead => pod.start(owner, Req::SsdRead { lba: 9, blocks: 2 }, d),
+            Kind::SsdWrite => {
+                let buf = pod.stage(owner, &[5; 4096]).expect("stage");
+                pod.start(
+                    owner,
+                    Req::SsdWrite {
+                        lba: 9,
+                        blocks: 1,
+                        buf,
+                    },
+                    d,
+                )
+            }
+            Kind::Accel => pod.start(owner, Req::Accel(&[6; 512]), d),
+        }
+        .expect("start");
+        let mut pending = 0;
+        loop {
+            match pod.step(&mut op, Nanos::MAX) {
+                Some(done) => {
+                    let r = done.expect("op");
+                    let again = pod.step(&mut op, Nanos::MAX).expect("done stays done");
+                    assert_eq!(again, Ok(r), "a finished op reports its outcome again");
+                    return (r, pending);
+                }
+                None => pending += 1,
+            }
+        }
+    }
+
+    /// Every actor's clock, the ring and fabric counters and the trace.
+    fn fingerprint(pod: &PodSim) -> (Vec<Nanos>, String) {
+        let mut clocks: Vec<Nanos> = pod.agents.iter().map(|a| a.clock()).collect();
+        clocks.push(pod.orch.endpoint.clock());
+        let counters = format!("{:?} {:?}", pod.channel_stats(), pod.fabric.stats());
+        (clocks, counters + &pod.export_trace().expect("traced"))
+    }
+
+    #[test]
+    fn stepping_an_op_matches_the_blocking_call() {
+        use Kind::*;
+        for kind in [Send, Recv, SsdRead, SsdWrite, Accel] {
+            for owner in [HostId(0), HostId(3)] {
+                let (mut a, mut b) = (twin_pod(), twin_pod());
+                let forwarded = owner == HostId(3);
+                let want = blocking(&mut a, owner, kind);
+                let (got, pending) = stepped(&mut b, owner, kind);
+                let case = format!("{kind:?} from {owner:?}");
+                if let Recv = kind {
+                    assert_eq!(
+                        (got.at, got.buf, got.len),
+                        (want.at, want.buf, want.len),
+                        "{case}"
+                    );
+                } else {
+                    assert_eq!(got, want, "{case}");
+                }
+                assert_eq!(
+                    pending > 0,
+                    forwarded,
+                    "{case}: step returns None until done"
+                );
+                assert_eq!(fingerprint(&a), fingerprint(&b), "{case}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_forwarded_op_past_its_deadline_times_out_with_its_op_id() {
+        let mut pod = PodSim::new(PodParams::new(4, 2));
+        // The op started next takes the id after this one.
+        let id = pod.take_op_id() + 1;
+        let op = pod
+            .start(HostId(3), Req::Send(&[1; 64]), Nanos::ZERO)
+            .expect("start");
+        assert_eq!(pod.finish(op), Err(PoolError::Timeout { op: id }));
+    }
+
+    #[test]
+    fn a_nic_receive_times_out_in_its_poll_stage_with_the_post_op_id() {
+        let mut pod = PodSim::new(PodParams::new(4, 2));
+        let owner = HostId(3);
+        let dev = pod.binding(owner, DeviceKind::Nic).unwrap();
+        let attach = pod.attach_of(dev).unwrap();
+        assert_ne!(attach, owner);
+        // A frame longer than the posted buffer is dropped, so no RX
+        // completion ever reaches the owner.
+        let frame = vec![7u8; IO_SLOT as usize + 1];
+        let deadline = pod.time() + Nanos::from_micros(100);
+        // The forwarded RX post takes the id after this one.
+        let id = pod.take_op_id() + 1;
+        let op = pod.start(owner, Req::Recv(frame), deadline).expect("start");
+        assert_eq!(pod.finish(op), Err(PoolError::Timeout { op: id }));
+        let nic = pod.agents[attach.0 as usize].nics[&dev].stats();
+        assert_eq!(nic.rx_drops, 1, "the post completed and the frame arrived");
+        assert!(pod.time() > deadline);
     }
 
     #[test]

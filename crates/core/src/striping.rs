@@ -130,14 +130,13 @@ impl StripedVolume {
                 blocks: n as u32,
                 buf,
             };
-            inflight.push(pod.submit(owner, dev, cmd)?);
+            inflight.push(pod.submit(owner, dev, cmd)?.with_deadline(deadline));
             bytes += n * BLOCK;
             cur += n;
         }
         // Phase 2: collect completions.
-        for sub in inflight {
-            let r = pod.await_submitted(owner, sub, deadline)?;
-            done = done.max(r.at);
+        for f in inflight {
+            done = done.max(pod.finish(f)?.at);
         }
         Ok(VolumeOp {
             done,
@@ -175,13 +174,12 @@ impl StripedVolume {
                 blocks: n as u32,
                 buf,
             };
-            inflight.push(pod.submit(owner, dev, cmd)?);
+            inflight.push(pod.submit(owner, dev, cmd)?.with_deadline(deadline));
             pieces.push(((cur * BLOCK) as usize, buf, n * BLOCK));
             cur += n;
         }
-        for sub in inflight {
-            let r = pod.await_submitted(owner, sub, deadline)?;
-            done = done.max(r.at);
+        for f in inflight {
+            done = done.max(pod.finish(f)?.at);
         }
         for (off, buf, len) in pieces {
             let (data, _) = pod.read_rx_payload(owner, buf, len as usize, done)?;

@@ -19,7 +19,7 @@ use std::iter::successors;
 
 use cxl_fabric::{DomainId, HostId, MhdId};
 use cxl_pool_core::lifecycle::{self as pod_lifecycle, TenantState};
-use cxl_pool_core::pod::{PodSim, IO_SLOT};
+use cxl_pool_core::pod::{PodSim, Req, IO_SLOT};
 use cxl_pool_core::vdev::{DeviceKind, PoolError};
 use pcie_sim::DeviceId;
 use simkit::metrics::{Labels, MetricId};
@@ -730,41 +730,31 @@ impl ChurnState<'_> {
 /// Runs one operation to completion; returns the completion time.
 fn execute(pod: &mut PodSim, issue: Op, deadline: Nanos) -> Result<Nanos, PoolError> {
     let (host, lba) = (HostId(issue.host), issue.lba);
-    match issue.kind {
-        OpKind::NicSend { bytes } => {
-            assert!(bytes as u64 <= IO_SLOT, "payload exceeds an I/O slot");
-            let payload = payload(bytes, issue.at);
-            pod.vnic_send(host, &payload, deadline).map(|r| r.at)
-        }
-        OpKind::NicRecv { bytes } => {
-            assert!(bytes as u64 <= IO_SLOT, "frame exceeds an I/O slot");
-            let dev = pod
-                .binding(host, DeviceKind::Nic)
-                .ok_or(PoolError::NotAssigned(DeviceKind::Nic))?;
-            pod.vnic_post_rx(host, deadline)?;
-            let frame = payload(bytes, issue.at);
-            pod.deliver_frame(dev, &frame)?;
-            let ev = pod
-                .vnic_poll_rx(host, deadline)
-                .ok_or(PoolError::Timeout { op: 0 })?;
-            Ok(ev.at)
-        }
-        OpKind::SsdRead { blocks } => pod
-            .vssd_read(host, lba, blocks, deadline)
-            .map(|(_, r)| r.at),
+    let data = |bytes: u32| {
+        assert!(bytes as u64 <= IO_SLOT, "payload exceeds an I/O slot");
+        payload(bytes, issue.at)
+    };
+    // The NIC a send leaves its frame on, read before the op can move it.
+    let sent_on = match issue.kind {
+        OpKind::NicSend { .. } => pod.binding(host, DeviceKind::Nic),
+        _ => None,
+    };
+    let op = match issue.kind {
+        OpKind::NicSend { bytes } => pod.start(host, Req::Send(&data(bytes)), deadline)?,
+        OpKind::NicRecv { bytes } => pod.start(host, Req::Recv(data(bytes)), deadline)?,
+        OpKind::SsdRead { blocks } => pod.start(host, Req::SsdRead { lba, blocks }, deadline)?,
         OpKind::SsdWrite { blocks } => {
-            let bytes = (blocks as u64 * 4096).min(IO_SLOT) as u32;
-            let data = payload(bytes, issue.at);
-            let buf = pod.stage(host, &data)?;
-            pod.vssd_write(host, lba, blocks, buf, deadline)
-                .map(|r| r.at)
+            let buf = pod.stage(host, &data((blocks as u64 * 4096).min(IO_SLOT) as u32))?;
+            pod.start(host, Req::SsdWrite { lba, blocks, buf }, deadline)?
         }
-        OpKind::AccelRun { bytes } => {
-            assert!(bytes as u64 <= IO_SLOT, "input exceeds an I/O slot");
-            let input = payload(bytes, issue.at);
-            pod.vaccel_run(host, &input, deadline).map(|(_, r)| r.at)
-        }
+        OpKind::AccelRun { bytes } => pod.start(host, Req::Accel(&data(bytes)), deadline)?,
+    };
+    let done = pod.finish(op);
+    // No harness reads the frames a send leaves on its NIC: drop them.
+    if let Some(dev) = sent_on {
+        pod.take_frames(dev);
     }
+    done.map(|r| r.at)
 }
 
 /// Deterministic payload bytes for one operation.

@@ -127,6 +127,35 @@ fn mhd_failure_mid_run_degrades_the_measured_tail() {
 }
 
 #[test]
+fn engine_keeps_no_transmitted_frame() {
+    // Sends from a host with its own NIC and from one without, with and
+    // without an MHD outage whose ops fail or time out.
+    let mut spec = mixed_spec(40_000.0);
+    spec.tenants[0].hosts = vec![0, 4];
+    let mut faulted = spec.clone();
+    faulted.fault = Some(FaultPlan::mhd(
+        1,
+        Nanos::from_micros(700),
+        Nanos::from_micros(150),
+    ));
+    for (spec, outage) in [(spec, false), (faulted, true)] {
+        let mut p = pod();
+        let r = Engine::new(5).run(&mut p, &spec);
+        assert_eq!(r.errors > 0, outage);
+        let sent: u64 = p
+            .agents
+            .iter()
+            .flat_map(|a| a.nics.values())
+            .map(|n| n.stats().tx_frames)
+            .sum();
+        assert!(sent > 0, "the run transmitted frames");
+        for a in &p.agents {
+            assert!(a.out_frames.is_empty(), "host {:?} kept frames", a.host);
+        }
+    }
+}
+
+#[test]
 fn capacity_search_brackets_the_knee() {
     let base = mixed_spec(20_000.0);
     let cfg = CapacityConfig {
