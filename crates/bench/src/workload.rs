@@ -5,28 +5,32 @@
 //! closed-loop accelerator offload) with the [`workgen`] engine, then
 //! binary-searches the maximum total offered load that still meets
 //! every tenant's SLO — once on a healthy pod and once with a whole
-//! failure domain (two of the four MHDs) lost mid-run. Results go to
-//! `BENCH_workload.json` (machine readable, schema documented in
-//! EXPERIMENTS.md) plus a human summary on stdout.
+//! failure domain (two of the four MHDs) lost mid-run.
+//!
+//! [`run`] returns one typed [`BenchResult`]. Everything else reads
+//! it: [`BenchResult::json`] renders `BENCH_workload.json` (machine
+//! readable, schema documented in EXPERIMENTS.md), the human summary
+//! on stdout prints from it, and `--check` asserts on it. A new
+//! document field is a typed field first, rendered in one place.
 //!
 //! Everything is a pure function of `--seed`: rerunning with the same
-//! seed reproduces the JSON bit for bit (`--check` verifies this, along
-//! with capacity degradation under the domain loss and a clean
-//! vector-clock coherence audit).
+//! seed reproduces the JSON bit for bit. `--check` verifies this and
+//! that the written file parses back to the rendered document, then
+//! asserts on the typed result: capacity degradation under the domain
+//! loss and a clean vector-clock coherence audit among the rest.
 
 use std::fs;
 use std::process::ExitCode;
 
-use cxl_fabric::AuditMode;
+use cxl_fabric::{AuditMode, AuditReport};
 use cxl_pool_core::pod::{PodParams, PodSim};
-use cxl_pool_core::telemetry;
 use serde_json::Value;
 use simkit::stats::Summary;
-use simkit::trace::TraceConfig;
+use simkit::trace::{kind_name, TraceConfig, TraceRecorder};
 use simkit::Nanos;
 use workgen::{
-    Arrival, CapacityConfig, CapacityResult, ChurnSpec, ChurnTenant, Engine, FaultPlan, OpKind,
-    RunReport, SloSpec, TenantSpec, WorkloadSpec,
+    Arrival, CapacityConfig, CapacityResult, ChurnSpec, ChurnTenant, Engine, FaultPlan,
+    FaultTarget, OpKind, RunReport, SloSpec, TenantSpec, WorkloadSpec,
 };
 
 use crate::Scale;
@@ -239,105 +243,164 @@ pub fn search_config(scale: Scale) -> CapacityConfig {
     }
 }
 
-/// Runs the whole bench and returns the (deterministic) JSON document.
-pub fn run(cfg: &Config) -> Value {
+/// Everything one bench run measured. [`BenchResult::json`] renders the
+/// document from it; `--check` and the stdout summary read it directly.
+#[derive(Clone, Debug)]
+pub struct BenchResult {
+    cfg: Config,
+    params: PodParams,
+    /// The base three-tenant workload ([`base_spec`]).
+    spec: WorkloadSpec,
+    baseline: RunReport,
+    /// What the baseline run cost, layer by layer.
+    ledger: LedgerCounts,
+    /// The baseline's flight-recorder stages.
+    stages: Vec<StageLatency>,
+    audit: Option<AuditReport>,
+    clean: CapacityResult,
+    under_fault: CapacityResult,
+    /// The outage the faulted search injects ([`faulted_spec`]).
+    fault: FaultPlan,
+    churn: Option<ChurnResult>,
+}
+
+/// The tenant-churn A/B: one seeded lifecycle schedule, run with
+/// orchestrator live migration and with the naive static placement.
+#[derive(Clone, Debug)]
+struct ChurnResult {
+    params: PodParams,
+    /// The migrating run's workload ([`churn_workload`]).
+    spec: WorkloadSpec,
+    migrate: RunReport,
+    naive: RunReport,
+    /// Whole-tenant migrations of the migrating run.
+    migrations: u64,
+    /// Its migration blackouts (None before the first one).
+    blackout: Option<Summary>,
+    /// Its `lifecycle/migrate` flight-recorder stage.
+    migrate_stage: Option<Summary>,
+    audit: Option<AuditReport>,
+}
+
+/// A flight-recorder stage: its name, device kind name and latency.
+type StageLatency = (&'static str, &'static str, Summary);
+
+/// Runs the whole bench: a pure function of `cfg`.
+pub fn run(cfg: &Config) -> BenchResult {
     let params = pod_params(cfg.seed);
     let build = || PodSim::new(params.clone());
-    let base = base_spec(cfg.scale);
+    let spec = base_spec(cfg.scale);
     let faulted = faulted_spec(cfg.scale);
-    let engine = Engine::new(cfg.seed);
 
     // Baseline at the nominal operating point, with the flight
     // recorder and the coherence auditor on.
     let mut pod = build();
     observe(&mut pod);
     let before = LedgerCounts::read(&pod);
-    let baseline = engine.run(&mut pod, &base);
+    let baseline = Engine::new(cfg.seed).run(&mut pod, &spec);
     let ledger = LedgerCounts::read(&pod).since(&before);
-    let snap = telemetry::snapshot(&pod);
+    let stages = stages(&pod);
     let audit = pod.audit_finalize();
 
     // Capacity: clean pod, then with the mid-run MHD failure.
     let search = search_config(cfg.scale);
-    let clean = workgen::capacity::search(build, &base, &search, cfg.seed);
+    let clean = workgen::capacity::search(build, &spec, &search, cfg.seed);
     let under_fault = workgen::capacity::search(build, &faulted, &search, cfg.seed);
+    BenchResult {
+        cfg: cfg.clone(),
+        params,
+        spec,
+        baseline,
+        ledger,
+        stages,
+        audit,
+        clean,
+        under_fault,
+        fault: faulted.fault.expect("faulted_spec injects an outage"),
+        churn: cfg.churn.then(|| run_churn(cfg)),
+    }
+}
 
-    // Tenant churn A/B: the same seeded lifecycle schedule, once with
-    // orchestrator live migration answering each event and once stuck
-    // with the naive static placement. Audit + flight recorder ride on
-    // the migrating run — the interesting datapath.
-    let churn_json = if cfg.churn {
-        let engine = Engine::new(cfg.seed);
-        let mig_spec = churn_workload(cfg.scale, true);
-        let naive_spec = churn_workload(cfg.scale, false);
+/// Runs the churn A/B: the same seeded lifecycle schedule, once with
+/// orchestrator live migration answering each event and once stuck
+/// with the naive static placement. Audit + flight recorder ride on
+/// the migrating run — the interesting datapath.
+fn run_churn(cfg: &Config) -> ChurnResult {
+    let engine = Engine::new(cfg.seed);
+    let params = churn_pod_params(cfg.seed);
+    let spec = churn_workload(cfg.scale, true);
+    let mut pod = PodSim::new(params.clone());
+    observe(&mut pod);
+    let migrate = engine.run(&mut pod, &spec);
+    let migrate_stage = stages(&pod)
+        .into_iter()
+        .find(|&(stage, _, _)| stage == "lifecycle/migrate")
+        .map(|(_, _, latency)| latency);
+    let migrations = pod.lifecycle.tenant_migrations;
+    let blackout = pod.lifecycle.blackout_summary();
+    let audit = pod.audit_finalize();
+    let naive_spec = churn_workload(cfg.scale, false);
+    let naive = engine.run(&mut PodSim::new(params.clone()), &naive_spec);
+    ChurnResult {
+        params,
+        spec,
+        migrate,
+        naive,
+        migrations,
+        blackout,
+        migrate_stage,
+        audit,
+    }
+}
 
-        let churn_pod = churn_pod_params(cfg.seed);
-        let mut mig_pod = PodSim::new(churn_pod.clone());
-        observe(&mut mig_pod);
-        let mig = engine.run(&mut mig_pod, &mig_spec);
-        let mig_snap = telemetry::snapshot(&mig_pod);
-        let mig_audit = mig_pod.audit_finalize();
-
-        let mut naive_pod = PodSim::new(churn_pod.clone());
-        let naive = engine.run(&mut naive_pod, &naive_spec);
-
-        Some(churn_section(
-            &churn_pod,
-            &mig_spec,
-            &mig,
-            &mig_snap,
-            mig_audit.as_ref(),
-            &naive,
-        ))
-    } else {
-        None
-    };
-
-    let audit_json = audit_json(audit.as_ref());
-    let stages: Vec<Value> = snap
-        .stages
-        .iter()
-        .map(|s| {
-            obj(vec![
-                ("stage", Value::String(s.stage.to_string())),
-                ("kind", Value::String(s.kind.to_string())),
-                ("latency_ns", summary_json(&s.latency)),
-            ])
-        })
+/// The flight recorder's stage latencies, sorted by stage and kind
+/// *name* (not the recorder's kind number).
+fn stages(pod: &PodSim) -> Vec<StageLatency> {
+    let mut stages: Vec<StageLatency> = pod
+        .trace()
+        .into_iter()
+        .flat_map(TraceRecorder::stage_summaries)
+        .map(|(stage, kind, latency)| (stage, kind_name(kind), latency))
         .collect();
+    stages.sort_by_key(|&(stage, kind, _)| (stage, kind));
+    stages
+}
 
-    obj(vec![
-        ("schema", Value::String(SCHEMA.into())),
-        ("seed", num(cfg.seed as f64)),
-        (
-            "scale",
-            Value::String(
-                match cfg.scale {
-                    Scale::Quick => "quick",
-                    Scale::Full => "full",
-                }
-                .into(),
+impl BenchResult {
+    /// The `BENCH_workload.json` document.
+    pub fn json(&self) -> Value {
+        let stages = self.stages.iter().map(|(stage, kind, latency)| {
+            obj(vec![
+                ("stage", string(stage)),
+                ("kind", string(kind)),
+                ("latency_ns", summary_json(latency)),
+            ])
+        });
+        let mut baseline = report_json_fields(&self.baseline);
+        baseline.push(("stages", array(stages)));
+        baseline.push(("ledger", self.ledger.json(self.baseline.ops)));
+        obj(vec![
+            ("schema", string(SCHEMA)),
+            ("seed", num(self.cfg.seed as f64)),
+            ("scale", string(self.cfg.scale.pick("quick", "full"))),
+            ("pod", obj(pod_fields(&self.params))),
+            (
+                "tenants",
+                array(self.spec.tenants.iter().map(tenant_spec_json)),
             ),
-        ),
-        ("pod", obj(pod_fields(&params))),
-        (
-            "tenants",
-            Value::Array(base.tenants.iter().map(tenant_spec_json).collect()),
-        ),
-        ("baseline", {
-            let mut fields = report_json_fields(&baseline);
-            fields.push(("stages", Value::Array(stages)));
-            fields.push(("ledger", ledger.json(baseline.ops)));
-            obj(fields)
-        }),
-        ("audit", audit_json),
-        ("capacity", capacity_json(&clean, None)),
-        (
-            "capacity_under_fault",
-            capacity_json(&under_fault, faulted.fault.as_ref()),
-        ),
-        ("churn", churn_json.unwrap_or(Value::Null)),
-    ])
+            ("baseline", obj(baseline)),
+            ("audit", audit_json(self.audit.as_ref())),
+            ("capacity", capacity_json(&self.clean, None)),
+            (
+                "capacity_under_fault",
+                capacity_json(&self.under_fault, Some(&self.fault)),
+            ),
+            (
+                "churn",
+                self.churn.as_ref().map_or(Value::Null, ChurnResult::json),
+            ),
+        ])
+    }
 }
 
 /// CLI entry: `bench workload [--seed N] [--out PATH] [--full] [--churn] [--check]`.
@@ -377,17 +440,17 @@ pub fn run_cli(args: &[String]) -> ExitCode {
         }
     }
 
-    let cfg = Config { seed, scale, churn };
-    let doc = run(&cfg);
+    let result = run(&Config { seed, scale, churn });
+    let doc = result.json();
     let text = serde_json::to_string_pretty(&doc).expect("serialize");
     if let Err(e) = fs::write(&out, &text) {
         eprintln!("workload: writing {out}: {e}");
         return ExitCode::FAILURE;
     }
-    print_summary(&doc, &out);
+    print_summary(&result, &out);
 
     if check {
-        match self_check(&cfg, &doc, &out) {
+        match self_check(&result, &doc, &out) {
             Ok(()) => println!("workload: self-check OK"),
             Err(e) => {
                 eprintln!("workload: self-check FAILED: {e}");
@@ -398,63 +461,45 @@ pub fn run_cli(args: &[String]) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// Re-runs the bench and validates the emitted document: determinism,
-/// structure, the two-domain pod shape, a positive clean capacity,
-/// strict degradation under the injected whole-domain outage, and a
-/// clean vector-clock coherence audit. `doc` is the document written
-/// to `out`.
-fn self_check(cfg: &Config, doc: &Value, out: &str) -> Result<(), String> {
-    // The file round-trips through the parser.
+/// Validates what `--check` can only see on disk: the file at `out`
+/// parses back to `doc`, the document rendered from `r`, and a rerun
+/// with the same config reproduces it byte for byte. Then asserts on
+/// `r` itself ([`check`]).
+fn self_check(r: &BenchResult, doc: &Value, out: &str) -> Result<(), String> {
     let written = fs::read_to_string(out).map_err(|e| format!("rereading {out}: {e}"))?;
-    serde_json::from_str(&written).map_err(|e| format!("reparsing {out}: {e:?}"))?;
-
-    // Same seed, same document: the rerun must reproduce the written
-    // file byte for byte.
-    let again = serde_json::to_string_pretty(&run(cfg)).expect("serialize");
+    let parsed = serde_json::from_str(&written).map_err(|e| format!("reparsing {out}: {e:?}"))?;
+    if parsed != *doc {
+        return Err(format!(
+            "{out} does not parse back to the rendered document"
+        ));
+    }
+    let again = serde_json::to_string_pretty(&run(&r.cfg).json()).expect("serialize");
     if again != written {
         return Err(format!("rerun with the same seed does not reproduce {out}"));
     }
+    check(r)
+}
 
-    let field = |path: &[&str]| -> Result<&Value, String> {
-        let mut v = doc;
-        for key in path {
-            v = v
-                .get(key)
-                .ok_or_else(|| format!("missing field {}", path.join(".")))?;
-        }
-        Ok(v)
-    };
-    let getf = |path: &[&str]| -> Result<f64, String> {
-        field(path)?
-            .as_f64()
-            .ok_or_else(|| format!("{} is not a number", path.join(".")))
-    };
-
-    if field(&["schema"])?.as_str() != Some(SCHEMA) {
-        return Err("schema tag mismatch".into());
+/// The `--check` assertions on a bench result: three baseline tenant
+/// reports, the two-failure-domain pod, a whole-domain outage, a
+/// positive clean capacity strictly above the faulted one, a clean
+/// coherence audit and the pool-loads gate. With churn, live migration
+/// must keep every SLO green where the naive static placement fails at
+/// least one, at least one tenant must migrate (with its blackout
+/// recorded) and one depart, and the migrating datapath must be
+/// audit-clean.
+fn check(r: &BenchResult) -> Result<(), String> {
+    let tenants = r.baseline.tenants.len();
+    if tenants != 3 {
+        return Err(format!("expected 3 tenant reports, got {tenants}"));
     }
-    let tenants = field(&["baseline", "tenants"])?
-        .as_array()
-        .ok_or("baseline.tenants is not an array")?;
-    if tenants.len() != 3 {
-        return Err(format!("expected 3 tenant reports, got {}", tenants.len()));
-    }
-    for t in tenants {
-        for key in ["name", "latency_ns", "slo", "ops"] {
-            if t.get(key).is_none() {
-                return Err(format!("tenant report missing {key}"));
-            }
-        }
-    }
-
-    if field(&["pod", "domains"])?.as_f64() != Some(2.0) {
+    if r.params.domains != 2 {
         return Err("pod is not the two-failure-domain shape".into());
     }
-    if field(&["capacity_under_fault", "fault", "target"])?.as_str() != Some("domain") {
+    if !matches!(r.fault.target, FaultTarget::Domain(_)) {
         return Err("fault plan is not a whole-domain outage".into());
     }
-    let clean = getf(&["capacity", "capacity_pps"])?;
-    let faulted = getf(&["capacity_under_fault", "capacity_pps"])?;
+    let (clean, faulted) = (r.clean.capacity_pps, r.under_fault.capacity_pps);
     if clean <= 0.0 {
         return Err(format!("clean capacity is {clean}, expected > 0"));
     }
@@ -463,189 +508,111 @@ fn self_check(cfg: &Config, doc: &Value, out: &str) -> Result<(), String> {
             "capacity under single-domain loss ({faulted}) is not strictly below clean ({clean})"
         ));
     }
-    // The audits ran the analysis the document names.
-    let want = format!("{AUDIT_MODE:?}");
-    let mut mode_paths: Vec<&[&str]> = vec![&["audit", "mode"]];
-    if cfg.churn {
-        mode_paths.push(&["churn", "audit", "mode"]);
-    }
-    for path in mode_paths {
-        let mode = field(path)?.as_str();
-        if mode != Some(want.as_str()) {
-            return Err(format!("{} is {mode:?}, expected {want:?}", path.join(".")));
-        }
-    }
-    let violations = getf(&["audit", "violations"])?;
-    if violations != 0.0 {
-        return Err(format!("coherence audit reported {violations} violations"));
-    }
-    let loads = getf(&["baseline", "ledger", "pool_loads_per_op"])?;
+    audit_clean(r.audit.as_ref(), "coherence audit")?;
+    let loads = ratio(r.ledger.loads, r.baseline.ops);
     if loads > MAX_LOADS_PER_OP {
         return Err(format!(
             "baseline issued {loads:.1} pool loads per op, above the {MAX_LOADS_PER_OP} gate"
         ));
     }
 
-    // The churn section: live migration must keep every tenant's SLO
-    // green where the naive static placement fails at least one, the
-    // blackout histogram must be populated, and the migrating datapath
-    // must be audit-clean.
-    if cfg.churn {
-        let getb = |path: &[&str]| -> Result<bool, String> {
-            field(path)?
-                .as_bool()
-                .ok_or_else(|| format!("{} is not a bool", path.join(".")))
-        };
-        if !getb(&["churn", "migrate", "all_slos_pass"])? {
-            return Err("live migration failed to keep every churn-run SLO green".into());
-        }
-        if getb(&["churn", "naive", "all_slos_pass"])? {
-            return Err(
-                "naive static placement passed every SLO — the churn scenario does not \
-                 discriminate"
-                    .into(),
-            );
-        }
-        let migrations = getf(&["churn", "migrate", "tenant_migrations"])?;
-        if migrations < 1.0 {
-            return Err("churn run performed no tenant migrations".into());
-        }
-        let blackouts = getf(&["churn", "migrate", "blackout_ns", "count"])?;
-        if blackouts < 1.0 {
-            return Err("blackout histogram is empty despite migrations".into());
-        }
-        let events = field(&["churn", "events"])?
-            .as_array()
-            .ok_or("churn.events is not an array")?;
-        if !events
-            .iter()
-            .any(|e| e.get("event").and_then(Value::as_str) == Some("depart"))
-        {
-            return Err("no tenant departed within the churn run".into());
-        }
-        let churn_violations = getf(&["churn", "audit", "violations"])?;
-        if churn_violations != 0.0 {
-            return Err(format!(
-                "churn coherence audit reported {churn_violations} violations"
-            ));
-        }
+    let Some(c) = &r.churn else {
+        return Ok(());
+    };
+    if !c.migrate.all_slos_pass() {
+        return Err("live migration failed to keep every churn-run SLO green".into());
     }
-    Ok(())
+    if c.naive.all_slos_pass() {
+        return Err(
+            "naive static placement passed every SLO — the churn scenario does not discriminate"
+                .into(),
+        );
+    }
+    if c.migrations < 1 {
+        return Err("churn run performed no tenant migrations".into());
+    }
+    if c.blackout.map_or(0, |b| b.count) < 1 {
+        return Err("blackout histogram is empty despite migrations".into());
+    }
+    if !c.migrate.lifecycle.iter().any(|e| e.event == "depart") {
+        return Err("no tenant departed within the churn run".into());
+    }
+    audit_clean(c.audit.as_ref(), "churn coherence audit")
 }
 
-fn print_summary(doc: &Value, out: &str) {
-    let g = |path: &[&str]| -> f64 {
-        let mut v = doc;
-        for key in path {
-            match v.get(key) {
-                Some(next) => v = next,
-                None => return f64::NAN,
-            }
-        }
-        v.as_f64().unwrap_or(f64::NAN)
-    };
+/// Fails unless `audit` ran and found no violation.
+fn audit_clean(audit: Option<&AuditReport>, what: &str) -> Result<(), String> {
+    match audit.map(|a| a.counts.total()) {
+        None => Err(format!("{what} did not run")),
+        Some(0) => Ok(()),
+        Some(n) => Err(format!("{what} reported {n} violations")),
+    }
+}
+
+fn print_summary(r: &BenchResult, out: &str) {
+    let (b, l) = (&r.baseline, &r.ledger);
+    let per_op = |n: u64| ratio(n, b.ops);
     println!("=== workload bench ===");
     println!(
         "baseline: open loop offered {:.0} pps, achieved {:.0} pps; closed loop achieved {:.0} pps; \
          {} ops, {} errors",
-        g(&["baseline", "offered_open_pps"]),
-        g(&["baseline", "achieved_open_pps"]),
-        g(&["baseline", "achieved_closed_pps"]),
-        g(&["baseline", "ops"]),
-        g(&["baseline", "errors"]),
+        b.offered_open_pps(),
+        b.achieved_open_pps(),
+        b.achieved_closed_pps(),
+        b.ops,
+        b.errors,
     );
-    let out_of_order = g(&[
-        "baseline",
-        "ledger",
-        "timeline_bookings",
-        "out_of_order_frac",
-    ]);
     println!(
         "  ledger: {:.1} pool loads, {:.1} NT stores, {:.1} DMA ops, {:.1} empty + {:.1} hit \
          ring polls, {:.1} audit hook calls, {:.1} trace spans per op; {:.1}% of timeline \
          bookings out of order",
-        g(&["baseline", "ledger", "pool_loads_per_op"]),
-        g(&["baseline", "ledger", "nt_stores_per_op"]),
-        g(&["baseline", "ledger", "dma_ops_per_op"]),
-        g(&["baseline", "ledger", "ring_polls_per_op", "empty"]),
-        g(&["baseline", "ledger", "ring_polls_per_op", "hit"]),
-        g(&["baseline", "ledger", "audit_ops_per_op"]),
-        g(&["baseline", "ledger", "trace_spans_per_op"]),
-        100.0 * out_of_order,
+        per_op(l.loads),
+        per_op(l.nt_stores),
+        per_op(l.dma_ops),
+        per_op(l.polls_empty),
+        per_op(l.polls_hit),
+        per_op(l.audit_ops),
+        per_op(l.trace_spans),
+        100.0 * ratio(l.out_of_order, l.bookings),
     );
-    if let Some(tenants) = doc
-        .get("baseline")
-        .and_then(|b| b.get("tenants"))
-        .and_then(Value::as_array)
-    {
-        for t in tenants {
-            let name = t.get("name").and_then(Value::as_str).unwrap_or("?");
-            let q = t
-                .get("slo")
-                .and_then(|s| s.get("quantile"))
-                .and_then(Value::as_f64)
-                .unwrap_or(f64::NAN);
-            let observed = t
-                .get("slo")
-                .and_then(|s| s.get("observed_ns"))
-                .and_then(Value::as_f64)
-                .unwrap_or(f64::NAN);
-            let limit = t
-                .get("slo")
-                .and_then(|s| s.get("limit_ns"))
-                .and_then(Value::as_f64)
-                .unwrap_or(f64::NAN);
-            let pass = t
-                .get("slo")
-                .and_then(|s| s.get("pass"))
-                .and_then(Value::as_bool)
-                .unwrap_or(false);
-            println!(
-                "  {name:<10} p{:<4.0} {:>8.1} us (limit {:.0} us) {}",
-                q * 100.0,
-                observed / 1_000.0,
-                limit / 1_000.0,
-                if pass { "PASS" } else { "FAIL" }
-            );
-        }
+    for t in &b.tenants {
+        let slo = &t.verdict;
+        println!(
+            "  {:<10} p{:<4.0} {:>8.1} us (limit {:.0} us) {}",
+            t.name,
+            slo.spec.quantile * 100.0,
+            slo.observed.as_nanos() as f64 / 1_000.0,
+            slo.spec.limit.as_nanos() as f64 / 1_000.0,
+            if slo.pass { "PASS" } else { "FAIL" }
+        );
     }
     println!(
         "capacity: {:.0} pps clean, {:.0} pps with single-domain loss mid-run",
-        g(&["capacity", "capacity_pps"]),
-        g(&["capacity_under_fault", "capacity_pps"]),
+        r.clean.capacity_pps, r.under_fault.capacity_pps,
     );
-    if doc.get("churn").and_then(Value::as_object).is_some() {
-        let pass = |path: &[&str]| -> &str {
-            let mut v = doc;
-            for key in path {
-                match v.get(key) {
-                    Some(next) => v = next,
-                    None => return "?",
-                }
-            }
-            match v.as_bool() {
-                Some(true) => "all SLOs PASS",
-                Some(false) => "SLO FAIL",
-                None => "?",
+    if let Some(c) = &r.churn {
+        let slos = |run: &RunReport| {
+            if run.all_slos_pass() {
+                "all SLOs PASS"
+            } else {
+                "SLO FAIL"
             }
         };
-        let n_events = doc
-            .get("churn")
-            .and_then(|c| c.get("events"))
-            .and_then(Value::as_array)
-            .map_or(0, Vec::len);
         println!(
             "churn: {} events, {} migrations; live migration: {}, naive placement: {}",
-            n_events,
-            g(&["churn", "migrate", "tenant_migrations"]),
-            pass(&["churn", "migrate", "all_slos_pass"]),
-            pass(&["churn", "naive", "all_slos_pass"]),
+            c.migrate.lifecycle.len(),
+            c.migrations,
+            slos(&c.migrate),
+            slos(&c.naive),
         );
+        // An empty histogram prints NaN, as an absent JSON value did.
+        let (n, p50, p99) = c.blackout.map_or((f64::NAN, f64::NAN, f64::NAN), |s| {
+            (s.count as f64, s.p50 as f64, s.p99 as f64)
+        });
         println!(
-            "  blackout: n={} p50={:.1} us p99={:.1} us",
-            g(&["churn", "migrate", "blackout_ns", "count"]),
-            g(&["churn", "migrate", "blackout_ns", "p50"]) / 1_000.0,
-            g(&["churn", "migrate", "blackout_ns", "p99"]) / 1_000.0,
+            "  blackout: n={n} p50={:.1} us p99={:.1} us",
+            p50 / 1_000.0,
+            p99 / 1_000.0,
         );
     }
     println!("wrote {out}");
@@ -711,7 +678,6 @@ impl LedgerCounts {
     /// The `baseline.ledger` object, normalised by the run's measured
     /// `ops` (warmup ops run too, so per-op figures include their share).
     fn json(&self, ops: u64) -> Value {
-        let ratio = |n: u64, d: u64| if d == 0 { 0.0 } else { n as f64 / d as f64 };
         let per_op = |n: u64| ratio(n, ops);
         obj(vec![
             ("ops", num(ops as f64)),
@@ -748,6 +714,15 @@ impl LedgerCounts {
 
 // --- JSON helpers -------------------------------------------------------
 
+/// `n / d`, or 0 when `d` is 0.
+fn ratio(n: u64, d: u64) -> f64 {
+    if d == 0 {
+        0.0
+    } else {
+        n as f64 / d as f64
+    }
+}
+
 fn obj(fields: Vec<(&str, Value)>) -> Value {
     Value::Object(
         fields
@@ -775,6 +750,14 @@ fn num(x: f64) -> Value {
     Value::Number(x)
 }
 
+fn string(s: &str) -> Value {
+    Value::String(s.into())
+}
+
+fn array(items: impl IntoIterator<Item = Value>) -> Value {
+    Value::Array(items.into_iter().collect())
+}
+
 fn summary_json(s: &Summary) -> Value {
     obj(vec![
         ("count", num(s.count as f64)),
@@ -790,7 +773,7 @@ fn summary_json(s: &Summary) -> Value {
 fn tenant_spec_json(t: &TenantSpec) -> Value {
     let arrival = match t.arrival {
         Arrival::Poisson { rate_pps } => obj(vec![
-            ("model", Value::String("poisson".into())),
+            ("model", string("poisson")),
             ("rate_pps", num(rate_pps)),
         ]),
         Arrival::Bursty {
@@ -799,7 +782,7 @@ fn tenant_spec_json(t: &TenantSpec) -> Value {
             dwell_low,
             dwell_high,
         } => obj(vec![
-            ("model", Value::String("bursty".into())),
+            ("model", string("bursty")),
             ("low_pps", num(low_pps)),
             ("high_pps", num(high_pps)),
             ("dwell_low_ns", num(dwell_low.as_nanos() as f64)),
@@ -810,38 +793,26 @@ fn tenant_spec_json(t: &TenantSpec) -> Value {
             peak_pps,
             period,
         } => obj(vec![
-            ("model", Value::String("diurnal".into())),
+            ("model", string("diurnal")),
             ("base_pps", num(base_pps)),
             ("peak_pps", num(peak_pps)),
             ("period_ns", num(period.as_nanos() as f64)),
         ]),
         Arrival::ClosedLoop { concurrency, think } => obj(vec![
-            ("model", Value::String("closed_loop".into())),
+            ("model", string("closed_loop")),
             ("concurrency", num(concurrency as f64)),
             ("think_ns", num(think.as_nanos() as f64)),
         ]),
     };
+    let mix = t
+        .mix
+        .iter()
+        .map(|&(op, w)| obj(vec![("op", string(op.label())), ("weight", num(w))]));
     obj(vec![
-        ("name", Value::String(t.name.clone())),
+        ("name", string(&t.name)),
         ("arrival", arrival),
-        (
-            "mix",
-            Value::Array(
-                t.mix
-                    .iter()
-                    .map(|&(op, w)| {
-                        obj(vec![
-                            ("op", Value::String(op.label().into())),
-                            ("weight", num(w)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        (
-            "hosts",
-            Value::Array(t.hosts.iter().map(|&h| num(h as f64)).collect()),
-        ),
+        ("mix", array(mix)),
+        ("hosts", array(t.hosts.iter().map(|&h| num(h as f64)))),
         (
             "slo",
             obj(vec![
@@ -854,40 +825,30 @@ fn tenant_spec_json(t: &TenantSpec) -> Value {
 }
 
 fn report_json_fields(r: &RunReport) -> Vec<(&'static str, Value)> {
-    let tenants: Vec<Value> = r
-        .tenants
-        .iter()
-        .map(|t| {
-            obj(vec![
-                ("name", Value::String(t.name.clone())),
-                ("offered_pps", num(t.offered_pps)),
-                ("achieved_pps", num(t.achieved_pps)),
-                ("ops", num(t.ops as f64)),
-                ("errors", num(t.errors as f64)),
-                ("peak_in_flight", num(t.peak_in_flight as f64)),
-                ("latency_ns", summary_json(&t.latency)),
-                (
-                    "slo",
-                    obj(vec![
-                        ("pass", Value::Bool(t.verdict.pass)),
-                        ("quantile", num(t.verdict.spec.quantile)),
-                        ("observed_ns", num(t.verdict.observed.as_nanos() as f64)),
-                        ("limit_ns", num(t.verdict.spec.limit.as_nanos() as f64)),
-                    ]),
-                ),
-            ])
-        })
-        .collect();
-    let kinds: Vec<Value> = r
+    let tenants = r.tenants.iter().map(|t| {
+        obj(vec![
+            ("name", string(&t.name)),
+            ("offered_pps", num(t.offered_pps)),
+            ("achieved_pps", num(t.achieved_pps)),
+            ("ops", num(t.ops as f64)),
+            ("errors", num(t.errors as f64)),
+            ("peak_in_flight", num(t.peak_in_flight as f64)),
+            ("latency_ns", summary_json(&t.latency)),
+            (
+                "slo",
+                obj(vec![
+                    ("pass", Value::Bool(t.verdict.pass)),
+                    ("quantile", num(t.verdict.spec.quantile)),
+                    ("observed_ns", num(t.verdict.observed.as_nanos() as f64)),
+                    ("limit_ns", num(t.verdict.spec.limit.as_nanos() as f64)),
+                ]),
+            ),
+        ])
+    });
+    let kinds = r
         .kinds
         .iter()
-        .map(|(label, s)| {
-            obj(vec![
-                ("op", Value::String((*label).into())),
-                ("latency_ns", summary_json(s)),
-            ])
-        })
-        .collect();
+        .map(|(label, s)| obj(vec![("op", string(label)), ("latency_ns", summary_json(s))]));
     vec![
         ("offered_open_pps", num(r.offered_open_pps())),
         ("achieved_open_pps", num(r.achieved_open_pps())),
@@ -895,80 +856,58 @@ fn report_json_fields(r: &RunReport) -> Vec<(&'static str, Value)> {
         ("ops", num(r.ops as f64)),
         ("errors", num(r.errors as f64)),
         ("elapsed_ns", num(r.elapsed.as_nanos() as f64)),
-        ("tenants", Value::Array(tenants)),
-        ("kinds", Value::Array(kinds)),
+        ("tenants", array(tenants)),
+        ("kinds", array(kinds)),
     ]
 }
 
-/// The `churn` document section: the lifecycle timeline and migration
-/// accounting from the migrating run, the A/B SLO verdicts, and the
-/// audit result for the migrating datapath.
-fn churn_section(
-    pod: &PodParams,
-    spec: &WorkloadSpec,
-    mig: &RunReport,
-    mig_snap: &telemetry::PodReport,
-    mig_audit: Option<&cxl_fabric::AuditReport>,
-    naive: &RunReport,
-) -> Value {
-    let churn = spec.churn.as_ref().expect("churn workload");
-    let churn_tenants: Vec<Value> = churn
-        .tenants
-        .iter()
-        .map(|ct| {
+impl ChurnResult {
+    /// The `churn` document section: the lifecycle timeline and
+    /// migration accounting from the migrating run, the A/B SLO
+    /// verdicts, and the audit result for the migrating datapath.
+    fn json(&self) -> Value {
+        let churn = self.spec.churn.as_ref().expect("churn workload");
+        let churn_tenants = churn.tenants.iter().map(|ct| {
             obj(vec![
                 ("spec", tenant_spec_json(&ct.spec)),
                 ("state_len", num(ct.state_len as f64)),
                 ("replicas", num(ct.replicas as f64)),
                 ("naive_dev", num(ct.naive_dev as f64)),
             ])
-        })
-        .collect();
-    let events: Vec<Value> = mig
-        .lifecycle
-        .iter()
-        .map(|e| {
+        });
+        let events = self.migrate.lifecycle.iter().map(|e| {
             obj(vec![
                 ("at_ns", num(e.at.as_nanos() as f64)),
-                ("tenant", Value::String(e.tenant.clone())),
-                ("event", Value::String(e.event.into())),
+                ("tenant", string(&e.tenant)),
+                ("event", string(e.event)),
                 ("migrated", Value::Bool(e.migrated)),
                 (
                     "blackout_ns",
                     e.blackout.map_or(Value::Null, |b| num(b.as_nanos() as f64)),
                 ),
             ])
-        })
-        .collect();
-    let migrate_stage = mig_snap
-        .stages
-        .iter()
-        .find(|s| s.stage == "lifecycle/migrate")
-        .map_or(Value::Null, |s| summary_json(&s.latency));
-    let side = |r: &RunReport| {
-        let mut fields = report_json_fields(r);
-        fields.push(("all_slos_pass", Value::Bool(r.all_slos_pass())));
-        fields
-    };
-    let mut mig_fields = side(mig);
-    mig_fields.push(("tenant_migrations", num(mig_snap.tenant_migrations as f64)));
-    mig_fields.push((
-        "blackout_ns",
-        mig_snap.blackout.as_ref().map_or(Value::Null, summary_json),
-    ));
-    mig_fields.push(("migrate_stage_ns", migrate_stage));
-    obj(vec![
-        ("pod", {
-            let mut fields = pod_fields(pod);
-            fields.retain(|(k, _)| ["hosts", "mhds", "domains", "nic_hosts"].contains(k));
-            obj(fields)
-        }),
-        ("churn_tenants", Value::Array(churn_tenants)),
-        ("events", Value::Array(events)),
-        ("migrate", obj(mig_fields)),
-        ("naive", obj(side(naive))),
-        ("audit", audit_json(mig_audit)),
-    ])
+        });
+        let side = |r: &RunReport| {
+            let mut fields = report_json_fields(r);
+            fields.push(("all_slos_pass", Value::Bool(r.all_slos_pass())));
+            fields
+        };
+        let summary = |s: &Option<Summary>| s.as_ref().map_or(Value::Null, summary_json);
+        let mut migrate = side(&self.migrate);
+        migrate.push(("tenant_migrations", num(self.migrations as f64)));
+        migrate.push(("blackout_ns", summary(&self.blackout)));
+        migrate.push(("migrate_stage_ns", summary(&self.migrate_stage)));
+        let mut pod = pod_fields(&self.params);
+        pod.retain(|(k, _)| ["hosts", "mhds", "domains", "nic_hosts"].contains(k));
+        obj(vec![
+            ("pod", obj(pod)),
+            ("churn_tenants", array(churn_tenants)),
+            ("events", array(events)),
+            ("migrate", obj(migrate)),
+            ("naive", obj(side(&self.naive))),
+            ("audit", audit_json(self.audit.as_ref())),
+        ])
+    }
 }
 
 /// Turns on what the audited runs record: the coherence audit in
@@ -982,10 +921,10 @@ fn observe(pod: &mut PodSim) {
 }
 
 /// An `audit` section of the document: the mode and what it found.
-fn audit_json(audit: Option<&cxl_fabric::AuditReport>) -> Value {
+fn audit_json(audit: Option<&AuditReport>) -> Value {
     match audit {
         Some(r) => obj(vec![
-            ("mode", Value::String(format!("{AUDIT_MODE:?}"))),
+            ("mode", string(&format!("{AUDIT_MODE:?}"))),
             ("ops_audited", num(r.ops_audited as f64)),
             ("violations", num(r.counts.total() as f64)),
         ]),
@@ -994,32 +933,28 @@ fn audit_json(audit: Option<&cxl_fabric::AuditReport>) -> Value {
 }
 
 fn capacity_json(c: &CapacityResult, fault: Option<&FaultPlan>) -> Value {
-    let trials: Vec<Value> = c
-        .trials
-        .iter()
-        .map(|t| {
-            obj(vec![
-                ("offered_pps", num(t.offered_pps)),
-                ("pass", Value::Bool(t.pass)),
-                ("worst_tenant", Value::String(t.worst_tenant.clone())),
-                ("worst_observed_ns", num(t.worst_observed.as_nanos() as f64)),
-                ("worst_ops", num(t.worst_ops as f64)),
-            ])
-        })
-        .collect();
+    let trials = c.trials.iter().map(|t| {
+        obj(vec![
+            ("offered_pps", num(t.offered_pps)),
+            ("pass", Value::Bool(t.pass)),
+            ("worst_tenant", string(&t.worst_tenant)),
+            ("worst_observed_ns", num(t.worst_observed.as_nanos() as f64)),
+            ("worst_ops", num(t.worst_ops as f64)),
+        ])
+    });
     let mut fields = vec![
         ("capacity_pps", num(c.capacity_pps)),
-        ("trials", Value::Array(trials)),
+        ("trials", array(trials)),
     ];
     if let Some(f) = fault {
         let (kind, index) = match f.target {
-            workgen::FaultTarget::Mhd(m) => ("mhd", m),
-            workgen::FaultTarget::Domain(d) => ("domain", d),
+            FaultTarget::Mhd(m) => ("mhd", m),
+            FaultTarget::Domain(d) => ("domain", d),
         };
         fields.push((
             "fault",
             obj(vec![
-                ("target", Value::String(kind.into())),
+                ("target", string(kind)),
                 (kind, num(index as f64)),
                 ("at_ns", num(f.at.as_nanos() as f64)),
                 ("heal_after_ns", num(f.heal_after.as_nanos() as f64)),
@@ -1030,4 +965,208 @@ fn capacity_json(c: &CapacityResult, fault: Option<&FaultPlan>) -> Value {
         fields.push(("report_at_capacity", obj(report_json_fields(r))));
     }
     obj(fields)
+}
+
+#[cfg(test)]
+mod tests {
+    use std::path::PathBuf;
+    use std::sync::OnceLock;
+
+    use super::*;
+
+    /// Quick seed 42 with churn: a result every `--check` assertion
+    /// accepts, computed once.
+    fn passing() -> BenchResult {
+        static PASSING: OnceLock<BenchResult> = OnceLock::new();
+        let cfg = Config {
+            seed: 42,
+            scale: Scale::Quick,
+            churn: true,
+        };
+        PASSING.get_or_init(|| run(&cfg)).clone()
+    }
+
+    /// Breaks a copy of the passing result and expects `check` to fail
+    /// with `message`.
+    fn fails_with(message: &str, breaking: impl FnOnce(&mut BenchResult)) {
+        let mut r = passing();
+        breaking(&mut r);
+        assert_eq!(check(&r), Err(message.to_string()));
+    }
+
+    fn churn(r: &mut BenchResult) -> &mut ChurnResult {
+        r.churn.as_mut().expect("churn ran")
+    }
+
+    /// A file path of this test process's own.
+    fn scratch_file(name: &str) -> PathBuf {
+        std::env::temp_dir().join(format!("workload-{}-{name}.json", std::process::id()))
+    }
+
+    #[test]
+    fn the_passing_result_passes_every_assertion() {
+        assert_eq!(check(&passing()), Ok(()));
+    }
+
+    #[test]
+    fn a_missing_tenant_report_fails() {
+        fails_with("expected 3 tenant reports, got 2", |r| {
+            r.baseline.tenants.pop();
+        });
+    }
+
+    #[test]
+    fn a_one_domain_pod_fails() {
+        fails_with("pod is not the two-failure-domain shape", |r| {
+            r.params.domains = 1
+        });
+    }
+
+    #[test]
+    fn a_single_mhd_outage_fails() {
+        fails_with("fault plan is not a whole-domain outage", |r| {
+            r.fault.target = FaultTarget::Mhd(1)
+        });
+    }
+
+    #[test]
+    fn zero_clean_capacity_fails() {
+        fails_with("clean capacity is 0, expected > 0", |r| {
+            r.clean.capacity_pps = 0.0
+        });
+    }
+
+    #[test]
+    fn equal_clean_and_faulted_capacity_fails() {
+        let message = "capacity under single-domain loss (91375) is not strictly below clean \
+                       (91375)";
+        fails_with(message, |r| {
+            r.under_fault.capacity_pps = r.clean.capacity_pps
+        });
+    }
+
+    #[test]
+    fn one_audit_violation_fails() {
+        fails_with("coherence audit reported 1 violations", |r| {
+            r.audit.as_mut().expect("audited").counts.stale_reads = 1
+        });
+    }
+
+    #[test]
+    fn a_missing_audit_fails() {
+        fails_with("coherence audit did not run", |r| r.audit = None);
+    }
+
+    #[test]
+    fn eleven_pool_loads_per_op_fail() {
+        let message = "baseline issued 11.0 pool loads per op, above the 10 gate";
+        fails_with(message, |r| r.ledger.loads = 11 * r.baseline.ops);
+    }
+
+    #[test]
+    fn a_migrating_run_missing_an_slo_fails() {
+        let message = "live migration failed to keep every churn-run SLO green";
+        fails_with(message, |r| {
+            churn(r).migrate.tenants[0].verdict.pass = false
+        });
+    }
+
+    #[test]
+    fn naive_placement_passing_every_slo_fails() {
+        let message =
+            "naive static placement passed every SLO — the churn scenario does not discriminate";
+        fails_with(message, |r| {
+            for t in &mut churn(r).naive.tenants {
+                t.verdict.pass = true;
+            }
+        });
+    }
+
+    #[test]
+    fn a_churn_run_without_migrations_fails() {
+        fails_with("churn run performed no tenant migrations", |r| {
+            churn(r).migrations = 0
+        });
+    }
+
+    #[test]
+    fn an_empty_blackout_histogram_fails() {
+        fails_with("blackout histogram is empty despite migrations", |r| {
+            churn(r).blackout = None
+        });
+    }
+
+    #[test]
+    fn a_churn_run_without_a_departure_fails() {
+        fails_with("no tenant departed within the churn run", |r| {
+            churn(r).migrate.lifecycle.retain(|e| e.event != "depart")
+        });
+    }
+
+    #[test]
+    fn a_churn_audit_violation_fails() {
+        fails_with("churn coherence audit reported 2 violations", |r| {
+            let audit = churn(r).audit.as_mut().expect("audited");
+            audit.counts.lost_writes = 2;
+        });
+    }
+
+    #[test]
+    fn a_file_that_does_not_parse_fails() {
+        let r = passing();
+        let path = scratch_file("unparsable");
+        fs::write(&path, "{").expect("write");
+        let out = path.to_str().expect("utf-8 path");
+        let err = self_check(&r, &r.json(), out).expect_err("unparsable file");
+        fs::remove_file(&path).expect("remove");
+        assert!(err.starts_with(&format!("reparsing {out}")), "{err}");
+    }
+
+    #[test]
+    fn a_file_holding_another_document_fails() {
+        let r = passing();
+        let mut other = r.clone();
+        other.clean.capacity_pps += 1.0;
+        let path = scratch_file("other");
+        let text = serde_json::to_string_pretty(&other.json()).expect("serialize");
+        fs::write(&path, text).expect("write");
+        let out = path.to_str().expect("utf-8 path");
+        let err = self_check(&r, &r.json(), out).expect_err("another document");
+        fs::remove_file(&path).expect("remove");
+        assert_eq!(
+            err,
+            format!("{out} does not parse back to the rendered document")
+        );
+    }
+
+    #[test]
+    fn a_missing_file_fails() {
+        let r = passing();
+        let path = scratch_file("missing");
+        let out = path.to_str().expect("utf-8 path");
+        let err = self_check(&r, &r.json(), out).expect_err("missing file");
+        assert!(err.starts_with(&format!("rereading {out}")), "{err}");
+    }
+
+    #[test]
+    fn a_rerun_that_differs_fails() {
+        // The document holds a churn section that a rerun of the
+        // recorded config, with churn off, does not.
+        let mut r = passing();
+        r.cfg.churn = false;
+        let path = scratch_file("rerun");
+        let doc = r.json();
+        fs::write(
+            &path,
+            serde_json::to_string_pretty(&doc).expect("serialize"),
+        )
+        .expect("write");
+        let out = path.to_str().expect("utf-8 path");
+        let err = self_check(&r, &doc, out).expect_err("differing rerun");
+        fs::remove_file(&path).expect("remove");
+        assert_eq!(
+            err,
+            format!("rerun with the same seed does not reproduce {out}")
+        );
+    }
 }

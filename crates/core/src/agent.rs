@@ -7,7 +7,7 @@
 //! load upstream. The agent is single-threaded and poll-mode, like the
 //! datapath stacks it mediates for.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 use cxl_fabric::{Fabric, HostId};
 use pcie_sim::nic::TxFrame;
@@ -90,6 +90,9 @@ pub struct Agent {
     pub assigned: HashMap<DeviceKind, DeviceId>,
     /// Completions of operations *this host* forwarded, keyed by op id.
     pub completions: HashMap<u64, Completion>,
+    /// Forwarded ops this host stopped waiting for ([`Agent::forget`])
+    /// whose completion has not arrived yet.
+    pub(crate) forgotten: HashSet<u64>,
     /// Frames that left local NICs (consumed by tests / net glue).
     pub out_frames: Vec<(DeviceId, TxFrame)>,
     /// RX completions for buffers owned by this host's stack.
@@ -113,6 +116,7 @@ impl Agent {
             endpoint: Endpoint::default(),
             assigned: HashMap::new(),
             completions: HashMap::new(),
+            forgotten: HashSet::new(),
             out_frames: Vec::new(),
             rx_inbox: Vec::new(),
             rx_routes: HashMap::new(),
@@ -145,6 +149,14 @@ impl Agent {
     /// send side as `chan/*` series.
     pub fn channel_stats(&self) -> ChannelStats {
         self.endpoint.channel_stats()
+    }
+
+    /// Stops waiting for forwarded op `op` (it timed out): its
+    /// completion is dropped, now or when it arrives.
+    pub(crate) fn forget(&mut self, op: u64) {
+        if self.completions.remove(&op).is_none() {
+            self.forgotten.insert(op);
+        }
     }
 
     /// Counter snapshot.
@@ -332,13 +344,12 @@ impl Agent {
                         None,
                     );
                 }
-                self.completions.insert(
-                    op,
-                    Completion {
-                        status,
-                        at: Nanos(at),
-                    },
-                );
+                // A forgotten op's completion is dropped; the length
+                // test spares every other op the set lookup.
+                if self.forgotten.is_empty() || !self.forgotten.remove(&op) {
+                    let at = Nanos(at);
+                    self.completions.insert(op, Completion { status, at });
+                }
             }
             Msg::RxDone { buf, len, at } => {
                 self.rx_inbox.push(RxEvent {

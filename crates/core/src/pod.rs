@@ -243,9 +243,10 @@ pub struct PodSim {
     /// `None` until [`PodSim::enable_metrics_config`]; boxed so the
     /// disabled fast path pays one pointer.
     metrics: Option<Box<MetricsRecorder>>,
-    /// Metric handles the pod-side sampler refreshes each tick
-    /// (`None` until [`PodSim::enable_metrics_config`]).
-    metric_ids: Option<PodMetricIds>,
+    /// The pod-level metric series, each with what the sampler reads
+    /// into it every tick, in registration order (empty until
+    /// [`PodSim::enable_metrics_config`]).
+    metric_ids: Vec<(MetricId, Reading)>,
     /// Tenant-lifecycle counters and the pod-wide blackout histogram
     /// (see [`crate::lifecycle`]); always on, metrics-independent.
     pub lifecycle: LifecycleStats,
@@ -261,40 +262,40 @@ struct ControlChannel {
     segs: (SegmentId, SegmentId),
 }
 
-/// Handles for every pod-level metric series, in registration order.
-/// Held by the pod (not the recorder) so the sampling pass is a plain
-/// indexed walk with no name lookups.
-struct PodMetricIds {
-    /// `host/served_ops`, per host.
-    host_served: Vec<MetricId>,
-    /// `host/queue_depth`, per host.
-    host_queue: Vec<MetricId>,
-    /// `chan/stall_ns`, per host.
-    chan_stall: Vec<MetricId>,
-    /// `chan/blocked`, per host.
-    chan_blocked: Vec<MetricId>,
+/// What one pod-level metric series reads at each sampling tick. The
+/// pod holds it beside the series' id, so the sampling pass is one
+/// walk with no name lookups.
+#[derive(Clone, Copy, Debug)]
+enum Reading {
     /// `pool/free_bytes`.
-    pool_free: MetricId,
-    /// `domain/free_bytes` and `domain/capacity_bytes`, per domain.
-    domain_free: Vec<MetricId>,
-    /// See [`PodMetricIds::domain_free`].
-    domain_capacity: Vec<MetricId>,
-    /// `mhd/free_bytes`, per MHD.
-    mhd_free: Vec<MetricId>,
-    /// `link/uplink_util`, per CXL link (with the link's host + MHD
-    /// labels), paired with the link id to sample.
-    link_util: Vec<(LinkId, MetricId)>,
+    PoolFree,
     /// `audit/violations` (0 while auditing is off).
-    audit_violations: MetricId,
+    AuditViolations,
     /// `orch/migrations`.
-    orch_migrations: MetricId,
+    OrchMigrations,
     /// `orch/failovers`.
-    orch_failovers: MetricId,
+    OrchFailovers,
     /// `lifecycle/blackout_ns`: migration windows recorded in
     /// [`LifecycleStats::blackout`].
-    lifecycle_blackout: MetricId,
+    Blackouts,
     /// `lifecycle/in_flight_migrations` (gauge).
-    lifecycle_in_flight: MetricId,
+    InFlightMigrations,
+    /// `host/served_ops` of one host.
+    Served(usize),
+    /// `host/queue_depth` of one host.
+    QueueDepth(usize),
+    /// `chan/stall_ns` of one host.
+    ChanStall(usize),
+    /// `chan/blocked` of one host.
+    ChanBlocked(usize),
+    /// `domain/free_bytes`.
+    DomainFree(DomainId),
+    /// `domain/capacity_bytes`.
+    DomainCapacity(DomainId),
+    /// `mhd/free_bytes`.
+    MhdFree(MhdId),
+    /// `link/uplink_util` over one sampling interval.
+    LinkUtil(LinkId),
 }
 
 impl PodSim {
@@ -392,70 +393,68 @@ impl PodSim {
     }
 
     /// Registers the pod-level metric catalog in a fixed, deterministic
-    /// order: hosts, pool, domains, MHDs, links, audit, orchestrator.
+    /// order: pool, audit, orchestrator, lifecycle, hosts, domains,
+    /// MHDs, links. CSV rows follow it.
     fn register_pod_metrics(&mut self) {
-        let hosts = self.agents.len() as u16;
-        let domains = self.fabric.topology().domains();
-        let mhds = self.fabric.topology().mhds();
-        let links: Vec<(LinkId, HostId, MhdId)> = self
-            .fabric
-            .topology()
-            .links()
-            .iter()
-            .map(|l| (l.id, l.host, l.mhd))
-            .collect();
-        let domain_of: Vec<u16> = (0..mhds)
-            .map(|m| self.fabric.topology().domain_of(MhdId(m)).0)
-            .collect();
         let Some(rec) = self.metrics.as_deref_mut() else {
             return;
         };
-        let mut ids = PodMetricIds {
-            host_served: Vec::with_capacity(hosts as usize),
-            host_queue: Vec::with_capacity(hosts as usize),
-            chan_stall: Vec::with_capacity(hosts as usize),
-            chan_blocked: Vec::with_capacity(hosts as usize),
-            pool_free: rec.gauge("pool/free_bytes", Labels::NONE),
-            domain_free: Vec::with_capacity(domains as usize),
-            domain_capacity: Vec::with_capacity(domains as usize),
-            mhd_free: Vec::with_capacity(mhds as usize),
-            link_util: Vec::with_capacity(links.len()),
-            audit_violations: rec.counter("audit/violations", Labels::NONE),
-            orch_migrations: rec.counter("orch/migrations", Labels::NONE),
-            orch_failovers: rec.counter("orch/failovers", Labels::NONE),
-            lifecycle_blackout: rec.counter("lifecycle/blackout_ns", Labels::NONE),
-            lifecycle_in_flight: rec.gauge("lifecycle/in_flight_migrations", Labels::NONE),
-        };
-        for h in 0..hosts {
-            ids.host_served
-                .push(rec.counter("host/served_ops", Labels::host(h)));
-            ids.host_queue
-                .push(rec.gauge("host/queue_depth", Labels::host(h)));
-            ids.chan_stall
-                .push(rec.counter("chan/stall_ns", Labels::host(h)));
-            ids.chan_blocked
-                .push(rec.counter("chan/blocked", Labels::host(h)));
+        let topo = self.fabric.topology();
+        let domain_of = |m: MhdId| topo.domain_of(m).0;
+        let none = Labels::NONE;
+        let mut ids = vec![
+            (rec.gauge("pool/free_bytes", none), Reading::PoolFree),
+            (
+                rec.counter("audit/violations", none),
+                Reading::AuditViolations,
+            ),
+            (
+                rec.counter("orch/migrations", none),
+                Reading::OrchMigrations,
+            ),
+            (rec.counter("orch/failovers", none), Reading::OrchFailovers),
+            (
+                rec.counter("lifecycle/blackout_ns", none),
+                Reading::Blackouts,
+            ),
+            (
+                rec.gauge("lifecycle/in_flight_migrations", none),
+                Reading::InFlightMigrations,
+            ),
+        ];
+        for h in 0..self.agents.len() {
+            let labels = Labels::host(h as u16);
+            ids.push((rec.counter("host/served_ops", labels), Reading::Served(h)));
+            ids.push((
+                rec.gauge("host/queue_depth", labels),
+                Reading::QueueDepth(h),
+            ));
+            ids.push((rec.counter("chan/stall_ns", labels), Reading::ChanStall(h)));
+            ids.push((rec.counter("chan/blocked", labels), Reading::ChanBlocked(h)));
         }
-        for d in 0..domains {
-            ids.domain_free
-                .push(rec.gauge("domain/free_bytes", Labels::domain(d)));
-            ids.domain_capacity
-                .push(rec.gauge("domain/capacity_bytes", Labels::domain(d)));
+        for d in (0..topo.domains()).map(DomainId) {
+            let labels = Labels::domain(d.0);
+            ids.push((
+                rec.gauge("domain/free_bytes", labels),
+                Reading::DomainFree(d),
+            ));
+            let capacity = rec.gauge("domain/capacity_bytes", labels);
+            ids.push((capacity, Reading::DomainCapacity(d)));
         }
-        for m in 0..mhds {
-            ids.mhd_free.push(rec.gauge(
-                "mhd/free_bytes",
-                Labels::domain(domain_of[m as usize]).with_mhd(m),
+        for m in (0..topo.mhds()).map(MhdId) {
+            let labels = Labels::domain(domain_of(m)).with_mhd(m.0);
+            ids.push((rec.gauge("mhd/free_bytes", labels), Reading::MhdFree(m)));
+        }
+        for l in topo.links() {
+            let labels = Labels::host(l.host.0)
+                .with_domain(domain_of(l.mhd))
+                .with_mhd(l.mhd.0);
+            ids.push((
+                rec.gauge("link/uplink_util", labels),
+                Reading::LinkUtil(l.id),
             ));
         }
-        for (id, host, mhd) in links {
-            let labels = Labels::host(host.0)
-                .with_domain(domain_of[mhd.0 as usize])
-                .with_mhd(mhd.0);
-            ids.link_util
-                .push((id, rec.gauge("link/uplink_util", labels)));
-        }
-        self.metric_ids = Some(ids);
+        self.metric_ids = ids;
     }
 
     /// Refreshes every pod-level gauge and records one sample row per
@@ -471,39 +470,36 @@ impl PodSim {
         let Some(mut rec) = self.metrics.take() else {
             return;
         };
-        if let Some(ids) = &self.metric_ids {
-            let horizon = rec.config().interval;
-            for (i, agent) in self.agents.iter().enumerate() {
-                let chan = agent.channel_stats();
-                rec.gauge_set(ids.host_served[i], agent.stats().served as f64);
-                rec.gauge_set(ids.host_queue[i], agent.queue_depth() as f64);
-                rec.gauge_set(ids.chan_stall[i], chan.stall_ns as f64);
-                rec.gauge_set(ids.chan_blocked[i], chan.blocked_events as f64);
-            }
-            rec.gauge_set(ids.pool_free, self.fabric.free_capacity() as f64);
-            for (d, &id) in ids.domain_free.iter().enumerate() {
-                rec.gauge_set(id, self.fabric.domain_free(DomainId(d as u16)) as f64);
-            }
-            for (d, &id) in ids.domain_capacity.iter().enumerate() {
-                let cap = self.fabric.domain_capacity(DomainId(d as u16));
-                rec.gauge_set(id, cap as f64);
-            }
-            for (m, &id) in ids.mhd_free.iter().enumerate() {
-                rec.gauge_set(id, self.fabric.mhd_free(MhdId(m as u16)) as f64);
-            }
-            for &(l, id) in &ids.link_util {
-                rec.gauge_set(id, self.fabric.uplink_utilization(l, horizon));
-            }
-            let violations = self.fabric.audit_report().map(|r| r.counts.total());
-            rec.gauge_set(ids.audit_violations, violations.unwrap_or(0) as f64);
-            rec.gauge_set(ids.orch_migrations, self.orch.migrations as f64);
-            rec.gauge_set(ids.orch_failovers, self.orch.failover_log.len() as f64);
-            let blackouts = self.lifecycle.blackout.count();
-            rec.gauge_set(ids.lifecycle_blackout, blackouts as f64);
-            rec.gauge_set(ids.lifecycle_in_flight, self.lifecycle.in_flight as f64);
-            rec.sample(now);
+        let horizon = rec.config().interval;
+        for &(id, reading) in &self.metric_ids {
+            rec.gauge_set(id, self.read_metric(reading, horizon));
         }
+        rec.sample(now);
         self.metrics = Some(rec);
+    }
+
+    /// The current value of one pod-level series; link utilization is
+    /// taken over the last `horizon`.
+    fn read_metric(&self, reading: Reading, horizon: Nanos) -> f64 {
+        let f = &self.fabric;
+        let chan = |h: usize| self.agents[h].channel_stats();
+        let count = match reading {
+            Reading::LinkUtil(l) => return f.uplink_utilization(l, horizon),
+            Reading::PoolFree => f.free_capacity(),
+            Reading::AuditViolations => f.audit_report().map_or(0, |r| r.counts.total()),
+            Reading::OrchMigrations => self.orch.migrations,
+            Reading::OrchFailovers => self.orch.failover_log.len() as u64,
+            Reading::Blackouts => self.lifecycle.blackout.count(),
+            Reading::InFlightMigrations => self.lifecycle.in_flight,
+            Reading::Served(h) => self.agents[h].stats().served,
+            Reading::QueueDepth(h) => self.agents[h].queue_depth() as u64,
+            Reading::ChanStall(h) => chan(h).stall_ns,
+            Reading::ChanBlocked(h) => chan(h).blocked_events,
+            Reading::DomainFree(d) => f.domain_free(d),
+            Reading::DomainCapacity(d) => f.domain_capacity(d),
+            Reading::MhdFree(m) => f.mhd_free(m),
+        };
+        count as f64
     }
 
     /// Builds and wires the whole pod, performing initial device
@@ -535,7 +531,7 @@ impl PodSim {
             channels: Vec::new(),
             io_segs: Vec::with_capacity(hosts as usize),
             metrics: None,
-            metric_ids: None,
+            metric_ids: Vec::new(),
             lifecycle: LifecycleStats::default(),
         };
 
@@ -1220,7 +1216,14 @@ impl PodSim {
             let now = self.time();
             let done = match done {
                 Some(done) => done,
-                None if now > f.deadline => Err(PoolError::Timeout { op: f.op }),
+                None if now > f.deadline => {
+                    // A late completion would otherwise stay in the
+                    // owner's map for good.
+                    if let Stage::Forwarded { .. } = f.stage {
+                        self.agents[owner].forget(f.op);
+                    }
+                    Err(PoolError::Timeout { op: f.op })
+                }
                 None => {
                     let Stage::Forwarded { attach, .. } = f.stage else {
                         self.run_control(PUMP_QUANTUM.min(until.saturating_sub(now)));
@@ -1794,6 +1797,25 @@ mod tests {
             .start(HostId(3), Req::Send(&[1; 64]), Nanos::ZERO)
             .expect("start");
         assert_eq!(pod.finish(op), Err(PoolError::Timeout { op: id }));
+    }
+
+    #[test]
+    fn a_timed_out_op_leaves_no_completion_behind() {
+        let mut pod = PodSim::new(PodParams::new(4, 2));
+        let owner = HostId(3);
+        for _ in 0..5 {
+            let op = pod
+                .start(owner, Req::Send(&[1; 64]), Nanos::ZERO)
+                .expect("start");
+            assert!(matches!(pod.finish(op), Err(PoolError::Timeout { .. })));
+        }
+        assert_eq!(pod.agents[3].forgotten.len(), 5, "no Done arrived yet");
+        pod.run_control(Nanos::from_micros(100));
+        assert!(pod.agents[3].completions.is_empty());
+        assert!(
+            pod.agents[3].forgotten.is_empty(),
+            "every late Done arrived"
+        );
     }
 
     #[test]

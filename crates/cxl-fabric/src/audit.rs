@@ -94,10 +94,10 @@
 //!
 //! A multi-MHD pod groups MHDs into failure domains
 //! ([`crate::topology::DomainId`]), and the auditor namespaces its
-//! analysis by domain: shadow lines and dedup keys are keyed by
-//! `(domain, line)`, torn reads are judged within one domain's lines
-//! of a load, and vector-clock components are per `(actor, domain)` via
-//! [`Actor::index_in`].
+//! analysis by domain: dedup keys and the race report's line order are
+//! keyed by `(domain, line)`, torn reads are judged within one domain's
+//! lines of a load, and vector-clock components are per `(actor,
+//! domain)` via [`Actor::index_in`].
 //!
 //! Versions come from one counter, the number of writes landed so far,
 //! yet invent no order across independent devices, because no report
@@ -118,7 +118,10 @@
 //! The auditor keeps no domain table of its own: each hook that needs
 //! a line's domain takes a [`Layout`], the fabric's segment table and
 //! topology, and resolves the line through them (its segment, the MHD
-//! backing its interleave granule, that MHD's domain). A line no live
+//! backing its interleave granule, that MHD's domain). It resolves one
+//! only where the domain is read, since shadow lookups go by address:
+//! a load resolves its lines only when it spans several, and a fill
+//! takes no [`Layout`] at all. A line no live
 //! segment holds audits in [`DomainId`]`(0)`, which keeps single-domain
 //! pods (and direct-drive tests) byte-for-byte compatible with the
 //! pre-domain auditor. Shadow state is keyed by address, so
@@ -688,7 +691,7 @@ impl Layout<'_> {
             .map_or(DomainId(0), |seg| self.topology.domain_of(seg.mhd_for(la)))
     }
 
-    /// Shadow-state key of cache line `la`.
+    /// Cache line `la` with the failure domain it resolves to.
     fn key_of(&self, la: u64) -> LineKey {
         (self.domain_of(la), la)
     }
@@ -767,8 +770,9 @@ fn clean_copy(events: &DetHashMap<u64, EventMeta>, cur: Option<LineState>) -> (H
     (view, clock)
 }
 
-/// Shadow-state key: a cache line with the failure domain it resolves
-/// to. Versions are compared only within one domain.
+/// A cache line with the failure domain it resolves to, resolved only
+/// where a report reads the domain: a multi-line load's torn-read
+/// groups and the race report's line order.
 type LineKey = (DomainId, u64);
 
 /// One host's shadow view of one line, co-located with its clocks.
@@ -1206,9 +1210,9 @@ impl Auditor {
         Some((x.event, &self.events[&x.event]))
     }
 
-    /// The last visible write on a line.
-    fn state(&self, key: LineKey) -> Option<LineState> {
-        let (event, m) = self.meta_at(key.1)?;
+    /// The last visible write on line `la`.
+    fn state(&self, la: u64) -> Option<LineState> {
+        let (event, m) = self.meta_at(la)?;
         Some(LineState {
             event,
             version: m.version,
@@ -1524,8 +1528,7 @@ impl Auditor {
         let multi_line = served.len() > 1;
         let mut observed: Vec<(LineKey, u64, u64)> = Vec::new();
         for &(la, hit) in served {
-            let key = lay.key_of(la);
-            let cur = self.state(key);
+            let cur = self.state(la);
             let view = if hit {
                 // Audit enabled mid-run: seed the cached copy as
                 // current rather than inventing a hazard.
@@ -1564,7 +1567,7 @@ impl Auditor {
                 fresh
             };
             if multi_line {
-                observed.push((key, view.version, view.event));
+                observed.push((lay.key_of(la), view.version, view.event));
             }
         }
         // Torn-read analysis runs per failure domain: independent
@@ -1700,8 +1703,8 @@ impl Auditor {
     /// Audits the read-for-ownership fill of one line (write miss) or a
     /// load-miss fill: the host's copy now reflects the pool-current
     /// version.
-    pub fn on_fill(&mut self, lay: &Layout<'_>, host: HostId, la: u64) {
-        let (view, clock) = clean_copy(&self.events, self.state(lay.key_of(la)));
+    pub fn on_fill(&mut self, host: HostId, la: u64) {
+        let (view, clock) = clean_copy(&self.events, self.state(la));
         self.views.set(host.0, la, view, clock);
     }
 
@@ -1715,7 +1718,6 @@ impl Auditor {
     /// write-write conflict when another host already holds the line
     /// dirty.
     pub fn on_store(&mut self, lay: &Layout<'_>, now: Nanos, host: HostId, la: u64) {
-        let key = lay.key_of(la);
         // Dirty elsewhere? Both hosts intend to publish: a race. When
         // several hosts hold the line dirty, report the lowest id so
         // the reported `first` (and the violation log) never varies
@@ -1739,7 +1741,7 @@ impl Auditor {
                 },
             );
         }
-        let cur = self.state(key);
+        let cur = self.state(la);
         let dirty_clock = self.snapshot(Actor::Cpu(host));
         let events = &self.events;
         let entry = self
@@ -2257,7 +2259,7 @@ mod tests {
     fn invalidate_of_dirty_line_loses_the_write() {
         let lay = bare();
         let mut a = Auditor::new(ver());
-        a.on_fill(&lay, HostId(0), 0);
+        a.on_fill(HostId(0), 0);
         a.on_store(&lay, Nanos(5), HostId(0), 0);
         a.on_invalidate(&lay, Nanos(10), HostId(0), 0, L);
         let r = a.report();
@@ -2275,9 +2277,9 @@ mod tests {
     fn two_dirty_hosts_conflict() {
         let lay = bare();
         let mut a = Auditor::new(ver());
-        a.on_fill(&lay, HostId(0), 0);
+        a.on_fill(HostId(0), 0);
         a.on_store(&lay, Nanos(5), HostId(0), 0);
-        a.on_fill(&lay, HostId(1), 0);
+        a.on_fill(HostId(1), 0);
         a.on_store(&lay, Nanos(9), HostId(1), 0);
         let r = a.report();
         assert_eq!(r.counts.ww_conflicts, 1);
@@ -2295,7 +2297,7 @@ mod tests {
         let lay = bare();
         let mut a = Auditor::new(ver());
         // Host 1 fills at version 0 and dirties the line.
-        a.on_fill(&lay, HostId(1), 0);
+        a.on_fill(HostId(1), 0);
         a.on_store(&lay, Nanos(5), HostId(1), 0);
         // Host 0 publishes a newer value.
         let w = a.on_nt_store(&lay, Nanos(10), HostId(0), 0, L);
@@ -2391,10 +2393,10 @@ mod tests {
             max_recorded: 1,
             ..ver()
         });
-        a.on_fill(&lay, HostId(0), 0);
+        a.on_fill(HostId(0), 0);
         a.on_store(&lay, Nanos(1), HostId(0), 0);
         a.on_invalidate(&lay, Nanos(2), HostId(0), 0, L);
-        a.on_fill(&lay, HostId(0), L);
+        a.on_fill(HostId(0), L);
         a.on_store(&lay, Nanos(3), HostId(0), L);
         a.on_invalidate(&lay, Nanos(4), HostId(0), L, L);
         let r = a.report();

@@ -739,8 +739,8 @@ impl Fabric {
                 if let Some(ev) = self.caches[host.0 as usize].fill(la, line) {
                     self.apply_eviction(now, host, ev);
                 }
-                if let Some((a, lay)) = self.auditor() {
-                    a.on_fill(&lay, host, la);
+                if let Some(a) = self.audit.as_deref_mut() {
+                    a.on_fill(host, la);
                 }
                 fetched += CACHELINE;
             }
